@@ -7,7 +7,6 @@
 //! we determine the ratio of aggregated instruction and cycle counts for
 //! functions in that category").
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use accelerometer_fleet::{Breakdown, FunctionalityCategory, LeafCategory, MemoryOp};
@@ -90,6 +89,15 @@ impl ProfileReport {
     }
 }
 
+/// Pairs each category in `all` with its accumulated sum, skipping the
+/// categories no trace landed in.
+fn present<'a, C: Copy, S: Copy>(
+    all: &'a [C],
+    sums: &'a [Option<S>],
+) -> impl Iterator<Item = (C, S)> + 'a {
+    all.iter().zip(sums).filter_map(|(&c, s)| Some((c, (*s)?)))
+}
+
 /// Aggregates a trace sample into a [`ProfileReport`].
 ///
 /// # Panics
@@ -98,51 +106,50 @@ impl ProfileReport {
 #[must_use]
 pub fn analyze(traces: &[CallTrace], registry: &FunctionRegistry) -> ProfileReport {
     assert!(!traces.is_empty(), "cannot analyze an empty trace sample");
-    let mut leaf_cycles: HashMap<LeafCategory, (f64, f64)> = HashMap::new();
-    let mut func_cycles: HashMap<FunctionalityCategory, (f64, f64)> = HashMap::new();
-    let mut memory_op_cycles: HashMap<MemoryOp, f64> = HashMap::new();
+    // Accumulators indexed by each enum's `ALL` position; `None` marks a
+    // category no trace landed in, which the report omits.
+    let mut leaf_cycles: [Option<(f64, f64)>; LeafCategory::ALL.len()] = Default::default();
+    let mut func_cycles: [Option<(f64, f64)>; FunctionalityCategory::ALL.len()] =
+        Default::default();
+    let mut memory_op_cycles: [Option<f64>; MemoryOp::ALL.len()] = Default::default();
     let mut total_cycles = 0.0;
 
     for trace in traces {
         let leaf = registry.tag_leaf(trace.leaf());
         let functionality = registry.bucket_root(trace.root());
-        let l = leaf_cycles.entry(leaf).or_insert((0.0, 0.0));
+        let l = leaf_cycles[leaf as usize].get_or_insert((0.0, 0.0));
         l.0 += trace.cycles;
         l.1 += trace.instructions;
-        let f = func_cycles.entry(functionality).or_insert((0.0, 0.0));
+        let f = func_cycles[functionality as usize].get_or_insert((0.0, 0.0));
         f.0 += trace.cycles;
         f.1 += trace.instructions;
-        if let Some(op) = registry.tag_memory_op(trace.leaf()) {
-            *memory_op_cycles.entry(op).or_insert(0.0) += trace.cycles;
+        if leaf == LeafCategory::Memory {
+            if let Some(op) = registry.tag_memory_op(trace.leaf()) {
+                *memory_op_cycles[op as usize].get_or_insert(0.0) += trace.cycles;
+            }
         }
         total_cycles += trace.cycles;
     }
 
-    let leaf_entries: Vec<(LeafCategory, f64)> = LeafCategory::ALL
-        .iter()
-        .filter_map(|&c| leaf_cycles.get(&c).map(|(cy, _)| (c, 100.0 * cy / total_cycles)))
+    let leaf_entries: Vec<(LeafCategory, f64)> = present(LeafCategory::ALL, &leaf_cycles)
+        .map(|(c, (cy, _))| (c, 100.0 * cy / total_cycles))
         .collect();
-    let func_entries: Vec<(FunctionalityCategory, f64)> = FunctionalityCategory::ALL
-        .iter()
-        .filter_map(|&c| func_cycles.get(&c).map(|(cy, _)| (c, 100.0 * cy / total_cycles)))
+    let func_entries: Vec<(FunctionalityCategory, f64)> =
+        present(FunctionalityCategory::ALL, &func_cycles)
+            .map(|(c, (cy, _))| (c, 100.0 * cy / total_cycles))
+            .collect();
+    let leaf_ipc = present(LeafCategory::ALL, &leaf_cycles)
+        .map(|(c, (cy, ins))| (c, ins / cy))
         .collect();
-    let leaf_ipc = LeafCategory::ALL
-        .iter()
-        .filter_map(|&c| leaf_cycles.get(&c).map(|(cy, ins)| (c, ins / cy)))
+    let functionality_ipc = present(FunctionalityCategory::ALL, &func_cycles)
+        .map(|(c, (cy, ins))| (c, ins / cy))
         .collect();
-    let functionality_ipc = FunctionalityCategory::ALL
-        .iter()
-        .filter_map(|&c| func_cycles.get(&c).map(|(cy, ins)| (c, ins / cy)))
-        .collect();
-    let memory_total: f64 = memory_op_cycles.values().sum();
+    // Summed in `MemoryOp::ALL` order, so the shares are bitwise
+    // reproducible across processes.
+    let memory_total: f64 = memory_op_cycles.iter().flatten().sum();
     let memory_ops = if memory_total > 0.0 {
-        MemoryOp::ALL
-            .iter()
-            .filter_map(|&op| {
-                memory_op_cycles
-                    .get(&op)
-                    .map(|cy| (op, 100.0 * cy / memory_total))
-            })
+        present(MemoryOp::ALL, &memory_op_cycles)
+            .map(|(op, cy)| (op, 100.0 * cy / memory_total))
             .collect()
     } else {
         Vec::new()
@@ -230,6 +237,20 @@ mod tests {
         // No memory samples → empty sub-breakdown.
         let io_only = analyze(&[trace("svc::io::y", "tcp_sendmsg", 10.0, 0.4)], &registry());
         assert!(io_only.memory_ops.is_empty());
+    }
+
+    #[test]
+    fn memory_op_shares_are_bitwise_reproducible() {
+        use accelerometer_fleet::{profile, ServiceId};
+        let traces = crate::TraceGenerator::new(profile(ServiceId::Cache1), 11).generate(20_000);
+        let bits = |report: &ProfileReport| -> Vec<(MemoryOp, u64)> {
+            report.memory_ops.iter().map(|(op, pct)| (*op, pct.to_bits())).collect()
+        };
+        let first = bits(&analyze(&traces, &registry()));
+        assert_eq!(first.len(), MemoryOp::ALL.len(), "every op sampled");
+        for _ in 0..32 {
+            assert_eq!(bits(&analyze(&traces, &registry())), first);
+        }
     }
 
     #[test]

@@ -129,9 +129,9 @@ mod tests {
     fn report(io: f64, app: f64, logging: f64) -> ProfileReport {
         let registry = FunctionRegistry::with_defaults();
         let traces = vec![
-            CallTrace::new(vec!["svc::io::send".into(), "memcpy".into()], io, io),
-            CallTrace::new(vec!["svc::app::serve".into(), "std::sort".into()], app, app),
-            CallTrace::new(vec!["svc::log::write".into(), "memcpy".into()], logging, logging),
+            CallTrace::new(vec!["svc::io::send", "memcpy"], io, io),
+            CallTrace::new(vec!["svc::app::serve", "std::sort"], app, app),
+            CallTrace::new(vec!["svc::log::write", "memcpy"], logging, logging),
         ];
         analyze(&traces, &registry)
     }
@@ -169,8 +169,8 @@ mod tests {
         let registry = FunctionRegistry::with_defaults();
         let after = analyze(
             &[
-                CallTrace::new(vec!["svc::io::send".into(), "memcpy".into()], 60.0, 60.0),
-                CallTrace::new(vec!["svc::app::serve".into(), "std::sort".into()], 40.0, 40.0),
+                CallTrace::new(vec!["svc::io::send", "memcpy"], 60.0, 60.0),
+                CallTrace::new(vec!["svc::app::serve", "std::sort"], 40.0, 40.0),
             ],
             &registry,
         );

@@ -56,8 +56,8 @@ pub fn from_folded(folded: &str) -> Vec<CallTrace> {
 mod tests {
     use super::*;
 
-    fn trace(frames: &[&str], cycles: f64) -> CallTrace {
-        CallTrace::new(frames.iter().map(|f| (*f).to_owned()).collect(), cycles, 0.0)
+    fn trace(frames: &[&'static str], cycles: f64) -> CallTrace {
+        CallTrace::new(frames.to_vec(), cycles, 0.0)
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! IPC model — so the aggregation pipeline downstream must reconstruct
 //! the profile's marginals and IPCs as the sample count grows.
 
-use accelerometer_fleet::{
-    CpuGeneration, FunctionalityCategory, LeafCategory, MemoryOp, ServiceId, ServiceProfile,
-};
+use std::borrow::Cow;
+
+use accelerometer_fleet::{CpuGeneration, LeafCategory, ServiceId, ServiceProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,33 +46,125 @@ pub fn leaf_ipc(service: ServiceId, category: LeafCategory, generation: CpuGener
     default_leaf_ipc(category)
 }
 
+/// The intermediate frames between a sample's root and its leaf: a
+/// sample passes through the first one to three of them.
+const LAYER_FRAMES: [&str; 3] = [
+    "rpc::layer_0::dispatch",
+    "rpc::layer_1::dispatch",
+    "rpc::layer_2::dispatch",
+];
+
+/// A categorical distribution over a breakdown's entries, with its total
+/// weight summed once, in entry order.
+#[derive(Debug)]
+struct Weighted<T> {
+    entries: Vec<(T, f64)>,
+    total: f64,
+}
+
+impl<T> Weighted<T> {
+    fn new(entries: Vec<(T, f64)>) -> Self {
+        let total = entries.iter().map(|(_, w)| w).sum();
+        Self { entries, total }
+    }
+
+    /// One draw from the RNG, mapped onto the cumulative weights.
+    fn pick(&self, rng: &mut StdRng) -> &T {
+        let mut point = rng.gen_range(0.0..self.total);
+        for (value, w) in &self.entries {
+            if point < *w {
+                return value;
+            }
+            point -= w;
+        }
+        &self.entries.last().expect("non-empty breakdown").0
+    }
+}
+
+/// Everything a sample needs once it has drawn its leaf category.
+#[derive(Debug)]
+struct LeafChoice {
+    category: LeafCategory,
+    /// The category's representative symbols, in registry order.
+    symbols: Vec<&'static str>,
+    /// The category's IPC on the generator's CPU generation.
+    ipc: f64,
+}
+
 /// The synthetic sampler.
+///
+/// Everything a sample looks up — the weighted breakdowns, each
+/// category's symbols, the root frames and the per-leaf IPC — is
+/// resolved when the generator is built (and the IPC again by
+/// [`TraceGenerator::on_generation`]), so drawing a sample only draws
+/// random numbers and allocates its frame list. The IPC therefore comes
+/// from the registry active at construction time; install `--services`
+/// data before building a generator.
 #[derive(Debug)]
 pub struct TraceGenerator {
-    profile: ServiceProfile,
+    service: ServiceId,
     registry: FunctionRegistry,
-    generation: CpuGeneration,
     mean_cycles: f64,
     rng: StdRng,
+    /// Root frames weighted by the Fig. 9 functionality marginal.
+    roots: Weighted<&'static str>,
+    /// Leaf categories weighted by the Fig. 2 marginal.
+    leaves: Weighted<LeafChoice>,
+    /// Memory-op symbol lists weighted by the Fig. 3 operation mix.
+    memory_ops: Weighted<Vec<&'static str>>,
 }
 
 impl TraceGenerator {
     /// Creates a deterministic generator for a service on GenC hardware.
     #[must_use]
     pub fn new(profile: ServiceProfile, seed: u64) -> Self {
+        let registry = FunctionRegistry::with_defaults();
+        let service = profile.id;
+        let roots = Weighted::new(
+            profile
+                .functionality
+                .iter()
+                .map(|(category, w)| (registry.root_frame(category), w))
+                .collect(),
+        );
+        let leaves = Weighted::new(
+            profile
+                .leaves
+                .iter()
+                .map(|(category, w)| {
+                    let choice = LeafChoice {
+                        category,
+                        symbols: registry.leaf_symbols(category),
+                        ipc: leaf_ipc(service, category, CpuGeneration::GenC),
+                    };
+                    (choice, w)
+                })
+                .collect(),
+        );
+        let memory_ops = Weighted::new(
+            profile
+                .memory_ops
+                .iter()
+                .map(|(op, w)| (registry.memory_symbols(op), w))
+                .collect(),
+        );
         Self {
-            profile,
-            registry: FunctionRegistry::with_defaults(),
-            generation: CpuGeneration::GenC,
+            service,
+            registry,
             mean_cycles: 1_000.0,
             rng: StdRng::seed_from_u64(seed),
+            roots,
+            leaves,
+            memory_ops,
         }
     }
 
     /// Overrides the CPU generation (for the IPC-scaling studies).
     #[must_use]
     pub fn on_generation(mut self, generation: CpuGeneration) -> Self {
-        self.generation = generation;
+        for (leaf, _) in &mut self.leaves.entries {
+            leaf.ipc = leaf_ipc(self.service, leaf.category, generation);
+        }
         self
     }
 
@@ -82,61 +174,31 @@ impl TraceGenerator {
         &self.registry
     }
 
-    fn pick_weighted<C: Copy>(rng: &mut StdRng, entries: &[(C, f64)]) -> C {
-        let total: f64 = entries.iter().map(|(_, w)| w).sum();
-        let mut point = rng.gen_range(0.0..total);
-        for (cat, w) in entries {
-            if point < *w {
-                return *cat;
-            }
-            point -= w;
-        }
-        entries.last().expect("non-empty breakdown").0
-    }
-
     /// Generates one sampled call trace.
     pub fn sample(&mut self) -> CallTrace {
-        let functionality: FunctionalityCategory = {
-            let entries: Vec<(FunctionalityCategory, f64)> =
-                self.profile.functionality.iter().collect();
-            Self::pick_weighted(&mut self.rng, &entries)
-        };
-        let leaf_category: LeafCategory = {
-            let entries: Vec<(LeafCategory, f64)> = self.profile.leaves.iter().collect();
-            Self::pick_weighted(&mut self.rng, &entries)
-        };
-
-        let root = format!(
-            "{}handle_request",
-            self.registry.root_prefix(functionality)
-        );
+        let root = *self.roots.pick(&mut self.rng);
+        let leaf = self.leaves.pick(&mut self.rng);
         // Memory leaves honor the service's Fig. 3 operation mix so the
         // analyzer can reconstruct the memory-op sub-breakdown; other
         // categories pick a representative symbol uniformly.
-        let leaf = if leaf_category == LeafCategory::Memory {
-            let entries: Vec<(MemoryOp, f64)> = self.profile.memory_ops.iter().collect();
-            let op = Self::pick_weighted(&mut self.rng, &entries);
-            let symbols = self.registry.memory_symbols(op);
-            symbols[self.rng.gen_range(0..symbols.len())].to_owned()
+        let symbols = if leaf.category == LeafCategory::Memory {
+            self.memory_ops.pick(&mut self.rng)
         } else {
-            let symbols = self.registry.leaf_symbols(leaf_category);
-            symbols[self.rng.gen_range(0..symbols.len())].to_owned()
+            &leaf.symbols
         };
+        let leaf_frame = symbols[self.rng.gen_range(0..symbols.len())];
 
         // A few plausible intermediate frames.
-        let depth = self.rng.gen_range(1..=3);
+        let depth = self.rng.gen_range(1..=LAYER_FRAMES.len());
         let mut frames = Vec::with_capacity(depth + 2);
-        frames.push(root);
-        for d in 0..depth {
-            frames.push(format!("rpc::layer_{d}::dispatch"));
-        }
-        frames.push(leaf);
+        frames.push(Cow::Borrowed(root));
+        frames.extend(LAYER_FRAMES[..depth].iter().copied().map(Cow::Borrowed));
+        frames.push(Cow::Borrowed(leaf_frame));
 
         // Exponential cycle weight; IPC model supplies instructions.
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let cycles = -((1.0 - u).ln()) * self.mean_cycles;
-        let ipc = leaf_ipc(self.profile.id, leaf_category, self.generation);
-        CallTrace::new(frames, cycles, cycles * ipc)
+        CallTrace::new(frames, cycles, cycles * leaf.ipc)
     }
 
     /// Generates a batch of samples.

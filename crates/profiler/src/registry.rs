@@ -11,12 +11,26 @@ use std::collections::HashMap;
 
 use accelerometer_fleet::{FunctionalityCategory, LeafCategory, MemoryOp};
 
+/// Functionality markers: each category's root-frame prefix and the
+/// `handle_request` root frame the trace generator emits under it.
+const FUNCTIONALITY_ROOTS: [(&str, &str, FunctionalityCategory); 10] = [
+    ("svc::io::", "svc::io::handle_request", FunctionalityCategory::SecureInsecureIo),
+    ("svc::io_prep::", "svc::io_prep::handle_request", FunctionalityCategory::IoPrePostProcessing),
+    ("svc::compress::", "svc::compress::handle_request", FunctionalityCategory::Compression),
+    ("svc::serde::", "svc::serde::handle_request", FunctionalityCategory::Serialization),
+    ("svc::features::", "svc::features::handle_request", FunctionalityCategory::FeatureExtraction),
+    ("svc::predict::", "svc::predict::handle_request", FunctionalityCategory::PredictionRanking),
+    ("svc::app::", "svc::app::handle_request", FunctionalityCategory::ApplicationLogic),
+    ("svc::log::", "svc::log::handle_request", FunctionalityCategory::Logging),
+    ("svc::threads::", "svc::threads::handle_request", FunctionalityCategory::ThreadPoolManagement),
+    ("svc::misc::", "svc::misc::handle_request", FunctionalityCategory::Miscellaneous),
+];
+
 /// Maps symbol names to leaf categories and trace-root prefixes to
 /// functionality categories.
 #[derive(Debug, Clone)]
 pub struct FunctionRegistry {
     leaves: HashMap<&'static str, LeafCategory>,
-    functionality_prefixes: Vec<(&'static str, FunctionalityCategory)>,
 }
 
 impl FunctionRegistry {
@@ -58,22 +72,7 @@ impl FunctionRegistry {
         );
         add(LeafCategory::Miscellaneous, &["unknown_leaf", "jit_stub"]);
 
-        let functionality_prefixes = vec![
-            ("svc::io::", FunctionalityCategory::SecureInsecureIo),
-            ("svc::io_prep::", FunctionalityCategory::IoPrePostProcessing),
-            ("svc::compress::", FunctionalityCategory::Compression),
-            ("svc::serde::", FunctionalityCategory::Serialization),
-            ("svc::features::", FunctionalityCategory::FeatureExtraction),
-            ("svc::predict::", FunctionalityCategory::PredictionRanking),
-            ("svc::app::", FunctionalityCategory::ApplicationLogic),
-            ("svc::log::", FunctionalityCategory::Logging),
-            ("svc::threads::", FunctionalityCategory::ThreadPoolManagement),
-            ("svc::misc::", FunctionalityCategory::Miscellaneous),
-        ];
-        Self {
-            leaves,
-            functionality_prefixes,
-        }
+        Self { leaves }
     }
 
     /// Tags a leaf symbol; unknown symbols fall into Miscellaneous, the
@@ -90,10 +89,10 @@ impl FunctionRegistry {
     /// Frames without a recognized marker fall into Miscellaneous.
     #[must_use]
     pub fn bucket_root(&self, root_frame: &str) -> FunctionalityCategory {
-        self.functionality_prefixes
+        FUNCTIONALITY_ROOTS
             .iter()
-            .find(|(prefix, _)| root_frame.starts_with(prefix))
-            .map_or(FunctionalityCategory::Miscellaneous, |(_, cat)| *cat)
+            .find(|(prefix, _, _)| root_frame.starts_with(prefix))
+            .map_or(FunctionalityCategory::Miscellaneous, |(_, _, cat)| *cat)
     }
 
     /// Representative leaf symbols for a category (used by the trace
@@ -142,10 +141,21 @@ impl FunctionRegistry {
     /// The root-frame marker prefix for a functionality category.
     #[must_use]
     pub fn root_prefix(&self, category: FunctionalityCategory) -> &'static str {
-        self.functionality_prefixes
+        Self::root_entry(category).0
+    }
+
+    /// The `handle_request` root frame the trace generator emits for a
+    /// functionality category (its prefix followed by `handle_request`).
+    #[must_use]
+    pub fn root_frame(&self, category: FunctionalityCategory) -> &'static str {
+        Self::root_entry(category).1
+    }
+
+    fn root_entry(category: FunctionalityCategory) -> (&'static str, &'static str) {
+        FUNCTIONALITY_ROOTS
             .iter()
-            .find(|(_, c)| *c == category)
-            .map(|(p, _)| *p)
+            .find(|(_, _, c)| *c == category)
+            .map(|(prefix, root, _)| (*prefix, *root))
             .expect("every functionality category has a prefix")
     }
 }
@@ -214,6 +224,8 @@ mod tests {
         for &cat in FunctionalityCategory::ALL {
             let prefix = r.root_prefix(cat);
             assert_eq!(r.bucket_root(&format!("{prefix}anything")), cat);
+            assert_eq!(r.root_frame(cat), format!("{prefix}handle_request"));
+            assert_eq!(r.bucket_root(r.root_frame(cat)), cat);
         }
     }
 

@@ -3,13 +3,15 @@
 //! and ending with a leaf function such as memcpy()"), annotated with the
 //! cycles and instructions the sampler attributed to it.
 
-use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A sampled call trace with its cycle and instruction attribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallTrace {
-    /// Stack frames from root (index 0) to leaf (last).
-    pub frames: Vec<String>,
+    /// Stack frames from root (index 0) to leaf (last). Generated traces
+    /// borrow their frame names from static symbol tables; parsed ones
+    /// own theirs.
+    pub frames: Vec<Cow<'static, str>>,
     /// Cycles attributed to this trace.
     pub cycles: f64,
     /// Instructions retired while in this trace.
@@ -17,17 +19,18 @@ pub struct CallTrace {
 }
 
 impl CallTrace {
-    /// Creates a trace; `frames` must be non-empty.
+    /// Creates a trace; `frames` must be non-empty. Frames may be owned
+    /// `String`s, `&'static str`s or `Cow`s.
     ///
     /// # Panics
     ///
     /// Panics on an empty frame list — a sample always has at least the
     /// leaf frame.
     #[must_use]
-    pub fn new(frames: Vec<String>, cycles: f64, instructions: f64) -> Self {
+    pub fn new<F: Into<Cow<'static, str>>>(frames: Vec<F>, cycles: f64, instructions: f64) -> Self {
         assert!(!frames.is_empty(), "a call trace needs at least one frame");
         Self {
-            frames,
+            frames: frames.into_iter().map(Into::into).collect(),
             cycles,
             instructions,
         }
@@ -70,9 +73,9 @@ mod tests {
     fn trace() -> CallTrace {
         CallTrace::new(
             vec![
-                "svc::io::secure_send".into(),
-                "folly::AsyncSocket::write".into(),
-                "memcpy".into(),
+                "svc::io::secure_send",
+                "folly::AsyncSocket::write",
+                "memcpy",
             ],
             1000.0,
             450.0,
@@ -90,19 +93,19 @@ mod tests {
 
     #[test]
     fn single_frame_trace_is_its_own_leaf() {
-        let t = CallTrace::new(vec!["memcpy".into()], 10.0, 5.0);
+        let t = CallTrace::new(vec!["memcpy".to_owned()], 10.0, 5.0);
         assert_eq!(t.root(), t.leaf());
     }
 
     #[test]
     fn zero_cycle_trace_has_zero_ipc() {
-        let t = CallTrace::new(vec!["x".into()], 0.0, 5.0);
+        let t = CallTrace::new(vec!["x"], 0.0, 5.0);
         assert_eq!(t.ipc(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn empty_traces_rejected() {
-        let _ = CallTrace::new(vec![], 1.0, 1.0);
+        let _ = CallTrace::new(Vec::<String>::new(), 1.0, 1.0);
     }
 }

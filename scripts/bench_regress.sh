@@ -29,7 +29,7 @@ command -v jq >/dev/null 2>&1 || {
 }
 
 status=0
-for record in BENCH_engine.json BENCH_parallel.json BENCH_kernels.json; do
+for record in BENCH_engine.json BENCH_parallel.json BENCH_kernels.json BENCH_pipeline.json; do
     [ -f "$record" ] || {
         echo "bench_regress: missing record $record" >&2
         status=1
