@@ -6,11 +6,12 @@
 //! counts.
 //!
 //! `BENCH_engine.json` tracks the BENCHJSON lines this prints, with
-//! before/after numbers for the packed event queue, the request slab,
-//! and the total-order-key percentile path.
+//! paired before/after numbers for the dense sampling records and the
+//! key-at-completion percentile path.
 
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
+use accelerometer_sim::metrics::total_order_key;
 use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
@@ -176,13 +177,13 @@ fn bench_percentiles(c: &mut Criterion) {
             &samples,
             |b, samples| b.iter(|| LatencyStats::from_samples(black_box(samples))),
         );
-        group.bench_with_input(
-            BenchmarkId::new("from_samples_owned", n),
-            &samples,
-            |b, samples| {
-                b.iter(|| LatencyStats::from_samples_owned(black_box(samples.clone())))
-            },
-        );
+        // The engine's finish path: latencies are recorded as keys, so
+        // only the sort and fold remain (the copy keeps the input
+        // unsorted across iterations).
+        let keys: Vec<u64> = samples.iter().map(|&x| total_order_key(x)).collect();
+        group.bench_with_input(BenchmarkId::new("from_keys", n), &keys, |b, keys| {
+            b.iter(|| LatencyStats::from_keys(&mut black_box(keys.clone())))
+        });
     }
     group.finish();
 }

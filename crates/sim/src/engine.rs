@@ -21,11 +21,11 @@ use crate::device::{Device, DeviceKind};
 use crate::equeue::{bound_key, pack, unpack_time, EventQueue};
 use crate::error::{ensure, Result, SimError};
 use crate::fault::{FaultPlan, FaultState, RecoveryPolicy};
-use crate::metrics::{FaultMetrics, LatencyStats, SimMetrics};
+use crate::metrics::{total_order_key, FaultMetrics, LatencyStats, SimMetrics};
 use crate::parallel::derive_seed;
 use crate::time::SimTime;
-use crate::trace::{FrozenTrace, SampleBank};
-use crate::workload::{RequestSampler, WorkItem, WorkloadSpec};
+use crate::trace::{FrozenTrace, SampleBank, MAX_TRACE_REQUESTS};
+use crate::workload::{expand_record, RequestSampler, WorkItem, WorkloadSpec};
 
 /// Accelerator-side configuration for a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -72,6 +72,12 @@ impl OffloadConfig {
     }
 }
 
+/// Upper bound on [`SimConfig::threads`] (and so on `cores`) that
+/// [`SimConfig::validate`] accepts: hundreds of times the largest value
+/// any shipped configuration or test uses (24), while keeping the
+/// per-thread state a bounded size.
+pub const MAX_THREADS: usize = 1 << 14;
+
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -108,8 +114,12 @@ impl SimConfig {
     ///
     /// Returns [`crate::SimError::InvalidConfig`] for degenerate values
     /// that would otherwise panic deep in the engine or surface as NaN
-    /// metrics (zero cores, fewer threads than cores, a zero or
-    /// non-finite horizon, malformed fault plans or recovery policies).
+    /// metrics (zero cores, fewer threads than cores, more than
+    /// [`MAX_THREADS`] threads, a zero or non-finite horizon, a negative
+    /// or non-finite workload cost, more than
+    /// [`MAX_KERNELS_PER_REQUEST`](crate::workload::MAX_KERNELS_PER_REQUEST)
+    /// kernels per request, a malformed granularity CDF, malformed fault
+    /// plans or recovery policies).
     pub fn validate(&self) -> Result<()> {
         ensure(
             self.cores > 0,
@@ -124,6 +134,12 @@ impl SimConfig {
             "threads must cover cores",
         )?;
         ensure(
+            self.threads <= MAX_THREADS,
+            "threads",
+            self.threads as f64,
+            "more threads than MAX_THREADS (16384)",
+        )?;
+        ensure(
             self.horizon.is_finite() && self.horizon > 0.0,
             "horizon",
             self.horizon,
@@ -135,6 +151,7 @@ impl SimConfig {
             self.context_switch_cycles,
             "context switch cost must be finite and non-negative",
         )?;
+        self.workload.validate()?;
         if let Some(o) = &self.offload {
             ensure(
                 o.peak_speedup.is_finite() && o.peak_speedup > 0.0,
@@ -215,9 +232,9 @@ enum ThreadState {
 
 /// A thread's pending work items: a flat buffer with a consume cursor.
 ///
-/// `RequestSampler::draw_into` refills `buf` in place (clearing without
-/// shrinking) and the cursor walks forward, so the common case touches
-/// no ring-buffer wrap arithmetic — `pop_front` is an indexed load plus
+/// Each request's record is expanded into `buf` in place (clearing
+/// without shrinking) and the cursor walks forward, so the common case
+/// touches no ring-buffer wrap arithmetic — `pop_front` is an indexed load plus
 /// an increment. The only front insertion is the Sync-OS wake-up charge,
 /// which lands after at least one item was consumed, so it reuses the
 /// slot just vacated by the cursor instead of shifting the buffer.
@@ -251,8 +268,8 @@ impl WorkQueue {
 }
 
 /// One worker thread. Both queues retain their allocations for the
-/// whole run: `items` is refilled in place by `RequestSampler::draw_into`
-/// (which clears without shrinking), and `pickups` only ever pops what it
+/// whole run: `items` is refilled in place from each request's record
+/// (cleared without shrinking), and `pickups` only ever pops what it
 /// pushed — neither reallocates after warm-up.
 #[derive(Debug)]
 struct Thread {
@@ -446,9 +463,10 @@ pub struct Simulator {
     slab: RequestSlab,
     completed: u64,
     completed_failed: u64,
-    latencies: Vec<f64>,
-    /// Scratch for the percentile sort, reused across `reset` cycles.
-    lat_keys: Vec<u64>,
+    /// Each completed request's latency as its [`total_order_key`],
+    /// sorted in place by `finish`. Reserved once per run from the
+    /// request estimate, so it normally never regrows mid-run.
+    latency_keys: Vec<u64>,
     core_busy: f64,
     offloads: u64,
     suppressed: u64,
@@ -463,6 +481,14 @@ pub struct Simulator {
     /// flips on the first [`run_until`](Self::run_until) call so a
     /// paused engine can resume without re-priming.
     primed: bool,
+}
+
+/// Latency keys to reserve for a run of `cfg`: the frozen-trace estimate
+/// of begun requests (which completions cannot outnumber), capped at
+/// [`MAX_TRACE_REQUESTS`]. Reserved but untouched capacity is not
+/// resident, and the one reservation spares the doubling copies.
+fn latency_reserve(cfg: &SimConfig) -> usize {
+    FrozenTrace::estimated_requests(cfg).min(MAX_TRACE_REQUESTS)
 }
 
 /// Validates a frozen trace against the config it is being installed
@@ -564,8 +590,7 @@ impl Simulator {
             slab: RequestSlab::with_capacity(2 * cfg.threads),
             completed: 0,
             completed_failed: 0,
-            latencies: Vec::new(),
-            lat_keys: Vec::new(),
+            latency_keys: Vec::with_capacity(latency_reserve(&cfg)),
             core_busy: 0.0,
             offloads: 0,
             suppressed: 0,
@@ -592,10 +617,10 @@ impl Simulator {
 
     /// Rebuilds the engine for `cfg` while keeping every heap
     /// allocation acquired so far — the request slab, thread work
-    /// queues, event heap, latency samples, and percentile scratch are
-    /// cleared in place rather than freed. Sweeps (`loadsweep`,
-    /// `faultsweep`) and sharded runs drive many config points through
-    /// one engine this way instead of rebuilding per point.
+    /// queues, event heap, and latency keys are cleared in place rather
+    /// than freed. Sweeps (`loadsweep`, `faultsweep`) and sharded runs
+    /// drive many config points through one engine this way instead of
+    /// rebuilding per point.
     ///
     /// The reset engine is observationally identical to
     /// `Simulator::try_new(cfg)` — same RNG stream, same event order,
@@ -659,7 +684,8 @@ impl Simulator {
         self.slab.clear();
         self.completed = 0;
         self.completed_failed = 0;
-        self.latencies.clear();
+        self.latency_keys.clear();
+        self.latency_keys.reserve(latency_reserve(&cfg));
         self.core_busy = 0.0;
         self.offloads = 0;
         self.suppressed = 0;
@@ -1208,7 +1234,7 @@ impl Simulator {
         let request = self.slab.alloc(start);
         self.live_requests += 1;
         self.peak_live_requests = self.peak_live_requests.max(self.live_requests);
-        // Copy the next pre-drawn request into the thread's (drained)
+        // Expand the next pre-drawn request into the thread's (drained)
         // item buffer so its allocation is reused request after request.
         // Disjoint field borrows keep the sampler, RNG, bank, and buffer
         // independent. Priority: adopted frozen trace, then the bank
@@ -1227,7 +1253,7 @@ impl Simulator {
         match trace {
             Some((frozen, next)) => {
                 queue.buf.clear();
-                queue.buf.extend_from_slice(frozen.request(*next));
+                expand_record(frozen.record(*next), &mut queue.buf);
                 *next += 1;
                 *trace_replayed += 1;
                 // Prefix exhausted: continue live drawing from the RNG
@@ -1266,7 +1292,8 @@ impl Simulator {
         self.completed += 1;
         self.completed_failed += u64::from(self.slab.flags[request] & FAILED != 0);
         self.live_requests -= 1;
-        self.latencies.push(end - self.slab.start[request]);
+        self.latency_keys
+            .push(total_order_key(end - self.slab.start[request]));
         self.slab.retire(request);
     }
 
@@ -1288,7 +1315,7 @@ impl Simulator {
             horizon_cycles: horizon,
             completed_requests: self.completed,
             throughput_per_gcycle: self.completed as f64 / horizon * 1e9,
-            latency: LatencyStats::from_samples_scratch(&self.latencies, &mut self.lat_keys),
+            latency: LatencyStats::from_keys(&mut self.latency_keys),
             core_utilization: self.core_busy / (self.cfg.cores as f64 * horizon),
             offloads_dispatched: self.offloads,
             offloads_suppressed: self.suppressed,
@@ -1361,7 +1388,7 @@ impl Simulator {
         ShardOutput {
             completed: self.completed,
             completed_failed: self.completed_failed,
-            latencies: self.latencies,
+            latency_keys: self.latency_keys,
             core_busy: self.core_busy,
             offloads: self.offloads,
             suppressed: self.suppressed,
@@ -1383,7 +1410,8 @@ impl Simulator {
 pub(crate) struct ShardOutput {
     pub completed: u64,
     pub completed_failed: u64,
-    pub latencies: Vec<f64>,
+    /// Completed-request latencies as total-order keys, unsorted.
+    pub latency_keys: Vec<u64>,
     pub core_busy: f64,
     pub offloads: u64,
     pub suppressed: u64,
@@ -1399,7 +1427,7 @@ pub(crate) struct ShardOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelerometer::units::cycles_per_byte;
+    use accelerometer::units::{cycles_per_byte, CyclesPerByte};
     use accelerometer::GranularityCdf;
 
     fn workload() -> WorkloadSpec {
@@ -1949,6 +1977,69 @@ mod tests {
             let err = expect_invalid(cfg);
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
+    }
+
+    #[test]
+    fn degenerate_workloads_and_sizes_are_rejected() {
+        // Each of these used to run: negative or infinite costs produced
+        // negative or empty results, and the sizes exhausted memory or
+        // aborted on capacity overflow.
+        type Poison = fn(&mut SimConfig);
+        let cases: [(&str, Poison); 7] = [
+            ("cycles per byte", |c| {
+                c.workload.cycles_per_byte = CyclesPerByte::new(-2.0);
+            }),
+            ("cycles per byte", |c| {
+                c.workload.cycles_per_byte = CyclesPerByte::new(f64::INFINITY);
+            }),
+            ("non-kernel cycles", |c| c.workload.non_kernel_cycles = f64::INFINITY),
+            ("non-kernel cycles", |c| c.workload.non_kernel_cycles = -1.0),
+            ("MAX_KERNELS_PER_REQUEST", |c| {
+                c.workload.kernels_per_request = 1_000_000_000_000;
+            }),
+            ("MAX_THREADS", |c| c.threads = 10_000_000_000_000),
+            ("CDF breakpoint", |c| {
+                // The derived `GranularityCdf` deserializer skips the
+                // `from_points` checks; validation must not.
+                c.workload.granularity =
+                    serde_json::from_str(r#"{"points": [[-256.0, 0.4], [1024.0, 1.0]]}"#)
+                        .expect("derived form accepts the shape");
+            }),
+        ];
+        for (what, poison) in cases {
+            let mut cfg = base_config();
+            poison(&mut cfg);
+            let err = cfg.validate().expect_err(what);
+            assert!(err.to_string().contains(what), "{what}: {err}");
+            let err = expect_invalid(cfg);
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+        // The caps themselves are accepted.
+        let mut cfg = base_config();
+        cfg.threads = MAX_THREADS;
+        cfg.workload.kernels_per_request = crate::workload::MAX_KERNELS_PER_REQUEST;
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn workload_json_routes_granularity_through_from_points() {
+        let mut value = serde_json::to_value(base_config().workload).expect("serializes");
+        let text = value.to_pretty_string();
+        let back: WorkloadSpec = serde_json::from_str(&text).expect("round trip");
+        assert_eq!(back, base_config().workload);
+        let serde::Value::Object(entries) = &mut value else {
+            panic!("expected an object");
+        };
+        let granularity = &mut entries
+            .iter_mut()
+            .find(|(k, _)| k == "granularity")
+            .expect("granularity entry")
+            .1;
+        *granularity = serde_json::from_str(r#"{"points": [[512.0, 0.5], [256.0, 1.0]]}"#)
+            .expect("valid JSON");
+        let err = serde_json::from_str::<WorkloadSpec>(&value.to_pretty_string())
+            .expect_err("out-of-order CDF");
+        assert!(err.to_string().contains("granularity"), "{err}");
     }
 
     #[test]

@@ -20,51 +20,36 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Computes summary statistics from raw samples.
+    /// Computes summary statistics from raw samples: maps each through
+    /// [`total_order_key`] and defers to [`from_keys`](Self::from_keys).
     #[must_use]
     pub fn from_samples(samples: &[f64]) -> Self {
-        Self::from_samples_owned(samples.to_vec())
+        let mut keys: Vec<u64> = samples.iter().map(|&x| total_order_key(x)).collect();
+        Self::from_keys(&mut keys)
     }
 
-    /// [`from_samples`](Self::from_samples) without the defensive copy:
-    /// takes ownership of the sample buffer (the engine hands over its
-    /// latency vector at the end of a run).
+    /// Summary statistics of samples given as [`total_order_key`]s,
+    /// sorting `keys` in place. The engine records each completed
+    /// request's latency as its key, so the run's one latency buffer is
+    /// also the sort buffer.
     ///
     /// The statistics are *bit-identical* to the original
-    /// clone-and-`sort_by(total_cmp)` implementation: samples are mapped
-    /// through the monotone total-order bit transform (the same order
-    /// `f64::total_cmp` defines) and the `u64` keys are sorted with the
-    /// branchless integer `sort_unstable`, which measures 1.7–2× faster
-    /// than both the comparison sort it replaced and an LSD radix sort
-    /// at every realistic sample count (10k–1M). Producing the full
-    /// ascending order — rather than `select_nth_unstable_by`
-    /// partitions — matters for exactness: the mean is a sequential f64
-    /// fold over the *sorted* sequence, and any other summation order
-    /// could round differently in the last ulp, which the golden-output
-    /// tests would flag as drift.
+    /// clone-and-`sort_by(total_cmp)` implementation: the key transform
+    /// is monotone in the order `f64::total_cmp` defines, and the `u64`
+    /// keys are sorted with the branchless integer `sort_unstable`, which
+    /// measures 1.7–2× faster than both the comparison sort it replaced
+    /// and an LSD radix sort at every realistic sample count (10k–1M).
+    /// Producing the full ascending order — rather than
+    /// `select_nth_unstable_by` partitions — matters for exactness: the
+    /// mean is a sequential f64 fold over the *sorted* sequence, and any
+    /// other summation order could round differently in the last ulp,
+    /// which the golden-output tests would flag as drift.
     #[must_use]
-    pub fn from_samples_owned(samples: Vec<f64>) -> Self {
-        let mut keys = Vec::new();
-        let stats = Self::from_samples_scratch(&samples, &mut keys);
-        drop(samples);
-        stats
-    }
-
-    /// [`from_samples_owned`](Self::from_samples_owned) with a reusable
-    /// key buffer: `keys` is cleared, refilled, and left allocated for
-    /// the caller's next run. The engine's `reset` path threads one
-    /// scratch vector through every sweep iteration so the percentile
-    /// computation stops allocating per config point. Statistics are
-    /// bit-identical to the owned path (same transform, same sort, same
-    /// fold order).
-    #[must_use]
-    pub fn from_samples_scratch(samples: &[f64], keys: &mut Vec<u64>) -> Self {
-        if samples.is_empty() {
+    pub fn from_keys(keys: &mut [u64]) -> Self {
+        let n = keys.len();
+        if n == 0 {
             return Self::default();
         }
-        let n = samples.len();
-        keys.clear();
-        keys.extend(samples.iter().map(|&x| total_order_key(x)));
         keys.sort_unstable();
         let mut sum = 0.0;
         for &k in keys.iter() {
@@ -77,7 +62,7 @@ impl LatencyStats {
             p50: pick(0.50),
             p95: pick(0.95),
             p99: pick(0.99),
-            max: key_to_f64(*keys.last().expect("non-empty")),
+            max: key_to_f64(keys[n - 1]),
         }
     }
 }
@@ -85,9 +70,10 @@ impl LatencyStats {
 /// Maps an `f64` to a `u64` whose unsigned order equals
 /// [`f64::total_cmp`]'s total order (IEEE-754 totalOrder): negative
 /// floats have all bits flipped, non-negative floats have the sign bit
-/// set. Bijective, so [`key_to_f64`] recovers the exact input bits.
+/// set. Bijective, so the exact input bits are recoverable.
 #[inline]
-fn total_order_key(x: f64) -> u64 {
+#[must_use]
+pub fn total_order_key(x: f64) -> u64 {
     let bits = x.to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -327,14 +313,57 @@ mod tests {
         for &n in &[1usize, 2, 100, 2_047, 2_048, 2_049, 50_000] {
             let samples = lcg_samples(n, 0x5EED + n as u64);
             let expect = reference_stats(&samples);
-            let got = LatencyStats::from_samples_owned(samples.clone());
-            assert_eq!(got, expect, "n = {n}");
             assert_eq!(LatencyStats::from_samples(&samples), expect, "n = {n}");
         }
         let constant = vec![123.456_f64; 10_000];
         assert_eq!(
-            LatencyStats::from_samples_owned(constant.clone()),
+            LatencyStats::from_samples(&constant),
             reference_stats(&constant)
+        );
+    }
+
+    /// Every field's bits, so `+0.0` and `-0.0` (equal under `==`)
+    /// count as different.
+    fn stat_bits(s: &LatencyStats) -> [u64; 6] {
+        [
+            s.count as u64,
+            s.mean.to_bits(),
+            s.p50.to_bits(),
+            s.p95.to_bits(),
+            s.p99.to_bits(),
+            s.max.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn key_path_matches_comparison_sort_bitwise_on_edge_values() {
+        let edges = [
+            0.0_f64,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            1.0,
+            1e300,
+            1e300,
+            7.5e12,
+        ];
+        for n in [1usize, 2, 9, 100, 4_097] {
+            let mut samples = lcg_samples(n, 0xED6E + n as u64);
+            for (slot, &edge) in samples.iter_mut().zip(edges.iter().cycle()).step_by(3) {
+                *slot = edge;
+            }
+            let expect = reference_stats(&samples);
+            let mut keys: Vec<u64> = samples.iter().map(|&x| total_order_key(x)).collect();
+            let got = LatencyStats::from_keys(&mut keys);
+            assert_eq!(stat_bits(&got), stat_bits(&expect), "n = {n}");
+            let via_samples = LatencyStats::from_samples(&samples);
+            assert_eq!(stat_bits(&via_samples), stat_bits(&expect), "n = {n}");
+        }
+        let only_edges = edges.to_vec();
+        assert_eq!(
+            stat_bits(&LatencyStats::from_samples(&only_edges)),
+            stat_bits(&reference_stats(&only_edges))
         );
     }
 

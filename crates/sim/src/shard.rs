@@ -240,13 +240,13 @@ fn run_sharded_instrumented_traced(
         }
     }
     let outputs: Vec<ShardOutput> = shards.into_iter().map(Simulator::into_shard_output).collect();
-    Ok(merge(cfg, plan, &outputs))
+    Ok(merge(cfg, plan, outputs))
 }
 
 /// Folds shard accumulators into one [`SimMetrics`], in shard-index
 /// order, with the exact arithmetic the monolithic `finish` uses — so a
 /// single-shard plan is bit-identical to the classic engine.
-fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: &[ShardOutput]) -> (SimMetrics, ShardStats) {
+fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: Vec<ShardOutput>) -> (SimMetrics, ShardStats) {
     let horizon = cfg.horizon;
     let mut completed = 0u64;
     let mut completed_failed = 0u64;
@@ -258,7 +258,9 @@ fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: &[ShardOutput]) -> (SimMetri
     let mut device_queue_delay_total = 0.0f64;
     let mut device_offloads = 0u64;
     let mut device_servers = 0usize;
-    let mut samples: Vec<f64> = Vec::new();
+    // Shard keys concatenated in shard-index order into one exact-size
+    // buffer; each shard's own buffer is freed as soon as it is copied.
+    let mut keys: Vec<u64> = Vec::with_capacity(outputs.iter().map(|o| o.latency_keys.len()).sum());
     let mut faults: Option<FaultMetrics> = None;
     let mut engine = EngineStats::default();
     let mut per_shard_events = Vec::with_capacity(outputs.len());
@@ -274,7 +276,7 @@ fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: &[ShardOutput]) -> (SimMetri
         device_queue_delay_total += out.device_queue_delay_total;
         device_offloads += out.device_offloads;
         device_servers += out.device_servers;
-        samples.extend_from_slice(&out.latencies);
+        keys.extend_from_slice(&out.latency_keys);
         if let Some(f) = &out.faults {
             let acc = faults.get_or_insert_with(FaultMetrics::default);
             acc.active |= f.active;
@@ -318,7 +320,7 @@ fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: &[ShardOutput]) -> (SimMetri
         horizon_cycles: horizon,
         completed_requests: completed,
         throughput_per_gcycle: completed as f64 / horizon * 1e9,
-        latency: LatencyStats::from_samples_owned(samples),
+        latency: LatencyStats::from_keys(&mut keys),
         core_utilization: core_busy / (cfg.cores as f64 * horizon),
         offloads_dispatched: offloads,
         offloads_suppressed: suppressed,

@@ -31,6 +31,13 @@
 //!    banked drawing from the continuation RNG state — bit-identical to
 //!    never having had the trace, so the prefix length is a pure
 //!    performance knob.
+//!
+//! Both levels store requests in the same dense form: a *record* of
+//! `kernels_per_request + 1` `f64`s (the host chunk, then each kernel's
+//! granularity) drawn by [`RequestSampler::draw_record`] and turned into
+//! work items by [`expand_record`] only when a thread begins the
+//! request. One kernel per request costs 16 bytes instead of three
+//! 24-byte items.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::SimConfig;
-use crate::workload::{RequestSampler, WorkItem, WorkloadSpec};
+use crate::workload::{expand_record, RequestSampler, WorkItem, WorkloadSpec};
 
 /// Requests per [`SampleBank`] refill. Big enough that the refill branch
 /// is cold in `begin_request`; small enough that a bank is a few KiB and
@@ -49,10 +56,16 @@ use crate::workload::{RequestSampler, WorkItem, WorkloadSpec};
 /// middle.
 const BANK_BLOCK: usize = 64;
 
-/// Upper bound on a frozen trace's request count (~56 MB at the typical
-/// 3 items per request). Runs that need more fall back to banked live
-/// drawing after the prefix — correct, just less amortized.
-const MAX_TRACE_REQUESTS: usize = 1 << 20;
+/// Upper bound on a frozen trace's request count (16 MiB of records at
+/// the typical one kernel per request). Runs that need more fall back
+/// to banked live drawing after the prefix — correct, just less
+/// amortized. The engine also caps its latency-key reservation here.
+pub(crate) const MAX_TRACE_REQUESTS: usize = 1 << 20;
+
+/// Upper bound on the values a frozen trace stores (32 MiB). Binds only
+/// above three kernels per request, where it shortens the prefix so a
+/// trace never costs more memory than a three-kernel one.
+const MAX_TRACE_VALUES: usize = 1 << 22;
 
 /// Process-wide switch for cross-point trace reuse in sweep runners
 /// (level 2). On by default; `accelctl --trace-reuse off` clears it so
@@ -77,19 +90,19 @@ pub fn trace_reuse_enabled() -> bool {
 
 /// A block of pre-drawn requests owned by one engine (level 1).
 ///
-/// Each request lives in its own buffer; popping swaps the pre-drawn
-/// buffer with the consumer's (returning the consumer's old allocation
-/// to the bank for the next refill), so the per-request cost is three
-/// pointer-word swaps — no copy, no bounds arithmetic. The refill loop
-/// consumes the engine RNG in exactly the order per-request drawing
-/// would, so popping request `i` yields bit-identical items to drawing
-/// it inline.
+/// The block is one flat buffer of records (the same layout as a
+/// [`FrozenTrace`]); popping expands the next record into the
+/// consumer's item buffer. The refill loop consumes the engine RNG in
+/// exactly the order per-request drawing would, so popping request `i`
+/// yields bit-identical items to drawing it inline.
 #[derive(Debug, Clone)]
 pub(crate) struct SampleBank {
-    bufs: Vec<Vec<WorkItem>>,
-    /// Index of the next un-popped request in `bufs`.
+    /// `filled` records back to back, `sampler.record_len()` values
+    /// each.
+    records: Vec<f64>,
+    /// Index of the next un-popped record.
     next: usize,
-    /// Number of valid pre-drawn requests in `bufs` (0 after a clear).
+    /// Number of valid pre-drawn records (0 after a clear).
     filled: usize,
     /// Requests per refill (testable; [`BANK_BLOCK`] by default).
     block: usize,
@@ -101,7 +114,7 @@ pub(crate) struct SampleBank {
 impl SampleBank {
     pub(crate) fn new() -> Self {
         Self {
-            bufs: Vec::new(),
+            records: Vec::new(),
             next: 0,
             filled: 0,
             block: BANK_BLOCK,
@@ -109,9 +122,9 @@ impl SampleBank {
         }
     }
 
-    /// Drops all buffered requests (keeping allocations) so the next pop
-    /// refills from the current RNG state. Must be called on engine
-    /// reset: buffered draws belong to the old stream.
+    /// Drops all buffered requests (keeping the allocation) so the next
+    /// pop refills from the current RNG state. Must be called on engine
+    /// reset: buffered draws belong to the old stream and workload.
     pub(crate) fn clear(&mut self) {
         self.next = 0;
         self.filled = 0;
@@ -132,8 +145,8 @@ impl SampleBank {
         self.clear();
     }
 
-    /// Pops the next pre-drawn request by swapping its buffer with
-    /// `out`, refilling the bank from `rng` when empty.
+    /// Replaces `out` with the next pre-drawn request's items,
+    /// refilling the bank from `rng` when empty.
     #[inline(always)]
     pub(crate) fn pop_into(
         &mut self,
@@ -144,21 +157,21 @@ impl SampleBank {
         if self.next == self.filled {
             self.refill(sampler, rng);
         }
-        std::mem::swap(out, &mut self.bufs[self.next]);
+        let stride = sampler.record_len();
+        let start = self.next * stride;
+        out.clear();
+        expand_record(&self.records[start..start + stride], out);
         self.next += 1;
     }
 
-    /// The tight loop: `block` consecutive requests drawn with nothing
-    /// between the draws but a buffer-slot step. Buffers returned by
-    /// earlier swaps are redrawn in place, so steady state allocates
-    /// nothing.
+    /// The tight loop: `block` consecutive records drawn with nothing
+    /// between the draws. The buffer keeps its allocation, so steady
+    /// state allocates nothing.
     #[cold]
     fn refill(&mut self, sampler: &RequestSampler, rng: &mut StdRng) {
-        if self.bufs.len() < self.block {
-            self.bufs.resize_with(self.block, Vec::new);
-        }
-        for buf in &mut self.bufs[..self.block] {
-            sampler.draw_into(rng, buf);
+        self.records.clear();
+        for _ in 0..self.block {
+            sampler.draw_record(rng, &mut self.records);
         }
         self.next = 0;
         self.filled = self.block;
@@ -172,8 +185,11 @@ impl SampleBank {
 pub struct FrozenTrace {
     seed: u64,
     workload: WorkloadSpec,
-    items: Vec<WorkItem>,
-    ends: Vec<usize>,
+    /// `len() × stride` values: record `i` (see
+    /// [`RequestSampler::draw_record`]) is `records[i * stride..][..stride]`.
+    records: Vec<f64>,
+    /// Values per record: `kernels_per_request + 1`.
+    stride: usize,
     /// The RNG state after drawing the prefix: a run that consumes more
     /// requests than the trace holds continues live drawing from here,
     /// bit-identical to a run that never had the trace.
@@ -183,23 +199,29 @@ pub struct FrozenTrace {
 impl FrozenTrace {
     /// Draws a trace of `requests` requests for `(seed, workload)` —
     /// the first `requests` blocks of the engine RNG stream that
-    /// `StdRng::seed_from_u64(seed)` produces.
+    /// `StdRng::seed_from_u64(seed)` produces. The request count is
+    /// capped at [`MAX_TRACE_REQUESTS`], and at [`MAX_TRACE_VALUES`]
+    /// values; the record buffer is allocated once, at its final size.
     #[must_use]
     pub fn draw(seed: u64, workload: &WorkloadSpec, requests: usize) -> Self {
         let sampler = workload.sampler();
+        let stride = sampler.record_len();
         let mut rng = StdRng::seed_from_u64(seed);
-        let requests = requests.min(MAX_TRACE_REQUESTS);
-        let mut items = Vec::new();
-        let mut ends = Vec::with_capacity(requests);
+        let requests = requests
+            .min(MAX_TRACE_REQUESTS)
+            .min(MAX_TRACE_VALUES / stride);
+        let values = requests
+            .checked_mul(stride)
+            .expect("trace size is bounded by MAX_TRACE_VALUES");
+        let mut records = Vec::with_capacity(values);
         for _ in 0..requests {
-            sampler.draw_append(&mut rng, &mut items);
-            ends.push(items.len());
+            sampler.draw_record(&mut rng, &mut records);
         }
         Self {
             seed,
             workload: workload.clone(),
-            items,
-            ends,
+            records,
+            stride,
             resume_rng: rng,
         }
     }
@@ -215,7 +237,7 @@ impl FrozenTrace {
         Self::draw(cfg.seed, &cfg.workload, Self::estimated_requests(cfg))
     }
 
-    fn estimated_requests(cfg: &SimConfig) -> usize {
+    pub(crate) fn estimated_requests(cfg: &SimConfig) -> usize {
         let mean = cfg.workload.mean_request_cycles().max(1.0);
         let per_core = cfg.horizon / mean;
         let speedup_cap = cfg.offload.as_ref().map_or(1.0, |o| {
@@ -245,19 +267,18 @@ impl FrozenTrace {
     /// Number of pre-drawn requests.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.records.len() / self.stride
     }
 
     /// Whether the trace holds no requests.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.records.is_empty()
     }
 
-    /// The `i`-th pre-drawn request's work items.
-    pub(crate) fn request(&self, i: usize) -> &[WorkItem] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.items[start..self.ends[i]]
+    /// The `i`-th pre-drawn request's record, for [`expand_record`].
+    pub(crate) fn record(&self, i: usize) -> &[f64] {
+        &self.records[i * self.stride..][..self.stride]
     }
 
     /// The RNG state after the prefix, for the live-drawing
@@ -368,6 +389,13 @@ mod tests {
         }
     }
 
+    /// Request `i` of `trace`, expanded into work items.
+    fn request(trace: &FrozenTrace, i: usize) -> Vec<WorkItem> {
+        let mut items = Vec::new();
+        expand_record(trace.record(i), &mut items);
+        items
+    }
+
     fn config() -> SimConfig {
         SimConfig {
             cores: 2,
@@ -432,9 +460,53 @@ mod tests {
         assert_eq!(trace.len(), 40);
         let mut rng = StdRng::seed_from_u64(77);
         for i in 0..trace.len() {
-            assert_eq!(spec.draw_request(&mut rng).as_slice(), trace.request(i));
+            assert_eq!(spec.draw_request(&mut rng), request(&trace, i));
         }
         assert_eq!(&rng, trace.resume_rng());
+    }
+
+    /// Request `i` of a frozen trace equals the `i`-th direct draw for
+    /// every item-layout case: no kernels (the lone `Host(1.0)` item when
+    /// the host chunk is skipped), one kernel, several kernels, and a
+    /// zero host mean (every host chunk skipped).
+    #[test]
+    fn frozen_requests_equal_direct_draws_in_every_layout() {
+        for kernels in [0, 1, 3] {
+            for non_kernel_cycles in [3_000.0, 0.0] {
+                let spec = WorkloadSpec {
+                    non_kernel_cycles,
+                    ..workload(kernels)
+                };
+                let trace = FrozenTrace::draw(13, &spec, 300);
+                assert_eq!(trace.len(), 300);
+                // One exact-size allocation: no growth slack.
+                assert_eq!(trace.records.len(), trace.records.capacity());
+                assert_eq!(trace.records.len(), trace.len() * (kernels + 1));
+                let mut rng = StdRng::seed_from_u64(13);
+                for i in 0..trace.len() {
+                    let direct = spec.draw_request(&mut rng);
+                    assert_eq!(
+                        direct,
+                        request(&trace, i),
+                        "kernels {kernels}, host {non_kernel_cycles}, request {i}"
+                    );
+                }
+                assert_eq!(&rng, trace.resume_rng());
+            }
+        }
+    }
+
+    /// Wide records shorten the prefix instead of growing the trace past
+    /// [`MAX_TRACE_VALUES`]; a record wider than the budget leaves the
+    /// trace empty, whose resume state is the fresh seed.
+    #[test]
+    fn value_budget_caps_wide_records() {
+        let trace = FrozenTrace::draw(3, &workload(7), usize::MAX);
+        assert_eq!(trace.len(), MAX_TRACE_VALUES / 8);
+        assert_eq!(trace.records.capacity(), MAX_TRACE_VALUES);
+        let empty = FrozenTrace::draw(3, &workload(MAX_TRACE_VALUES), 10);
+        assert!(empty.is_empty());
+        assert_eq!(empty.resume_rng(), &StdRng::seed_from_u64(3));
     }
 
     #[test]

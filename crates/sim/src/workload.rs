@@ -6,10 +6,19 @@
 //! works with.
 
 use accelerometer::units::CyclesPerByte;
-use accelerometer::{GranularityCdf, GranularitySampler};
+use accelerometer::{GranularityCdf, GranularitySampler, ModelError};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+use crate::error::{self, ensure, SimError};
+
+/// Upper bound on [`WorkloadSpec::kernels_per_request`] that
+/// [`SimConfig::validate`](crate::SimConfig::validate) accepts: hundreds
+/// of times the largest value any shipped configuration or test uses
+/// (3), while keeping a request record, and every thread's item buffer,
+/// a bounded size.
+pub const MAX_KERNELS_PER_REQUEST: usize = 1 << 10;
 
 /// One unit of work inside a request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +43,7 @@ pub enum WorkItem {
 }
 
 /// The statistical shape of requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadSpec {
     /// Mean non-kernel cycles per request (exponentially distributed).
     pub non_kernel_cycles: f64,
@@ -44,6 +53,40 @@ pub struct WorkloadSpec {
     pub granularity: GranularityCdf,
     /// Host cycles per kernel byte (`Cb`).
     pub cycles_per_byte: CyclesPerByte,
+}
+
+// Deserialization is written by hand (not derived) so the granularity
+// CDF goes through `GranularityCdf::from_points`: the derived form
+// accepts any breakpoints, and a negative byte bound makes simulated
+// time run backwards.
+impl Deserialize for WorkloadSpec {
+    fn from_json_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let serde::Value::Object(entries) = v else {
+            return Err(serde::DeError::new("WorkloadSpec: expected object"));
+        };
+        fn field<T: Deserialize>(
+            entries: &[(String, serde::Value)],
+            key: &'static str,
+        ) -> Result<T, serde::DeError> {
+            match serde::__field(entries, key) {
+                Some(value) => T::from_json_value(value),
+                None => Err(serde::DeError::new(format!(
+                    "missing field `{key}` in WorkloadSpec"
+                ))),
+            }
+        }
+        let non_kernel_cycles = field(entries, "non_kernel_cycles")?;
+        let kernels_per_request = field(entries, "kernels_per_request")?;
+        let granularity: GranularityCdf = field(entries, "granularity")?;
+        let granularity = GranularityCdf::from_points(granularity.points().to_vec())
+            .map_err(|e| serde::DeError::new(format!("WorkloadSpec: granularity: {e}")))?;
+        Ok(Self {
+            non_kernel_cycles,
+            kernels_per_request,
+            granularity,
+            cycles_per_byte: field(entries, "cycles_per_byte")?,
+        })
+    }
 }
 
 impl WorkloadSpec {
@@ -70,16 +113,57 @@ impl WorkloadSpec {
     /// kernel invocations so offloads interleave with useful work, which
     /// is what lets asynchronous designs overlap.
     ///
-    /// Implemented on top of [`RequestSampler::draw_into`] (the
-    /// inverse-CDF sampler is proven bit-identical to the linear-scan
-    /// quantile), so there is exactly one copy of the host-cycles/`ln`
-    /// draw logic. Convenient for one-off draws; repeated draws should
-    /// build the sampler once via [`WorkloadSpec::sampler`].
+    /// Implemented as [`RequestSampler::draw_record`] followed by
+    /// [`expand_record`], so there is exactly one copy of the
+    /// host-cycles/`ln` draw logic and one copy of the item layout.
+    /// Convenient for one-off draws; repeated draws should build the
+    /// sampler once via [`WorkloadSpec::sampler`].
     #[must_use]
     pub fn draw_request(&self, rng: &mut StdRng) -> Vec<WorkItem> {
+        let mut record = Vec::with_capacity(self.kernels_per_request + 1);
+        self.sampler().draw_record(rng, &mut record);
         let mut items = Vec::with_capacity(2 * self.kernels_per_request + 1);
-        self.sampler().draw_into(rng, &mut items);
+        expand_record(&record, &mut items);
         items
+    }
+
+    /// Rejects workloads the engine cannot simulate: negative or
+    /// non-finite costs (time would run backwards or never advance), more
+    /// than [`MAX_KERNELS_PER_REQUEST`] kernels, or a granularity CDF
+    /// that [`GranularityCdf::from_points`] refuses.
+    pub(crate) fn validate(&self) -> error::Result<()> {
+        ensure(
+            self.non_kernel_cycles.is_finite() && self.non_kernel_cycles >= 0.0,
+            "non_kernel_cycles",
+            self.non_kernel_cycles,
+            "non-kernel cycles must be finite and non-negative",
+        )?;
+        ensure(
+            self.kernels_per_request <= MAX_KERNELS_PER_REQUEST,
+            "kernels_per_request",
+            self.kernels_per_request as f64,
+            "more kernels per request than MAX_KERNELS_PER_REQUEST (1024)",
+        )?;
+        let cb = self.cycles_per_byte.get();
+        ensure(
+            cb.is_finite() && cb >= 0.0,
+            "cycles_per_byte",
+            cb,
+            "cycles per byte must be finite and non-negative",
+        )?;
+        GranularityCdf::from_points(self.granularity.points().to_vec()).map_err(|e| {
+            let index = match e {
+                ModelError::NonMonotonicCdf { index } => index,
+                _ => 0,
+            };
+            SimError::InvalidConfig {
+                field: "granularity",
+                value: index as f64,
+                reason: "CDF breakpoint at this index is negative, non-finite or out of \
+                         order, or the CDF is empty or does not end at 1",
+            }
+        })?;
+        Ok(())
     }
 
     /// Builds a [`RequestSampler`] for repeated draws: the granularity
@@ -104,10 +188,11 @@ impl WorkloadSpec {
 /// A request generator precomputed from a [`WorkloadSpec`] for the
 /// simulator's hot path.
 ///
-/// Consumes the RNG in exactly the order [`WorkloadSpec::draw_request`]
-/// does — one uniform for the request's host total, then one per kernel
-/// granularity — so simulations driven through either path see the same
-/// random stream.
+/// A request is drawn as a *record* of `kernels_per_request + 1` values
+/// — the host chunk, then one granularity per kernel — and
+/// [`expand_record`] turns a record into work items. Records are the
+/// dense form the sample bank and frozen traces store: 8 bytes per
+/// value instead of 24 per item.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestSampler {
     non_kernel_cycles: f64,
@@ -116,38 +201,51 @@ pub struct RequestSampler {
 }
 
 impl RequestSampler {
-    /// Draws one request's work items into `out`, clearing it first.
-    /// The buffer's allocation is reused across requests.
-    pub fn draw_into(&self, rng: &mut StdRng, out: &mut Vec<WorkItem>) {
-        out.clear();
-        self.draw_append(rng, out);
+    /// Values per record: the host chunk plus one granularity per
+    /// kernel.
+    pub(crate) fn record_len(&self) -> usize {
+        self.kernels_per_request + 1
     }
 
-    /// Draws one request's work items, appending to `out` without
-    /// clearing. This is the single copy of the draw logic: per request,
-    /// one uniform for the exponential host total (split into
-    /// `kernels_per_request + 1` chunks) followed by one uniform per
-    /// kernel granularity. Trace banks use it to pack many requests into
-    /// one flat buffer in a single tight loop.
-    pub fn draw_append(&self, rng: &mut StdRng, out: &mut Vec<WorkItem>) {
-        let start = out.len();
+    /// Draws one request's record, appending `kernels_per_request + 1`
+    /// values to `out`. This is the single copy of the draw logic: one
+    /// uniform for the exponential host total (split into that many
+    /// equal chunks), then one uniform per kernel granularity.
+    #[inline]
+    pub fn draw_record(&self, rng: &mut StdRng, out: &mut Vec<f64>) {
         let u: f64 = rng.gen_range(0.0..1.0);
         let host_total = -((1.0 - u).ln()) * self.non_kernel_cycles;
-        let chunks = self.kernels_per_request + 1;
-        let host_chunk = host_total / chunks as f64;
+        out.push(host_total / self.record_len() as f64);
         for _ in 0..self.kernels_per_request {
-            if host_chunk > 0.0 {
-                out.push(WorkItem::Host(host_chunk));
-            }
-            let bytes = self.quantile.quantile(rng.gen_range(0.0..1.0)).get();
-            out.push(WorkItem::Kernel { bytes });
+            out.push(self.quantile.quantile(rng.gen_range(0.0..1.0)).get());
         }
+    }
+}
+
+/// Appends the work items of one record (see
+/// [`RequestSampler::draw_record`]) to `out`. This is the single copy of
+/// the item layout: a host chunk before each kernel and one after the
+/// last, host chunks skipped unless `> 0.0`, and a lone `Host(1.0)` for a
+/// request that would otherwise be empty.
+///
+/// # Panics
+///
+/// Panics on an empty record (every record holds its host chunk).
+#[inline]
+pub fn expand_record(record: &[f64], out: &mut Vec<WorkItem>) {
+    let (&host_chunk, kernels) = record.split_first().expect("record holds a host chunk");
+    let start = out.len();
+    for &bytes in kernels {
         if host_chunk > 0.0 {
             out.push(WorkItem::Host(host_chunk));
         }
-        if out.len() == start {
-            out.push(WorkItem::Host(1.0));
-        }
+        out.push(WorkItem::Kernel { bytes });
+    }
+    if host_chunk > 0.0 {
+        out.push(WorkItem::Host(host_chunk));
+    }
+    if out.len() == start {
+        out.push(WorkItem::Host(1.0));
     }
 }
 
@@ -311,7 +409,7 @@ mod tests {
 
     #[test]
     fn sampler_draws_match_reference_bitwise() {
-        // The reusable-buffer sampler and the allocating wrapper must
+        // The record sampler plus expansion and the allocating wrapper must
         // consume the RNG in the same order and produce the same items
         // as the historical linear-scan path, draw for draw, across many
         // consecutive requests.
@@ -325,10 +423,15 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
         let mut rng_c = StdRng::seed_from_u64(42);
+        let mut record = Vec::new();
         let mut buf = Vec::new();
         for _ in 0..5_000 {
             let reference = reference_draw(&spec, &mut rng_a);
-            sampler.draw_into(&mut rng_b, &mut buf);
+            record.clear();
+            sampler.draw_record(&mut rng_b, &mut record);
+            assert_eq!(record.len(), sampler.record_len());
+            buf.clear();
+            expand_record(&record, &mut buf);
             assert_eq!(reference, buf);
             assert_eq!(reference, spec.draw_request(&mut rng_c));
         }

@@ -68,6 +68,23 @@ grep '"fallbacks"' "$out_dir/faults_heavy_s1.json" | awk -F': ' \
 grep '"core_utilization"' "$out_dir/faults_heavy_s1.json" | awk -F': ' \
     '{ gsub(/,/, "", $2); if ($2 + 0.0 > 1.0) { print "core_utilization " $2 " exceeds 1.0"; exit 1 } }'
 
+echo "== bad-input smoke: malformed fault scenarios must exit 1 with a structured error =="
+# Each crates/cli/tests/fixtures/bad_scenario_*.json breaks one workload
+# or size field of the heavy-fallback scenario: a negative or infinite
+# cost, a negative CDF breakpoint, or an absurd kernel or thread count.
+# These used to exit 0 with negative or empty results, or die on an
+# out-of-memory kill (137) or a capacity-overflow abort (134). Any exit
+# code but 1, or a panic message, fails the smoke.
+for scenario in crates/cli/tests/fixtures/bad_scenario_*.json; do
+    rc=0
+    ./target/release/accelctl faults "$scenario" > /dev/null 2> "$out_dir/bad_input.err" || rc=$?
+    if [ "$rc" -ne 1 ] || grep -q 'panicked' "$out_dir/bad_input.err"; then
+        echo "bad-input smoke: $scenario exited $rc (expected 1)"
+        cat "$out_dir/bad_input.err"
+        exit 1
+    fi
+done
+
 echo "== trace-reuse smoke: accelctl faults with reuse on and off must match byte-for-byte =="
 # Cross-point frozen-trace reuse replays pre-drawn requests instead of
 # redrawing them at every sweep grid point; the toggle must be
