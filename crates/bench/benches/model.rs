@@ -10,11 +10,15 @@ use accelerometer::{
     KernelCost, ModelParams, OffloadContext, OffloadOverheads, OffloadPolicy, Scenario,
     ThreadingDesign,
 };
-use accelerometer_fleet::params::{aes_ni_cache1, compression_feed1};
+use accelerometer_fleet::{case_study, recommendation, CaseStudy};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+fn aes_ni() -> CaseStudy {
+    case_study("aes-ni").expect("aes-ni case study")
+}
+
 fn bench_estimate(c: &mut Criterion) {
-    let params = aes_ni_cache1().scenario.params;
+    let params = aes_ni().scenario.params;
     c.bench_function("model/estimate_sync_on_chip", |b| {
         b.iter(|| {
             estimate(
@@ -45,7 +49,7 @@ fn bench_estimate(c: &mut Criterion) {
 }
 
 fn bench_projection(c: &mut Criterion) {
-    let rec = compression_feed1();
+    let rec = recommendation("Feed1: Compression").expect("Feed1 recommendation");
     let cfg = &rec.configs[1]; // off-chip Sync with CDF selection
     c.bench_function("model/project_with_cdf_selection", |b| {
         b.iter(|| {
@@ -71,7 +75,7 @@ fn bench_projection(c: &mut Criterion) {
 }
 
 fn bench_sweep(c: &mut Criterion) {
-    let scenario = aes_ni_cache1().scenario;
+    let scenario = aes_ni().scenario;
     let values = sweep::log_space(1.0, 1_000.0, 100);
     c.bench_function("model/sweep_peak_speedup_100_points", |b| {
         b.iter(|| sweep::sweep(black_box(&scenario), sweep::SweepAxis::PeakSpeedup, &values))
@@ -100,7 +104,7 @@ fn bench_config(c: &mut Criterion) {
             .map(|i| {
                 accelerometer::ScenarioConfig::from_scenario(
                     format!("scenario-{i}"),
-                    &aes_ni_cache1().scenario,
+                    &aes_ni().scenario,
                 )
             })
             .collect(),

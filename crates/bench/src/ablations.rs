@@ -21,7 +21,7 @@ use accelerometer::units::cycles_per_byte;
 use accelerometer::{
     estimate, throughput_breakeven, DriverMode, ModelParams, OffloadContext, ThreadingDesign,
 };
-use accelerometer_fleet::params::{all_case_studies, compression_feed1};
+use accelerometer_fleet::params::{all_case_studies, recommendation};
 use accelerometer_sim::workload::{workload_for_params, WorkloadSpec};
 use accelerometer_sim::{run_ab, DeviceKind, ExecPool, OffloadConfig, SimConfig};
 use serde::{Deserialize, Serialize};
@@ -45,21 +45,25 @@ pub struct AlphaWeightingAblation {
     pub simulated_percent: f64,
 }
 
-/// Runs the α-weighting ablation on Feed1's off-chip Sync compression.
+/// Runs the α-weighting ablation on Feed1's off-chip Sync compression,
+/// or `None` when the loaded service data has no such configuration
+/// with a finite break-even.
 #[must_use]
-pub fn alpha_weighting(seed: u64) -> AlphaWeightingAblation {
-    let rec = compression_feed1();
+pub fn alpha_weighting(seed: u64) -> Option<AlphaWeightingAblation> {
+    let rec = recommendation("Feed1: Compression")?;
     let profile = &rec.profile;
-    let accel = &rec.configs[1].accelerator; // off-chip, A = 27, L = 2300
+    let accel = &rec
+        .configs
+        .iter()
+        .find(|c| c.label == "Off-chip:Sync")? // A = 27, L = 2300
+        .accelerator;
     let ctx = OffloadContext::new(
         accel.overheads,
         accel.peak_speedup,
         ThreadingDesign::Sync,
         accel.strategy,
     );
-    let breakeven = throughput_breakeven(&profile.cost, &ctx)
-        .threshold()
-        .expect("off-chip Sync compression has a finite break-even");
+    let breakeven = throughput_breakeven(&profile.cost, &ctx).threshold()?;
 
     let count_fraction = profile.granularity.fraction_above(breakeven);
     let byte_fraction = profile.granularity.byte_weighted_fraction_above(breakeven);
@@ -112,14 +116,14 @@ pub fn alpha_weighting(seed: u64) -> AlphaWeightingAblation {
     };
     let simulated_percent = run_ab(&control, offload).speedup_percent();
 
-    AlphaWeightingAblation {
+    Some(AlphaWeightingAblation {
         breakeven_bytes: breakeven.get(),
         count_fraction,
         byte_fraction,
         count_weighted_percent,
         byte_weighted_percent,
         simulated_percent,
-    }
+    })
 }
 
 /// Ablation 2 result: one row per device speed.
@@ -366,38 +370,39 @@ pub fn prior_model_comparison() -> Vec<PriorModelRow> {
 pub fn render_all(seed: u64) -> String {
     let mut out = String::new();
 
-    let a = alpha_weighting(seed);
-    out.push_str(&table(
-        "Ablation 1: count- vs byte-weighted alpha scaling (Feed1 off-chip Sync compression)",
-        &["quantity", "value"],
-        &[
-            vec!["break-even".into(), format!("{:.0} B", a.breakeven_bytes)],
-            vec![
-                "lucrative offloads (count)".into(),
-                format!("{:.1}%", a.count_fraction * 100.0),
+    if let Some(a) = alpha_weighting(seed) {
+        out.push_str(&table(
+            "Ablation 1: count- vs byte-weighted alpha scaling (Feed1 off-chip Sync compression)",
+            &["quantity", "value"],
+            &[
+                vec!["break-even".into(), format!("{:.0} B", a.breakeven_bytes)],
+                vec![
+                    "lucrative offloads (count)".into(),
+                    format!("{:.1}%", a.count_fraction * 100.0),
+                ],
+                vec![
+                    "lucrative bytes".into(),
+                    format!("{:.1}%", a.byte_fraction * 100.0),
+                ],
+                vec![
+                    "model, count-weighted alpha (paper)".into(),
+                    format!("{:+.2}%", a.count_weighted_percent),
+                ],
+                vec![
+                    "model, byte-weighted alpha".into(),
+                    format!("{:+.2}%", a.byte_weighted_percent),
+                ],
+                vec![
+                    "simulated selective offload".into(),
+                    format!("{:+.2}%", a.simulated_percent),
+                ],
             ],
-            vec![
-                "lucrative bytes".into(),
-                format!("{:.1}%", a.byte_fraction * 100.0),
-            ],
-            vec![
-                "model, count-weighted alpha (paper)".into(),
-                format!("{:+.2}%", a.count_weighted_percent),
-            ],
-            vec![
-                "model, byte-weighted alpha".into(),
-                format!("{:+.2}%", a.byte_weighted_percent),
-            ],
-            vec![
-                "simulated selective offload".into(),
-                format!("{:+.2}%", a.simulated_percent),
-            ],
-        ],
-    ));
-    out.push_str(
-        "finding: kernel cycles follow bytes, so byte-weighted alpha matches the\n\
-         executed offload; the paper's count-weighted rule under-projects here.\n\n",
-    );
+        ));
+        out.push_str(
+            "finding: kernel cycles follow bytes, so byte-weighted alpha matches the\n\
+             executed offload; the paper's count-weighted rule under-projects here.\n\n",
+        );
+    }
 
     let rows: Vec<Vec<String>> = queueing_sensitivity(seed)
         .into_iter()
@@ -479,7 +484,7 @@ mod tests {
 
     #[test]
     fn byte_weighting_matches_simulated_truth() {
-        let a = alpha_weighting(77);
+        let a = alpha_weighting(77).expect("Feed1 off-chip Sync compression");
         // Bytes concentrate in large offloads: byte fraction far exceeds
         // the count fraction.
         assert!(a.byte_fraction > a.count_fraction + 0.15);

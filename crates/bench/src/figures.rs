@@ -2,28 +2,31 @@
 //!
 //! Each builder returns the figure's rendered text; [`figure`] dispatches
 //! by identifier and [`figure_json`] exposes the underlying series as
-//! machine-readable JSON for plotting.
+//! machine-readable JSON for plotting. Every service dataset is read
+//! through the current service registry, so `--services` reaches every
+//! figure; a series the loaded data lacks is left out of the plot.
 
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{
     project, throughput_breakeven, BreakEven, DriverMode, KernelCost, OffloadContext, Scenario,
     ThreadingDesign, Timeline,
 };
-use accelerometer_fleet::ipc::{
-    cache1_functionality_ipc, cache1_leaf_ipc, FIG10_CATEGORIES, FIG8_CATEGORIES,
-};
-use accelerometer_fleet::params::{
-    aes_ni_cache1, all_recommendations, encryption_cache3, inference_ads1,
-};
+use accelerometer_fleet::ipc::{IpcScaling, FIG10_CATEGORIES, FIG8_CATEGORIES};
 use accelerometer_fleet::reference::{
     kernel_breakdown, leaf_breakdown, memory_breakdown, ReferenceWorkload,
 };
+use accelerometer_fleet::registry::{functionality_ipc_scaling, leaf_ipc_scaling};
 use accelerometer_fleet::{
-    cdf, profile, Breakdown, FunctionalityCategory, LeafCategory, ServiceId,
+    all_recommendations, case_study, cdf, profile, recommendation, Breakdown,
+    FunctionalityCategory, LeafCategory, ServiceId,
 };
 use serde_json::{json, Value};
 
 use crate::render::{cdf_plot, grouped_bars, stacked_bars};
+
+/// The §5 recommendation whose compression CDF and break-evens Fig. 19
+/// plots.
+const FEED1_COMPRESSION: &str = "Feed1: Compression";
 
 /// All figure identifiers, in paper order.
 pub const FIGURE_IDS: [&str; 22] = [
@@ -82,14 +85,11 @@ pub fn figure_json(id: &str) -> Option<Value> {
         "fig8" => ipc_json(&fig8_groups()),
         "fig9" => rows_json(&fig9_rows()),
         "fig10" => ipc_json(&fig10_groups()),
-        "fig15" => cdf_json(&[("Cache1".into(), cdf::cache1_encryption().points().to_vec())]),
+        "fig15" => cdf_json(&fig15_series()),
         "fig16" => rows_json(&fig16_rows()),
         "fig17" => rows_json(&fig17_rows()),
         "fig18" => rows_json(&fig18_rows()),
-        "fig19" => cdf_json(&[
-            ("Feed1".into(), cdf::feed1_compression().points().to_vec()),
-            ("Cache1".into(), cdf::cache1_compression().points().to_vec()),
-        ]),
+        "fig19" => cdf_json(&fig19_series()),
         "fig20" => fig20_json(),
         "fig21" => cdf_json(&copy_cdf_series()),
         "fig22" => cdf_json(&alloc_cdf_series()),
@@ -281,14 +281,22 @@ fn fig7() -> String {
     )
 }
 
-fn fig8_groups() -> Vec<(String, Vec<f64>)> {
-    FIG8_CATEGORIES
+/// Cache1's IPC series per category, skipping categories without data.
+fn ipc_groups<C: Copy + std::fmt::Display>(
+    categories: &[C],
+    ipc: impl Fn(ServiceId, C) -> Option<IpcScaling>,
+) -> Vec<(String, Vec<f64>)> {
+    categories
         .iter()
-        .map(|&cat| {
-            let s = cache1_leaf_ipc(cat).expect("Fig. 8 categories are covered");
-            (cat.to_string(), vec![s.gen_a, s.gen_b, s.gen_c])
+        .filter_map(|&cat| {
+            let s = ipc(ServiceId::Cache1, cat)?;
+            Some((cat.to_string(), vec![s.gen_a, s.gen_b, s.gen_c]))
         })
         .collect()
+}
+
+fn fig8_groups() -> Vec<(String, Vec<f64>)> {
+    ipc_groups(&FIG8_CATEGORIES, leaf_ipc_scaling)
 }
 
 fn fig8() -> String {
@@ -314,13 +322,7 @@ fn fig9() -> String {
 }
 
 fn fig10_groups() -> Vec<(String, Vec<f64>)> {
-    FIG10_CATEGORIES
-        .iter()
-        .map(|&cat| {
-            let s = cache1_functionality_ipc(cat).expect("Fig. 10 categories are covered");
-            (cat.to_string(), vec![s.gen_a, s.gen_b, s.gen_c])
-        })
-        .collect()
+    ipc_groups(&FIG10_CATEGORIES, functionality_ipc_scaling)
 }
 
 fn fig10() -> String {
@@ -346,26 +348,36 @@ fn timeline_figure(title: &str, design: ThreadingDesign) -> String {
     format!("== {title} ==\n{}", Timeline::build(spec).render_ascii(70))
 }
 
+/// Fig. 15's series: the encryption CDF of the `aes-ni` case study.
+fn fig15_series() -> Vec<(String, Vec<(f64, f64)>)> {
+    case_study("aes-ni")
+        .and_then(|study| study.granularity)
+        .map(|g| ("Cache1".to_owned(), g.points().to_vec()))
+        .into_iter()
+        .collect()
+}
+
 fn fig15() -> String {
     // Break-even for AES-NI under the case-study context.
-    let study = aes_ni_cache1();
-    let ovh = study.scenario.params.overheads();
-    let ctx = OffloadContext::new(
-        ovh,
-        study.scenario.params.peak_speedup(),
-        study.scenario.design,
-        study.scenario.strategy,
-    );
-    let cost = KernelCost::linear(cycles_per_byte(study.cycles_per_byte));
-    let be = throughput_breakeven(&cost, &ctx);
-    let marker = be.threshold().map_or(1.0, |b| b.get().max(1.0));
+    let markers: Vec<(String, f64)> = case_study("aes-ni")
+        .map(|study| {
+            let ctx = OffloadContext::new(
+                study.scenario.params.overheads(),
+                study.scenario.params.peak_speedup(),
+                study.scenario.design,
+                study.scenario.strategy,
+            );
+            let cost = KernelCost::linear(cycles_per_byte(study.cycles_per_byte));
+            let be = throughput_breakeven(&cost, &ctx);
+            let marker = be.threshold().map_or(1.0, |b| b.get().max(1.0));
+            (format!("min AES-NI g for speedup > 1 ({marker:.1} B)"), marker)
+        })
+        .into_iter()
+        .collect();
     cdf_plot(
         "Fig 15: CDF of bytes encrypted in Cache1",
-        &[(
-            "Cache1".to_owned(),
-            cdf::cache1_encryption().points().to_vec(),
-        )],
-        &[(format!("min AES-NI g for speedup > 1 ({marker:.1} B)"), marker)],
+        &fig15_series(),
+        &markers,
         12,
     )
 }
@@ -438,40 +450,56 @@ fn before_after_rows(
     ]
 }
 
-fn fig16_rows() -> Rows {
-    let study = aes_ni_cache1();
+/// Figs. 16–18: the case study's service before and after offloading
+/// `target`, or no rows when the loaded data lacks the study.
+fn case_study_rows(
+    name: &str,
+    target: FunctionalityCategory,
+    overhead_to: FunctionalityCategory,
+    labels: (&str, &str),
+) -> Rows {
+    let Some(study) = case_study(name) else {
+        return Vec::new();
+    };
     let after = accelerated_split(
-        ServiceId::Cache1,
-        FunctionalityCategory::SecureInsecureIo,
+        study.service,
+        target,
         study.scenario.params.kernel_fraction(),
         &study.scenario,
-        FunctionalityCategory::SecureInsecureIo,
+        overhead_to,
     );
-    before_after_rows(ServiceId::Cache1, ("No AES-NI", "AES-NI"), after)
+    before_after_rows(study.service, labels, after)
+}
+
+fn fig16_rows() -> Rows {
+    case_study_rows(
+        "aes-ni",
+        FunctionalityCategory::SecureInsecureIo,
+        FunctionalityCategory::SecureInsecureIo,
+        ("No AES-NI", "AES-NI"),
+    )
 }
 
 fn fig16() -> String {
-    let study = aes_ni_cache1();
-    let freed = study.scenario.estimate().freed_cycle_fraction(&study.scenario.params);
     let mut out = stacked_bars(
         "Fig 16: Cache1 functionalities with and without AES-NI",
         &fig16_rows(),
         60,
     );
-    out.push_str(&format!("cycles freed by AES-NI: {:.1}%\n", freed * 100.0));
+    if let Some(study) = case_study("aes-ni") {
+        let freed = study.scenario.estimate().freed_cycle_fraction(&study.scenario.params);
+        out.push_str(&format!("cycles freed by AES-NI: {:.1}%\n", freed * 100.0));
+    }
     out
 }
 
 fn fig17_rows() -> Rows {
-    let study = encryption_cache3();
-    let after = accelerated_split(
-        ServiceId::Cache3,
+    case_study_rows(
+        "encryption",
         FunctionalityCategory::SecureInsecureIo,
-        study.scenario.params.kernel_fraction(),
-        &study.scenario,
         FunctionalityCategory::SecureInsecureIo,
-    );
-    before_after_rows(ServiceId::Cache3, ("No acc.", "Encryption acc."), after)
+        ("No acc.", "Encryption acc."),
+    )
 }
 
 fn fig17() -> String {
@@ -483,16 +511,13 @@ fn fig17() -> String {
 }
 
 fn fig18_rows() -> Rows {
-    let study = inference_ads1();
-    let after = accelerated_split(
-        ServiceId::Ads1,
+    case_study_rows(
+        "inference",
         FunctionalityCategory::PredictionRanking,
-        study.scenario.params.kernel_fraction(),
-        &study.scenario,
         // The extra offload I/O shows up as I/O cycles.
         FunctionalityCategory::SecureInsecureIo,
-    );
-    before_after_rows(ServiceId::Ads1, ("No Acc.", "Inference Acc."), after)
+        ("No Acc.", "Inference Acc."),
+    )
 }
 
 fn fig18() -> String {
@@ -503,30 +528,36 @@ fn fig18() -> String {
     )
 }
 
+/// Fig. 19's series: the Feed1 recommendation's compression CDF and
+/// Cache1's.
+fn fig19_series() -> Vec<(String, Vec<(f64, f64)>)> {
+    let feed1 = recommendation(FEED1_COMPRESSION)
+        .map(|rec| ("Feed1".to_owned(), rec.profile.granularity.points().to_vec()));
+    let cache1 = ("Cache1".to_owned(), cdf::cache1_compression().points().to_vec());
+    feed1.into_iter().chain([cache1]).collect()
+}
+
 fn fig19() -> String {
-    let rec = all_recommendations().remove(0); // Feed1 compression
     let mut markers = Vec::new();
-    for cfg in &rec.configs {
-        let ctx = OffloadContext::new(
-            cfg.accelerator.overheads,
-            cfg.accelerator.peak_speedup,
-            cfg.design,
-            cfg.accelerator.strategy,
-        );
-        let be = throughput_breakeven(&rec.profile.cost, &ctx);
-        let g = match be {
-            BreakEven::AtLeast(b) => b.get().max(1.0),
-            BreakEven::Always => 1.0,
-            BreakEven::Never => continue,
-        };
-        markers.push((format!("{} break-even ({g:.0} B)", cfg.label), g));
+    if let Some(rec) = recommendation(FEED1_COMPRESSION) {
+        for cfg in &rec.configs {
+            let ctx = OffloadContext::new(
+                cfg.accelerator.overheads,
+                cfg.accelerator.peak_speedup,
+                cfg.design,
+                cfg.accelerator.strategy,
+            );
+            let g = match throughput_breakeven(&rec.profile.cost, &ctx) {
+                BreakEven::AtLeast(b) => b.get().max(1.0),
+                BreakEven::Always => 1.0,
+                BreakEven::Never => continue,
+            };
+            markers.push((format!("{} break-even ({g:.0} B)", cfg.label), g));
+        }
     }
     cdf_plot(
         "Fig 19: CDF of bytes compressed in Feed1 and Cache1",
-        &[
-            ("Feed1".to_owned(), cdf::feed1_compression().points().to_vec()),
-            ("Cache1".to_owned(), cdf::cache1_compression().points().to_vec()),
-        ],
+        &fig19_series(),
         &markers,
         12,
     )

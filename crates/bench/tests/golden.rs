@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_bench::ablations::queueing_sensitivity_with;
-use accelerometer_fleet::params::aes_ni_cache1;
+use accelerometer_fleet::case_study;
 use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
@@ -91,7 +91,8 @@ fn load_sweep_matches_golden_fixture() {
 
 #[test]
 fn case_study_matches_golden_fixture() {
-    let (validation, ab) = simulate(&aes_ni_cache1(), 42).expect("known case study");
+    let study = case_study("aes-ni").expect("aes-ni case study");
+    let (validation, ab) = simulate(&study, 42).expect("known case study");
     let json = format!(
         "{{\"validation\":{},\"ab\":{}}}",
         serde_json::to_string(&validation).expect("validation serializes"),

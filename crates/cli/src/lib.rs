@@ -31,12 +31,12 @@
 //!   guardrails: tolerable L, n, and required A per scenario;
 //! * `accelctl tables <id|all>` — regenerate the paper's tables;
 //! * `accelctl services list|validate <path>|export <dir>` — inspect,
-//!   check, or regenerate the data-driven service profiles under
-//!   `configs/services/`.
+//!   check, or write out the service profiles (the builtin ones are the
+//!   `configs/services/` files, embedded at build time).
 //!
 //! The global `--services <dir|file>` flag loads service profiles from
-//! JSON and routes every command through them instead of the built-in
-//! constructors — byte-identically for the shipped files, which the
+//! JSON and routes every command through them instead of the embedded
+//! builtin data — byte-identically for the shipped files, which the
 //! golden equivalence suite pins.
 
 #![warn(missing_docs)]
@@ -53,7 +53,7 @@ use accelerometer::{
 };
 use accelerometer_fleet::params::all_recommendations;
 use accelerometer_fleet::{
-    active_registry, all_case_studies, profile, ServiceId, ServiceRegistry,
+    all_case_studies, current_registry, profile, ServiceId, ServiceRegistry,
 };
 use accelerometer_kernels::dispatch;
 use accelerometer_profiler::{analyze, to_folded, TraceGenerator};
@@ -87,10 +87,9 @@ global flags:
                                   what `calibrate` measures
   --services <dir|file>           load service profiles from JSON spec
                                   files (see configs/services/) instead of
-                                  the built-in constructors; services
-                                  without a file keep their builtin. The
-                                  shipped files reproduce the builtin
-                                  output byte-for-byte
+                                  the builtin profiles (those files,
+                                  embedded at build time); services
+                                  without a file keep their builtin
 commands:
   estimate <config.json>          evaluate scenarios from a parameter file
   breakeven --cb <c/B> --a <A> [--o0 N] [--l N] [--q N] [--o1 N]
@@ -121,8 +120,8 @@ commands:
   services validate <dir|file>    parse + validate profile JSON; exits
                                   non-zero on the first malformed spec
   services export <dir>           write every builtin profile as
-                                  <dir>/<slug>.json (the generator for
-                                  configs/services/)";
+                                  <dir>/<slug>.json (the embedded bytes
+                                  of configs/services/)";
 
 /// Runs the CLI on pre-split arguments (excluding the program name),
 /// returning the text to print.
@@ -622,8 +621,8 @@ fn cmd_slo(args: &[String]) -> Result<String, String> {
 }
 
 /// `accelctl tables <id|all>`: regenerate the paper's tables through
-/// whatever profile data is active — built-in constructors by default,
-/// or JSON specs when `--services` is given. The tier-1 gate diffs the
+/// whatever profile data is active — the embedded builtin specs by
+/// default, or the files `--services` names. The tier-1 gate diffs the
 /// two paths byte-for-byte.
 fn cmd_tables(args: &[String]) -> Result<String, String> {
     let id = args
@@ -643,15 +642,12 @@ fn cmd_tables(args: &[String]) -> Result<String, String> {
 
 /// `accelctl services list|validate <dir|file>|export <dir>`: the
 /// data-driven profile toolkit. `validate` is the CI gate over
-/// `configs/services/`; `export` regenerates those files from the
-/// built-in constructors.
+/// `configs/services/`; `export` writes the embedded builtin specs,
+/// which are those files' bytes.
 fn cmd_services(args: &[String]) -> Result<String, String> {
     match args.first().map(String::as_str) {
         Some("list") => {
-            let active = active_registry();
-            let registry = active
-                .as_deref()
-                .map_or_else(ServiceRegistry::builtin, Clone::clone);
+            let registry = current_registry();
             let mut out = format!(
                 "{:<14} {:<14} {:<13} source\n",
                 "service", "slug", "domain"

@@ -12,16 +12,13 @@
 //! ```sh
 //! GOLDEN_BLESS=1 cargo test -p accelerometer-cli --test faults_golden
 //! ```
-//!
-//! Blessing also rewrites `configs/faults-degradation.json`, keeping the
-//! shipped scenario file in lockstep with the built-in demo scenario.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
 use accelerometer_cli::run;
-use accelerometer_sim::faultsweep::{demo_scenario, FaultSweepReport};
+use accelerometer_sim::faultsweep::FaultSweepReport;
 
 /// Serializes the tests that touch the process-wide `--shards` default:
 /// the classic golden test must never observe a sharded global left by
@@ -46,10 +43,6 @@ fn sharded_fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_faults_sharded.json")
 }
 
-fn config_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../configs/faults-degradation.json")
-}
-
 #[test]
 fn faults_report_matches_golden_fixture_at_any_jobs_width() {
     let _guard = lock_shards_global();
@@ -62,9 +55,6 @@ fn faults_report_matches_golden_fixture_at_any_jobs_width() {
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixture dir");
         fs::write(&path, &one).expect("write fixture");
-        let scenario_json = serde_json::to_string_pretty(&demo_scenario(20_260_806))
-            .expect("scenario serializes");
-        fs::write(config_path(), scenario_json).expect("write scenario config");
         return;
     }
     let expected = fs::read_to_string(&path)
@@ -139,14 +129,6 @@ fn sharded_fixture_still_shows_recovery_beating_no_recovery() {
             o.metrics.core_utilization
         );
     }
-}
-
-#[test]
-fn shipped_scenario_config_matches_the_builtin_demo() {
-    let text = fs::read_to_string(config_path()).expect("configs/faults-degradation.json exists");
-    let parsed: accelerometer_sim::FaultScenario =
-        serde_json::from_str(&text).expect("scenario parses");
-    assert_eq!(parsed, demo_scenario(20_260_806));
 }
 
 #[test]

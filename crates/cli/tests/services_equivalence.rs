@@ -1,9 +1,10 @@
 //! The load-bearing equivalence harness for the data-driven service
 //! profiles: every runner must produce byte-identical output whether its
-//! profile data comes from the hard-wired Rust constructors or from the
-//! shipped `configs/services/*.json` files (`--services`). Existing
-//! golden fixtures are compared as-committed — zero re-blessing — so the
-//! refactor is pinned to be a pure data-path change.
+//! profile data comes from the embedded builtin registry or from the
+//! shipped `configs/services/*.json` files loaded at run time
+//! (`--services`), and an edited file must reach every output that
+//! reads it. Existing golden fixtures are compared as-committed — zero
+//! re-blessing — so the data path is pinned byte for byte.
 //!
 //! Also home of the golden fixtures for the three new workload packs
 //! (`ai-inference`, `kvstore`, `pqc`), following the `golden_faults.json`
@@ -14,11 +15,13 @@
 //! ```
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use accelerometer::GranularityCdf;
+use accelerometer_bench::{figure, FIGURE_IDS};
 use accelerometer_cli::run;
-use accelerometer_fleet::set_active_registry;
+use accelerometer_fleet::{set_active_registry, ServiceRegistry, ServiceSpec};
 
 /// Serializes every test in this binary: `--services` installs a
 /// process-wide registry, and the builtin sides of each comparison must
@@ -100,6 +103,104 @@ fn project_and_characterize_are_byte_identical_through_the_data_path() {
     let (builtin, data) =
         run_both_paths(&["characterize", "cache1", "--samples", "4000"]);
     assert_eq!(builtin, data);
+}
+
+/// Renders `ids` with the registry loaded from `dir` installed, then
+/// restores the builtin registry.
+fn figures_loaded_from(dir: &Path, ids: &[&str]) -> Vec<String> {
+    let registry = ServiceRegistry::load_path(dir).expect("service data loads");
+    set_active_registry(Some(Arc::new(registry)));
+    let out = ids
+        .iter()
+        .map(|id| figure(id).expect("known figure"))
+        .collect();
+    set_active_registry(None);
+    out
+}
+
+#[test]
+fn every_figure_is_byte_identical_through_the_data_path() {
+    let _guard = lock();
+    set_active_registry(None);
+    let builtin: Vec<String> = FIGURE_IDS
+        .iter()
+        .map(|id| figure(id).expect("known figure"))
+        .collect();
+    let data = figures_loaded_from(Path::new(&services_dir()), &FIGURE_IDS);
+    for ((id, builtin), data) in FIGURE_IDS.iter().zip(&builtin).zip(&data) {
+        assert_eq!(builtin, data, "{id} depends on the profile source");
+    }
+}
+
+#[test]
+fn figures_read_edited_service_data() {
+    // Regression: Figs. 8, 10 and 15-19 used to read their data straight
+    // from Rust constructors, so `--services` could not reach them.
+    let _guard = lock();
+    set_active_registry(None);
+    let ids = ["fig8", "fig15"];
+    let builtin: Vec<String> = ids
+        .iter()
+        .map(|id| figure(id).expect("known figure"))
+        .collect();
+
+    let shipped =
+        fs::read_to_string(PathBuf::from(services_dir()).join("cache1.json")).expect("cache1 spec");
+    let mut spec: ServiceSpec = serde_json::from_str(&shipped).expect("cache1 spec parses");
+    let ipc = spec
+        .ipc
+        .as_mut()
+        .expect("Cache1 carries the Fig. 8 IPC table");
+    ipc.leaves[0].1.gen_a += 0.2;
+    let aes_ni = spec
+        .case_studies
+        .iter_mut()
+        .find(|e| e.study.name == "aes-ni")
+        .expect("Cache1 carries the aes-ni case study");
+    let cdf = aes_ni
+        .study
+        .granularity
+        .as_ref()
+        .expect("aes-ni carries Fig. 15");
+    let mut points = cdf.points().to_vec();
+    points[0].0 = 1.0;
+    aes_ni.study.granularity = Some(GranularityCdf::from_points(points).expect("valid CDF"));
+
+    let dir = std::env::temp_dir().join(format!("accel-edited-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).expect("temp dir");
+    let edited = serde_json::to_string_pretty(&spec).expect("spec serializes");
+    fs::write(dir.join("cache1.json"), edited).expect("write edited spec");
+    let data = figures_loaded_from(&dir, &ids);
+    fs::remove_dir_all(&dir).ok();
+    for ((id, builtin), data) in ids.iter().zip(&builtin).zip(&data) {
+        assert_ne!(builtin, data, "{id} ignores the loaded service data");
+    }
+}
+
+#[test]
+fn figures_render_without_the_optional_service_data() {
+    // IPC tables, case studies and recommendations are optional spec
+    // fields; a figure whose series is missing renders without it.
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("accel-bare-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).expect("temp dir");
+    for entry in fs::read_dir(services_dir()).expect("shipped dir") {
+        let path = entry.expect("dir entry").path();
+        let text = fs::read_to_string(&path).expect("shipped spec");
+        let mut spec: ServiceSpec = serde_json::from_str(&text).expect("shipped spec parses");
+        spec.ipc = None;
+        spec.case_studies.clear();
+        spec.recommendations.clear();
+        let bare = serde_json::to_string_pretty(&spec).expect("spec serializes");
+        fs::write(dir.join(path.file_name().expect("file name")), bare).expect("write spec");
+    }
+    let rendered = figures_loaded_from(&dir, &FIGURE_IDS);
+    fs::remove_dir_all(&dir).ok();
+    for (id, text) in FIGURE_IDS.iter().zip(&rendered) {
+        assert!(text.contains("=="), "{id} lacks a title");
+    }
 }
 
 #[test]

@@ -1,68 +1,24 @@
 //! Offload-granularity CDF datasets (Figs. 15, 19, 21, 22).
 //!
 //! The paper measures these with `bpftrace` on production hosts; here
-//! they are reconstructed piecewise-linear CDFs. Each dataset is
-//! calibrated against every quantitative statement the paper makes about
-//! it — most importantly the Feed1 compression CDF, whose shape is pinned
-//! by three independent lucrative-offload counts (§5): 64.2% of
-//! compressions ≥ 425 B (n = 9,629 of 15,008 for off-chip Sync),
-//! n = 9,769 above the Async break-even (≈409 B), and n = 3,986 above the
-//! Sync-OS break-even (≈2,456 B).
+//! they are reconstructed piecewise-linear CDFs, calibrated against every
+//! quantitative statement the paper makes about them (see
+//! `configs/README.md`). All but one ride in the service specs: the
+//! Fig. 21/22 CDFs per service, the Fig. 15 encryption CDF in the
+//! `aes-ni` case study, and the Fig. 19 Feed1 compression CDF in the
+//! Feed1 recommendation. Only Fig. 19's Cache1 compression CDF, which no
+//! study or recommendation uses, is defined here.
 
 use accelerometer::GranularityCdf;
 
+use crate::registry::current_registry;
 use crate::services::ServiceId;
-
-fn cdf(points: &[(f64, f64)]) -> GranularityCdf {
-    GranularityCdf::from_points(points.to_vec()).expect("static CDF data is valid")
-}
-
-/// Fig. 15: CDF of bytes encrypted in Cache1. Encryption sizes start at
-/// ~4 B and "<512 B are frequently encrypted" (90% here).
-#[must_use]
-pub fn cache1_encryption() -> GranularityCdf {
-    cdf(&[
-        (4.0, 0.02),
-        (8.0, 0.07),
-        (16.0, 0.15),
-        (32.0, 0.28),
-        (64.0, 0.45),
-        (128.0, 0.62),
-        (256.0, 0.78),
-        (512.0, 0.90),
-        (1_024.0, 0.95),
-        (2_048.0, 0.98),
-        (4_096.0, 0.99),
-        (8_192.0, 1.0),
-    ])
-}
-
-/// Fig. 19: CDF of bytes compressed in Feed1 — the large-granularity
-/// compressor. Calibrated so the three §5 break-even points select the
-/// paper's lucrative-offload counts (see module docs).
-#[must_use]
-pub fn feed1_compression() -> GranularityCdf {
-    cdf(&[
-        (1.0, 0.02),
-        (64.0, 0.08),
-        (128.0, 0.15),
-        (256.0, 0.262),
-        (512.0, 0.407),
-        (1_024.0, 0.52),
-        (2_048.0, 0.71),
-        (4_096.0, 0.83),
-        (8_192.0, 0.90),
-        (16_384.0, 0.95),
-        (32_768.0, 0.98),
-        (65_536.0, 1.0),
-    ])
-}
 
 /// Fig. 19: CDF of bytes compressed in Cache1, which compresses much
 /// smaller granularities than Feed1 (hence §5 studies Feed1).
 #[must_use]
 pub fn cache1_compression() -> GranularityCdf {
-    cdf(&[
+    GranularityCdf::from_points(vec![
         (1.0, 0.05),
         (64.0, 0.30),
         (128.0, 0.50),
@@ -74,276 +30,47 @@ pub fn cache1_compression() -> GranularityCdf {
         (8_192.0, 0.99),
         (16_384.0, 1.0),
     ])
+    .expect("static CDF data is valid")
 }
 
-/// Fig. 21: CDF of memory-copy sizes for one service. Most services copy
-/// small granularities (< 512 B, smaller than a 4 KiB page); a few
-/// percent of copies are zero-length (the `0` bucket in the figure).
-///
-/// Routed through the active [`crate::registry::ServiceRegistry`] when
-/// one is installed (`--services`); bit-exact for unmodified data files.
+/// Fig. 21: CDF of memory-copy sizes for one service, from
+/// [`crate::registry::current_registry`]. Most services copy small
+/// granularities (< 512 B, smaller than a 4 KiB page); a few percent of
+/// copies are zero-length (the `0` bucket in the figure).
 #[must_use]
 pub fn memory_copy(service: ServiceId) -> GranularityCdf {
-    if let Some(reg) = crate::registry::active_registry() {
-        return reg.spec(service).copy_granularity.clone();
-    }
-    memory_copy_data(service)
+    current_registry().spec(service).copy_granularity.clone()
 }
 
-pub(crate) fn memory_copy_data(service: ServiceId) -> GranularityCdf {
-    match service {
-        ServiceId::Web => cdf(&[
-            (0.0, 0.04),
-            (64.0, 0.35),
-            (128.0, 0.52),
-            (256.0, 0.68),
-            (512.0, 0.80),
-            (1_024.0, 0.88),
-            (2_048.0, 0.94),
-            (4_096.0, 0.98),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Feed1 => cdf(&[
-            (0.0, 0.02),
-            (64.0, 0.25),
-            (128.0, 0.40),
-            (256.0, 0.55),
-            (512.0, 0.70),
-            (1_024.0, 0.82),
-            (2_048.0, 0.92),
-            (4_096.0, 0.97),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Feed2 => cdf(&[
-            (0.0, 0.03),
-            (64.0, 0.30),
-            (128.0, 0.48),
-            (256.0, 0.62),
-            (512.0, 0.75),
-            (1_024.0, 0.85),
-            (2_048.0, 0.93),
-            (4_096.0, 0.98),
-            (8_192.0, 1.0),
-        ]),
-        // Ads1 has the highest copy overhead and no zero-length copies;
-        // §5 offloads all of its 1,473,681 copies on-chip.
-        ServiceId::Ads1 => cdf(&[
-            (1.0, 0.10),
-            (64.0, 0.38),
-            (128.0, 0.55),
-            (256.0, 0.70),
-            (512.0, 0.82),
-            (1_024.0, 0.90),
-            (2_048.0, 0.96),
-            (4_096.0, 0.99),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Ads2 => cdf(&[
-            (0.0, 0.05),
-            (64.0, 0.40),
-            (128.0, 0.58),
-            (256.0, 0.72),
-            (512.0, 0.83),
-            (1_024.0, 0.91),
-            (2_048.0, 0.96),
-            (4_096.0, 0.99),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Cache1 | ServiceId::Cache3 => cdf(&[
-            (0.0, 0.06),
-            (64.0, 0.45),
-            (128.0, 0.62),
-            (256.0, 0.76),
-            (512.0, 0.86),
-            (1_024.0, 0.93),
-            (2_048.0, 0.97),
-            (4_096.0, 0.99),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Cache2 => cdf(&[
-            (0.0, 0.08),
-            (64.0, 0.50),
-            (128.0, 0.68),
-            (256.0, 0.80),
-            (512.0, 0.89),
-            (1_024.0, 0.95),
-            (2_048.0, 0.98),
-            (4_096.0, 0.995),
-            (8_192.0, 1.0),
-        ]),
-        // AI-inference pack: tensor/feature copies skew larger than the
-        // paper services but stay mostly sub-page.
-        ServiceId::AiInference => cdf(&[
-            (0.0, 0.02),
-            (64.0, 0.18),
-            (128.0, 0.34),
-            (256.0, 0.50),
-            (512.0, 0.62),
-            (1_024.0, 0.74),
-            (4_096.0, 0.86),
-            (16_384.0, 0.94),
-            (65_536.0, 1.0),
-        ]),
-        // Kvstore pack: value copies; small objects dominate as in the
-        // caches, with a heavier multi-KiB tail for large values.
-        ServiceId::Kvstore => cdf(&[
-            (16.0, 0.10),
-            (64.0, 0.30),
-            (128.0, 0.48),
-            (256.0, 0.62),
-            (512.0, 0.74),
-            (2_048.0, 0.88),
-            (8_192.0, 0.96),
-            (32_768.0, 1.0),
-        ]),
-        // PQC pack: copies cluster at post-quantum artifact sizes (Kyber
-        // public keys ~1184 B, ciphertexts ~1088 B, Dilithium signatures
-        // ~2420 B) on top of small framing copies.
-        ServiceId::Pqc => cdf(&[
-            (32.0, 0.20),
-            (64.0, 0.36),
-            (128.0, 0.50),
-            (256.0, 0.60),
-            (512.0, 0.70),
-            (1_184.0, 0.82),
-            (2_420.0, 0.92),
-            (4_864.0, 1.0),
-        ]),
-    }
-}
-
-/// Fig. 22: CDF of memory-allocation sizes for one service; most
-/// allocations are small (typically < 512 B).
-///
-/// Routed through the active [`crate::registry::ServiceRegistry`] when
-/// one is installed (`--services`); bit-exact for unmodified data files.
+/// Fig. 22: CDF of memory-allocation sizes for one service, from
+/// [`crate::registry::current_registry`]; most allocations are small
+/// (typically < 512 B).
 #[must_use]
 pub fn memory_allocation(service: ServiceId) -> GranularityCdf {
-    if let Some(reg) = crate::registry::active_registry() {
-        return reg.spec(service).allocation_granularity.clone();
-    }
-    memory_allocation_data(service)
-}
-
-pub(crate) fn memory_allocation_data(service: ServiceId) -> GranularityCdf {
-    match service {
-        ServiceId::Web => cdf(&[
-            (0.0, 0.01),
-            (64.0, 0.40),
-            (128.0, 0.60),
-            (256.0, 0.75),
-            (512.0, 0.86),
-            (1_024.0, 0.93),
-            (2_048.0, 0.97),
-            (4_096.0, 0.99),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Feed1 => cdf(&[
-            (0.0, 0.01),
-            (64.0, 0.30),
-            (128.0, 0.50),
-            (256.0, 0.68),
-            (512.0, 0.82),
-            (1_024.0, 0.90),
-            (2_048.0, 0.95),
-            (4_096.0, 0.98),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Feed2 => cdf(&[
-            (0.0, 0.02),
-            (64.0, 0.35),
-            (128.0, 0.55),
-            (256.0, 0.72),
-            (512.0, 0.84),
-            (1_024.0, 0.92),
-            (2_048.0, 0.96),
-            (4_096.0, 0.99),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Ads1 => cdf(&[
-            (0.0, 0.02),
-            (64.0, 0.42),
-            (128.0, 0.62),
-            (256.0, 0.77),
-            (512.0, 0.87),
-            (1_024.0, 0.94),
-            (2_048.0, 0.97),
-            (4_096.0, 0.99),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Ads2 => cdf(&[
-            (0.0, 0.01),
-            (64.0, 0.38),
-            (128.0, 0.58),
-            (256.0, 0.74),
-            (512.0, 0.85),
-            (1_024.0, 0.92),
-            (2_048.0, 0.96),
-            (4_096.0, 0.99),
-            (8_192.0, 1.0),
-        ]),
-        // Cache1 has the highest allocation overhead (§5).
-        ServiceId::Cache1 | ServiceId::Cache3 => cdf(&[
-            (0.0, 0.03),
-            (64.0, 0.48),
-            (128.0, 0.66),
-            (256.0, 0.80),
-            (512.0, 0.90),
-            (1_024.0, 0.95),
-            (2_048.0, 0.98),
-            (4_096.0, 0.995),
-            (8_192.0, 1.0),
-        ]),
-        ServiceId::Cache2 => cdf(&[
-            (0.0, 0.04),
-            (64.0, 0.52),
-            (128.0, 0.70),
-            (256.0, 0.83),
-            (512.0, 0.92),
-            (1_024.0, 0.96),
-            (2_048.0, 0.98),
-            (4_096.0, 0.995),
-            (8_192.0, 1.0),
-        ]),
-        // AI-inference pack: arena-style tensor buffers amortize large
-        // allocations, so the malloc path sees mostly small metadata.
-        ServiceId::AiInference => cdf(&[
-            (16.0, 0.28),
-            (64.0, 0.55),
-            (128.0, 0.70),
-            (256.0, 0.80),
-            (512.0, 0.88),
-            (4_096.0, 0.96),
-            (16_384.0, 1.0),
-        ]),
-        // Kvstore pack: slab-class allocations, small-object dominated.
-        ServiceId::Kvstore => cdf(&[
-            (16.0, 0.30),
-            (64.0, 0.58),
-            (128.0, 0.72),
-            (256.0, 0.82),
-            (512.0, 0.90),
-            (2_048.0, 0.96),
-            (16_384.0, 1.0),
-        ]),
-        // PQC pack: key/ciphertext buffers plus small session state.
-        ServiceId::Pqc => cdf(&[
-            (32.0, 0.35),
-            (64.0, 0.55),
-            (128.0, 0.68),
-            (256.0, 0.78),
-            (512.0, 0.85),
-            (1_184.0, 0.93),
-            (2_420.0, 0.98),
-            (4_864.0, 1.0),
-        ]),
-    }
+    current_registry()
+        .spec(service)
+        .allocation_granularity
+        .clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{case_study, recommendation};
     use accelerometer::units::bytes;
+
+    fn cache1_encryption() -> GranularityCdf {
+        case_study("aes-ni")
+            .and_then(|s| s.granularity)
+            .expect("aes-ni carries Fig. 15")
+    }
+
+    fn feed1_compression() -> GranularityCdf {
+        recommendation("Feed1: Compression")
+            .expect("Feed1 recommendation")
+            .profile
+            .granularity
+    }
 
     #[test]
     fn cache1_encryption_matches_prose() {

@@ -1,6 +1,8 @@
-//! IPC-scaling datasets (Figs. 8 and 10): Cache1's per-core IPC across
-//! three CPU generations, for key leaf categories and key functionality
-//! categories.
+//! IPC scaling (Figs. 8 and 10): Cache1's per-core IPC across three CPU
+//! generations, for key leaf categories and key functionality
+//! categories. The values ride in Cache1's service spec and are read
+//! through [`crate::registry::leaf_ipc_scaling`] and
+//! [`crate::registry::functionality_ipc_scaling`].
 //!
 //! Reconstructed to satisfy §2.3.5 and §2.4.1: every leaf category uses
 //! less than half the theoretical execution bandwidth (peak IPC 4.0);
@@ -50,21 +52,6 @@ impl IpcScaling {
     }
 }
 
-/// Fig. 8: Cache1's per-core IPC for key leaf categories. Returns `None`
-/// for leaf categories the figure does not cover.
-#[must_use]
-pub fn cache1_leaf_ipc(category: LeafCategory) -> Option<IpcScaling> {
-    let s = |gen_a, gen_b, gen_c| Some(IpcScaling { gen_a, gen_b, gen_c });
-    match category {
-        LeafCategory::Memory => s(0.82, 0.95, 1.00),
-        LeafCategory::Kernel => s(0.35, 0.37, 0.38),
-        LeafCategory::Zstd => s(1.10, 1.30, 1.38),
-        LeafCategory::Ssl => s(0.95, 1.20, 1.28),
-        LeafCategory::CLibraries => s(1.05, 1.45, 1.85),
-        _ => None,
-    }
-}
-
 /// The leaf categories Fig. 8 covers, in presentation order.
 pub const FIG8_CATEGORIES: [LeafCategory; 5] = [
     LeafCategory::Memory,
@@ -73,20 +60,6 @@ pub const FIG8_CATEGORIES: [LeafCategory; 5] = [
     LeafCategory::Ssl,
     LeafCategory::CLibraries,
 ];
-
-/// Fig. 10: Cache1's per-core IPC for key functionality categories.
-/// Returns `None` for categories the figure does not cover.
-#[must_use]
-pub fn cache1_functionality_ipc(category: FunctionalityCategory) -> Option<IpcScaling> {
-    let s = |gen_a, gen_b, gen_c| Some(IpcScaling { gen_a, gen_b, gen_c });
-    match category {
-        FunctionalityCategory::SecureInsecureIo => s(0.38, 0.40, 0.41),
-        FunctionalityCategory::IoPrePostProcessing => s(0.60, 0.68, 0.72),
-        FunctionalityCategory::Serialization => s(0.65, 0.74, 0.79),
-        FunctionalityCategory::ApplicationLogic => s(0.52, 0.56, 0.58),
-        _ => None,
-    }
-}
 
 /// The functionality categories Fig. 10 covers, in presentation order.
 pub const FIG10_CATEGORIES: [FunctionalityCategory; 4] = [
@@ -99,13 +72,23 @@ pub const FIG10_CATEGORIES: [FunctionalityCategory; 4] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{functionality_ipc_scaling, leaf_ipc_scaling};
+    use crate::services::ServiceId;
+
+    fn cache1_leaf(category: LeafCategory) -> Option<IpcScaling> {
+        leaf_ipc_scaling(ServiceId::Cache1, category)
+    }
+
+    fn cache1_functionality(category: FunctionalityCategory) -> Option<IpcScaling> {
+        functionality_ipc_scaling(ServiceId::Cache1, category)
+    }
 
     #[test]
     fn every_leaf_ipc_below_half_peak() {
         // §2.3.5: "Each leaf function type uses less than half of the
         // theoretical execution bandwidth of a GenC CPU (peak 4.0)".
         for cat in FIG8_CATEGORIES {
-            let ipc = cache1_leaf_ipc(cat).unwrap();
+            let ipc = cache1_leaf(cat).unwrap();
             for generation in CpuGeneration::ALL {
                 assert!(
                     ipc.for_generation(generation) < 2.0,
@@ -117,19 +100,19 @@ mod tests {
 
     #[test]
     fn kernel_ipc_is_low_and_scales_poorly() {
-        let kernel = cache1_leaf_ipc(LeafCategory::Kernel).unwrap();
+        let kernel = cache1_leaf(LeafCategory::Kernel).unwrap();
         assert!(kernel.gen_c < 0.5);
         assert!(kernel.total_scaling() < 1.15);
     }
 
     #[test]
     fn c_libraries_scale_well() {
-        let clib = cache1_leaf_ipc(LeafCategory::CLibraries).unwrap();
+        let clib = cache1_leaf(LeafCategory::CLibraries).unwrap();
         assert!(clib.total_scaling() > 1.5);
         // And they dominate every other category's scaling.
         for cat in FIG8_CATEGORIES {
             if cat != LeafCategory::CLibraries {
-                assert!(cache1_leaf_ipc(cat).unwrap().total_scaling() < clib.total_scaling());
+                assert!(cache1_leaf(cat).unwrap().total_scaling() < clib.total_scaling());
             }
         }
     }
@@ -137,7 +120,7 @@ mod tests {
     #[test]
     fn genb_to_genc_gain_is_small_except_clib() {
         for cat in FIG8_CATEGORIES {
-            let scaling = cache1_leaf_ipc(cat).unwrap().genb_to_genc_scaling();
+            let scaling = cache1_leaf(cat).unwrap().genb_to_genc_scaling();
             if cat == LeafCategory::CLibraries {
                 assert!(scaling > 1.2);
             } else {
@@ -149,8 +132,8 @@ mod tests {
     #[test]
     fn io_ipc_tracks_kernel_ipc() {
         // §2.4.1: the low I/O IPC is primarily due to the low kernel IPC.
-        let io = cache1_functionality_ipc(FunctionalityCategory::SecureInsecureIo).unwrap();
-        let kernel = cache1_leaf_ipc(LeafCategory::Kernel).unwrap();
+        let io = cache1_functionality(FunctionalityCategory::SecureInsecureIo).unwrap();
+        let kernel = cache1_leaf(LeafCategory::Kernel).unwrap();
         for generation in CpuGeneration::ALL {
             assert!((io.for_generation(generation) - kernel.for_generation(generation)).abs() < 0.1);
         }
@@ -160,29 +143,29 @@ mod tests {
     #[test]
     fn key_value_store_ipc_barely_improves() {
         // §2.4.1: memory-bound key-value serving sees little IPC gain.
-        let app = cache1_functionality_ipc(FunctionalityCategory::ApplicationLogic).unwrap();
+        let app = cache1_functionality(FunctionalityCategory::ApplicationLogic).unwrap();
         assert!(app.total_scaling() < 1.15);
-        let memory = cache1_leaf_ipc(LeafCategory::Memory).unwrap();
+        let memory = cache1_leaf(LeafCategory::Memory).unwrap();
         assert!(app.gen_c < memory.gen_c);
     }
 
     #[test]
     fn uncovered_categories_return_none() {
-        assert!(cache1_leaf_ipc(LeafCategory::Math).is_none());
-        assert!(cache1_leaf_ipc(LeafCategory::Miscellaneous).is_none());
-        assert!(cache1_functionality_ipc(FunctionalityCategory::Logging).is_none());
-        assert!(cache1_functionality_ipc(FunctionalityCategory::Compression).is_none());
+        assert!(cache1_leaf(LeafCategory::Math).is_none());
+        assert!(cache1_leaf(LeafCategory::Miscellaneous).is_none());
+        assert!(cache1_functionality(FunctionalityCategory::Logging).is_none());
+        assert!(cache1_functionality(FunctionalityCategory::Compression).is_none());
     }
 
     #[test]
     fn ipc_never_decreases_across_generations() {
         for cat in FIG8_CATEGORIES {
-            let ipc = cache1_leaf_ipc(cat).unwrap();
+            let ipc = cache1_leaf(cat).unwrap();
             assert!(ipc.gen_b >= ipc.gen_a);
             assert!(ipc.gen_c >= ipc.gen_b);
         }
         for cat in FIG10_CATEGORIES {
-            let ipc = cache1_functionality_ipc(cat).unwrap();
+            let ipc = cache1_functionality(cat).unwrap();
             assert!(ipc.gen_b >= ipc.gen_a);
             assert!(ipc.gen_c >= ipc.gen_b);
         }

@@ -9,9 +9,15 @@
 //!
 //! The production data is proprietary, so every dataset here is a
 //! reconstruction: values are pinned by the quantitative statements the
-//! paper makes in prose and tables (each module documents its
-//! constraints), and free values are filled in consistently. See
-//! `DESIGN.md` §2 for the substitution rationale.
+//! paper makes in prose and tables, and free values are filled in
+//! consistently. See `DESIGN.md` §2 for the substitution rationale.
+//!
+//! The data itself lives in one place, the committed
+//! `configs/services/<slug>.json` files. They are compiled into this
+//! crate and parsed once per process into the builtin
+//! [`ServiceRegistry`]; `--services` swaps in a loaded one.
+//! `configs/README.md` records the paper constraints behind each file,
+//! and the unit tests check the data against them.
 //!
 //! ```
 //! use accelerometer_fleet::{profile, ServiceId};
@@ -44,12 +50,13 @@ pub use categories::{
 };
 pub use findings::{finding, Finding, FINDINGS};
 pub use params::{
-    all_case_studies, all_recommendations, CaseStudy, Recommendation, RecommendationConfig,
+    all_case_studies, all_recommendations, case_study, recommendation, CaseStudy,
+    Recommendation, RecommendationConfig,
 };
 pub use platform::{CpuGeneration, CpuPlatform, ALL_PLATFORMS, GEN_A, GEN_B, GEN_C_18, GEN_C_20};
 pub use registry::{
-    active_registry, apply_services_flag, builtin_spec, set_active_registry, FleetError,
-    ServiceRegistry, ServiceSpec, SCHEMA_VERSION,
+    apply_services_flag, current_registry, set_active_registry, FleetError, ServiceRegistry,
+    ServiceSpec, SCHEMA_VERSION,
 };
 pub use services::{
     characterized_profiles, profile, ServiceDomain, ServiceId, ServiceProfile, ServiceRates,

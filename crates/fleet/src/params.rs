@@ -1,14 +1,16 @@
 //! Validated model parameters: the Table 6 case studies and Table 7
 //! acceleration recommendations, packaged as ready-to-evaluate scenarios.
+//!
+//! The parameter sets ride in the service specs under
+//! `configs/services/` (`case_studies` / `recommendations`);
+//! `configs/README.md` records the paper values that pin each one.
 
-use accelerometer::units::{cycles, cycles_per_byte};
 use accelerometer::{
-    AccelerationStrategy, AcceleratorSpec, GranularityCdf, KernelCost, KernelProfile, ModelParams,
-    OffloadOverheads, OffloadPolicy, Scenario, ThreadingDesign,
+    AcceleratorSpec, GranularityCdf, KernelProfile, OffloadPolicy, Scenario, ThreadingDesign,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::cdf;
+use crate::registry::current_registry;
 use crate::services::ServiceId;
 
 /// A §4 validation case study: model parameters plus the production
@@ -40,135 +42,19 @@ impl CaseStudy {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scenario(
-    c: f64,
-    alpha: f64,
-    n: f64,
-    o0: f64,
-    l: f64,
-    q: f64,
-    o1: f64,
-    a: f64,
-    design: ThreadingDesign,
-    strategy: AccelerationStrategy,
-) -> Scenario {
-    let params = ModelParams::builder()
-        .host_cycles(c)
-        .kernel_fraction(alpha)
-        .offloads(n)
-        .setup_cycles(o0)
-        .interface_cycles(l)
-        .queueing_cycles(q)
-        .thread_switch_cycles(o1)
-        .peak_speedup(a)
-        .build()
-        .expect("static Table 6/7 parameters are valid");
-    Scenario::new(params, design, strategy)
-}
-
-/// Table 6, row 1: Intel AES-NI accelerating Cache1's encryption
-/// (on-chip, Sync). Estimated 15.7%, measured 14%.
-#[must_use]
-pub fn aes_ni_cache1() -> CaseStudy {
-    CaseStudy {
-        name: "aes-ni".to_owned(),
-        service: ServiceId::Cache1,
-        scenario: scenario(
-            2.0e9,
-            0.165844,
-            298_951.0,
-            10.0,
-            3.0,
-            0.0,
-            0.0,
-            6.0,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OnChip,
-        ),
-        paper_estimated_percent: 15.7,
-        paper_real_percent: 14.0,
-        granularity: Some(cdf::cache1_encryption()),
-        cycles_per_byte: 3.93,
-    }
-}
-
-/// Table 6, row 2: an off-chip (PCIe) encryption device for Cache3
-/// (Async, no response consumed; the driver awaits the transfer).
-/// Estimated 8.6%, measured 7.5%. Cache3 offloads *all* encryptions —
-/// its software cannot select granularities.
-#[must_use]
-pub fn encryption_cache3() -> CaseStudy {
-    CaseStudy {
-        name: "encryption".to_owned(),
-        service: ServiceId::Cache3,
-        scenario: scenario(
-            2.3e9,
-            0.19154,
-            101_863.0,
-            0.0,
-            2_530.0,
-            0.0,
-            0.0,
-            27.0,
-            ThreadingDesign::AsyncNoResponse,
-            AccelerationStrategy::OffChip,
-        ),
-        paper_estimated_percent: 8.6,
-        paper_real_percent: 7.5,
-        granularity: Some(cdf::cache1_encryption()),
-        cycles_per_byte: 15.34,
-    }
-}
-
-/// Table 6, row 3: Ads1's ML inference offloaded to a remote
-/// general-purpose Skylake (A = 1) over the network, with a distinct
-/// response thread. Estimated 72.39%, measured 68.69%. The large `o0`
-/// captures the extra I/O cycles per inference batch; `L + Q = 0`
-/// because the accelerator is remote.
-#[must_use]
-pub fn inference_ads1() -> CaseStudy {
-    CaseStudy {
-        name: "inference".to_owned(),
-        service: ServiceId::Ads1,
-        scenario: scenario(
-            2.5e9,
-            0.52,
-            10.0,
-            25_000_000.0,
-            0.0,
-            0.0,
-            12_500.0,
-            1.0,
-            ThreadingDesign::AsyncDistinctThread,
-            AccelerationStrategy::Remote,
-        ),
-        paper_estimated_percent: 72.39,
-        paper_real_percent: 68.69,
-        granularity: None,
-        cycles_per_byte: 1.0,
-    }
-}
-
-/// All Table 6 case studies in paper row order.
-///
-/// When a [`crate::registry::ServiceRegistry`] is installed as the
-/// process-wide active registry (`--services`), the studies come from
-/// its loaded service specs (sorted by their explicit `order` field);
-/// otherwise from the built-in constructors. The two paths are
-/// bit-exact for unmodified data files.
+/// All Table 6 case studies in paper row order, from
+/// [`crate::registry::current_registry`] (sorted by the specs' explicit
+/// `order` field).
 #[must_use]
 pub fn all_case_studies() -> Vec<CaseStudy> {
-    if let Some(reg) = crate::registry::active_registry() {
-        return reg.case_studies();
-    }
-    builtin_case_studies()
+    current_registry().case_studies()
 }
 
-/// The built-in Table 6 case studies, bypassing any active registry.
+/// The Table 6 case study called `name` (`"aes-ni"`, `"encryption"`,
+/// `"inference"`), if the current registry carries it.
 #[must_use]
-pub fn builtin_case_studies() -> Vec<CaseStudy> {
-    vec![aes_ni_cache1(), encryption_cache3(), inference_ads1()]
+pub fn case_study(name: &str) -> Option<CaseStudy> {
+    all_case_studies().into_iter().find(|s| s.name == name)
 }
 
 /// One evaluated configuration of a §5 acceleration recommendation
@@ -205,155 +91,29 @@ pub struct Recommendation {
     pub configs: Vec<RecommendationConfig>,
 }
 
-/// §5 "Compression": Feed1's compression kernel against Chen et al.'s
-/// on-chip accelerator (A = 5) and Simek et al.'s off-chip accelerator
-/// (A = 27, L = 2,300 cycles) in Sync, Sync-OS (o1 = 5,750), and Async
-/// threading. Ideal 17.6%.
-#[must_use]
-pub fn compression_feed1() -> Recommendation {
-    let off_chip = |o1: f64| AcceleratorSpec {
-        strategy: AccelerationStrategy::OffChip,
-        peak_speedup: 27.0,
-        overheads: OffloadOverheads::new(0.0, 2_300.0, 0.0, o1),
-    };
-    Recommendation {
-        name: "Feed1: Compression".to_owned(),
-        service: ServiceId::Feed1,
-        profile: KernelProfile {
-            total_cycles: cycles(2.3e9),
-            kernel_fraction: 0.15,
-            total_offloads: 15_008.0,
-            cost: KernelCost::linear(cycles_per_byte(5.62)),
-            granularity: cdf::feed1_compression(),
-        },
-        paper_ideal_percent: 17.6,
-        configs: vec![
-            RecommendationConfig {
-                label: "On-chip".to_owned(),
-                accelerator: AcceleratorSpec {
-                    strategy: AccelerationStrategy::OnChip,
-                    peak_speedup: 5.0,
-                    overheads: OffloadOverheads::NONE,
-                },
-                design: ThreadingDesign::Sync,
-                policy: OffloadPolicy::OffloadAll,
-                paper_speedup_percent: 13.6,
-                paper_latency_percent: Some(13.6),
-            },
-            RecommendationConfig {
-                label: "Off-chip:Sync".to_owned(),
-                accelerator: off_chip(0.0),
-                design: ThreadingDesign::Sync,
-                policy: OffloadPolicy::SelectiveLucrative,
-                paper_speedup_percent: 9.0,
-                paper_latency_percent: Some(9.0),
-            },
-            RecommendationConfig {
-                label: "Off-chip:Sync-OS".to_owned(),
-                accelerator: off_chip(5_750.0),
-                design: ThreadingDesign::SyncOs,
-                policy: OffloadPolicy::SelectiveLucrative,
-                paper_speedup_percent: 1.6,
-                paper_latency_percent: Some(1.4),
-            },
-            RecommendationConfig {
-                label: "Off-chip:Async".to_owned(),
-                accelerator: off_chip(0.0),
-                design: ThreadingDesign::AsyncNoResponse,
-                policy: OffloadPolicy::SelectiveLucrative,
-                paper_speedup_percent: 9.6,
-                paper_latency_percent: Some(9.2),
-            },
-        ],
-    }
-}
-
-/// §5 "Memory Copy": Ads1's copies against an on-chip AVX-style engine
-/// (A = 4). Ideal 17.8%; projected 12.7%.
-#[must_use]
-pub fn memory_copy_ads1() -> Recommendation {
-    Recommendation {
-        name: "Ads1: Memory copy".to_owned(),
-        service: ServiceId::Ads1,
-        profile: KernelProfile {
-            total_cycles: cycles(2.3e9),
-            kernel_fraction: 0.1512,
-            total_offloads: 1_473_681.0,
-            cost: KernelCost::linear(cycles_per_byte(0.58)),
-            granularity: cdf::memory_copy_data(ServiceId::Ads1),
-        },
-        paper_ideal_percent: 17.8,
-        configs: vec![RecommendationConfig {
-            label: "On-chip".to_owned(),
-            accelerator: AcceleratorSpec {
-                strategy: AccelerationStrategy::OnChip,
-                peak_speedup: 4.0,
-                overheads: OffloadOverheads::NONE,
-            },
-            design: ThreadingDesign::Sync,
-            policy: OffloadPolicy::OffloadAll,
-            paper_speedup_percent: 12.7,
-            paper_latency_percent: Some(12.7),
-        }],
-    }
-}
-
-/// §5 "Memory Allocation": Cache1's allocations against a Mallacc-style
-/// on-chip accelerator (A = 1.5). Ideal 5.8%; projected 1.86%.
-#[must_use]
-pub fn memory_allocation_cache1() -> Recommendation {
-    Recommendation {
-        name: "Cache1: Memory allocation".to_owned(),
-        service: ServiceId::Cache1,
-        profile: KernelProfile {
-            total_cycles: cycles(2.0e9),
-            kernel_fraction: 0.055,
-            total_offloads: 51_695.0,
-            cost: KernelCost::linear(cycles_per_byte(8.25)),
-            granularity: cdf::memory_allocation_data(ServiceId::Cache1),
-        },
-        paper_ideal_percent: 5.8,
-        configs: vec![RecommendationConfig {
-            label: "On-chip".to_owned(),
-            accelerator: AcceleratorSpec {
-                strategy: AccelerationStrategy::OnChip,
-                peak_speedup: 1.5,
-                overheads: OffloadOverheads::NONE,
-            },
-            design: ThreadingDesign::Sync,
-            policy: OffloadPolicy::OffloadAll,
-            paper_speedup_percent: 1.86,
-            paper_latency_percent: Some(1.86),
-        }],
-    }
-}
-
-/// All §5 recommendations in Fig. 20 order.
-///
-/// Routed through the active [`crate::registry::ServiceRegistry`] when
-/// one is installed (`--services`); bit-exact for unmodified data files.
+/// All §5 recommendations in Fig. 20 order, from
+/// [`crate::registry::current_registry`].
 #[must_use]
 pub fn all_recommendations() -> Vec<Recommendation> {
-    if let Some(reg) = crate::registry::active_registry() {
-        return reg.recommendations();
-    }
-    builtin_recommendations()
+    current_registry().recommendations()
 }
 
-/// The built-in Fig. 20 recommendations, bypassing any active registry.
+/// The §5 recommendation called `name` (`"Feed1: Compression"`,
+/// `"Ads1: Memory copy"`, `"Cache1: Memory allocation"`), if the current
+/// registry carries it.
 #[must_use]
-pub fn builtin_recommendations() -> Vec<Recommendation> {
-    vec![
-        compression_feed1(),
-        memory_copy_ads1(),
-        memory_allocation_cache1(),
-    ]
+pub fn recommendation(name: &str) -> Option<Recommendation> {
+    all_recommendations().into_iter().find(|r| r.name == name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelerometer::project;
+    use accelerometer::{project, AccelerationStrategy};
+
+    fn compression_feed1() -> Recommendation {
+        recommendation("Feed1: Compression").expect("Feed1 recommendation")
+    }
 
     #[test]
     fn table6_model_estimates_match_paper() {
@@ -376,7 +136,8 @@ mod tests {
         for cs in all_case_studies() {
             assert!(cs.paper_error_points() <= 3.7 + 1e-9, "{}", cs.name);
         }
-        assert!((inference_ads1().paper_error_points() - 3.7).abs() < 0.01);
+        let inference = case_study("inference").expect("inference case study");
+        assert!((inference.paper_error_points() - 3.7).abs() < 0.01);
     }
 
     #[test]

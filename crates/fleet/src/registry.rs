@@ -1,40 +1,36 @@
-//! Data-driven service profiles: the serde schema, the JSON loader, and
-//! the process-wide active registry.
+//! Data-driven service profiles: the serde schema, the JSON loader, the
+//! embedded builtin registry, and the process-wide active registry.
 //!
 //! A [`ServiceSpec`] packages everything the runners know about one
 //! service — the characterization profile (breakdowns, rates, platform),
 //! the Fig. 21/22 granularity CDFs, the Fig. 8/10 IPC tables, and any
 //! Table 6 case studies or Fig. 20 recommendations the service anchors —
-//! as pure data. The Rust constructors under `services/`, `cdf`, `ipc`,
-//! and `params` are the *exporters*: [`builtin_spec`] assembles their
-//! output, and the committed files under `configs/services/` are
-//! generated from it (`accelctl services export`).
+//! as pure data. The committed `configs/services/<slug>.json` files are
+//! the only copy of that data: they are compiled into the crate and
+//! parsed and validated once per process into the builtin registry.
 //!
 //! [`ServiceRegistry::load_path`] parses and *re-validates* JSON specs
-//! (serde derives bypass the constructors' invariants, so every
-//! breakdown, CDF, IPC value, and rate is checked again on load),
-//! returning a structured [`FleetError`] instead of panicking on
-//! malformed data. Installing a registry via [`set_active_registry`]
-//! (the CLI's `--services` flag) reroutes [`crate::services::profile`],
-//! [`crate::params::all_case_studies`],
-//! [`crate::params::all_recommendations`], and the granularity/IPC
-//! lookups through the loaded data — byte-identically to the built-in
-//! path for unmodified files, which the golden equivalence suite pins.
+//! (serde derives bypass the types' invariants, so every breakdown, CDF,
+//! IPC value, and rate is checked again on load), returning a structured
+//! [`FleetError`] instead of panicking on malformed data. Installing a
+//! registry via [`set_active_registry`] (the CLI's `--services` flag)
+//! makes [`current_registry`] — and through it every profile, CDF, IPC,
+//! case-study, and recommendation lookup — read the loaded data instead
+//! of the builtin registry.
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, LazyLock, PoisonError, RwLock};
 
 use accelerometer::{GranularityCdf, ModelError};
 use serde::{Deserialize, Serialize};
 
 use crate::breakdown::Breakdown;
 use crate::categories::{FunctionalityCategory, LeafCategory};
-use crate::cdf;
-use crate::ipc::{self, IpcScaling};
-use crate::params::{self, CaseStudy, Recommendation};
-use crate::services::{self, ServiceId, ServiceProfile};
+use crate::ipc::IpcScaling;
+use crate::params::{CaseStudy, Recommendation};
+use crate::services::{ServiceId, ServiceProfile};
 
 /// The JSON schema version this build reads and writes.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -445,52 +441,56 @@ impl ServiceSpec {
     }
 }
 
-fn builtin_ipc(id: ServiceId) -> Option<IpcTable> {
-    if id != ServiceId::Cache1 {
-        return None;
-    }
-    Some(IpcTable {
-        leaves: LeafCategory::ALL
-            .iter()
-            .filter_map(|&c| ipc::cache1_leaf_ipc(c).map(|s| (c, s)))
-            .collect(),
-        functionality: FunctionalityCategory::ALL
-            .iter()
-            .filter_map(|&c| ipc::cache1_functionality_ipc(c).map(|s| (c, s)))
-            .collect(),
-    })
-}
+/// The shipped `configs/services/<slug>.json` files, in
+/// [`ServiceId::ALL`] order: the builtin service data.
+const EMBEDDED: [&str; ServiceId::ALL.len()] = [
+    include_str!("../../../configs/services/web.json"),
+    include_str!("../../../configs/services/feed1.json"),
+    include_str!("../../../configs/services/feed2.json"),
+    include_str!("../../../configs/services/ads1.json"),
+    include_str!("../../../configs/services/ads2.json"),
+    include_str!("../../../configs/services/cache1.json"),
+    include_str!("../../../configs/services/cache2.json"),
+    include_str!("../../../configs/services/cache3.json"),
+    include_str!("../../../configs/services/ai-inference.json"),
+    include_str!("../../../configs/services/kvstore.json"),
+    include_str!("../../../configs/services/pqc.json"),
+];
 
-/// Assembles the built-in [`ServiceSpec`] for a service from the Rust
-/// constructors — the exporter behind `accelctl services export` and
-/// the committed `configs/services/` files.
-#[must_use]
-pub fn builtin_spec(id: ServiceId) -> ServiceSpec {
-    ServiceSpec {
-        schema: SCHEMA_VERSION,
-        profile: services::profile_data(id),
-        copy_granularity: cdf::memory_copy_data(id),
-        allocation_granularity: cdf::memory_allocation_data(id),
-        ipc: builtin_ipc(id),
-        case_studies: params::builtin_case_studies()
-            .into_iter()
-            .enumerate()
-            .filter(|(_, s)| s.service == id)
-            .map(|(i, study)| CaseStudyEntry {
-                order: u32::try_from(i).expect("few case studies"),
-                study,
-            })
-            .collect(),
-        recommendations: params::builtin_recommendations()
-            .into_iter()
-            .enumerate()
-            .filter(|(_, r)| r.service == id)
-            .map(|(i, recommendation)| RecommendationEntry {
-                order: u32::try_from(i).expect("few recommendations"),
-                recommendation,
-            })
-            .collect(),
+/// The builtin registry: every embedded spec, parsed and validated on
+/// first use.
+static BUILTIN: LazyLock<Arc<ServiceRegistry>> = LazyLock::new(|| {
+    let specs = ServiceId::ALL
+        .into_iter()
+        .zip(EMBEDDED)
+        .map(|(id, text)| {
+            let path = format!("configs/services/{}.json", id.slug());
+            let spec = parse_spec(&path, text, Some(id.slug()))?;
+            spec.validate()?;
+            Ok(spec)
+        })
+        .collect::<Result<_, FleetError>>()
+        .unwrap_or_else(|e| panic!("embedded service data is invalid: {e}"));
+    Arc::new(ServiceRegistry {
+        specs,
+        loaded: Vec::new(),
+    })
+});
+
+/// Parses one spec file's text, checking that the file stem (when
+/// known) names the profile it holds.
+fn parse_spec(path: &str, text: &str, stem: Option<&str>) -> Result<ServiceSpec, FleetError> {
+    let spec: ServiceSpec = serde_json::from_str(text).map_err(|e| FleetError::Parse {
+        path: path.to_owned(),
+        message: e.to_string(),
+    })?;
+    if stem.is_some_and(|stem| stem != spec.profile.id.slug()) {
+        return Err(FleetError::FilenameMismatch {
+            path: path.to_owned(),
+            expected: spec.profile.id.slug().to_owned(),
+        });
     }
+    Ok(spec)
 }
 
 /// A full set of service specs, keyed by [`ServiceId`], loadable from
@@ -499,8 +499,8 @@ pub fn builtin_spec(id: ServiceId) -> ServiceSpec {
 pub struct ServiceRegistry {
     /// Specs in [`ServiceId::ALL`] order.
     specs: Vec<ServiceSpec>,
-    /// Services whose spec came from a loaded file (the rest fall back
-    /// to the built-in constructors).
+    /// Services whose spec came from a loaded file (the rest are the
+    /// embedded builtin specs).
     loaded: Vec<ServiceId>,
 }
 
@@ -512,13 +512,11 @@ fn index_of(id: ServiceId) -> usize {
 }
 
 impl ServiceRegistry {
-    /// The registry holding every built-in spec (no files loaded).
+    /// The registry holding every embedded builtin spec (no files
+    /// loaded).
     #[must_use]
     pub fn builtin() -> Self {
-        ServiceRegistry {
-            specs: ServiceId::ALL.iter().map(|&id| builtin_spec(id)).collect(),
-            loaded: Vec::new(),
-        }
+        ServiceRegistry::clone(&BUILTIN)
     }
 
     /// The spec for a service.
@@ -618,24 +616,13 @@ impl ServiceRegistry {
             path: display.clone(),
             message: e.to_string(),
         })?;
-        let spec: ServiceSpec = serde_json::from_str(&text).map_err(|e| FleetError::Parse {
-            path: display.clone(),
-            message: e.to_string(),
-        })?;
-        if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-            if stem != spec.profile.id.slug() {
-                return Err(FleetError::FilenameMismatch {
-                    path: display,
-                    expected: spec.profile.id.slug().to_owned(),
-                });
-            }
-        }
-        self.install_spec(spec)
+        let stem = path.file_stem().and_then(|s| s.to_str());
+        self.install_spec(parse_spec(&display, &text, stem)?)
     }
 
     /// Builds a registry from a directory of `*.json` specs (loaded in
     /// file-name order) or from a single spec file. Services without a
-    /// file keep their built-in spec.
+    /// file keep their builtin spec.
     ///
     /// # Errors
     ///
@@ -669,14 +656,14 @@ impl ServiceRegistry {
         Ok(registry)
     }
 
-    /// The built-in spec for a service rendered as the canonical JSON
-    /// file content (pretty-printed, no trailing newline).
+    /// The builtin spec for a service as its canonical JSON file content
+    /// (the embedded `configs/services/<slug>.json` bytes).
     #[must_use]
-    pub fn export_json(id: ServiceId) -> String {
-        serde_json::to_string_pretty(&builtin_spec(id)).expect("specs serialize")
+    pub fn export_json(id: ServiceId) -> &'static str {
+        EMBEDDED[index_of(id)]
     }
 
-    /// Writes every built-in spec to `<dir>/<slug>.json`, returning the
+    /// Writes every builtin spec to `<dir>/<slug>.json`, returning the
     /// paths written.
     ///
     /// # Errors
@@ -704,9 +691,7 @@ impl ServiceRegistry {
 static ACTIVE: RwLock<Option<Arc<ServiceRegistry>>> = RwLock::new(None);
 
 /// Installs (or, with `None`, clears) the process-wide active registry
-/// that [`crate::services::profile`], [`crate::params::all_case_studies`],
-/// [`crate::params::all_recommendations`], [`crate::cdf::memory_copy`],
-/// [`crate::cdf::memory_allocation`], and the IPC lookups route through.
+/// that [`current_registry`] returns in place of the builtin one.
 /// Returns the previously active registry so tests can restore it.
 pub fn set_active_registry(
     registry: Option<Arc<ServiceRegistry>>,
@@ -715,41 +700,31 @@ pub fn set_active_registry(
     std::mem::replace(&mut *guard, registry)
 }
 
-/// The process-wide active registry, if one has been installed.
+/// The registry every service-data lookup reads: the active registry
+/// when one is installed (`--services`), otherwise the builtin one.
 #[must_use]
-pub fn active_registry() -> Option<Arc<ServiceRegistry>> {
-    ACTIVE.read().unwrap_or_else(PoisonError::into_inner).clone()
+pub fn current_registry() -> Arc<ServiceRegistry> {
+    let active = ACTIVE.read().unwrap_or_else(PoisonError::into_inner);
+    active.clone().unwrap_or_else(|| Arc::clone(&BUILTIN))
 }
 
-/// Leaf-category IPC scaling for a service: the active registry's table
-/// when one is installed, otherwise the built-in Fig. 8 data (Cache1
-/// only). `None` means the caller should fall back to its default IPC.
+/// Leaf-category IPC scaling for a service from [`current_registry`]
+/// (the shipped data covers Cache1's Fig. 8 categories). `None` means
+/// the caller should fall back to its default IPC.
 #[must_use]
 pub fn leaf_ipc_scaling(service: ServiceId, category: LeafCategory) -> Option<IpcScaling> {
-    if let Some(reg) = active_registry() {
-        return reg.leaf_ipc(service, category);
-    }
-    if service == ServiceId::Cache1 {
-        return ipc::cache1_leaf_ipc(category);
-    }
-    None
+    current_registry().leaf_ipc(service, category)
 }
 
-/// Functionality-category IPC scaling for a service: the active
-/// registry's table when one is installed, otherwise the built-in
-/// Fig. 10 data (Cache1 only).
+/// Functionality-category IPC scaling for a service from
+/// [`current_registry`] (the shipped data covers Cache1's Fig. 10
+/// categories).
 #[must_use]
 pub fn functionality_ipc_scaling(
     service: ServiceId,
     category: FunctionalityCategory,
 ) -> Option<IpcScaling> {
-    if let Some(reg) = active_registry() {
-        return reg.functionality_ipc(service, category);
-    }
-    if service == ServiceId::Cache1 {
-        return ipc::cache1_functionality_ipc(category);
-    }
-    None
+    current_registry().functionality_ipc(service, category)
 }
 
 /// Strips a `--services <dir|file>` flag from `args`, loading the named
@@ -780,35 +755,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtin_registry_matches_direct_constructors() {
+    fn builtin_registry_holds_every_embedded_spec() {
         let reg = ServiceRegistry::builtin();
         for id in ServiceId::ALL {
-            assert_eq!(reg.profile(id), services::profile_data(id), "{id}");
-            reg.spec(id).validate().expect("builtin specs validate");
+            assert_eq!(reg.spec(id).profile.id, id);
         }
-        assert_eq!(reg.case_studies(), params::builtin_case_studies());
-        assert_eq!(reg.recommendations(), params::builtin_recommendations());
         assert!(reg.loaded_services().is_empty());
-    }
-
-    #[test]
-    fn builtin_ipc_table_mirrors_fig8_and_fig10() {
-        let reg = ServiceRegistry::builtin();
-        for &category in LeafCategory::ALL {
-            assert_eq!(
-                reg.leaf_ipc(ServiceId::Cache1, category),
-                ipc::cache1_leaf_ipc(category),
-                "{category}"
-            );
-            assert_eq!(reg.leaf_ipc(ServiceId::Web, category), None);
-        }
-        for &category in FunctionalityCategory::ALL {
-            assert_eq!(
-                reg.functionality_ipc(ServiceId::Cache1, category),
-                ipc::cache1_functionality_ipc(category),
-                "{category}"
-            );
-        }
+        assert_eq!(reg.leaf_ipc(ServiceId::Web, LeafCategory::Memory), None);
     }
 
     #[test]

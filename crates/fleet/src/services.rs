@@ -1,10 +1,13 @@
 //! The seven production microservices (§2.1) plus Cache3 (§4, case study
-//! 2), with their full characterization profiles.
+//! 2) and three workload packs, and the types of their characterization
+//! profiles.
 //!
-//! Every percentage below is reconstructed from the paper. Where the
-//! figure's exact bar heights are ambiguous in the source, the value is
-//! chosen to satisfy the constraints the paper states in prose or tables;
-//! each profile's doc comment lists the constraints that pin it down.
+//! The profile data lives in `configs/services/<slug>.json`. Every
+//! percentage there is reconstructed from the paper: where a figure's
+//! exact bar heights are ambiguous, the value is chosen to satisfy the
+//! constraints the paper states in prose or tables. `configs/README.md`
+//! lists the constraints that pin each service; the tests below check
+//! them against the data.
 
 use std::fmt;
 
@@ -250,56 +253,18 @@ impl ServiceProfile {
     }
 }
 
-mod ads;
-mod cache;
-mod feed;
-mod packs;
-mod web;
-
-use ads::{ads1, ads2};
-use cache::{cache1, cache2, cache3};
-use feed::{feed1, feed2};
-use packs::{ai_inference, kvstore, pqc};
-use web::web;
-
-pub(crate) fn profile_data(id: ServiceId) -> ServiceProfile {
-    match id {
-        ServiceId::Web => web(),
-        ServiceId::Feed1 => feed1(),
-        ServiceId::Feed2 => feed2(),
-        ServiceId::Ads1 => ads1(),
-        ServiceId::Ads2 => ads2(),
-        ServiceId::Cache1 => cache1(),
-        ServiceId::Cache2 => cache2(),
-        ServiceId::Cache3 => cache3(),
-        ServiceId::AiInference => ai_inference(),
-        ServiceId::Kvstore => kvstore(),
-        ServiceId::Pqc => pqc(),
-    }
-}
-
-/// Returns the characterization profile for a service.
-///
-/// When a [`crate::registry::ServiceRegistry`] has been installed as the
-/// process-wide active registry (e.g. via `--services`), the profile
-/// comes from its loaded data; otherwise from the built-in constructors.
-/// The two paths are bit-exact for unmodified data files.
+/// Returns the characterization profile for a service from
+/// [`crate::registry::current_registry`]: the `--services` data when
+/// loaded, otherwise the embedded builtin data.
 #[must_use]
 pub fn profile(id: ServiceId) -> ServiceProfile {
-    if let Some(reg) = crate::registry::active_registry() {
-        return reg.profile(id);
-    }
-    profile_data(id)
+    crate::registry::current_registry().profile(id)
 }
 
 /// Profiles for all seven characterized services, in paper order.
 #[must_use]
 pub fn characterized_profiles() -> Vec<ServiceProfile> {
     ServiceId::CHARACTERIZED.iter().map(|&id| profile(id)).collect()
-}
-
-pub(super) fn bd<C: Copy + PartialEq>(entries: &[(C, f64)]) -> Breakdown<C> {
-    Breakdown::complete(entries.to_vec()).expect("static breakdown data sums to 100")
 }
 
 #[cfg(test)]

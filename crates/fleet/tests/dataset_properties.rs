@@ -4,7 +4,8 @@
 
 use accelerometer::units::bytes;
 use accelerometer_fleet::{
-    cdf, profile, Breakdown, FunctionalityCategory, LeafCategory, ServiceId, ServiceProfile,
+    cdf, profile, recommendation, Breakdown, FunctionalityCategory, LeafCategory, ServiceId,
+    ServiceProfile,
 };
 use proptest::prelude::*;
 
@@ -111,7 +112,10 @@ proptest! {
         lo in 1.0..1_000.0_f64,
         hi_multiplier in 1.1..50.0_f64,
     ) {
-        let dist = cdf::feed1_compression();
+        let dist = recommendation("Feed1: Compression")
+            .expect("Feed1 recommendation")
+            .profile
+            .granularity;
         let hi = lo * hi_multiplier;
         let f_lo = dist.fraction_above(bytes(lo));
         let f_hi = dist.fraction_above(bytes(hi));

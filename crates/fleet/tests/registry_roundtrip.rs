@@ -2,13 +2,12 @@
 //! `ServiceProfile` survives JSON serialization structurally intact
 //! (breakdown shares, CDF knot order, rates, platform — bit-for-bit,
 //! thanks to shortest-round-trip float printing), and the registry's
-//! exported builtin files reload into specs identical to the Rust
-//! constructors.
+//! exported builtin files reload into specs identical to the embedded
+//! builtin registry.
 
 use std::fs;
 
 use accelerometer::GranularityCdf;
-use accelerometer_fleet::registry::builtin_spec;
 use accelerometer_fleet::{
     Breakdown, CLibOp, CopyOrigin, FunctionalityCategory, KernelOp, LeafCategory, MemoryOp,
     ServiceId, ServiceProfile, ServiceRegistry, ServiceSpec, SyncPrimitive,
@@ -144,11 +143,12 @@ proptest! {
 
 #[test]
 fn every_builtin_spec_exports_and_reloads_identically() {
+    let builtin = ServiceRegistry::builtin();
     for id in ServiceId::ALL {
         let json = ServiceRegistry::export_json(id);
-        let back: ServiceSpec = serde_json::from_str(&json).expect("export parses");
+        let back: ServiceSpec = serde_json::from_str(json).expect("export parses");
         back.validate().expect("export validates");
-        assert_eq!(back, builtin_spec(id), "{id}");
+        assert_eq!(&back, builtin.spec(id), "{id}");
         // And the canonical rendering is a fixed point: re-serializing
         // the reloaded spec reproduces the file byte-for-byte.
         assert_eq!(
@@ -167,11 +167,12 @@ fn registry_loaded_from_exported_files_matches_builtin_profiles() {
     assert_eq!(written.len(), ServiceId::ALL.len());
     let registry = ServiceRegistry::load_path(&dir).expect("exported files load");
     assert_eq!(registry.loaded_services().len(), ServiceId::ALL.len());
+    let builtin = ServiceRegistry::builtin();
     for id in ServiceId::ALL {
         // The file-driven profile is the builtin profile, exactly —
         // this is what makes the `--services` path byte-identical.
         assert_eq!(registry.profile(id), accelerometer_fleet::profile(id), "{id}");
-        assert_eq!(registry.spec(id), &builtin_spec(id), "{id}");
+        assert_eq!(registry.spec(id), builtin.spec(id), "{id}");
     }
     assert_eq!(
         registry.case_studies(),

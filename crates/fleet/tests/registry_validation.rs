@@ -7,17 +7,16 @@
 use std::fs;
 use std::path::PathBuf;
 
-use accelerometer_fleet::registry::builtin_spec;
 use accelerometer_fleet::{FleetError, ServiceId, ServiceRegistry, ServiceSpec};
 use serde_json::Value;
 
 /// The exported spec as a mutable JSON tree.
 fn spec_value(id: ServiceId) -> Value {
-    serde_json::from_str(&ServiceRegistry::export_json(id)).expect("export parses")
+    serde_json::from_str(ServiceRegistry::export_json(id)).expect("export parses")
 }
 
 /// Navigates to a mutable object entry (panics on shape mismatch — the
-/// exported layout is pinned by the lockstep test).
+/// exported layout is the shipped files' canonical form).
 fn get_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     match v {
         Value::Object(entries) => entries
@@ -278,8 +277,9 @@ fn valid_spec_loads_and_replaces_only_that_service() {
     fs::write(&path, ServiceRegistry::export_json(ServiceId::Pqc)).expect("write");
     let registry = ServiceRegistry::load_path(&path).expect("valid spec loads");
     assert_eq!(registry.loaded_services(), [ServiceId::Pqc]);
-    assert_eq!(registry.profile(ServiceId::Pqc), builtin_spec(ServiceId::Pqc).profile);
+    let builtin = ServiceRegistry::builtin();
+    assert_eq!(registry.profile(ServiceId::Pqc), builtin.profile(ServiceId::Pqc));
     // The other ten services fall back to their builtin specs.
-    assert_eq!(registry.profile(ServiceId::Web), builtin_spec(ServiceId::Web).profile);
+    assert_eq!(registry.profile(ServiceId::Web), builtin.profile(ServiceId::Web));
     fs::remove_dir_all(&dir).ok();
 }

@@ -36,8 +36,8 @@ pub fn default_leaf_ipc(category: LeafCategory) -> f64 {
 }
 
 /// IPC for a service's leaf category on a CPU generation: the service's
-/// registry spec where it carries data (built-in Fig. 8 covers only
-/// Cache1), everything else the default table.
+/// registry spec where it carries data (the shipped Fig. 8 data covers
+/// only Cache1), everything else the default table.
 #[must_use]
 pub fn leaf_ipc(service: ServiceId, category: LeafCategory, generation: CpuGeneration) -> f64 {
     if let Some(scaling) = accelerometer_fleet::registry::leaf_ipc_scaling(service, category) {

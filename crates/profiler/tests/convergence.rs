@@ -2,7 +2,7 @@
 //! reconstruct the ground-truth service profile — the end-to-end contract
 //! of the synthetic characterization pipeline.
 
-use accelerometer_fleet::ipc::cache1_leaf_ipc;
+use accelerometer_fleet::registry::leaf_ipc_scaling;
 use accelerometer_fleet::{profile, FunctionalityCategory, LeafCategory, ServiceId};
 use accelerometer_profiler::{analyze, TraceGenerator};
 
@@ -74,7 +74,7 @@ fn cache1_ipc_reconstruction_matches_fig8() {
         LeafCategory::Ssl,
         LeafCategory::CLibraries,
     ] {
-        let want = cache1_leaf_ipc(cat).unwrap().gen_c;
+        let want = leaf_ipc_scaling(ServiceId::Cache1, cat).unwrap().gen_c;
         let got = report.ipc_of(cat).unwrap();
         assert!(
             (got - want).abs() < 0.02,

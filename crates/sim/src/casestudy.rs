@@ -219,7 +219,11 @@ pub fn expected_design(name: &str) -> Option<(ThreadingDesign, AccelerationStrat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelerometer_fleet::params::aes_ni_cache1;
+    use accelerometer_fleet::case_study;
+
+    fn aes_ni() -> CaseStudy {
+        case_study("aes-ni").expect("aes-ni case study")
+    }
 
     #[test]
     fn case_study_designs_match_table6() {
@@ -237,7 +241,7 @@ mod tests {
     fn unknown_case_study_is_a_structured_error() {
         // Regression: this used to be `panic!("unknown case study …")`
         // reachable straight from the CLI.
-        let mut study = aes_ni_cache1();
+        let mut study = aes_ni();
         study.name = "bogus".to_owned();
         let err = simulate(&study, 42).unwrap_err();
         match &err {
@@ -254,7 +258,7 @@ mod tests {
 
     #[test]
     fn aes_ni_simulation_lands_near_production() {
-        let (validation, ab) = simulate(&aes_ni_cache1(), 42).expect("known case study");
+        let (validation, ab) = simulate(&aes_ni(), 42).expect("known case study");
         // Model estimate ≈ 15.7%.
         assert!((validation.model_estimate_percent - 15.7).abs() < 0.1);
         // Simulated "real" speedup within a point of the paper's 14%.

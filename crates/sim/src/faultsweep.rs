@@ -9,12 +9,14 @@
 //! policy. Every run is an independent seeded simulation, so the report
 //! is byte-identical at any worker-pool width.
 
+use std::sync::LazyLock;
+
 use accelerometer::LatencySlo;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{OffloadConfig, SimConfig};
 use crate::error::{ensure, Result};
-use crate::fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
+use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::metrics::SimMetrics;
 use crate::parallel::ExecPool;
 use crate::shard::run_point;
@@ -246,98 +248,21 @@ pub fn run_fault_sweep_with(pool: &ExecPool, scenario: &FaultScenario) -> Result
     })
 }
 
-/// The built-in demonstration scenario (also shipped as
-/// `configs/faults-degradation.json` and pinned by the CLI's golden
-/// fixture): a shared remote accelerator that suffers a 3M-cycle full
-/// outage, sporadic failures, and interface-latency spikes, swept across
-/// five recovery disciplines from "do nothing" to the full stack.
+/// The built-in demonstration scenario, `configs/faults-degradation.json`
+/// (embedded at build time and pinned by the CLI's golden fixture) with
+/// `base.seed = seed`: a shared remote accelerator that suffers a
+/// 3M-cycle full outage, sporadic failures, and interface-latency spikes,
+/// swept across five recovery disciplines from "do nothing" to the full
+/// stack.
 #[must_use]
 pub fn demo_scenario(seed: u64) -> FaultScenario {
-    use accelerometer::units::cycles_per_byte;
-    use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
-
-    use crate::device::DeviceKind;
-    use crate::workload::WorkloadSpec;
-
-    let base = SimConfig {
-        cores: 2,
-        threads: 2,
-        context_switch_cycles: 400.0,
-        horizon: 2.5e7,
-        seed,
-        workload: WorkloadSpec {
-            non_kernel_cycles: 4_000.0,
-            kernels_per_request: 1,
-            granularity: GranularityCdf::from_points(vec![(256.0, 0.4), (1_024.0, 1.0)])
-                .expect("static CDF is valid"),
-            cycles_per_byte: cycles_per_byte(2.0),
-        },
-        offload: Some(OffloadConfig {
-            design: ThreadingDesign::AsyncSameThread,
-            strategy: AccelerationStrategy::Remote,
-            driver: DriverMode::Posted,
-            device: DeviceKind::Shared { servers: 4 },
-            peak_speedup: 4.0,
-            interface_latency: 2_000.0,
-            setup_cycles: 50.0,
-            dispatch_pollution: 0.0,
-            min_offload_bytes: None,
-        }),
-        fault: FaultPlan::none(),
-        recovery: RecoveryPolicy::none(),
-    };
-    let plan = FaultPlan {
-        seed: 7,
-        failure_probability: 0.01,
-        spike_probability: 0.005,
-        spike_cycles: 25_000.0,
-        degradation: vec![DegradationWindow::downtime(8.0e6, 1.1e7)],
-    };
-    let retrying = RecoveryPolicy {
-        max_retries: 3,
-        backoff_base_cycles: 2_000.0,
-        ..RecoveryPolicy::none()
-    };
-    let policies = vec![
-        NamedPolicy {
-            name: "no-recovery".to_owned(),
-            policy: RecoveryPolicy::none(),
-        },
-        NamedPolicy {
-            name: "retry".to_owned(),
-            policy: retrying,
-        },
-        NamedPolicy {
-            name: "retry-fallback".to_owned(),
-            policy: RecoveryPolicy {
-                timeout_cycles: Some(30_000.0),
-                fallback_to_host: true,
-                ..retrying
-            },
-        },
-        NamedPolicy {
-            name: "admission".to_owned(),
-            policy: RecoveryPolicy {
-                shed_backlog_cycles: Some(15_000.0),
-                ..RecoveryPolicy::none()
-            },
-        },
-        NamedPolicy {
-            name: "full".to_owned(),
-            policy: RecoveryPolicy {
-                timeout_cycles: Some(30_000.0),
-                fallback_to_host: true,
-                shed_backlog_cycles: Some(15_000.0),
-                ..retrying
-            },
-        },
-    ];
-    FaultScenario {
-        base,
-        plan,
-        policies,
-        slo_min_p99_ratio: 0.5,
-    }
+    static DEMO: LazyLock<FaultScenario> = LazyLock::new(|| {
+        serde_json::from_str(include_str!("../../../configs/faults-degradation.json"))
+            .expect("the embedded demo scenario parses")
+    });
+    let mut scenario = DEMO.clone();
+    scenario.base.seed = seed;
+    scenario
 }
 
 /// One row of the fallback-capacity validation table (Table-6 style:

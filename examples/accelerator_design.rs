@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example accelerator_design`
 
-use accelerometer_suite::fleet::params::compression_feed1;
+use accelerometer_suite::fleet::recommendation;
 use accelerometer_suite::model::logca::LogCa;
 use accelerometer_suite::model::sweep::{log_space, sweep, SweepAxis};
 use accelerometer_suite::model::units::bytes;
@@ -18,7 +18,7 @@ use accelerometer_suite::model::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rec = compression_feed1();
+    let rec = recommendation("Feed1: Compression").ok_or("no Feed1 compression recommendation")?;
     println!("designing an off-chip compression accelerator for {}", rec.name);
     println!(
         "workload: {} compressions/s, alpha = {:.2}, Cb = {} cycles/B\n",

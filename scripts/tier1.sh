@@ -111,11 +111,10 @@ echo "== services gate: every shipped profile pack must parse and validate =="
 ./target/release/accelctl services validate configs/services
 
 echo "== services smoke: data-driven profiles must be byte-identical to the builtins =="
-# The load-bearing equivalence of the data-path refactor: every runner
-# driven through --services configs/services must reproduce the
-# hard-wired constructors' output byte-for-byte, including against the
-# committed golden fixtures (which were NOT re-blessed for the data
-# path).
+# The load-bearing equivalence of the data path: every runner driven
+# through --services configs/services (files read at run time) must
+# reproduce the builtin output (the same files, embedded at build time)
+# byte-for-byte, including against the committed golden fixtures.
 ./target/release/accelctl --services configs/services faults > "$out_dir/faults_svc.json"
 cmp "$out_dir/faults_expected.json" "$out_dir/faults_svc.json"
 ./target/release/accelctl --services configs/services --shards 2 faults > "$out_dir/faults_svc_sharded.json"
@@ -125,6 +124,14 @@ cmp "$out_dir/faults_sharded_expected.json" "$out_dir/faults_svc_sharded.json"
 cmp "$out_dir/tables_builtin.txt" "$out_dir/tables_svc.txt"
 ./target/release/tables --services configs/services table6 > "$out_dir/t6_svc.txt"
 cmp "$out_dir/j1.txt" "$out_dir/t6_svc.txt"
+# Every figure, one by one: figures used to read some datasets straight
+# from Rust constructors and silently ignore --services.
+for id in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
+    fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22; do
+    ./target/release/figures "$id" > "$out_dir/fig_builtin.txt"
+    ./target/release/figures --services configs/services "$id" > "$out_dir/fig_svc.txt"
+    cmp "$out_dir/fig_builtin.txt" "$out_dir/fig_svc.txt"
+done
 
 if [ "${BENCH_REGRESS:-0}" = "1" ]; then
     echo "== bench regression gate (opt-in) =="
