@@ -4,17 +4,20 @@
 //! that it is cheap enough to run at design time for every candidate
 //! accelerator; these benchmarks quantify "cheap".
 
+use accelerometer::exec::{available_jobs, ExecPool};
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{
     estimate, project, sweep, throughput_breakeven, AccelerationStrategy, ConfigFile, DriverMode,
     KernelCost, ModelParams, OffloadContext, OffloadOverheads, OffloadPolicy, Scenario,
     ThreadingDesign,
 };
-use accelerometer_fleet::{case_study, recommendation, CaseStudy};
+use accelerometer_fleet::{CaseStudy, ServiceRegistry};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn aes_ni() -> CaseStudy {
-    case_study("aes-ni").expect("aes-ni case study")
+    ServiceRegistry::builtin()
+        .case_study("aes-ni")
+        .expect("aes-ni case study")
 }
 
 fn bench_estimate(c: &mut Criterion) {
@@ -49,7 +52,9 @@ fn bench_estimate(c: &mut Criterion) {
 }
 
 fn bench_projection(c: &mut Criterion) {
-    let rec = recommendation("Feed1: Compression").expect("Feed1 recommendation");
+    let rec = ServiceRegistry::builtin()
+        .recommendation("Feed1: Compression")
+        .expect("Feed1 recommendation");
     let cfg = &rec.configs[1]; // off-chip Sync with CDF selection
     c.bench_function("model/project_with_cdf_selection", |b| {
         b.iter(|| {
@@ -93,8 +98,9 @@ fn bench_sweep(c: &mut Criterion) {
             Scenario::new(params, ThreadingDesign::Sync, AccelerationStrategy::OffChip)
         })
         .collect();
+    let pool = ExecPool::new(available_jobs());
     c.bench_function("model/estimate_batch_256_parallel", |b| {
-        b.iter(|| sweep::estimate_batch(black_box(&scenarios)))
+        b.iter(|| sweep::estimate_batch_with(&pool, black_box(&scenarios)))
     });
 }
 

@@ -5,7 +5,7 @@
 
 use accelerometer::units::cycles_per_byte;
 use accelerometer::GranularityCdf;
-use accelerometer_fleet::case_study;
+use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{simulate, OffloadConfig, SimConfig, Simulator};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -58,7 +58,9 @@ fn bench_engine(c: &mut Criterion) {
 fn bench_case_study(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/case_study");
     group.sample_size(10);
-    let study = case_study("aes-ni").expect("aes-ni case study");
+    let study = ServiceRegistry::builtin()
+        .case_study("aes-ni")
+        .expect("aes-ni case study");
     group.bench_function("aes_ni_ab_validation", |b| {
         b.iter(|| simulate(black_box(&study), 42))
     });

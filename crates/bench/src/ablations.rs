@@ -21,9 +21,9 @@ use accelerometer::units::cycles_per_byte;
 use accelerometer::{
     estimate, throughput_breakeven, DriverMode, ModelParams, OffloadContext, ThreadingDesign,
 };
-use accelerometer_fleet::params::{all_case_studies, recommendation};
+use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::workload::{workload_for_params, WorkloadSpec};
-use accelerometer_sim::{run_ab, DeviceKind, ExecPool, OffloadConfig, SimConfig};
+use accelerometer_sim::{run_ab, DeviceKind, ExecPool, OffloadConfig, RunContext, SimConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::render::table;
@@ -45,12 +45,12 @@ pub struct AlphaWeightingAblation {
     pub simulated_percent: f64,
 }
 
-/// Runs the α-weighting ablation on Feed1's off-chip Sync compression,
-/// or `None` when the loaded service data has no such configuration
-/// with a finite break-even.
+/// Runs the α-weighting ablation on `reg`'s Feed1 off-chip Sync
+/// compression, or `None` when the service data has no such
+/// configuration with a finite break-even.
 #[must_use]
-pub fn alpha_weighting(seed: u64) -> Option<AlphaWeightingAblation> {
-    let rec = recommendation("Feed1: Compression")?;
+pub fn alpha_weighting(reg: &ServiceRegistry, seed: u64) -> Option<AlphaWeightingAblation> {
+    let rec = reg.recommendation("Feed1: Compression")?;
     let profile = &rec.profile;
     let accel = &rec
         .configs
@@ -145,16 +145,10 @@ pub struct QueueingAblationRow {
     pub simulated_percent: f64,
 }
 
-/// Runs the queueing ablation: a single-server off-chip device shared by
-/// four cores, swept across device speeds.
-#[must_use]
-pub fn queueing_sensitivity(seed: u64) -> Vec<QueueingAblationRow> {
-    queueing_sensitivity_with(&ExecPool::default(), seed)
-}
-
-/// [`queueing_sensitivity`] with an explicit worker pool: each device
-/// speed is an independent seeded A/B experiment, so rows are identical
-/// at any pool width and stay in sweep order.
+/// Runs the queueing ablation on `pool`: a single-server off-chip device
+/// shared by four cores, swept across device speeds. Each device speed
+/// is an independent seeded A/B experiment, so rows are identical at any
+/// pool width and stay in sweep order.
 #[must_use]
 pub fn queueing_sensitivity_with(pool: &ExecPool, seed: u64) -> Vec<QueueingAblationRow> {
     let workload = WorkloadSpec {
@@ -246,15 +240,9 @@ pub struct PoolDepthRow {
     pub core_utilization: f64,
 }
 
-/// Runs the Sync-OS pool-depth ablation against a high-latency (remote)
-/// accelerator; the model's prediction is depth-independent and returned
-/// alongside.
-#[must_use]
-pub fn pool_depth(seed: u64) -> (f64, Vec<PoolDepthRow>) {
-    pool_depth_with(&ExecPool::default(), seed)
-}
-
-/// [`pool_depth`] with an explicit worker pool; rows stay in depth order
+/// Runs the Sync-OS pool-depth ablation on `pool` against a
+/// high-latency (remote) accelerator; the model's prediction is
+/// depth-independent and returned alongside. Rows stay in depth order
 /// and are identical at any pool width.
 #[must_use]
 pub fn pool_depth_with(pool: &ExecPool, seed: u64) -> (f64, Vec<PoolDepthRow>) {
@@ -344,8 +332,8 @@ pub struct PriorModelRow {
 /// parameters, but every offload treated as `Sync` (the accelerator's
 /// time and all transfer overheads on the host's critical path).
 #[must_use]
-pub fn prior_model_comparison() -> Vec<PriorModelRow> {
-    all_case_studies()
+pub fn prior_model_comparison(reg: &ServiceRegistry) -> Vec<PriorModelRow> {
+    reg.case_studies()
         .iter()
         .map(|study| {
             let scenario = &study.scenario;
@@ -365,12 +353,13 @@ pub fn prior_model_comparison() -> Vec<PriorModelRow> {
         .collect()
 }
 
-/// Renders all three ablations as text.
+/// Renders all three ablations as text, reading `ctx`'s service data and
+/// running the simulator experiments on `ctx.pool`.
 #[must_use]
-pub fn render_all(seed: u64) -> String {
+pub fn render_all(ctx: &RunContext, seed: u64) -> String {
     let mut out = String::new();
 
-    if let Some(a) = alpha_weighting(seed) {
+    if let Some(a) = alpha_weighting(&ctx.registry, seed) {
         out.push_str(&table(
             "Ablation 1: count- vs byte-weighted alpha scaling (Feed1 off-chip Sync compression)",
             &["quantity", "value"],
@@ -404,7 +393,7 @@ pub fn render_all(seed: u64) -> String {
         );
     }
 
-    let rows: Vec<Vec<String>> = queueing_sensitivity(seed)
+    let rows: Vec<Vec<String>> = queueing_sensitivity_with(&ctx.pool, seed)
         .into_iter()
         .map(|r| {
             vec![
@@ -428,7 +417,7 @@ pub fn render_all(seed: u64) -> String {
          (open-loop M/M/1 estimates over-correct badly for closed-loop hosts).\n\n",
     );
 
-    let (model_percent, rows) = pool_depth(seed);
+    let (model_percent, rows) = pool_depth_with(&ctx.pool, seed);
     let rows: Vec<Vec<String>> = rows
         .into_iter()
         .map(|r| {
@@ -451,7 +440,7 @@ pub fn render_all(seed: u64) -> String {
          the full offload round trip; shallow pools idle cores and miss it badly.\n\n",
     );
 
-    let rows: Vec<Vec<String>> = prior_model_comparison()
+    let rows: Vec<Vec<String>> = prior_model_comparison(&ctx.registry)
         .into_iter()
         .map(|r| {
             vec![
@@ -484,7 +473,8 @@ mod tests {
 
     #[test]
     fn byte_weighting_matches_simulated_truth() {
-        let a = alpha_weighting(77).expect("Feed1 off-chip Sync compression");
+        let a = alpha_weighting(&ServiceRegistry::builtin(), 77)
+            .expect("Feed1 off-chip Sync compression");
         // Bytes concentrate in large offloads: byte fraction far exceeds
         // the count fraction.
         assert!(a.byte_fraction > a.count_fraction + 0.15);
@@ -501,7 +491,7 @@ mod tests {
 
     #[test]
     fn queueing_gap_grows_with_load_and_measured_q_recovers_it() {
-        let rows = queueing_sensitivity(78);
+        let rows = queueing_sensitivity_with(&ExecPool::new(2), 78);
         assert_eq!(rows.len(), 4);
         // Utilization rises as the device slows.
         assert!(rows.last().unwrap().device_utilization > rows[0].device_utilization);
@@ -523,7 +513,7 @@ mod tests {
 
     #[test]
     fn deep_pools_converge_to_the_model() {
-        let (model_percent, rows) = pool_depth(79);
+        let (model_percent, rows) = pool_depth_with(&ExecPool::new(2), 79);
         // Shallow pools miss the model badly...
         let shallow = rows.first().unwrap();
         assert!(
@@ -546,7 +536,7 @@ mod tests {
 
     #[test]
     fn blocking_model_mispredicts_async_offloads() {
-        let rows = prior_model_comparison();
+        let rows = prior_model_comparison(&ServiceRegistry::builtin());
         assert_eq!(rows.len(), 3);
         // AES-NI is genuinely synchronous: the two models agree.
         let aes = &rows[0];
@@ -573,7 +563,7 @@ mod tests {
 
     #[test]
     fn render_includes_findings() {
-        let text = render_all(80);
+        let text = render_all(&RunContext::from_process_defaults(), 80);
         assert!(text.contains("Ablation 1"));
         assert!(text.contains("Ablation 2"));
         assert!(text.contains("Ablation 3"));

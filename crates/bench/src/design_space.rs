@@ -25,9 +25,10 @@ pub struct DesignPoint {
 }
 
 /// Evaluates the A × L grid for a kernel with fraction `alpha` and `n`
-/// offloads per `c` host cycles, under `design`.
+/// offloads per `c` host cycles, under `design`, on `pool`.
 #[must_use]
 pub fn grid(
+    pool: &ExecPool,
     c: f64,
     alpha: f64,
     n: f64,
@@ -37,32 +38,32 @@ pub fn grid(
 ) -> Vec<Vec<DesignPoint>> {
     // One pool job per grid row: each cell is a pure model evaluation, so
     // rows parallelize freely and land in `a_values` order.
-    ExecPool::default().map(a_values, |_, &a| {
-            l_values
-                .iter()
-                .map(|&l| {
-                    let params = ModelParams::builder()
-                        .host_cycles(c)
-                        .kernel_fraction(alpha)
-                        .offloads(n)
-                        .interface_cycles(l)
-                        .thread_switch_cycles(2_000.0)
-                        .peak_speedup(a)
-                        .build()
-                        .expect("grid parameters are valid");
-                    let est = estimate(
-                        &params,
-                        design,
-                        AccelerationStrategy::OffChip,
-                        DriverMode::AwaitsAck,
-                    );
-                    DesignPoint {
-                        peak_speedup: a,
-                        interface_latency: l,
-                        gain_percent: est.throughput_gain_percent(),
-                    }
-                })
-                .collect()
+    pool.map(a_values, |_, &a| {
+        l_values
+            .iter()
+            .map(|&l| {
+                let params = ModelParams::builder()
+                    .host_cycles(c)
+                    .kernel_fraction(alpha)
+                    .offloads(n)
+                    .interface_cycles(l)
+                    .thread_switch_cycles(2_000.0)
+                    .peak_speedup(a)
+                    .build()
+                    .expect("grid parameters are valid");
+                let est = estimate(
+                    &params,
+                    design,
+                    AccelerationStrategy::OffChip,
+                    DriverMode::AwaitsAck,
+                );
+                DesignPoint {
+                    peak_speedup: a,
+                    interface_latency: l,
+                    gain_percent: est.throughput_gain_percent(),
+                }
+            })
+            .collect()
     })
 }
 
@@ -79,13 +80,14 @@ fn glyph(gain: f64, ideal: f64) -> char {
     }
 }
 
-/// Renders the design space for a kernel under one threading design.
+/// Renders the design space for a kernel under one threading design,
+/// evaluating the grid on `pool`.
 #[must_use]
-pub fn render(c: f64, alpha: f64, n: f64, design: ThreadingDesign) -> String {
+pub fn render(pool: &ExecPool, c: f64, alpha: f64, n: f64, design: ThreadingDesign) -> String {
     use std::fmt::Write as _;
     let a_values: Vec<f64> = log_space(1.5, 96.0, 13);
     let l_values: Vec<f64> = log_space(10.0, 1_000_000.0, 46);
-    let cells = grid(c, alpha, n, design, &a_values, &l_values);
+    let cells = grid(pool, c, alpha, n, design, &a_values, &l_values);
     let ideal = (1.0 / (1.0 - alpha) - 1.0) * 100.0;
 
     let mut out = format!(
@@ -104,19 +106,38 @@ pub fn render(c: f64, alpha: f64, n: f64, design: ThreadingDesign) -> String {
     out
 }
 
+/// The `design-space` figure: the heatmap for a 15% kernel offloaded
+/// 15,008 times per 2.3e9 host cycles, under the Sync, Sync-OS and
+/// Async designs.
+#[must_use]
+pub fn figure(pool: &ExecPool) -> String {
+    [
+        ThreadingDesign::Sync,
+        ThreadingDesign::SyncOs,
+        ThreadingDesign::AsyncNoResponse,
+    ]
+    .map(|design| render(pool, 2.3e9, 0.15, 15_008.0, design))
+    .join("\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ThreadingDesign as D;
 
     const C: f64 = 2.3e9;
     const ALPHA: f64 = 0.15;
     const N: f64 = 15_008.0;
 
+    fn pool() -> ExecPool {
+        ExecPool::new(2)
+    }
+
     #[test]
     fn gain_is_monotone_in_the_grid() {
         let a_values = [2.0, 8.0, 32.0];
         let l_values = [100.0, 10_000.0, 1_000_000.0];
-        let cells = grid(C, ALPHA, N, ThreadingDesign::Sync, &a_values, &l_values);
+        let cells = grid(&pool(), C, ALPHA, N, D::Sync, &a_values, &l_values);
         // Rows: fixed A, gain falls with L.
         for row in &cells {
             for pair in row.windows(2) {
@@ -133,10 +154,10 @@ mod tests {
 
     #[test]
     fn high_latency_corner_is_a_slowdown_for_sync() {
-        let cells = grid(C, ALPHA, N, ThreadingDesign::Sync, &[96.0], &[1_000_000.0]);
+        let cells = grid(&pool(), C, ALPHA, N, D::Sync, &[96.0], &[1_000_000.0]);
         assert!(cells[0][0].gain_percent < 0.0);
         // And the low-latency corner approaches the ideal.
-        let cells = grid(C, ALPHA, N, ThreadingDesign::Sync, &[96.0], &[10.0]);
+        let cells = grid(&pool(), C, ALPHA, N, D::Sync, &[96.0], &[10.0]);
         assert!(cells[0][0].gain_percent > 15.0);
     }
 
@@ -144,15 +165,14 @@ mod tests {
     fn async_tolerates_more_latency_than_sync() {
         // At a moderate L, the async design keeps more of the gain.
         let l = 20_000.0;
-        let sync = grid(C, ALPHA, N, ThreadingDesign::Sync, &[27.0], &[l])[0][0];
-        let asynchronous =
-            grid(C, ALPHA, N, ThreadingDesign::AsyncNoResponse, &[27.0], &[l])[0][0];
+        let sync = grid(&pool(), C, ALPHA, N, D::Sync, &[27.0], &[l])[0][0];
+        let asynchronous = grid(&pool(), C, ALPHA, N, D::AsyncNoResponse, &[27.0], &[l])[0][0];
         assert!(asynchronous.gain_percent >= sync.gain_percent);
     }
 
     #[test]
     fn render_produces_a_full_heatmap() {
-        let art = render(C, ALPHA, N, ThreadingDesign::Sync);
+        let art = render(&pool(), C, ALPHA, N, D::Sync);
         assert!(art.contains("Design space"));
         assert!(art.contains('@'), "no near-ideal region:\n{art}");
         assert!(art.contains('x'), "no slowdown region:\n{art}");

@@ -1,9 +1,9 @@
 //! Regeneration of every figure in the paper (Figs. 1–22).
 //!
-//! Each builder returns the figure's rendered text; [`figure`] dispatches
-//! by identifier and [`figure_json`] exposes the underlying series as
-//! machine-readable JSON for plotting. Every service dataset is read
-//! through the current service registry, so `--services` reaches every
+//! Each builder returns the figure's rendered text; [`figure_with`]
+//! dispatches by identifier and [`figure_json`] exposes the underlying
+//! series as machine-readable JSON for plotting. Every service dataset is
+//! read from the run context's registry, so `--services` reaches every
 //! figure; a series the loaded data lacks is left out of the plot.
 
 use accelerometer::units::cycles_per_byte;
@@ -15,11 +15,10 @@ use accelerometer_fleet::ipc::{IpcScaling, FIG10_CATEGORIES, FIG8_CATEGORIES};
 use accelerometer_fleet::reference::{
     kernel_breakdown, leaf_breakdown, memory_breakdown, ReferenceWorkload,
 };
-use accelerometer_fleet::registry::{functionality_ipc_scaling, leaf_ipc_scaling};
 use accelerometer_fleet::{
-    all_recommendations, case_study, cdf, profile, recommendation, Breakdown,
-    FunctionalityCategory, LeafCategory, ServiceId,
+    cdf, Breakdown, FunctionalityCategory, LeafCategory, ServiceId, ServiceRegistry,
 };
+use accelerometer_sim::RunContext;
 use serde_json::{json, Value};
 
 use crate::render::{cdf_plot, grouped_bars, stacked_bars};
@@ -35,20 +34,22 @@ pub const FIGURE_IDS: [&str; 22] = [
     "fig22",
 ];
 
-/// Renders one figure by identifier (`"fig1"`–`"fig22"`).
+/// Renders one figure by identifier (`"fig1"`–`"fig22"`, or the extra
+/// `"design-space"`) from `ctx`'s service data.
 #[must_use]
-pub fn figure(id: &str) -> Option<String> {
+pub fn figure_with(ctx: &RunContext, id: &str) -> Option<String> {
+    let reg = &*ctx.registry;
     Some(match id {
-        "fig1" => fig1(),
-        "fig2" => fig2(),
-        "fig3" => fig3(),
-        "fig4" => fig4(),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "fig9" => fig9(),
-        "fig10" => fig10(),
+        "fig1" => fig1(reg),
+        "fig2" => fig2(reg),
+        "fig3" => fig3(reg),
+        "fig4" => fig4(reg),
+        "fig5" => fig5(reg),
+        "fig6" => fig6(reg),
+        "fig7" => fig7(reg),
+        "fig8" => fig8(reg),
+        "fig9" => fig9(reg),
+        "fig10" => fig10(reg),
         "fig11" => timeline_figure(
             "Fig 11: example timeline of host & accelerator (one offload)",
             ThreadingDesign::SyncOs,
@@ -59,40 +60,51 @@ pub fn figure(id: &str) -> Option<String> {
             "Fig 14: Async offload timeline",
             ThreadingDesign::AsyncSameThread,
         ),
-        "fig15" => fig15(),
-        "fig16" => fig16(),
-        "fig17" => fig17(),
-        "fig18" => fig18(),
-        "fig19" => fig19(),
-        "fig20" => fig20(),
-        "fig21" => fig21(),
-        "fig22" => fig22(),
+        "fig15" => fig15(reg),
+        "fig16" => fig16(reg),
+        "fig17" => fig17(reg),
+        "fig18" => fig18(reg),
+        "fig19" => fig19(reg),
+        "fig20" => fig20(reg),
+        "fig21" => fig21(reg),
+        "fig22" => fig22(reg),
+        "design-space" => crate::design_space::figure(&ctx.pool),
         _ => return None,
     })
 }
 
-/// The underlying series of a figure as JSON (for external plotting).
+/// [`figure_with`] on [`RunContext::from_process_defaults`]. Kept because
+/// the benchmark harness calls it; the next benchmark change deletes it.
 #[must_use]
-pub fn figure_json(id: &str) -> Option<Value> {
+pub fn figure(id: &str) -> Option<String> {
+    figure_with(&RunContext::from_process_defaults(), id)
+}
+
+/// The underlying series of a figure as JSON (for external plotting),
+/// from `ctx`'s service data. Timeline figures and the design space have
+/// none.
+#[must_use]
+pub fn figure_json(ctx: &RunContext, id: &str) -> Option<Value> {
+    let reg = &*ctx.registry;
     Some(match id {
-        "fig1" => rows_json(&fig1_rows()),
-        "fig2" => rows_json(&fig2_rows()),
-        "fig3" => rows_json(&fig3_rows()),
-        "fig4" => rows_json(&fig4_rows()),
-        "fig5" => rows_json(&fig5_rows()),
-        "fig6" => rows_json(&fig6_rows()),
-        "fig7" => rows_json(&fig7_rows()),
-        "fig8" => ipc_json(&fig8_groups()),
-        "fig9" => rows_json(&fig9_rows()),
-        "fig10" => ipc_json(&fig10_groups()),
-        "fig15" => cdf_json(&fig15_series()),
-        "fig16" => rows_json(&fig16_rows()),
-        "fig17" => rows_json(&fig17_rows()),
-        "fig18" => rows_json(&fig18_rows()),
-        "fig19" => cdf_json(&fig19_series()),
-        "fig20" => fig20_json(),
-        "fig21" => cdf_json(&copy_cdf_series()),
-        "fig22" => cdf_json(&alloc_cdf_series()),
+        "fig1" => rows_json(&fig1_rows(reg)),
+        "fig2" => rows_json(&fig2_rows(reg)),
+        "fig3" => rows_json(&fig3_rows(reg)),
+        "fig4" => rows_json(&fig4_rows(reg)),
+        "fig5" => rows_json(&fig5_rows(reg)),
+        "fig6" => rows_json(&fig6_rows(reg)),
+        "fig7" => rows_json(&fig7_rows(reg)),
+        "fig8" => ipc_json(&fig8_groups(reg)),
+        "fig9" => rows_json(&fig9_rows(reg)),
+        "fig10" => ipc_json(&fig10_groups(reg)),
+        "fig15" => cdf_json(&fig15_series(reg)),
+        "fig16" => rows_json(&fig16_rows(reg)),
+        "fig17" => rows_json(&fig17_rows(reg)),
+        "fig18" => rows_json(&fig18_rows(reg)),
+        "fig19" => cdf_json(&fig19_series(reg)),
+        "fig20" => fig20_json(reg),
+        "fig21" => cdf_json(&copy_cdf_series(reg)),
+        "fig22" => cdf_json(&alloc_cdf_series(reg)),
         _ => return None,
     })
 }
@@ -143,11 +155,11 @@ fn breakdown_rows<C: Copy + PartialEq + std::fmt::Display>(
         .collect()
 }
 
-fn fig1_rows() -> Rows {
+fn fig1_rows(reg: &ServiceRegistry) -> Rows {
     ServiceId::CHARACTERIZED
         .iter()
         .map(|&id| {
-            let p = profile(id);
+            let p = reg.profile(id);
             (
                 id.to_string(),
                 vec![
@@ -159,16 +171,16 @@ fn fig1_rows() -> Rows {
         .collect()
 }
 
-fn fig1() -> String {
+fn fig1(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 1: cycles in core application logic vs orchestration",
-        &fig1_rows(),
+        &fig1_rows(reg),
         60,
     )
 }
 
-fn fig2_rows() -> Rows {
-    let mut rows = breakdown_rows(&ServiceId::CHARACTERIZED, |id| profile(id).leaves);
+fn fig2_rows(reg: &ServiceRegistry) -> Rows {
+    let mut rows = breakdown_rows(&ServiceId::CHARACTERIZED, |id| reg.profile(id).leaves);
     for workload in ReferenceWorkload::ALL {
         rows.push((
             workload.label().to_owned(),
@@ -181,16 +193,16 @@ fn fig2_rows() -> Rows {
     rows
 }
 
-fn fig2() -> String {
+fn fig2(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 2: cycles in leaf-function categories",
-        &fig2_rows(),
+        &fig2_rows(reg),
         60,
     )
 }
 
-fn fig3_rows() -> Rows {
-    let mut rows = breakdown_rows(&ServiceId::CHARACTERIZED, |id| profile(id).memory_ops);
+fn fig3_rows(reg: &ServiceRegistry) -> Rows {
+    let mut rows = breakdown_rows(&ServiceId::CHARACTERIZED, |id| reg.profile(id).memory_ops);
     for workload in ReferenceWorkload::ALL {
         rows.push((
             workload.label().to_owned(),
@@ -203,34 +215,34 @@ fn fig3_rows() -> Rows {
     rows
 }
 
-fn fig3() -> String {
+fn fig3(reg: &ServiceRegistry) -> String {
     let mut out = stacked_bars(
         "Fig 3: memory leaf functions (share of memory cycles)",
-        &fig3_rows(),
+        &fig3_rows(reg),
         60,
     );
     out.push_str("net memory share of total cycles:");
     for &id in &ServiceId::CHARACTERIZED {
-        let net = profile(id).leaves.percent(LeafCategory::Memory);
+        let net = reg.profile(id).leaves.percent(LeafCategory::Memory);
         out.push_str(&format!(" {id}={net:.0}%"));
     }
     out.push('\n');
     out
 }
 
-fn fig4_rows() -> Rows {
-    breakdown_rows(&ServiceId::CHARACTERIZED, |id| profile(id).copy_origins)
+fn fig4_rows(reg: &ServiceRegistry) -> Rows {
+    breakdown_rows(&ServiceId::CHARACTERIZED, |id| reg.profile(id).copy_origins)
 }
 
-fn fig4() -> String {
+fn fig4(reg: &ServiceRegistry) -> String {
     let mut out = stacked_bars(
         "Fig 4: service functionalities that invoke memory copies",
-        &fig4_rows(),
+        &fig4_rows(reg),
         60,
     );
     out.push_str("net copy share of total cycles:");
     for &id in &ServiceId::CHARACTERIZED {
-        let p = profile(id);
+        let p = reg.profile(id);
         let net = 100.0 * p.memory_op_fraction(accelerometer_fleet::MemoryOp::Copy);
         out.push_str(&format!(" {id}={net:.0}%"));
     }
@@ -238,8 +250,8 @@ fn fig4() -> String {
     out
 }
 
-fn fig5_rows() -> Rows {
-    let mut rows = breakdown_rows(&ServiceId::CHARACTERIZED, |id| profile(id).kernel_ops);
+fn fig5_rows(reg: &ServiceRegistry) -> Rows {
+    let mut rows = breakdown_rows(&ServiceId::CHARACTERIZED, |id| reg.profile(id).kernel_ops);
     if let Some(google) = kernel_breakdown(ReferenceWorkload::Google) {
         rows.push((
             ReferenceWorkload::Google.label().to_owned(),
@@ -249,34 +261,34 @@ fn fig5_rows() -> Rows {
     rows
 }
 
-fn fig5() -> String {
+fn fig5(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 5: kernel leaf functions (share of kernel cycles)",
-        &fig5_rows(),
+        &fig5_rows(reg),
         60,
     )
 }
 
-fn fig6_rows() -> Rows {
-    breakdown_rows(&ServiceId::CHARACTERIZED, |id| profile(id).sync_ops)
+fn fig6_rows(reg: &ServiceRegistry) -> Rows {
+    breakdown_rows(&ServiceId::CHARACTERIZED, |id| reg.profile(id).sync_ops)
 }
 
-fn fig6() -> String {
+fn fig6(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 6: synchronization leaf functions (share of sync cycles)",
-        &fig6_rows(),
+        &fig6_rows(reg),
         60,
     )
 }
 
-fn fig7_rows() -> Rows {
-    breakdown_rows(&ServiceId::CHARACTERIZED, |id| profile(id).clib_ops)
+fn fig7_rows(reg: &ServiceRegistry) -> Rows {
+    breakdown_rows(&ServiceId::CHARACTERIZED, |id| reg.profile(id).clib_ops)
 }
 
-fn fig7() -> String {
+fn fig7(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 7: C-library leaf functions (share of C-library cycles)",
-        &fig7_rows(),
+        &fig7_rows(reg),
         60,
     )
 }
@@ -295,41 +307,43 @@ fn ipc_groups<C: Copy + std::fmt::Display>(
         .collect()
 }
 
-fn fig8_groups() -> Vec<(String, Vec<f64>)> {
-    ipc_groups(&FIG8_CATEGORIES, leaf_ipc_scaling)
+fn fig8_groups(reg: &ServiceRegistry) -> Vec<(String, Vec<f64>)> {
+    ipc_groups(&FIG8_CATEGORIES, |id, c| reg.leaf_ipc(id, c))
 }
 
-fn fig8() -> String {
+fn fig8(reg: &ServiceRegistry) -> String {
     grouped_bars(
         "Fig 8: Cache1 per-core IPC across CPU generations (leaf categories)",
         &["GenA", "GenB", "GenC"],
-        &fig8_groups(),
+        &fig8_groups(reg),
         2.0,
         40,
     )
 }
 
-fn fig9_rows() -> Rows {
-    breakdown_rows(&ServiceId::CHARACTERIZED, |id| profile(id).functionality)
+fn fig9_rows(reg: &ServiceRegistry) -> Rows {
+    breakdown_rows(&ServiceId::CHARACTERIZED, |id| {
+        reg.profile(id).functionality
+    })
 }
 
-fn fig9() -> String {
+fn fig9(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 9: cycles in microservice functionalities",
-        &fig9_rows(),
+        &fig9_rows(reg),
         60,
     )
 }
 
-fn fig10_groups() -> Vec<(String, Vec<f64>)> {
-    ipc_groups(&FIG10_CATEGORIES, functionality_ipc_scaling)
+fn fig10_groups(reg: &ServiceRegistry) -> Vec<(String, Vec<f64>)> {
+    ipc_groups(&FIG10_CATEGORIES, |id, c| reg.functionality_ipc(id, c))
 }
 
-fn fig10() -> String {
+fn fig10(reg: &ServiceRegistry) -> String {
     grouped_bars(
         "Fig 10: Cache1 per-core IPC across CPU generations (functionalities)",
         &["GenA", "GenB", "GenC"],
-        &fig10_groups(),
+        &fig10_groups(reg),
         1.0,
         40,
     )
@@ -349,17 +363,18 @@ fn timeline_figure(title: &str, design: ThreadingDesign) -> String {
 }
 
 /// Fig. 15's series: the encryption CDF of the `aes-ni` case study.
-fn fig15_series() -> Vec<(String, Vec<(f64, f64)>)> {
-    case_study("aes-ni")
+fn fig15_series(reg: &ServiceRegistry) -> Vec<(String, Vec<(f64, f64)>)> {
+    reg.case_study("aes-ni")
         .and_then(|study| study.granularity)
         .map(|g| ("Cache1".to_owned(), g.points().to_vec()))
         .into_iter()
         .collect()
 }
 
-fn fig15() -> String {
+fn fig15(reg: &ServiceRegistry) -> String {
     // Break-even for AES-NI under the case-study context.
-    let markers: Vec<(String, f64)> = case_study("aes-ni")
+    let markers: Vec<(String, f64)> = reg
+        .case_study("aes-ni")
         .map(|study| {
             let ctx = OffloadContext::new(
                 study.scenario.params.overheads(),
@@ -376,7 +391,7 @@ fn fig15() -> String {
         .collect();
     cdf_plot(
         "Fig 15: CDF of bytes encrypted in Cache1",
-        &fig15_series(),
+        &fig15_series(reg),
         &markers,
         12,
     )
@@ -387,6 +402,7 @@ fn fig15() -> String {
 /// cycles land on `overhead_to`, and everything renormalizes to the new
 /// (smaller) total — the construction behind Figs. 16–18.
 fn accelerated_split(
+    reg: &ServiceRegistry,
     service: ServiceId,
     target: FunctionalityCategory,
     alpha: f64,
@@ -408,10 +424,8 @@ fn accelerated_split(
     debug_assert!(overhead_fraction >= -1e-9, "negative overhead {overhead_fraction}");
     let _ = n;
 
-    let mut points: Vec<(FunctionalityCategory, f64)> = profile(service)
-        .functionality
-        .iter()
-        .collect();
+    let mut points: Vec<(FunctionalityCategory, f64)> =
+        reg.profile(service).functionality.iter().collect();
     for (cat, pct) in &mut points {
         if *cat == target {
             *pct -= 100.0 * (alpha - accel_on_host);
@@ -430,6 +444,7 @@ fn accelerated_split(
 }
 
 fn before_after_rows(
+    reg: &ServiceRegistry,
     service: ServiceId,
     labels: (&str, &str),
     after: Vec<(FunctionalityCategory, f64)>,
@@ -437,7 +452,7 @@ fn before_after_rows(
     vec![
         (
             labels.0.to_owned(),
-            profile(service)
+            reg.profile(service)
                 .functionality
                 .iter()
                 .map(|(c, p)| (c.to_string(), p))
@@ -453,26 +468,29 @@ fn before_after_rows(
 /// Figs. 16–18: the case study's service before and after offloading
 /// `target`, or no rows when the loaded data lacks the study.
 fn case_study_rows(
+    reg: &ServiceRegistry,
     name: &str,
     target: FunctionalityCategory,
     overhead_to: FunctionalityCategory,
     labels: (&str, &str),
 ) -> Rows {
-    let Some(study) = case_study(name) else {
+    let Some(study) = reg.case_study(name) else {
         return Vec::new();
     };
     let after = accelerated_split(
+        reg,
         study.service,
         target,
         study.scenario.params.kernel_fraction(),
         &study.scenario,
         overhead_to,
     );
-    before_after_rows(study.service, labels, after)
+    before_after_rows(reg, study.service, labels, after)
 }
 
-fn fig16_rows() -> Rows {
+fn fig16_rows(reg: &ServiceRegistry) -> Rows {
     case_study_rows(
+        reg,
         "aes-ni",
         FunctionalityCategory::SecureInsecureIo,
         FunctionalityCategory::SecureInsecureIo,
@@ -480,21 +498,22 @@ fn fig16_rows() -> Rows {
     )
 }
 
-fn fig16() -> String {
+fn fig16(reg: &ServiceRegistry) -> String {
     let mut out = stacked_bars(
         "Fig 16: Cache1 functionalities with and without AES-NI",
-        &fig16_rows(),
+        &fig16_rows(reg),
         60,
     );
-    if let Some(study) = case_study("aes-ni") {
+    if let Some(study) = reg.case_study("aes-ni") {
         let freed = study.scenario.estimate().freed_cycle_fraction(&study.scenario.params);
         out.push_str(&format!("cycles freed by AES-NI: {:.1}%\n", freed * 100.0));
     }
     out
 }
 
-fn fig17_rows() -> Rows {
+fn fig17_rows(reg: &ServiceRegistry) -> Rows {
     case_study_rows(
+        reg,
         "encryption",
         FunctionalityCategory::SecureInsecureIo,
         FunctionalityCategory::SecureInsecureIo,
@@ -502,16 +521,17 @@ fn fig17_rows() -> Rows {
     )
 }
 
-fn fig17() -> String {
+fn fig17(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 17: Cache3 functionalities with and without encryption acceleration",
-        &fig17_rows(),
+        &fig17_rows(reg),
         60,
     )
 }
 
-fn fig18_rows() -> Rows {
+fn fig18_rows(reg: &ServiceRegistry) -> Rows {
     case_study_rows(
+        reg,
         "inference",
         FunctionalityCategory::PredictionRanking,
         // The extra offload I/O shows up as I/O cycles.
@@ -520,26 +540,30 @@ fn fig18_rows() -> Rows {
     )
 }
 
-fn fig18() -> String {
+fn fig18(reg: &ServiceRegistry) -> String {
     stacked_bars(
         "Fig 18: Ads1 functionalities with and without remote inference",
-        &fig18_rows(),
+        &fig18_rows(reg),
         60,
     )
 }
 
 /// Fig. 19's series: the Feed1 recommendation's compression CDF and
 /// Cache1's.
-fn fig19_series() -> Vec<(String, Vec<(f64, f64)>)> {
-    let feed1 = recommendation(FEED1_COMPRESSION)
-        .map(|rec| ("Feed1".to_owned(), rec.profile.granularity.points().to_vec()));
+fn fig19_series(reg: &ServiceRegistry) -> Vec<(String, Vec<(f64, f64)>)> {
+    let feed1 = reg.recommendation(FEED1_COMPRESSION).map(|rec| {
+        (
+            "Feed1".to_owned(),
+            rec.profile.granularity.points().to_vec(),
+        )
+    });
     let cache1 = ("Cache1".to_owned(), cdf::cache1_compression().points().to_vec());
     feed1.into_iter().chain([cache1]).collect()
 }
 
-fn fig19() -> String {
+fn fig19(reg: &ServiceRegistry) -> String {
     let mut markers = Vec::new();
-    if let Some(rec) = recommendation(FEED1_COMPRESSION) {
+    if let Some(rec) = reg.recommendation(FEED1_COMPRESSION) {
         for cfg in &rec.configs {
             let ctx = OffloadContext::new(
                 cfg.accelerator.overheads,
@@ -557,7 +581,7 @@ fn fig19() -> String {
     }
     cdf_plot(
         "Fig 19: CDF of bytes compressed in Feed1 and Cache1",
-        &fig19_series(),
+        &fig19_series(reg),
         &markers,
         12,
     )
@@ -565,9 +589,9 @@ fn fig19() -> String {
 
 /// Fig. 20's bars: (overhead label, config label, speedup %, latency %).
 #[must_use]
-pub fn fig20_bars() -> Vec<(String, String, f64, f64)> {
+pub fn fig20_bars(reg: &ServiceRegistry) -> Vec<(String, String, f64, f64)> {
     let mut bars = Vec::new();
-    for rec in all_recommendations() {
+    for rec in reg.recommendations() {
         bars.push((rec.name.to_owned(), "Ideal".to_owned(), rec.paper_ideal_percent, rec.paper_ideal_percent));
         for cfg in &rec.configs {
             let p = project(&rec.profile, &cfg.accelerator, cfg.design, cfg.policy)
@@ -583,8 +607,8 @@ pub fn fig20_bars() -> Vec<(String, String, f64, f64)> {
     bars
 }
 
-fn fig20_json() -> Value {
-    json!(fig20_bars()
+fn fig20_json(reg: &ServiceRegistry) -> Value {
+    json!(fig20_bars(reg)
         .iter()
         .map(|(overhead, config, speedup, latency)| {
             json!({"overhead": overhead, "config": config, "speedup_percent": speedup, "latency_percent": latency})
@@ -592,8 +616,8 @@ fn fig20_json() -> Value {
         .collect::<Vec<_>>())
 }
 
-fn fig20() -> String {
-    let bars = fig20_bars();
+fn fig20(reg: &ServiceRegistry) -> String {
+    let bars = fig20_bars(reg);
     let mut groups: Vec<(String, Vec<f64>)> = Vec::new();
     let mut series: Vec<String> = Vec::new();
     for (overhead, config, speedup, _) in &bars {
@@ -623,33 +647,43 @@ fn fig20() -> String {
     out
 }
 
-fn copy_cdf_series() -> Vec<(String, Vec<(f64, f64)>)> {
+fn copy_cdf_series(reg: &ServiceRegistry) -> Vec<(String, Vec<(f64, f64)>)> {
     ServiceId::CHARACTERIZED
         .iter()
-        .map(|&id| (id.to_string(), cdf::memory_copy(id).points().to_vec()))
+        .map(|&id| {
+            (
+                id.to_string(),
+                reg.spec(id).copy_granularity.points().to_vec(),
+            )
+        })
         .collect()
 }
 
-fn fig21() -> String {
+fn fig21(reg: &ServiceRegistry) -> String {
     cdf_plot(
         "Fig 21: CDF of memory-copy sizes across microservices",
-        &copy_cdf_series(),
+        &copy_cdf_series(reg),
         &[("Ads1 on-chip break-even (~1 B: all copies lucrative)".to_owned(), 1.0)],
         12,
     )
 }
 
-fn alloc_cdf_series() -> Vec<(String, Vec<(f64, f64)>)> {
+fn alloc_cdf_series(reg: &ServiceRegistry) -> Vec<(String, Vec<(f64, f64)>)> {
     ServiceId::CHARACTERIZED
         .iter()
-        .map(|&id| (id.to_string(), cdf::memory_allocation(id).points().to_vec()))
+        .map(|&id| {
+            (
+                id.to_string(),
+                reg.spec(id).allocation_granularity.points().to_vec(),
+            )
+        })
         .collect()
 }
 
-fn fig22() -> String {
+fn fig22(reg: &ServiceRegistry) -> String {
     cdf_plot(
         "Fig 22: CDF of memory-allocation sizes across microservices",
-        &alloc_cdf_series(),
+        &alloc_cdf_series(reg),
         &[("Cache1 on-chip break-even (~1 B: all allocations lucrative)".to_owned(), 1.0)],
         12,
     )
@@ -658,6 +692,10 @@ fn fig22() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ctx() -> RunContext {
+        RunContext::from_process_defaults()
+    }
 
     #[test]
     fn every_figure_renders() {
@@ -671,11 +709,12 @@ mod tests {
 
     #[test]
     fn figure_json_for_data_figures() {
+        let ctx = ctx();
         for id in FIGURE_IDS {
             if matches!(id, "fig11" | "fig12" | "fig13" | "fig14") {
-                assert!(figure_json(id).is_none(), "{id} timelines have no JSON");
+                assert!(figure_json(&ctx, id).is_none(), "{id} timelines have no JSON");
             } else {
-                let value = figure_json(id).unwrap_or_else(|| panic!("{id} missing json"));
+                let value = figure_json(&ctx, id).unwrap_or_else(|| panic!("{id} missing json"));
                 assert!(!value.as_array().unwrap().is_empty(), "{id} empty json");
             }
         }
@@ -683,7 +722,7 @@ mod tests {
 
     #[test]
     fn fig1_shows_web_at_18_percent_core() {
-        let rows = fig1_rows();
+        let rows = fig1_rows(&ServiceRegistry::builtin());
         let web = &rows[0];
         assert_eq!(web.0, "Web");
         assert_eq!(web.1[0].1, 18.0);
@@ -692,7 +731,7 @@ mod tests {
 
     #[test]
     fn fig2_includes_reference_workloads() {
-        let text = fig2();
+        let text = fig2(&ServiceRegistry::builtin());
         assert!(text.contains("Google [Kanev'15]"));
         assert!(text.contains("473.astar"));
         assert!(text.contains("Cache2"));
@@ -700,7 +739,7 @@ mod tests {
 
     #[test]
     fn fig16_shows_secure_io_shrinking() {
-        let rows = fig16_rows();
+        let rows = fig16_rows(&ServiceRegistry::builtin());
         let before = rows[0]
             .1
             .iter()
@@ -724,7 +763,7 @@ mod tests {
 
     #[test]
     fn fig18_frees_all_inference_cycles() {
-        let rows = fig18_rows();
+        let rows = fig18_rows(&ServiceRegistry::builtin());
         // After remote offload, the Prediction/Ranking bar disappears.
         assert!(rows[0].1.iter().any(|(c, _)| c.contains("Prediction")));
         assert!(!rows[1].1.iter().any(|(c, _)| c.contains("Prediction")));
@@ -736,7 +775,7 @@ mod tests {
 
     #[test]
     fn fig20_matches_paper_projections() {
-        let bars = fig20_bars();
+        let bars = fig20_bars(&ServiceRegistry::builtin());
         let find = |overhead: &str, config: &str| {
             bars.iter()
                 .find(|(o, c, _, _)| o.contains(overhead) && c == config)
@@ -753,7 +792,7 @@ mod tests {
 
     #[test]
     fn fig19_markers_match_section_5() {
-        let text = fig19();
+        let text = fig19(&ServiceRegistry::builtin());
         assert!(text.contains("425 B"), "{text}");
         assert!(text.contains("2456 B") || text.contains("2455 B"), "{text}");
         assert!(text.contains("409 B"), "{text}");

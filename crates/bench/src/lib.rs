@@ -4,9 +4,16 @@
 //! figure (Figs. 1–22) of the Accelerometer paper from this repository's
 //! model, datasets, profiler, and simulator.
 //!
-//! * `cargo run -p accelerometer-bench --bin tables -- all`
-//! * `cargo run -p accelerometer-bench --bin figures -- fig20`
-//! * `cargo run -p accelerometer-bench --bin figures -- fig19 --json`
+//! The `accelctl` front end prints them:
+//!
+//! * `accelctl tables all`
+//! * `accelctl figures fig20` (or `figures all`, or the extra
+//!   `figures design-space`)
+//! * `accelctl figures fig19 --json`
+//! * `accelctl ablations [--seed N]`
+//!
+//! Every renderer takes the run context (`accelerometer_sim::RunContext`)
+//! that carries the worker pool and the service data.
 //!
 //! Criterion micro-benchmarks live under `benches/`: kernel benchmarks
 //! that re-derive the model's `Cb`/`A` parameters the way §4's
@@ -19,11 +26,8 @@
 pub mod ablations;
 pub mod design_space;
 pub mod figures;
-pub mod jobs;
 pub mod render;
 pub mod tables;
 
-pub use figures::{figure, figure_json, FIGURE_IDS};
-pub use accelerometer_fleet::apply_services_flag;
-pub use jobs::apply_jobs_flag;
-pub use tables::{render_table, TABLE_IDS};
+pub use figures::{figure, figure_json, figure_with, FIGURE_IDS};
+pub use tables::{render_table, render_table_with, TABLE_IDS};

@@ -1,11 +1,10 @@
 //! Regeneration of every table in the paper (Tables 1–7).
 
 use accelerometer::project;
-use accelerometer_fleet::params::all_recommendations;
 use accelerometer_fleet::{
-    all_case_studies, FunctionalityCategory, LeafCategory, ALL_PLATFORMS, FINDINGS,
+    FunctionalityCategory, LeafCategory, ServiceRegistry, ALL_PLATFORMS, FINDINGS,
 };
-use accelerometer_sim::validate_all;
+use accelerometer_sim::{validate_all_with, RunContext, SimError};
 
 use crate::render::table;
 
@@ -14,20 +13,33 @@ pub const TABLE_IDS: [&str; 7] = [
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
 ];
 
-/// Renders one table by identifier. `table6` runs the simulator's A/B
-/// validation (deterministic, seeded).
-#[must_use]
-pub fn render_table(id: &str) -> Option<String> {
-    Some(match id {
+/// Renders one table by identifier from `ctx`'s service data. `table6`
+/// runs the simulator's A/B validation (deterministic, seeded) on
+/// `ctx.pool`.
+///
+/// # Errors
+///
+/// Returns a message for an unknown id, or for a `table6` case study the
+/// simulator does not know (loaded service data may rename one).
+pub fn render_table_with(ctx: &RunContext, id: &str) -> Result<String, String> {
+    Ok(match id {
         "table1" => table1(),
         "table2" => table2(),
         "table3" => table3(),
         "table4" => table4(),
         "table5" => table5(),
-        "table6" => table6(),
-        "table7" => table7(),
-        _ => return None,
+        "table6" => table6(ctx).map_err(|e| e.to_string())?,
+        "table7" => table7(&ctx.registry),
+        _ => return Err(format!("unknown table '{id}' (expected table1 .. table7)")),
     })
+}
+
+/// [`render_table_with`] on [`RunContext::from_process_defaults`], with
+/// `None` for an unknown id or a failed table. Kept because the
+/// benchmark harness calls it; the next benchmark change deletes it.
+#[must_use]
+pub fn render_table(id: &str) -> Option<String> {
+    render_table_with(&RunContext::from_process_defaults(), id).ok()
 }
 
 fn table1() -> String {
@@ -121,10 +133,11 @@ fn table5() -> String {
     )
 }
 
-fn table6() -> String {
+fn table6(ctx: &RunContext) -> Result<String, SimError> {
     let mut rows = Vec::new();
-    let validations = validate_all(20_260_706);
-    for (study, validation) in all_case_studies().iter().zip(&validations) {
+    let studies = ctx.registry.case_studies();
+    let validations = validate_all_with(&ctx.pool, &studies, 20_260_706)?;
+    for (study, validation) in studies.iter().zip(&validations) {
         let p = &study.scenario.params;
         let ovh = p.overheads();
         rows.push(vec![
@@ -157,12 +170,12 @@ fn table6() -> String {
     out.push_str(&format!(
         "max model-vs-simulated error: {max_err:.2} points (paper: <= 3.7)\n"
     ));
-    out
+    Ok(out)
 }
 
-fn table7() -> String {
+fn table7(reg: &ServiceRegistry) -> String {
     let mut rows = Vec::new();
-    for rec in all_recommendations() {
+    for rec in reg.recommendations() {
         for cfg in &rec.configs {
             let p = project(&rec.profile, &cfg.accelerator, cfg.design, cfg.policy)
                 .expect("static parameters are valid");
@@ -225,7 +238,7 @@ mod tests {
 
     #[test]
     fn table7_reports_lucrative_counts() {
-        let text = table7();
+        let text = table7(&ServiceRegistry::builtin());
         // §5's lucrative offload counts appear.
         assert!(text.contains("15008"));
         // The off-chip Sync lucrative count lands within interpolation
@@ -241,7 +254,7 @@ mod tests {
 
     #[test]
     fn table6_runs_the_ab_validation() {
-        let text = table6();
+        let text = table6(&RunContext::from_process_defaults()).expect("builtin studies");
         assert!(text.contains("aes-ni"));
         assert!(text.contains("inference"));
         assert!(text.contains("max model-vs-simulated error"));

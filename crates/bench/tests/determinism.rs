@@ -9,6 +9,7 @@ use accelerometer::{
     AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign,
 };
 use accelerometer_bench::ablations::queueing_sensitivity_with;
+use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
@@ -48,8 +49,8 @@ fn sweep_base() -> SimConfig {
 #[test]
 fn load_sweep_is_byte_identical_across_pool_widths() {
     let counts = [1usize, 2, 4, 8, 16];
-    let one = concurrency_sweep_with(&ExecPool::new(1), &sweep_base(), &counts);
-    let eight = concurrency_sweep_with(&ExecPool::new(8), &sweep_base(), &counts);
+    let one = concurrency_sweep_with(&ExecPool::new(1), None, &sweep_base(), &counts);
+    let eight = concurrency_sweep_with(&ExecPool::new(8), None, &sweep_base(), &counts);
     let one_json = serde_json::to_string(&one).expect("sweep serializes");
     let eight_json = serde_json::to_string(&eight).expect("sweep serializes");
     assert_eq!(one_json, eight_json);
@@ -72,8 +73,9 @@ fn queueing_ablation_is_byte_identical_across_pool_widths() {
 #[test]
 fn table6_validation_is_byte_identical_across_pool_widths() {
     let seed = 20_260_706;
-    let one = validate_all_with(&ExecPool::new(1), seed);
-    let eight = validate_all_with(&ExecPool::new(8), seed);
+    let studies = ServiceRegistry::builtin().case_studies();
+    let one = validate_all_with(&ExecPool::new(1), &studies, seed).expect("Table 6 rows");
+    let eight = validate_all_with(&ExecPool::new(8), &studies, seed).expect("Table 6 rows");
     assert_eq!(
         serde_json::to_string(&one).expect("validations serialize"),
         serde_json::to_string(&eight).expect("validations serialize"),

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_bench::ablations::queueing_sensitivity_with;
-use accelerometer_fleet::case_study;
+use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
@@ -84,14 +84,16 @@ fn sweep_base() -> SimConfig {
 
 #[test]
 fn load_sweep_matches_golden_fixture() {
-    let sweep = concurrency_sweep_with(&ExecPool::new(1), &sweep_base(), &[1, 2, 4, 8, 16]);
+    let sweep = concurrency_sweep_with(&ExecPool::new(1), None, &sweep_base(), &[1, 2, 4, 8, 16]);
     let json = serde_json::to_string(&sweep).expect("sweep serializes");
     assert_golden("golden_load_sweep.json", &json);
 }
 
 #[test]
 fn case_study_matches_golden_fixture() {
-    let study = case_study("aes-ni").expect("aes-ni case study");
+    let study = ServiceRegistry::builtin()
+        .case_study("aes-ni")
+        .expect("aes-ni case study");
     let (validation, ab) = simulate(&study, 42).expect("known case study");
     let json = format!(
         "{{\"validation\":{},\"ab\":{}}}",

@@ -30,20 +30,29 @@
 //! * `accelctl slo <config.json> [--min-reduction R]` — latency-SLO
 //!   guardrails: tolerable L, n, and required A per scenario;
 //! * `accelctl tables <id|all>` — regenerate the paper's tables;
+//! * `accelctl figures [ids|all] [--json]` — regenerate the paper's
+//!   figures (and the extra `design-space` heatmap);
+//! * `accelctl ablations [--seed N]` — the modeling-choice ablations;
 //! * `accelctl services list|validate <path>|export <dir>` — inspect,
 //!   check, or write out the service profiles (the builtin ones are the
 //!   `configs/services/` files, embedded at build time).
 //!
-//! The global `--services <dir|file>` flag loads service profiles from
-//! JSON and routes every command through them instead of the embedded
-//! builtin data — byte-identically for the shipped files, which the
-//! golden equivalence suite pins.
+//! [`run`] parses the global flags once into an
+//! [`accelerometer_sim::RunContext`] and hands it to the command, so a
+//! flag never outlives the call that gave it. The global
+//! `--services <dir|file>` flag loads service profiles from JSON and
+//! routes the command through them instead of the embedded builtin data
+//! — byte-identically for the shipped files, which the golden
+//! equivalence suite pins.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 use std::fs;
+use std::path::Path;
+use std::str::FromStr;
+use std::sync::Arc;
 
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{
@@ -51,17 +60,20 @@ use accelerometer::{
     ConfigFile, Cycles, DriverMode, KernelCost, LatencySlo, OffloadContext, OffloadOverheads,
     Scenario, ThreadingDesign, Timeline, TimelineSpec,
 };
-use accelerometer_fleet::params::all_recommendations;
-use accelerometer_fleet::{
-    all_case_studies, current_registry, profile, ServiceId, ServiceRegistry,
-};
+use accelerometer_bench::{figure_json, figure_with, render_table_with, FIGURE_IDS, TABLE_IDS};
+use accelerometer_fleet::{ServiceId, ServiceRegistry};
 use accelerometer_kernels::dispatch;
 use accelerometer_profiler::{analyze, to_folded, TraceGenerator};
 use accelerometer_sim::faultsweep::demo_scenario;
 use accelerometer_sim::{
-    run_fault_sweep, set_default_shards, set_trace_reuse, simulate, validate_all,
-    validate_fallback, Calibrator, FaultScenario, SimError, CASE_STUDY_NAMES,
+    run_fault_sweep_with, set_trace_reuse, simulate, validate_all_with, validate_fallback_with,
+    Calibrator, ExecPool, FaultScenario, RunContext, SimError, CASE_STUDY_NAMES,
 };
+
+/// Largest `--points` a sweep accepts.
+const MAX_POINTS: usize = 10_000;
+/// Largest `--samples` `characterize` accepts.
+const MAX_SAMPLES: usize = 10_000_000;
 
 /// Top-level usage text.
 pub const USAGE: &str = "usage: accelctl [--jobs N] [--shards N] [--trace-reuse on|off] [--isa scalar|auto] [--services <dir|file>] <command> [args]
@@ -116,6 +128,13 @@ commands:
   slo <config.json> [--min-reduction R]   latency-SLO guardrails
   tables <id|all>                 regenerate the paper's tables
                                   (table1 .. table7)
+  figures [ids|all] [--json]      regenerate the paper's figures (fig1 ..
+                                  fig22, default all) or the extra
+                                  design-space heatmap; --json prints the
+                                  data figures' series instead
+  ablations [--seed N]            the modeling-choice ablations (alpha
+                                  weighting, queueing, pool depth, prior
+                                  model)
   services list                   service ids, slugs, and profile sources
   services validate <dir|file>    parse + validate profile JSON; exits
                                   non-zero on the first malformed spec
@@ -124,126 +143,102 @@ commands:
                                   of configs/services/)";
 
 /// Runs the CLI on pre-split arguments (excluding the program name),
-/// returning the text to print.
+/// returning the text to print. Global flags are parsed into a
+/// [`RunContext`] for this call only; `--isa` and `--trace-reuse`, which
+/// cannot change an output byte, stay process settings.
 ///
 /// # Errors
 ///
 /// Returns a human-readable error message for unknown commands, missing
 /// arguments, unreadable files, or invalid parameters.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let args = apply_jobs_flag(args)?;
-    let args = apply_shards_flag(&args)?;
-    let args = apply_trace_reuse_flag(&args)?;
-    let mut args = apply_isa_flag(&args)?;
-    accelerometer_fleet::apply_services_flag(&mut args)?;
+    let (ctx, args) = parse_global_flags(args)?;
     let args = args.as_slice();
     let mut it = args.iter().map(String::as_str);
     match it.next() {
-        Some("estimate") => cmd_estimate(&args[1..]),
+        Some("estimate") => cmd_estimate(&ctx, &args[1..]),
         Some("calibrate") => Ok(cmd_calibrate()),
         Some("breakeven") => cmd_breakeven(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
-        Some("project") => Ok(cmd_project()),
-        Some("characterize") => cmd_characterize(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("faults") => cmd_faults(&args[1..]),
+        Some("project") => Ok(cmd_project(&ctx.registry)),
+        Some("characterize") => cmd_characterize(&ctx, &args[1..]),
+        Some("validate") => cmd_validate(&ctx, &args[1..]),
+        Some("faults") => cmd_faults(&ctx, &args[1..]),
         Some("timeline") => cmd_timeline(&args[1..]),
         Some("bounds") => cmd_bounds(&args[1..]),
         Some("slo") => cmd_slo(&args[1..]),
-        Some("tables") => cmd_tables(&args[1..]),
-        Some("services") => cmd_services(&args[1..]),
+        Some("tables") => cmd_tables(&ctx, &args[1..]),
+        Some("figures") => cmd_figures(&ctx, &args[1..]),
+        Some("ablations") => cmd_ablations(&ctx, &args[1..]),
+        Some("services") => cmd_services(&ctx, &args[1..]),
         Some("help") | None => Ok(USAGE.to_owned()),
         Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
     }
 }
 
-/// Strips the global `--jobs N` flag, installing `N` as the default
-/// worker count for every pool-backed command (`validate`, `estimate`,
-/// batch sweeps). Jobs only affect wall-clock time, never results.
-fn apply_jobs_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--jobs") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--jobs requires a value (worker thread count)")?;
-    let jobs: usize = value
-        .parse()
-        .map_err(|_| format!("--jobs expects a positive integer, got '{value}'"))?;
-    if jobs == 0 {
-        return Err("--jobs expects a positive integer, got 0".to_owned());
+/// Splits the global flags off `args`, wherever they appear, and returns
+/// the run context they describe plus the remaining arguments. Each flag
+/// takes the next argument as its value.
+///
+/// * `--jobs N` sizes the worker pool for independent runs; `--shards N`
+///   routes every simulation through the sharded runner on `N` workers
+///   (the decomposition comes from each configuration, so any `N >= 1`
+///   prints the same bytes). Neither changes a byte at any `N`.
+/// * `--services <dir|file>` loads service profiles into the context.
+/// * `--trace-reuse on|off` and `--isa scalar|auto` are applied as
+///   process settings once every flag has parsed: neither can change an
+///   output byte, `off` and `scalar` exist to prove that and to measure
+///   what reuse and dispatch save.
+fn parse_global_flags(args: &[String]) -> Result<(RunContext, Vec<String>), String> {
+    let mut ctx = RunContext::from_process_defaults();
+    let mut trace_reuse = None;
+    let mut isa = None;
+    let mut rest = Vec::with_capacity(args.len());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        let needs = match flag {
+            "--jobs" | "--shards" => "worker thread count",
+            "--trace-reuse" => "on or off",
+            "--isa" => "scalar or auto",
+            "--services" => "profile dir or file",
+            _ => {
+                rest.push(arg.clone());
+                continue;
+            }
+        };
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{flag} requires a value ({needs})"))?;
+        match (flag, value.as_str()) {
+            ("--jobs", v) => ctx.pool = ExecPool::new(positive(flag, v)?),
+            ("--shards", v) => ctx.shards = Some(ExecPool::new(positive(flag, v)?)),
+            ("--trace-reuse", "on") => trace_reuse = Some(true),
+            ("--trace-reuse", "off") => trace_reuse = Some(false),
+            ("--isa", "scalar") => isa = Some(dispatch::IsaMode::Scalar),
+            ("--isa", "auto") => isa = Some(dispatch::IsaMode::Auto),
+            ("--services", v) => {
+                let registry = ServiceRegistry::load_path(Path::new(v))
+                    .map_err(|e| format!("--services {v}: {e}"))?;
+                ctx.registry = Arc::new(registry);
+            }
+            (_, other) => return Err(format!("{flag} expects {needs}, got '{other}'")),
+        }
     }
-    accelerometer::exec::set_default_jobs(jobs);
-    args.drain(i..=i + 1);
-    Ok(args)
+    if let Some(on) = trace_reuse {
+        set_trace_reuse(on);
+    }
+    if let Some(mode) = isa {
+        dispatch::set_isa_mode(mode);
+    }
+    Ok((ctx, rest))
 }
 
-/// Strips the global `--shards N` flag, routing every simulation-backed
-/// command through the sharded runner. `N` picks only the worker-thread
-/// width — the shard decomposition itself is derived from each
-/// configuration — so any `N >= 1` produces byte-identical output.
-fn apply_shards_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--shards") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--shards requires a value (worker thread count)")?;
-    let shards: usize = value
-        .parse()
-        .map_err(|_| format!("--shards expects a positive integer, got '{value}'"))?;
-    if shards == 0 {
-        return Err("--shards expects a positive integer, got 0".to_owned());
+fn positive(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} expects a positive integer, got '{value}'")),
     }
-    set_default_shards(shards);
-    args.drain(i..=i + 1);
-    Ok(args)
-}
-
-/// Strips the global `--trace-reuse on|off` flag, toggling cross-point
-/// frozen-trace reuse in the sweep runners. Both settings produce
-/// byte-identical output (the tier-1 smoke diffs them); `off` exists to
-/// prove that and to measure the sampling cost reuse removes.
-fn apply_trace_reuse_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--trace-reuse") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--trace-reuse requires a value (on or off)")?;
-    match value.as_str() {
-        "on" => set_trace_reuse(true),
-        "off" => set_trace_reuse(false),
-        other => return Err(format!("--trace-reuse expects 'on' or 'off', got '{other}'")),
-    }
-    args.drain(i..=i + 1);
-    Ok(args)
-}
-
-/// Strips the global `--isa scalar|auto` flag, pinning the kernel
-/// crate's runtime ISA dispatch. `scalar` forces every kernel onto its
-/// scalar reference path (the same effect as `KERNELS_FORCE_SCALAR=1`);
-/// `auto` uses whatever the host exposes. Kernel outputs are
-/// bit-identical either way — the mode changes only wall-clock, which
-/// is exactly what `calibrate` measures.
-fn apply_isa_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--isa") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--isa requires a value (scalar or auto)")?;
-    match value.as_str() {
-        "scalar" => dispatch::set_isa_mode(dispatch::IsaMode::Scalar),
-        "auto" => dispatch::set_isa_mode(dispatch::IsaMode::Auto),
-        other => return Err(format!("--isa expects 'scalar' or 'auto', got '{other}'")),
-    }
-    args.drain(i..=i + 1);
-    Ok(args)
 }
 
 /// `accelctl calibrate`: measure every case-study kernel on this host,
@@ -288,13 +283,42 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// Parses flag `name` through `FromStr`; `None` when it is absent.
+fn parse_flag<T: FromStr>(args: &[String], name: &str, expects: &str) -> Result<Option<T>, String> {
+    flag_value(args, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name} expects {expects}, got '{v}'"))
+        })
+        .transpose()
+}
+
+/// A finite number; `default` when the flag is absent, which makes the
+/// flag required when `default` is `None`.
 fn parse_f64(args: &[String], name: &str, default: Option<f64>) -> Result<f64, String> {
-    match flag_value(args, name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name} expects a number, got '{v}'")),
-        None => default.ok_or_else(|| format!("missing required flag {name}")),
+    let value = match parse_flag::<f64>(args, name, "a number")? {
+        Some(v) => v,
+        None => default.ok_or_else(|| format!("missing required flag {name}"))?,
+    };
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(format!("{name} must be finite, got {value}"))
     }
+}
+
+/// A count no larger than `max`; `default` when the flag is absent.
+fn parse_count(args: &[String], name: &str, default: usize, max: usize) -> Result<usize, String> {
+    let count = parse_flag(args, name, "a non-negative integer")?.unwrap_or(default);
+    if count > max {
+        return Err(format!("{name} must be at most {max}, got {count}"));
+    }
+    Ok(count)
+}
+
+/// The `--seed` flag, `default` when absent.
+fn parse_seed(args: &[String], default: u64) -> Result<u64, String> {
+    Ok(parse_flag(args, "--seed", "a non-negative integer")?.unwrap_or(default))
 }
 
 fn parse_design(value: &str) -> Result<ThreadingDesign, String> {
@@ -335,7 +359,7 @@ fn format_scenario_estimate(
     )
 }
 
-fn cmd_estimate(args: &[String]) -> Result<String, String> {
+fn cmd_estimate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     let path = args
         .first()
         .ok_or("estimate requires a config file path")?;
@@ -346,7 +370,7 @@ fn cmd_estimate(args: &[String]) -> Result<String, String> {
     }
     // Evaluate all scenarios through the worker pool (honors --jobs).
     let bare: Vec<Scenario> = scenarios.iter().map(|(_, s)| *s).collect();
-    let estimates = sweep::estimate_batch(&bare);
+    let estimates = sweep::estimate_batch_with(&ctx.pool, &bare);
     let mut out = String::new();
     for ((name, scenario), est) in scenarios.iter().zip(&estimates) {
         let _ = writeln!(out, "{}", format_scenario_estimate(name, scenario, est));
@@ -355,12 +379,20 @@ fn cmd_estimate(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_breakeven(args: &[String]) -> Result<String, String> {
-    let cb = parse_f64(args, "--cb", None)?;
-    let a = parse_f64(args, "--a", None)?;
-    let o0 = parse_f64(args, "--o0", Some(0.0))?;
-    let l = parse_f64(args, "--l", Some(0.0))?;
-    let q = parse_f64(args, "--q", Some(0.0))?;
-    let o1 = parse_f64(args, "--o1", Some(0.0))?;
+    let rate = |name| match parse_f64(args, name, None)? {
+        v if v > 0.0 => Ok(v),
+        v => Err(format!("{name} must be positive, got {v}")),
+    };
+    let overhead = |name| match parse_f64(args, name, Some(0.0))? {
+        v if v >= 0.0 => Ok(v),
+        v => Err(format!("{name} must be non-negative, got {v}")),
+    };
+    let cb = rate("--cb")?;
+    let a = rate("--a")?;
+    let o0 = overhead("--o0")?;
+    let l = overhead("--l")?;
+    let q = overhead("--q")?;
+    let o1 = overhead("--o1")?;
     let design = match flag_value(args, "--design") {
         Some(d) => parse_design(&d)?,
         None => ThreadingDesign::Sync,
@@ -399,7 +431,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
             .map_err(|_| format!("unknown sweep axis '{axis_name}'"))?;
     let from = parse_f64(args, "--from", None)?;
     let to = parse_f64(args, "--to", None)?;
-    let points = parse_f64(args, "--points", Some(10.0))? as usize;
+    let points = parse_count(args, "--points", 10, MAX_POINTS)?;
     if from >= to || points < 2 {
         return Err("sweep requires --from < --to and --points >= 2".to_owned());
     }
@@ -419,9 +451,9 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_project() -> String {
+fn cmd_project(services: &ServiceRegistry) -> String {
     let mut out = String::from("Section 5 acceleration recommendations (Fig. 20):\n");
-    for rec in all_recommendations() {
+    for rec in services.recommendations() {
         let _ = writeln!(out, "{} (ideal {:.1}%):", rec.name, rec.paper_ideal_percent);
         for cfg in &rec.configs {
             let p = project(&rec.profile, &cfg.accelerator, cfg.design, cfg.policy)
@@ -444,14 +476,14 @@ fn cmd_project() -> String {
     out
 }
 
-fn cmd_characterize(args: &[String]) -> Result<String, String> {
+fn cmd_characterize(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     let service = parse_service(args.first().ok_or("characterize requires a service name")?)?;
-    let samples = parse_f64(args, "--samples", Some(50_000.0))? as usize;
-    let seed = parse_f64(args, "--seed", Some(42.0))? as u64;
+    let samples = parse_count(args, "--samples", 50_000, MAX_SAMPLES)?;
+    let seed = parse_seed(args, 42)?;
     if samples == 0 {
         return Err("--samples must be positive".to_owned());
     }
-    let mut generator = TraceGenerator::new(profile(service), seed);
+    let mut generator = TraceGenerator::for_service(&ctx.registry, service, seed);
     let traces = generator.generate(samples);
     if args.iter().any(|a| a == "--folded") {
         // Collapsed-stack output for flamegraph tooling.
@@ -461,8 +493,8 @@ fn cmd_characterize(args: &[String]) -> Result<String, String> {
     Ok(format!("characterization of {service}:\n{}", report.render()))
 }
 
-fn cmd_validate(args: &[String]) -> Result<String, String> {
-    let seed = parse_f64(args, "--seed", Some(20_260_706.0))? as u64;
+fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
+    let seed = parse_seed(args, 20_260_706)?;
     if let Some(name) = flag_value(args, "--case") {
         if name == "fallback" {
             // Not a Table 6 row: the fault-capacity analogue. Model's
@@ -470,7 +502,7 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
             let mut out = String::from(
                 "fallback-capacity validation (model vs simulated A/B; retries 1, fallback-to-host):\n",
             );
-            for r in validate_fallback(seed) {
+            for r in validate_fallback_with(&ctx.pool, seed) {
                 let _ = writeln!(
                     out,
                     "  p = {:.1}  E[a] {:.2}  p_fb {:.3}  model {:>6.2}%  simulated {:>6.2}%  fallbacks {:>5}  core util {:.4}  (model-vs-sim {:.2} pts)",
@@ -490,8 +522,7 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
             );
             return Ok(out);
         }
-        let studies = all_case_studies();
-        let Some(study) = studies.iter().find(|s| s.name == name) else {
+        let Some(study) = ctx.registry.case_study(&name) else {
             // `fallback` is a CLI-level case (handled above), not a sim
             // case study, so append it to the sim error's valid list.
             return Err(format!(
@@ -502,7 +533,7 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
                 }
             ));
         };
-        let (v, _ab) = simulate(study, seed).map_err(|e| e.to_string())?;
+        let (v, _ab) = simulate(&study, seed).map_err(|e| e.to_string())?;
         return Ok(format!(
             "case study {}: model {:.2}%  simulated {:.2}%  paper est {:.1}% real {:.2}%  (model-vs-sim {:.2} pts)\n",
             v.name,
@@ -514,7 +545,8 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
         ));
     }
     let mut out = String::from("Table 6 validation (model vs simulated A/B vs paper):\n");
-    for v in validate_all(seed) {
+    let studies = ctx.registry.case_studies();
+    for v in validate_all_with(&ctx.pool, &studies, seed).map_err(|e| e.to_string())? {
         let _ = writeln!(
             out,
             "  {:<11} model {:>6.2}%  simulated {:>6.2}%  paper est {:>5.1}% real {:>6.2}%  (model-vs-sim {:.2} pts)",
@@ -535,8 +567,8 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
 /// JSON file — and emit the report as pretty-printed JSON. Every run is
 /// an independent seeded simulation, so output is byte-identical at any
 /// `--jobs` width.
-fn cmd_faults(args: &[String]) -> Result<String, String> {
-    let seed = parse_f64(args, "--seed", Some(20_260_806.0))? as u64;
+fn cmd_faults(ctx: &RunContext, args: &[String]) -> Result<String, String> {
+    let seed = parse_seed(args, 20_260_806)?;
     let scenario = match args.first().filter(|a| !a.starts_with("--")) {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -550,7 +582,8 @@ fn cmd_faults(args: &[String]) -> Result<String, String> {
         }
         None => demo_scenario(seed),
     };
-    let report = run_fault_sweep(&scenario).map_err(|e| e.to_string())?;
+    let report = run_fault_sweep_with(&ctx.pool, ctx.shards.as_ref(), &scenario)
+        .map_err(|e| e.to_string())?;
     serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
 }
 
@@ -621,33 +654,83 @@ fn cmd_slo(args: &[String]) -> Result<String, String> {
 }
 
 /// `accelctl tables <id|all>`: regenerate the paper's tables through
-/// whatever profile data is active — the embedded builtin specs by
-/// default, or the files `--services` names. The tier-1 gate diffs the
-/// two paths byte-for-byte.
-fn cmd_tables(args: &[String]) -> Result<String, String> {
+/// the run's profile data — the embedded builtin specs by default, or
+/// the files `--services` names. The tier-1 gate diffs the two paths
+/// byte-for-byte.
+fn cmd_tables(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     let id = args
         .first()
         .ok_or("tables requires a table id (table1 .. table7) or 'all'")?;
     if id == "all" {
         let mut out = String::new();
-        for id in accelerometer_bench::TABLE_IDS {
-            out.push_str(&accelerometer_bench::render_table(id).expect("known table id"));
+        for id in TABLE_IDS {
+            out.push_str(&render_table_with(ctx, id)?);
             out.push('\n');
         }
         return Ok(out);
     }
-    accelerometer_bench::render_table(id)
-        .ok_or_else(|| format!("unknown table '{id}' (expected table1 .. table7 or all)"))
+    render_table_with(ctx, id)
+}
+
+/// `accelctl figures [ids|all] [--json]`: regenerate figures (default:
+/// every paper figure) on the worker pool and print them in request
+/// order. `--json` prints each data figure's series; `all --json`
+/// covers the figures that have series, and asking for a timeline's or
+/// the design space's series by id is an error.
+fn cmd_figures(ctx: &RunContext, args: &[String]) -> Result<String, String> {
+    let json = args.iter().any(|a| a == "--json");
+    let requested: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "--json")
+        .collect();
+    let all = requested.is_empty() || requested.contains(&"all");
+    let ids = if all { FIGURE_IDS.to_vec() } else { requested };
+    if let Some(id) = ids
+        .iter()
+        .find(|id| **id != "design-space" && !FIGURE_IDS.contains(id))
+    {
+        return Err(format!(
+            "unknown figure id: {id} (expected fig1..fig22, or design-space)"
+        ));
+    }
+    // Build independent figures in parallel, print in request order.
+    let rendered = ctx.pool.map(&ids, |_, &id| {
+        if json {
+            figure_json(ctx, id).map(|value| {
+                serde_json::to_string_pretty(&serde_json::json!({ id: value }))
+                    .expect("figure data serializes")
+            })
+        } else {
+            figure_with(ctx, id)
+        }
+    });
+    let mut texts = Vec::with_capacity(ids.len());
+    for (id, text) in ids.iter().zip(rendered) {
+        match text {
+            Some(text) => texts.push(text),
+            None if all => {}
+            None => return Err(format!("no JSON series for {id} (text-only figure)")),
+        }
+    }
+    Ok(texts.join("\n"))
+}
+
+/// `accelctl ablations [--seed N]`: the modeling-choice ablations, their
+/// simulator experiments on the worker pool.
+fn cmd_ablations(ctx: &RunContext, args: &[String]) -> Result<String, String> {
+    let seed = parse_seed(args, 20_260_706)?;
+    Ok(accelerometer_bench::ablations::render_all(ctx, seed))
 }
 
 /// `accelctl services list|validate <dir|file>|export <dir>`: the
 /// data-driven profile toolkit. `validate` is the CI gate over
 /// `configs/services/`; `export` writes the embedded builtin specs,
 /// which are those files' bytes.
-fn cmd_services(args: &[String]) -> Result<String, String> {
+fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     match args.first().map(String::as_str) {
         Some("list") => {
-            let registry = current_registry();
+            let registry = &ctx.registry;
             let mut out = format!(
                 "{:<14} {:<14} {:<13} source\n",
                 "service", "slug", "domain"
@@ -672,8 +755,8 @@ fn cmd_services(args: &[String]) -> Result<String, String> {
             let path = args
                 .get(1)
                 .ok_or("services validate requires a path (profile dir or file)")?;
-            let registry = ServiceRegistry::load_path(std::path::Path::new(path))
-                .map_err(|e| e.to_string())?;
+            let registry =
+                ServiceRegistry::load_path(Path::new(path)).map_err(|e| e.to_string())?;
             let loaded: Vec<&str> = registry
                 .loaded_services()
                 .iter()
@@ -689,8 +772,7 @@ fn cmd_services(args: &[String]) -> Result<String, String> {
             let dir = args
                 .get(1)
                 .ok_or("services export requires a target directory")?;
-            let written = ServiceRegistry::export_dir(std::path::Path::new(dir))
-                .map_err(|e| e.to_string())?;
+            let written = ServiceRegistry::export_dir(Path::new(dir)).map_err(|e| e.to_string())?;
             let mut out = String::new();
             for path in &written {
                 let _ = writeln!(out, "wrote {}", path.display());
@@ -704,20 +786,7 @@ fn cmd_services(args: &[String]) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Mutex, PoisonError};
-
     use super::*;
-
-    /// Serializes tests that mutate or depend on the process-wide
-    /// `--shards` default, so parallel test threads cannot observe each
-    /// other's global state.
-    static SHARDS_GLOBAL: Mutex<()> = Mutex::new(());
-
-    fn lock_shards_global() -> std::sync::MutexGuard<'static, ()> {
-        SHARDS_GLOBAL
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
@@ -757,7 +826,6 @@ mod tests {
         assert!(run(&args(&["--jobs"])).unwrap_err().contains("--jobs"));
         assert!(run(&args(&["--jobs", "zero", "help"])).is_err());
         assert!(run(&args(&["--jobs", "0", "help"])).is_err());
-        accelerometer::exec::set_default_jobs(0);
     }
 
     #[test]
@@ -852,7 +920,7 @@ mod tests {
 
     #[test]
     fn project_prints_fig20_numbers() {
-        let out = cmd_project();
+        let out = cmd_project(&ServiceRegistry::builtin());
         assert!(out.contains("Feed1: Compression"));
         assert!(out.contains("13.6"), "{out}");
         assert!(out.contains("g >= 425 B"), "{out}");
@@ -928,10 +996,8 @@ mod tests {
 
     #[test]
     fn shards_flag_is_global_and_validated() {
-        let _guard = lock_shards_global();
         let one = run(&args(&["--shards", "1", "faults"])).unwrap();
         let four = run(&args(&["--shards", "4", "faults"])).unwrap();
-        set_default_shards(0);
         assert_eq!(one, four, "faults report must not depend on --shards width");
         let classic = run(&args(&["faults"])).unwrap();
         assert_ne!(
@@ -946,7 +1012,6 @@ mod tests {
 
     #[test]
     fn trace_reuse_flag_is_global_validated_and_byte_exact() {
-        let _guard = lock_shards_global();
         // The sweep-level bit-exactness contract: a full fault sweep's
         // JSON must not change by a byte whether grid points share one
         // frozen trace (default) or redraw their streams per point.
@@ -957,7 +1022,6 @@ mod tests {
         // And under sharding, where traces are per derived shard seed.
         let reused = run(&args(&["--trace-reuse", "on", "--shards", "2", "faults"])).unwrap();
         let redrawn = run(&args(&["--trace-reuse", "off", "--shards", "2", "faults"])).unwrap();
-        set_default_shards(0);
         set_trace_reuse(true);
         assert_eq!(reused, redrawn, "trace reuse changed sharded sweep output");
         // Missing / unknown values are rejected before dispatch.
@@ -969,7 +1033,6 @@ mod tests {
 
     #[test]
     fn faults_sweep_reports_every_policy() {
-        let _guard = lock_shards_global();
         let out = run(&args(&["faults", "--seed", "11"])).unwrap();
         for policy in ["no-recovery", "retry", "retry-fallback", "admission", "full"] {
             assert!(out.contains(&format!("\"{policy}\"")), "{policy} missing");
@@ -983,7 +1046,6 @@ mod tests {
 
     #[test]
     fn faults_config_file_matches_the_builtin_scenario() {
-        let _guard = lock_shards_global();
         let builtin = run(&args(&["faults"])).unwrap();
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -991,6 +1053,90 @@ mod tests {
         );
         let from_file = run(&args(&["faults", path])).unwrap();
         assert_eq!(builtin, from_file);
+    }
+
+    #[test]
+    fn integer_flags_reject_what_a_float_cast_used_to_saturate() {
+        // Each of these used to go through `parse_f64(..) as u64/usize`:
+        // NaN and negatives became 0, huge values saturated, and the
+        // sample / point counts then aborted on a huge allocation or
+        // panicked with a capacity overflow.
+        for (argv, needle) in [
+            (&["characterize", "web", "--samples", "4000000000"][..], "at most 10000000"),
+            (&["characterize", "web", "--samples", "18446744073709551615"], "at most"),
+            (&["characterize", "web", "--samples", "-1"], "--samples"),
+            (&["characterize", "web", "--samples", "nan"], "--samples"),
+            (&["characterize", "web", "--seed", "-5"], "--seed"),
+            (&["characterize", "web", "--seed", "1e3"], "--seed"),
+            (&["validate", "--seed", "nan"], "--seed"),
+            (&["faults", "--seed", "-1"], "--seed"),
+            (&["ablations", "--seed", "x"], "--seed"),
+        ] {
+            let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
+            assert!(err.contains(needle), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn sweep_rejects_non_finite_bounds_and_huge_point_counts() {
+        let path = write_config();
+        let sweep = |extra: &[&str]| {
+            let mut argv = args(&["sweep", &path, "--axis", "offloads"]);
+            argv.extend(args(extra));
+            run(&argv)
+        };
+        // Used to panic at `log_space requires 0 < lo < hi`.
+        let err = sweep(&["--from", "1", "--to", "nan"]).unwrap_err();
+        assert!(err.contains("--to must be finite"), "{err}");
+        assert!(sweep(&["--from", "-inf", "--to", "1"]).is_err());
+        // Used to panic with a capacity overflow.
+        let err = sweep(&["--from", "0", "--to", "1e308", "--points", "18446744073709551615"])
+            .unwrap_err();
+        assert!(err.contains("--points must be at most 10000"), "{err}");
+        assert!(sweep(&["--from", "1", "--to", "2", "--points", "-3"]).is_err());
+        // The cap itself is accepted.
+        let out = sweep(&["--from", "1", "--to", "2", "--points", "10000"]).unwrap();
+        fs::remove_file(&path).ok();
+        assert_eq!(out.lines().count(), 10_001);
+    }
+
+    #[test]
+    fn breakeven_rejects_non_finite_and_out_of_domain_parameters() {
+        for argv in [
+            &["breakeven", "--cb", "nan", "--a", "2"][..],
+            &["breakeven", "--cb", "-1", "--a", "2"],
+            &["breakeven", "--cb", "0", "--a", "2"],
+            &["breakeven", "--cb", "inf", "--a", "inf"],
+            &["breakeven", "--cb", "5", "--a", "-27"],
+            &["breakeven", "--cb", "5", "--a", "27", "--l", "nan"],
+            &["breakeven", "--cb", "5", "--a", "27", "--o0", "-1"],
+            &["breakeven", "--cb", "5", "--a", "27", "--q", "inf"],
+            &["breakeven", "--cb", "5", "--a", "27", "--o1", "-0.5"],
+        ] {
+            let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
+            assert!(err.contains("must be"), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn figures_print_in_request_order_and_reject_unknown_ids() {
+        let ctx = RunContext::from_process_defaults();
+        let out = run(&args(&["figures", "fig3", "fig1"])).unwrap();
+        let expected = [
+            figure_with(&ctx, "fig3").unwrap(),
+            figure_with(&ctx, "fig1").unwrap(),
+        ];
+        assert_eq!(out, expected.join("\n"));
+        let space = run(&args(&["figures", "design-space"])).unwrap();
+        assert_eq!(space.matches("== Design space").count(), 3, "{space}");
+        let err = run(&args(&["figures", "fig99"])).unwrap_err();
+        assert!(err.contains("unknown figure id: fig99"), "{err}");
+        // A timeline has no series; asking for it by id is an error,
+        // while `all --json` covers the 18 data figures.
+        assert!(run(&args(&["figures", "fig12", "--json"])).is_err());
+        let all = run(&args(&["--jobs", "2", "figures", "all", "--json"])).unwrap();
+        assert_eq!(all.matches("\n}").count(), 18);
+        assert!(all.starts_with("{\n  \"fig1\""), "{all}");
     }
 
     #[test]

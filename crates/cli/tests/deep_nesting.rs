@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use accelerometer::config::ConfigFile;
 use accelerometer_cli::run;
-use accelerometer_fleet::{set_active_registry, ServiceRegistry};
+use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::faultsweep::FaultScenario;
 
 const DEPTH: usize = 100_000;
@@ -90,7 +90,6 @@ fn accelctl_returns_err_on_deep_nesting() {
             run(&args(&["--services", &pack, "project"])).is_err(),
             "--services {shape}"
         );
-        set_active_registry(None);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,21 +15,9 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
 
 use accelerometer_cli::run;
 use accelerometer_sim::faultsweep::FaultSweepReport;
-
-/// Serializes the tests that touch the process-wide `--shards` default:
-/// the classic golden test must never observe a sharded global left by
-/// the sharded golden test running on a sibling thread.
-static SHARDS_GLOBAL: Mutex<()> = Mutex::new(());
-
-fn lock_shards_global() -> std::sync::MutexGuard<'static, ()> {
-    SHARDS_GLOBAL
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| (*s).to_owned()).collect()
@@ -45,10 +33,8 @@ fn sharded_fixture_path() -> PathBuf {
 
 #[test]
 fn faults_report_matches_golden_fixture_at_any_jobs_width() {
-    let _guard = lock_shards_global();
     let one = run(&args(&["--jobs", "1", "faults"])).expect("faults runs");
     let many = run(&args(&["--jobs", "4", "faults"])).expect("faults runs");
-    accelerometer::exec::set_default_jobs(0);
     assert_eq!(one, many, "faults report must not depend on --jobs");
 
     let path = fixture_path();
@@ -67,10 +53,8 @@ fn faults_report_matches_golden_fixture_at_any_jobs_width() {
 
 #[test]
 fn sharded_faults_report_matches_its_golden_fixture_at_any_width() {
-    let _guard = lock_shards_global();
     let one = run(&args(&["--shards", "1", "faults"])).expect("faults runs");
     let four = run(&args(&["--shards", "4", "faults"])).expect("faults runs");
-    accelerometer_sim::set_default_shards(0);
     let classic = run(&args(&["faults"])).expect("faults runs");
     assert_eq!(one, four, "sharded faults report must not depend on --shards");
     assert_ne!(
@@ -89,6 +73,18 @@ fn sharded_faults_report_matches_its_golden_fixture_at_any_width() {
         expected, one,
         "sharded golden faults report drifted; if intentional, regenerate with GOLDEN_BLESS=1"
     );
+}
+
+#[test]
+fn shards_flag_does_not_outlive_its_run() {
+    // `--shards` used to be stored in a process global that the next
+    // in-process `run` inherited, so a plain `faults` printed the sharded
+    // report. Each call now parses its own run context.
+    let sharded = run(&args(&["--shards", "2", "faults"])).expect("faults runs");
+    let plain = run(&args(&["faults"])).expect("faults runs");
+    let expected = fs::read_to_string(fixture_path()).expect("committed golden fixture");
+    assert_eq!(expected, plain, "the sharded run leaked into the next one");
+    assert_ne!(sharded, plain);
 }
 
 #[test]

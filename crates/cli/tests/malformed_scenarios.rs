@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 use accelerometer_cli::run;
 use accelerometer_sim::faultsweep::FaultScenario;
-use accelerometer_sim::set_default_shards;
 
 /// Fixture stem and a fragment the error message must contain.
 const CASES: [(&str, &str); 6] = [
@@ -61,6 +60,5 @@ fn accelctl_faults_returns_err_on_every_malformed_scenario() {
             let err = run(&argv).expect_err(stem);
             assert!(err.contains(field), "{stem} {prefix:?}: {err}");
         }
-        set_default_shards(0);
     }
 }

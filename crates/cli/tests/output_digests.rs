@@ -8,8 +8,11 @@
 //! `configs/services/*.json` files (or any later refactor of the data
 //! path) shows up here as a digest mismatch, byte for byte.
 
+use std::fs;
+use std::path::PathBuf;
+
 use accelerometer_cli::run;
-use accelerometer_fleet::ServiceId;
+use accelerometer_fleet::{ServiceId, ServiceSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -93,4 +96,34 @@ fn every_output_matches_its_recorded_digest() {
         "an output drifted; actual digests:\n{}",
         rendered.join("\n")
     );
+}
+
+#[test]
+fn services_flag_does_not_outlive_its_run() {
+    // `--services` used to install a process-wide registry that the next
+    // in-process `run` inherited. Render Fig. 8 from a Cache1 pack with
+    // an edited IPC table, then without the flag: the second run must
+    // print the builtin bytes again.
+    let shipped =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../configs/services/cache1.json");
+    let mut spec: ServiceSpec =
+        serde_json::from_str(&fs::read_to_string(shipped).expect("cache1 spec")).expect("parses");
+    let ipc = spec.ipc.as_mut().expect("Cache1 carries Fig. 8");
+    ipc.leaves[0].1.gen_a += 0.2;
+    let dir = std::env::temp_dir().join(format!("accel-digest-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).expect("temp dir");
+    let edited = serde_json::to_string_pretty(&spec).expect("spec serializes");
+    fs::write(dir.join("cache1.json"), edited).expect("write edited spec");
+    let loaded = cli(&["--services", &dir.to_string_lossy(), "figures", "fig8"]);
+    fs::remove_dir_all(&dir).ok();
+    let after = cli(&["figures", "fig8"]);
+
+    let builtin = EXPECTED
+        .iter()
+        .find(|(label, _)| *label == "figures fig8")
+        .expect("fig8 digest")
+        .1;
+    assert_ne!(fnv1a(&loaded), builtin, "the edit did not reach fig8");
+    assert_eq!(fnv1a(&after), builtin, "--services outlived its run");
 }

@@ -16,23 +16,13 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use accelerometer::GranularityCdf;
-use accelerometer_bench::{figure, FIGURE_IDS};
+use accelerometer_bench::{figure_with, FIGURE_IDS};
 use accelerometer_cli::run;
-use accelerometer_fleet::{set_active_registry, ServiceRegistry, ServiceSpec};
-
-/// Serializes every test in this binary: `--services` installs a
-/// process-wide registry, and the builtin sides of each comparison must
-/// never observe a sibling thread's loaded registry.
-static REGISTRY_GLOBAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    REGISTRY_GLOBAL
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
+use accelerometer_fleet::{ServiceRegistry, ServiceSpec};
+use accelerometer_sim::RunContext;
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| (*s).to_owned()).collect()
@@ -50,21 +40,34 @@ fn fixture_path(name: &str) -> PathBuf {
 }
 
 /// Runs a command twice — builtin path, then `--services` data path —
-/// and returns both outputs with the registry global restored.
+/// and returns both outputs.
 fn run_both_paths(cmd: &[&str]) -> (String, String) {
     let dir = services_dir();
-    set_active_registry(None);
     let builtin = run(&args(cmd)).expect("builtin path runs");
     let mut with_flag = vec!["--services", dir.as_str()];
     with_flag.extend_from_slice(cmd);
     let data = run(&args(&with_flag)).expect("data path runs");
-    set_active_registry(None);
     (builtin, data)
+}
+
+/// A run context that reads `registry`.
+fn context(registry: ServiceRegistry) -> RunContext {
+    RunContext {
+        registry: Arc::new(registry),
+        ..RunContext::from_process_defaults()
+    }
+}
+
+/// Renders `ids` from the builtin service data.
+fn builtin_figures(ids: &[&str]) -> Vec<String> {
+    let ctx = context(ServiceRegistry::builtin());
+    ids.iter()
+        .map(|id| figure_with(&ctx, id).expect("known figure"))
+        .collect()
 }
 
 #[test]
 fn faults_through_the_data_path_matches_the_committed_golden_fixture() {
-    let _guard = lock();
     let (builtin, data) = run_both_paths(&["faults"]);
     assert_eq!(builtin, data, "faults output depends on the profile source");
     // The pre-existing fixture, byte-for-byte, driven through JSON
@@ -76,9 +79,7 @@ fn faults_through_the_data_path_matches_the_committed_golden_fixture() {
 
 #[test]
 fn sharded_faults_through_the_data_path_matches_its_golden_fixture() {
-    let _guard = lock();
     let (builtin, data) = run_both_paths(&["--shards", "2", "faults"]);
-    accelerometer_sim::set_default_shards(0);
     assert_eq!(builtin, data);
     let expected = fs::read_to_string(fixture_path("golden_faults_sharded.json"))
         .expect("committed golden_faults_sharded.json fixture");
@@ -87,7 +88,6 @@ fn sharded_faults_through_the_data_path_matches_its_golden_fixture() {
 
 #[test]
 fn every_paper_table_is_byte_identical_through_the_data_path() {
-    let _guard = lock();
     // Includes table6 (the simulator A/B validation) and table7 — the
     // rows whose case-study and recommendation data now ride in JSON.
     let (builtin, data) = run_both_paths(&["tables", "all"]);
@@ -97,7 +97,6 @@ fn every_paper_table_is_byte_identical_through_the_data_path() {
 
 #[test]
 fn project_and_characterize_are_byte_identical_through_the_data_path() {
-    let _guard = lock();
     let (builtin, data) = run_both_paths(&["project"]);
     assert_eq!(builtin, data);
     let (builtin, data) =
@@ -105,27 +104,17 @@ fn project_and_characterize_are_byte_identical_through_the_data_path() {
     assert_eq!(builtin, data);
 }
 
-/// Renders `ids` with the registry loaded from `dir` installed, then
-/// restores the builtin registry.
+/// Renders `ids` from the service data loaded from `dir`.
 fn figures_loaded_from(dir: &Path, ids: &[&str]) -> Vec<String> {
-    let registry = ServiceRegistry::load_path(dir).expect("service data loads");
-    set_active_registry(Some(Arc::new(registry)));
-    let out = ids
-        .iter()
-        .map(|id| figure(id).expect("known figure"))
-        .collect();
-    set_active_registry(None);
-    out
+    let ctx = context(ServiceRegistry::load_path(dir).expect("service data loads"));
+    ids.iter()
+        .map(|id| figure_with(&ctx, id).expect("known figure"))
+        .collect()
 }
 
 #[test]
 fn every_figure_is_byte_identical_through_the_data_path() {
-    let _guard = lock();
-    set_active_registry(None);
-    let builtin: Vec<String> = FIGURE_IDS
-        .iter()
-        .map(|id| figure(id).expect("known figure"))
-        .collect();
+    let builtin = builtin_figures(&FIGURE_IDS);
     let data = figures_loaded_from(Path::new(&services_dir()), &FIGURE_IDS);
     for ((id, builtin), data) in FIGURE_IDS.iter().zip(&builtin).zip(&data) {
         assert_eq!(builtin, data, "{id} depends on the profile source");
@@ -136,13 +125,8 @@ fn every_figure_is_byte_identical_through_the_data_path() {
 fn figures_read_edited_service_data() {
     // Regression: Figs. 8, 10 and 15-19 used to read their data straight
     // from Rust constructors, so `--services` could not reach them.
-    let _guard = lock();
-    set_active_registry(None);
     let ids = ["fig8", "fig15"];
-    let builtin: Vec<String> = ids
-        .iter()
-        .map(|id| figure(id).expect("known figure"))
-        .collect();
+    let builtin = builtin_figures(&ids);
 
     let shipped =
         fs::read_to_string(PathBuf::from(services_dir()).join("cache1.json")).expect("cache1 spec");
@@ -182,7 +166,6 @@ fn figures_read_edited_service_data() {
 fn figures_render_without_the_optional_service_data() {
     // IPC tables, case studies and recommendations are optional spec
     // fields; a figure whose series is missing renders without it.
-    let _guard = lock();
     let dir = std::env::temp_dir().join(format!("accel-bare-{}", std::process::id()));
     fs::remove_dir_all(&dir).ok();
     fs::create_dir_all(&dir).expect("temp dir");
@@ -205,7 +188,6 @@ fn figures_render_without_the_optional_service_data() {
 
 #[test]
 fn validate_case_study_is_byte_identical_through_the_data_path() {
-    let _guard = lock();
     let (builtin, data) = run_both_paths(&["validate", "--case", "aes-ni"]);
     assert_eq!(builtin, data);
     assert!(data.contains("case study aes-ni"), "{data}");
@@ -213,8 +195,6 @@ fn validate_case_study_is_byte_identical_through_the_data_path() {
 
 #[test]
 fn new_pack_characterizations_match_their_golden_fixtures() {
-    let _guard = lock();
-    set_active_registry(None);
     for slug in ["ai-inference", "kvstore", "pqc"] {
         let out = run(&args(&["characterize", slug, "--samples", "5000"]))
             .expect("pack characterizes");
@@ -251,8 +231,6 @@ fn pack_fixtures_reflect_their_defining_taxes() {
 
 #[test]
 fn services_validate_gates_the_shipped_directory_and_rejects_corruption() {
-    let _guard = lock();
-    set_active_registry(None);
     let out = run(&args(&["services", "validate", &services_dir()])).expect("shipped dir valid");
     assert!(out.contains("ok: 11 valid service spec(s)"), "{out}");
 
@@ -270,16 +248,38 @@ fn services_validate_gates_the_shipped_directory_and_rejects_corruption() {
     fs::write(dir.join("kvstore.json"), bad).expect("write corrupt spec");
     let err = run(&args(&["services", "validate", &dir.to_string_lossy()])).unwrap_err();
     assert!(err.contains("breakdown must sum to ~100%"), "{err}");
+    // And `--services` refuses to load the corrupt data at all.
+    let err = run(&args(&["--services", &dir.to_string_lossy(), "project"])).unwrap_err();
+    assert!(err.contains("breakdown must sum to ~100%"), "{err}");
     fs::remove_dir_all(&dir).ok();
+}
 
-    // And `--services` refuses to install the corrupt data at all.
-    set_active_registry(None);
+#[test]
+fn a_renamed_case_study_is_an_error_not_a_panic() {
+    // `services validate` accepts a pack whose case study the simulator
+    // does not know; `validate` and `tables table6` used to panic on it.
+    let dir = std::env::temp_dir().join(format!("accel-renamed-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).expect("temp dir");
+    let shipped =
+        fs::read_to_string(PathBuf::from(services_dir()).join("cache1.json")).expect("cache1 spec");
+    let renamed = shipped.replacen("\"aes-ni\"", "\"aes-ni-v2\"", 1);
+    assert_ne!(shipped, renamed, "the rename must change the spec");
+    fs::write(dir.join("cache1.json"), renamed).expect("write renamed spec");
+    let dir = dir.to_string_lossy().into_owned();
+    let out = run(&args(&["services", "validate", &dir])).expect("the pack itself is valid");
+    assert!(out.starts_with("ok:"), "{out}");
+    for cmd in [&["validate"][..], &["tables", "table6"], &["tables", "all"]] {
+        let mut argv = vec!["--services", dir.as_str()];
+        argv.extend_from_slice(cmd);
+        let err = run(&args(&argv)).expect_err(&format!("{cmd:?}"));
+        assert!(err.contains("unknown case study 'aes-ni-v2'"), "{cmd:?}: {err}");
+    }
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn services_list_and_export_round_trip() {
-    let _guard = lock();
-    set_active_registry(None);
     let out = run(&args(&["services", "list"])).expect("list runs");
     for slug in ["web", "ai-inference", "kvstore", "pqc"] {
         assert!(out.contains(slug), "{out}");

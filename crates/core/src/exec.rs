@@ -24,9 +24,10 @@ pub fn available_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Sets the process-wide default worker count used by
-/// [`ExecPool::default`]. `0` restores the "available parallelism"
-/// behaviour. Binaries wire their `--jobs N` flag to this.
+/// Sets the process-wide default worker count that a run context starts
+/// from. `0` restores the "available parallelism" behaviour. `accelctl`
+/// passes its `--jobs N` flag down as a value instead; this setter stays
+/// for the benchmark harness.
 pub fn set_default_jobs(jobs: usize) {
     DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
 }
@@ -48,14 +49,6 @@ pub fn default_jobs() -> usize {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecPool {
     jobs: usize,
-}
-
-impl Default for ExecPool {
-    /// A pool with the process-wide default worker count (see
-    /// [`set_default_jobs`]).
-    fn default() -> Self {
-        Self::new(default_jobs())
-    }
 }
 
 impl ExecPool {
@@ -298,7 +291,6 @@ mod tests {
         // global: set, read, restore.
         set_default_jobs(5);
         assert_eq!(default_jobs(), 5);
-        assert_eq!(ExecPool::default().jobs(), 5);
         set_default_jobs(0);
         assert!(default_jobs() >= 1);
     }

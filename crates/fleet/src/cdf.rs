@@ -6,13 +6,11 @@
 //! `configs/README.md`). All but one ride in the service specs: the
 //! Fig. 21/22 CDFs per service, the Fig. 15 encryption CDF in the
 //! `aes-ni` case study, and the Fig. 19 Feed1 compression CDF in the
-//! Feed1 recommendation. Only Fig. 19's Cache1 compression CDF, which no
+//! Feed1 recommendation (read them through a
+//! [`ServiceRegistry`](crate::ServiceRegistry)). Only Fig. 19's Cache1 compression CDF, which no
 //! study or recommendation uses, is defined here.
 
 use accelerometer::GranularityCdf;
-
-use crate::registry::current_registry;
-use crate::services::ServiceId;
 
 /// Fig. 19: CDF of bytes compressed in Cache1, which compresses much
 /// smaller granularities than Feed1 (hence §5 studies Feed1).
@@ -33,40 +31,37 @@ pub fn cache1_compression() -> GranularityCdf {
     .expect("static CDF data is valid")
 }
 
-/// Fig. 21: CDF of memory-copy sizes for one service, from
-/// [`crate::registry::current_registry`]. Most services copy small
-/// granularities (< 512 B, smaller than a 4 KiB page); a few percent of
-/// copies are zero-length (the `0` bucket in the figure).
-#[must_use]
-pub fn memory_copy(service: ServiceId) -> GranularityCdf {
-    current_registry().spec(service).copy_granularity.clone()
-}
-
-/// Fig. 22: CDF of memory-allocation sizes for one service, from
-/// [`crate::registry::current_registry`]; most allocations are small
-/// (typically < 512 B).
-#[must_use]
-pub fn memory_allocation(service: ServiceId) -> GranularityCdf {
-    current_registry()
-        .spec(service)
-        .allocation_granularity
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{case_study, recommendation};
+    use crate::registry::ServiceRegistry;
+    use crate::services::ServiceId;
     use accelerometer::units::bytes;
 
+    fn memory_copy(service: ServiceId) -> GranularityCdf {
+        ServiceRegistry::builtin()
+            .spec(service)
+            .copy_granularity
+            .clone()
+    }
+
+    fn memory_allocation(service: ServiceId) -> GranularityCdf {
+        ServiceRegistry::builtin()
+            .spec(service)
+            .allocation_granularity
+            .clone()
+    }
+
     fn cache1_encryption() -> GranularityCdf {
-        case_study("aes-ni")
+        ServiceRegistry::builtin()
+            .case_study("aes-ni")
             .and_then(|s| s.granularity)
             .expect("aes-ni carries Fig. 15")
     }
 
     fn feed1_compression() -> GranularityCdf {
-        recommendation("Feed1: Compression")
+        ServiceRegistry::builtin()
+            .recommendation("Feed1: Compression")
             .expect("Feed1 recommendation")
             .profile
             .granularity

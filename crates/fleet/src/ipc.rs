@@ -1,8 +1,8 @@
 //! IPC scaling (Figs. 8 and 10): Cache1's per-core IPC across three CPU
 //! generations, for key leaf categories and key functionality
 //! categories. The values ride in Cache1's service spec and are read
-//! through [`crate::registry::leaf_ipc_scaling`] and
-//! [`crate::registry::functionality_ipc_scaling`].
+//! through [`ServiceRegistry::leaf_ipc`](crate::ServiceRegistry::leaf_ipc)
+//! and [`ServiceRegistry::functionality_ipc`](crate::ServiceRegistry::functionality_ipc).
 //!
 //! Reconstructed to satisfy §2.3.5 and §2.4.1: every leaf category uses
 //! less than half the theoretical execution bandwidth (peak IPC 4.0);
@@ -72,15 +72,15 @@ pub const FIG10_CATEGORIES: [FunctionalityCategory; 4] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{functionality_ipc_scaling, leaf_ipc_scaling};
+    use crate::registry::ServiceRegistry;
     use crate::services::ServiceId;
 
     fn cache1_leaf(category: LeafCategory) -> Option<IpcScaling> {
-        leaf_ipc_scaling(ServiceId::Cache1, category)
+        ServiceRegistry::builtin().leaf_ipc(ServiceId::Cache1, category)
     }
 
     fn cache1_functionality(category: FunctionalityCategory) -> Option<IpcScaling> {
-        functionality_ipc_scaling(ServiceId::Cache1, category)
+        ServiceRegistry::builtin().functionality_ipc(ServiceId::Cache1, category)
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The data itself lives in one place, the committed
 //! `configs/services/<slug>.json` files. They are compiled into this
 //! crate and parsed once per process into the builtin
-//! [`ServiceRegistry`]; `--services` swaps in a loaded one.
+//! [`ServiceRegistry`]; `--services` hands a run a loaded one instead.
 //! `configs/README.md` records the paper constraints behind each file,
 //! and the unit tests check the data against them.
 //!
@@ -50,13 +50,12 @@ pub use categories::{
 };
 pub use findings::{finding, Finding, FINDINGS};
 pub use params::{
-    all_case_studies, all_recommendations, case_study, recommendation, CaseStudy,
-    Recommendation, RecommendationConfig,
+    all_case_studies, all_recommendations, CaseStudy, Recommendation, RecommendationConfig,
 };
 pub use platform::{CpuGeneration, CpuPlatform, ALL_PLATFORMS, GEN_A, GEN_B, GEN_C_18, GEN_C_20};
 pub use registry::{
-    apply_services_flag, current_registry, set_active_registry, FleetError, ServiceRegistry,
-    ServiceSpec, SCHEMA_VERSION,
+    current_registry, set_active_registry, FleetError, ServiceRegistry, ServiceSpec,
+    SCHEMA_VERSION,
 };
 pub use services::{
     characterized_profiles, profile, ServiceDomain, ServiceId, ServiceProfile, ServiceRates,

@@ -42,19 +42,14 @@ impl CaseStudy {
     }
 }
 
-/// All Table 6 case studies in paper row order, from
-/// [`crate::registry::current_registry`] (sorted by the specs' explicit
-/// `order` field).
+/// All Table 6 case studies in paper row order, from the process default
+/// registry ([`crate::registry::current_registry`], sorted by the specs'
+/// explicit `order` field). Runners take a registry's
+/// [`case_studies`](crate::ServiceRegistry::case_studies) instead; the
+/// benchmark harness still calls this.
 #[must_use]
 pub fn all_case_studies() -> Vec<CaseStudy> {
     current_registry().case_studies()
-}
-
-/// The Table 6 case study called `name` (`"aes-ni"`, `"encryption"`,
-/// `"inference"`), if the current registry carries it.
-#[must_use]
-pub fn case_study(name: &str) -> Option<CaseStudy> {
-    all_case_studies().into_iter().find(|s| s.name == name)
 }
 
 /// One evaluated configuration of a §5 acceleration recommendation
@@ -91,28 +86,25 @@ pub struct Recommendation {
     pub configs: Vec<RecommendationConfig>,
 }
 
-/// All §5 recommendations in Fig. 20 order, from
-/// [`crate::registry::current_registry`].
+/// All §5 recommendations in Fig. 20 order, from the process default
+/// registry ([`crate::registry::current_registry`]). Runners take a
+/// registry's [`recommendations`](crate::ServiceRegistry::recommendations)
+/// instead; the benchmark harness still calls this.
 #[must_use]
 pub fn all_recommendations() -> Vec<Recommendation> {
     current_registry().recommendations()
 }
 
-/// The §5 recommendation called `name` (`"Feed1: Compression"`,
-/// `"Ads1: Memory copy"`, `"Cache1: Memory allocation"`), if the current
-/// registry carries it.
-#[must_use]
-pub fn recommendation(name: &str) -> Option<Recommendation> {
-    all_recommendations().into_iter().find(|r| r.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ServiceRegistry;
     use accelerometer::{project, AccelerationStrategy};
 
     fn compression_feed1() -> Recommendation {
-        recommendation("Feed1: Compression").expect("Feed1 recommendation")
+        ServiceRegistry::builtin()
+            .recommendation("Feed1: Compression")
+            .expect("Feed1 recommendation")
     }
 
     #[test]
@@ -136,7 +128,9 @@ mod tests {
         for cs in all_case_studies() {
             assert!(cs.paper_error_points() <= 3.7 + 1e-9, "{}", cs.name);
         }
-        let inference = case_study("inference").expect("inference case study");
+        let inference = ServiceRegistry::builtin()
+            .case_study("inference")
+            .expect("inference case study");
         assert!((inference.paper_error_points() - 3.7).abs() < 0.01);
     }
 

@@ -1,5 +1,5 @@
 //! Data-driven service profiles: the serde schema, the JSON loader, the
-//! embedded builtin registry, and the process-wide active registry.
+//! embedded builtin registry, and the process default registry.
 //!
 //! A [`ServiceSpec`] packages everything the runners know about one
 //! service — the characterization profile (breakdowns, rates, platform),
@@ -12,11 +12,11 @@
 //! [`ServiceRegistry::load_path`] parses and *re-validates* JSON specs
 //! (serde derives bypass the types' invariants, so every breakdown, CDF,
 //! IPC value, and rate is checked again on load), returning a structured
-//! [`FleetError`] instead of panicking on malformed data. Installing a
-//! registry via [`set_active_registry`] (the CLI's `--services` flag)
-//! makes [`current_registry`] — and through it every profile, CDF, IPC,
-//! case-study, and recommendation lookup — read the loaded data instead
-//! of the builtin registry.
+//! [`FleetError`] instead of panicking on malformed data. A run reads
+//! its service data from the registry it is handed (`accelctl` loads
+//! `--services` data into its run context). [`current_registry`] is only
+//! the process default that a run context starts from: the builtin
+//! registry unless [`set_active_registry`] installed another.
 
 use std::fmt;
 use std::fs;
@@ -494,7 +494,7 @@ fn parse_spec(path: &str, text: &str, stem: Option<&str>) -> Result<ServiceSpec,
 }
 
 /// A full set of service specs, keyed by [`ServiceId`], loadable from
-/// JSON files and installable process-wide via [`set_active_registry`].
+/// JSON files.
 #[derive(Debug, Clone)]
 pub struct ServiceRegistry {
     /// Specs in [`ServiceId::ALL`] order.
@@ -567,6 +567,21 @@ impl ServiceRegistry {
             self.specs.iter().flat_map(|s| &s.case_studies).collect();
         entries.sort_by_key(|e| e.order);
         entries.into_iter().map(|e| e.study.clone()).collect()
+    }
+
+    /// The Table 6 case study called `name` (`"aes-ni"`, `"encryption"`,
+    /// `"inference"`), if any spec carries it.
+    #[must_use]
+    pub fn case_study(&self, name: &str) -> Option<CaseStudy> {
+        self.case_studies().into_iter().find(|s| s.name == name)
+    }
+
+    /// The §5 recommendation called `name` (`"Feed1: Compression"`,
+    /// `"Ads1: Memory copy"`, `"Cache1: Memory allocation"`), if any spec
+    /// carries it.
+    #[must_use]
+    pub fn recommendation(&self, name: &str) -> Option<Recommendation> {
+        self.recommendations().into_iter().find(|r| r.name == name)
     }
 
     /// Every recommendation across all specs, in global (Fig. 20) order.
@@ -690,9 +705,10 @@ impl ServiceRegistry {
 
 static ACTIVE: RwLock<Option<Arc<ServiceRegistry>>> = RwLock::new(None);
 
-/// Installs (or, with `None`, clears) the process-wide active registry
+/// Installs (or, with `None`, clears) the process-wide default registry
 /// that [`current_registry`] returns in place of the builtin one.
-/// Returns the previously active registry so tests can restore it.
+/// Returns the previously installed registry. Only the benchmark harness
+/// still calls this; the next benchmark change deletes it.
 pub fn set_active_registry(
     registry: Option<Arc<ServiceRegistry>>,
 ) -> Option<Arc<ServiceRegistry>> {
@@ -700,54 +716,13 @@ pub fn set_active_registry(
     std::mem::replace(&mut *guard, registry)
 }
 
-/// The registry every service-data lookup reads: the active registry
-/// when one is installed (`--services`), otherwise the builtin one.
+/// The process default registry: the one [`set_active_registry`]
+/// installed, otherwise the builtin one. Run contexts start from it;
+/// runners read the registry they are handed instead.
 #[must_use]
 pub fn current_registry() -> Arc<ServiceRegistry> {
     let active = ACTIVE.read().unwrap_or_else(PoisonError::into_inner);
     active.clone().unwrap_or_else(|| Arc::clone(&BUILTIN))
-}
-
-/// Leaf-category IPC scaling for a service from [`current_registry`]
-/// (the shipped data covers Cache1's Fig. 8 categories). `None` means
-/// the caller should fall back to its default IPC.
-#[must_use]
-pub fn leaf_ipc_scaling(service: ServiceId, category: LeafCategory) -> Option<IpcScaling> {
-    current_registry().leaf_ipc(service, category)
-}
-
-/// Functionality-category IPC scaling for a service from
-/// [`current_registry`] (the shipped data covers Cache1's Fig. 10
-/// categories).
-#[must_use]
-pub fn functionality_ipc_scaling(
-    service: ServiceId,
-    category: FunctionalityCategory,
-) -> Option<IpcScaling> {
-    current_registry().functionality_ipc(service, category)
-}
-
-/// Strips a `--services <dir|file>` flag from `args`, loading the named
-/// profile data and installing it as the process-wide active registry.
-/// Shared by `accelctl` and the `bench` regeneration binaries.
-///
-/// # Errors
-///
-/// Returns a message when the flag has no value or the data fails to
-/// load or validate.
-pub fn apply_services_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--services") else {
-        return Ok(());
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| "--services requires a path (profile dir or file)".to_owned())?
-        .clone();
-    let registry = ServiceRegistry::load_path(Path::new(&value))
-        .map_err(|e| format!("--services {value}: {e}"))?;
-    args.drain(i..=i + 1);
-    set_active_registry(Some(Arc::new(registry)));
-    Ok(())
 }
 
 #[cfg(test)]

@@ -253,9 +253,11 @@ impl ServiceProfile {
     }
 }
 
-/// Returns the characterization profile for a service from
-/// [`crate::registry::current_registry`]: the `--services` data when
-/// loaded, otherwise the embedded builtin data.
+/// Returns the characterization profile for a service from the process
+/// default registry ([`crate::registry::current_registry`]). Runners
+/// read [`ServiceRegistry::profile`](crate::ServiceRegistry::profile)
+/// on the registry they are handed; the benchmark harness still calls
+/// this.
 #[must_use]
 pub fn profile(id: ServiceId) -> ServiceProfile {
     crate::registry::current_registry().profile(id)

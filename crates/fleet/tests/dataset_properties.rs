@@ -4,8 +4,8 @@
 
 use accelerometer::units::bytes;
 use accelerometer_fleet::{
-    cdf, profile, recommendation, Breakdown, FunctionalityCategory, LeafCategory, ServiceId,
-    ServiceProfile,
+    profile, Breakdown, FunctionalityCategory, LeafCategory, ServiceId, ServiceProfile,
+    ServiceRegistry,
 };
 use proptest::prelude::*;
 
@@ -57,10 +57,12 @@ proptest! {
         p in 0.0..1.0_f64,
         which in 0usize..2,
     ) {
+        let registry = ServiceRegistry::builtin();
+        let spec = registry.spec(service);
         let dist = if which == 0 {
-            cdf::memory_copy(service)
+            &spec.copy_granularity
         } else {
-            cdf::memory_allocation(service)
+            &spec.allocation_granularity
         };
         let g = dist.quantile(p);
         prop_assert!(g.get() >= 0.0);
@@ -112,7 +114,8 @@ proptest! {
         lo in 1.0..1_000.0_f64,
         hi_multiplier in 1.1..50.0_f64,
     ) {
-        let dist = recommendation("Feed1: Compression")
+        let dist = ServiceRegistry::builtin()
+            .recommendation("Feed1: Compression")
             .expect("Feed1 recommendation")
             .profile
             .granularity;

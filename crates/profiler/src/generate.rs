@@ -9,7 +9,10 @@
 
 use std::borrow::Cow;
 
-use accelerometer_fleet::{CpuGeneration, LeafCategory, ServiceId, ServiceProfile};
+use accelerometer_fleet::ipc::IpcScaling;
+use accelerometer_fleet::{
+    current_registry, CpuGeneration, LeafCategory, ServiceId, ServiceProfile, ServiceRegistry,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,15 +38,14 @@ pub fn default_leaf_ipc(category: LeafCategory) -> f64 {
     }
 }
 
-/// IPC for a service's leaf category on a CPU generation: the service's
-/// registry spec where it carries data (the shipped Fig. 8 data covers
-/// only Cache1), everything else the default table.
-#[must_use]
-pub fn leaf_ipc(service: ServiceId, category: LeafCategory, generation: CpuGeneration) -> f64 {
-    if let Some(scaling) = accelerometer_fleet::registry::leaf_ipc_scaling(service, category) {
-        return scaling.for_generation(generation);
-    }
-    default_leaf_ipc(category)
+/// IPC for a leaf category on a CPU generation: the service's measured
+/// scaling where its spec carries one (the shipped Fig. 8 data covers
+/// only Cache1), otherwise the default table.
+fn leaf_ipc(scaling: Option<IpcScaling>, category: LeafCategory, generation: CpuGeneration) -> f64 {
+    scaling.map_or_else(
+        || default_leaf_ipc(category),
+        |s| s.for_generation(generation),
+    )
 }
 
 /// The intermediate frames between a sample's root and its leaf: a
@@ -87,6 +89,8 @@ struct LeafChoice {
     category: LeafCategory,
     /// The category's representative symbols, in registry order.
     symbols: Vec<&'static str>,
+    /// The service's measured IPC scaling for the category, if any.
+    scaling: Option<IpcScaling>,
     /// The category's IPC on the generator's CPU generation.
     ipc: f64,
 }
@@ -97,12 +101,10 @@ struct LeafChoice {
 /// category's symbols, the root frames and the per-leaf IPC — is
 /// resolved when the generator is built (and the IPC again by
 /// [`TraceGenerator::on_generation`]), so drawing a sample only draws
-/// random numbers and allocates its frame list. The IPC therefore comes
-/// from the registry active at construction time; install `--services`
-/// data before building a generator.
+/// random numbers and allocates its frame list. Profile and IPC both
+/// come from the service registry the generator is built from.
 #[derive(Debug)]
 pub struct TraceGenerator {
-    service: ServiceId,
     registry: FunctionRegistry,
     mean_cycles: f64,
     rng: StdRng,
@@ -115,11 +117,24 @@ pub struct TraceGenerator {
 }
 
 impl TraceGenerator {
-    /// Creates a deterministic generator for a service on GenC hardware.
+    /// Creates a deterministic generator for `service` on GenC hardware,
+    /// reading its profile and leaf IPC from `services`.
+    #[must_use]
+    pub fn for_service(services: &ServiceRegistry, service: ServiceId, seed: u64) -> Self {
+        Self::build(&services.spec(service).profile, services, seed)
+    }
+
+    /// Creates a deterministic generator for `profile` on GenC hardware,
+    /// with leaf IPC from the process default registry. Kept because the
+    /// benchmark harness calls it; the next benchmark change deletes it
+    /// in favour of [`TraceGenerator::for_service`].
     #[must_use]
     pub fn new(profile: ServiceProfile, seed: u64) -> Self {
+        Self::build(&profile, &current_registry(), seed)
+    }
+
+    fn build(profile: &ServiceProfile, services: &ServiceRegistry, seed: u64) -> Self {
         let registry = FunctionRegistry::with_defaults();
-        let service = profile.id;
         let roots = Weighted::new(
             profile
                 .functionality
@@ -132,10 +147,12 @@ impl TraceGenerator {
                 .leaves
                 .iter()
                 .map(|(category, w)| {
+                    let scaling = services.leaf_ipc(profile.id, category);
                     let choice = LeafChoice {
                         category,
                         symbols: registry.leaf_symbols(category),
-                        ipc: leaf_ipc(service, category, CpuGeneration::GenC),
+                        scaling,
+                        ipc: leaf_ipc(scaling, category, CpuGeneration::GenC),
                     };
                     (choice, w)
                 })
@@ -149,7 +166,6 @@ impl TraceGenerator {
                 .collect(),
         );
         Self {
-            service,
             registry,
             mean_cycles: 1_000.0,
             rng: StdRng::seed_from_u64(seed),
@@ -163,7 +179,7 @@ impl TraceGenerator {
     #[must_use]
     pub fn on_generation(mut self, generation: CpuGeneration) -> Self {
         for (leaf, _) in &mut self.leaves.entries {
-            leaf.ipc = leaf_ipc(self.service, leaf.category, generation);
+            leaf.ipc = leaf_ipc(leaf.scaling, leaf.category, generation);
         }
         self
     }
@@ -235,24 +251,57 @@ mod tests {
 
     #[test]
     fn cache1_uses_fig8_ipc() {
+        let services = ServiceRegistry::builtin();
+        let ipc = |service, category, generation| {
+            leaf_ipc(services.leaf_ipc(service, category), category, generation)
+        };
         assert_eq!(
-            leaf_ipc(ServiceId::Cache1, LeafCategory::Kernel, CpuGeneration::GenC),
+            ipc(ServiceId::Cache1, LeafCategory::Kernel, CpuGeneration::GenC),
             0.38
         );
         assert_eq!(
-            leaf_ipc(ServiceId::Cache1, LeafCategory::Kernel, CpuGeneration::GenA),
+            ipc(ServiceId::Cache1, LeafCategory::Kernel, CpuGeneration::GenA),
             0.35
         );
         // Categories Fig. 8 doesn't cover use the default table.
         assert_eq!(
-            leaf_ipc(ServiceId::Cache1, LeafCategory::Math, CpuGeneration::GenC),
+            ipc(ServiceId::Cache1, LeafCategory::Math, CpuGeneration::GenC),
             default_leaf_ipc(LeafCategory::Math)
         );
         // Other services always use the default table.
         assert_eq!(
-            leaf_ipc(ServiceId::Web, LeafCategory::Kernel, CpuGeneration::GenC),
+            ipc(ServiceId::Web, LeafCategory::Kernel, CpuGeneration::GenC),
             0.4
         );
+    }
+
+    #[test]
+    fn leaf_ipc_comes_from_the_given_registry() {
+        // A registry whose Cache1 spec carries an edited Fig. 8 table,
+        // while the builtin registry stays the process default.
+        let mut services = ServiceRegistry::builtin();
+        let mut spec = services.spec(ServiceId::Cache1).clone();
+        let table = spec.ipc.as_mut().expect("Cache1 carries Fig. 8");
+        for (_, scaling) in &mut table.leaves {
+            scaling.gen_c = 1.9;
+        }
+        let edited: Vec<LeafCategory> = table.leaves.iter().map(|(c, _)| *c).collect();
+        services.install_spec(spec).expect("edited spec is valid");
+
+        let traces = TraceGenerator::for_service(&services, ServiceId::Cache1, 7).generate(400);
+        let symbols = FunctionRegistry::with_defaults();
+        let mut checked = 0;
+        for t in &traces {
+            let category = symbols.tag_leaf(t.leaf());
+            if edited.contains(&category) {
+                assert!((t.ipc() - 1.9).abs() < 1e-9, "{category:?} ipc {}", t.ipc());
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no sample hit an edited category");
+        // The process default registry still yields the builtin IPC.
+        let builtin = TraceGenerator::new(profile(ServiceId::Cache1), 7).generate(400);
+        assert!(builtin.iter().all(|t| (t.ipc() - 1.9).abs() > 1e-9));
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod trace;
 pub use analyze::{analyze, ProfileReport};
 pub use diff::{diff, DiffRow, ReportDiff};
 pub use fold::{from_folded, to_folded};
-pub use generate::{default_leaf_ipc, leaf_ipc, TraceGenerator};
+pub use generate::{default_leaf_ipc, TraceGenerator};
 pub use registry::FunctionRegistry;
 pub use trace::CallTrace;

@@ -2,8 +2,9 @@
 //! reconstruct the ground-truth service profile — the end-to-end contract
 //! of the synthetic characterization pipeline.
 
-use accelerometer_fleet::registry::leaf_ipc_scaling;
-use accelerometer_fleet::{profile, FunctionalityCategory, LeafCategory, ServiceId};
+use accelerometer_fleet::{
+    profile, FunctionalityCategory, LeafCategory, ServiceId, ServiceRegistry,
+};
 use accelerometer_profiler::{analyze, TraceGenerator};
 
 const SAMPLES: usize = 120_000;
@@ -67,6 +68,7 @@ fn every_characterized_service_converges() {
 #[test]
 fn cache1_ipc_reconstruction_matches_fig8() {
     let report = reconstruct(ServiceId::Cache1, 7);
+    let services = ServiceRegistry::builtin();
     for cat in [
         LeafCategory::Memory,
         LeafCategory::Kernel,
@@ -74,7 +76,7 @@ fn cache1_ipc_reconstruction_matches_fig8() {
         LeafCategory::Ssl,
         LeafCategory::CLibraries,
     ] {
-        let want = leaf_ipc_scaling(ServiceId::Cache1, cat).unwrap().gen_c;
+        let want = services.leaf_ipc(ServiceId::Cache1, cat).unwrap().gen_c;
         let got = report.ipc_of(cat).unwrap();
         assert!(
             (got - want).abs() < 0.02,

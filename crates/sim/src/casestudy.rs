@@ -28,7 +28,7 @@
 //! quality of the displaced software baseline as on the accelerator.
 
 use accelerometer::{AccelerationStrategy, DriverMode, ThreadingDesign};
-use accelerometer_fleet::{all_case_studies, CaseStudy};
+use accelerometer_fleet::CaseStudy;
 use serde::{Deserialize, Serialize};
 
 use crate::abtest::{run_ab, AbResult};
@@ -169,27 +169,23 @@ pub fn simulate(study: &CaseStudy, seed: u64) -> Result<(CaseStudyValidation, Ab
     Ok((validation, ab))
 }
 
-/// Runs all three case studies (Table 6), fanning the independent A/B
-/// experiments over the process-wide default pool.
-#[must_use]
-pub fn validate_all(seed: u64) -> Vec<CaseStudyValidation> {
-    validate_all_with(&crate::parallel::ExecPool::default(), seed)
-}
-
-/// [`validate_all`] with an explicit worker pool. Each case study is an
+/// Runs the given case studies (a registry's Table 6 rows), fanning the
+/// independent A/B experiments over `pool`. Each case study is an
 /// independent seeded A/B experiment, so results are identical at any
-/// pool width and always come back in Table 6 row order.
-#[must_use]
+/// pool width and always come back in input order.
+///
+/// # Errors
+///
+/// Returns [`SimError::UnknownCaseStudy`] when a study's name is not a
+/// Table 6 row — loaded service data may rename one.
 pub fn validate_all_with(
     pool: &crate::parallel::ExecPool,
+    studies: &[CaseStudy],
     seed: u64,
-) -> Vec<CaseStudyValidation> {
-    let studies = all_case_studies();
-    pool.map(&studies, |_, study| {
-        simulate(study, seed)
-            .expect("all_case_studies yields only known names")
-            .0
-    })
+) -> Result<Vec<CaseStudyValidation>> {
+    pool.map(studies, |_, study| simulate(study, seed).map(|(v, _)| v))
+        .into_iter()
+        .collect()
 }
 
 /// Sanity mapping used by the tests: each case study exercises a distinct
@@ -219,10 +215,12 @@ pub fn expected_design(name: &str) -> Option<(ThreadingDesign, AccelerationStrat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelerometer_fleet::case_study;
+    use accelerometer_fleet::{all_case_studies, ServiceRegistry};
 
     fn aes_ni() -> CaseStudy {
-        case_study("aes-ni").expect("aes-ni case study")
+        ServiceRegistry::builtin()
+            .case_study("aes-ni")
+            .expect("aes-ni case study")
     }
 
     #[test]
@@ -254,6 +252,18 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("bogus"), "{msg}");
         assert!(msg.contains("aes-ni, encryption, inference"), "{msg}");
+    }
+
+    #[test]
+    fn validate_all_reports_a_renamed_case_study() {
+        let mut studies = all_case_studies();
+        studies[0].name = "aes-ni-v2".to_owned();
+        let err = validate_all_with(&crate::parallel::ExecPool::new(2), &studies, 42)
+            .expect_err("a renamed study is not a Table 6 row");
+        assert!(
+            matches!(&err, SimError::UnknownCaseStudy { name, .. } if name == "aes-ni-v2"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -558,31 +558,25 @@ impl Simulator {
     ) -> Result<Self> {
         cfg.validate()?;
         let trace = check_trace(&cfg, trace)?;
-        let device = cfg
-            .offload
-            .as_ref()
-            .map(|o| Device::new(o.device, o.interface_latency, cfg.cores, cfg.horizon));
-        // The fault subsystem only exists when it can change behaviour;
-        // its RNG is derived from (run seed, plan seed) and is disjoint
-        // from the workload stream, so a disabled plan is zero-impact.
-        let fault = (cfg.fault.is_active() || cfg.recovery.is_active()).then(|| {
-            FaultState::new(
-                cfg.fault.clone(),
-                cfg.recovery,
-                derive_seed(cfg.seed, cfg.fault.seed),
-            )
-        });
-        let threads = (0..cfg.threads).map(|_| Thread::default()).collect();
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        let sampler = cfg.workload.sampler();
-        Ok(Self {
-            sampler,
-            ready: (0..cfg.threads).collect(),
-            free_cores: (0..cfg.cores).rev().collect(),
-            core_last_thread: vec![None; cfg.cores],
-            threads,
-            device,
-            fault,
+        // Allocate every buffer at its run capacity up front; `init`
+        // then fills them in place exactly as a reset does.
+        let mut sim = Self {
+            sampler: cfg.workload.sampler(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            bank: SampleBank::new(),
+            trace: None,
+            now: SimTime::ZERO,
+            seq: 0,
+            // Pending events are bounded by threads plus in-flight
+            // offload completions; 2×threads covers both in practice.
+            events: EventQueue::with_capacity(2 * cfg.threads + 8),
+            next_event: None,
+            threads: Vec::with_capacity(cfg.threads),
+            ready: VecDeque::with_capacity(cfg.threads),
+            free_cores: Vec::with_capacity(cfg.cores),
+            core_last_thread: Vec::with_capacity(cfg.cores),
+            device: None,
+            fault: None,
             // The slab only ever holds live requests, so sizing it to
             // the thread count (each thread drives one request, plus a
             // little slack for requests finishing asynchronously) avoids
@@ -601,18 +595,11 @@ impl Simulator {
             trace_replayed: 0,
             live_requests: 0,
             peak_live_requests: 0,
-            now: SimTime::ZERO,
-            seq: 0,
-            // Pending events are bounded by threads plus in-flight
-            // offload completions; 2×threads covers both in practice.
-            events: EventQueue::with_capacity(2 * cfg.threads + 8),
-            next_event: None,
-            rng,
-            bank: SampleBank::new(),
-            trace,
-            cfg,
             primed: false,
-        })
+            cfg,
+        };
+        sim.init(trace);
+        Ok(sim)
     }
 
     /// Rebuilds the engine for `cfg` while keeping every heap
@@ -651,12 +638,27 @@ impl Simulator {
         trace: Option<Arc<FrozenTrace>>,
     ) -> Result<()> {
         cfg.validate()?;
-        self.trace = check_trace(&cfg, trace)?;
+        let trace = check_trace(&cfg, trace)?;
+        self.cfg = cfg;
+        self.init(trace);
+        Ok(())
+    }
+
+    /// Puts the engine in its start-of-run state for `self.cfg`, keeping
+    /// every allocation: the one initializer behind both
+    /// [`try_new_with_trace`](Self::try_new_with_trace) and
+    /// [`reset_with_trace`](Self::reset_with_trace).
+    fn init(&mut self, trace: Option<(Arc<FrozenTrace>, usize)>) {
+        let cfg = &self.cfg;
+        self.trace = trace;
         self.bank.clear();
         self.device = cfg
             .offload
             .as_ref()
             .map(|o| Device::new(o.device, o.interface_latency, cfg.cores, cfg.horizon));
+        // The fault subsystem only exists when it can change behaviour;
+        // its RNG is derived from (run seed, plan seed) and is disjoint
+        // from the workload stream, so a disabled plan is zero-impact.
         self.fault = (cfg.fault.is_active() || cfg.recovery.is_active()).then(|| {
             FaultState::new(
                 cfg.fault.clone(),
@@ -673,8 +675,7 @@ impl Simulator {
             t.request = usize::MAX;
             t.pickups.clear();
         }
-        self.threads
-            .resize_with(cfg.threads, Thread::default);
+        self.threads.resize_with(cfg.threads, Thread::default);
         self.ready.clear();
         self.ready.extend(0..cfg.threads);
         self.free_cores.clear();
@@ -685,7 +686,7 @@ impl Simulator {
         self.completed = 0;
         self.completed_failed = 0;
         self.latency_keys.clear();
-        self.latency_keys.reserve(latency_reserve(&cfg));
+        self.latency_keys.reserve(latency_reserve(cfg));
         self.core_busy = 0.0;
         self.offloads = 0;
         self.suppressed = 0;
@@ -701,8 +702,6 @@ impl Simulator {
         self.events.clear();
         self.next_event = None;
         self.primed = false;
-        self.cfg = cfg;
-        Ok(())
     }
 
     /// Overrides the sample bank's refill block size (test hook).

@@ -161,25 +161,20 @@ pub struct FaultSweepReport {
     pub outcomes: Vec<PolicyOutcome>,
 }
 
-/// Runs the sweep on the process-wide default pool.
+/// Runs the sweep on `pool`, each run sharded on `shards` when a shard
+/// pool is given. Each run is an independent seeded simulation and
+/// results are assembled in input order, so the report is identical at
+/// any pool width (and, sharded, at any shard-pool width).
 ///
 /// # Errors
 ///
 /// Returns [`crate::SimError::InvalidConfig`] when the base
 /// configuration, the plan, any policy, or the SLO ratio is invalid.
-pub fn run_fault_sweep(scenario: &FaultScenario) -> Result<FaultSweepReport> {
-    run_fault_sweep_with(&ExecPool::default(), scenario)
-}
-
-/// [`run_fault_sweep`] with an explicit worker pool. Each run is an
-/// independent seeded simulation and results are assembled in input
-/// order, so the report is identical at any pool width.
-///
-/// # Errors
-///
-/// Returns [`crate::SimError::InvalidConfig`] when the base
-/// configuration, the plan, any policy, or the SLO ratio is invalid.
-pub fn run_fault_sweep_with(pool: &ExecPool, scenario: &FaultScenario) -> Result<FaultSweepReport> {
+pub fn run_fault_sweep_with(
+    pool: &ExecPool,
+    shards: Option<&ExecPool>,
+    scenario: &FaultScenario,
+) -> Result<FaultSweepReport> {
     ensure(
         scenario.slo_min_p99_ratio.is_finite() && scenario.slo_min_p99_ratio > 0.0,
         "slo_min_p99_ratio",
@@ -214,7 +209,7 @@ pub fn run_fault_sweep_with(pool: &ExecPool, scenario: &FaultScenario) -> Result
         store.prewarm(&configs[0]);
     }
     let mut results = pool.map_init(&configs, || None, |slot, _, cfg| {
-        run_point(slot, cfg, traces.as_ref())
+        run_point(slot, cfg, traces.as_ref(), shards)
     });
     let healthy = results.remove(0);
     let outcomes = scenario
@@ -389,17 +384,11 @@ fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
     }
 }
 
-/// Runs the fallback-capacity validation (Table-6 style) on the
-/// process-wide default pool: one row per probability in
-/// [`FALLBACK_VALIDATION_PROBABILITIES`].
-#[must_use]
-pub fn validate_fallback(seed: u64) -> Vec<FallbackValidationRow> {
-    validate_fallback_with(&ExecPool::default(), seed)
-}
-
-/// [`validate_fallback`] with an explicit worker pool. Each row is an
-/// independent seeded A/B experiment, so results are identical at any
-/// pool width and always come back in probability order.
+/// Runs the fallback-capacity validation (Table-6 style) on `pool`: one
+/// row per probability in [`FALLBACK_VALIDATION_PROBABILITIES`]. Each
+/// row is an independent seeded A/B experiment, so results are
+/// identical at any pool width and always come back in probability
+/// order.
 #[must_use]
 pub fn validate_fallback_with(pool: &ExecPool, seed: u64) -> Vec<FallbackValidationRow> {
     pool.map(&FALLBACK_VALIDATION_PROBABILITIES, |_, p| {
@@ -411,6 +400,10 @@ pub fn validate_fallback_with(pool: &ExecPool, seed: u64) -> Vec<FallbackValidat
 mod tests {
     use super::*;
 
+    fn sweep(scenario: &FaultScenario) -> Result<FaultSweepReport> {
+        run_fault_sweep_with(&ExecPool::new(2), None, scenario)
+    }
+
     fn outcome<'a>(report: &'a FaultSweepReport, name: &str) -> &'a PolicyOutcome {
         report
             .outcomes
@@ -421,7 +414,7 @@ mod tests {
 
     #[test]
     fn recovery_beats_no_recovery_under_degradation() {
-        let report = run_fault_sweep(&demo_scenario(20_260_806)).expect("valid scenario");
+        let report = sweep(&demo_scenario(20_260_806)).expect("valid scenario");
         let none = outcome(&report, "no-recovery");
         let retry = outcome(&report, "retry");
         let recovered = outcome(&report, "retry-fallback");
@@ -467,7 +460,7 @@ mod tests {
         let mut scenario = demo_scenario(20_260_807);
         scenario.plan.degradation.clear();
         scenario.plan.failure_probability = 0.35;
-        let report = run_fault_sweep(&scenario).expect("valid scenario");
+        let report = sweep(&scenario).expect("valid scenario");
         for name in ["no-recovery", "retry", "retry-fallback"] {
             let check = outcome(&report, name)
                 .model_check
@@ -485,13 +478,13 @@ mod tests {
         assert!(outcome(&report, "admission").model_check.is_none());
         assert!(outcome(&report, "full").model_check.is_none());
         // The demo's outage window, by contrast, gates every check off.
-        let windowed = run_fault_sweep(&demo_scenario(20_260_807)).expect("valid scenario");
+        let windowed = sweep(&demo_scenario(20_260_807)).expect("valid scenario");
         assert!(windowed.outcomes.iter().all(|o| o.model_check.is_none()));
     }
 
     #[test]
     fn fallback_validation_matches_model_within_tolerance() {
-        let rows = validate_fallback(20_260_807);
+        let rows = validate_fallback_with(&ExecPool::new(2), 20_260_807);
         assert_eq!(rows.len(), FALLBACK_VALIDATION_PROBABILITIES.len());
         for row in &rows {
             assert!(
@@ -522,8 +515,8 @@ mod tests {
     #[test]
     fn report_is_pool_width_invariant() {
         let scenario = demo_scenario(11);
-        let seq = run_fault_sweep_with(&ExecPool::new(1), &scenario).unwrap();
-        let par = run_fault_sweep_with(&ExecPool::new(8), &scenario).unwrap();
+        let seq = run_fault_sweep_with(&ExecPool::new(1), None, &scenario).unwrap();
+        let par = run_fault_sweep_with(&ExecPool::new(8), None, &scenario).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -531,15 +524,15 @@ mod tests {
     fn invalid_scenarios_are_rejected_up_front() {
         let mut scenario = demo_scenario(1);
         scenario.slo_min_p99_ratio = 0.0;
-        assert!(run_fault_sweep(&scenario).is_err());
+        assert!(sweep(&scenario).is_err());
 
         let mut scenario = demo_scenario(1);
         scenario.plan.failure_probability = 7.0;
-        assert!(run_fault_sweep(&scenario).is_err());
+        assert!(sweep(&scenario).is_err());
 
         let mut scenario = demo_scenario(1);
         scenario.policies[0].policy.timeout_cycles = Some(f64::NAN);
-        assert!(run_fault_sweep(&scenario).is_err());
+        assert!(sweep(&scenario).is_err());
     }
 
     #[test]

@@ -46,6 +46,7 @@
 pub mod abtest;
 pub mod calibrate;
 pub mod casestudy;
+pub mod context;
 pub mod device;
 pub mod engine;
 mod equeue;
@@ -62,27 +63,25 @@ pub mod workload;
 
 pub use abtest::{run_ab, AbResult};
 pub use calibrate::{CalibratedKernel, Calibrator, PairedKernel};
-pub use casestudy::{
-    simulate, validate_all, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES,
-};
+pub use casestudy::{simulate, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES};
+pub use context::RunContext;
 pub use device::{Device, DeviceKind};
 pub use error::SimError;
 pub use fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
 pub use faultsweep::{
-    run_fault_sweep, run_fault_sweep_with, validate_fallback, validate_fallback_with,
+    run_fault_sweep_with, validate_fallback_with,
     FallbackValidationRow, FaultModelCheck, FaultScenario, FaultSweepReport, NamedPolicy,
     PolicyOutcome, FALLBACK_VALIDATION_PROBABILITIES,
 };
 pub use loadsweep::{
-    concurrency_sweep, concurrency_sweep_with, device_capacity_sweep, device_capacity_sweep_with,
-    ConcurrencySweep, LoadPoint,
+    concurrency_sweep_with, device_capacity_sweep_with, ConcurrencySweep, LoadPoint,
 };
 pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};
 pub use metrics::{FaultMetrics, LatencyStats, SimMetrics};
 pub use parallel::{derive_seed, run_batch, run_replicas, ExecPool};
 pub use shard::{
-    default_shards, run_sharded, run_sharded_instrumented, run_sharded_traced,
-    set_default_shards, ShardPlan, ShardStats,
+    default_shards, run_sharded, run_sharded_instrumented, set_default_shards, ShardPlan,
+    ShardStats,
 };
 pub use time::SimTime;
 pub use trace::{set_trace_reuse, trace_reuse_enabled, FrozenTrace, TraceStore};

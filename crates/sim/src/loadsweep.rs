@@ -36,10 +36,12 @@ pub struct ConcurrencySweep {
 /// Invariant: the engine requires `threads >= cores`, so smaller
 /// requested counts cannot be simulated. They are *not* silently
 /// dropped — they come back in [`ConcurrencySweep::skipped`] so callers
-/// can warn or fail. Points run on `pool` and preserve input order.
+/// can warn or fail. Points run on `pool` and preserve input order; each
+/// point runs sharded on `shards` when a shard pool is given.
 #[must_use]
 pub fn concurrency_sweep_with(
     pool: &ExecPool,
+    shards: Option<&ExecPool>,
     base: &SimConfig,
     thread_counts: &[usize],
 ) -> ConcurrencySweep {
@@ -68,26 +70,21 @@ pub fn concurrency_sweep_with(
             cfg.threads = threads;
             LoadPoint {
                 x: threads,
-                metrics: run_point(slot, &cfg, traces.as_ref()),
+                metrics: run_point(slot, &cfg, traces.as_ref(), shards),
             }
         },
     );
     ConcurrencySweep { points, skipped }
 }
 
-/// Sweeps worker-thread concurrency over a base configuration. Thread
-/// counts below the core count are skipped (the engine requires full
-/// coverage); use [`concurrency_sweep_with`] to see which, and to run
-/// points on an explicit pool.
-#[must_use]
-pub fn concurrency_sweep(base: &SimConfig, thread_counts: &[usize]) -> Vec<LoadPoint> {
-    concurrency_sweep_with(&ExecPool::default(), base, thread_counts).points
-}
-
-/// [`device_capacity_sweep`] with an explicit worker pool.
+/// Sweeps the shared accelerator's server count (device capacity) over a
+/// base configuration that carries an offload, on `pool` (and sharded on
+/// `shards` when a shard pool is given). Configurations without an
+/// offload return an empty sweep.
 #[must_use]
 pub fn device_capacity_sweep_with(
     pool: &ExecPool,
+    shards: Option<&ExecPool>,
     base: &SimConfig,
     server_counts: &[usize],
 ) -> Vec<LoadPoint> {
@@ -111,18 +108,10 @@ pub fn device_capacity_sweep_with(
             }
             LoadPoint {
                 x: servers,
-                metrics: run_point(slot, &cfg, traces.as_ref()),
+                metrics: run_point(slot, &cfg, traces.as_ref(), shards),
             }
         },
     )
-}
-
-/// Sweeps the shared accelerator's server count (device capacity) over a
-/// base configuration that carries an offload. Configurations without an
-/// offload return an empty sweep.
-#[must_use]
-pub fn device_capacity_sweep(base: &SimConfig, server_counts: &[usize]) -> Vec<LoadPoint> {
-    device_capacity_sweep_with(&ExecPool::default(), base, server_counts)
 }
 
 /// The knee of a sweep: the smallest `x` achieving at least `fraction`
@@ -178,7 +167,8 @@ mod tests {
 
     #[test]
     fn concurrency_sweep_finds_the_pool_depth_knee() {
-        let points = concurrency_sweep(&base(), &[1, 2, 4, 8, 16, 32]);
+        let points =
+            concurrency_sweep_with(&ExecPool::new(2), None, &base(), &[1, 2, 4, 8, 16, 32]).points;
         // The sub-core count is skipped.
         assert_eq!(points.len(), 5);
         assert_eq!(points[0].x, 2);
@@ -202,7 +192,7 @@ mod tests {
             o.interface_latency = 100.0;
         }
         cfg.threads = cfg.cores;
-        let points = device_capacity_sweep(&cfg, &[1, 2, 4]);
+        let points = device_capacity_sweep_with(&ExecPool::new(2), None, &cfg, &[1, 2, 4]);
         assert_eq!(points.len(), 3);
         // More servers → less queueing and at least as much throughput.
         assert!(points[0].metrics.mean_queue_delay > points[2].metrics.mean_queue_delay);
@@ -216,7 +206,7 @@ mod tests {
     fn capacity_sweep_requires_an_offload() {
         let mut cfg = base();
         cfg.offload = None;
-        assert!(device_capacity_sweep(&cfg, &[1, 2]).is_empty());
+        assert!(device_capacity_sweep_with(&ExecPool::new(1), None, &cfg, &[1, 2]).is_empty());
     }
 
     #[test]
@@ -228,12 +218,10 @@ mod tests {
     fn sub_core_thread_counts_are_reported_not_dropped() {
         let mut cfg = base();
         cfg.horizon = 2e6;
-        let sweep = concurrency_sweep_with(&ExecPool::new(1), &cfg, &[1, 2, 4, 1, 8]);
+        let sweep = concurrency_sweep_with(&ExecPool::new(1), None, &cfg, &[1, 2, 4, 1, 8]);
         assert_eq!(sweep.skipped, vec![1, 1]);
         let xs: Vec<usize> = sweep.points.iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![2, 4, 8]);
-        // The convenience wrapper keeps its historical skip-silently shape.
-        assert_eq!(concurrency_sweep(&cfg, &[1, 2]).len(), 1);
     }
 
     #[test]
@@ -241,12 +229,12 @@ mod tests {
         let mut cfg = base();
         cfg.horizon = 2e6;
         let counts = [2, 4, 8];
-        let seq = concurrency_sweep_with(&ExecPool::new(1), &cfg, &counts);
-        let par = concurrency_sweep_with(&ExecPool::new(8), &cfg, &counts);
+        let seq = concurrency_sweep_with(&ExecPool::new(1), None, &cfg, &counts);
+        let par = concurrency_sweep_with(&ExecPool::new(8), None, &cfg, &counts);
         assert_eq!(seq, par);
         let servers = [1, 2, 4];
-        let seq = device_capacity_sweep_with(&ExecPool::new(1), &cfg, &servers);
-        let par = device_capacity_sweep_with(&ExecPool::new(8), &cfg, &servers);
+        let seq = device_capacity_sweep_with(&ExecPool::new(1), None, &cfg, &servers);
+        let par = device_capacity_sweep_with(&ExecPool::new(8), None, &cfg, &servers);
         assert_eq!(seq, par);
     }
 }

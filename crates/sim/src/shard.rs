@@ -52,18 +52,19 @@ const MAX_SHARDS: usize = 8;
 const EPOCHS: usize = 16;
 
 /// Process-wide default shard-pool width; `0` means "classic monolithic
-/// engine" (sharding off). Binaries wire their `--shards N` flag here,
-/// mirroring `--jobs`.
+/// engine" (sharding off). Only [`crate::RunContext::from_process_defaults`]
+/// reads it; runners take the shard pool as an argument.
 static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the process-wide shard-pool width used by the runners. `0`
-/// disables sharding (the classic engine). Any non-zero width produces
-/// identical output — width 1 is the reference execution.
+/// Sets the process-wide default shard-pool width that a run context
+/// starts from. `0` disables sharding (the classic engine). Only the
+/// benchmark harness still calls this; the next benchmark change
+/// deletes it.
 pub fn set_default_shards(shards: usize) {
     DEFAULT_SHARDS.store(shards, Ordering::Relaxed);
 }
 
-/// The current default shard-pool width (`0` = sharding off).
+/// The process-wide default shard-pool width (`0` = sharding off).
 #[must_use]
 pub fn default_shards() -> usize {
     DEFAULT_SHARDS.load(Ordering::Relaxed)
@@ -152,27 +153,18 @@ pub struct ShardStats {
     pub engine: EngineStats,
 }
 
-/// Runs `cfg` sharded on `pool` and returns the merged metrics.
+/// Runs `cfg` sharded on `pool` and returns the merged metrics. With a
+/// trace store, each shard looks up (or, in an eager store, draws and
+/// caches) the frozen trace for its decorrelated seed, so a sweep's grid
+/// points share one trace draw per shard instead of redrawing per point.
+/// The trace path is the same stream, pre-drawn, so the bytes do not
+/// depend on whether a store is given.
 ///
 /// # Errors
 ///
 /// Returns [`crate::SimError::InvalidConfig`] when the configuration is
 /// rejected by [`SimConfig::validate`].
-pub fn run_sharded(pool: &ExecPool, cfg: &SimConfig) -> Result<SimMetrics> {
-    run_sharded_instrumented_traced(pool, cfg, None).map(|(m, _)| m)
-}
-
-/// [`run_sharded`] with an optional frozen-trace store: each shard looks
-/// up (or, in an eager store, draws and caches) the trace for its
-/// decorrelated seed, so a sweep's grid points share one trace draw per
-/// shard instead of redrawing per point. Byte-identical to
-/// [`run_sharded`] — the trace path is the same stream, pre-drawn.
-///
-/// # Errors
-///
-/// Returns [`crate::SimError::InvalidConfig`] when the configuration is
-/// rejected by [`SimConfig::validate`].
-pub fn run_sharded_traced(
+pub fn run_sharded(
     pool: &ExecPool,
     cfg: &SimConfig,
     traces: Option<&TraceStore>,
@@ -180,7 +172,7 @@ pub fn run_sharded_traced(
     run_sharded_instrumented_traced(pool, cfg, traces).map(|(m, _)| m)
 }
 
-/// [`run_sharded`] plus the per-shard counters.
+/// [`run_sharded`] without a trace store, plus the per-shard counters.
 ///
 /// # Errors
 ///
@@ -340,11 +332,11 @@ fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: Vec<ShardOutput>) -> (SimMet
 }
 
 /// Runs one configuration point the way the batch runners do: through
-/// the sharded path when `--shards` is set, otherwise through a
-/// reusable engine slot that is `reset` instead of rebuilt. When a
-/// trace store is supplied, the engine adopts the cached frozen trace
-/// for the point's (seed, workload) — or each shard's derived seed —
-/// instead of redrawing the stream.
+/// the sharded path on `shards` when a shard pool is given, otherwise
+/// through a reusable engine slot that is `reset` instead of rebuilt.
+/// When a trace store is supplied, the engine adopts the cached frozen
+/// trace for the point's (seed, workload) — or each shard's derived
+/// seed — instead of redrawing the stream.
 ///
 /// # Panics
 ///
@@ -355,10 +347,10 @@ pub(crate) fn run_point(
     slot: &mut Option<Simulator>,
     cfg: &SimConfig,
     traces: Option<&TraceStore>,
+    shards: Option<&ExecPool>,
 ) -> SimMetrics {
-    let shards = default_shards();
-    if shards > 0 {
-        match run_sharded_traced(&ExecPool::new(shards), cfg, traces) {
+    if let Some(pool) = shards {
+        match run_sharded(pool, cfg, traces) {
             Ok(metrics) => return metrics,
             Err(err) => panic!("{err}"),
         }
@@ -490,11 +482,11 @@ mod tests {
             fallback_to_host: true,
             ..RecoveryPolicy::none()
         };
-        let reference = run_sharded(&ExecPool::new(1), &cfg).unwrap();
+        let reference = run_sharded(&ExecPool::new(1), &cfg, None).unwrap();
         assert!(reference.faults.active);
         assert!(reference.faults.injected_failures > 0);
         for width in [2, 4] {
-            let got = run_sharded(&ExecPool::new(width), &cfg).unwrap();
+            let got = run_sharded(&ExecPool::new(width), &cfg, None).unwrap();
             assert_eq!(reference, got, "fault metrics diverged at width {width}");
         }
     }
@@ -507,7 +499,7 @@ mod tests {
         cfg.cores = 3;
         cfg.threads = 7;
         let classic = Simulator::new(cfg.clone()).run();
-        let sharded = run_sharded(&ExecPool::new(4), &cfg).unwrap();
+        let sharded = run_sharded(&ExecPool::new(4), &cfg, None).unwrap();
         assert_eq!(classic, sharded);
     }
 
@@ -548,32 +540,27 @@ mod tests {
         // lower bound of an unshared-looking device (smoke: non-zero).
         let mut cfg = sharded_config();
         cfg.offload.as_mut().unwrap().peak_speedup = 1.1;
-        let m = run_sharded(&ExecPool::new(2), &cfg).unwrap();
+        let m = run_sharded(&ExecPool::new(2), &cfg, None).unwrap();
         assert!(m.mean_queue_delay > 0.0);
         assert!(m.device_utilization > 0.0);
     }
 
     #[test]
-    fn run_point_honours_the_global_and_reuses_the_slot() {
-        // One test covers both the global round-trip and the classic
-        // slot path, so nothing else races the process-wide default
-        // while cargo runs tests concurrently.
-        assert_eq!(default_shards(), 0);
-        set_default_shards(3);
-        assert_eq!(default_shards(), 3);
+    fn run_point_takes_the_shard_pool_and_reuses_the_slot() {
+        let pool = ExecPool::new(3);
         let mut slot = None;
-        let sharded = run_point(&mut slot, &sharded_config(), None);
+        let sharded = run_point(&mut slot, &sharded_config(), None, Some(&pool));
         assert_eq!(
             sharded,
-            run_sharded(&ExecPool::new(1), &sharded_config()).unwrap(),
-            "with the global set, run_point must take the sharded path"
+            run_sharded(&ExecPool::new(1), &sharded_config(), None).unwrap(),
+            "with a shard pool, run_point must take the sharded path"
         );
         // An eager trace store must not change a sharded byte: shard
         // traces are looked up per derived seed and drawn once.
         let store = TraceStore::eager();
         assert_eq!(
             sharded,
-            run_point(&mut slot, &sharded_config(), Some(&store)),
+            run_point(&mut slot, &sharded_config(), Some(&store), Some(&pool)),
             "sharded trace reuse diverged"
         );
         assert_eq!(
@@ -582,13 +569,11 @@ mod tests {
             "one trace per shard seed"
         );
         assert!(slot.is_none(), "sharded path must not touch the slot");
-        set_default_shards(0);
-        assert_eq!(default_shards(), 0);
         let base = sharded_config();
         for seed in [1u64, 7, 99] {
             let mut cfg = base.clone();
             cfg.seed = seed;
-            let got = run_point(&mut slot, &cfg, None);
+            let got = run_point(&mut slot, &cfg, None, None);
             let fresh = Simulator::new(cfg).run();
             assert_eq!(got, fresh, "seed {seed}");
         }

@@ -213,13 +213,13 @@ proptest! {
         cfg.threads = 8;
         cfg.fault = fault;
         cfg.recovery = recovery;
-        let reference = run_sharded(&ExecPool::new(1), &cfg).expect("valid config");
+        let reference = run_sharded(&ExecPool::new(1), &cfg, None).expect("valid config");
         prop_assert!(
             (0.0..=1.0 + 1e-9).contains(&reference.core_utilization),
             "core util {}",
             reference.core_utilization
         );
-        let wide = run_sharded(&ExecPool::new(width), &cfg).expect("valid config");
+        let wide = run_sharded(&ExecPool::new(width), &cfg, None).expect("valid config");
         prop_assert_eq!(reference, wide);
     }
 
@@ -246,8 +246,8 @@ proptest! {
             ],
             slo_min_p99_ratio: 0.5,
         };
-        let one = run_fault_sweep_with(&ExecPool::new(1), &scenario).expect("sweep runs");
-        let eight = run_fault_sweep_with(&ExecPool::new(8), &scenario).expect("sweep runs");
+        let one = run_fault_sweep_with(&ExecPool::new(1), None, &scenario).expect("sweep runs");
+        let eight = run_fault_sweep_with(&ExecPool::new(8), None, &scenario).expect("sweep runs");
         prop_assert_eq!(
             serde_json::to_string(&one).expect("report serializes"),
             serde_json::to_string(&eight).expect("report serializes")

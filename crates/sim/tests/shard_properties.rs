@@ -136,7 +136,7 @@ proptest! {
         cfg.threads = 7; // coprime: forces a single-shard plan
         prop_assert_eq!(ShardPlan::for_config(&cfg).shards, 1);
         let classic = Simulator::new(cfg.clone()).run();
-        let sharded = run_sharded(&ExecPool::new(4), &cfg).expect("valid config");
+        let sharded = run_sharded(&ExecPool::new(4), &cfg, None).expect("valid config");
         prop_assert_eq!(
             serde_json::to_string(&classic).expect("metrics serialize"),
             serde_json::to_string(&sharded).expect("metrics serialize")

@@ -15,8 +15,8 @@ use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingD
 use accelerometer_sim::fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
-    run_sharded, run_sharded_traced, DeviceKind, EngineStats, FrozenTrace, OffloadConfig,
-    SimConfig, Simulator, TraceStore,
+    run_sharded, DeviceKind, EngineStats, FrozenTrace, OffloadConfig, SimConfig, Simulator,
+    TraceStore,
 };
 use proptest::prelude::*;
 
@@ -212,10 +212,10 @@ proptest! {
             faults,
         );
         cfg.threads = 8;
-        let untraced = run_sharded(&ExecPool::new(1), &cfg).expect("valid config");
+        let untraced = run_sharded(&ExecPool::new(1), &cfg, None).expect("valid config");
         let store = TraceStore::eager();
         for width in [1usize, 4] {
-            let traced = run_sharded_traced(&ExecPool::new(width), &cfg, Some(&store))
+            let traced = run_sharded(&ExecPool::new(width), &cfg, Some(&store))
                 .expect("valid config");
             prop_assert_eq!(&traced, &untraced, "diverged at width {}", width);
         }

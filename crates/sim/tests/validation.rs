@@ -3,7 +3,15 @@
 //! reproduce the paper's numbers — including its headline claim that the
 //! model estimates the real speedup with ≤3.7% error.
 
-use accelerometer_sim::validate_all;
+use accelerometer_fleet::ServiceRegistry;
+use accelerometer_sim::parallel::{available_jobs, ExecPool};
+use accelerometer_sim::{validate_all_with, CaseStudyValidation};
+
+fn validate_all(seed: u64) -> Vec<CaseStudyValidation> {
+    let studies = ServiceRegistry::builtin().case_studies();
+    validate_all_with(&ExecPool::new(available_jobs()), &studies, seed)
+        .expect("the builtin case studies are Table 6 rows")
+}
 
 #[test]
 fn table6_reproduction() {

@@ -30,8 +30,8 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "== --jobs smoke: tables table6 at widths 1 and 2 must match byte-for-byte =="
 out_dir="$(mktemp -d)"
 trap 'rm -rf "$out_dir"' EXIT
-./target/release/tables --jobs 1 table6 > "$out_dir/j1.txt"
-./target/release/tables --jobs 2 table6 > "$out_dir/j2.txt"
+./target/release/accelctl --jobs 1 tables table6 > "$out_dir/j1.txt"
+./target/release/accelctl --jobs 2 tables table6 > "$out_dir/j2.txt"
 cmp "$out_dir/j1.txt" "$out_dir/j2.txt"
 
 echo "== faults smoke: accelctl faults at widths 1 and 2 must match the committed fixture =="
@@ -68,7 +68,7 @@ grep '"fallbacks"' "$out_dir/faults_heavy_s1.json" | awk -F': ' \
 grep '"core_utilization"' "$out_dir/faults_heavy_s1.json" | awk -F': ' \
     '{ gsub(/,/, "", $2); if ($2 + 0.0 > 1.0) { print "core_utilization " $2 " exceeds 1.0"; exit 1 } }'
 
-echo "== bad-input smoke: malformed fault scenarios must exit 1 with a structured error =="
+echo "== bad-input smoke: malformed scenarios, flags and service packs must exit 1 with a structured error =="
 # Each crates/cli/tests/fixtures/bad_scenario_*.json breaks one workload
 # or size field of the heavy-fallback scenario: a negative or infinite
 # cost, a negative CDF breakpoint, or an absurd kernel or thread count.
@@ -84,6 +84,37 @@ for scenario in crates/cli/tests/fixtures/bad_scenario_*.json; do
         exit 1
     fi
 done
+# Flags and service data the CLI cannot run: integer flags that used to
+# saturate through a float cast (a 160 GB allocation, a capacity
+# overflow), non-finite sweep bounds and break-even parameters, and a
+# services pack whose case study the simulator does not know (it passes
+# `services validate` but used to panic `validate` and `tables table6`).
+mkdir "$out_dir/renamed"
+sed 's/"aes-ni"/"aes-ni-v2"/' configs/services/cache1.json > "$out_dir/renamed/cache1.json"
+while IFS= read -r argv; do
+    rc=0
+    # Each line is one argv, split on spaces.
+    # shellcheck disable=SC2086
+    ./target/release/accelctl $argv > /dev/null 2> "$out_dir/bad_input.err" || rc=$?
+    if [ "$rc" -ne 1 ] || grep -q 'panicked' "$out_dir/bad_input.err"; then
+        echo "bad-input smoke: accelctl $argv exited $rc (expected 1)"
+        cat "$out_dir/bad_input.err"
+        exit 1
+    fi
+done <<ARGS
+characterize web --samples 4000000000
+characterize web --samples 18446744073709551615
+characterize web --seed -1
+validate --seed nan
+sweep configs/table6.json --axis offloads --from 0 --to 1e308 --points 18446744073709551615
+sweep configs/table6.json --axis offloads --from 1 --to nan
+breakeven --cb nan --a 2
+breakeven --cb -1 --a 2
+breakeven --cb inf --a inf
+breakeven --cb 5 --a 27 --l -1
+--services $out_dir/renamed validate
+--services $out_dir/renamed tables table6
+ARGS
 
 echo "== trace-reuse smoke: accelctl faults with reuse on and off must match byte-for-byte =="
 # Cross-point frozen-trace reuse replays pre-drawn requests instead of
@@ -122,14 +153,14 @@ cmp "$out_dir/faults_sharded_expected.json" "$out_dir/faults_svc_sharded.json"
 ./target/release/accelctl tables all > "$out_dir/tables_builtin.txt"
 ./target/release/accelctl --services configs/services tables all > "$out_dir/tables_svc.txt"
 cmp "$out_dir/tables_builtin.txt" "$out_dir/tables_svc.txt"
-./target/release/tables --services configs/services table6 > "$out_dir/t6_svc.txt"
+./target/release/accelctl --services configs/services tables table6 > "$out_dir/t6_svc.txt"
 cmp "$out_dir/j1.txt" "$out_dir/t6_svc.txt"
 # Every figure, one by one: figures used to read some datasets straight
 # from Rust constructors and silently ignore --services.
 for id in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
     fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22; do
-    ./target/release/figures "$id" > "$out_dir/fig_builtin.txt"
-    ./target/release/figures --services configs/services "$id" > "$out_dir/fig_svc.txt"
+    ./target/release/accelctl figures "$id" > "$out_dir/fig_builtin.txt"
+    ./target/release/accelctl --services configs/services figures "$id" > "$out_dir/fig_svc.txt"
     cmp "$out_dir/fig_builtin.txt" "$out_dir/fig_svc.txt"
 done
 
