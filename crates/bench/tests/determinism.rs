@@ -49,8 +49,8 @@ fn sweep_base() -> SimConfig {
 #[test]
 fn load_sweep_is_byte_identical_across_pool_widths() {
     let counts = [1usize, 2, 4, 8, 16];
-    let one = concurrency_sweep_with(&ExecPool::new(1), None, &sweep_base(), &counts);
-    let eight = concurrency_sweep_with(&ExecPool::new(8), None, &sweep_base(), &counts);
+    let one = concurrency_sweep_with(&ExecPool::new(1), &sweep_base(), &counts);
+    let eight = concurrency_sweep_with(&ExecPool::new(8), &sweep_base(), &counts);
     let one_json = serde_json::to_string(&one).expect("sweep serializes");
     let eight_json = serde_json::to_string(&eight).expect("sweep serializes");
     assert_eq!(one_json, eight_json);

@@ -84,7 +84,7 @@ fn sweep_base() -> SimConfig {
 
 #[test]
 fn load_sweep_matches_golden_fixture() {
-    let sweep = concurrency_sweep_with(&ExecPool::new(1), None, &sweep_base(), &[1, 2, 4, 8, 16]);
+    let sweep = concurrency_sweep_with(&ExecPool::new(1), &sweep_base(), &[1, 2, 4, 8, 16]);
     let json = serde_json::to_string(&sweep).expect("sweep serializes");
     assert_golden("golden_load_sweep.json", &json);
 }

@@ -47,3 +47,24 @@ impl RunContext {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::set_default_shards;
+
+    #[test]
+    fn shard_default_round_trips_into_the_context() {
+        // No other test in this crate reads the process default, so the
+        // round trip needs no lock.
+        assert_eq!(default_shards(), 0);
+        assert!(RunContext::from_process_defaults().shards.is_none());
+        set_default_shards(3);
+        assert_eq!(default_shards(), 3);
+        let ctx = RunContext::from_process_defaults();
+        assert_eq!(ctx.shards.as_ref().map(ExecPool::jobs), Some(3));
+        set_default_shards(0);
+        assert_eq!(default_shards(), 0);
+        assert!(RunContext::from_process_defaults().shards.is_none());
+    }
+}

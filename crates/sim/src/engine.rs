@@ -558,8 +558,9 @@ impl Simulator {
     ) -> Result<Self> {
         cfg.validate()?;
         let trace = check_trace(&cfg, trace)?;
-        // Allocate every buffer at its run capacity up front; `init`
-        // then fills them in place exactly as a reset does.
+        // Allocate every buffer at its run capacity up front and build
+        // the sampler and RNG once; `init` then fills the buffers in
+        // place exactly as a reset does.
         let mut sim = Self {
             sampler: cfg.workload.sampler(),
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -639,6 +640,8 @@ impl Simulator {
     ) -> Result<()> {
         cfg.validate()?;
         let trace = check_trace(&cfg, trace)?;
+        self.sampler = cfg.workload.sampler();
+        self.rng = StdRng::seed_from_u64(cfg.seed);
         self.cfg = cfg;
         self.init(trace);
         Ok(())
@@ -647,7 +650,8 @@ impl Simulator {
     /// Puts the engine in its start-of-run state for `self.cfg`, keeping
     /// every allocation: the one initializer behind both
     /// [`try_new_with_trace`](Self::try_new_with_trace) and
-    /// [`reset_with_trace`](Self::reset_with_trace).
+    /// [`reset_with_trace`](Self::reset_with_trace). The sampler and RNG
+    /// are not touched here; each caller builds them for `self.cfg`.
     fn init(&mut self, trace: Option<(Arc<FrozenTrace>, usize)>) {
         let cfg = &self.cfg;
         self.trace = trace;
@@ -666,8 +670,6 @@ impl Simulator {
                 derive_seed(cfg.seed, cfg.fault.seed),
             )
         });
-        self.sampler = cfg.workload.sampler();
-        self.rng = StdRng::seed_from_u64(cfg.seed);
         self.threads.truncate(cfg.threads);
         for t in &mut self.threads {
             t.state = ThreadState::Ready;

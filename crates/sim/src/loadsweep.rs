@@ -36,12 +36,10 @@ pub struct ConcurrencySweep {
 /// Invariant: the engine requires `threads >= cores`, so smaller
 /// requested counts cannot be simulated. They are *not* silently
 /// dropped — they come back in [`ConcurrencySweep::skipped`] so callers
-/// can warn or fail. Points run on `pool` and preserve input order; each
-/// point runs sharded on `shards` when a shard pool is given.
+/// can warn or fail. Points run on `pool` and preserve input order.
 #[must_use]
 pub fn concurrency_sweep_with(
     pool: &ExecPool,
-    shards: Option<&ExecPool>,
     base: &SimConfig,
     thread_counts: &[usize],
 ) -> ConcurrencySweep {
@@ -70,7 +68,7 @@ pub fn concurrency_sweep_with(
             cfg.threads = threads;
             LoadPoint {
                 x: threads,
-                metrics: run_point(slot, &cfg, traces.as_ref(), shards),
+                metrics: run_point(slot, &cfg, traces.as_ref(), None),
             }
         },
     );
@@ -78,13 +76,11 @@ pub fn concurrency_sweep_with(
 }
 
 /// Sweeps the shared accelerator's server count (device capacity) over a
-/// base configuration that carries an offload, on `pool` (and sharded on
-/// `shards` when a shard pool is given). Configurations without an
-/// offload return an empty sweep.
+/// base configuration that carries an offload, on `pool`.
+/// Configurations without an offload return an empty sweep.
 #[must_use]
 pub fn device_capacity_sweep_with(
     pool: &ExecPool,
-    shards: Option<&ExecPool>,
     base: &SimConfig,
     server_counts: &[usize],
 ) -> Vec<LoadPoint> {
@@ -108,7 +104,7 @@ pub fn device_capacity_sweep_with(
             }
             LoadPoint {
                 x: servers,
-                metrics: run_point(slot, &cfg, traces.as_ref(), shards),
+                metrics: run_point(slot, &cfg, traces.as_ref(), None),
             }
         },
     )
@@ -168,7 +164,7 @@ mod tests {
     #[test]
     fn concurrency_sweep_finds_the_pool_depth_knee() {
         let points =
-            concurrency_sweep_with(&ExecPool::new(2), None, &base(), &[1, 2, 4, 8, 16, 32]).points;
+            concurrency_sweep_with(&ExecPool::new(2), &base(), &[1, 2, 4, 8, 16, 32]).points;
         // The sub-core count is skipped.
         assert_eq!(points.len(), 5);
         assert_eq!(points[0].x, 2);
@@ -192,7 +188,7 @@ mod tests {
             o.interface_latency = 100.0;
         }
         cfg.threads = cfg.cores;
-        let points = device_capacity_sweep_with(&ExecPool::new(2), None, &cfg, &[1, 2, 4]);
+        let points = device_capacity_sweep_with(&ExecPool::new(2), &cfg, &[1, 2, 4]);
         assert_eq!(points.len(), 3);
         // More servers → less queueing and at least as much throughput.
         assert!(points[0].metrics.mean_queue_delay > points[2].metrics.mean_queue_delay);
@@ -206,7 +202,7 @@ mod tests {
     fn capacity_sweep_requires_an_offload() {
         let mut cfg = base();
         cfg.offload = None;
-        assert!(device_capacity_sweep_with(&ExecPool::new(1), None, &cfg, &[1, 2]).is_empty());
+        assert!(device_capacity_sweep_with(&ExecPool::new(1), &cfg, &[1, 2]).is_empty());
     }
 
     #[test]
@@ -218,7 +214,7 @@ mod tests {
     fn sub_core_thread_counts_are_reported_not_dropped() {
         let mut cfg = base();
         cfg.horizon = 2e6;
-        let sweep = concurrency_sweep_with(&ExecPool::new(1), None, &cfg, &[1, 2, 4, 1, 8]);
+        let sweep = concurrency_sweep_with(&ExecPool::new(1), &cfg, &[1, 2, 4, 1, 8]);
         assert_eq!(sweep.skipped, vec![1, 1]);
         let xs: Vec<usize> = sweep.points.iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![2, 4, 8]);
@@ -229,12 +225,12 @@ mod tests {
         let mut cfg = base();
         cfg.horizon = 2e6;
         let counts = [2, 4, 8];
-        let seq = concurrency_sweep_with(&ExecPool::new(1), None, &cfg, &counts);
-        let par = concurrency_sweep_with(&ExecPool::new(8), None, &cfg, &counts);
+        let seq = concurrency_sweep_with(&ExecPool::new(1), &cfg, &counts);
+        let par = concurrency_sweep_with(&ExecPool::new(8), &cfg, &counts);
         assert_eq!(seq, par);
         let servers = [1, 2, 4];
-        let seq = device_capacity_sweep_with(&ExecPool::new(1), None, &cfg, &servers);
-        let par = device_capacity_sweep_with(&ExecPool::new(8), None, &cfg, &servers);
+        let seq = device_capacity_sweep_with(&ExecPool::new(1), &cfg, &servers);
+        let par = device_capacity_sweep_with(&ExecPool::new(8), &cfg, &servers);
         assert_eq!(seq, par);
     }
 }

@@ -33,15 +33,9 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
 
 /// Runs every configuration on the pool, returning metrics in input
 /// order. Each worker keeps one engine alive across the jobs it pulls
-/// (reset, not rebuilt, per configuration), and the whole batch routes
-/// through the sharded runner on `shards` instead when a shard pool is
-/// given.
+/// (reset, not rebuilt, per configuration).
 #[must_use]
-pub fn run_batch(
-    pool: &ExecPool,
-    shards: Option<&ExecPool>,
-    configs: &[SimConfig],
-) -> Vec<SimMetrics> {
+pub fn run_batch(pool: &ExecPool, configs: &[SimConfig]) -> Vec<SimMetrics> {
     // Batch configs usually carry distinct seeds (replicas), where a
     // draw-once-use-once frozen trace is pure overhead — so the store
     // serves only (seed, workload) pairs that appear more than once,
@@ -61,20 +55,15 @@ pub fn run_batch(
         })
         .filter(|store| store.cached() > 0);
     pool.map_init(configs, || None, |slot, _, cfg| {
-        run_point(slot, cfg, traces.as_ref(), shards)
+        run_point(slot, cfg, traces.as_ref(), None)
     })
 }
 
 /// Runs `replicas` copies of `base` whose seeds are derived from
 /// `base.seed` via [`derive_seed`], for confidence intervals over the
-/// simulator's stochastic outputs. `shards` is as for [`run_batch`].
+/// simulator's stochastic outputs.
 #[must_use]
-pub fn run_replicas(
-    pool: &ExecPool,
-    shards: Option<&ExecPool>,
-    base: &SimConfig,
-    replicas: usize,
-) -> Vec<SimMetrics> {
+pub fn run_replicas(pool: &ExecPool, base: &SimConfig, replicas: usize) -> Vec<SimMetrics> {
     let configs: Vec<SimConfig> = (0..replicas)
         .map(|i| {
             let mut cfg = base.clone();
@@ -82,7 +71,7 @@ pub fn run_replicas(
             cfg
         })
         .collect();
-    run_batch(pool, shards, &configs)
+    run_batch(pool, &configs)
 }
 
 #[cfg(test)]
@@ -121,8 +110,8 @@ mod tests {
                 cfg
             })
             .collect();
-        let sequential = run_batch(&ExecPool::new(1), None, &configs);
-        let parallel = run_batch(&ExecPool::new(8), None, &configs);
+        let sequential = run_batch(&ExecPool::new(1), &configs);
+        let parallel = run_batch(&ExecPool::new(8), &configs);
         assert_eq!(sequential, parallel);
         // And each run equals a direct invocation.
         for (cfg, m) in configs.iter().zip(&sequential) {
@@ -143,8 +132,8 @@ mod tests {
     #[test]
     fn replicas_differ_but_are_reproducible() {
         let pool = ExecPool::new(4);
-        let a = run_replicas(&pool, None, &base(), 4);
-        let b = run_replicas(&pool, None, &base(), 4);
+        let a = run_replicas(&pool, &base(), 4);
+        let b = run_replicas(&pool, &base(), 4);
         assert_eq!(a, b);
         // Distinct seeds → distinct completion counts with high
         // probability at this horizon.
