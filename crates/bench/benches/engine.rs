@@ -124,7 +124,7 @@ fn bench_load_sweep(c: &mut Criterion) {
     group.throughput(Throughput::Elements(counts.len() as u64));
     let pool = ExecPool::new(1);
     group.bench_function("concurrency_2_to_16", |b| {
-        b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts))
+        b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts).expect("valid sweep"))
     });
     group.finish();
 }
@@ -145,11 +145,11 @@ fn bench_sweep_reuse(c: &mut Criterion) {
     let pool = ExecPool::new(1);
     set_trace_reuse(false);
     group.bench_function("reuse_off", |b| {
-        b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts))
+        b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts).expect("valid sweep"))
     });
     set_trace_reuse(true);
     group.bench_function("reuse_on", |b| {
-        b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts))
+        b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts).expect("valid sweep"))
     });
     group.finish();
 

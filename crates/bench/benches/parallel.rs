@@ -105,7 +105,9 @@ fn bench_pool(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("run_batch_8x4M_cycles", jobs),
             &configs,
-            |b, configs| b.iter(|| run_batch(&pool, black_box(configs))),
+            |b, configs| {
+                b.iter(|| run_batch(&pool, None, black_box(configs)).expect("valid batch"))
+            },
         );
     }
     group.finish();

@@ -23,7 +23,9 @@ use accelerometer::{
 };
 use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::workload::{workload_for_params, WorkloadSpec};
-use accelerometer_sim::{run_ab, DeviceKind, ExecPool, OffloadConfig, RunContext, SimConfig};
+use accelerometer_sim::{
+    run_ab, run_ab_batch, DeviceKind, ExecPool, OffloadConfig, RunContext, SimConfig, SimError,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::render::table;
@@ -46,24 +48,35 @@ pub struct AlphaWeightingAblation {
 }
 
 /// Runs the α-weighting ablation on `reg`'s Feed1 off-chip Sync
-/// compression, or `None` when the service data has no such
+/// compression, or `Ok(None)` when the service data has no such
 /// configuration with a finite break-even.
-#[must_use]
-pub fn alpha_weighting(reg: &ServiceRegistry, seed: u64) -> Option<AlphaWeightingAblation> {
-    let rec = reg.recommendation("Feed1: Compression")?;
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] when the service data yields a
+/// workload the simulator cannot run.
+pub fn alpha_weighting(
+    reg: &ServiceRegistry,
+    seed: u64,
+) -> Result<Option<AlphaWeightingAblation>, SimError> {
+    let Some(rec) = reg.recommendation("Feed1: Compression") else {
+        return Ok(None);
+    };
     let profile = &rec.profile;
-    let accel = &rec
-        .configs
-        .iter()
-        .find(|c| c.label == "Off-chip:Sync")? // A = 27, L = 2300
-        .accelerator;
+    // A = 27, L = 2300.
+    let Some(config) = rec.configs.iter().find(|c| c.label == "Off-chip:Sync") else {
+        return Ok(None);
+    };
+    let accel = &config.accelerator;
     let ctx = OffloadContext::new(
         accel.overheads,
         accel.peak_speedup,
         ThreadingDesign::Sync,
         accel.strategy,
     );
-    let breakeven = throughput_breakeven(&profile.cost, &ctx).threshold()?;
+    let Some(breakeven) = throughput_breakeven(&profile.cost, &ctx).threshold() else {
+        return Ok(None);
+    };
 
     let count_fraction = profile.granularity.fraction_above(breakeven);
     let byte_fraction = profile.granularity.byte_weighted_fraction_above(breakeven);
@@ -114,16 +127,16 @@ pub fn alpha_weighting(reg: &ServiceRegistry, seed: u64) -> Option<AlphaWeightin
         dispatch_pollution: 0.0,
         min_offload_bytes: Some(breakeven.get()),
     };
-    let simulated_percent = run_ab(&control, offload).speedup_percent();
+    let simulated_percent = run_ab(&control, offload)?.speedup_percent();
 
-    Some(AlphaWeightingAblation {
+    Ok(Some(AlphaWeightingAblation {
         breakeven_bytes: breakeven.get(),
         count_fraction,
         byte_fraction,
         count_weighted_percent,
         byte_weighted_percent,
         simulated_percent,
-    })
+    }))
 }
 
 /// Ablation 2 result: one row per device speed.
@@ -146,9 +159,9 @@ pub struct QueueingAblationRow {
 }
 
 /// Runs the queueing ablation on `pool`: a single-server off-chip device
-/// shared by four cores, swept across device speeds. Each device speed
-/// is an independent seeded A/B experiment, so rows are identical at any
-/// pool width and stay in sweep order.
+/// shared by four cores, swept across device speeds. The device speeds'
+/// A/B experiments run as one batch sharing one request stream, so rows
+/// are identical at any pool width and stay in sweep order.
 #[must_use]
 pub fn queueing_sensitivity_with(pool: &ExecPool, seed: u64) -> Vec<QueueingAblationRow> {
     let workload = WorkloadSpec {
@@ -159,74 +172,80 @@ pub fn queueing_sensitivity_with(pool: &ExecPool, seed: u64) -> Vec<QueueingAbla
         cycles_per_byte: cycles_per_byte(2.0),
     };
     let cores = 4usize;
-    pool.map(&[16.0, 8.0, 4.0, 2.5], |_, &peak_speedup| {
-        let control = SimConfig {
-            cores,
-            threads: cores,
-            context_switch_cycles: 0.0,
-            horizon: 4e8,
-            seed,
-            workload: workload.clone(),
-            offload: None,
-            fault: Default::default(),
-            recovery: Default::default(),
-        };
-        let offload = OffloadConfig {
-            design: ThreadingDesign::Sync,
-            strategy: accelerometer::AccelerationStrategy::OffChip,
-            driver: DriverMode::AwaitsAck,
-            device: DeviceKind::Shared { servers: 1 },
-            peak_speedup,
-            interface_latency: 300.0,
-            setup_cycles: 50.0,
-            dispatch_pollution: 0.0,
-            min_offload_bytes: None,
-        };
-        let ab = run_ab(&control, offload);
+    let control = SimConfig {
+        cores,
+        threads: cores,
+        context_switch_cycles: 0.0,
+        horizon: 4e8,
+        seed,
+        workload: workload.clone(),
+        offload: None,
+        fault: Default::default(),
+        recovery: Default::default(),
+    };
+    let speedups = [16.0, 8.0, 4.0, 2.5];
+    let pairs: Vec<(SimConfig, OffloadConfig)> = speedups
+        .iter()
+        .map(|&peak_speedup| {
+            let offload = OffloadConfig {
+                design: ThreadingDesign::Sync,
+                strategy: accelerometer::AccelerationStrategy::OffChip,
+                driver: DriverMode::AwaitsAck,
+                device: DeviceKind::Shared { servers: 1 },
+                peak_speedup,
+                interface_latency: 300.0,
+                setup_cycles: 50.0,
+                dispatch_pollution: 0.0,
+                min_offload_bytes: None,
+            };
+            (control.clone(), offload)
+        })
+        .collect();
+    let results = run_ab_batch(pool, &pairs).expect("the static ablation configs are valid");
 
-        let alpha = workload.expected_alpha();
-        let kernel_cycles = workload.kernels_per_request as f64
-            * workload.cycles_per_byte.get()
-            * workload.granularity.mean_bytes().get();
-        let service = kernel_cycles / peak_speedup;
-        let model = |q: f64| {
-            // Per-core accounting: n offloads per C cycles on one core,
-            // times `cores` against a shared device handled via Q.
-            let c = 1e9 * cores as f64;
-            let n = c / workload.mean_request_cycles();
-            let params = ModelParams::builder()
-                .host_cycles(c)
-                .kernel_fraction(alpha)
-                .offloads(n)
-                .setup_cycles(50.0)
-                .interface_cycles(300.0)
-                .queueing_cycles(q)
-                .peak_speedup(peak_speedup)
-                .build()
-                .expect("valid parameters");
-            estimate(
-                &params,
-                ThreadingDesign::Sync,
-                accelerometer::AccelerationStrategy::OffChip,
-                DriverMode::AwaitsAck,
-            )
-            .throughput_gain_percent()
-        };
-        // An open-loop M/M/1 estimate wildly over-predicts here — four
-        // closed-loop customers self-throttle — so use the workflow the
-        // paper's eqn (1) supports: measure Q on the device and feed the
-        // mean back into the model.
-        let measured_q = ab.treatment.mean_queue_delay;
-        let _ = service;
-        QueueingAblationRow {
-            peak_speedup,
-            device_utilization: ab.treatment.device_utilization,
-            simulated_queue_delay: measured_q,
-            model_q0_percent: model(0.0),
-            model_measured_q_percent: model(measured_q),
-            simulated_percent: ab.speedup_percent(),
-        }
-    })
+    let alpha = workload.expected_alpha();
+    speedups
+        .iter()
+        .zip(results)
+        .map(|(&peak_speedup, ab)| {
+            let model = |q: f64| {
+                // Per-core accounting: n offloads per C cycles on one core,
+                // times `cores` against a shared device handled via Q.
+                let c = 1e9 * cores as f64;
+                let n = c / workload.mean_request_cycles();
+                let params = ModelParams::builder()
+                    .host_cycles(c)
+                    .kernel_fraction(alpha)
+                    .offloads(n)
+                    .setup_cycles(50.0)
+                    .interface_cycles(300.0)
+                    .queueing_cycles(q)
+                    .peak_speedup(peak_speedup)
+                    .build()
+                    .expect("valid parameters");
+                estimate(
+                    &params,
+                    ThreadingDesign::Sync,
+                    accelerometer::AccelerationStrategy::OffChip,
+                    DriverMode::AwaitsAck,
+                )
+                .throughput_gain_percent()
+            };
+            // An open-loop M/M/1 estimate wildly over-predicts here — four
+            // closed-loop customers self-throttle — so use the workflow the
+            // paper's eqn (1) supports: measure Q on the device and feed the
+            // mean back into the model.
+            let measured_q = ab.treatment.mean_queue_delay;
+            QueueingAblationRow {
+                peak_speedup,
+                device_utilization: ab.treatment.device_utilization,
+                simulated_queue_delay: measured_q,
+                model_q0_percent: model(0.0),
+                model_measured_q_percent: model(measured_q),
+                simulated_percent: ab.speedup_percent(),
+            }
+        })
+        .collect()
 }
 
 /// Ablation 3 result: one row per pool depth.
@@ -242,10 +261,44 @@ pub struct PoolDepthRow {
 
 /// Runs the Sync-OS pool-depth ablation on `pool` against a
 /// high-latency (remote) accelerator; the model's prediction is
-/// depth-independent and returned alongside. Rows stay in depth order
-/// and are identical at any pool width.
+/// depth-independent and returned alongside. The depths' A/B
+/// experiments run as one batch sharing one request stream; rows stay in
+/// depth order and are identical at any pool width.
 #[must_use]
 pub fn pool_depth_with(pool: &ExecPool, seed: u64) -> (f64, Vec<PoolDepthRow>) {
+    let pairs = pool_depth_pairs(seed);
+    let (control, offload) = &pairs[0];
+    let c = 1e9 * control.cores as f64;
+    let n = c / control.workload.mean_request_cycles();
+    let params = ModelParams::builder()
+        .host_cycles(c)
+        .kernel_fraction(control.workload.expected_alpha())
+        .offloads(n)
+        .interface_cycles(offload.interface_latency)
+        .thread_switch_cycles(control.context_switch_cycles)
+        .peak_speedup(offload.peak_speedup)
+        .build()
+        .expect("valid parameters");
+    let model_percent = estimate(&params, offload.design, offload.strategy, offload.driver)
+        .throughput_gain_percent();
+
+    let results = run_ab_batch(pool, &pairs).expect("the static ablation configs are valid");
+    let rows = pairs
+        .iter()
+        .zip(results)
+        .map(|((control, _), ab)| PoolDepthRow {
+            threads_per_core: control.threads / control.cores,
+            simulated_percent: ab.speedup_percent(),
+            core_utilization: ab.treatment.core_utilization,
+        })
+        .collect();
+    (model_percent, rows)
+}
+
+/// The pool-depth ablation's A/B pairs, one per depth: four cores
+/// running 1–16 threads each against a Sync-OS remote offload with a
+/// 40k-cycle interface and 600-cycle thread switches.
+fn pool_depth_pairs(seed: u64) -> Vec<(SimConfig, OffloadConfig)> {
     let workload = WorkloadSpec {
         non_kernel_cycles: 6_000.0,
         kernels_per_request: 1,
@@ -254,59 +307,34 @@ pub fn pool_depth_with(pool: &ExecPool, seed: u64) -> (f64, Vec<PoolDepthRow>) {
         cycles_per_byte: cycles_per_byte(2.0),
     };
     let cores = 4usize;
-    let o1 = 600.0;
-    let interface_latency = 40_000.0;
-    let alpha = workload.expected_alpha();
-    let c = 1e9 * cores as f64;
-    let n = c / workload.mean_request_cycles();
-    let params = ModelParams::builder()
-        .host_cycles(c)
-        .kernel_fraction(alpha)
-        .offloads(n)
-        .interface_cycles(interface_latency)
-        .thread_switch_cycles(o1)
-        .peak_speedup(8.0)
-        .build()
-        .expect("valid parameters");
-    let model_percent = estimate(
-        &params,
-        ThreadingDesign::SyncOs,
-        accelerometer::AccelerationStrategy::Remote,
-        DriverMode::Posted,
-    )
-    .throughput_gain_percent();
-
-    let rows = pool.map(&[1usize, 2, 4, 8, 12, 16], |_, &threads_per_core| {
-        let control = SimConfig {
-            cores,
-            threads: cores * threads_per_core,
-            context_switch_cycles: o1,
-            horizon: 3e8,
-            seed,
-            workload: workload.clone(),
-            offload: None,
-            fault: Default::default(),
-            recovery: Default::default(),
-        };
-        let offload = OffloadConfig {
-            design: ThreadingDesign::SyncOs,
-            strategy: accelerometer::AccelerationStrategy::Remote,
-            driver: DriverMode::Posted,
-            device: DeviceKind::Unlimited,
-            peak_speedup: 8.0,
-            interface_latency,
-            setup_cycles: 0.0,
-            dispatch_pollution: 0.0,
-            min_offload_bytes: None,
-        };
-        let ab = run_ab(&control, offload);
-        PoolDepthRow {
-            threads_per_core,
-            simulated_percent: ab.speedup_percent(),
-            core_utilization: ab.treatment.core_utilization,
-        }
-    });
-    (model_percent, rows)
+    let offload = OffloadConfig {
+        design: ThreadingDesign::SyncOs,
+        strategy: accelerometer::AccelerationStrategy::Remote,
+        driver: DriverMode::Posted,
+        device: DeviceKind::Unlimited,
+        peak_speedup: 8.0,
+        interface_latency: 40_000.0,
+        setup_cycles: 0.0,
+        dispatch_pollution: 0.0,
+        min_offload_bytes: None,
+    };
+    [1usize, 2, 4, 8, 12, 16]
+        .iter()
+        .map(|&threads_per_core| {
+            let control = SimConfig {
+                cores,
+                threads: cores * threads_per_core,
+                context_switch_cycles: 600.0,
+                horizon: 3e8,
+                seed,
+                workload: workload.clone(),
+                offload: None,
+                fault: Default::default(),
+                recovery: Default::default(),
+            };
+            (control, offload)
+        })
+        .collect()
 }
 
 /// Prior-model comparison: what a blocking-offload model (LogCA-style,
@@ -355,11 +383,15 @@ pub fn prior_model_comparison(reg: &ServiceRegistry) -> Vec<PriorModelRow> {
 
 /// Renders all three ablations as text, reading `ctx`'s service data and
 /// running the simulator experiments on `ctx.pool`.
-#[must_use]
-pub fn render_all(ctx: &RunContext, seed: u64) -> String {
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] when the service data yields a
+/// workload the simulator cannot run.
+pub fn render_all(ctx: &RunContext, seed: u64) -> Result<String, SimError> {
     let mut out = String::new();
 
-    if let Some(a) = alpha_weighting(&ctx.registry, seed) {
+    if let Some(a) = alpha_weighting(&ctx.registry, seed)? {
         out.push_str(&table(
             "Ablation 1: count- vs byte-weighted alpha scaling (Feed1 off-chip Sync compression)",
             &["quantity", "value"],
@@ -464,16 +496,18 @@ pub fn render_all(ctx: &RunContext, seed: u64) -> String {
          production by accident: its under-prediction roughly cancels the\n\
          unmodeled production overheads.)\n",
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accelerometer_sim::{ab_arms, TraceStore};
 
     #[test]
     fn byte_weighting_matches_simulated_truth() {
         let a = alpha_weighting(&ServiceRegistry::builtin(), 77)
+            .expect("valid configs")
             .expect("Feed1 off-chip Sync compression");
         // Bytes concentrate in large offloads: byte fraction far exceeds
         // the count fraction.
@@ -535,6 +569,13 @@ mod tests {
     }
 
     #[test]
+    fn pool_depth_ablation_draws_one_trace() {
+        let arms = ab_arms(&pool_depth_pairs(79)).unwrap();
+        assert_eq!(arms.len(), 12);
+        assert_eq!(TraceStore::for_batch(&arms, false).traces().len(), 1);
+    }
+
+    #[test]
     fn blocking_model_mispredicts_async_offloads() {
         let rows = prior_model_comparison(&ServiceRegistry::builtin());
         assert_eq!(rows.len(), 3);
@@ -563,7 +604,7 @@ mod tests {
 
     #[test]
     fn render_includes_findings() {
-        let text = render_all(&RunContext::from_process_defaults(), 80);
+        let text = render_all(&RunContext::from_process_defaults(), 80).unwrap();
         assert!(text.contains("Ablation 1"));
         assert!(text.contains("Ablation 2"));
         assert!(text.contains("Ablation 3"));

@@ -720,7 +720,7 @@ fn cmd_figures(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 /// simulator experiments on the worker pool.
 fn cmd_ablations(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     let seed = parse_seed(args, 20_260_706)?;
-    Ok(accelerometer_bench::ablations::render_all(ctx, seed))
+    accelerometer_bench::ablations::render_all(ctx, seed).map_err(|e| e.to_string())
 }
 
 /// `accelctl services list|validate <dir|file>|export <dir>`: the
@@ -1024,6 +1024,15 @@ mod tests {
         let redrawn = run(&args(&["--trace-reuse", "off", "--shards", "2", "faults"])).unwrap();
         set_trace_reuse(true);
         assert_eq!(reused, redrawn, "trace reuse changed sharded sweep output");
+        // And across the fallback table's A/B batch, which shares one
+        // trace among its eight arms.
+        let fallback = |reuse| {
+            let argv = ["--trace-reuse", reuse, "validate", "--case", "fallback"];
+            run(&args(&argv))
+        };
+        let (reused, redrawn) = (fallback("on").unwrap(), fallback("off").unwrap());
+        set_trace_reuse(true);
+        assert_eq!(reused, redrawn, "trace reuse changed the fallback table");
         // Missing / unknown values are rejected before dispatch.
         assert!(run(&args(&["--trace-reuse"]))
             .unwrap_err()
@@ -1116,6 +1125,17 @@ mod tests {
             let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
             assert!(err.contains("must be"), "{argv:?}: {err}");
         }
+    }
+
+    #[test]
+    fn params_file_rejects_an_overflowing_peak_speedup() {
+        // `"a": 1e400` parses to infinity and used to estimate +19.60%.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/bad_params_overflow_a.json"
+        );
+        let err = run(&args(&["estimate", path])).unwrap_err();
+        assert!(err.contains("invalid parameter A = inf"), "{err}");
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! Rust constructors, so moving that data into the embedded
 //! `configs/services/*.json` files (or any later refactor of the data
 //! path) shows up here as a digest mismatch, byte for byte.
+//!
+//! The simulator-backed reports — `validate`, the fallback-capacity
+//! table and the ablations — are pinned the same way, with digests
+//! captured before their A/B runs moved onto the shared batch runner.
 
 use std::fs;
 use std::path::PathBuf;
@@ -94,6 +98,35 @@ fn every_output_matches_its_recorded_digest() {
         actual,
         expected,
         "an output drifted; actual digests:\n{}",
+        rendered.join("\n")
+    );
+}
+
+/// `(command, digest)` for the simulator-backed reports at their
+/// default seeds.
+const SIMULATED: &[(&str, u64)] = &[
+    ("validate", 0x3a4f6f064b8a8803),
+    ("validate --case fallback", 0x5a8a15ccf35bfb6e),
+    ("ablations", 0x763ace3a79758197),
+];
+
+#[test]
+fn simulated_reports_match_their_recorded_digests() {
+    let actual: Vec<(&str, u64)> = SIMULATED
+        .iter()
+        .map(|&(command, _)| {
+            let argv: Vec<&str> = command.split(' ').collect();
+            (command, fnv1a(&cli(&argv)))
+        })
+        .collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(command, d)| format!("    (\"{command}\", {d:#018x}),"))
+        .collect();
+    assert_eq!(
+        actual,
+        SIMULATED,
+        "a simulated report drifted; actual digests:\n{}",
         rendered.join("\n")
     );
 }

@@ -24,7 +24,7 @@ use std::io::Read;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::{ModelError, Result};
+use crate::error::{ensure, ModelError, Result};
 use crate::model::{DriverMode, Scenario};
 use crate::params::ModelParams;
 use crate::strategy::AccelerationStrategy;
@@ -70,8 +70,17 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidParameter`] if any parameter is
-    /// outside its domain.
+    /// outside its domain. `A` must also be finite here: JSON cannot
+    /// spell ∞, so an infinite `a` can only be an overflowing literal
+    /// such as `1e400`. The ideal accelerator (`A = ∞`) stays available
+    /// through [`ModelParams::builder`].
     pub fn to_scenario(&self) -> Result<Scenario> {
+        ensure(
+            self.a.is_finite(),
+            "A",
+            self.a,
+            "peak speedup in a params file must be finite (a literal like 1e400 overflows to infinity)",
+        )?;
         let params = ModelParams::builder()
             .host_cycles(self.c)
             .kernel_fraction(self.alpha)
@@ -207,6 +216,28 @@ mod tests {
         )
         .unwrap();
         assert!(cfg.to_scenarios().is_err());
+    }
+
+    #[test]
+    fn an_overflowing_peak_speedup_is_rejected() {
+        // `1e400` parses to infinity; the file cannot mean the ideal
+        // accelerator, which only the builder can express.
+        let cfg = ConfigFile::from_json(
+            r#"{"scenarios": [{"name": "aes", "c": 2e9, "alpha": 0.165844, "n": 298951,
+                "o0": 10, "l": 3, "a": 1e400, "design": "sync", "strategy": "on-chip"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(cfg.scenarios[0].a, f64::INFINITY);
+        let err = cfg.to_scenarios().unwrap_err();
+        assert!(
+            matches!(err, ModelError::InvalidParameter { name: "A", .. }),
+            "{err}"
+        );
+        // `n = 1e300` is finite and inside the model's domain.
+        let mut huge_n = cfg.scenarios[0].clone();
+        huge_n.a = 6.0;
+        huge_n.n = 1e300;
+        assert!(huge_n.to_scenario().is_ok());
     }
 
     #[test]

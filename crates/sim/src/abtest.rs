@@ -6,13 +6,12 @@
 //! identical except for whether the kernel is offloaded. The measured
 //! throughput ratio is the experiment's "real speedup".
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{OffloadConfig, SimConfig, Simulator};
+use crate::engine::{OffloadConfig, SimConfig};
+use crate::error::{Result, SimError};
 use crate::metrics::SimMetrics;
-use crate::trace::{trace_reuse_enabled, FrozenTrace};
+use crate::parallel::{run_batch, ExecPool};
 
 /// The outcome of an A/B comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,48 +48,68 @@ impl AbResult {
     }
 }
 
+/// The configurations an A/B batch runs, flattened arm by arm: each
+/// pair's `control`, then `control` plus its `offload`. Both arms share
+/// every other parameter, seed included, so they share one sampled
+/// request stream.
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::InvalidConfig`] when a control arm already
+/// carries an offload — the control must be the unaccelerated system.
+pub fn ab_arms(pairs: &[(SimConfig, OffloadConfig)]) -> Result<Vec<SimConfig>> {
+    let mut arms = Vec::with_capacity(2 * pairs.len());
+    for (control, offload) in pairs {
+        if let Some(accelerated) = control.offload {
+            return Err(SimError::InvalidConfig {
+                field: "offload",
+                value: accelerated.peak_speedup,
+                reason: "the control arm must be unaccelerated",
+            });
+        }
+        arms.push(control.clone());
+        arms.push(SimConfig {
+            offload: Some(*offload),
+            ..control.clone()
+        });
+    }
+    Ok(arms)
+}
+
+/// Runs a batch of A/B experiments on `pool`: one run per arm of every
+/// pair ([`ab_arms`]), all through one [`run_batch`], so arms and pairs
+/// that share a seed and workload share one frozen trace. Results come
+/// back in pair order and are identical at any pool width.
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::InvalidConfig`] when a control arm is
+/// accelerated or any arm's configuration is invalid.
+pub fn run_ab_batch(
+    pool: &ExecPool,
+    pairs: &[(SimConfig, OffloadConfig)],
+) -> Result<Vec<AbResult>> {
+    let metrics = run_batch(pool, None, &ab_arms(pairs)?)?;
+    Ok(metrics
+        .chunks_exact(2)
+        .map(|arms| AbResult {
+            baseline: arms[0],
+            treatment: arms[1],
+        })
+        .collect())
+}
+
 /// Runs the A/B experiment: `control` unaccelerated versus `control`
 /// plus `offload`. The two runs share every other parameter including
-/// the seed, and execute on separate OS threads.
+/// the seed, and run on a two-worker pool, one arm per worker.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `control` already carries an offload configuration — the
-/// control arm must be the unaccelerated system.
-#[must_use]
-pub fn run_ab(control: &SimConfig, offload: OffloadConfig) -> AbResult {
-    assert!(
-        control.offload.is_none(),
-        "the control arm must be unaccelerated"
-    );
-    let mut treatment_cfg = control.clone();
-    treatment_cfg.offload = Some(offload);
-    // Both arms share the seed and workload by construction, so one
-    // frozen trace (sized for the faster treatment arm) serves both —
-    // the experiment's stochastic input is sampled once, not twice.
-    let trace = trace_reuse_enabled()
-        .then(|| Arc::new(FrozenTrace::for_config(&treatment_cfg)));
-    let (baseline, treatment) = std::thread::scope(|scope| {
-        let base_trace = trace.clone();
-        let base = scope.spawn(move || {
-            Simulator::try_new_with_trace(control.clone(), base_trace)
-                .unwrap_or_else(|err| panic!("{err}"))
-                .run()
-        });
-        let treat = scope.spawn(move || {
-            Simulator::try_new_with_trace(treatment_cfg, trace)
-                .unwrap_or_else(|err| panic!("{err}"))
-                .run()
-        });
-        (
-            base.join().expect("baseline run does not panic"),
-            treat.join().expect("treatment run does not panic"),
-        )
-    });
-    AbResult {
-        baseline,
-        treatment,
-    }
+/// Returns [`crate::SimError::InvalidConfig`] when `control` already
+/// carries an offload configuration or either arm is invalid.
+pub fn run_ab(control: &SimConfig, offload: OffloadConfig) -> Result<AbResult> {
+    let results = run_ab_batch(&ExecPool::new(2), &[(control.clone(), offload)])?;
+    Ok(results[0])
 }
 
 #[cfg(test)]
@@ -121,7 +140,7 @@ mod tests {
 
     #[test]
     fn ab_measures_positive_speedup_for_cheap_acceleration() {
-        let result = run_ab(&control(), OffloadConfig::on_chip_sync(8.0));
+        let result = run_ab(&control(), OffloadConfig::on_chip_sync(8.0)).unwrap();
         assert!(result.speedup() > 1.1, "speedup {}", result.speedup());
         assert!(result.speedup_percent() > 10.0);
         assert!(result.latency_reduction() > 1.0);
@@ -134,15 +153,35 @@ mod tests {
         // service down; the A/B harness must report a speedup below 1.
         let mut offload = OffloadConfig::on_chip_sync(1.1);
         offload.setup_cycles = 5_000.0;
-        let result = run_ab(&control(), offload);
+        let result = run_ab(&control(), offload).unwrap();
         assert!(result.speedup() < 1.0, "speedup {}", result.speedup());
     }
 
     #[test]
-    #[should_panic(expected = "control arm must be unaccelerated")]
     fn rejects_accelerated_control() {
         let mut cfg = control();
         cfg.offload = Some(OffloadConfig::on_chip_sync(2.0));
-        let _ = run_ab(&cfg, OffloadConfig::on_chip_sync(2.0));
+        let err = run_ab(&cfg, OffloadConfig::on_chip_sync(2.0)).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("control arm must be unaccelerated"), "{msg}");
+        // One bad pair fails the whole batch before anything runs.
+        let pairs = [
+            (control(), OffloadConfig::on_chip_sync(2.0)),
+            (cfg, OffloadConfig::on_chip_sync(2.0)),
+        ];
+        assert!(run_ab_batch(&ExecPool::new(2), &pairs).is_err());
+    }
+
+    #[test]
+    fn a_batch_equals_its_pairs_run_one_by_one() {
+        let pairs: Vec<(SimConfig, OffloadConfig)> = [2.0, 8.0]
+            .into_iter()
+            .map(|a| (control(), OffloadConfig::on_chip_sync(a)))
+            .collect();
+        let batch = run_ab_batch(&ExecPool::new(3), &pairs).unwrap();
+        for ((control, offload), result) in pairs.iter().zip(&batch) {
+            assert_eq!(run_ab(control, *offload).unwrap(), *result);
+        }
+        assert_eq!(batch[0].baseline, batch[1].baseline, "controls are one run");
     }
 }

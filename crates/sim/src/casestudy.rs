@@ -143,7 +143,8 @@ fn offload_config(study: &CaseStudy, scale: f64, pollution: f64) -> OffloadConfi
 ///
 /// Returns [`SimError::UnknownCaseStudy`] (listing the valid names) for
 /// a study whose name is not a Table 6 row. This used to be a `panic!`
-/// reachable from the CLI.
+/// reachable from the CLI. Returns [`SimError::InvalidConfig`] when the
+/// study's parameters give a configuration the simulator cannot run.
 pub fn simulate(study: &CaseStudy, seed: u64) -> Result<(CaseStudyValidation, AbResult)> {
     let (scale, pollution, horizon) = match study.name.as_str() {
         "aes-ni" => (1.0, AES_NI_POLLUTION, 2.5e8),
@@ -158,7 +159,7 @@ pub fn simulate(study: &CaseStudy, seed: u64) -> Result<(CaseStudyValidation, Ab
     };
     let control = control_config(study, scale, horizon, seed);
     let offload = offload_config(study, scale, pollution);
-    let ab = run_ab(&control, offload);
+    let ab = run_ab(&control, offload)?;
     let validation = CaseStudyValidation {
         name: study.name.clone(),
         model_estimate_percent: study.scenario.estimate().throughput_gain_percent(),

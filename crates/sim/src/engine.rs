@@ -260,11 +260,6 @@ impl WorkQueue {
             self.buf.insert(0, item);
         }
     }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-    }
 }
 
 /// One worker thread. Both queues retain their allocations for the
@@ -412,15 +407,6 @@ impl RequestSlab {
     fn retire(&mut self, slot: usize) {
         self.free.push(slot);
     }
-
-    /// Empties the slab without releasing any allocation.
-    fn clear(&mut self) {
-        self.start.clear();
-        self.outstanding.clear();
-        self.flags.clear();
-        self.lower_bound.clear();
-        self.free.clear();
-    }
 }
 
 /// The simulator.
@@ -435,8 +421,8 @@ pub struct Simulator {
     /// RNG/`ln`/quantile calls with event handling. Bit-identical to
     /// per-request drawing at any block size.
     bank: SampleBank,
-    /// Level-2 sampling: an adopted frozen trace (shared across sweep
-    /// grid points) plus the index of the next request to take from it.
+    /// Level-2 sampling: an adopted frozen trace (shared by a batch's
+    /// runs) plus the index of the next request to take from it.
     /// When the prefix runs out, the engine switches `rng` to the
     /// trace's continuation state and falls back to the bank.
     trace: Option<(Arc<FrozenTrace>, usize)>,
@@ -522,10 +508,7 @@ impl Simulator {
     /// (zero cores, fewer threads than cores, zero horizon, …).
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
-        match Self::try_new(cfg) {
-            Ok(sim) => sim,
-            Err(err) => panic!("{err}"),
-        }
+        Self::try_new(cfg).expect("Simulator::new needs a valid config; try_new reports errors")
     }
 
     /// Builds a simulator, reporting degenerate configurations as a
@@ -544,8 +527,8 @@ impl Simulator {
     /// engine serves request draws from the trace's pre-drawn prefix
     /// and continues live drawing from the trace's resume RNG state
     /// afterwards — bit-identical to `try_new(cfg)` for a trace drawn
-    /// from `cfg`'s seed and workload (sweeps rely on this to sample
-    /// once per seed instead of once per grid point).
+    /// from `cfg`'s seed and workload (batches rely on this to sample
+    /// once per seed and workload instead of once per run).
     ///
     /// # Errors
     ///
@@ -558,26 +541,37 @@ impl Simulator {
     ) -> Result<Self> {
         cfg.validate()?;
         let trace = check_trace(&cfg, trace)?;
-        // Allocate every buffer at its run capacity up front and build
-        // the sampler and RNG once; `init` then fills the buffers in
-        // place exactly as a reset does.
-        let mut sim = Self {
+        // The fault subsystem only exists when it can change behaviour;
+        // its RNG is derived from (run seed, plan seed) and is disjoint
+        // from the workload stream, so a disabled plan is zero-impact.
+        let fault = (cfg.fault.is_active() || cfg.recovery.is_active()).then(|| {
+            FaultState::new(
+                cfg.fault.clone(),
+                cfg.recovery,
+                derive_seed(cfg.seed, cfg.fault.seed),
+            )
+        });
+        // Every buffer is allocated at its run capacity up front.
+        Ok(Self {
             sampler: cfg.workload.sampler(),
             rng: StdRng::seed_from_u64(cfg.seed),
             bank: SampleBank::new(),
-            trace: None,
+            trace,
             now: SimTime::ZERO,
             seq: 0,
             // Pending events are bounded by threads plus in-flight
             // offload completions; 2×threads covers both in practice.
             events: EventQueue::with_capacity(2 * cfg.threads + 8),
             next_event: None,
-            threads: Vec::with_capacity(cfg.threads),
-            ready: VecDeque::with_capacity(cfg.threads),
-            free_cores: Vec::with_capacity(cfg.cores),
-            core_last_thread: Vec::with_capacity(cfg.cores),
-            device: None,
-            fault: None,
+            threads: (0..cfg.threads).map(|_| Thread::default()).collect(),
+            ready: (0..cfg.threads).collect(),
+            free_cores: (0..cfg.cores).rev().collect(),
+            core_last_thread: vec![None; cfg.cores],
+            device: cfg
+                .offload
+                .as_ref()
+                .map(|o| Device::new(o.device, o.interface_latency, cfg.cores, cfg.horizon)),
+            fault,
             // The slab only ever holds live requests, so sizing it to
             // the thread count (each thread drives one request, plus a
             // little slack for requests finishing asynchronously) avoids
@@ -598,112 +592,7 @@ impl Simulator {
             peak_live_requests: 0,
             primed: false,
             cfg,
-        };
-        sim.init(trace);
-        Ok(sim)
-    }
-
-    /// Rebuilds the engine for `cfg` while keeping every heap
-    /// allocation acquired so far — the request slab, thread work
-    /// queues, event heap, and latency keys are cleared in place rather
-    /// than freed. Sweeps (`loadsweep`, `faultsweep`) and sharded runs
-    /// drive many config points through one engine this way instead of
-    /// rebuilding per point.
-    ///
-    /// The reset engine is observationally identical to
-    /// `Simulator::try_new(cfg)` — same RNG stream, same event order,
-    /// bit-identical metrics (pinned by a test below).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::SimError::InvalidConfig`] when
-    /// [`SimConfig::validate`] rejects the configuration; the engine is
-    /// left untouched in that case.
-    pub fn reset(&mut self, cfg: SimConfig) -> Result<()> {
-        self.reset_with_trace(cfg, None)
-    }
-
-    /// [`reset`](Self::reset) that additionally adopts a frozen trace,
-    /// exactly as [`try_new_with_trace`](Self::try_new_with_trace) does
-    /// at construction. This is how sweep runners reuse one engine *and*
-    /// one trace across grid points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::SimError::InvalidConfig`] when the
-    /// configuration is invalid or the trace was drawn for a different
-    /// seed or workload; the engine is left untouched in that case.
-    pub fn reset_with_trace(
-        &mut self,
-        cfg: SimConfig,
-        trace: Option<Arc<FrozenTrace>>,
-    ) -> Result<()> {
-        cfg.validate()?;
-        let trace = check_trace(&cfg, trace)?;
-        self.sampler = cfg.workload.sampler();
-        self.rng = StdRng::seed_from_u64(cfg.seed);
-        self.cfg = cfg;
-        self.init(trace);
-        Ok(())
-    }
-
-    /// Puts the engine in its start-of-run state for `self.cfg`, keeping
-    /// every allocation: the one initializer behind both
-    /// [`try_new_with_trace`](Self::try_new_with_trace) and
-    /// [`reset_with_trace`](Self::reset_with_trace). The sampler and RNG
-    /// are not touched here; each caller builds them for `self.cfg`.
-    fn init(&mut self, trace: Option<(Arc<FrozenTrace>, usize)>) {
-        let cfg = &self.cfg;
-        self.trace = trace;
-        self.bank.clear();
-        self.device = cfg
-            .offload
-            .as_ref()
-            .map(|o| Device::new(o.device, o.interface_latency, cfg.cores, cfg.horizon));
-        // The fault subsystem only exists when it can change behaviour;
-        // its RNG is derived from (run seed, plan seed) and is disjoint
-        // from the workload stream, so a disabled plan is zero-impact.
-        self.fault = (cfg.fault.is_active() || cfg.recovery.is_active()).then(|| {
-            FaultState::new(
-                cfg.fault.clone(),
-                cfg.recovery,
-                derive_seed(cfg.seed, cfg.fault.seed),
-            )
-        });
-        self.threads.truncate(cfg.threads);
-        for t in &mut self.threads {
-            t.state = ThreadState::Ready;
-            t.items.clear();
-            t.request = usize::MAX;
-            t.pickups.clear();
-        }
-        self.threads.resize_with(cfg.threads, Thread::default);
-        self.ready.clear();
-        self.ready.extend(0..cfg.threads);
-        self.free_cores.clear();
-        self.free_cores.extend((0..cfg.cores).rev());
-        self.core_last_thread.clear();
-        self.core_last_thread.resize(cfg.cores, None);
-        self.slab.clear();
-        self.completed = 0;
-        self.completed_failed = 0;
-        self.latency_keys.clear();
-        self.latency_keys.reserve(latency_reserve(cfg));
-        self.core_busy = 0.0;
-        self.offloads = 0;
-        self.suppressed = 0;
-        self.switches = 0;
-        self.events_processed = 0;
-        self.batch_runs = 0;
-        self.multi_event_batches = 0;
-        self.trace_replayed = 0;
-        self.live_requests = 0;
-        self.peak_live_requests = 0;
-        self.now = SimTime::ZERO;
-        self.seq = 0;
-        self.events.clear();
-        self.next_event = None;
-        self.primed = false;
+        })
     }
 
     /// Overrides the sample bank's refill block size (test hook).
@@ -757,14 +646,6 @@ impl Simulator {
     /// O(in-flight) memory behaviour.
     #[must_use]
     pub fn run_instrumented(mut self) -> (SimMetrics, EngineStats) {
-        self.run_instrumented_in_place()
-    }
-
-    /// [`run_instrumented`](Self::run_instrumented) without consuming
-    /// the engine, so a caller holding a reusable simulator can
-    /// [`reset`](Self::reset) it for the next config point. The engine
-    /// must be reset before it is run again.
-    pub fn run_instrumented_in_place(&mut self) -> (SimMetrics, EngineStats) {
         let horizon = self.cfg.horizon;
         self.run_until(horizon);
         self.finish()
@@ -1861,46 +1742,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_engine_is_bit_identical_to_fresh() {
-        // Drive one engine through several dissimilar config points
-        // (baseline → faulty offload → different shape) and compare
-        // every run against a fresh simulator: the reset path must
-        // reproduce the fresh path bit for bit, including the fault
-        // RNG stream and the EngineStats counters.
-        let mut faulty = base_config();
-        faulty.offload = Some(faulty_offload());
-        faulty.context_switch_cycles = 400.0;
-        faulty.fault = FaultPlan {
-            failure_probability: 0.02,
-            ..FaultPlan::none()
-        };
-        faulty.recovery = RecoveryPolicy {
-            max_retries: 2,
-            backoff_base_cycles: 1_000.0,
-            fallback_to_host: true,
-            ..RecoveryPolicy::none()
-        };
-        let mut reshaped = base_config();
-        reshaped.cores = 2;
-        reshaped.threads = 6;
-        reshaped.seed = 99;
-        reshaped.offload = Some(OffloadConfig {
-            design: ThreadingDesign::SyncOs,
-            ..faulty_offload()
-        });
-        reshaped.context_switch_cycles = 250.0;
-
-        let mut engine = Simulator::new(base_config());
-        for cfg in [base_config(), faulty, reshaped, base_config()] {
-            engine.reset(cfg.clone()).expect("valid config");
-            let (metrics, stats) = engine.run_instrumented_in_place();
-            let (fresh_metrics, fresh_stats) = Simulator::new(cfg).run_instrumented();
-            assert_eq!(metrics, fresh_metrics);
-            assert_eq!(stats, fresh_stats);
-        }
-    }
-
-    #[test]
     fn run_until_pauses_and_resumes_bit_exactly() {
         let mut cfg = base_config();
         cfg.offload = Some(faulty_offload());
@@ -1916,7 +1757,7 @@ mod tests {
         for bound in [0.1, 0.25, 0.25, 0.5, 0.8, 0.99, 1.0] {
             paused.run_until(h * bound);
         }
-        let split = paused.run_instrumented_in_place();
+        let split = paused.run_instrumented();
         assert_eq!(one_shot, split);
     }
 

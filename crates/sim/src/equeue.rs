@@ -84,15 +84,6 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
-    /// Drops all pending events and zeroes the sift counters, keeping
-    /// the heap's allocation for the next run — a cleared queue is
-    /// indistinguishable from a freshly built one.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.sift_ups = 0;
-        self.sift_downs = 0;
-    }
-
     /// Entry moves performed by sift-ups since construction.
     pub fn sift_ups(&self) -> u64 {
         self.sift_ups
@@ -382,24 +373,6 @@ mod tests {
         assert_eq!(run, vec!["x"]);
         assert!(q.pop_run(&mut run).is_none());
         assert!(run.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_to_a_fresh_queue() {
-        let mut q = EventQueue::with_capacity(8);
-        for i in 0..32u64 {
-            q.push(SimTime::new(f64::from(64 - i as u32)), i + 1, i);
-        }
-        assert!(q.sift_ups() > 0);
-        let _ = q.pop();
-        assert!(q.sift_downs() > 0);
-        assert_eq!(q.peek_time(), Some(SimTime::new(34.0)));
-        q.clear();
-        assert_eq!(q.len(), 0);
-        assert!(q.peek_time().is_none());
-        assert!(q.pop().is_none());
-        assert_eq!(q.sift_ups(), 0);
-        assert_eq!(q.sift_downs(), 0);
     }
 
     proptest! {

@@ -14,13 +14,12 @@ use std::sync::LazyLock;
 use accelerometer::LatencySlo;
 use serde::{Deserialize, Serialize};
 
+use crate::abtest::{run_ab_batch, AbResult};
 use crate::engine::{OffloadConfig, SimConfig};
 use crate::error::{ensure, Result};
 use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::metrics::SimMetrics;
-use crate::parallel::ExecPool;
-use crate::shard::run_point;
-use crate::trace::TraceStore;
+use crate::parallel::{run_batch, ExecPool};
 
 /// A recovery policy with a human-readable name for the report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -183,34 +182,7 @@ pub fn run_fault_sweep_with(
     )?;
     let slo = LatencySlo::at_least(scenario.slo_min_p99_ratio).expect("validated above");
 
-    // Index 0 is the healthy reference; one faulted run per policy.
-    let mut configs = Vec::with_capacity(scenario.policies.len() + 1);
-    let mut healthy = scenario.base.clone();
-    healthy.fault = FaultPlan::none();
-    healthy.recovery = RecoveryPolicy::none();
-    configs.push(healthy);
-    for named in &scenario.policies {
-        let mut cfg = scenario.base.clone();
-        cfg.fault = scenario.plan.clone();
-        cfg.recovery = named.policy;
-        configs.push(cfg);
-    }
-    // Validate everything up front so a bad policy cannot panic a
-    // worker thread mid-sweep.
-    for cfg in &configs {
-        cfg.validate()?;
-    }
-
-    // Every run shares the base seed and workload — faults and recovery
-    // policies draw from a separate derived RNG stream — so the whole
-    // sweep samples its workload trace once.
-    let traces = TraceStore::for_sweep();
-    if let Some(store) = &traces {
-        store.prewarm(&configs[0]);
-    }
-    let mut results = pool.map_init(&configs, || None, |slot, _, cfg| {
-        run_point(slot, cfg, traces.as_ref(), shards)
-    });
+    let mut results = run_batch(pool, shards, &sweep_configs(scenario))?;
     let healthy = results.remove(0);
     let outcomes = scenario
         .policies
@@ -241,6 +213,21 @@ pub fn run_fault_sweep_with(
         healthy,
         outcomes,
     })
+}
+
+/// The sweep's runs: index 0 is the healthy reference, then one faulted
+/// run per policy. Faults and recovery draw from a separate derived RNG
+/// stream, so every run shares the base seed's request stream.
+fn sweep_configs(scenario: &FaultScenario) -> Vec<SimConfig> {
+    let mut healthy = scenario.base.clone();
+    healthy.fault = FaultPlan::none();
+    healthy.recovery = RecoveryPolicy::none();
+    let faulted = scenario.policies.iter().map(|named| SimConfig {
+        fault: scenario.plan.clone(),
+        recovery: named.policy,
+        ..scenario.base.clone()
+    });
+    std::iter::once(healthy).chain(faulted).collect()
 }
 
 /// The built-in demonstration scenario, `configs/faults-degradation.json`
@@ -300,11 +287,14 @@ impl FallbackValidationRow {
 /// The failure probabilities [`validate_fallback`] sweeps.
 pub const FALLBACK_VALIDATION_PROBABILITIES: [f64; 4] = [0.0, 0.2, 0.5, 0.8];
 
-fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
+/// The A/B pairs behind the fallback-validation rows, one per
+/// probability in [`FALLBACK_VALIDATION_PROBABILITIES`]: the
+/// unaccelerated control under that failure probability, and the offload
+/// it is measured against.
+fn fallback_validation_pairs(seed: u64) -> Vec<(SimConfig, OffloadConfig)> {
     use accelerometer::units::cycles_per_byte;
     use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 
-    use crate::abtest::run_ab;
     use crate::device::DeviceKind;
     use crate::workload::WorkloadSpec;
 
@@ -322,26 +312,6 @@ fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
             .expect("static CDF is valid"),
         cycles_per_byte: cycles_per_byte(2.0),
     };
-    let control = SimConfig {
-        cores: 2,
-        threads: 2,
-        context_switch_cycles: 0.0,
-        horizon: 4.0e7,
-        seed,
-        workload: workload.clone(),
-        offload: None,
-        fault: FaultPlan {
-            seed: 13,
-            failure_probability: p,
-            ..FaultPlan::none()
-        },
-        recovery: RecoveryPolicy {
-            max_retries: 1,
-            backoff_base_cycles: 0.0,
-            fallback_to_host: true,
-            ..RecoveryPolicy::none()
-        },
-    };
     let offload = OffloadConfig {
         design: ThreadingDesign::AsyncSameThread,
         strategy: AccelerationStrategy::Remote,
@@ -353,12 +323,46 @@ fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
         dispatch_pollution: 0.0,
         min_offload_bytes: None,
     };
+    FALLBACK_VALIDATION_PROBABILITIES
+        .iter()
+        .map(|&p| {
+            let control = SimConfig {
+                cores: 2,
+                threads: 2,
+                context_switch_cycles: 0.0,
+                horizon: 4.0e7,
+                seed,
+                workload: workload.clone(),
+                offload: None,
+                fault: FaultPlan {
+                    seed: 13,
+                    failure_probability: p,
+                    ..FaultPlan::none()
+                },
+                recovery: RecoveryPolicy {
+                    max_retries: 1,
+                    backoff_base_cycles: 0.0,
+                    fallback_to_host: true,
+                    ..RecoveryPolicy::none()
+                },
+            };
+            (control, offload)
+        })
+        .collect()
+}
 
-    let load = accelerometer::queueing::fault_load(p, 1, true)
-        .expect("static probabilities are valid");
+/// One fallback-validation row: the model's estimate for the pair at
+/// its control's failure probability, beside its simulated A/B result.
+fn fallback_validation_row(
+    (control, offload): &(SimConfig, OffloadConfig),
+    ab: &AbResult,
+) -> FallbackValidationRow {
+    let p = control.fault.failure_probability;
+    let load =
+        accelerometer::queueing::fault_load(p, 1, true).expect("static probabilities are valid");
     let params = accelerometer::ModelParams::builder()
-        .host_cycles(workload.mean_request_cycles())
-        .kernel_fraction(workload.expected_alpha())
+        .host_cycles(control.workload.mean_request_cycles())
+        .kernel_fraction(control.workload.expected_alpha())
         .offloads(1.0)
         .setup_cycles(0.0)
         .interface_cycles(offload.interface_latency)
@@ -372,7 +376,6 @@ fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
         offload.driver,
         &load,
     );
-    let ab = run_ab(&control, offload);
     FallbackValidationRow {
         failure_probability: p,
         expected_attempts: load.expected_attempts,
@@ -385,20 +388,26 @@ fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
 }
 
 /// Runs the fallback-capacity validation (Table-6 style) on `pool`: one
-/// row per probability in [`FALLBACK_VALIDATION_PROBABILITIES`]. Each
-/// row is an independent seeded A/B experiment, so results are
-/// identical at any pool width and always come back in probability
-/// order.
+/// row per probability in [`FALLBACK_VALIDATION_PROBABILITIES`]. The
+/// rows' A/B experiments run as one batch — every arm shares the seed
+/// and workload, so the batch samples its request stream once — and the
+/// results are identical at any pool width, in probability order.
 #[must_use]
 pub fn validate_fallback_with(pool: &ExecPool, seed: u64) -> Vec<FallbackValidationRow> {
-    pool.map(&FALLBACK_VALIDATION_PROBABILITIES, |_, p| {
-        fallback_validation_row(seed, *p)
-    })
+    let pairs = fallback_validation_pairs(seed);
+    let results = run_ab_batch(pool, &pairs).expect("the static fallback configs are valid");
+    pairs
+        .iter()
+        .zip(&results)
+        .map(|(pair, ab)| fallback_validation_row(pair, ab))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardPlan;
+    use crate::trace::TraceStore;
 
     fn sweep(scenario: &FaultScenario) -> Result<FaultSweepReport> {
         run_fault_sweep_with(&ExecPool::new(2), None, scenario)
@@ -510,6 +519,33 @@ mod tests {
         // Deterministic at any pool width.
         let wide = validate_fallback_with(&ExecPool::new(8), 20_260_807);
         assert_eq!(rows, wide);
+    }
+
+    #[test]
+    fn fallback_table_draws_one_trace_for_its_eight_arms() {
+        let arms = crate::abtest::ab_arms(&fallback_validation_pairs(20_260_706)).unwrap();
+        assert_eq!(arms.len(), 8);
+        let store = TraceStore::for_batch(&arms, false);
+        assert_eq!(store.traces().len(), 1);
+        assert_eq!(store.traces()[0].len(), 14_121);
+    }
+
+    #[test]
+    fn sharded_sweep_draws_shard_seed_traces_only() {
+        let scenario = demo_scenario(20_260_806);
+        let configs = sweep_configs(&scenario);
+        let plan = ShardPlan::for_config(&configs[0]);
+        assert!(plan.shards > 1, "the demo scenario shards");
+        let shard_seeds: Vec<u64> = (0..plan.shards)
+            .map(|i| plan.shard_config(&configs[0], i).seed)
+            .collect();
+        let sharded = TraceStore::for_batch(&configs, true);
+        let seeds: Vec<u64> = sharded.traces().iter().map(|t| t.seed()).collect();
+        assert_eq!(seeds, shard_seeds, "one per shard seed, none for the base");
+        // Unsharded, the base seed is the one every run reads.
+        let classic = TraceStore::for_batch(&configs, false);
+        let seeds: Vec<u64> = classic.traces().iter().map(|t| t.seed()).collect();
+        assert_eq!(seeds, vec![scenario.base.seed]);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //!     fault: Default::default(),
 //!     recovery: Default::default(),
 //! };
-//! let result = run_ab(&control, OffloadConfig::on_chip_sync(8.0));
+//! let result = run_ab(&control, OffloadConfig::on_chip_sync(8.0))?;
 //! assert!(result.speedup() > 1.0);
-//! # Ok::<(), accelerometer::ModelError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -61,7 +61,7 @@ pub mod time;
 pub mod trace;
 pub mod workload;
 
-pub use abtest::{run_ab, AbResult};
+pub use abtest::{ab_arms, run_ab, run_ab_batch, AbResult};
 pub use calibrate::{CalibratedKernel, Calibrator, PairedKernel};
 pub use casestudy::{simulate, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES};
 pub use context::RunContext;
@@ -78,7 +78,7 @@ pub use loadsweep::{
 };
 pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};
 pub use metrics::{FaultMetrics, LatencyStats, SimMetrics};
-pub use parallel::{derive_seed, run_batch, run_replicas, ExecPool};
+pub use parallel::{derive_seed, run_batch, ExecPool};
 pub use shard::{
     default_shards, run_sharded, run_sharded_instrumented, set_default_shards, ShardPlan,
     ShardStats,

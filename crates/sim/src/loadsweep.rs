@@ -6,10 +6,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceKind;
 use crate::engine::SimConfig;
+use crate::error::Result;
 use crate::metrics::SimMetrics;
-use crate::parallel::ExecPool;
-use crate::shard::run_point;
-use crate::trace::TraceStore;
+use crate::parallel::{run_batch, ExecPool};
 
 /// One point of a load sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,77 +36,67 @@ pub struct ConcurrencySweep {
 /// requested counts cannot be simulated. They are *not* silently
 /// dropped — they come back in [`ConcurrencySweep::skipped`] so callers
 /// can warn or fail. Points run on `pool` and preserve input order.
-#[must_use]
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::InvalidConfig`] when a point's
+/// configuration is invalid.
 pub fn concurrency_sweep_with(
     pool: &ExecPool,
     base: &SimConfig,
     thread_counts: &[usize],
-) -> ConcurrencySweep {
+) -> Result<ConcurrencySweep> {
     let (runnable, skipped): (Vec<usize>, Vec<usize>) =
         thread_counts.iter().partition(|&&t| t >= base.cores);
-    // Every point shares the base seed and workload (only the thread
-    // count varies), so one frozen trace serves the whole grid. Prewarm
-    // it sized for the deepest pool so the trace length is deterministic
-    // regardless of which worker reaches the store first.
-    let traces = TraceStore::for_sweep();
-    if let Some(store) = &traces {
-        let mut probe = base.clone();
-        probe.threads = runnable
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(base.threads)
-            .max(base.threads);
-        store.prewarm(&probe);
-    }
-    let points = pool.map_init(
-        &runnable,
-        || None,
-        |slot, _, &threads| {
-            let mut cfg = base.clone();
-            cfg.threads = threads;
-            LoadPoint {
-                x: threads,
-                metrics: run_point(slot, &cfg, traces.as_ref(), None),
-            }
-        },
-    );
-    ConcurrencySweep { points, skipped }
+    let points = sweep(pool, base, &runnable, |cfg, threads| cfg.threads = threads)?;
+    Ok(ConcurrencySweep { points, skipped })
 }
 
 /// Sweeps the shared accelerator's server count (device capacity) over a
 /// base configuration that carries an offload, on `pool`.
 /// Configurations without an offload return an empty sweep.
-#[must_use]
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::InvalidConfig`] when a point's
+/// configuration is invalid.
 pub fn device_capacity_sweep_with(
     pool: &ExecPool,
     base: &SimConfig,
     server_counts: &[usize],
-) -> Vec<LoadPoint> {
+) -> Result<Vec<LoadPoint>> {
     if base.offload.is_none() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let runnable: Vec<usize> = server_counts.iter().copied().filter(|&s| s > 0).collect();
-    // Server count does not enter the trace key (seed, workload) or the
-    // size estimate, so the base config prewarms a trace all points use.
-    let traces = TraceStore::for_sweep();
-    if let Some(store) = &traces {
-        store.prewarm(base);
-    }
-    pool.map_init(
-        &runnable,
-        || None,
-        |slot, _, &servers| {
+    sweep(pool, base, &runnable, |cfg, servers| {
+        if let Some(offload) = cfg.offload.as_mut() {
+            offload.device = DeviceKind::Shared { servers };
+        }
+    })
+}
+
+/// Runs one batch point per `x`, each `base` with `set(cfg, x)` applied.
+fn sweep(
+    pool: &ExecPool,
+    base: &SimConfig,
+    xs: &[usize],
+    set: impl Fn(&mut SimConfig, usize),
+) -> Result<Vec<LoadPoint>> {
+    let configs: Vec<SimConfig> = xs
+        .iter()
+        .map(|&x| {
             let mut cfg = base.clone();
-            if let Some(offload) = cfg.offload.as_mut() {
-                offload.device = DeviceKind::Shared { servers };
-            }
-            LoadPoint {
-                x: servers,
-                metrics: run_point(slot, &cfg, traces.as_ref(), None),
-            }
-        },
-    )
+            set(&mut cfg, x);
+            cfg
+        })
+        .collect();
+    let metrics = run_batch(pool, None, &configs)?;
+    Ok(xs
+        .iter()
+        .zip(metrics)
+        .map(|(&x, metrics)| LoadPoint { x, metrics })
+        .collect())
 }
 
 /// The knee of a sweep: the smallest `x` achieving at least `fraction`
@@ -163,8 +152,9 @@ mod tests {
 
     #[test]
     fn concurrency_sweep_finds_the_pool_depth_knee() {
-        let points =
-            concurrency_sweep_with(&ExecPool::new(2), &base(), &[1, 2, 4, 8, 16, 32]).points;
+        let points = concurrency_sweep_with(&ExecPool::new(2), &base(), &[1, 2, 4, 8, 16, 32])
+            .unwrap()
+            .points;
         // The sub-core count is skipped.
         assert_eq!(points.len(), 5);
         assert_eq!(points[0].x, 2);
@@ -188,7 +178,7 @@ mod tests {
             o.interface_latency = 100.0;
         }
         cfg.threads = cfg.cores;
-        let points = device_capacity_sweep_with(&ExecPool::new(2), &cfg, &[1, 2, 4]);
+        let points = device_capacity_sweep_with(&ExecPool::new(2), &cfg, &[1, 2, 4]).unwrap();
         assert_eq!(points.len(), 3);
         // More servers → less queueing and at least as much throughput.
         assert!(points[0].metrics.mean_queue_delay > points[2].metrics.mean_queue_delay);
@@ -202,7 +192,17 @@ mod tests {
     fn capacity_sweep_requires_an_offload() {
         let mut cfg = base();
         cfg.offload = None;
-        assert!(device_capacity_sweep_with(&ExecPool::new(1), &cfg, &[1, 2]).is_empty());
+        assert!(device_capacity_sweep_with(&ExecPool::new(1), &cfg, &[1, 2])
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn an_invalid_point_is_an_error() {
+        let mut cfg = base();
+        cfg.horizon = f64::NAN;
+        assert!(concurrency_sweep_with(&ExecPool::new(1), &cfg, &[2, 4]).is_err());
+        assert!(device_capacity_sweep_with(&ExecPool::new(1), &cfg, &[1, 2]).is_err());
     }
 
     #[test]
@@ -214,7 +214,7 @@ mod tests {
     fn sub_core_thread_counts_are_reported_not_dropped() {
         let mut cfg = base();
         cfg.horizon = 2e6;
-        let sweep = concurrency_sweep_with(&ExecPool::new(1), &cfg, &[1, 2, 4, 1, 8]);
+        let sweep = concurrency_sweep_with(&ExecPool::new(1), &cfg, &[1, 2, 4, 1, 8]).unwrap();
         assert_eq!(sweep.skipped, vec![1, 1]);
         let xs: Vec<usize> = sweep.points.iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![2, 4, 8]);
@@ -225,12 +225,12 @@ mod tests {
         let mut cfg = base();
         cfg.horizon = 2e6;
         let counts = [2, 4, 8];
-        let seq = concurrency_sweep_with(&ExecPool::new(1), &cfg, &counts);
-        let par = concurrency_sweep_with(&ExecPool::new(8), &cfg, &counts);
+        let seq = concurrency_sweep_with(&ExecPool::new(1), &cfg, &counts).unwrap();
+        let par = concurrency_sweep_with(&ExecPool::new(8), &cfg, &counts).unwrap();
         assert_eq!(seq, par);
         let servers = [1, 2, 4];
-        let seq = device_capacity_sweep_with(&ExecPool::new(1), &cfg, &servers);
-        let par = device_capacity_sweep_with(&ExecPool::new(8), &cfg, &servers);
+        let seq = device_capacity_sweep_with(&ExecPool::new(1), &cfg, &servers).unwrap();
+        let par = device_capacity_sweep_with(&ExecPool::new(8), &cfg, &servers).unwrap();
         assert_eq!(seq, par);
     }
 }

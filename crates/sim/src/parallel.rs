@@ -1,8 +1,8 @@
 //! Deterministic parallel execution of independent simulations.
 //!
 //! Re-exports the workspace-wide [`ExecPool`] primitive and adds the
-//! simulation-specific pieces: batch runners for [`SimConfig`] sets and
-//! a seed-derivation function for replica studies.
+//! simulation-specific pieces: the batch runner every sweep and A/B
+//! study fans out through, and the seed derivation shard engines use.
 //!
 //! # Determinism
 //!
@@ -14,9 +14,10 @@
 
 pub use accelerometer::exec::{available_jobs, default_jobs, set_default_jobs, ExecPool};
 
-use crate::engine::SimConfig;
+use crate::engine::{SimConfig, Simulator};
+use crate::error::Result;
 use crate::metrics::SimMetrics;
-use crate::shard::run_point;
+use crate::shard::run_sharded;
 use crate::trace::{trace_reuse_enabled, TraceStore};
 
 /// Derives a statistically independent child seed from a root seed and
@@ -31,53 +32,55 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs every configuration on the pool, returning metrics in input
-/// order. Each worker keeps one engine alive across the jobs it pulls
-/// (reset, not rebuilt, per configuration).
-#[must_use]
-pub fn run_batch(pool: &ExecPool, configs: &[SimConfig]) -> Vec<SimMetrics> {
-    // Batch configs usually carry distinct seeds (replicas), where a
-    // draw-once-use-once frozen trace is pure overhead — so the store
-    // serves only (seed, workload) pairs that appear more than once,
-    // prewarmed here; unique configs draw live through their banks.
-    let traces = trace_reuse_enabled()
-        .then(|| {
-            let store = TraceStore::prewarmed_only();
-            for (i, cfg) in configs.iter().enumerate() {
-                let duplicated = configs[..i]
-                    .iter()
-                    .any(|c| c.seed == cfg.seed && c.workload == cfg.workload);
-                if duplicated {
-                    store.prewarm(cfg);
-                }
-            }
-            store
-        })
-        .filter(|store| store.cached() > 0);
-    pool.map_init(configs, || None, |slot, _, cfg| {
-        run_point(slot, cfg, traces.as_ref(), None)
-    })
-}
-
-/// Runs `replicas` copies of `base` whose seeds are derived from
-/// `base.seed` via [`derive_seed`], for confidence intervals over the
-/// simulator's stochastic outputs.
-#[must_use]
-pub fn run_replicas(pool: &ExecPool, base: &SimConfig, replicas: usize) -> Vec<SimMetrics> {
-    let configs: Vec<SimConfig> = (0..replicas)
-        .map(|i| {
-            let mut cfg = base.clone();
-            cfg.seed = derive_seed(base.seed, i as u64);
-            cfg
-        })
+/// Runs every configuration on `pool`, each one sharded on `shards`
+/// when a shard pool is given, and returns the metrics in input order.
+/// This is the one fan-out every sweep and A/B study goes through.
+///
+/// Every configuration is validated before anything runs. Engines that
+/// share a (seed, workload) pair then share one frozen trace, drawn up
+/// front by [`TraceStore::for_batch`]; the trace only changes where
+/// requests come from, never a result.
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::InvalidConfig`] when any configuration is
+/// rejected by [`SimConfig::validate`].
+pub fn run_batch(
+    pool: &ExecPool,
+    shards: Option<&ExecPool>,
+    configs: &[SimConfig],
+) -> Result<Vec<SimMetrics>> {
+    configs.iter().try_for_each(SimConfig::validate)?;
+    let store = if trace_reuse_enabled() {
+        TraceStore::for_batch(configs, shards.is_some())
+    } else {
+        TraceStore::default()
+    };
+    if let Some(shard_pool) = shards {
+        let runs = pool.map(configs, |_, cfg| run_sharded(shard_pool, cfg, Some(&store)));
+        return runs.into_iter().collect();
+    }
+    // Each run owns its handle on its trace and drops it with its
+    // engine, so a trace is freed by the last run that reads it instead
+    // of living to the end of the batch: a batch holds no more memory
+    // than its runs do.
+    let mut runs: Vec<_> = configs
+        .iter()
+        .map(|cfg| (cfg, store.get(cfg), None::<Result<SimMetrics>>))
         .collect();
-    run_batch(pool, &configs)
+    drop(store);
+    pool.for_each_mut(&mut runs, |_, (cfg, trace, metrics)| {
+        let sim = Simulator::try_new_with_trace((*cfg).clone(), trace.take());
+        *metrics = Some(sim.map(Simulator::run));
+    });
+    runs.into_iter()
+        .map(|(_, _, metrics)| metrics.expect("for_each_mut visits every run"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
     use crate::workload::WorkloadSpec;
     use accelerometer::units::cycles_per_byte;
     use accelerometer::GranularityCdf;
@@ -110,13 +113,38 @@ mod tests {
                 cfg
             })
             .collect();
-        let sequential = run_batch(&ExecPool::new(1), &configs);
-        let parallel = run_batch(&ExecPool::new(8), &configs);
+        let sequential = run_batch(&ExecPool::new(1), None, &configs).unwrap();
+        let parallel = run_batch(&ExecPool::new(8), None, &configs).unwrap();
         assert_eq!(sequential, parallel);
         // And each run equals a direct invocation.
         for (cfg, m) in configs.iter().zip(&sequential) {
             assert_eq!(Simulator::new(cfg.clone()).run(), *m);
         }
+    }
+
+    #[test]
+    fn an_invalid_config_is_an_error_before_anything_runs() {
+        let mut invalid = base();
+        invalid.cores = 0;
+        let err = run_batch(&ExecPool::new(2), None, &[base(), invalid]).unwrap_err();
+        assert!(err.to_string().contains("cores"), "{err}");
+    }
+
+    #[test]
+    fn a_shard_pool_takes_the_sharded_path() {
+        // 4 cores / 8 threads decompose into 4 shards.
+        let mut cfg = base();
+        cfg.cores = 4;
+        cfg.threads = 8;
+        let mut other = cfg.clone();
+        other.seed = 12;
+        // cfg's shard seeds repeat and share traces; other's draw live.
+        let configs = [cfg.clone(), other.clone(), cfg.clone()];
+        let got = run_batch(&ExecPool::new(2), Some(&ExecPool::new(3)), &configs).unwrap();
+        let direct = |c: &SimConfig| run_sharded(&ExecPool::new(1), c, None).unwrap();
+        assert_eq!(got, vec![direct(&cfg), direct(&other), direct(&cfg)]);
+        let classic = Simulator::new(cfg).run();
+        assert_ne!(got[0], classic, "sharding is a different run");
     }
 
     #[test]
@@ -127,20 +155,5 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), seeds.len(), "collisions in {seeds:?}");
-    }
-
-    #[test]
-    fn replicas_differ_but_are_reproducible() {
-        let pool = ExecPool::new(4);
-        let a = run_replicas(&pool, &base(), 4);
-        let b = run_replicas(&pool, &base(), 4);
-        assert_eq!(a, b);
-        // Distinct seeds → distinct completion counts with high
-        // probability at this horizon.
-        assert!(
-            a.iter()
-                .any(|m| m.completed_requests != a[0].completed_requests)
-                || a.len() == 1
-        );
     }
 }

@@ -154,9 +154,9 @@ pub struct ShardStats {
 }
 
 /// Runs `cfg` sharded on `pool` and returns the merged metrics. With a
-/// trace store, each shard looks up (or, in an eager store, draws and
-/// caches) the frozen trace for its decorrelated seed, so a sweep's grid
-/// points share one trace draw per shard instead of redrawing per point.
+/// trace store, each shard adopts the store's frozen trace for its
+/// decorrelated seed, if there is one, so a batch's configurations share
+/// one trace draw per shard instead of redrawing per configuration.
 /// The trace path is the same stream, pre-drawn, so the bytes do not
 /// depend on whether a store is given.
 ///
@@ -329,45 +329,6 @@ fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: Vec<ShardOutput>) -> (SimMet
         engine,
     };
     (metrics, stats)
-}
-
-/// Runs one configuration point the way the batch runners do: through
-/// the sharded path on `shards` when a shard pool is given, otherwise
-/// through a reusable engine slot that is `reset` instead of rebuilt.
-/// When a trace store is supplied, the engine adopts the cached frozen
-/// trace for the point's (seed, workload) — or each shard's derived
-/// seed — instead of redrawing the stream.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration, matching the batch runners'
-/// historical `Simulator::new` behaviour (sweep frontends validate
-/// configurations up front).
-pub(crate) fn run_point(
-    slot: &mut Option<Simulator>,
-    cfg: &SimConfig,
-    traces: Option<&TraceStore>,
-    shards: Option<&ExecPool>,
-) -> SimMetrics {
-    if let Some(pool) = shards {
-        match run_sharded(pool, cfg, traces) {
-            Ok(metrics) => return metrics,
-            Err(err) => panic!("{err}"),
-        }
-    }
-    let trace = traces.and_then(|s| s.get(cfg));
-    match slot {
-        Some(sim) => {
-            if let Err(err) = sim.reset_with_trace(cfg.clone(), trace) {
-                panic!("{err}");
-            }
-            sim.run_instrumented_in_place().0
-        }
-        None => match Simulator::try_new_with_trace(cfg.clone(), trace) {
-            Ok(sim) => slot.insert(sim).run_instrumented_in_place().0,
-            Err(err) => panic!("{err}"),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -543,40 +504,5 @@ mod tests {
         let m = run_sharded(&ExecPool::new(2), &cfg, None).unwrap();
         assert!(m.mean_queue_delay > 0.0);
         assert!(m.device_utilization > 0.0);
-    }
-
-    #[test]
-    fn run_point_takes_the_shard_pool_and_reuses_the_slot() {
-        let pool = ExecPool::new(3);
-        let mut slot = None;
-        let sharded = run_point(&mut slot, &sharded_config(), None, Some(&pool));
-        assert_eq!(
-            sharded,
-            run_sharded(&ExecPool::new(1), &sharded_config(), None).unwrap(),
-            "with a shard pool, run_point must take the sharded path"
-        );
-        // An eager trace store must not change a sharded byte: shard
-        // traces are looked up per derived seed and drawn once.
-        let store = TraceStore::eager();
-        assert_eq!(
-            sharded,
-            run_point(&mut slot, &sharded_config(), Some(&store), Some(&pool)),
-            "sharded trace reuse diverged"
-        );
-        assert_eq!(
-            store.cached(),
-            ShardPlan::for_config(&sharded_config()).shards,
-            "one trace per shard seed"
-        );
-        assert!(slot.is_none(), "sharded path must not touch the slot");
-        let base = sharded_config();
-        for seed in [1u64, 7, 99] {
-            let mut cfg = base.clone();
-            cfg.seed = seed;
-            let got = run_point(&mut slot, &cfg, None, None);
-            let fresh = Simulator::new(cfg).run();
-            assert_eq!(got, fresh, "seed {seed}");
-        }
-        assert!(slot.is_some(), "classic path must cache the engine");
     }
 }

@@ -7,8 +7,8 @@
 //! and the i-th request drawn is always the i-th block of that stream
 //! regardless of cores, threads, offload design, or fault plan (fault
 //! RNG is a separate derived stream). Draws can therefore be hoisted out
-//! of the event loop, and across sweep grids computed once instead of
-//! once per point, without changing a single output byte.
+//! of the event loop, and across a batch of runs computed once instead
+//! of once per run, without changing a single output byte.
 //!
 //! Two levels:
 //!
@@ -24,10 +24,12 @@
 //!    the sampling tax is actually paid down.)
 //! 2. **[`FrozenTrace`]** (per seed × workload, behind `Arc`): an
 //!    immutable pre-drawn request prefix plus the RNG state *after* the
-//!    prefix. Sweep runners draw it once and install it at every grid
-//!    point that shares the seed and workload (only offload / policy /
-//!    fault parameters differ), turning O(points × draws) sampling into
-//!    O(draws) per sweep. A run that outlives the prefix resumes live
+//!    prefix. The batch runner (`run_batch`, which every sweep and A/B
+//!    study goes through) draws one up front for each seed and workload
+//!    that two or more of its engines share ([`TraceStore::for_batch`])
+//!    and installs it in each of them (only offload / policy / fault
+//!    parameters differ), turning O(runs × draws) sampling into O(draws)
+//!    per batch. A run that outlives the prefix resumes live
 //!    banked drawing from the continuation RNG state — bit-identical to
 //!    never having had the trace, so the prefix length is a pure
 //!    performance knob.
@@ -40,12 +42,13 @@
 //! 24-byte items.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::SimConfig;
+use crate::shard::ShardPlan;
 use crate::workload::{expand_record, RequestSampler, WorkItem, WorkloadSpec};
 
 /// Requests per [`SampleBank`] refill. Big enough that the refill branch
@@ -67,13 +70,13 @@ pub(crate) const MAX_TRACE_REQUESTS: usize = 1 << 20;
 /// trace never costs more memory than a three-kernel one.
 const MAX_TRACE_VALUES: usize = 1 << 22;
 
-/// Process-wide switch for cross-point trace reuse in sweep runners
+/// Process-wide switch for frozen-trace sharing in the batch runner
 /// (level 2). On by default; `accelctl --trace-reuse off` clears it so
 /// CI can diff both paths. Level 1 (the bank) has no switch — it is the
 /// engine's draw path.
 static TRACE_REUSE: AtomicBool = AtomicBool::new(true);
 
-/// Enables or disables cross-point frozen-trace reuse process-wide.
+/// Enables or disables frozen-trace sharing process-wide.
 /// Both settings produce byte-identical output (that is the point of
 /// the `tier1.sh` smoke); `off` exists to prove it and to measure the
 /// sampling tax.
@@ -81,8 +84,7 @@ pub fn set_trace_reuse(enabled: bool) {
     TRACE_REUSE.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether sweep runners currently reuse frozen traces across grid
-/// points.
+/// Whether the batch runner currently shares frozen traces.
 #[must_use]
 pub fn trace_reuse_enabled() -> bool {
     TRACE_REUSE.load(Ordering::Relaxed)
@@ -123,8 +125,8 @@ impl SampleBank {
     }
 
     /// Drops all buffered requests (keeping the allocation) so the next
-    /// pop refills from the current RNG state. Must be called on engine
-    /// reset: buffered draws belong to the old stream and workload.
+    /// pop refills from the current RNG state: buffered draws belong to
+    /// the stream that drew them.
     pub(crate) fn clear(&mut self) {
         self.next = 0;
         self.filled = 0;
@@ -180,7 +182,7 @@ impl SampleBank {
 }
 
 /// An immutable pre-drawn request trace for one (seed, workload) pair
-/// (level 2), shared across sweep grid points behind an `Arc`.
+/// (level 2), shared by a batch's runs behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct FrozenTrace {
     seed: u64,
@@ -288,88 +290,76 @@ impl FrozenTrace {
     }
 }
 
-/// A per-sweep cache of [`FrozenTrace`]s keyed by (seed, workload).
+/// The frozen traces one batch shares, keyed by (seed, workload).
 ///
-/// Sweep runners create one store per sweep and pass it to every grid
-/// point; shard engines look up their derived seeds here too, so a
-/// sharded 8-point sweep draws each shard's trace once instead of eight
-/// times. Lookups that miss either draw-and-cache (eager stores, used
-/// by sweeps whose points all share the base seed) or return `None`
-/// (prewarmed-only stores, used by batch runners where most configs are
-/// unique and a draw-once-use-once trace would be pure overhead).
-#[derive(Debug)]
+/// The batch runner builds the store once, before fanning out, from the
+/// engine configurations it is about to run ([`TraceStore::for_batch`]);
+/// after that it is an immutable map, read without a lock.
+/// Traces exist only for (seed, workload) pairs that two or more engines
+/// share — a pair used once draws live, because a draw-once-use-once
+/// trace is pure overhead.
+#[derive(Debug, Default)]
 pub struct TraceStore {
-    draw_on_miss: bool,
-    inner: Mutex<Vec<Arc<FrozenTrace>>>,
+    traces: Vec<Arc<FrozenTrace>>,
 }
 
 impl TraceStore {
-    /// A store that draws and caches a trace on every miss.
+    /// Applies the sharing rule to a batch of `configs`. The engines the
+    /// batch builds are the configurations themselves, or each one's
+    /// shard configurations when the batch runs `sharded` (shard engines
+    /// draw from derived seeds, so the base seed is never read). Every
+    /// (seed, workload) pair that two or more engines share gets one
+    /// trace, sized to the largest [`FrozenTrace::estimated_requests`]
+    /// among them; the size is a pure performance setting.
     #[must_use]
-    pub fn eager() -> Self {
-        Self {
-            draw_on_miss: true,
-            inner: Mutex::new(Vec::new()),
+    pub fn for_batch(configs: &[SimConfig], sharded: bool) -> Self {
+        let engines: Vec<SimConfig> = if sharded {
+            configs
+                .iter()
+                .flat_map(|cfg| {
+                    let plan = ShardPlan::for_config(cfg);
+                    (0..plan.shards).map(move |i| plan.shard_config(cfg, i))
+                })
+                .collect()
+        } else {
+            configs.to_vec()
+        };
+        // (representative engine, engines in the group, largest estimate)
+        let mut groups: Vec<(&SimConfig, usize, usize)> = Vec::new();
+        for cfg in &engines {
+            let requests = FrozenTrace::estimated_requests(cfg);
+            match groups
+                .iter_mut()
+                .find(|(c, ..)| c.seed == cfg.seed && c.workload == cfg.workload)
+            {
+                Some((_, count, largest)) => {
+                    *count += 1;
+                    *largest = (*largest).max(requests);
+                }
+                None => groups.push((cfg, 1, requests)),
+            }
         }
+        let traces = groups
+            .into_iter()
+            .filter(|&(_, count, _)| count > 1)
+            .map(|(cfg, _, requests)| {
+                Arc::new(FrozenTrace::draw(cfg.seed, &cfg.workload, requests))
+            })
+            .collect();
+        Self { traces }
     }
 
-    /// A store that only serves traces drawn via [`prewarm`]
-    /// (misses return `None`).
-    ///
-    /// [`prewarm`]: TraceStore::prewarm
-    #[must_use]
-    pub fn prewarmed_only() -> Self {
-        Self {
-            draw_on_miss: false,
-            inner: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// An eager store for a sweep, or `None` when cross-point reuse is
-    /// globally disabled ([`set_trace_reuse`]).
-    #[must_use]
-    pub fn for_sweep() -> Option<Self> {
-        trace_reuse_enabled().then(Self::eager)
-    }
-
-    /// Draws and caches the trace for `cfg` (no-op if already cached).
-    /// Sweep frontends call this on the base config before fanning out
-    /// so the trace length does not depend on which worker gets there
-    /// first.
-    pub fn prewarm(&self, cfg: &SimConfig) {
-        let mut traces = self.inner.lock().expect("trace store poisoned");
-        if !traces.iter().any(|t| t.matches(cfg)) {
-            traces.push(Arc::new(FrozenTrace::draw(
-                cfg.seed,
-                &cfg.workload,
-                FrozenTrace::estimated_requests(cfg),
-            )));
-        }
-    }
-
-    /// The cached trace for `cfg`'s (seed, workload), drawing it on a
-    /// miss when the store is eager. The draw happens under the store
-    /// lock so concurrent workers block briefly instead of drawing
-    /// twice; trace content depends only on (seed, workload), so which
-    /// worker draws is unobservable.
+    /// The shared trace for `cfg`'s (seed, workload), if the batch has
+    /// one.
     #[must_use]
     pub fn get(&self, cfg: &SimConfig) -> Option<Arc<FrozenTrace>> {
-        let mut traces = self.inner.lock().expect("trace store poisoned");
-        if let Some(t) = traces.iter().find(|t| t.matches(cfg)) {
-            return Some(Arc::clone(t));
-        }
-        if !self.draw_on_miss {
-            return None;
-        }
-        let trace = Arc::new(FrozenTrace::for_config(cfg));
-        traces.push(Arc::clone(&trace));
-        Some(trace)
+        self.traces.iter().find(|t| t.matches(cfg)).cloned()
     }
 
-    /// Number of distinct traces currently cached.
+    /// The shared traces, in first-use order.
     #[must_use]
-    pub fn cached(&self) -> usize {
-        self.inner.lock().expect("trace store poisoned").len()
+    pub fn traces(&self) -> &[Arc<FrozenTrace>] {
+        &self.traces
     }
 }
 
@@ -538,29 +528,30 @@ mod tests {
     }
 
     #[test]
-    fn eager_store_draws_once_per_seed_workload() {
-        let store = TraceStore::eager();
+    fn store_shares_only_repeated_seed_workload_pairs() {
         let cfg = config();
-        let a = store.get(&cfg).expect("eager store draws");
-        let b = store.get(&cfg).expect("cached");
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        let mut other = config();
-        other.seed = 1234;
-        let c = store.get(&other).expect("eager store draws");
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(store.cached(), 2);
+        let mut deeper = config();
+        deeper.threads = 64;
+        let mut other_seed = config();
+        other_seed.seed = 1234;
+        let batch = [cfg.clone(), other_seed.clone(), deeper.clone()];
+        let store = TraceStore::for_batch(&batch, false);
+        assert_eq!(store.traces().len(), 1, "only seed 99 repeats");
+        let shared = store.get(&cfg).expect("seed 99 is shared");
+        let same = store.get(&deeper).expect("same pair");
+        assert!(Arc::ptr_eq(&shared, &same));
+        // Sized to the group's largest estimate.
+        assert_eq!(shared.len(), FrozenTrace::estimated_requests(&deeper));
+        // A pair used once draws live.
+        assert!(store.get(&other_seed).is_none());
     }
 
     #[test]
-    fn prewarmed_only_store_never_draws_on_miss() {
-        let store = TraceStore::prewarmed_only();
-        let cfg = config();
-        assert!(store.get(&cfg).is_none());
-        store.prewarm(&cfg);
-        store.prewarm(&cfg); // idempotent
-        assert_eq!(store.cached(), 1);
-        let t = store.get(&cfg).expect("prewarmed trace is served");
-        assert!(t.matches(&cfg));
+    fn distinct_seeds_and_single_configs_share_nothing() {
+        let distinct: Vec<SimConfig> = (0..4).map(|seed| SimConfig { seed, ..config() }).collect();
+        for (batch, sharded) in [(&distinct[..], false), (&[config()], false), (&[], true)] {
+            assert!(TraceStore::for_batch(batch, sharded).traces().is_empty());
+        }
     }
 
     #[test]
@@ -568,9 +559,7 @@ mod tests {
         assert!(trace_reuse_enabled(), "reuse defaults to on");
         set_trace_reuse(false);
         assert!(!trace_reuse_enabled());
-        assert!(TraceStore::for_sweep().is_none());
         set_trace_reuse(true);
         assert!(trace_reuse_enabled());
-        assert!(TraceStore::for_sweep().is_some());
     }
 }

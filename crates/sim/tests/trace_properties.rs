@@ -140,7 +140,7 @@ proptest! {
         for block in [1usize, 3, 64, 1_000] {
             let mut sim = Simulator::try_new(cfg.clone()).expect("valid config");
             sim.set_bank_block(block);
-            let got = sim.run_instrumented_in_place();
+            let got = sim.run_instrumented();
             match &reference {
                 None => reference = Some(got),
                 Some(want) => {
@@ -158,8 +158,7 @@ proptest! {
 
     /// Level 2: adopting a frozen trace of *any* prefix length — empty,
     /// shorter than the run (exercising the resume-RNG continuation),
-    /// right-sized, or oversized — is bit-identical to direct drawing,
-    /// at construction and across `reset_with_trace` reuse.
+    /// right-sized, or oversized — is bit-identical to direct drawing.
     #[test]
     fn frozen_trace_runs_are_bit_identical(
         workload in workload_strategy(),
@@ -183,21 +182,13 @@ proptest! {
             "stats diverged at prefix {}",
             prefix
         );
-
-        // Reset-and-reuse with the trace re-adopted (the sweep runners'
-        // path) must replay identically too.
-        let mut sim = Simulator::try_new(cfg.clone()).expect("valid config");
-        let _ = sim.run_instrumented_in_place();
-        sim.reset_with_trace(cfg, Some(trace)).expect("matching trace");
-        let reused = sim.run_instrumented_in_place();
-        prop_assert_eq!(&reused.0, &direct.0);
-        prop_assert_eq!(sans_provenance(reused.1), sans_provenance(direct.1));
-        prop_assert_eq!(reused.1.trace_requests_replayed, traced.1.trace_requests_replayed);
     }
 
     /// Sharded runs with a trace store — each shard looking up its
     /// decorrelated derived seed — match the untraced sharded runner at
-    /// every worker-pool width.
+    /// every worker-pool width. The store is the one the batch runner
+    /// builds for two sharded runs of the configuration: one trace per
+    /// shard seed.
     #[test]
     fn sharded_traced_runs_match_untraced(
         workload in workload_strategy(),
@@ -213,7 +204,8 @@ proptest! {
         );
         cfg.threads = 8;
         let untraced = run_sharded(&ExecPool::new(1), &cfg, None).expect("valid config");
-        let store = TraceStore::eager();
+        let store = TraceStore::for_batch(&[cfg.clone(), cfg.clone()], true);
+        prop_assert_eq!(store.traces().len(), 2);
         for width in [1usize, 4] {
             let traced = run_sharded(&ExecPool::new(width), &cfg, Some(&store))
                 .expect("valid config");
@@ -244,9 +236,7 @@ fn mismatched_traces_are_rejected() {
         recovery: RecoveryPolicy::none(),
     };
     let wrong_seed = Arc::new(FrozenTrace::draw(2, &workload, 16));
-    assert!(Simulator::try_new_with_trace(cfg.clone(), Some(wrong_seed.clone())).is_err());
-    let mut sim = Simulator::try_new(cfg.clone()).unwrap();
-    assert!(sim.reset_with_trace(cfg.clone(), Some(wrong_seed)).is_err());
+    assert!(Simulator::try_new_with_trace(cfg.clone(), Some(wrong_seed)).is_err());
     let right = Arc::new(FrozenTrace::for_config(&cfg));
-    assert!(sim.reset_with_trace(cfg, Some(right)).is_ok());
+    assert!(Simulator::try_new_with_trace(cfg, Some(right)).is_ok());
 }

@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dispatch_pollution: 0.0,
         min_offload_bytes: breakeven.threshold().map(|b| b.get()),
     };
-    let ab = run_ab(&control, offload);
+    let ab = run_ab(&control, offload).expect("the example configs are valid");
     println!(
         "simulated A/B:  {:+.2}% throughput, {:+.2}% mean latency",
         ab.speedup_percent(),

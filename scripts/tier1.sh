@@ -88,7 +88,8 @@ done
 # saturate through a float cast (a 160 GB allocation, a capacity
 # overflow), non-finite sweep bounds and break-even parameters, and a
 # services pack whose case study the simulator does not know (it passes
-# `services validate` but used to panic `validate` and `tables table6`).
+# `services validate` but used to panic `validate` and `tables table6`),
+# and a params file whose `"a": 1e400` overflows to infinity.
 mkdir "$out_dir/renamed"
 sed 's/"aes-ni"/"aes-ni-v2"/' configs/services/cache1.json > "$out_dir/renamed/cache1.json"
 while IFS= read -r argv; do
@@ -114,17 +115,26 @@ breakeven --cb inf --a inf
 breakeven --cb 5 --a 27 --l -1
 --services $out_dir/renamed validate
 --services $out_dir/renamed tables table6
+estimate crates/cli/tests/fixtures/bad_params_overflow_a.json
 ARGS
 
-echo "== trace-reuse smoke: accelctl faults with reuse on and off must match byte-for-byte =="
-# Cross-point frozen-trace reuse replays pre-drawn requests instead of
-# redrawing them at every sweep grid point; the toggle must be
-# unobservable in output bytes (sharded too, where each shard adopts a
-# trace for its derived seed).
+echo "== trace-reuse smoke: batch runs with reuse on and off must match byte-for-byte =="
+# The batch runner shares one frozen trace among the runs of a batch
+# that use the same seed and workload; they replay pre-drawn requests
+# instead of redrawing them. The toggle must be unobservable in output
+# bytes: the fault sweep, monolithic and sharded (where traces are per
+# derived shard seed), the fallback table's A/B batch and the ablations.
 ./target/release/accelctl --trace-reuse on faults > "$out_dir/faults_reuse_on.json"
 ./target/release/accelctl --trace-reuse off faults > "$out_dir/faults_reuse_off.json"
 cmp "$out_dir/faults_reuse_on.json" "$out_dir/faults_reuse_off.json"
 cmp "$out_dir/faults_expected.json" "$out_dir/faults_reuse_on.json"
+for argv in "--shards 2 faults" "validate --case fallback" "ablations"; do
+    # shellcheck disable=SC2086
+    ./target/release/accelctl --trace-reuse on $argv > "$out_dir/reuse_on.txt"
+    # shellcheck disable=SC2086
+    ./target/release/accelctl --trace-reuse off $argv > "$out_dir/reuse_off.txt"
+    cmp "$out_dir/reuse_on.txt" "$out_dir/reuse_off.txt"
+done
 
 echo "== isa smoke: accelctl --isa scalar and auto must match byte-for-byte =="
 # ISA dispatch may only change kernel wall-clock, never an output byte;

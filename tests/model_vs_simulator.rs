@@ -99,7 +99,9 @@ fn model_percent(design: ThreadingDesign, strategy: AccelerationStrategy) -> f64
 }
 
 fn simulated_percent(design: ThreadingDesign, strategy: AccelerationStrategy) -> f64 {
-    run_ab(&control(design), offload(design, strategy)).speedup_percent()
+    run_ab(&control(design), offload(design, strategy))
+        .expect("valid configs")
+        .speedup_percent()
 }
 
 fn check(design: ThreadingDesign, strategy: AccelerationStrategy, tolerance: f64) {
