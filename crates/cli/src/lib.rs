@@ -276,16 +276,36 @@ fn cmd_calibrate() -> String {
     out
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The argument after flag `name`; `None` when the flag is absent, and
+/// an error when it is the last argument (a flag with no value used to
+/// fall back silently to its default).
+fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(value) => Ok(Some(value.clone())),
+            None => Err(format!("{name} requires a value")),
+        },
+    }
+}
+
+/// The first argument that is neither a flag nor the value of one of
+/// `value_flags`, wherever the flags appear.
+fn first_positional<'a>(args: &'a [String], value_flags: &[&str]) -> Option<&'a String> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if value_flags.contains(&arg.as_str()) {
+            it.next();
+        } else if !arg.starts_with("--") {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 /// Parses flag `name` through `FromStr`; `None` when it is absent.
 fn parse_flag<T: FromStr>(args: &[String], name: &str, expects: &str) -> Result<Option<T>, String> {
-    flag_value(args, name)
+    flag_value(args, name)?
         .map(|v| {
             v.parse()
                 .map_err(|_| format!("{name} expects {expects}, got '{v}'"))
@@ -393,11 +413,11 @@ fn cmd_breakeven(args: &[String]) -> Result<String, String> {
     let l = overhead("--l")?;
     let q = overhead("--q")?;
     let o1 = overhead("--o1")?;
-    let design = match flag_value(args, "--design") {
+    let design = match flag_value(args, "--design")? {
         Some(d) => parse_design(&d)?,
         None => ThreadingDesign::Sync,
     };
-    let strategy = match flag_value(args, "--strategy") {
+    let strategy = match flag_value(args, "--strategy")? {
         Some(s) => parse_strategy(&s)?,
         None => AccelerationStrategy::OffChip,
     };
@@ -425,7 +445,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
         .into_iter()
         .next()
         .ok_or("config contains no scenarios")?;
-    let axis_name = flag_value(args, "--axis").ok_or("missing required flag --axis")?;
+    let axis_name = flag_value(args, "--axis")?.ok_or("missing required flag --axis")?;
     let axis: sweep::SweepAxis =
         serde_json::from_value(serde_json::Value::String(axis_name.clone()))
             .map_err(|_| format!("unknown sweep axis '{axis_name}'"))?;
@@ -495,7 +515,7 @@ fn cmd_characterize(ctx: &RunContext, args: &[String]) -> Result<String, String>
 
 fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     let seed = parse_seed(args, 20_260_706)?;
-    if let Some(name) = flag_value(args, "--case") {
+    if let Some(name) = flag_value(args, "--case")? {
         if name == "fallback" {
             // Not a Table 6 row: the fault-capacity analogue. Model's
             // fallback-load term vs a simulated A/B per failure rate.
@@ -569,13 +589,13 @@ fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 /// `--jobs` width.
 fn cmd_faults(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     let seed = parse_seed(args, 20_260_806)?;
-    let scenario = match args.first().filter(|a| !a.starts_with("--")) {
+    let scenario = match first_positional(args, &["--seed"]) {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let mut scenario: FaultScenario = serde_json::from_str(&text)
                 .map_err(|e| format!("invalid fault scenario {path}: {e}"))?;
             // --seed overrides the file's seed; otherwise the file wins.
-            if flag_value(args, "--seed").is_some() {
+            if flag_value(args, "--seed")?.is_some() {
                 scenario.base.seed = seed;
             }
             scenario
@@ -1062,6 +1082,36 @@ mod tests {
         );
         let from_file = run(&args(&["faults", path])).unwrap();
         assert_eq!(builtin, from_file);
+    }
+
+    #[test]
+    fn faults_finds_the_scenario_path_after_the_seed_flag() {
+        // `faults --seed 5 <file>` used to ignore the file and run the
+        // builtin demo scenario.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../configs/faults-heavy-fallback.json"
+        );
+        let path_first = run(&args(&["faults", path, "--seed", "5"])).unwrap();
+        let seed_first = run(&args(&["faults", "--seed", "5", path])).unwrap();
+        assert_eq!(path_first, seed_first);
+        assert_ne!(seed_first, run(&args(&["faults", "--seed", "5"])).unwrap());
+    }
+
+    #[test]
+    fn a_value_flag_given_last_is_an_error() {
+        // Each of these used to exit 0, silently using the default.
+        for argv in [
+            &["characterize", "web", "--samples", "100", "--seed"][..],
+            &["breakeven", "--cb", "5", "--a", "27", "--design"],
+            &["breakeven", "--cb", "5", "--a", "27", "--strategy"],
+            &["validate", "--case"],
+            &["faults", "--seed"],
+        ] {
+            let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
+            let flag = argv.last().expect("non-empty argv");
+            assert_eq!(err, format!("{flag} requires a value"), "{argv:?}");
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl MultiKernelPlan {
         let total_offloads: f64 = self.kernels.iter().map(|k| k.offloads).sum();
         cs += total_offloads * ovh_s / c;
         cl += total_offloads * ovh_l / c;
-        Ok(self.finish(cs, cl))
+        Ok(self.estimate_from(cs, cl))
     }
 
     /// Estimates the plan on one **fused** device: the kernels process
@@ -157,7 +157,7 @@ impl MultiKernelPlan {
         let c = self.host_cycles.get();
         cs += fused_offloads * ovh_s / c;
         cl += fused_offloads * ovh_l / c;
-        Ok(self.finish(cs, cl))
+        Ok(self.estimate_from(cs, cl))
     }
 
     /// The fusion dividend: percentage points of throughput gained by
@@ -172,7 +172,7 @@ impl MultiKernelPlan {
         Ok(fused.throughput_gain_percent() - separate.throughput_gain_percent())
     }
 
-    fn finish(&self, cs: f64, cl: f64) -> Estimate {
+    fn estimate_from(&self, cs: f64, cl: f64) -> Estimate {
         Estimate {
             throughput_speedup: 1.0 / cs,
             latency_reduction: 1.0 / cl,

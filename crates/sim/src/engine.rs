@@ -24,7 +24,7 @@ use crate::fault::{FaultPlan, FaultState, RecoveryPolicy};
 use crate::metrics::{total_order_key, FaultMetrics, LatencyStats, SimMetrics};
 use crate::parallel::derive_seed;
 use crate::time::SimTime;
-use crate::trace::{FrozenTrace, SampleBank, MAX_TRACE_REQUESTS};
+use crate::trace::{FrozenTrace, MAX_TRACE_REQUESTS};
 use crate::workload::{expand_record, RequestSampler, WorkItem, WorkloadSpec};
 
 /// Accelerator-side configuration for a simulation run.
@@ -311,11 +311,13 @@ pub struct EngineStats {
     pub heap_sift_ups: u64,
     /// Entry moves the event heap performed sifting pops down.
     pub heap_sift_downs: u64,
-    /// Sample-bank refills (blocks of requests pre-drawn from the
-    /// engine RNG) — how many times the draw loop ran.
+    /// Retired: always 0. The block-refilled sample bank it counted was
+    /// deleted (requests now come from a frozen trace or an inline
+    /// draw); the field stays only until the benchmark harness stops
+    /// reading it.
     pub bank_refills: u64,
     /// Requests replayed from an adopted frozen trace instead of drawn
-    /// live; with cross-point reuse this is where sweep sampling cost
+    /// inline; with cross-point reuse this is where sweep sampling cost
     /// goes.
     pub trace_requests_replayed: u64,
 }
@@ -416,15 +418,13 @@ pub struct Simulator {
     /// bit-identical to `cfg.workload.draw_request`.
     sampler: RequestSampler,
     rng: StdRng,
-    /// Level-1 sampling: a bank of pre-drawn requests refilled in blocks
-    /// so the event loop consumes plain data instead of interleaving
-    /// RNG/`ln`/quantile calls with event handling. Bit-identical to
-    /// per-request drawing at any block size.
-    bank: SampleBank,
-    /// Level-2 sampling: an adopted frozen trace (shared by a batch's
-    /// runs) plus the index of the next request to take from it.
-    /// When the prefix runs out, the engine switches `rng` to the
-    /// trace's continuation state and falls back to the bank.
+    /// Scratch record for inline draws: one request's
+    /// `kernels_per_request + 1` values, overwritten per request.
+    record: Vec<f64>,
+    /// An adopted frozen trace (shared by a batch's runs) plus the index
+    /// of the next request to take from it. When the prefix runs out,
+    /// the engine switches `rng` to the trace's continuation state and
+    /// draws inline from then on.
     trace: Option<(Arc<FrozenTrace>, usize)>,
     now: SimTime,
     seq: u64,
@@ -450,7 +450,7 @@ pub struct Simulator {
     completed: u64,
     completed_failed: u64,
     /// Each completed request's latency as its [`total_order_key`],
-    /// sorted in place by `finish`. Reserved once per run from the
+    /// sorted in place by [`merge`]. Reserved once per run from the
     /// request estimate, so it normally never regrows mid-run.
     latency_keys: Vec<u64>,
     core_busy: f64,
@@ -555,7 +555,7 @@ impl Simulator {
         Ok(Self {
             sampler: cfg.workload.sampler(),
             rng: StdRng::seed_from_u64(cfg.seed),
-            bank: SampleBank::new(),
+            record: Vec::with_capacity(cfg.workload.kernels_per_request + 1),
             trace,
             now: SimTime::ZERO,
             seq: 0,
@@ -593,14 +593,6 @@ impl Simulator {
             primed: false,
             cfg,
         })
-    }
-
-    /// Overrides the sample bank's refill block size (test hook).
-    /// Every block size is bit-identical — size 1 degenerates to the
-    /// historical draw-per-request path — which the trace proptests pin.
-    #[doc(hidden)]
-    pub fn set_bank_block(&mut self, block: usize) {
-        self.bank.set_block(block);
     }
 
     /// Schedules `event` at `time`, routing it through the one-slot heap
@@ -646,9 +638,8 @@ impl Simulator {
     /// O(in-flight) memory behaviour.
     #[must_use]
     pub fn run_instrumented(mut self) -> (SimMetrics, EngineStats) {
-        let horizon = self.cfg.horizon;
-        self.run_until(horizon);
-        self.finish()
+        self.run_until(self.cfg.horizon);
+        merge(vec![self.into_shard_output()])
     }
 
     /// Advances the simulation until the next pending event would be
@@ -682,9 +673,9 @@ impl Simulator {
     /// increasing, so anything a handler pushes orders *after* every
     /// event already pending at that timestamp and the pop sequence is
     /// the exact global `(time, seq)` order either way. (A buffered
-    /// variant — `EventQueue::pop_run` — was measured slower: the
-    /// dominant run length is 2, e.g. Sync's `OffloadDone`/`SliceDone`
-    /// pair, and the buffer swap costs more than the second pop.)
+    /// drain of each run was measured slower: the dominant run length
+    /// is 2, e.g. Sync's `OffloadDone`/`SliceDone` pair, and the buffer
+    /// swap costs more than the second pop.)
     /// Bounded peeking leaves beyond-horizon events in the heap, which
     /// no observable state reads.
     fn advance<const OFFLOAD: bool, const FAULTY: bool>(&mut self, until: f64) {
@@ -820,7 +811,7 @@ impl Simulator {
     /// Accrues core-busy time for a slice beginning at `start`, clamped
     /// at the horizon: the part of a slice that runs past the end of the
     /// measurement window contributes no measured busy time (the same
-    /// rule `Device::utilization` applies to device busy time), keeping
+    /// rule the device applies to its busy time at dispatch), keeping
     /// `core_utilization <= 1` exact. Only the accumulator clamps —
     /// event timing is untouched, and a slice that ends at or before
     /// the horizon charges bit-identically to the unclamped sum.
@@ -1116,25 +1107,25 @@ impl Simulator {
         let request = self.slab.alloc(start);
         self.live_requests += 1;
         self.peak_live_requests = self.peak_live_requests.max(self.live_requests);
-        // Expand the next pre-drawn request into the thread's (drained)
-        // item buffer so its allocation is reused request after request.
-        // Disjoint field borrows keep the sampler, RNG, bank, and buffer
-        // independent. Priority: adopted frozen trace, then the bank
-        // (which refills itself from the RNG in blocks).
+        // Expand the next request into the thread's (drained) item buffer
+        // so its allocation is reused request after request. Disjoint
+        // field borrows keep the sampler, RNG, record, and buffer
+        // independent. Priority: adopted frozen trace, then an inline
+        // draw from the RNG.
         let Self {
             ref sampler,
             ref mut rng,
             ref mut threads,
-            ref mut bank,
+            ref mut record,
             ref mut trace,
             ref mut trace_replayed,
             ..
         } = *self;
         let queue = &mut threads[thread].items;
         queue.head = 0;
+        queue.buf.clear();
         match trace {
             Some((frozen, next)) => {
-                queue.buf.clear();
                 expand_record(frozen.record(*next), &mut queue.buf);
                 *next += 1;
                 *trace_replayed += 1;
@@ -1147,7 +1138,11 @@ impl Simulator {
                     *trace = None;
                 }
             }
-            None => bank.pop_into(sampler, rng, &mut queue.buf),
+            None => {
+                record.clear();
+                sampler.draw_record(rng, record);
+                expand_record(record, &mut queue.buf);
+            }
         }
         threads[thread].request = request;
     }
@@ -1179,48 +1174,6 @@ impl Simulator {
         self.slab.retire(request);
     }
 
-    fn finish(&mut self) -> (SimMetrics, EngineStats) {
-        let horizon = self.cfg.horizon;
-        let (mean_queue_delay, device_utilization, device_offloads) = self
-            .device
-            .as_ref()
-            .map_or((0.0, 0.0, 0), |d| {
-                (d.mean_queue_delay(), d.utilization(), d.offloads())
-            });
-        let faults = self.fault.as_ref().map_or_else(FaultMetrics::default, |f| {
-            let mut m = f.metrics;
-            m.failed_requests = self.completed_failed;
-            m.goodput_per_gcycle = (self.completed - self.completed_failed) as f64 / horizon * 1e9;
-            m
-        });
-        let metrics = SimMetrics {
-            horizon_cycles: horizon,
-            completed_requests: self.completed,
-            throughput_per_gcycle: self.completed as f64 / horizon * 1e9,
-            latency: LatencyStats::from_keys(&mut self.latency_keys),
-            core_utilization: self.core_busy / (self.cfg.cores as f64 * horizon),
-            offloads_dispatched: self.offloads,
-            offloads_suppressed: self.suppressed,
-            mean_queue_delay,
-            device_utilization,
-            device_offloads,
-            thread_switches: self.switches,
-            faults,
-        };
-        let stats = EngineStats {
-            events_processed: self.events_processed,
-            events_scheduled: self.seq,
-            peak_live_requests: self.peak_live_requests,
-            batch_runs: self.batch_runs,
-            multi_event_batches: self.multi_event_batches,
-            heap_sift_ups: self.events.sift_ups(),
-            heap_sift_downs: self.events.sift_downs(),
-            bank_refills: self.bank.refills(),
-            trace_requests_replayed: self.trace_replayed,
-        };
-        (metrics, stats)
-    }
-
     /// Drains the service demand the device accumulated since the last
     /// drain (0 without a device) — the sharded runner's per-epoch
     /// exchange payload.
@@ -1242,8 +1195,9 @@ impl Simulator {
         self.device.as_ref().map_or(0, Device::servers)
     }
 
-    /// Tears the engine down into the raw accumulators a shard merge
-    /// needs. Only meaningful after the run reached the horizon.
+    /// Tears the engine down into the raw accumulators [`merge`] folds —
+    /// the engine's only teardown. Only meaningful after the run reached
+    /// the horizon.
     pub(crate) fn into_shard_output(self) -> ShardOutput {
         let stats = EngineStats {
             events_processed: self.events_processed,
@@ -1253,7 +1207,7 @@ impl Simulator {
             multi_event_batches: self.multi_event_batches,
             heap_sift_ups: self.events.sift_ups(),
             heap_sift_downs: self.events.sift_downs(),
-            bank_refills: self.bank.refills(),
+            bank_refills: 0,
             trace_requests_replayed: self.trace_replayed,
         };
         let (device_busy, device_queue_delay_total, device_offloads, device_servers) = self
@@ -1268,6 +1222,8 @@ impl Simulator {
                 )
             });
         ShardOutput {
+            cores: self.cfg.cores,
+            horizon: self.cfg.horizon,
             completed: self.completed,
             completed_failed: self.completed_failed,
             latency_keys: self.latency_keys,
@@ -1285,11 +1241,16 @@ impl Simulator {
     }
 }
 
-/// One shard's raw accumulators, before any cross-shard folding — the
-/// sharded runner merges these in shard-index order so the result is
-/// independent of worker-pool width.
+/// One engine's raw accumulators, before [`merge`] folds them — a
+/// monolithic run folds its one output, the sharded runner its shards'
+/// in shard-index order, so the result is independent of worker-pool
+/// width.
 #[derive(Debug)]
 pub(crate) struct ShardOutput {
+    /// The engine's cores (its slice of the machine when sharded).
+    pub cores: usize,
+    /// The run's horizon, which every engine of a run shares.
+    pub horizon: f64,
     pub completed: u64,
     pub completed_failed: u64,
     /// Completed-request latencies as total-order keys, unsorted.
@@ -1304,6 +1265,107 @@ pub(crate) struct ShardOutput {
     pub device_offloads: u64,
     pub device_servers: usize,
     pub faults: Option<FaultMetrics>,
+}
+
+/// Folds engine outputs, in order, into one run's [`SimMetrics`] and
+/// [`EngineStats`] — the only place either is built. A monolithic run
+/// folds its single output, a sharded run its shards' in shard-index
+/// order, so a single-shard plan is bit-identical to the classic engine
+/// by construction.
+///
+/// The first output's latency keys are moved, never copied, and their
+/// buffer is grown once to take the rest; a monolithic run's keys are
+/// sorted where the engine recorded them.
+///
+/// # Panics
+///
+/// Panics on an empty `outputs` (every run has at least one engine).
+pub(crate) fn merge(mut outputs: Vec<ShardOutput>) -> (SimMetrics, EngineStats) {
+    let horizon = outputs[0].horizon;
+    let rest: usize = outputs[1..].iter().map(|o| o.latency_keys.len()).sum();
+    let mut keys = std::mem::take(&mut outputs[0].latency_keys);
+    keys.reserve_exact(rest);
+    let mut cores = 0usize;
+    let mut completed = 0u64;
+    let mut completed_failed = 0u64;
+    let mut core_busy = 0.0f64;
+    let mut offloads = 0u64;
+    let mut suppressed = 0u64;
+    let mut switches = 0u64;
+    let mut device_busy = 0.0f64;
+    let mut device_queue_delay_total = 0.0f64;
+    let mut device_offloads = 0u64;
+    let mut device_servers = 0usize;
+    let mut faults: Option<FaultMetrics> = None;
+    let mut engine = EngineStats::default();
+    for out in outputs {
+        debug_assert_eq!(out.horizon.to_bits(), horizon.to_bits());
+        cores += out.cores;
+        completed += out.completed;
+        completed_failed += out.completed_failed;
+        core_busy += out.core_busy;
+        offloads += out.offloads;
+        suppressed += out.suppressed;
+        switches += out.switches;
+        device_busy += out.device_busy;
+        device_queue_delay_total += out.device_queue_delay_total;
+        device_offloads += out.device_offloads;
+        device_servers += out.device_servers;
+        keys.extend_from_slice(&out.latency_keys);
+        if let Some(f) = &out.faults {
+            let acc = faults.get_or_insert_with(FaultMetrics::default);
+            acc.active |= f.active;
+            acc.injected_failures += f.injected_failures;
+            acc.latency_spikes += f.latency_spikes;
+            acc.degraded_offloads += f.degraded_offloads;
+            acc.timeouts += f.timeouts;
+            acc.retries += f.retries;
+            acc.fallbacks += f.fallbacks;
+            acc.shed_offloads += f.shed_offloads;
+            acc.abandoned_offloads += f.abandoned_offloads;
+        }
+        engine.events_processed += out.stats.events_processed;
+        engine.events_scheduled += out.stats.events_scheduled;
+        engine.peak_live_requests = engine.peak_live_requests.max(out.stats.peak_live_requests);
+        engine.batch_runs += out.stats.batch_runs;
+        engine.multi_event_batches += out.stats.multi_event_batches;
+        engine.heap_sift_ups += out.stats.heap_sift_ups;
+        engine.heap_sift_downs += out.stats.heap_sift_downs;
+        engine.trace_requests_replayed += out.stats.trace_requests_replayed;
+    }
+    let faults = faults.map_or_else(FaultMetrics::default, |mut m| {
+        m.failed_requests = completed_failed;
+        m.goodput_per_gcycle = (completed - completed_failed) as f64 / horizon * 1e9;
+        m
+    });
+    // The device's empirical `Q` and its utilization over the horizon
+    // (busy time is clamped to the horizon at dispatch, so at most 1);
+    // an unlimited device has no servers and reports 0.
+    let mean_queue_delay = if device_offloads == 0 {
+        0.0
+    } else {
+        device_queue_delay_total / device_offloads as f64
+    };
+    let device_utilization = if device_servers == 0 {
+        0.0
+    } else {
+        device_busy / (device_servers as f64 * horizon)
+    };
+    let metrics = SimMetrics {
+        horizon_cycles: horizon,
+        completed_requests: completed,
+        throughput_per_gcycle: completed as f64 / horizon * 1e9,
+        latency: LatencyStats::from_keys(&mut keys),
+        core_utilization: core_busy / (cores as f64 * horizon),
+        offloads_dispatched: offloads,
+        offloads_suppressed: suppressed,
+        mean_queue_delay,
+        device_utilization,
+        device_offloads,
+        thread_switches: switches,
+        faults,
+    };
+    (metrics, engine)
 }
 
 #[cfg(test)]
@@ -1781,19 +1843,18 @@ mod tests {
     }
 
     #[test]
-    fn sampling_stats_attribute_requests_to_bank_or_trace() {
+    fn sampling_stats_count_replayed_requests() {
         let cfg = base_config();
-        // Without a trace every request comes from the bank.
+        // Without a trace every request is drawn inline.
         let (metrics, stats) = Simulator::new(cfg.clone()).run_instrumented();
-        assert!(stats.bank_refills > 0);
         assert_eq!(stats.trace_requests_replayed, 0);
-        // A full-length frozen trace absorbs every draw: no refills, and
-        // the replay counter covers the completed requests.
+        assert_eq!(stats.bank_refills, 0, "retired counter");
+        // A full-length frozen trace absorbs every draw: the replay
+        // counter covers the completed requests.
         let trace = Arc::new(FrozenTrace::for_config(&cfg));
         let engine = Simulator::try_new_with_trace(cfg, Some(trace)).expect("trace matches");
         let (traced_metrics, traced_stats) = engine.run_instrumented();
         assert_eq!(metrics, traced_metrics);
-        assert_eq!(traced_stats.bank_refills, 0);
         assert!(traced_stats.trace_requests_replayed >= traced_metrics.completed_requests);
     }
 

@@ -94,12 +94,6 @@ impl<E: Copy> EventQueue<E> {
         self.sift_downs
     }
 
-    /// The earliest pending time, without removing anything.
-    #[cfg(test)]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| unpack_time(e.key))
-    }
-
     /// Number of pending events.
     #[cfg(test)]
     pub fn len(&self) -> usize {
@@ -151,8 +145,8 @@ impl<E: Copy> EventQueue<E> {
     /// Removes and returns the earliest event (smallest time, then
     /// smallest sequence number). The engine pops through
     /// [`pop_bounded`](Self::pop_bounded) instead, which folds the
-    /// horizon check in; the unbounded form remains the test-side
-    /// reference primitive.
+    /// horizon check in; the unbounded form remains for the queue's own
+    /// tests.
     #[cfg(test)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let top = *self.heap.first()?;
@@ -214,40 +208,6 @@ impl<E: Copy> EventQueue<E> {
             }
             self.heap[hole] = last;
         }
-    }
-
-    /// Removes the earliest event *and* every later event sharing its
-    /// exact timestamp, appending their payloads to `out` (cleared
-    /// first) in pop order. Returns the run's shared time.
-    ///
-    /// The run boundary compares raw time bits, so "same timestamp"
-    /// means bit-identical `f64` — exactly the times that would pop
-    /// back-to-back with only the sequence number breaking the tie.
-    /// Because every buffered event carries a lower sequence number than
-    /// anything pushed while the run is processed, handling the buffer
-    /// before re-polling the heap preserves the global `(time, seq)`
-    /// order exactly.
-    ///
-    /// The engine no longer calls this: its loop consumes runs through
-    /// consecutive [`pop_bounded`](Self::pop_bounded) calls, which
-    /// measured faster for the run length that dominates real schedules
-    /// (two — e.g. Sync's `OffloadDone`/`SliceDone` pair). The batched
-    /// drain survives under `cfg(test)` as the specification the
-    /// property tests pin the heap's tie grouping against.
-    #[cfg(test)]
-    pub fn pop_run(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        out.clear();
-        let first_key = self.heap.first()?.key;
-        let time_bits = first_key >> 64;
-        loop {
-            let (_, event) = self.pop().expect("heap has the peeked entry");
-            out.push(event);
-            match self.heap.first() {
-                Some(next) if next.key >> 64 == time_bits => {}
-                _ => break,
-            }
-        }
-        Some(unpack_time(first_key))
     }
 }
 
@@ -357,39 +317,28 @@ mod tests {
         assert_eq!(q.len(), 0);
     }
 
-    #[test]
-    fn pop_run_groups_exact_time_ties_in_seq_order() {
-        let mut q = EventQueue::with_capacity(8);
-        q.push(SimTime::new(10.0), 1, "a");
-        q.push(SimTime::new(20.0), 2, "x");
-        q.push(SimTime::new(10.0), 3, "b");
-        q.push(SimTime::new(10.0), 4, "c");
-        let mut run = Vec::new();
-        let t = q.pop_run(&mut run).expect("events pending");
-        assert_eq!(t, SimTime::new(10.0));
-        assert_eq!(run, vec!["a", "b", "c"]);
-        let t = q.pop_run(&mut run).expect("one event left");
-        assert_eq!(t, SimTime::new(20.0));
-        assert_eq!(run, vec!["x"]);
-        assert!(q.pop_run(&mut run).is_none());
-        assert!(run.is_empty());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random schedules — including deliberate time ties and
         /// fractional times — pop in identical order from the packed
-        /// 4-ary heap and the retained `BinaryHeap` reference.
+        /// 4-ary heap and the retained `BinaryHeap` reference, through
+        /// both the unbounded `pop` and the engine's `pop_bounded` at
+        /// random bounds. A bounded pop yields the reference's next
+        /// event exactly when that event is due by the bound, and its
+        /// `tied` flag says whether the reference's next event after it
+        /// shares its timestamp — the engine's run accounting.
         #[test]
         fn matches_reference_binary_heap(
             times in prop::collection::vec(0u32..50, 1..200),
             fractional in prop::collection::vec(0.0..1.0f64, 1..200),
+            bounds in prop::collection::vec(0u32..60, 1..200),
             pop_every in 1usize..5,
         ) {
             let mut packed = EventQueue::with_capacity(16);
             let mut reference = ReferenceQueue::default();
             let mut seq = 0u64;
+            let mut pops = 0usize;
             let n = times.len().min(fractional.len());
             for i in 0..n {
                 // Coarse integer grid + occasional fractions: many exact
@@ -401,58 +350,38 @@ mod tests {
                 packed.push(time, seq, seq);
                 reference.push(time, seq, seq);
                 if i % pop_every == 0 {
-                    let got = packed.pop();
-                    let want = reference.pop().map(|(t, _, e)| (t, e));
-                    prop_assert_eq!(got, want);
+                    pops += 1;
+                    if pops.is_multiple_of(2) {
+                        let got = packed.pop();
+                        let want = reference.pop().map(|(t, _, e)| (t, e));
+                        prop_assert_eq!(got, want);
+                    } else {
+                        // Whole bounds land exactly on grid times (the
+                        // bound is inclusive); halves fall between them.
+                        let until = f64::from(bounds[pops % bounds.len()]) / 2.0;
+                        let got = packed.pop_bounded(bound_key(until));
+                        let want = match reference.peek_time() {
+                            Some(t) if t.cycles() <= until => {
+                                let (t, _, e) = reference.pop().expect("peeked");
+                                Some((t, e, reference.peek_time() == Some(t)))
+                            }
+                            _ => None,
+                        };
+                        prop_assert_eq!(got, want);
+                    }
                 }
             }
+            // Drain through the unbounded bound, checking every `tied`.
             loop {
-                let got = packed.pop();
-                let want = reference.pop().map(|(t, _, e)| (t, e));
+                let got = packed.pop_bounded(bound_key(f64::INFINITY));
+                let want = reference
+                    .pop()
+                    .map(|(t, _, e)| (t, e, reference.peek_time() == Some(t)));
                 prop_assert_eq!(got, want);
                 if got.is_none() {
                     break;
                 }
             }
-        }
-
-        /// Draining through `pop_run` yields the reference heap's exact
-        /// pop sequence, and each run is a *maximal* group of one shared
-        /// timestamp.
-        #[test]
-        fn pop_run_matches_reference_binary_heap(
-            times in prop::collection::vec(0u32..20, 1..200),
-            fractional in prop::collection::vec(0.0..1.0f64, 1..200),
-        ) {
-            let mut packed = EventQueue::with_capacity(16);
-            let mut reference = ReferenceQueue::default();
-            let n = times.len().min(fractional.len());
-            for i in 0..n {
-                // A coarse grid forces many multi-event runs.
-                let time = SimTime::new(
-                    f64::from(times[i]) + if i % 5 == 0 { fractional[i] } else { 0.0 },
-                );
-                let seq = i as u64 + 1;
-                packed.push(time, seq, seq);
-                reference.push(time, seq, seq);
-            }
-            let mut run = Vec::new();
-            while let Some(run_time) = packed.pop_run(&mut run) {
-                prop_assert!(!run.is_empty());
-                for &event in &run {
-                    let (want_time, _, want_event) =
-                        reference.pop().expect("reference has the same events");
-                    prop_assert_eq!(run_time, want_time);
-                    prop_assert_eq!(event, want_event);
-                }
-                // Maximality: the next reference event (if any) has a
-                // strictly later timestamp.
-                prop_assert_eq!(packed.peek_time(), reference.peek_time());
-                if let Some(next) = packed.peek_time() {
-                    prop_assert!(next > run_time);
-                }
-            }
-            prop_assert!(reference.pop().is_none());
         }
     }
 }

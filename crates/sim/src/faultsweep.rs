@@ -218,7 +218,8 @@ pub fn run_fault_sweep_with(
 /// The sweep's runs: index 0 is the healthy reference, then one faulted
 /// run per policy. Faults and recovery draw from a separate derived RNG
 /// stream, so every run shares the base seed's request stream.
-fn sweep_configs(scenario: &FaultScenario) -> Vec<SimConfig> {
+#[must_use]
+pub fn sweep_configs(scenario: &FaultScenario) -> Vec<SimConfig> {
     let mut healthy = scenario.base.clone();
     healthy.fault = FaultPlan::none();
     healthy.recovery = RecoveryPolicy::none();

@@ -57,7 +57,9 @@ pub fn run_batch(
         TraceStore::default()
     };
     if let Some(shard_pool) = shards {
-        let runs = pool.map(configs, |_, cfg| run_sharded(shard_pool, cfg, Some(&store)));
+        let runs = pool.map(configs, |_, cfg| {
+            run_sharded(shard_pool, cfg, Some(&store)).map(|(metrics, _)| metrics)
+        });
         return runs.into_iter().collect();
     }
     // Each run owns its handle on its trace and drops it with its
@@ -141,7 +143,7 @@ mod tests {
         // cfg's shard seeds repeat and share traces; other's draw live.
         let configs = [cfg.clone(), other.clone(), cfg.clone()];
         let got = run_batch(&ExecPool::new(2), Some(&ExecPool::new(3)), &configs).unwrap();
-        let direct = |c: &SimConfig| run_sharded(&ExecPool::new(1), c, None).unwrap();
+        let direct = |c: &SimConfig| run_sharded(&ExecPool::new(1), c, None).unwrap().0;
         assert_eq!(got, vec![direct(&cfg), direct(&other), direct(&cfg)]);
         let classic = Simulator::new(cfg).run();
         assert_ne!(got[0], classic, "sharding is a different run");

@@ -25,7 +25,8 @@
 //!    siblings it cannot see. Floating-point folds never depend on
 //!    worker scheduling.
 //! 3. **Ordered merge.** Final accumulators are folded in shard-index
-//!    order into one [`SimMetrics`].
+//!    order into one [`SimMetrics`] by the same fold that finishes a
+//!    monolithic run.
 //!
 //! A single-shard plan (`L == 1`, e.g. coprime cores/threads or a
 //! one-server FIFO) degenerates to the classic engine exactly: same
@@ -36,9 +37,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use accelerometer::exec::ExecPool;
 
 use crate::device::DeviceKind;
-use crate::engine::{EngineStats, ShardOutput, SimConfig, Simulator};
+use crate::engine::{merge, EngineStats, ShardOutput, SimConfig, Simulator};
 use crate::error::Result;
-use crate::metrics::{FaultMetrics, LatencyStats, SimMetrics};
+use crate::metrics::SimMetrics;
 use crate::parallel::derive_seed;
 use crate::trace::TraceStore;
 
@@ -153,39 +154,18 @@ pub struct ShardStats {
     pub engine: EngineStats,
 }
 
-/// Runs `cfg` sharded on `pool` and returns the merged metrics. With a
-/// trace store, each shard adopts the store's frozen trace for its
-/// decorrelated seed, if there is one, so a batch's configurations share
-/// one trace draw per shard instead of redrawing per configuration.
-/// The trace path is the same stream, pre-drawn, so the bytes do not
-/// depend on whether a store is given.
+/// Runs `cfg` sharded on `pool` and returns the merged metrics plus the
+/// per-shard counters. With a trace store, each shard adopts the store's
+/// frozen trace for its decorrelated seed, if there is one, so a batch's
+/// configurations share one trace draw per shard instead of redrawing
+/// per configuration. The trace path is the same stream, pre-drawn, so
+/// the bytes do not depend on whether a store is given.
 ///
 /// # Errors
 ///
 /// Returns [`crate::SimError::InvalidConfig`] when the configuration is
 /// rejected by [`SimConfig::validate`].
 pub fn run_sharded(
-    pool: &ExecPool,
-    cfg: &SimConfig,
-    traces: Option<&TraceStore>,
-) -> Result<SimMetrics> {
-    run_sharded_instrumented_traced(pool, cfg, traces).map(|(m, _)| m)
-}
-
-/// [`run_sharded`] without a trace store, plus the per-shard counters.
-///
-/// # Errors
-///
-/// Returns [`crate::SimError::InvalidConfig`] when the configuration is
-/// rejected by [`SimConfig::validate`].
-pub fn run_sharded_instrumented(
-    pool: &ExecPool,
-    cfg: &SimConfig,
-) -> Result<(SimMetrics, ShardStats)> {
-    run_sharded_instrumented_traced(pool, cfg, None)
-}
-
-fn run_sharded_instrumented_traced(
     pool: &ExecPool,
     cfg: &SimConfig,
     traces: Option<&TraceStore>,
@@ -232,103 +212,30 @@ fn run_sharded_instrumented_traced(
         }
     }
     let outputs: Vec<ShardOutput> = shards.into_iter().map(Simulator::into_shard_output).collect();
-    Ok(merge(cfg, plan, outputs))
-}
-
-/// Folds shard accumulators into one [`SimMetrics`], in shard-index
-/// order, with the exact arithmetic the monolithic `finish` uses — so a
-/// single-shard plan is bit-identical to the classic engine.
-fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: Vec<ShardOutput>) -> (SimMetrics, ShardStats) {
-    let horizon = cfg.horizon;
-    let mut completed = 0u64;
-    let mut completed_failed = 0u64;
-    let mut core_busy = 0.0f64;
-    let mut offloads = 0u64;
-    let mut suppressed = 0u64;
-    let mut switches = 0u64;
-    let mut device_busy = 0.0f64;
-    let mut device_queue_delay_total = 0.0f64;
-    let mut device_offloads = 0u64;
-    let mut device_servers = 0usize;
-    // Shard keys concatenated in shard-index order into one exact-size
-    // buffer; each shard's own buffer is freed as soon as it is copied.
-    let mut keys: Vec<u64> = Vec::with_capacity(outputs.iter().map(|o| o.latency_keys.len()).sum());
-    let mut faults: Option<FaultMetrics> = None;
-    let mut engine = EngineStats::default();
-    let mut per_shard_events = Vec::with_capacity(outputs.len());
-    let mut per_shard_peak_live = Vec::with_capacity(outputs.len());
-    for out in outputs {
-        completed += out.completed;
-        completed_failed += out.completed_failed;
-        core_busy += out.core_busy;
-        offloads += out.offloads;
-        suppressed += out.suppressed;
-        switches += out.switches;
-        device_busy += out.device_busy;
-        device_queue_delay_total += out.device_queue_delay_total;
-        device_offloads += out.device_offloads;
-        device_servers += out.device_servers;
-        keys.extend_from_slice(&out.latency_keys);
-        if let Some(f) = &out.faults {
-            let acc = faults.get_or_insert_with(FaultMetrics::default);
-            acc.active |= f.active;
-            acc.injected_failures += f.injected_failures;
-            acc.latency_spikes += f.latency_spikes;
-            acc.degraded_offloads += f.degraded_offloads;
-            acc.timeouts += f.timeouts;
-            acc.retries += f.retries;
-            acc.fallbacks += f.fallbacks;
-            acc.shed_offloads += f.shed_offloads;
-            acc.abandoned_offloads += f.abandoned_offloads;
-        }
-        engine.events_processed += out.stats.events_processed;
-        engine.events_scheduled += out.stats.events_scheduled;
-        engine.peak_live_requests = engine.peak_live_requests.max(out.stats.peak_live_requests);
-        engine.batch_runs += out.stats.batch_runs;
-        engine.multi_event_batches += out.stats.multi_event_batches;
-        engine.heap_sift_ups += out.stats.heap_sift_ups;
-        engine.heap_sift_downs += out.stats.heap_sift_downs;
-        engine.bank_refills += out.stats.bank_refills;
-        engine.trace_requests_replayed += out.stats.trace_requests_replayed;
-        per_shard_events.push(out.stats.events_processed);
-        per_shard_peak_live.push(out.stats.peak_live_requests);
-    }
-    let faults = faults.map_or_else(FaultMetrics::default, |mut m| {
-        m.failed_requests = completed_failed;
-        m.goodput_per_gcycle = (completed - completed_failed) as f64 / horizon * 1e9;
-        m
-    });
-    let mean_queue_delay = if device_offloads == 0 {
-        0.0
-    } else {
-        device_queue_delay_total / device_offloads as f64
-    };
-    let device_utilization = if device_servers == 0 {
-        0.0
-    } else {
-        device_busy / (device_servers as f64 * horizon)
-    };
-    let metrics = SimMetrics {
-        horizon_cycles: horizon,
-        completed_requests: completed,
-        throughput_per_gcycle: completed as f64 / horizon * 1e9,
-        latency: LatencyStats::from_keys(&mut keys),
-        core_utilization: core_busy / (cfg.cores as f64 * horizon),
-        offloads_dispatched: offloads,
-        offloads_suppressed: suppressed,
-        mean_queue_delay,
-        device_utilization,
-        device_offloads,
-        thread_switches: switches,
-        faults,
-    };
+    let per_shard_events = outputs.iter().map(|o| o.stats.events_processed).collect();
+    let per_shard_peak_live = outputs.iter().map(|o| o.stats.peak_live_requests).collect();
+    let (metrics, engine) = merge(outputs);
     let stats = ShardStats {
         plan,
         per_shard_events,
         per_shard_peak_live,
         engine,
     };
-    (metrics, stats)
+    Ok((metrics, stats))
+}
+
+/// [`run_sharded`] without a trace store. Only the benchmark harness
+/// still calls it.
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::InvalidConfig`] when the configuration is
+/// rejected by [`SimConfig::validate`].
+pub fn run_sharded_instrumented(
+    pool: &ExecPool,
+    cfg: &SimConfig,
+) -> Result<(SimMetrics, ShardStats)> {
+    run_sharded(pool, cfg, None)
 }
 
 #[cfg(test)]
@@ -416,9 +323,9 @@ mod tests {
     #[test]
     fn output_is_identical_at_every_pool_width() {
         let cfg = sharded_config();
-        let reference = run_sharded_instrumented(&ExecPool::new(1), &cfg).unwrap();
+        let reference = run_sharded(&ExecPool::new(1), &cfg, None).unwrap();
         for width in [2, 4, 13] {
-            let got = run_sharded_instrumented(&ExecPool::new(width), &cfg).unwrap();
+            let got = run_sharded(&ExecPool::new(width), &cfg, None).unwrap();
             assert_eq!(reference.0, got.0, "metrics diverged at width {width}");
             assert_eq!(reference.1, got.1, "stats diverged at width {width}");
         }
@@ -443,11 +350,11 @@ mod tests {
             fallback_to_host: true,
             ..RecoveryPolicy::none()
         };
-        let reference = run_sharded(&ExecPool::new(1), &cfg, None).unwrap();
+        let (reference, _) = run_sharded(&ExecPool::new(1), &cfg, None).unwrap();
         assert!(reference.faults.active);
         assert!(reference.faults.injected_failures > 0);
         for width in [2, 4] {
-            let got = run_sharded(&ExecPool::new(width), &cfg, None).unwrap();
+            let (got, _) = run_sharded(&ExecPool::new(width), &cfg, None).unwrap();
             assert_eq!(reference, got, "fault metrics diverged at width {width}");
         }
     }
@@ -460,7 +367,7 @@ mod tests {
         cfg.cores = 3;
         cfg.threads = 7;
         let classic = Simulator::new(cfg.clone()).run();
-        let sharded = run_sharded(&ExecPool::new(4), &cfg, None).unwrap();
+        let (sharded, _) = run_sharded(&ExecPool::new(4), &cfg, None).unwrap();
         assert_eq!(classic, sharded);
     }
 
@@ -471,7 +378,7 @@ mod tests {
         // per-shard peaks would fabricate a simultaneous "fleet peak"
         // no engine ever held.
         let cfg = sharded_config();
-        let (_, stats) = run_sharded_instrumented(&ExecPool::new(1), &cfg).unwrap();
+        let (_, stats) = run_sharded(&ExecPool::new(1), &cfg, None).unwrap();
         assert_eq!(stats.per_shard_peak_live.len(), stats.plan.shards);
         assert!(stats.per_shard_peak_live.iter().all(|&p| p > 0));
         assert_eq!(
@@ -484,7 +391,7 @@ mod tests {
         let mut single = cfg;
         single.cores = 3;
         single.threads = 7;
-        let (_, sharded_stats) = run_sharded_instrumented(&ExecPool::new(2), &single).unwrap();
+        let (_, sharded_stats) = run_sharded(&ExecPool::new(2), &single, None).unwrap();
         let (_, classic_stats) = Simulator::new(single).run_instrumented();
         assert_eq!(sharded_stats.engine, classic_stats);
         assert_eq!(
@@ -501,7 +408,7 @@ mod tests {
         // lower bound of an unshared-looking device (smoke: non-zero).
         let mut cfg = sharded_config();
         cfg.offload.as_mut().unwrap().peak_speedup = 1.1;
-        let m = run_sharded(&ExecPool::new(2), &cfg, None).unwrap();
+        let (m, _) = run_sharded(&ExecPool::new(2), &cfg, None).unwrap();
         assert!(m.mean_queue_delay > 0.0);
         assert!(m.device_utilization > 0.0);
     }

@@ -1,4 +1,5 @@
-//! The two-level sampling pipeline: trace banks and frozen traces.
+//! Where the engine's requests come from: a frozen trace, else an
+//! inline draw.
 //!
 //! PR 6 measured that ~40% of per-event cost in the engine is RNG / `ln`
 //! / inverse-CDF draws whose *values* are frozen by the bit-exactness
@@ -7,39 +8,36 @@
 //! and the i-th request drawn is always the i-th block of that stream
 //! regardless of cores, threads, offload design, or fault plan (fault
 //! RNG is a separate derived stream). Draws can therefore be hoisted out
-//! of the event loop, and across a batch of runs computed once instead
-//! of once per run, without changing a single output byte.
+//! of the event loop and computed once for a batch of runs instead of
+//! once per run, without changing a single output byte.
 //!
-//! Two levels:
+//! An engine takes each request from one of two sources:
 //!
-//! 1. **[`SampleBank`]** (per engine): refills blocks of pre-drawn
-//!    requests in one tight loop, so the monomorphized `advance` loop
-//!    consumes plain data instead of interleaving `StdRng`/`ln`/quantile
-//!    calls with event handling. Same values in the same order; it is
-//!    also the adapter that lets a [`FrozenTrace`] feed the engine and
-//!    resume live drawing when the prefix runs out. Shard engines fill
-//!    their banks independently from their decorrelated seeds. (On the
-//!    1-core dev container the bank alone is a measured 2–4% *loss* on
-//!    the engine microbenches — see `EXPERIMENTS.md`; level 2 is where
-//!    the sampling tax is actually paid down.)
-//! 2. **[`FrozenTrace`]** (per seed × workload, behind `Arc`): an
+//! 1. **A [`FrozenTrace`]** (per seed × workload, behind `Arc`): an
 //!    immutable pre-drawn request prefix plus the RNG state *after* the
 //!    prefix. The batch runner (`run_batch`, which every sweep and A/B
 //!    study goes through) draws one up front for each seed and workload
 //!    that two or more of its engines share ([`TraceStore::for_batch`])
 //!    and installs it in each of them (only offload / policy / fault
 //!    parameters differ), turning O(runs × draws) sampling into O(draws)
-//!    per batch. A run that outlives the prefix resumes live
-//!    banked drawing from the continuation RNG state — bit-identical to
-//!    never having had the trace, so the prefix length is a pure
-//!    performance knob.
+//!    per batch.
+//! 2. **An inline draw**: with no trace, or once the prefix runs out,
+//!    the engine draws the request's record from its own RNG into one
+//!    scratch buffer when a thread begins the request. A run that
+//!    outlives a trace resumes from the trace's continuation RNG state,
+//!    bit-identical to never having had the trace, so the prefix length
+//!    is a pure performance knob.
 //!
-//! Both levels store requests in the same dense form: a *record* of
+//! Both sources use the same dense form: a *record* of
 //! `kernels_per_request + 1` `f64`s (the host chunk, then each kernel's
-//! granularity) drawn by [`RequestSampler::draw_record`] and turned into
-//! work items by [`expand_record`] only when a thread begins the
-//! request. One kernel per request costs 16 bytes instead of three
-//! 24-byte items.
+//! granularity) drawn by
+//! [`RequestSampler::draw_record`](crate::workload::RequestSampler::draw_record)
+//! and turned into work items by
+//! [`expand_record`](crate::workload::expand_record) only when a thread
+//! begins the request. One kernel per request costs 16 bytes instead of
+//! three 24-byte items. (An earlier per-engine block-refilled sample bank sat
+//! between the two; it measured 2–4% *slower* than inline drawing and
+//! was deleted — see `EXPERIMENTS.md`.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -49,19 +47,11 @@ use rand::SeedableRng;
 
 use crate::engine::SimConfig;
 use crate::shard::ShardPlan;
-use crate::workload::{expand_record, RequestSampler, WorkItem, WorkloadSpec};
-
-/// Requests per [`SampleBank`] refill. Big enough that the refill branch
-/// is cold in `begin_request`; small enough that a bank is a few KiB and
-/// stays in L1 while the engine drains it. Any value ≥ 1 is bit-identical
-/// (pinned by proptest); 8/64/256 all measured within noise of each
-/// other on the 1-core container, so 64 is kept as the cache-friendly
-/// middle.
-const BANK_BLOCK: usize = 64;
+use crate::workload::WorkloadSpec;
 
 /// Upper bound on a frozen trace's request count (16 MiB of records at
 /// the typical one kernel per request). Runs that need more fall back
-/// to banked live drawing after the prefix — correct, just less
+/// to inline live drawing after the prefix — correct, just less
 /// amortized. The engine also caps its latency-key reservation here.
 pub(crate) const MAX_TRACE_REQUESTS: usize = 1 << 20;
 
@@ -70,10 +60,9 @@ pub(crate) const MAX_TRACE_REQUESTS: usize = 1 << 20;
 /// trace never costs more memory than a three-kernel one.
 const MAX_TRACE_VALUES: usize = 1 << 22;
 
-/// Process-wide switch for frozen-trace sharing in the batch runner
-/// (level 2). On by default; `accelctl --trace-reuse off` clears it so
-/// CI can diff both paths. Level 1 (the bank) has no switch — it is the
-/// engine's draw path.
+/// Process-wide switch for frozen-trace sharing in the batch runner.
+/// On by default; `accelctl --trace-reuse off` clears it so CI can diff
+/// both paths.
 static TRACE_REUSE: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables frozen-trace sharing process-wide.
@@ -90,105 +79,15 @@ pub fn trace_reuse_enabled() -> bool {
     TRACE_REUSE.load(Ordering::Relaxed)
 }
 
-/// A block of pre-drawn requests owned by one engine (level 1).
-///
-/// The block is one flat buffer of records (the same layout as a
-/// [`FrozenTrace`]); popping expands the next record into the
-/// consumer's item buffer. The refill loop consumes the engine RNG in
-/// exactly the order per-request drawing would, so popping request `i`
-/// yields bit-identical items to drawing it inline.
-#[derive(Debug, Clone)]
-pub(crate) struct SampleBank {
-    /// `filled` records back to back, `sampler.record_len()` values
-    /// each.
-    records: Vec<f64>,
-    /// Index of the next un-popped record.
-    next: usize,
-    /// Number of valid pre-drawn records (0 after a clear).
-    filled: usize,
-    /// Requests per refill (testable; [`BANK_BLOCK`] by default).
-    block: usize,
-    /// Refills performed since the last [`clear`](Self::clear) —
-    /// surfaced as `EngineStats::bank_refills`.
-    refills: u64,
-}
-
-impl SampleBank {
-    pub(crate) fn new() -> Self {
-        Self {
-            records: Vec::new(),
-            next: 0,
-            filled: 0,
-            block: BANK_BLOCK,
-            refills: 0,
-        }
-    }
-
-    /// Drops all buffered requests (keeping the allocation) so the next
-    /// pop refills from the current RNG state: buffered draws belong to
-    /// the stream that drew them.
-    pub(crate) fn clear(&mut self) {
-        self.next = 0;
-        self.filled = 0;
-        self.refills = 0;
-    }
-
-    /// Refills performed since the last [`clear`](Self::clear).
-    pub(crate) fn refills(&self) -> u64 {
-        self.refills
-    }
-
-    /// Overrides the refill block size (minimum 1) and discards buffered
-    /// draws. Test hook: block size 1 degenerates to the historical
-    /// draw-per-request path, and proptests pin that every block size is
-    /// bit-identical.
-    pub(crate) fn set_block(&mut self, block: usize) {
-        self.block = block.max(1);
-        self.clear();
-    }
-
-    /// Replaces `out` with the next pre-drawn request's items,
-    /// refilling the bank from `rng` when empty.
-    #[inline(always)]
-    pub(crate) fn pop_into(
-        &mut self,
-        sampler: &RequestSampler,
-        rng: &mut StdRng,
-        out: &mut Vec<WorkItem>,
-    ) {
-        if self.next == self.filled {
-            self.refill(sampler, rng);
-        }
-        let stride = sampler.record_len();
-        let start = self.next * stride;
-        out.clear();
-        expand_record(&self.records[start..start + stride], out);
-        self.next += 1;
-    }
-
-    /// The tight loop: `block` consecutive records drawn with nothing
-    /// between the draws. The buffer keeps its allocation, so steady
-    /// state allocates nothing.
-    #[cold]
-    fn refill(&mut self, sampler: &RequestSampler, rng: &mut StdRng) {
-        self.records.clear();
-        for _ in 0..self.block {
-            sampler.draw_record(rng, &mut self.records);
-        }
-        self.next = 0;
-        self.filled = self.block;
-        self.refills += 1;
-    }
-}
-
-/// An immutable pre-drawn request trace for one (seed, workload) pair
-/// (level 2), shared by a batch's runs behind an `Arc`.
+/// An immutable pre-drawn request trace for one (seed, workload) pair,
+/// shared by a batch's runs behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct FrozenTrace {
     seed: u64,
     workload: WorkloadSpec,
     /// `len() × stride` values: record `i` (see
-    /// [`RequestSampler::draw_record`]) is `records[i * stride..][..stride]`.
+    /// [`RequestSampler::draw_record`](crate::workload::RequestSampler::draw_record))
+    /// is `records[i * stride..][..stride]`.
     records: Vec<f64>,
     /// Values per record: `kernels_per_request + 1`.
     stride: usize,
@@ -278,7 +177,8 @@ impl FrozenTrace {
         self.records.is_empty()
     }
 
-    /// The `i`-th pre-drawn request's record, for [`expand_record`].
+    /// The `i`-th pre-drawn request's record, for
+    /// [`expand_record`](crate::workload::expand_record).
     pub(crate) fn record(&self, i: usize) -> &[f64] {
         &self.records[i * self.stride..][..self.stride]
     }
@@ -369,6 +269,7 @@ mod tests {
     use accelerometer::units::cycles_per_byte;
     use accelerometer::GranularityCdf;
     use crate::fault::{FaultPlan, RecoveryPolicy};
+    use crate::workload::{expand_record, WorkItem};
 
     fn workload(kernels: usize) -> WorkloadSpec {
         WorkloadSpec {
@@ -398,46 +299,6 @@ mod tests {
             fault: FaultPlan::none(),
             recovery: RecoveryPolicy::none(),
         }
-    }
-
-    /// Popping N requests through a bank — at any block size — must
-    /// yield the same items in the same order as N direct draws, and
-    /// leave the RNG in the same state.
-    #[test]
-    fn bank_pops_equal_direct_draws_at_any_block_size() {
-        for kernels in [0, 1, 3] {
-            let spec = workload(kernels);
-            let sampler = spec.sampler();
-            for block in [1, 2, 7, 64, 200] {
-                let mut direct_rng = StdRng::seed_from_u64(5);
-                let mut banked_rng = StdRng::seed_from_u64(5);
-                let mut bank = SampleBank::new();
-                bank.set_block(block);
-                let mut out = Vec::new();
-                for _ in 0..150 {
-                    let reference = spec.draw_request(&mut direct_rng);
-                    bank.pop_into(&sampler, &mut banked_rng, &mut out);
-                    assert_eq!(reference, out, "block {block}, kernels {kernels}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bank_clear_discards_buffered_draws() {
-        let spec = workload(1);
-        let sampler = spec.sampler();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut bank = SampleBank::new();
-        let mut out = Vec::new();
-        bank.pop_into(&sampler, &mut rng, &mut out);
-        bank.clear();
-        // After a clear + reseed the bank must replay the stream from
-        // the start, exactly like a fresh engine.
-        let mut rng = StdRng::seed_from_u64(1);
-        bank.pop_into(&sampler, &mut rng, &mut out);
-        let mut reference_rng = StdRng::seed_from_u64(1);
-        assert_eq!(spec.draw_request(&mut reference_rng), out);
     }
 
     /// The defining property of a frozen trace: request i equals the

@@ -191,8 +191,8 @@ impl WorkloadSpec {
 /// A request is drawn as a *record* of `kernels_per_request + 1` values
 /// — the host chunk, then one granularity per kernel — and
 /// [`expand_record`] turns a record into work items. Records are the
-/// dense form the sample bank and frozen traces store: 8 bytes per
-/// value instead of 24 per item.
+/// dense form frozen traces store and the engine's inline draw fills:
+/// 8 bytes per value instead of 24 per item.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestSampler {
     non_kernel_cycles: f64,

@@ -213,13 +213,13 @@ proptest! {
         cfg.threads = 8;
         cfg.fault = fault;
         cfg.recovery = recovery;
-        let reference = run_sharded(&ExecPool::new(1), &cfg, None).expect("valid config");
+        let (reference, _) = run_sharded(&ExecPool::new(1), &cfg, None).expect("valid config");
         prop_assert!(
             (0.0..=1.0 + 1e-9).contains(&reference.core_utilization),
             "core util {}",
             reference.core_utilization
         );
-        let wide = run_sharded(&ExecPool::new(width), &cfg, None).expect("valid config");
+        let (wide, _) = run_sharded(&ExecPool::new(width), &cfg, None).expect("valid config");
         prop_assert_eq!(reference, wide);
     }
 

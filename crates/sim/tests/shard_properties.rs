@@ -7,8 +7,8 @@ use accelerometer::units::cycles_per_byte;
 use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
-    run_sharded, run_sharded_instrumented, DeviceKind, ExecPool, FaultPlan, OffloadConfig,
-    RecoveryPolicy, ShardPlan, SimConfig, Simulator,
+    run_sharded, DeviceKind, ExecPool, FaultPlan, OffloadConfig, RecoveryPolicy, ShardPlan,
+    SimConfig, Simulator,
 };
 use proptest::prelude::*;
 
@@ -110,12 +110,12 @@ proptest! {
     #[test]
     fn sharded_output_is_width_invariant(cfg in config_strategy()) {
         let (reference, ref_stats) =
-            run_sharded_instrumented(&ExecPool::new(1), &cfg).expect("valid config");
+            run_sharded(&ExecPool::new(1), &cfg, None).expect("valid config");
         let reference_bytes =
             serde_json::to_string(&reference).expect("metrics serialize");
         for width in [2usize, 5] {
             let (got, got_stats) =
-                run_sharded_instrumented(&ExecPool::new(width), &cfg).expect("valid config");
+                run_sharded(&ExecPool::new(width), &cfg, None).expect("valid config");
             let got_bytes = serde_json::to_string(&got).expect("metrics serialize");
             prop_assert_eq!(&reference_bytes, &got_bytes, "width {} diverged", width);
             prop_assert_eq!(&ref_stats, &got_stats, "stats diverged at width {}", width);
@@ -136,7 +136,7 @@ proptest! {
         cfg.threads = 7; // coprime: forces a single-shard plan
         prop_assert_eq!(ShardPlan::for_config(&cfg).shards, 1);
         let classic = Simulator::new(cfg.clone()).run();
-        let sharded = run_sharded(&ExecPool::new(4), &cfg, None).expect("valid config");
+        let (sharded, _) = run_sharded(&ExecPool::new(4), &cfg, None).expect("valid config");
         prop_assert_eq!(
             serde_json::to_string(&classic).expect("metrics serialize"),
             serde_json::to_string(&sharded).expect("metrics serialize")

@@ -89,7 +89,8 @@ done
 # overflow), non-finite sweep bounds and break-even parameters, and a
 # services pack whose case study the simulator does not know (it passes
 # `services validate` but used to panic `validate` and `tables table6`),
-# and a params file whose `"a": 1e400` overflows to infinity.
+# a params file whose `"a": 1e400` overflows to infinity, and a value
+# flag given last (it used to fall back silently to its default).
 mkdir "$out_dir/renamed"
 sed 's/"aes-ni"/"aes-ni-v2"/' configs/services/cache1.json > "$out_dir/renamed/cache1.json"
 while IFS= read -r argv; do
@@ -116,6 +117,8 @@ breakeven --cb 5 --a 27 --l -1
 --services $out_dir/renamed validate
 --services $out_dir/renamed tables table6
 estimate crates/cli/tests/fixtures/bad_params_overflow_a.json
+characterize web --samples 100 --seed
+breakeven --cb 5 --a 27 --design
 ARGS
 
 echo "== trace-reuse smoke: batch runs with reuse on and off must match byte-for-byte =="
