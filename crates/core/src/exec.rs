@@ -74,70 +74,6 @@ impl ExecPool {
         self.run(items.len(), |i| f(i, &items[i]))
     }
 
-    /// [`map`](Self::map) with per-worker scratch state: each worker
-    /// materializes its state with `init` once and threads it through
-    /// every job it pulls. Results still land in input order.
-    ///
-    /// This is the allocation-reuse hook for job bodies that would
-    /// otherwise rebuild an expensive structure per job — the sweep
-    /// runners pass a reusable simulation engine as the state. The
-    /// determinism contract sharpens accordingly: `f` must produce a
-    /// result that depends only on the input and index, treating the
-    /// state strictly as a cache (the engine's `reset` guarantees
-    /// exactly that).
-    pub fn map_init<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.jobs.min(items.len());
-        if workers <= 1 {
-            let mut state = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| f(&mut state, i, item))
-                .collect();
-        }
-        let count = items.len();
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let init = &init;
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut state = init();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        // The receiver outlives every sender in scope.
-                        let _ = tx.send((i, f(&mut state, i, &items[i])));
-                    }
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-            for (i, result) in rx {
-                slots[i] = Some(result);
-            }
-            slots
-                .into_iter()
-                .map(|r| r.expect("every job reports exactly once"))
-                .collect()
-        })
-        .expect("pool workers do not panic")
-    }
-
     /// Applies `f` to every item in place, fanning contiguous chunks
     /// out to workers. Each item is visited exactly once with its
     /// index; because items are disjoint `&mut` borrows and `f` returns
@@ -250,26 +186,6 @@ mod tests {
     fn run_passes_each_index_once() {
         let got = ExecPool::new(3).run(17, |i| i);
         assert_eq!(got, (0..17).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_init_reuses_state_and_preserves_order() {
-        let items: Vec<usize> = (0..64).collect();
-        let expected: Vec<usize> = items.iter().map(|&x| x + 1).collect();
-        for jobs in [1, 3, 16] {
-            // The state is a scratch Vec a worker refills per job; the
-            // result must not depend on what earlier jobs left in it.
-            let got = ExecPool::new(jobs).map_init(
-                &items,
-                Vec::<usize>::new,
-                |scratch, _, &x| {
-                    scratch.clear();
-                    scratch.push(x);
-                    scratch[0] + 1
-                },
-            );
-            assert_eq!(got, expected, "jobs = {jobs}");
-        }
     }
 
     #[test]

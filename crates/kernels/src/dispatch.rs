@@ -12,9 +12,10 @@
 //! * `KERNELS_FORCE_SCALAR=1` in the environment forces every kernel
 //!   onto its scalar path for the life of the process — this is how
 //!   `scripts/tier1.sh` runs the whole kernel test suite on both tiers.
-//! * [`set_isa_mode`] is the programmatic override behind the
-//!   `accelctl --isa scalar|auto` flag (and the calibrator's paired
-//!   scalar-vs-dispatched measurements).
+//! * [`set_isa_mode`] overrides the mode in-process. No command uses
+//!   it: the calibrator pairs each kernel's dispatched entry point with
+//!   its public `*_scalar` twin instead of flipping the mode, and the
+//!   only remaining caller is perfbench's `reset_process_globals`.
 //! * On non-x86_64 targets nothing is detected and every kernel runs
 //!   its scalar path; the dispatch layer compiles to "always scalar".
 //!
@@ -110,10 +111,11 @@ pub fn isa_mode() -> IsaMode {
     }
 }
 
-/// Overrides the dispatch mode process-wide (the `--isa scalar|auto`
-/// flag and the calibrator's paired measurements). Takes effect for all
-/// subsequent kernel calls; outputs are bit-identical either way, so
-/// flipping mid-run changes only wall-clock.
+/// Overrides the dispatch mode process-wide, for all subsequent kernel
+/// calls; outputs are bit-identical either way, so flipping mid-run
+/// changes only wall-clock. Kept only because perfbench's
+/// `reset_process_globals` calls it; the calibrator measures the scalar
+/// tier through the `*_scalar` entry points and never sets a mode.
 pub fn set_isa_mode(mode: IsaMode) {
     MODE.store(
         match mode {

@@ -19,12 +19,14 @@
 //!   TTL-aware key-value store served over the pipeline;
 //! * [`harness`] — wall-time → cycles measurement to derive `Cb` and `A`;
 //! * [`dispatch`] — runtime ISA dispatch: kernels use the host's
-//!   AES-NI/SHA-NI/AVX2 paths when present (scalar otherwise), with
-//!   `KERNELS_FORCE_SCALAR=1` / [`dispatch::set_isa_mode`] forcing the
-//!   scalar reference tier. Every hardware path is bit-identical to its
-//!   scalar counterpart, so the mode only changes wall-clock — the
-//!   scalar tier is the paper's "unaccelerated host" baseline and the
-//!   dispatched tier is what the `A` factor is measured against.
+//!   AES-NI/SHA-NI/AVX2 paths when present (scalar otherwise), and
+//!   `KERNELS_FORCE_SCALAR=1` pins a whole process to the scalar
+//!   reference tier. Each kernel has one path per tier: its default
+//!   entry point dispatches, and its public `*_scalar` twin always runs
+//!   the scalar reference, bit-identical to the hardware path. The
+//!   scalar tier is the paper's "unaccelerated host" baseline;
+//!   `accelctl calibrate` times both entry points in one session to
+//!   measure the `A` factor.
 //!
 //! ```
 //! use accelerometer_kernels::{aes, harness::Harness};
@@ -64,4 +66,4 @@ pub use harness::{acceleration_factor, BatchedMeasurement, Harness, KernelMeasur
 pub use hash::Sha256;
 pub use lz::LzScratch;
 pub use memops::{MemOp, OpCounter};
-pub use mlp::{Activation, Layer, Mlp, MlpError, MlpScratch, WeightLayout};
+pub use mlp::{Activation, Layer, Mlp, MlpError, MlpScratch};

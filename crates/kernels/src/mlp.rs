@@ -4,6 +4,9 @@
 //! Deliberately scalar and allocation-free in the hot path, so the
 //! per-inference cost measured by the harness represents unaccelerated
 //! host inference — the `α·C` the remote-inference case study offloads.
+//! Weights are row-major. Single-input inference has one (scalar) path;
+//! batched inference has an AVX2 path, dispatched at run time, and
+//! [`Mlp::forward_batch_scalar`] as its bit-identical reference.
 
 use std::fmt;
 
@@ -90,34 +93,16 @@ impl Activation {
     }
 }
 
-/// How a layer's weight matrix is stored.
-///
-/// Both layouts traverse each output's multiply-accumulate chain in
-/// ascending input order, so the computed values are bit-identical; the
-/// layout only changes the memory-access pattern.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum WeightLayout {
-    /// `weights[o * inputs + i]`: one contiguous row per output neuron.
-    #[default]
-    RowMajor,
-    /// `weights[i * outputs + o]`: one contiguous column per input
-    /// feature. Sequential access when traversing input-outer, which is
-    /// cache-friendlier for wide layers at batch size 1.
-    Transposed,
-}
-
 /// One dense layer: `outputs = act(W·inputs + b)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Layer {
     inputs: usize,
     outputs: usize,
-    /// Weights in the order [`WeightLayout`] describes.
+    /// Row-major weights: `weights[o * inputs + i]`, one contiguous row
+    /// per output neuron.
     weights: Vec<f32>,
     biases: Vec<f32>,
     activation: Activation,
-    #[serde(default)]
-    layout: WeightLayout,
 }
 
 impl Layer {
@@ -147,38 +132,7 @@ impl Layer {
             weights,
             biases,
             activation,
-            layout: WeightLayout::RowMajor,
         })
-    }
-
-    /// Converts the layer to the given weight layout (no-op if already
-    /// there). Outputs are unchanged bit for bit — only the traversal
-    /// order of memory changes.
-    #[must_use]
-    pub fn with_layout(mut self, layout: WeightLayout) -> Self {
-        if self.layout == layout {
-            return self;
-        }
-        let mut converted = vec![0.0f32; self.weights.len()];
-        for o in 0..self.outputs {
-            for i in 0..self.inputs {
-                let (row_major, transposed) = (o * self.inputs + i, i * self.outputs + o);
-                let (from, to) = match layout {
-                    WeightLayout::Transposed => (row_major, transposed),
-                    WeightLayout::RowMajor => (transposed, row_major),
-                };
-                converted[to] = self.weights[from];
-            }
-        }
-        self.weights = converted;
-        self.layout = layout;
-        self
-    }
-
-    /// The layer's weight storage layout.
-    #[must_use]
-    pub fn layout(&self) -> WeightLayout {
-        self.layout
     }
 
     /// Deterministic pseudo-random layer for benchmarks and tests
@@ -200,61 +154,24 @@ impl Layer {
             weights,
             biases,
             activation,
-            layout: WeightLayout::RowMajor,
         }
     }
 
     /// Forward pass for one input. `output` is cleared and refilled.
     ///
     /// Per output neuron the accumulation runs `bias + Σ wᵢ·xᵢ` in
-    /// ascending `i`, identically under both layouts — and identically
-    /// on the AVX2 path (`simd`), where the transposed layout runs
-    /// eight output neurons per vector, each lane its own ascending-`i`
-    /// mul-then-add chain, so the f32 results are bit-identical. The
-    /// row-major single-input pass is one serial dependency chain per
-    /// output and stays scalar by design (vectorizing it would
-    /// re-associate the sum).
-    fn forward(&self, input: &[f32], output: &mut Vec<f32>, simd: bool) {
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = simd;
+    /// ascending `i`: one serial dependency chain per output, so it
+    /// stays scalar by design (vectorizing it would re-associate the
+    /// sum).
+    fn forward(&self, input: &[f32], output: &mut Vec<f32>) {
         output.clear();
-        match self.layout {
-            WeightLayout::RowMajor => {
-                for o in 0..self.outputs {
-                    let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
-                    let mut acc = self.biases[o];
-                    for (w, x) in row.iter().zip(input) {
-                        acc += w * x;
-                    }
-                    output.push(self.activation.apply(acc));
-                }
+        for o in 0..self.outputs {
+            let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
+            let mut acc = self.biases[o];
+            for (w, x) in row.iter().zip(input) {
+                acc += w * x;
             }
-            WeightLayout::Transposed => {
-                #[cfg(target_arch = "x86_64")]
-                if simd {
-                    output.resize(self.outputs, 0.0);
-                    // SAFETY: `simd` is only set after runtime AVX2
-                    // detection; slice lengths are validated shapes.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        simd::forward_transposed(&self.weights, &self.biases, input, output);
-                    }
-                    for acc in output.iter_mut() {
-                        *acc = self.activation.apply(*acc);
-                    }
-                    return;
-                }
-                output.extend_from_slice(&self.biases);
-                for (i, &x) in input.iter().enumerate() {
-                    let col = &self.weights[i * self.outputs..(i + 1) * self.outputs];
-                    for (acc, w) in output.iter_mut().zip(col) {
-                        *acc += w * x;
-                    }
-                }
-                for acc in output.iter_mut() {
-                    *acc = self.activation.apply(*acc);
-                }
-            }
+            output.push(self.activation.apply(acc));
         }
     }
 
@@ -280,98 +197,54 @@ impl Layer {
             return;
         }
         output.resize(batch_len * self.outputs, 0.0);
-        match self.layout {
-            WeightLayout::RowMajor => {
-                for o in 0..self.outputs {
-                    let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
-                    let bias = self.biases[o];
-                    let yrow = &mut output[o * batch_len..(o + 1) * batch_len];
-                    let mut b0 = 0;
-                    while b0 + 8 <= batch_len {
-                        #[cfg(target_arch = "x86_64")]
-                        if simd {
-                            // SAFETY: `simd` is only set after runtime
-                            // AVX2 detection; `b0 + 8 <= batch_len`
-                            // bounds every lane load.
-                            #[allow(unsafe_code)]
-                            let acc =
-                                unsafe { simd::row_batch8(row, bias, input, batch_len, b0) };
-                            for (y, a) in yrow[b0..b0 + 8].iter_mut().zip(acc) {
-                                *y = self.activation.apply(a);
-                            }
-                            b0 += 8;
-                            continue;
-                        }
-                        let mut acc = [bias; 8];
-                        for (&w, xrow) in row.iter().zip(input.chunks_exact(batch_len)) {
-                            let x: &[f32; 8] =
-                                xrow[b0..b0 + 8].try_into().expect("8-wide chunk");
-                            for (a, &x) in acc.iter_mut().zip(x) {
-                                *a += w * x;
-                            }
-                        }
-                        for (y, a) in yrow[b0..b0 + 8].iter_mut().zip(acc) {
-                            *y = self.activation.apply(a);
-                        }
-                        b0 += 8;
-                    }
-                    for b in b0..batch_len {
-                        let mut acc = bias;
-                        for (&w, xrow) in row.iter().zip(input.chunks_exact(batch_len)) {
-                            acc += w * xrow[b];
-                        }
-                        yrow[b] = self.activation.apply(acc);
-                    }
-                }
-            }
-            WeightLayout::Transposed => {
+        for o in 0..self.outputs {
+            let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
+            let bias = self.biases[o];
+            let yrow = &mut output[o * batch_len..(o + 1) * batch_len];
+            let mut b0 = 0;
+            while b0 + 8 <= batch_len {
                 #[cfg(target_arch = "x86_64")]
                 if simd {
                     // SAFETY: `simd` is only set after runtime AVX2
-                    // detection; shapes are validated at construction.
+                    // detection; `b0 + 8 <= batch_len` bounds every lane
+                    // load.
                     #[allow(unsafe_code)]
-                    unsafe {
-                        simd::forward_batch_transposed(
-                            &self.weights,
-                            &self.biases,
-                            input,
-                            batch_len,
-                            output,
-                        );
+                    let acc = unsafe { simd::row_batch8(row, bias, input, batch_len, b0) };
+                    for (y, a) in yrow[b0..b0 + 8].iter_mut().zip(acc) {
+                        *y = self.activation.apply(a);
                     }
-                    for y in output.iter_mut() {
-                        *y = self.activation.apply(*y);
-                    }
-                    return;
+                    b0 += 8;
+                    continue;
                 }
-                for (o, &bias) in self.biases.iter().enumerate() {
-                    output[o * batch_len..(o + 1) * batch_len].fill(bias);
-                }
-                for (col, xrow) in self
-                    .weights
-                    .chunks_exact(self.outputs)
-                    .zip(input.chunks_exact(batch_len))
-                {
-                    for (&w, yrow) in col.iter().zip(output.chunks_exact_mut(batch_len)) {
-                        for (y, &x) in yrow.iter_mut().zip(xrow) {
-                            *y += w * x;
-                        }
+                let mut acc = [bias; 8];
+                for (&w, xrow) in row.iter().zip(input.chunks_exact(batch_len)) {
+                    let x: &[f32; 8] = xrow[b0..b0 + 8].try_into().expect("8-wide chunk");
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a += w * x;
                     }
                 }
-                for y in output.iter_mut() {
-                    *y = self.activation.apply(*y);
+                for (y, a) in yrow[b0..b0 + 8].iter_mut().zip(acc) {
+                    *y = self.activation.apply(a);
                 }
+                b0 += 8;
+            }
+            for b in b0..batch_len {
+                let mut acc = bias;
+                for (&w, xrow) in row.iter().zip(input.chunks_exact(batch_len)) {
+                    acc += w * xrow[b];
+                }
+                yrow[b] = self.activation.apply(acc);
             }
         }
     }
 }
 
-/// AVX2 micro-kernels for [`Layer`]. Every kernel keeps each output
+/// AVX2 micro-kernel for [`Layer::forward_batch`]. It keeps each output
 /// neuron's accumulation a mul-then-add chain over ascending input
 /// index starting from the bias — exactly the scalar order — so f32
 /// results are bit-identical (`_mm256_mul_ps` + `_mm256_add_ps` per
 /// element is the same two roundings as `acc + w * x`; no FMA, which
-/// would contract them into one). Activations are applied by the caller
+/// would contract them into one). The caller applies the activation
 /// through the scalar [`Activation::apply`] pass.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
@@ -407,128 +280,6 @@ mod simd {
         // SAFETY: `out` is exactly 32 bytes.
         unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
         out
-    }
-
-    /// Transposed single-input forward, vectorized across output
-    /// neurons: each vector holds eight contiguous outputs of one
-    /// weight column slab, each lane its own ascending-`i` chain.
-    /// Raw accumulations only — the caller applies the activation.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime;
-    /// `weights.len() = input.len() · biases.len()` and
-    /// `output.len() = biases.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn forward_transposed(
-        weights: &[f32],
-        biases: &[f32],
-        input: &[f32],
-        output: &mut [f32],
-    ) {
-        let outputs = biases.len();
-        let mut o0 = 0;
-        while o0 + 8 <= outputs {
-            // SAFETY: `o0 + 8 <= outputs` bounds the bias load, the
-            // column loads (`i·O + o0 + 8 <= (i+1)·O`) and the store.
-            unsafe {
-                let mut acc = _mm256_loadu_ps(biases.as_ptr().add(o0));
-                for (i, &x) in input.iter().enumerate() {
-                    let xv = _mm256_set1_ps(x);
-                    let w = _mm256_loadu_ps(weights.as_ptr().add(i * outputs + o0));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(w, xv));
-                }
-                _mm256_storeu_ps(output.as_mut_ptr().add(o0), acc);
-            }
-            o0 += 8;
-        }
-        for o in o0..outputs {
-            let mut acc = biases[o];
-            for (i, &x) in input.iter().enumerate() {
-                acc += weights[i * outputs + o] * x;
-            }
-            output[o] = acc;
-        }
-    }
-
-    /// Transposed feature-major batch forward, vectorized across
-    /// output neurons and register-blocked four batch elements deep
-    /// (one column-slab load feeds four accumulators), so the weight
-    /// matrix streams `⌈B/4⌉` times instead of `B`. Lane `k` of
-    /// accumulator `j` is output `o0+k` of batch element `b0+j`, an
-    /// ascending-`i` chain from the bias. Raw accumulations only.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime;
-    /// `input.len() = inputs · batch_len`,
-    /// `weights.len() = inputs · biases.len()`, and
-    /// `output.len() = biases.len() · batch_len`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn forward_batch_transposed(
-        weights: &[f32],
-        biases: &[f32],
-        input: &[f32],
-        batch_len: usize,
-        output: &mut [f32],
-    ) {
-        let outputs = biases.len();
-        let inputs = input.len() / batch_len;
-        let mut o0 = 0;
-        while o0 + 8 <= outputs {
-            // SAFETY: `o0 + 8 <= outputs` bounds the bias and column
-            // loads as in `forward_transposed`.
-            let bias = unsafe { _mm256_loadu_ps(biases.as_ptr().add(o0)) };
-            let mut b0 = 0;
-            while b0 + 4 <= batch_len {
-                let (mut a0, mut a1, mut a2, mut a3) = (bias, bias, bias, bias);
-                for i in 0..inputs {
-                    // SAFETY: column load bounded as above.
-                    let w = unsafe { _mm256_loadu_ps(weights.as_ptr().add(i * outputs + o0)) };
-                    let xs = &input[i * batch_len + b0..i * batch_len + b0 + 4];
-                    a0 = _mm256_add_ps(a0, _mm256_mul_ps(w, _mm256_set1_ps(xs[0])));
-                    a1 = _mm256_add_ps(a1, _mm256_mul_ps(w, _mm256_set1_ps(xs[1])));
-                    a2 = _mm256_add_ps(a2, _mm256_mul_ps(w, _mm256_set1_ps(xs[2])));
-                    a3 = _mm256_add_ps(a3, _mm256_mul_ps(w, _mm256_set1_ps(xs[3])));
-                }
-                let mut lanes = [[0.0f32; 8]; 4];
-                // SAFETY: each destination is exactly 32 bytes.
-                unsafe {
-                    _mm256_storeu_ps(lanes[0].as_mut_ptr(), a0);
-                    _mm256_storeu_ps(lanes[1].as_mut_ptr(), a1);
-                    _mm256_storeu_ps(lanes[2].as_mut_ptr(), a2);
-                    _mm256_storeu_ps(lanes[3].as_mut_ptr(), a3);
-                }
-                for (j, lane) in lanes.iter().enumerate() {
-                    for (k, &v) in lane.iter().enumerate() {
-                        output[(o0 + k) * batch_len + b0 + j] = v;
-                    }
-                }
-                b0 += 4;
-            }
-            for b in b0..batch_len {
-                let mut acc = bias;
-                for i in 0..inputs {
-                    // SAFETY: column load bounded as above.
-                    let w = unsafe { _mm256_loadu_ps(weights.as_ptr().add(i * outputs + o0)) };
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(w, _mm256_set1_ps(input[i * batch_len + b])));
-                }
-                let mut lane = [0.0f32; 8];
-                // SAFETY: `lane` is exactly 32 bytes.
-                unsafe { _mm256_storeu_ps(lane.as_mut_ptr(), acc) };
-                for (k, &v) in lane.iter().enumerate() {
-                    output[(o0 + k) * batch_len + b] = v;
-                }
-            }
-            o0 += 8;
-        }
-        for o in o0..outputs {
-            for b in 0..batch_len {
-                let mut acc = biases[o];
-                for i in 0..inputs {
-                    acc += weights[i * outputs + o] * input[i * batch_len + b];
-                }
-                output[o * batch_len + b] = acc;
-            }
-        }
     }
 }
 
@@ -623,19 +374,6 @@ impl Mlp {
         self.layers.iter().map(|l| l.inputs * l.outputs).sum()
     }
 
-    /// Converts every layer to the given weight layout. Outputs are
-    /// unchanged bit for bit; only memory traversal changes.
-    #[must_use]
-    pub fn with_layout(self, layout: WeightLayout) -> Self {
-        Self {
-            layers: self
-                .layers
-                .into_iter()
-                .map(|l| l.with_layout(layout))
-                .collect(),
-        }
-    }
-
     /// Runs inference on one feature vector.
     ///
     /// # Errors
@@ -663,32 +401,6 @@ impl Mlp {
         scratch: &mut MlpScratch,
         out: &mut Vec<f32>,
     ) -> Result<(), MlpError> {
-        self.infer_into_with(features, scratch, out, crate::dispatch::has(crate::dispatch::AVX2))
-    }
-
-    /// [`Mlp::infer`] pinned to the scalar reference path, regardless
-    /// of the dispatch mode. Bit-identical to [`Mlp::infer`] — the
-    /// equivalence tests and the calibrator's paired measurements rely
-    /// on both properties.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlpError::InputMismatch`] if the feature vector's length
-    /// differs from [`Mlp::input_width`].
-    pub fn infer_scalar(&self, features: &[f32]) -> Result<Vec<f32>, MlpError> {
-        let mut scratch = MlpScratch::new();
-        let mut out = Vec::new();
-        self.infer_into_with(features, &mut scratch, &mut out, false)?;
-        Ok(out)
-    }
-
-    fn infer_into_with(
-        &self,
-        features: &[f32],
-        scratch: &mut MlpScratch,
-        out: &mut Vec<f32>,
-        simd: bool,
-    ) -> Result<(), MlpError> {
         if features.len() != self.input_width() {
             return Err(MlpError::InputMismatch {
                 expected: self.input_width(),
@@ -698,7 +410,7 @@ impl Mlp {
         scratch.current.clear();
         scratch.current.extend_from_slice(features);
         for layer in &self.layers {
-            layer.forward(&scratch.current, &mut scratch.next, simd);
+            layer.forward(&scratch.current, &mut scratch.next);
             std::mem::swap(&mut scratch.current, &mut scratch.next);
         }
         out.clear();
@@ -894,71 +606,43 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_bit_identical_to_scalar_in_both_layouts() {
+    fn forward_batch_bit_identical_to_scalar() {
         let mlp = Mlp::seeded_ranker(&[32, 16, 4], 23);
         let batch: Vec<Vec<f32>> = (0..7)
             .map(|i| (0..32).map(|j| ((i * 31 + j * 7) % 100) as f32 / 50.0 - 1.0).collect())
             .collect();
-        for mlp in [mlp.clone(), mlp.with_layout(WeightLayout::Transposed)] {
-            let mut scratch = MlpScratch::new();
-            let mut flat = Vec::new();
-            mlp.forward_batch(&batch, &mut scratch, &mut flat).unwrap();
-            assert_eq!(flat.len(), batch.len() * mlp.output_width());
-            for (b, features) in batch.iter().enumerate() {
-                let scalar = mlp.infer(features).unwrap();
-                let from_batch = &flat[b * 4..(b + 1) * 4];
-                // Bitwise, not approximate.
-                assert_eq!(
-                    scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    from_batch.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dispatched_inference_bit_identical_to_scalar() {
-        // Odd widths force the SIMD remainder paths; both layouts, both
-        // single and batched entry points. Bitwise equality, not
-        // approximate — the full sweep lives in simd_equivalence.
-        let mlp = Mlp::seeded_ranker(&[19, 13, 5], 77);
-        let batch: Vec<Vec<f32>> = (0..7)
-            .map(|i| (0..19).map(|j| ((i * 17 + j * 5) % 64) as f32 / 16.0 - 2.0).collect())
-            .collect();
-        for mlp in [mlp.clone(), mlp.with_layout(WeightLayout::Transposed)] {
-            for features in &batch {
-                let auto = mlp.infer(features).unwrap();
-                let scalar = mlp.infer_scalar(features).unwrap();
-                assert_eq!(
-                    auto.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                );
-            }
-            let mut scratch = MlpScratch::new();
-            let (mut a, mut s) = (Vec::new(), Vec::new());
-            mlp.forward_batch(&batch, &mut scratch, &mut a).unwrap();
-            mlp.forward_batch_scalar(&batch, &mut scratch, &mut s).unwrap();
+        let mut scratch = MlpScratch::new();
+        let mut flat = Vec::new();
+        mlp.forward_batch(&batch, &mut scratch, &mut flat).unwrap();
+        assert_eq!(flat.len(), batch.len() * mlp.output_width());
+        for (b, features) in batch.iter().enumerate() {
+            let scalar = mlp.infer(features).unwrap();
+            let from_batch = &flat[b * 4..(b + 1) * 4];
+            // Bitwise, not approximate.
             assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                from_batch.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             );
         }
     }
 
     #[test]
-    fn layout_conversion_round_trips_and_preserves_outputs() {
-        let mlp = Mlp::seeded_ranker(&[16, 8, 2], 5);
-        let features: Vec<f32> = (0..16).map(|i| (i as f32 - 8.0) / 4.0).collect();
-        let expected = mlp.infer(&features).unwrap();
-        let transposed = mlp.clone().with_layout(WeightLayout::Transposed);
-        assert_eq!(transposed.layers[0].layout(), WeightLayout::Transposed);
-        let got = transposed.infer(&features).unwrap();
+    fn dispatched_batch_bit_identical_to_scalar() {
+        // Odd widths and a batch of 17 force the SIMD remainder paths.
+        // Bitwise equality, not approximate — the full sweep lives in
+        // simd_equivalence.
+        let mlp = Mlp::seeded_ranker(&[19, 13, 5], 77);
+        let batch: Vec<Vec<f32>> = (0..17)
+            .map(|i| (0..19).map(|j| ((i * 17 + j * 5) % 64) as f32 / 16.0 - 2.0).collect())
+            .collect();
+        let mut scratch = MlpScratch::new();
+        let (mut a, mut s) = (Vec::new(), Vec::new());
+        mlp.forward_batch(&batch, &mut scratch, &mut a).unwrap();
+        mlp.forward_batch_scalar(&batch, &mut scratch, &mut s).unwrap();
         assert_eq!(
-            expected.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         );
-        let back = transposed.with_layout(WeightLayout::RowMajor);
-        assert_eq!(back, mlp);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! vectors.
 
 use accelerometer_kernels::codec::KvMessage;
-use accelerometer_kernels::mlp::{Mlp, MlpScratch, WeightLayout};
+use accelerometer_kernels::mlp::{Mlp, MlpScratch};
 use accelerometer_kernels::pipeline::RpcPipeline;
 use accelerometer_kernels::{aes, hash, lz, SizeClassAllocator};
 use proptest::prelude::*;
@@ -199,18 +199,14 @@ proptest! {
     }
 
     /// Batched MLP inference is bit-identical to repeated scalar
-    /// inference, for any batch, under both weight layouts.
+    /// inference, for any batch.
     #[test]
     fn mlp_forward_batch_equals_scalar(
         widths in prop::collection::vec(1usize..24, 2..5),
         batch_len in 0usize..20,
         seed in any::<u64>(),
-        transpose in any::<bool>(),
     ) {
-        let mut mlp = Mlp::seeded_ranker(&widths, seed);
-        if transpose {
-            mlp = mlp.with_layout(WeightLayout::Transposed);
-        }
+        let mlp = Mlp::seeded_ranker(&widths, seed);
         let input_width = mlp.input_width();
         let batch: Vec<Vec<f32>> = (0..batch_len)
             .map(|b| {

@@ -11,20 +11,21 @@
 //! or the timer's. The result plugs straight into a
 //! [`WorkloadSpec`](crate::workload::WorkloadSpec)'s `cycles_per_byte`.
 //!
-//! Since the kernels crate grew runtime ISA dispatch, the default
-//! calibration measures what the host hardware actually runs (AES-NI,
-//! SHA-NI, AVX2 where present). The [`PairedKernel`] API measures the
-//! same kernel through its public `*_scalar` entry point in the same
-//! session, yielding an honestly *measured* acceleration factor `A` —
-//! the quantity the paper's AES-NI case study models — instead of an
-//! assumed one. Both tiers produce bit-identical outputs, so the pair
-//! differs only in wall-clock.
+//! Every kernel is measured as a [`PairedKernel`]: once through its
+//! default entry point, which runs what the host hardware offers
+//! (AES-NI, SHA-NI, AVX2 where present), and once through its public
+//! `*_scalar` reference in the same session. The ratio is an honestly
+//! *measured* acceleration factor `A` — the quantity the paper's AES-NI
+//! case study models — instead of an assumed one. Both tiers produce
+//! bit-identical outputs, so the pair differs only in wall-clock. The
+//! calibrator never changes the process's dispatch mode; each side
+//! picks its tier by the entry point it calls.
 
 use accelerometer::units::CyclesPerByte;
 use accelerometer::KernelCost;
 use accelerometer_kernels::aes::Aes128;
 use accelerometer_kernels::harness::{BatchedMeasurement, Harness};
-use accelerometer_kernels::hash::Sha256;
+use accelerometer_kernels::hash;
 use accelerometer_kernels::lz::{self, LzScratch};
 use accelerometer_kernels::mlp::{Mlp, MlpScratch};
 
@@ -129,179 +130,62 @@ impl Calibrator {
         }
     }
 
-    /// AES-128-CTR over a `payload_bytes` message: the encryption
-    /// kernel of case studies 1 and 2 (AES-NI, PCIe crypto).
-    #[must_use]
-    pub fn encryption(&self, payload_bytes: usize) -> CalibratedKernel {
-        let cipher = Aes128::new(&[0x42u8; 16]);
-        let mut buf = vec![0xA5u8; payload_bytes];
-        let measurement = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || cipher.ctr_apply(&[7u8; 16], &mut buf),
-        );
+    /// Times `kernel` through the batched harness as one calibrated
+    /// kernel. Both halves of every [`PairedKernel`] come from here, so
+    /// the pair differs only in the entry point the closure calls.
+    fn measure<T>(
+        &self,
+        name: &'static str,
+        bytes_per_call: u64,
+        kernel: impl FnMut() -> T,
+    ) -> CalibratedKernel {
         CalibratedKernel {
-            name: "encryption",
-            bytes_per_call: payload_bytes as u64,
-            measurement,
-        }
-    }
-
-    /// LZ compression of a mildly compressible `payload_bytes` message
-    /// through the scratch-reuse path: the compression kernel.
-    #[must_use]
-    pub fn compression(&self, payload_bytes: usize) -> CalibratedKernel {
-        let input: Vec<u8> = (0..payload_bytes)
-            .map(|i| match i % 16 {
-                0..=7 => b'a' + (i % 8) as u8,
-                8..=11 => (i / 16 % 251) as u8,
-                _ => 0,
-            })
-            .collect();
-        let mut scratch = LzScratch::new();
-        let mut out = Vec::new();
-        let measurement = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || lz::compress_into(&input, &mut scratch, &mut out),
-        );
-        CalibratedKernel {
-            name: "compression",
-            bytes_per_call: payload_bytes as u64,
-            measurement,
-        }
-    }
-
-    /// Streaming SHA-256 over a `payload_bytes` message: the hashing
-    /// kernel (Table 2's SHA family).
-    #[must_use]
-    pub fn hashing(&self, payload_bytes: usize) -> CalibratedKernel {
-        let input = vec![0x5Au8; payload_bytes];
-        let measurement = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || {
-                let mut hasher = Sha256::new();
-                hasher.update(&input);
-                hasher.finalize()
-            },
-        );
-        CalibratedKernel {
-            name: "hashing",
-            bytes_per_call: payload_bytes as u64,
-            measurement,
-        }
-    }
-
-    /// Batched MLP inference at batch size `b` on a Feed-shaped ranker:
-    /// the remote-inference kernel of case study 3. One harness
-    /// invocation is one *batch* of `b` inputs (the unit Ads1
-    /// dispatches); bytes are the batch's feature payload.
-    #[must_use]
-    pub fn inference(&self, mlp: &Mlp, b: usize) -> CalibratedKernel {
-        let width = mlp.input_width();
-        let batch: Vec<Vec<f32>> = (0..b)
-            .map(|i| (0..width).map(|j| (i * width + j) as f32 / 8192.0).collect())
-            .collect();
-        let bytes_per_call = (b * width * std::mem::size_of::<f32>()) as u64;
-        let mut scratch = MlpScratch::new();
-        let mut out = Vec::new();
-        let measurement =
-            self.harness
-                .measure_batched(self.batches, self.batch_size, bytes_per_call, || {
-                    mlp.forward_batch(&batch, &mut scratch, &mut out)
-                        .expect("widths match")
-                });
-        CalibratedKernel {
-            name: "inference",
+            name,
             bytes_per_call,
-            measurement,
+            measurement: self.harness.measure_batched(
+                self.batches,
+                self.batch_size,
+                bytes_per_call,
+                kernel,
+            ),
         }
     }
 
-    /// Calibrates all three case-study kernel families at representative
-    /// sizes: 4 KiB payloads for encryption and compression, a
-    /// 512×256×64×1 ranker at B=16 for inference.
-    #[must_use]
-    pub fn case_studies(&self) -> Vec<CalibratedKernel> {
-        let mlp = Mlp::seeded_ranker(&[512, 256, 64, 1], 42);
-        vec![
-            self.encryption(4096),
-            self.compression(4096),
-            self.inference(&mlp, 16),
-        ]
-    }
-
-    /// [`Calibrator::encryption`] on both tiers: `ctr_apply` vs
-    /// `ctr_apply_scalar`, same buffer and driver. The dispatched side
-    /// is AES-NI where the host has it — the measured version of the
-    /// paper's AES-NI case-study `A`.
+    /// AES-128-CTR over a `payload_bytes` message, the encryption
+    /// kernel of case studies 1 and 2 (AES-NI, PCIe crypto), on both
+    /// tiers: `ctr_apply` vs `ctr_apply_scalar`, same buffer and driver.
+    /// The dispatched side is AES-NI where the host has it — the
+    /// measured version of the paper's AES-NI case-study `A`.
     #[must_use]
     pub fn encryption_paired(&self, payload_bytes: usize) -> PairedKernel {
         let cipher = Aes128::new(&[0x42u8; 16]);
         let mut buf = vec![0xA5u8; payload_bytes];
-        let dispatched = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || cipher.ctr_apply(&[7u8; 16], &mut buf),
-        );
-        let scalar = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || cipher.ctr_apply_scalar(&[7u8; 16], &mut buf),
-        );
+        let bytes = payload_bytes as u64;
         PairedKernel {
-            dispatched: CalibratedKernel {
-                name: "encryption",
-                bytes_per_call: payload_bytes as u64,
-                measurement: dispatched,
-            },
-            scalar: CalibratedKernel {
-                name: "encryption",
-                bytes_per_call: payload_bytes as u64,
-                measurement: scalar,
-            },
+            dispatched: self.measure("encryption", bytes, || {
+                cipher.ctr_apply(&[7u8; 16], &mut buf)
+            }),
+            scalar: self.measure("encryption", bytes, || {
+                cipher.ctr_apply_scalar(&[7u8; 16], &mut buf)
+            }),
         }
     }
 
-    /// [`Calibrator::hashing`] on both tiers (one-shot drivers on each
-    /// side): SHA-NI where the host has it.
+    /// One-shot SHA-256 over a `payload_bytes` message, the hashing
+    /// kernel (Table 2's SHA family), on both tiers: SHA-NI where the
+    /// host has it.
     #[must_use]
     pub fn hashing_paired(&self, payload_bytes: usize) -> PairedKernel {
-        use accelerometer_kernels::hash;
         let input = vec![0x5Au8; payload_bytes];
-        let dispatched = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || hash::sha256(&input),
-        );
-        let scalar = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || hash::sha256_scalar(&input),
-        );
+        let bytes = payload_bytes as u64;
         PairedKernel {
-            dispatched: CalibratedKernel {
-                name: "hashing",
-                bytes_per_call: payload_bytes as u64,
-                measurement: dispatched,
-            },
-            scalar: CalibratedKernel {
-                name: "hashing",
-                bytes_per_call: payload_bytes as u64,
-                measurement: scalar,
-            },
+            dispatched: self.measure("hashing", bytes, || hash::sha256(&input)),
+            scalar: self.measure("hashing", bytes, || hash::sha256_scalar(&input)),
         }
     }
 
-    /// [`Calibrator::compression`] on both tiers through the identical
+    /// LZ compression of a mildly compressible `payload_bytes` message,
+    /// the compression kernel, on both tiers through the identical
     /// scratch-reuse driver (`compress_into` vs `compress_into_scalar`),
     /// so the pair differs only in the match kernel.
     #[must_use]
@@ -315,72 +199,48 @@ impl Calibrator {
             .collect();
         let mut scratch = LzScratch::new();
         let mut out = Vec::new();
-        let dispatched = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || lz::compress_into(&input, &mut scratch, &mut out),
-        );
-        let scalar = self.harness.measure_batched(
-            self.batches,
-            self.batch_size,
-            payload_bytes as u64,
-            || lz::compress_into_scalar(&input, &mut scratch, &mut out),
-        );
+        let bytes = payload_bytes as u64;
         PairedKernel {
-            dispatched: CalibratedKernel {
-                name: "compression",
-                bytes_per_call: payload_bytes as u64,
-                measurement: dispatched,
-            },
-            scalar: CalibratedKernel {
-                name: "compression",
-                bytes_per_call: payload_bytes as u64,
-                measurement: scalar,
-            },
+            dispatched: self.measure("compression", bytes, || {
+                lz::compress_into(&input, &mut scratch, &mut out)
+            }),
+            scalar: self.measure("compression", bytes, || {
+                lz::compress_into_scalar(&input, &mut scratch, &mut out)
+            }),
         }
     }
 
-    /// [`Calibrator::inference`] on both tiers (`forward_batch` vs
-    /// `forward_batch_scalar`, same batch and scratch).
+    /// Batched MLP inference at batch size `b` on a Feed-shaped ranker,
+    /// the remote-inference kernel of case study 3, on both tiers
+    /// (`forward_batch` vs `forward_batch_scalar`, same batch and
+    /// scratch). One harness invocation is one *batch* of `b` inputs
+    /// (the unit Ads1 dispatches); bytes are the batch's feature
+    /// payload.
     #[must_use]
     pub fn inference_paired(&self, mlp: &Mlp, b: usize) -> PairedKernel {
         let width = mlp.input_width();
         let batch: Vec<Vec<f32>> = (0..b)
             .map(|i| (0..width).map(|j| (i * width + j) as f32 / 8192.0).collect())
             .collect();
-        let bytes_per_call = (b * width * std::mem::size_of::<f32>()) as u64;
+        let bytes = (b * width * std::mem::size_of::<f32>()) as u64;
         let mut scratch = MlpScratch::new();
         let mut out = Vec::new();
-        let dispatched =
-            self.harness
-                .measure_batched(self.batches, self.batch_size, bytes_per_call, || {
-                    mlp.forward_batch(&batch, &mut scratch, &mut out)
-                        .expect("widths match")
-                });
-        let scalar =
-            self.harness
-                .measure_batched(self.batches, self.batch_size, bytes_per_call, || {
-                    mlp.forward_batch_scalar(&batch, &mut scratch, &mut out)
-                        .expect("widths match")
-                });
         PairedKernel {
-            dispatched: CalibratedKernel {
-                name: "inference",
-                bytes_per_call,
-                measurement: dispatched,
-            },
-            scalar: CalibratedKernel {
-                name: "inference",
-                bytes_per_call,
-                measurement: scalar,
-            },
+            dispatched: self.measure("inference", bytes, || {
+                mlp.forward_batch(&batch, &mut scratch, &mut out)
+                    .expect("widths match")
+            }),
+            scalar: self.measure("inference", bytes, || {
+                mlp.forward_batch_scalar(&batch, &mut scratch, &mut out)
+                    .expect("widths match")
+            }),
         }
     }
 
-    /// The paired (dispatched vs scalar) version of
-    /// [`Calibrator::case_studies`]: measured acceleration factors for
-    /// every case-study kernel family in one session.
+    /// Measured acceleration factors for every case-study kernel family
+    /// in one session, at representative sizes: 4 KiB payloads for
+    /// encryption, compression and hashing, a 512×256×64×1 ranker at
+    /// B=16 for inference.
     #[must_use]
     pub fn paired_case_studies(&self) -> Vec<PairedKernel> {
         let mlp = Mlp::seeded_ranker(&[512, 256, 64, 1], 42);
@@ -405,23 +265,25 @@ mod tests {
 
     #[test]
     fn all_case_study_kernels_calibrate() {
-        for k in quick().case_studies() {
-            assert!(k.cycles_per_byte().get() > 0.0, "{}", k.name);
-            assert!(k.cycles_per_call() > 0.0, "{}", k.name);
-            assert!(
-                (k.cycles_per_batch() - 3.0 * k.cycles_per_call()).abs()
-                    < 1e-6 * k.cycles_per_batch(),
-                "{}",
-                k.name
-            );
-            assert_eq!(k.measurement.batches, 2);
-            assert_eq!(k.measurement.batch_size, 3);
+        for pair in quick().paired_case_studies() {
+            for k in [pair.dispatched, pair.scalar] {
+                assert!(k.cycles_per_byte().get() > 0.0, "{}", k.name);
+                assert!(k.cycles_per_call() > 0.0, "{}", k.name);
+                assert!(
+                    (k.cycles_per_batch() - 3.0 * k.cycles_per_call()).abs()
+                        < 1e-6 * k.cycles_per_batch(),
+                    "{}",
+                    k.name
+                );
+                assert_eq!(k.measurement.batches, 2);
+                assert_eq!(k.measurement.batch_size, 3);
+            }
         }
     }
 
     #[test]
     fn hashing_calibration_is_positive() {
-        let k = quick().hashing(2048);
+        let k = quick().hashing_paired(2048).dispatched;
         assert_eq!(k.bytes_per_call, 2048);
         assert!(k.cycles_per_byte().get() > 0.0);
         let cost = k.kernel_cost();
@@ -446,7 +308,7 @@ mod tests {
 
     #[test]
     fn measured_cb_feeds_a_workload() {
-        let k = quick().encryption(1024);
+        let k = quick().encryption_paired(1024).dispatched;
         let spec = crate::workload::workload_for_params(
             10_000.0,
             0.3,

@@ -72,10 +72,11 @@ impl OffloadConfig {
     }
 }
 
-/// Upper bound on [`SimConfig::threads`] (and so on `cores`) that
-/// [`SimConfig::validate`] accepts: hundreds of times the largest value
-/// any shipped configuration or test uses (24), while keeping the
-/// per-thread state a bounded size.
+/// Upper bound on [`SimConfig::threads`] (and so on `cores`) and on a
+/// shared device's `servers` that [`SimConfig::validate`] accepts:
+/// hundreds of times the largest value any shipped configuration or test
+/// uses (24 threads, 8 servers), while keeping the per-thread and
+/// per-server state a bounded size.
 pub const MAX_THREADS: usize = 1 << 14;
 
 /// Full configuration of one simulation run.
@@ -115,7 +116,8 @@ impl SimConfig {
     /// Returns [`crate::SimError::InvalidConfig`] for degenerate values
     /// that would otherwise panic deep in the engine or surface as NaN
     /// metrics (zero cores, fewer threads than cores, more than
-    /// [`MAX_THREADS`] threads, a zero or non-finite horizon, a negative
+    /// [`MAX_THREADS`] threads, a shared device with zero or more than
+    /// [`MAX_THREADS`] servers, a zero or non-finite horizon, a negative
     /// or non-finite workload cost, more than
     /// [`MAX_KERNELS_PER_REQUEST`](crate::workload::MAX_KERNELS_PER_REQUEST)
     /// kernels per request, a malformed granularity CDF, malformed fault
@@ -153,6 +155,20 @@ impl SimConfig {
         )?;
         self.workload.validate()?;
         if let Some(o) = &self.offload {
+            if let DeviceKind::Shared { servers } = o.device {
+                ensure(
+                    servers > 0,
+                    "servers",
+                    servers as f64,
+                    "a shared device needs at least one server",
+                )?;
+                ensure(
+                    servers <= MAX_THREADS,
+                    "servers",
+                    servers as f64,
+                    "more servers than MAX_THREADS (16384)",
+                )?;
+            }
             ensure(
                 o.peak_speedup.is_finite() && o.peak_speedup > 0.0,
                 "peak_speedup",
@@ -1863,7 +1879,13 @@ mod tests {
         // With `SimTime` arithmetic checks compiled out of release
         // builds, negative durations must be rejected at validation.
         type Poison = fn(&mut OffloadConfig);
-        let cases: [(&str, Poison); 5] = [
+        let cases: [(&str, Poison); 7] = [
+            ("at least one server", |o| o.device = DeviceKind::Shared { servers: 0 }),
+            ("more servers than MAX_THREADS", |o| {
+                o.device = DeviceKind::Shared {
+                    servers: 100_000_000_000_000,
+                };
+            }),
             ("peak speedup", |o| o.peak_speedup = 0.0),
             ("interface latency", |o| o.interface_latency = -1.0),
             ("setup cost", |o| o.setup_cycles = f64::NAN),
@@ -1880,6 +1902,15 @@ mod tests {
             let err = expect_invalid(cfg);
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
+        // The server cap itself is accepted.
+        let mut cfg = base_config();
+        cfg.offload = Some(OffloadConfig {
+            device: DeviceKind::Shared {
+                servers: MAX_THREADS,
+            },
+            ..faulty_offload()
+        });
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -184,7 +184,7 @@ pub struct RecoveryPolicy {
     /// forever.
     #[serde(default)]
     pub timeout_cycles: Option<f64>,
-    /// Retry budget after the first attempt.
+    /// Retry budget after the first attempt, at most [`MAX_RETRIES`].
     #[serde(default)]
     pub max_retries: u32,
     /// Deterministic exponential backoff: retry `k` (1-based) resubmits
@@ -225,8 +225,15 @@ impl RecoveryPolicy {
     /// # Errors
     ///
     /// Returns [`crate::SimError::InvalidConfig`] for non-finite or
-    /// non-positive timeouts/thresholds or a negative backoff.
+    /// non-positive timeouts/thresholds, a negative backoff, or a retry
+    /// budget above [`MAX_RETRIES`].
     pub fn validate(&self) -> Result<()> {
+        ensure(
+            self.max_retries <= MAX_RETRIES,
+            "recovery.max_retries",
+            f64::from(self.max_retries),
+            "more retries than MAX_RETRIES (64)",
+        )?;
         if let Some(timeout) = self.timeout_cycles {
             ensure(
                 timeout.is_finite() && timeout > 0.0,
@@ -261,6 +268,14 @@ impl RecoveryPolicy {
         self.backoff_base_cycles * (1u64 << exp) as f64
     }
 }
+
+/// Upper bound on [`RecoveryPolicy::max_retries`]. Every retry of a
+/// failed offload is one more device dispatch in the offload's saga, so
+/// an unbounded budget under certain failure makes one offload loop ~4e9
+/// times. 64 retries is 16 times the largest budget a shipped scenario
+/// uses (3), and [`RecoveryPolicy::backoff_cycles`] already stops
+/// doubling after the 33rd.
+pub const MAX_RETRIES: u32 = 64;
 
 /// The outcome of one offload "saga": first dispatch, any retries, and
 /// the final resolution.
@@ -449,6 +464,18 @@ mod tests {
             ..RecoveryPolicy::none()
         };
         assert!(policy.validate().is_err());
+        // The retry budget is capped; the cap itself is accepted.
+        let policy = RecoveryPolicy {
+            max_retries: u32::MAX,
+            ..RecoveryPolicy::none()
+        };
+        let err = policy.validate().expect_err("unbounded budget");
+        assert!(err.to_string().contains("MAX_RETRIES"), "{err}");
+        let policy = RecoveryPolicy {
+            max_retries: MAX_RETRIES,
+            ..RecoveryPolicy::none()
+        };
+        assert_eq!(policy.validate(), Ok(()));
     }
 
     #[test]

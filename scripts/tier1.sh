@@ -69,12 +69,14 @@ grep '"core_utilization"' "$out_dir/faults_heavy_s1.json" | awk -F': ' \
     '{ gsub(/,/, "", $2); if ($2 + 0.0 > 1.0) { print "core_utilization " $2 " exceeds 1.0"; exit 1 } }'
 
 echo "== bad-input smoke: malformed scenarios, flags and service packs must exit 1 with a structured error =="
-# Each crates/cli/tests/fixtures/bad_scenario_*.json breaks one workload
-# or size field of the heavy-fallback scenario: a negative or infinite
-# cost, a negative CDF breakpoint, or an absurd kernel or thread count.
-# These used to exit 0 with negative or empty results, or die on an
-# out-of-memory kill (137) or a capacity-overflow abort (134). Any exit
-# code but 1, or a panic message, fails the smoke.
+# Each crates/cli/tests/fixtures/bad_scenario_*.json breaks one workload,
+# size or policy field of the heavy-fallback scenario: a negative or
+# infinite cost, a negative CDF breakpoint, an absurd kernel, thread or
+# device-server count, zero servers, or an unbounded retry budget.
+# These used to exit 0 with negative or empty results, panic (101), die
+# on an out-of-memory kill (137) or a capacity-overflow abort (134), or
+# run without end. Any exit code but 1, or a panic message, fails the
+# smoke.
 for scenario in crates/cli/tests/fixtures/bad_scenario_*.json; do
     rc=0
     ./target/release/accelctl faults "$scenario" > /dev/null 2> "$out_dir/bad_input.err" || rc=$?
@@ -89,8 +91,9 @@ done
 # overflow), non-finite sweep bounds and break-even parameters, and a
 # services pack whose case study the simulator does not know (it passes
 # `services validate` but used to panic `validate` and `tables table6`),
-# a params file whose `"a": 1e400` overflows to infinity, and a value
-# flag given last (it used to fall back silently to its default).
+# a params file whose `"a": 1e400` overflows to infinity, a value flag
+# given last (it used to fall back silently to its default), and the
+# deleted ISA flag (the scalar tier is KERNELS_FORCE_SCALAR=1).
 mkdir "$out_dir/renamed"
 sed 's/"aes-ni"/"aes-ni-v2"/' configs/services/cache1.json > "$out_dir/renamed/cache1.json"
 while IFS= read -r argv; do
@@ -119,6 +122,7 @@ breakeven --cb 5 --a 27 --l -1
 estimate crates/cli/tests/fixtures/bad_params_overflow_a.json
 characterize web --samples 100 --seed
 breakeven --cb 5 --a 27 --design
+--isa scalar faults
 ARGS
 
 echo "== trace-reuse smoke: batch runs with reuse on and off must match byte-for-byte =="
@@ -138,15 +142,6 @@ for argv in "--shards 2 faults" "validate --case fallback" "ablations"; do
     ./target/release/accelctl --trace-reuse off $argv > "$out_dir/reuse_off.txt"
     cmp "$out_dir/reuse_on.txt" "$out_dir/reuse_off.txt"
 done
-
-echo "== isa smoke: accelctl --isa scalar and auto must match byte-for-byte =="
-# ISA dispatch may only change kernel wall-clock, never an output byte;
-# pinning the scalar tier through the CLI must be unobservable in any
-# deterministic command's output.
-./target/release/accelctl --isa scalar faults > "$out_dir/faults_isa_scalar.json"
-./target/release/accelctl --isa auto faults > "$out_dir/faults_isa_auto.json"
-cmp "$out_dir/faults_isa_scalar.json" "$out_dir/faults_isa_auto.json"
-cmp "$out_dir/faults_expected.json" "$out_dir/faults_isa_scalar.json"
 
 echo "== services gate: every shipped profile pack must parse and validate =="
 # A malformed configs/services/*.json (breakdown off 100%, non-monotone
