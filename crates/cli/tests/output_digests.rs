@@ -8,6 +8,12 @@
 //! `configs/services/*.json` files (or any later refactor of the data
 //! path) shows up here as a digest mismatch, byte for byte.
 //!
+//! The model commands — `estimate`, `bounds`, `slo`, `sweep`,
+//! `breakeven` and `timeline` — are pinned over the shipped parameter
+//! files, every sweep axis, every design × strategy break-even and every
+//! timeline, with digests captured before the cost routing of eqns
+//! (1)–(8) was gathered into one place in `accelerometer::model`.
+//!
 //! The simulator-backed reports — `validate`, the fallback-capacity
 //! table and the ablations — are pinned the same way, with digests
 //! captured before their A/B runs moved onto the shared batch runner.
@@ -159,4 +165,75 @@ fn services_flag_does_not_outlive_its_run() {
         .1;
     assert_ne!(fnv1a(&loaded), builtin, "the edit did not reach fig8");
     assert_eq!(fnv1a(&after), builtin, "--services outlived its run");
+}
+
+/// `(command, digest)` for the model commands; a `configs/` argument is
+/// the shipped file of that name at the repository root.
+const MODEL: &[(&str, u64)] = &[
+    ("estimate configs/table6.json", 0x4cbb3736c3157fba),
+    ("bounds configs/table6.json", 0x5af78fd28ec84664),
+    ("slo configs/table6.json", 0x101168e89ce99f77),
+    ("slo configs/table6.json --min-reduction 1.05", 0x69d8e0e613345c92),
+    ("estimate configs/table7-compression.json", 0x848abe469c16c372),
+    ("bounds configs/table7-compression.json", 0x4cf72a30e6f6b068),
+    ("slo configs/table7-compression.json", 0xe5ec643cca2561f4),
+    ("slo configs/table7-compression.json --min-reduction 1.05", 0xa3ca808ce9bafd0d),
+    ("sweep configs/table6.json --axis peak-speedup --from 1 --to 64 --points 7", 0xf44a208c97482ed9),
+    ("sweep configs/table6.json --axis interface-latency --from 0 --to 10000 --points 6", 0x67a52dd5a908590d),
+    ("sweep configs/table6.json --axis offloads --from 1000 --to 10000000 --points 5", 0x23c3876fc6540e35),
+    ("sweep configs/table6.json --axis kernel-fraction --from 0.05 --to 0.9 --points 6", 0xae1d2f1a7eb342cf),
+    ("sweep configs/table6.json --axis queueing --from 0 --to 5000 --points 6", 0xa9906304b76c5df4),
+    ("sweep configs/table6.json --axis thread-switch --from 0 --to 20000 --points 5", 0x5c8d70b51fe10c98),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync --strategy on-chip", 0x9f4ed3e4bfe5f97f),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync --strategy off-chip", 0x9ecde330378b05d3),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync --strategy remote", 0x78403440e194779f),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync-os --strategy on-chip", 0xfc882ebecdfe67e2),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync-os --strategy off-chip", 0x7d4f02357c49fbef),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync-os --strategy remote", 0xc874b631252d6a14),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-same-thread --strategy on-chip", 0xc8167885c86bbc9e),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-same-thread --strategy off-chip", 0xf8a9d2dcdd2fb3a4),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-same-thread --strategy remote", 0xeccfa46589a93309),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-distinct-thread --strategy on-chip", 0xc3555051c1c75c52),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-distinct-thread --strategy off-chip", 0xd27feba109e1fad8),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-distinct-thread --strategy remote", 0x4f69dfdfc1ebd730),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-no-response --strategy on-chip", 0x4a6d89148e5ac36a),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-no-response --strategy off-chip", 0xd1f7d594b94f71f0),
+    ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design async-no-response --strategy remote", 0x9bd943e588b982b1),
+    ("timeline sync", 0xe1b41678853e5d71),
+    ("timeline sync-os", 0x1719c3279b8d9fe0),
+    ("timeline async-same-thread", 0x69f2caa30eab9015),
+    ("timeline async-distinct-thread", 0x1213e6866485433b),
+    ("timeline async-no-response", 0xabc753cd01849e49),
+];
+
+#[test]
+fn model_commands_match_their_recorded_digests() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let actual: Vec<(&str, u64)> = MODEL
+        .iter()
+        .map(|&(command, _)| {
+            let argv: Vec<String> = command
+                .split(' ')
+                .map(|a| {
+                    if a.starts_with("configs/") {
+                        format!("{root}{a}")
+                    } else {
+                        a.to_owned()
+                    }
+                })
+                .collect();
+            let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+            (command, fnv1a(&cli(&argv)))
+        })
+        .collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(command, d)| format!("    (\"{command}\", {d:#018x}),"))
+        .collect();
+    assert_eq!(
+        actual,
+        MODEL,
+        "a model command's output drifted; actual digests:\n{}",
+        rendered.join("\n")
+    );
 }
