@@ -149,26 +149,30 @@ commands:
 /// arguments, unreadable files, or invalid parameters.
 pub fn run(args: &[String]) -> Result<String, String> {
     let (ctx, args) = parse_global_flags(args)?;
-    let args = args.as_slice();
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("estimate") => cmd_estimate(&ctx, &args[1..]),
-        Some("calibrate") => Ok(cmd_calibrate()),
-        Some("breakeven") => cmd_breakeven(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("project") => Ok(cmd_project(&ctx.registry)),
-        Some("characterize") => cmd_characterize(&ctx, &args[1..]),
-        Some("validate") => cmd_validate(&ctx, &args[1..]),
-        Some("faults") => cmd_faults(&ctx, &args[1..]),
-        Some("timeline") => cmd_timeline(&args[1..]),
-        Some("bounds") => cmd_bounds(&args[1..]),
-        Some("slo") => cmd_slo(&args[1..]),
-        Some("tables") => cmd_tables(&ctx, &args[1..]),
-        Some("figures") => cmd_figures(&ctx, &args[1..]),
-        Some("ablations") => cmd_ablations(&ctx, &args[1..]),
-        Some("services") => cmd_services(&ctx, &args[1..]),
-        Some("help") | None => Ok(USAGE.to_owned()),
-        Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
+    let Some((command, args)) = args.split_first() else {
+        return Ok(USAGE.to_owned());
+    };
+    match command.as_str() {
+        "estimate" => cmd_estimate(&ctx, args),
+        "calibrate" => cmd_calibrate(args),
+        "breakeven" => cmd_breakeven(args),
+        "sweep" => cmd_sweep(args),
+        "project" => cmd_project(&ctx.registry, args),
+        "characterize" => cmd_characterize(&ctx, args),
+        "validate" => cmd_validate(&ctx, args),
+        "faults" => cmd_faults(&ctx, args),
+        "timeline" => cmd_timeline(args),
+        "bounds" => cmd_bounds(args),
+        "slo" => cmd_slo(args),
+        "tables" => cmd_tables(&ctx, args),
+        "figures" => cmd_figures(&ctx, args),
+        "ablations" => cmd_ablations(&ctx, args),
+        "services" => cmd_services(&ctx, args),
+        "help" => Argv::check("help", args, &[], &[]).map(|_| USAGE.to_owned()),
+        flag if flag.starts_with("--") => Err(format!(
+            "unknown global flag '{flag}' (expected --jobs, --shards, --trace-reuse or --services)"
+        )),
+        other => Err(format!("unknown command '{other}'\n{USAGE}")),
     }
 }
 
@@ -202,6 +206,7 @@ fn parse_global_flags(args: &[String]) -> Result<(RunContext, Vec<String>), Stri
         };
         let value = it
             .next()
+            .filter(|v| !v.starts_with("--"))
             .ok_or_else(|| format!("{flag} requires a value ({needs})"))?;
         match (flag, value.as_str()) {
             ("--jobs", v) => ctx.pool = ExecPool::new(positive(flag, v)?),
@@ -235,7 +240,8 @@ fn positive(flag: &str, value: &str) -> Result<usize, String> {
 /// driver, same scheduler weather). Numbers are timing-dependent by
 /// nature — this command is the interactive companion to the committed
 /// `BENCH_kernels.json` medians, not a golden output.
-fn cmd_calibrate() -> String {
+fn cmd_calibrate(args: &[String]) -> Result<String, String> {
+    Argv::check("calibrate", args, &[], &[])?;
     // The paper's 2 GHz busy frequency; matches the harness convention.
     let cal = Calibrator::new(2.0e9, 32, 16);
     let mut out = String::new();
@@ -261,72 +267,112 @@ fn cmd_calibrate() -> String {
         "factor = scalar/dispatched cycles per byte; < 1.00x means the\n\
          SIMD path loses at this granularity (reported honestly).",
     );
-    out
+    Ok(out)
 }
 
-/// The argument after flag `name`; `None` when the flag is absent, and
-/// an error when it is the last argument (a flag with no value used to
-/// fall back silently to its default).
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(value) => Ok(Some(value.clone())),
-            None => Err(format!("{name} requires a value")),
-        },
+/// One command's arguments, checked against the flags it accepts:
+/// each of `values` takes the next argument as its value, each switch
+/// stands alone, and any other `--word` is an error that names it.
+struct Argv<'a> {
+    args: &'a [String],
+    values: &'static [&'static str],
+}
+
+impl<'a> Argv<'a> {
+    /// Checks `args` for `command`. A value flag given last or followed
+    /// by another `--word` is an error (it used to fall back silently to
+    /// its default), and so is a flag the command does not know (it used
+    /// to be ignored, or read as the command's positional argument).
+    fn check(
+        command: &str,
+        args: &'a [String],
+        values: &'static [&'static str],
+        switches: &[&str],
+    ) -> Result<Self, String> {
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let flag = arg.as_str();
+            if values.contains(&flag) {
+                it.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} requires a value"))?;
+            } else if flag.starts_with("--") && !switches.contains(&flag) {
+                return Err(format!("{command}: unknown flag '{flag}'"));
+            }
+        }
+        Ok(Self { args, values })
     }
-}
 
-/// The first argument that is neither a flag nor the value of one of
-/// `value_flags`, wherever the flags appear.
-fn first_positional<'a>(args: &'a [String], value_flags: &[&str]) -> Option<&'a String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if value_flags.contains(&arg.as_str()) {
-            it.next();
-        } else if !arg.starts_with("--") {
-            return Some(arg);
+    /// The arguments that are neither flags nor flag values, in order.
+    fn positionals(&self) -> impl Iterator<Item = &'a String> + '_ {
+        let mut it = self.args.iter();
+        std::iter::from_fn(move || loop {
+            let arg = it.next()?;
+            if self.values.contains(&arg.as_str()) {
+                it.next();
+            } else if !arg.starts_with("--") {
+                return Some(arg);
+            }
+        })
+    }
+
+    /// The first positional argument, wherever the flags appear.
+    fn first_positional(&self) -> Option<&'a String> {
+        self.positionals().next()
+    }
+
+    /// The value of flag `name`; `None` when the flag is absent.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        let i = self.args.iter().position(|a| a == name)?;
+        self.args.get(i + 1).map(String::as_str)
+    }
+
+    /// Whether switch `name` is given.
+    fn has(&self, name: &str) -> bool {
+        self.args.iter().any(|a| a == name)
+    }
+
+    /// Parses flag `name` through `FromStr`; `None` when it is absent.
+    fn parse<T: FromStr>(&self, name: &str, expects: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{name} expects {expects}, got '{v}'"))
+            })
+            .transpose()
+    }
+
+    /// A finite number; `default` when the flag is absent, which makes
+    /// the flag required when `default` is `None`.
+    fn f64(&self, name: &str, default: Option<f64>) -> Result<f64, String> {
+        let value = match self.parse::<f64>(name, "a number")? {
+            Some(v) => v,
+            None => default.ok_or_else(|| format!("missing required flag {name}"))?,
+        };
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(format!("{name} must be finite, got {value}"))
         }
     }
-    None
-}
 
-/// Parses flag `name` through `FromStr`; `None` when it is absent.
-fn parse_flag<T: FromStr>(args: &[String], name: &str, expects: &str) -> Result<Option<T>, String> {
-    flag_value(args, name)?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{name} expects {expects}, got '{v}'"))
-        })
-        .transpose()
-}
-
-/// A finite number; `default` when the flag is absent, which makes the
-/// flag required when `default` is `None`.
-fn parse_f64(args: &[String], name: &str, default: Option<f64>) -> Result<f64, String> {
-    let value = match parse_flag::<f64>(args, name, "a number")? {
-        Some(v) => v,
-        None => default.ok_or_else(|| format!("missing required flag {name}"))?,
-    };
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(format!("{name} must be finite, got {value}"))
+    /// A count no larger than `max`; `default` when the flag is absent.
+    fn count(&self, name: &str, default: usize, max: usize) -> Result<usize, String> {
+        let count = self
+            .parse(name, "a non-negative integer")?
+            .unwrap_or(default);
+        if count > max {
+            return Err(format!("{name} must be at most {max}, got {count}"));
+        }
+        Ok(count)
     }
-}
 
-/// A count no larger than `max`; `default` when the flag is absent.
-fn parse_count(args: &[String], name: &str, default: usize, max: usize) -> Result<usize, String> {
-    let count = parse_flag(args, name, "a non-negative integer")?.unwrap_or(default);
-    if count > max {
-        return Err(format!("{name} must be at most {max}, got {count}"));
+    /// The `--seed` flag, `default` when absent.
+    fn seed(&self, default: u64) -> Result<u64, String> {
+        Ok(self
+            .parse("--seed", "a non-negative integer")?
+            .unwrap_or(default))
     }
-    Ok(count)
-}
-
-/// The `--seed` flag, `default` when absent.
-fn parse_seed(args: &[String], default: u64) -> Result<u64, String> {
-    Ok(parse_flag(args, "--seed", "a non-negative integer")?.unwrap_or(default))
 }
 
 fn parse_design(value: &str) -> Result<ThreadingDesign, String> {
@@ -368,8 +414,9 @@ fn format_scenario_estimate(
 }
 
 fn cmd_estimate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
+    let args = Argv::check("estimate", args, &[], &[])?;
     let path = args
-        .first()
+        .first_positional()
         .ok_or("estimate requires a config file path")?;
     let cfg = load_config(path)?;
     let scenarios = cfg.to_scenarios().map_err(|e| e.to_string())?;
@@ -387,11 +434,26 @@ fn cmd_estimate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_breakeven(args: &[String]) -> Result<String, String> {
-    let rate = |name| match parse_f64(args, name, None)? {
+    let args = Argv::check(
+        "breakeven",
+        args,
+        &[
+            "--cb",
+            "--a",
+            "--o0",
+            "--l",
+            "--q",
+            "--o1",
+            "--design",
+            "--strategy",
+        ],
+        &[],
+    )?;
+    let rate = |name| match args.f64(name, None)? {
         v if v > 0.0 => Ok(v),
         v => Err(format!("{name} must be positive, got {v}")),
     };
-    let overhead = |name| match parse_f64(args, name, Some(0.0))? {
+    let overhead = |name| match args.f64(name, Some(0.0))? {
         v if v >= 0.0 => Ok(v),
         v => Err(format!("{name} must be non-negative, got {v}")),
     };
@@ -401,12 +463,12 @@ fn cmd_breakeven(args: &[String]) -> Result<String, String> {
     let l = overhead("--l")?;
     let q = overhead("--q")?;
     let o1 = overhead("--o1")?;
-    let design = match flag_value(args, "--design")? {
-        Some(d) => parse_design(&d)?,
+    let design = match args.value("--design") {
+        Some(d) => parse_design(d)?,
         None => ThreadingDesign::Sync,
     };
-    let strategy = match flag_value(args, "--strategy")? {
-        Some(s) => parse_strategy(&s)?,
+    let strategy = match args.value("--strategy") {
+        Some(s) => parse_strategy(s)?,
         None => AccelerationStrategy::OffChip,
     };
     let ctx = OffloadContext::new(OffloadOverheads::new(o0, l, q, o1), a, design, strategy);
@@ -425,7 +487,15 @@ fn cmd_breakeven(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or("sweep requires a config file path")?;
+    let args = Argv::check(
+        "sweep",
+        args,
+        &["--axis", "--from", "--to", "--points"],
+        &[],
+    )?;
+    let path = args
+        .first_positional()
+        .ok_or("sweep requires a config file path")?;
     let cfg = load_config(path)?;
     let (name, scenario) = cfg
         .to_scenarios()
@@ -433,13 +503,13 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
         .into_iter()
         .next()
         .ok_or("config contains no scenarios")?;
-    let axis_name = flag_value(args, "--axis")?.ok_or("missing required flag --axis")?;
+    let axis_name = args.value("--axis").ok_or("missing required flag --axis")?;
     let axis: sweep::SweepAxis =
-        serde_json::from_value(serde_json::Value::String(axis_name.clone()))
+        serde_json::from_value(serde_json::Value::String(axis_name.to_owned()))
             .map_err(|_| format!("unknown sweep axis '{axis_name}'"))?;
-    let from = parse_f64(args, "--from", None)?;
-    let to = parse_f64(args, "--to", None)?;
-    let points = parse_count(args, "--points", 10, MAX_POINTS)?;
+    let from = args.f64("--from", None)?;
+    let to = args.f64("--to", None)?;
+    let points = args.count("--points", 10, MAX_POINTS)?;
     if from >= to || points < 2 {
         return Err("sweep requires --from < --to and --points >= 2".to_owned());
     }
@@ -459,7 +529,8 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_project(services: &ServiceRegistry) -> String {
+fn cmd_project(services: &ServiceRegistry, args: &[String]) -> Result<String, String> {
+    Argv::check("project", args, &[], &[])?;
     let mut out = String::from("Section 5 acceleration recommendations (Fig. 20):\n");
     for rec in services.recommendations() {
         let _ = writeln!(out, "{} (ideal {:.1}%):", rec.name, rec.paper_ideal_percent);
@@ -481,19 +552,28 @@ fn cmd_project(services: &ServiceRegistry) -> String {
             );
         }
     }
-    out
+    Ok(out)
 }
 
 fn cmd_characterize(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let service = parse_service(args.first().ok_or("characterize requires a service name")?)?;
-    let samples = parse_count(args, "--samples", 50_000, MAX_SAMPLES)?;
-    let seed = parse_seed(args, 42)?;
+    let args = Argv::check(
+        "characterize",
+        args,
+        &["--samples", "--seed"],
+        &["--folded"],
+    )?;
+    let service = parse_service(
+        args.first_positional()
+            .ok_or("characterize requires a service name")?,
+    )?;
+    let samples = args.count("--samples", 50_000, MAX_SAMPLES)?;
+    let seed = args.seed(42)?;
     if samples == 0 {
         return Err("--samples must be positive".to_owned());
     }
     let mut generator = TraceGenerator::for_service(&ctx.registry, service, seed);
     let traces = generator.generate(samples);
-    if args.iter().any(|a| a == "--folded") {
+    if args.has("--folded") {
         // Collapsed-stack output for flamegraph tooling.
         return Ok(to_folded(&traces));
     }
@@ -502,8 +582,9 @@ fn cmd_characterize(ctx: &RunContext, args: &[String]) -> Result<String, String>
 }
 
 fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let seed = parse_seed(args, 20_260_706)?;
-    if let Some(name) = flag_value(args, "--case")? {
+    let args = Argv::check("validate", args, &["--seed", "--case"], &[])?;
+    let seed = args.seed(20_260_706)?;
+    if let Some(name) = args.value("--case") {
         if name == "fallback" {
             // Not a Table 6 row: the fault-capacity analogue. Model's
             // fallback-load term vs a simulated A/B per failure rate.
@@ -530,13 +611,13 @@ fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
             );
             return Ok(out);
         }
-        let Some(study) = ctx.registry.case_study(&name) else {
+        let Some(study) = ctx.registry.case_study(name) else {
             // `fallback` is a CLI-level case (handled above), not a sim
             // case study, so append it to the sim error's valid list.
             return Err(format!(
                 "{}; 'fallback' selects the fault-capacity table",
                 SimError::UnknownCaseStudy {
-                    name,
+                    name: name.to_owned(),
                     valid: CASE_STUDY_NAMES,
                 }
             ));
@@ -576,14 +657,15 @@ fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 /// an independent seeded simulation, so output is byte-identical at any
 /// `--jobs` width.
 fn cmd_faults(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let seed = parse_seed(args, 20_260_806)?;
-    let scenario = match first_positional(args, &["--seed"]) {
+    let args = Argv::check("faults", args, &["--seed"], &[])?;
+    let seed = args.seed(20_260_806)?;
+    let scenario = match args.first_positional() {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let mut scenario: FaultScenario = serde_json::from_str(&text)
                 .map_err(|e| format!("invalid fault scenario {path}: {e}"))?;
             // --seed overrides the file's seed; otherwise the file wins.
-            if flag_value(args, "--seed")?.is_some() {
+            if args.has("--seed") {
                 scenario.base.seed = seed;
             }
             scenario
@@ -596,7 +678,11 @@ fn cmd_faults(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_timeline(args: &[String]) -> Result<String, String> {
-    let design = parse_design(args.first().ok_or("timeline requires a threading design")?)?;
+    let args = Argv::check("timeline", args, &[], &[])?;
+    let design = parse_design(
+        args.first_positional()
+            .ok_or("timeline requires a threading design")?,
+    )?;
     let spec = TimelineSpec {
         kernel_cycles: Cycles::new(10_000.0),
         peak_speedup: 10.0,
@@ -612,7 +698,10 @@ fn cmd_timeline(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_bounds(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or("bounds requires a config file path")?;
+    let args = Argv::check("bounds", args, &[], &[])?;
+    let path = args
+        .first_positional()
+        .ok_or("bounds requires a config file path")?;
     let cfg = load_config(path)?;
     let scenarios = cfg.to_scenarios().map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -627,9 +716,12 @@ fn cmd_bounds(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_slo(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or("slo requires a config file path")?;
+    let args = Argv::check("slo", args, &["--min-reduction"], &[])?;
+    let path = args
+        .first_positional()
+        .ok_or("slo requires a config file path")?;
     let cfg = load_config(path)?;
-    let min_reduction = parse_f64(args, "--min-reduction", Some(1.0))?;
+    let min_reduction = args.f64("--min-reduction", Some(1.0))?;
     let target = LatencySlo::at_least(min_reduction).map_err(|e| e.to_string())?;
     let scenarios = cfg.to_scenarios().map_err(|e| e.to_string())?;
     let mut out = format!("latency SLO: require C/CL >= {min_reduction}\n");
@@ -666,8 +758,9 @@ fn cmd_slo(args: &[String]) -> Result<String, String> {
 /// the files `--services` names. The tier-1 gate diffs the two paths
 /// byte-for-byte.
 fn cmd_tables(ctx: &RunContext, args: &[String]) -> Result<String, String> {
+    let args = Argv::check("tables", args, &[], &[])?;
     let id = args
-        .first()
+        .first_positional()
         .ok_or("tables requires a table id (table1 .. table7) or 'all'")?;
     if id == "all" {
         let mut out = String::new();
@@ -686,12 +779,9 @@ fn cmd_tables(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 /// covers the figures that have series, and asking for a timeline's or
 /// the design space's series by id is an error.
 fn cmd_figures(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let json = args.iter().any(|a| a == "--json");
-    let requested: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| *a != "--json")
-        .collect();
+    let args = Argv::check("figures", args, &[], &["--json"])?;
+    let json = args.has("--json");
+    let requested: Vec<&str> = args.positionals().map(String::as_str).collect();
     let all = requested.is_empty() || requested.contains(&"all");
     let ids = if all { FIGURE_IDS.to_vec() } else { requested };
     if let Some(id) = ids
@@ -727,7 +817,7 @@ fn cmd_figures(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 /// `accelctl ablations [--seed N]`: the modeling-choice ablations, their
 /// simulator experiments on the worker pool.
 fn cmd_ablations(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let seed = parse_seed(args, 20_260_706)?;
+    let seed = Argv::check("ablations", args, &["--seed"], &[])?.seed(20_260_706)?;
     accelerometer_bench::ablations::render_all(ctx, seed).map_err(|e| e.to_string())
 }
 
@@ -736,7 +826,9 @@ fn cmd_ablations(ctx: &RunContext, args: &[String]) -> Result<String, String> {
 /// `configs/services/`; `export` writes the embedded builtin specs,
 /// which are those files' bytes.
 fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
+    let args = Argv::check("services", args, &[], &[])?;
+    let mut positionals = args.positionals();
+    match positionals.next().map(String::as_str) {
         Some("list") => {
             let registry = &ctx.registry;
             let mut out = format!(
@@ -760,8 +852,8 @@ fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
             Ok(out)
         }
         Some("validate") => {
-            let path = args
-                .get(1)
+            let path = positionals
+                .next()
                 .ok_or("services validate requires a path (profile dir or file)")?;
             let registry =
                 ServiceRegistry::load_path(Path::new(path)).map_err(|e| e.to_string())?;
@@ -777,8 +869,8 @@ fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
             ))
         }
         Some("export") => {
-            let dir = args
-                .get(1)
+            let dir = positionals
+                .next()
                 .ok_or("services export requires a target directory")?;
             let written = ServiceRegistry::export_dir(Path::new(dir)).map_err(|e| e.to_string())?;
             let mut out = String::new();
@@ -910,7 +1002,7 @@ mod tests {
 
     #[test]
     fn project_prints_fig20_numbers() {
-        let out = cmd_project(&ServiceRegistry::builtin());
+        let out = cmd_project(&ServiceRegistry::builtin(), &[]).unwrap();
         assert!(out.contains("Feed1: Compression"));
         assert!(out.contains("13.6"), "{out}");
         assert!(out.contains("g >= 425 B"), "{out}");
@@ -1082,6 +1174,54 @@ mod tests {
             let flag = argv.last().expect("non-empty argv");
             assert_eq!(err, format!("{flag} requires a value"), "{argv:?}");
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_that_name_them() {
+        // Each of these used to exit 0 ignoring the typo, or to read the
+        // typo's value as the command's positional argument.
+        for (argv, flag) in [
+            (&["characterize", "web", "--samples", "100", "--sede", "3"][..], "--sede"),
+            (&["tables", "table1", "--bogus"], "--bogus"),
+            (&["faults", "--sead", "5"], "--sead"),
+            (&["calibrate", "--fast"], "--fast"),
+            (&["project", "--all"], "--all"),
+            (&["figures", "fig1", "--jsno"], "--jsno"),
+            (&["help", "--verbose"], "--verbose"),
+            (&["services", "list", "--x"], "--x"),
+        ] {
+            let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
+            let command = argv[0];
+            assert_eq!(err, format!("{command}: unknown flag '{flag}'"), "{argv:?}");
+        }
+        // An unknown global flag is named as one, without the usage dump.
+        let err = run(&args(&["--jbos", "2", "help"])).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown global flag '--jbos' (expected --jobs, --shards, --trace-reuse or --services)"
+        );
+    }
+
+    #[test]
+    fn every_command_finds_its_positional_after_its_flags() {
+        let path = write_config();
+        let flags_first = run(&args(&[
+            "sweep", "--axis", "offloads", "--from", "1000", "--to", "1e6", "--points", "3", &path,
+        ]))
+        .unwrap();
+        let path_first = run(&args(&[
+            "sweep", &path, "--axis", "offloads", "--from", "1000", "--to", "1e6", "--points", "3",
+        ]))
+        .unwrap();
+        assert_eq!(flags_first, path_first);
+        let slo = run(&args(&["slo", "--min-reduction", "1.05", &path])).unwrap();
+        fs::remove_file(&path).ok();
+        assert!(slo.contains("aes-ni-cache1"), "{slo}");
+        let characterize = |argv: &[&str]| run(&args(argv)).unwrap();
+        assert_eq!(
+            characterize(&["characterize", "--samples", "100", "--seed", "3", "web"]),
+            characterize(&["characterize", "web", "--samples", "100", "--seed", "3"])
+        );
     }
 
     #[test]

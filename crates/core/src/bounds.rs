@@ -13,9 +13,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{DriverMode, Scenario};
-use crate::strategy::AccelerationStrategy;
-use crate::threading::ThreadingDesign;
+use crate::model::{transfer_reaches_throughput_path, Scenario};
 
 /// One component of the accelerated cycle budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -153,12 +151,12 @@ pub fn diagnose(scenario: &Scenario) -> BoundReport {
         0.0
     };
     let setup = n * ovh.setup.get() / c;
-    let transfer_per_offload = transfer_on_throughput_path(
-        design,
-        scenario.strategy,
-        scenario.driver,
-        ovh.interface.get() + ovh.queueing.get(),
-    );
+    let transfer_per_offload =
+        if transfer_reaches_throughput_path(design, scenario.strategy, scenario.driver) {
+            ovh.interface.get() + ovh.queueing.get()
+        } else {
+            0.0
+        };
     let transfer = n * transfer_per_offload / c;
     let switches = n * ovh.thread_switch.get() * design.thread_switches_on_throughput_path() / c;
 
@@ -185,29 +183,12 @@ pub fn diagnose(scenario: &Scenario) -> BoundReport {
     }
 }
 
-fn transfer_on_throughput_path(
-    design: ThreadingDesign,
-    strategy: AccelerationStrategy,
-    driver: DriverMode,
-    transfer: f64,
-) -> f64 {
-    match design {
-        ThreadingDesign::Sync => transfer,
-        ThreadingDesign::SyncOs => match (strategy, driver) {
-            (AccelerationStrategy::Remote, _) | (_, DriverMode::Posted) => 0.0,
-            (_, DriverMode::AwaitsAck) => transfer,
-        },
-        _ => match strategy {
-            AccelerationStrategy::Remote => 0.0,
-            _ => transfer,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::ModelParams;
+    use crate::strategy::AccelerationStrategy;
+    use crate::threading::ThreadingDesign;
 
     fn scenario(
         o0: f64,

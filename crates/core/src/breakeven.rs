@@ -13,8 +13,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::complexity::KernelCost;
 use crate::model::{
-    accelerator_time_in_latency, latency_overhead_per_offload_raw,
-    throughput_overhead_per_offload_raw, DriverMode,
+    accelerator_time_in_latency, latency_overhead_per_offload, throughput_overhead_per_offload,
+    DriverMode,
 };
 use crate::params::OffloadOverheads;
 use crate::strategy::AccelerationStrategy;
@@ -81,17 +81,12 @@ impl OffloadContext {
         design: ThreadingDesign,
         strategy: AccelerationStrategy,
     ) -> Self {
-        let driver = if strategy.driver_awaits_ack_by_default() {
-            DriverMode::AwaitsAck
-        } else {
-            DriverMode::Posted
-        };
         Self {
             overheads,
             peak_speedup,
             design,
             strategy,
-            driver,
+            driver: DriverMode::default_for(strategy),
         }
     }
 }
@@ -156,7 +151,7 @@ fn solve(
 #[must_use]
 pub fn throughput_breakeven(cost: &KernelCost, ctx: &OffloadContext) -> BreakEven {
     let overhead =
-        throughput_overhead_per_offload_raw(ctx.overheads, ctx.design, ctx.strategy, ctx.driver);
+        throughput_overhead_per_offload(ctx.overheads, ctx.design, ctx.strategy, ctx.driver);
     solve(
         cost,
         overhead.get(),
@@ -172,7 +167,7 @@ pub fn throughput_breakeven(cost: &KernelCost, ctx: &OffloadContext) -> BreakEve
 /// `Cb·g > Cb·g/A + (o0 + L + Q + o1)`.
 #[must_use]
 pub fn latency_breakeven(cost: &KernelCost, ctx: &OffloadContext) -> BreakEven {
-    let overhead = latency_overhead_per_offload_raw(ctx.overheads, ctx.design);
+    let overhead = latency_overhead_per_offload(ctx.overheads, ctx.design);
     solve(
         cost,
         overhead.get(),

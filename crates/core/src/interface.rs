@@ -15,6 +15,8 @@ use serde::{Deserialize, Serialize};
 use crate::breakeven::{BreakEven, OffloadContext};
 use crate::complexity::KernelCost;
 use crate::error::{ensure, Result};
+use crate::model::throughput_overhead_per_offload;
+use crate::params::OffloadOverheads;
 use crate::units::{Bytes, Cycles, CyclesPerByte};
 
 /// How offload bytes cross the host↔accelerator interface.
@@ -122,8 +124,9 @@ impl TransferModel {
 /// Generalizes eqn (2): the offload is lucrative when
 /// `Cb·g > keep·Cb·g/A + o0 + Q + k·o1 + base + slope·g`, i.e. when the
 /// *net* per-byte saving `Cb·(1 − keep/A) − slope` recoups the fixed
-/// overheads. A transfer slope at or above the per-byte saving makes
-/// offloading unprofitable at every granularity.
+/// overheads. `Q`, `base` and `slope·g` count only where the model puts
+/// `L + Q` on the throughput path. A transfer slope at or above the
+/// per-byte saving makes offloading unprofitable at every granularity.
 ///
 /// The context's `overheads.interface` field is ignored in favor of
 /// `transfer`.
@@ -133,23 +136,11 @@ pub fn throughput_breakeven_with_transfer(
     ctx: &OffloadContext,
     transfer: &TransferModel,
 ) -> BreakEven {
-    // Per-byte saving net of the transfer slope. `transfer` bytes cross
-    // the host path per the same routing rules as scalar L: reuse the
-    // context by checking whether a unit of interface latency reaches the
-    // throughput path at all.
-    let unit_ctx = OffloadContext {
-        overheads: crate::params::OffloadOverheads::new(0.0, 1.0, 0.0, 0.0),
-        ..*ctx
-    };
-    let transfer_reaches_path = crate::model::throughput_overhead_per_offload_raw(
-        unit_ctx.overheads,
-        unit_ctx.design,
-        unit_ctx.strategy,
-        unit_ctx.driver,
-    )
-    .get()
-        > 0.0;
-
+    // `transfer` crosses the host path by the same routing rules as
+    // scalar L: its fixed part is charged where L is, with Q, and its
+    // slope eats into the per-byte saving only when L reaches the path.
+    let transfer_reaches_path =
+        crate::model::transfer_reaches_throughput_path(ctx.design, ctx.strategy, ctx.driver);
     let keep = if ctx.design.accelerator_time_on_throughput_path() {
         1.0 / ctx.peak_speedup
     } else {
@@ -164,15 +155,12 @@ pub fn throughput_breakeven_with_transfer(
     if per_byte_saving <= 0.0 {
         return BreakEven::Never;
     }
-    let ovh = ctx.overheads;
-    let fixed = ovh.setup.get()
-        + ovh.queueing.get()
-        + ovh.thread_switch.get() * ctx.design.thread_switches_on_throughput_path()
-        + if transfer_reaches_path {
-            transfer.fixed().get()
-        } else {
-            0.0
-        };
+    let overheads = OffloadOverheads {
+        interface: transfer.fixed(),
+        ..ctx.overheads
+    };
+    let fixed =
+        throughput_overhead_per_offload(overheads, ctx.design, ctx.strategy, ctx.driver).get();
     if fixed <= 0.0 {
         return BreakEven::Always;
     }
@@ -182,7 +170,6 @@ pub fn throughput_breakeven_with_transfer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::OffloadOverheads;
     use crate::strategy::AccelerationStrategy;
     use crate::threading::ThreadingDesign;
     use crate::units::{bytes, cycles_per_byte};
@@ -212,27 +199,40 @@ mod tests {
 
     #[test]
     fn pipelined_matches_scalar_breakeven() {
-        // A pipelined transfer is exactly the scalar-L model: compare
-        // against the standard break-even with L = 500.
+        // A pipelined transfer is exactly the scalar-L model on every
+        // route. With Q > 0 this used to charge Q on the throughput path
+        // of remote async and posted Sync-OS offloads, where the model
+        // drops L + Q together.
+        use crate::model::DriverMode;
         let cost = KernelCost::linear(cycles_per_byte(5.0));
-        let scalar_ctx = OffloadContext::new(
-            OffloadOverheads::new(100.0, 500.0, 0.0, 0.0),
-            8.0,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OffChip,
-        );
-        let scalar = crate::breakeven::throughput_breakeven(&cost, &scalar_ctx)
-            .threshold()
-            .unwrap();
-        let transfer = TransferModel::pipelined(500.0).unwrap();
-        let generalized = throughput_breakeven_with_transfer(
-            &cost,
-            &ctx(ThreadingDesign::Sync, AccelerationStrategy::OffChip),
-            &transfer,
-        )
-        .threshold()
-        .unwrap();
-        assert!((scalar.get() - generalized.get()).abs() < 1e-9);
+        for design in ThreadingDesign::ALL {
+            for strategy in AccelerationStrategy::ALL {
+                for driver in [DriverMode::AwaitsAck, DriverMode::Posted] {
+                    let scalar_ctx = OffloadContext {
+                        driver,
+                        ..OffloadContext::new(
+                            OffloadOverheads::new(100.0, 500.0, 50.0, 300.0),
+                            8.0,
+                            design,
+                            strategy,
+                        )
+                    };
+                    let scalar = crate::breakeven::throughput_breakeven(&cost, &scalar_ctx);
+                    let transfer = TransferModel::pipelined(500.0).unwrap();
+                    let generalized =
+                        throughput_breakeven_with_transfer(&cost, &scalar_ctx, &transfer);
+                    let (Some(scalar), Some(generalized)) =
+                        (scalar.threshold(), generalized.threshold())
+                    else {
+                        panic!("{design:?}/{strategy:?}/{driver:?}: {scalar:?} vs {generalized:?}");
+                    };
+                    assert!(
+                        (scalar.get() - generalized.get()).abs() < 1e-9,
+                        "{design:?}/{strategy:?}/{driver:?}: {scalar} vs {generalized}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

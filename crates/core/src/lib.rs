@@ -84,15 +84,12 @@ pub use config::{ConfigFile, ScenarioConfig};
 pub use error::{ModelError, Result};
 pub use granularity::{select_lucrative, GranularityCdf, GranularitySampler, LucrativeSelection};
 pub use model::{
-    estimate, estimate_with_faults, estimate_with_queue_distribution, net_speedup_condition,
-    DriverMode, Estimate, Scenario,
+    estimate, estimate_with_faults, estimate_with_queue_distribution, DriverMode, Estimate,
+    Scenario,
 };
 pub use multi::{KernelComponent, MultiKernelPlan};
 pub use params::{ModelParams, ModelParamsBuilder, OffloadOverheads};
-pub use projection::{
-    project, project_with_context, project_with_faults, AcceleratorSpec, KernelProfile,
-    OffloadPolicy, Projection,
-};
+pub use projection::{project, AcceleratorSpec, KernelProfile, OffloadPolicy, Projection};
 pub use strategy::AccelerationStrategy;
 pub use threading::ThreadingDesign;
 pub use timeline::{Timeline, TimelineSpec};

@@ -24,7 +24,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::params::ModelParams;
+use crate::params::{ModelParams, OffloadOverheads};
 use crate::strategy::AccelerationStrategy;
 use crate::threading::ThreadingDesign;
 use crate::units::Cycles;
@@ -48,6 +48,19 @@ pub enum DriverMode {
     Posted,
 }
 
+impl DriverMode {
+    /// The driver an offload to `strategy` uses unless told otherwise:
+    /// off-chip drivers await acknowledgements; on-chip and remote do not.
+    #[must_use]
+    pub fn default_for(strategy: AccelerationStrategy) -> Self {
+        if strategy.driver_awaits_ack_by_default() {
+            DriverMode::AwaitsAck
+        } else {
+            DriverMode::Posted
+        }
+    }
+}
+
 /// A fully-specified acceleration scenario: parameters plus the threading
 /// design, strategy, and driver behaviour that determine which overheads
 /// reach each critical path.
@@ -65,24 +78,18 @@ pub struct Scenario {
 
 impl Scenario {
     /// Creates a scenario with the driver mode defaulted from the strategy
-    /// (off-chip drivers await acknowledgements; on-chip and remote do
-    /// not).
+    /// ([`DriverMode::default_for`]).
     #[must_use]
     pub fn new(
         params: ModelParams,
         design: ThreadingDesign,
         strategy: AccelerationStrategy,
     ) -> Self {
-        let driver = if strategy.driver_awaits_ack_by_default() {
-            DriverMode::AwaitsAck
-        } else {
-            DriverMode::Posted
-        };
         Self {
             params,
             design,
             strategy,
-            driver,
+            driver: DriverMode::default_for(strategy),
         }
     }
 
@@ -114,6 +121,17 @@ pub struct Estimate {
 }
 
 impl Estimate {
+    /// The estimate for host cycles `c` and the two path fractions
+    /// `CS/C` and `CL/C`.
+    pub(crate) fn from_fractions(c: Cycles, cs_fraction: f64, cl_fraction: f64) -> Self {
+        Self {
+            throughput_speedup: 1.0 / cs_fraction,
+            latency_reduction: 1.0 / cl_fraction,
+            host_cycles_accelerated: c * cs_fraction,
+            request_path_cycles: c * cl_fraction,
+        }
+    }
+
     /// Throughput speedup expressed as a percentage gain
     /// (`15.7` for a `1.157×` speedup), matching how the paper reports
     /// Table 6 and Fig. 20.
@@ -149,24 +167,22 @@ impl Estimate {
     }
 }
 
-/// Per-offload overhead cycles charged to the throughput path for one
-/// offload under the given design/strategy/driver combination.
-pub(crate) fn throughput_overhead_per_offload_raw(
-    ovh: crate::params::OffloadOverheads,
+/// Whether the per-offload transfer `L + Q` reaches the host's throughput
+/// path. This is the one place the routing of eqns (1), (3) and (6) is
+/// decided; every other module asks here.
+pub(crate) fn transfer_reaches_throughput_path(
     design: ThreadingDesign,
     strategy: AccelerationStrategy,
     driver: DriverMode,
-) -> Cycles {
-    let transfer = ovh.interface + ovh.queueing;
-    let transfer_on_path = match design {
+) -> bool {
+    match design {
         // The blocked core pays the full round trip.
-        ThreadingDesign::Sync => transfer,
+        ThreadingDesign::Sync => true,
         // §3: (L+Q) persists only while an off-chip driver awaits an ack;
         // it is zero for posted drivers and for remote accelerators.
         ThreadingDesign::SyncOs => match (strategy, driver) {
-            (AccelerationStrategy::Remote, _) => Cycles::ZERO,
-            (_, DriverMode::Posted) => Cycles::ZERO,
-            (_, DriverMode::AwaitsAck) => transfer,
+            (AccelerationStrategy::Remote, _) | (_, DriverMode::Posted) => false,
+            (_, DriverMode::AwaitsAck) => true,
         },
         // Eqn (6) keeps (L+Q) on the async throughput path: the host-side
         // driver still moves the (unpipelined) offload across the
@@ -174,28 +190,31 @@ pub(crate) fn throughput_overhead_per_offload_raw(
         // stack, so the transfer happens off the host's cycle budget.
         ThreadingDesign::AsyncSameThread
         | ThreadingDesign::AsyncDistinctThread
-        | ThreadingDesign::AsyncNoResponse => match strategy {
-            AccelerationStrategy::Remote => Cycles::ZERO,
-            _ => transfer,
-        },
+        | ThreadingDesign::AsyncNoResponse => strategy != AccelerationStrategy::Remote,
+    }
+}
+
+/// Per-offload overhead cycles charged to the throughput path for one
+/// offload under the given design/strategy/driver combination.
+pub(crate) fn throughput_overhead_per_offload(
+    ovh: OffloadOverheads,
+    design: ThreadingDesign,
+    strategy: AccelerationStrategy,
+    driver: DriverMode,
+) -> Cycles {
+    let transfer_on_path = if transfer_reaches_throughput_path(design, strategy, driver) {
+        ovh.interface + ovh.queueing
+    } else {
+        Cycles::ZERO
     };
     ovh.setup
         + transfer_on_path
         + ovh.thread_switch * design.thread_switches_on_throughput_path()
 }
 
-fn throughput_overhead_per_offload(
-    params: &ModelParams,
-    design: ThreadingDesign,
-    strategy: AccelerationStrategy,
-    driver: DriverMode,
-) -> Cycles {
-    throughput_overhead_per_offload_raw(params.overheads(), design, strategy, driver)
-}
-
 /// Per-offload overhead cycles charged to the request-latency path.
-pub(crate) fn latency_overhead_per_offload_raw(
-    ovh: crate::params::OffloadOverheads,
+pub(crate) fn latency_overhead_per_offload(
+    ovh: OffloadOverheads,
     design: ThreadingDesign,
 ) -> Cycles {
     // The request cannot complete before its data crosses the interface
@@ -206,10 +225,6 @@ pub(crate) fn latency_overhead_per_offload_raw(
         + ovh.thread_switch * design.thread_switches_on_latency_path()
 }
 
-fn latency_overhead_per_offload(params: &ModelParams, design: ThreadingDesign) -> Cycles {
-    latency_overhead_per_offload_raw(params.overheads(), design)
-}
-
 /// Whether the accelerator's operating time appears on the request-latency
 /// path for this design/strategy combination.
 pub(crate) fn accelerator_time_in_latency(
@@ -217,6 +232,62 @@ pub(crate) fn accelerator_time_in_latency(
     strategy: AccelerationStrategy,
 ) -> bool {
     design.consumes_response() || strategy.accelerator_time_in_request_latency()
+}
+
+/// The path fractions `(CS/C, CL/C)` before per-offload overheads:
+/// `non_kernel` on both paths, plus `accel_term` (`α/A`) on each path the
+/// accelerator's operating time reaches.
+pub(crate) fn base_fractions(
+    non_kernel: f64,
+    accel_term: f64,
+    design: ThreadingDesign,
+    strategy: AccelerationStrategy,
+) -> (f64, f64) {
+    let on = |reaches: bool| {
+        if reaches {
+            non_kernel + accel_term
+        } else {
+            non_kernel
+        }
+    };
+    (
+        on(design.accelerator_time_on_throughput_path()),
+        // §3: a remote accelerator's operating time shows up in end-to-end
+        // application latency, not this microservice's request latency —
+        // but only when the host does not wait for the response. If the
+        // host consumes the response (sync or async), the round trip is
+        // on the request path no matter where the accelerator is.
+        on(accelerator_time_in_latency(design, strategy)),
+    )
+}
+
+/// Eqn (1) and its design variants with `attempts` saga attempts per
+/// offload and a `fallback_probability` of re-running the kernel on the
+/// host. [`estimate`] is the one-attempt, no-fallback case; with
+/// `attempts = 1` and `fallback_probability = 0` the extra factors are
+/// `x·1` and `x + 0` identities, so both entry points agree bit for bit.
+fn evaluate(
+    params: &ModelParams,
+    design: ThreadingDesign,
+    strategy: AccelerationStrategy,
+    driver: DriverMode,
+    attempts: f64,
+    fallback_probability: f64,
+) -> Estimate {
+    let c = params.host_cycles();
+    let n = params.offloads() * attempts;
+    let alpha = params.kernel_fraction();
+    let (mut cs_fraction, mut cl_fraction) = base_fractions(
+        1.0 - alpha + fallback_probability * alpha,
+        alpha / params.peak_speedup() * attempts,
+        design,
+        strategy,
+    );
+    let ovh = params.overheads();
+    cs_fraction +=
+        n * throughput_overhead_per_offload(ovh, design, strategy, driver).get() / c.get();
+    cl_fraction += n * latency_overhead_per_offload(ovh, design).get() / c.get();
+    Estimate::from_fractions(c, cs_fraction, cl_fraction)
 }
 
 /// Evaluates equations (1)–(8) for the given scenario.
@@ -252,38 +323,7 @@ pub fn estimate(
     strategy: AccelerationStrategy,
     driver: DriverMode,
 ) -> Estimate {
-    let c = params.host_cycles();
-    let n = params.offloads();
-    let alpha = params.kernel_fraction();
-    let accel_term = alpha / params.peak_speedup();
-
-    // --- Throughput path: CS ---------------------------------------------
-    let mut cs_fraction = 1.0 - alpha;
-    if design.accelerator_time_on_throughput_path() {
-        cs_fraction += accel_term;
-    }
-    let ovh_s = throughput_overhead_per_offload(params, design, strategy, driver);
-    cs_fraction += n * ovh_s.get() / c.get();
-
-    // --- Latency path: CL -------------------------------------------------
-    let mut cl_fraction = 1.0 - alpha;
-    // §3: a remote accelerator's operating time shows up in end-to-end
-    // application latency, not this microservice's request latency — but
-    // only when the host does not wait for the response. If the host
-    // consumes the response (sync or async), the round trip is on the
-    // request path no matter where the accelerator is.
-    if accelerator_time_in_latency(design, strategy) {
-        cl_fraction += accel_term;
-    }
-    let ovh_l = latency_overhead_per_offload(params, design);
-    cl_fraction += n * ovh_l.get() / c.get();
-
-    Estimate {
-        throughput_speedup: 1.0 / cs_fraction,
-        latency_reduction: 1.0 / cl_fraction,
-        host_cycles_accelerated: c * cs_fraction,
-        request_path_cycles: c * cl_fraction,
-    }
+    evaluate(params, design, strategy, driver, 1.0, 0.0)
 }
 
 /// Evaluates the model under a fault/recovery regime described by a
@@ -314,35 +354,14 @@ pub fn estimate_with_faults(
     driver: DriverMode,
     load: &crate::queueing::FaultLoad,
 ) -> Estimate {
-    let c = params.host_cycles();
-    let n = params.offloads();
-    let alpha = params.kernel_fraction();
-    let accel_term = alpha / params.peak_speedup();
-    let attempts = load.expected_attempts;
-    let fallback_term = load.host_fallback_probability() * alpha;
-
-    // --- Throughput path: CS ---------------------------------------------
-    let mut cs_fraction = 1.0 - alpha + fallback_term;
-    if design.accelerator_time_on_throughput_path() {
-        cs_fraction += accel_term * attempts;
-    }
-    let ovh_s = throughput_overhead_per_offload(params, design, strategy, driver);
-    cs_fraction += n * attempts * ovh_s.get() / c.get();
-
-    // --- Latency path: CL -------------------------------------------------
-    let mut cl_fraction = 1.0 - alpha + fallback_term;
-    if accelerator_time_in_latency(design, strategy) {
-        cl_fraction += accel_term * attempts;
-    }
-    let ovh_l = latency_overhead_per_offload(params, design);
-    cl_fraction += n * attempts * ovh_l.get() / c.get();
-
-    Estimate {
-        throughput_speedup: 1.0 / cs_fraction,
-        latency_reduction: 1.0 / cl_fraction,
-        host_cycles_accelerated: c * cs_fraction,
-        request_path_cycles: c * cl_fraction,
-    }
+    evaluate(
+        params,
+        design,
+        strategy,
+        driver,
+        load.expected_attempts,
+        load.host_fallback_probability(),
+    )
 }
 
 /// Evaluates the model with an explicit per-offload queueing distribution,
@@ -352,14 +371,18 @@ pub fn estimate_with_faults(
 /// `queue_samples` holds the queueing delay observed (or projected) for
 /// each offload in the window; its length is used as `n`, overriding
 /// `params.offloads()`, and its sum replaces `n·Q`.
-#[must_use]
+///
+/// # Errors
+///
+/// Returns [`crate::ModelError::InvalidParameter`] when the samples'
+/// mean is not a valid `Q` (negative, NaN, or overflowing to infinity).
 pub fn estimate_with_queue_distribution(
     params: &ModelParams,
     design: ThreadingDesign,
     strategy: AccelerationStrategy,
     driver: DriverMode,
     queue_samples: &[Cycles],
-) -> Estimate {
+) -> crate::error::Result<Estimate> {
     let mean_q = if queue_samples.is_empty() {
         0.0
     } else {
@@ -369,36 +392,13 @@ pub fn estimate_with_queue_distribution(
         .host_cycles(params.host_cycles().get())
         .kernel_fraction(params.kernel_fraction())
         .offloads(queue_samples.len() as f64)
-        .setup_cycles(params.overheads().setup.get())
-        .interface_cycles(params.overheads().interface.get())
-        .queueing_cycles(mean_q)
-        .thread_switch_cycles(params.overheads().thread_switch.get())
+        .overheads(OffloadOverheads {
+            queueing: Cycles::new(mean_q),
+            ..params.overheads()
+        })
         .peak_speedup(params.peak_speedup())
-        .build()
-        .expect("derived parameters from a valid ModelParams are valid");
-    estimate(&adjusted, design, strategy, driver)
-}
-
-/// The net-speedup condition for the scenario: `α·C` must exceed the total
-/// accelerated cost on the throughput path (§3, after eqns (1), (3), (6)).
-///
-/// Returns the unaccelerated kernel cycles and the accelerated cost, so
-/// callers can report *how far* a design is from profitability.
-#[must_use]
-pub fn net_speedup_condition(
-    params: &ModelParams,
-    design: ThreadingDesign,
-    strategy: AccelerationStrategy,
-    driver: DriverMode,
-) -> (Cycles, Cycles) {
-    let unaccelerated = params.kernel_cycles();
-    let n = params.offloads();
-    let mut accelerated =
-        throughput_overhead_per_offload(params, design, strategy, driver) * n;
-    if design.accelerator_time_on_throughput_path() {
-        accelerated += params.accelerator_cycles();
-    }
-    (unaccelerated, accelerated)
+        .build()?;
+    Ok(estimate(&adjusted, design, strategy, driver))
 }
 
 #[cfg(test)]
@@ -610,30 +610,66 @@ mod tests {
             AccelerationStrategy::OffChip,
             DriverMode::AwaitsAck,
             &samples,
-        );
+        )
+        .unwrap();
         // Same mean (25 cycles) and same n (4) → identical estimates.
         assert!((dist_est.throughput_speedup - mean_est.throughput_speedup).abs() < 1e-12);
     }
 
     #[test]
-    fn net_speedup_condition_agrees_with_estimate() {
-        let p = params(1e9, 0.01, 1_000_000.0, 50.0, 100.0, 0.0, 0.0, 10.0);
-        let (unacc, acc) = net_speedup_condition(
-            &p,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OffChip,
-            DriverMode::AwaitsAck,
-        );
-        let est = estimate(
-            &p,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OffChip,
-            DriverMode::AwaitsAck,
-        );
-        // Overheads (150 cycles × 1e6 offloads) dwarf the 1e7 kernel
-        // cycles: acceleration must hurt, and the condition must agree.
-        assert!(acc > unacc);
-        assert!(!est.improves_throughput());
+    fn queue_distribution_rejects_samples_that_are_not_a_valid_q() {
+        // Each of these used to panic on the rebuilt parameters'
+        // `expect`: the mean of the samples is the new `Q`.
+        let p = params(1e9, 0.2, 4.0, 10.0, 100.0, 25.0, 0.0, 5.0);
+        for samples in [
+            vec![cycles(-1.0)],
+            vec![cycles(f64::NAN), cycles(10.0)],
+            vec![cycles(f64::MAX), cycles(f64::MAX)],
+        ] {
+            let result = estimate_with_queue_distribution(
+                &p,
+                ThreadingDesign::Sync,
+                AccelerationStrategy::OffChip,
+                DriverMode::AwaitsAck,
+                &samples,
+            );
+            assert!(result.is_err(), "{samples:?}");
+        }
+    }
+
+    #[test]
+    fn driver_defaults_from_the_strategy() {
+        for (strategy, driver) in [
+            (AccelerationStrategy::OnChip, DriverMode::Posted),
+            (AccelerationStrategy::OffChip, DriverMode::AwaitsAck),
+            (AccelerationStrategy::Remote, DriverMode::Posted),
+        ] {
+            assert_eq!(DriverMode::default_for(strategy), driver, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn transfer_routing_matches_eqns_1_3_and_6() {
+        use AccelerationStrategy::{OffChip, OnChip, Remote};
+        use DriverMode::{AwaitsAck, Posted};
+        for design in ThreadingDesign::ALL {
+            for strategy in AccelerationStrategy::ALL {
+                for driver in [AwaitsAck, Posted] {
+                    let expected = match design {
+                        ThreadingDesign::Sync => true,
+                        ThreadingDesign::SyncOs => {
+                            driver == AwaitsAck && matches!(strategy, OnChip | OffChip)
+                        }
+                        _ => strategy != Remote,
+                    };
+                    assert_eq!(
+                        transfer_reaches_throughput_path(design, strategy, driver),
+                        expected,
+                        "{design:?}/{strategy:?}/{driver:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure, Result};
-use crate::model::{throughput_overhead_per_offload_raw, DriverMode, Estimate};
+use crate::model::{
+    base_fractions, latency_overhead_per_offload, throughput_overhead_per_offload, DriverMode,
+    Estimate,
+};
 use crate::params::OffloadOverheads;
 use crate::strategy::AccelerationStrategy;
 use crate::threading::ThreadingDesign;
@@ -90,30 +93,24 @@ impl MultiKernelPlan {
         Ok(())
     }
 
-    fn base_denominators(&self) -> (f64, f64) {
+    /// The plan's estimate when its kernels take `dispatches` offloads
+    /// in all, each paying the per-offload overheads once.
+    fn estimate_dispatches(&self, dispatches: f64) -> Estimate {
         let total_alpha: f64 = self.kernels.iter().map(|k| k.alpha).sum();
         let accel_time: f64 = self.kernels.iter().map(|k| k.alpha / k.peak_speedup).sum();
-        let mut cs = 1.0 - total_alpha;
-        if self.design.accelerator_time_on_throughput_path() {
-            cs += accel_time;
-        }
-        let mut cl = 1.0 - total_alpha;
-        if crate::model::accelerator_time_in_latency(self.design, self.strategy) {
-            cl += accel_time;
-        }
-        (cs, cl)
-    }
-
-    fn per_offload_overheads(&self) -> (f64, f64) {
-        let s = throughput_overhead_per_offload_raw(
+        let (mut cs, mut cl) =
+            base_fractions(1.0 - total_alpha, accel_time, self.design, self.strategy);
+        let ovh_s = throughput_overhead_per_offload(
             self.overheads,
             self.design,
             self.strategy,
             self.driver,
-        )
-        .get();
-        let l = crate::model::latency_overhead_per_offload_raw(self.overheads, self.design).get();
-        (s, l)
+        );
+        let ovh_l = latency_overhead_per_offload(self.overheads, self.design);
+        let c = self.host_cycles.get();
+        cs += dispatches * ovh_s.get() / c;
+        cl += dispatches * ovh_l.get() / c;
+        Estimate::from_fractions(self.host_cycles, cs, cl)
     }
 
     /// Estimates the plan with each kernel on its **own** device: every
@@ -125,13 +122,8 @@ impl MultiKernelPlan {
     /// fractions, counts, or speedups.
     pub fn estimate_separate(&self) -> Result<Estimate> {
         self.validate()?;
-        let (mut cs, mut cl) = self.base_denominators();
-        let (ovh_s, ovh_l) = self.per_offload_overheads();
-        let c = self.host_cycles.get();
         let total_offloads: f64 = self.kernels.iter().map(|k| k.offloads).sum();
-        cs += total_offloads * ovh_s / c;
-        cl += total_offloads * ovh_l / c;
-        Ok(self.estimate_from(cs, cl))
+        Ok(self.estimate_dispatches(total_offloads))
     }
 
     /// Estimates the plan on one **fused** device: the kernels process
@@ -152,12 +144,7 @@ impl MultiKernelPlan {
             fused_offloads,
             "fused offload count must be finite and non-negative",
         )?;
-        let (mut cs, mut cl) = self.base_denominators();
-        let (ovh_s, ovh_l) = self.per_offload_overheads();
-        let c = self.host_cycles.get();
-        cs += fused_offloads * ovh_s / c;
-        cl += fused_offloads * ovh_l / c;
-        Ok(self.estimate_from(cs, cl))
+        Ok(self.estimate_dispatches(fused_offloads))
     }
 
     /// The fusion dividend: percentage points of throughput gained by
@@ -170,15 +157,6 @@ impl MultiKernelPlan {
         let fused = self.estimate_fused(fused_offloads)?;
         let separate = self.estimate_separate()?;
         Ok(fused.throughput_gain_percent() - separate.throughput_gain_percent())
-    }
-
-    fn estimate_from(&self, cs: f64, cl: f64) -> Estimate {
-        Estimate {
-            throughput_speedup: 1.0 / cs,
-            latency_reduction: 1.0 / cl,
-            host_cycles_accelerated: self.host_cycles * cs,
-            request_path_cycles: self.host_cycles * cl,
-        }
     }
 }
 

@@ -18,7 +18,7 @@ use crate::breakeven::{throughput_breakeven, BreakEven, OffloadContext};
 use crate::complexity::KernelCost;
 use crate::error::Result;
 use crate::granularity::{select_lucrative, GranularityCdf, LucrativeSelection};
-use crate::model::{estimate, DriverMode, Estimate};
+use crate::model::{estimate, Estimate};
 use crate::params::{ModelParams, OffloadOverheads};
 use crate::strategy::AccelerationStrategy;
 use crate::threading::ThreadingDesign;
@@ -156,54 +156,7 @@ pub fn project(
     policy: OffloadPolicy,
 ) -> Result<Projection> {
     let ctx = OffloadContext::new(accel.overheads, accel.peak_speedup, design, accel.strategy);
-    project_with_context(profile, accel, &ctx, policy)
-}
-
-/// Like [`project`], but with an explicit [`OffloadContext`] (e.g. to
-/// override the driver mode).
-///
-/// # Errors
-///
-/// Same as [`project`].
-pub fn project_with_context(
-    profile: &KernelProfile,
-    accel: &AcceleratorSpec,
-    ctx: &OffloadContext,
-    policy: OffloadPolicy,
-) -> Result<Projection> {
-    project_inner(profile, accel, ctx, policy, None)
-}
-
-/// Like [`project_with_context`], but evaluating the model under the
-/// fault/recovery regime described by `load` (see
-/// [`estimate_with_faults`](crate::model::estimate_with_faults)):
-/// retries inflate the per-offload overheads and accelerator time by
-/// the expected attempts, and exhausted sagas under a fallback policy
-/// land their kernel work back on the host. The break-even point and
-/// lucrative selection are computed from the healthy overheads — the
-/// offload policy is decided at design time, the faults arrive later.
-///
-/// # Errors
-///
-/// Same as [`project`].
-pub fn project_with_faults(
-    profile: &KernelProfile,
-    accel: &AcceleratorSpec,
-    ctx: &OffloadContext,
-    policy: OffloadPolicy,
-    load: &crate::queueing::FaultLoad,
-) -> Result<Projection> {
-    project_inner(profile, accel, ctx, policy, Some(load))
-}
-
-fn project_inner(
-    profile: &KernelProfile,
-    accel: &AcceleratorSpec,
-    ctx: &OffloadContext,
-    policy: OffloadPolicy,
-    load: Option<&crate::queueing::FaultLoad>,
-) -> Result<Projection> {
-    let breakeven = throughput_breakeven(&profile.cost, ctx);
+    let breakeven = throughput_breakeven(&profile.cost, &ctx);
     let selection = match policy {
         OffloadPolicy::SelectiveLucrative => select_lucrative(
             &profile.granularity,
@@ -220,12 +173,7 @@ fn project_inner(
 
     let est = if selection.offloads <= 0.0 || selection.alpha <= 0.0 {
         // Nothing offloaded: acceleration is a no-op.
-        Estimate {
-            throughput_speedup: 1.0,
-            latency_reduction: 1.0,
-            host_cycles_accelerated: profile.total_cycles,
-            request_path_cycles: profile.total_cycles,
-        }
+        Estimate::from_fractions(profile.total_cycles, 1.0, 1.0)
     } else {
         let params = ModelParams::builder()
             .host_cycles(profile.total_cycles.get())
@@ -234,17 +182,12 @@ fn project_inner(
             .overheads(accel.overheads)
             .peak_speedup(accel.peak_speedup)
             .build()?;
-        match load {
-            Some(load) => {
-                crate::model::estimate_with_faults(&params, ctx.design, ctx.strategy, ctx.driver, load)
-            }
-            None => estimate(&params, ctx.design, ctx.strategy, ctx.driver),
-        }
+        estimate(&params, design, accel.strategy, ctx.driver)
     };
 
     Ok(Projection {
-        design: ctx.design,
-        strategy: ctx.strategy,
+        design,
+        strategy: accel.strategy,
         policy,
         breakeven,
         selection,
@@ -252,17 +195,6 @@ fn project_inner(
         amdahl_bound: amdahl::speedup(profile.kernel_fraction, accel.peak_speedup),
         ideal_speedup: amdahl::ideal_speedup(profile.kernel_fraction),
     })
-}
-
-/// Convenience: the driver mode an [`OffloadContext`] built from this
-/// spec would use.
-#[must_use]
-pub fn default_driver(strategy: AccelerationStrategy) -> DriverMode {
-    if strategy.driver_awaits_ack_by_default() {
-        DriverMode::AwaitsAck
-    } else {
-        DriverMode::Posted
-    }
 }
 
 #[cfg(test)]
@@ -328,52 +260,6 @@ mod tests {
         );
         assert!((p.estimate.latency_gain_percent() - 13.6).abs() < 0.1);
         assert!((p.ideal_speedup - 1.176).abs() < 0.001);
-    }
-
-    /// Fault-aware projections: a healthy fault load is bit-identical
-    /// to the plain projection, and faults monotonically shrink the
-    /// projected gain.
-    #[test]
-    fn fault_projection_degenerates_and_degrades() {
-        let profile = feed1_compression();
-        let accel = on_chip_compressor();
-        let ctx = OffloadContext::new(
-            accel.overheads,
-            accel.peak_speedup,
-            ThreadingDesign::Sync,
-            accel.strategy,
-        );
-        let plain =
-            project_with_context(&profile, &accel, &ctx, OffloadPolicy::OffloadAll).unwrap();
-        let healthy = crate::queueing::fault_load(0.0, 3, true).unwrap();
-        let same = project_with_faults(
-            &profile,
-            &accel,
-            &ctx,
-            OffloadPolicy::OffloadAll,
-            &healthy,
-        )
-        .unwrap();
-        assert_eq!(plain, same);
-
-        let degraded = crate::queueing::fault_load(0.3, 1, true).unwrap();
-        let worse = project_with_faults(
-            &profile,
-            &accel,
-            &ctx,
-            OffloadPolicy::OffloadAll,
-            &degraded,
-        )
-        .unwrap();
-        assert!(
-            worse.estimate.throughput_speedup < plain.estimate.throughput_speedup,
-            "faults must shrink the projected gain: {} vs {}",
-            worse.estimate.throughput_speedup,
-            plain.estimate.throughput_speedup
-        );
-        // Selection and break-even are design-time decisions: identical.
-        assert_eq!(worse.selection, plain.selection);
-        assert_eq!(worse.breakeven, plain.breakeven);
     }
 
     /// Fig. 20 Feed1 compression, off-chip Sync: break-even 425 B, 64.2%
@@ -582,12 +468,5 @@ mod tests {
         .unwrap();
         let eff = p.efficiency_vs_ideal();
         assert!(eff > 0.0 && eff < 1.0, "efficiency {eff}");
-    }
-
-    #[test]
-    fn default_driver_matches_strategy() {
-        assert_eq!(default_driver(AccelerationStrategy::OnChip), DriverMode::Posted);
-        assert_eq!(default_driver(AccelerationStrategy::OffChip), DriverMode::AwaitsAck);
-        assert_eq!(default_driver(AccelerationStrategy::Remote), DriverMode::Posted);
     }
 }

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure, Result};
-use crate::model::Scenario;
+use crate::model::{base_fractions, latency_overhead_per_offload, Scenario};
 use crate::units::Cycles;
 
 /// A per-request latency requirement, expressed as the minimum
@@ -73,18 +73,28 @@ impl LatencySlo {
     }
 }
 
+/// `CL/C` before per-offload overheads: `(1−α)`, plus `α/A` when the
+/// accelerator's time is on the latency path.
+fn latency_base_fraction(scenario: &Scenario) -> f64 {
+    let p = &scenario.params;
+    let alpha = p.kernel_fraction();
+    base_fractions(
+        1.0 - alpha,
+        alpha / p.peak_speedup(),
+        scenario.design,
+        scenario.strategy,
+    )
+    .1
+}
+
 /// The latency-path budget available for per-offload overheads:
 /// `C/n · (1/slo − (1−α) − [αC/A if on latency path])`, in cycles per
 /// offload. Negative means the SLO is infeasible for this scenario shape
 /// even with zero overheads.
 fn per_offload_latency_budget(scenario: &Scenario, slo: LatencySlo) -> f64 {
     let p = &scenario.params;
-    let alpha = p.kernel_fraction();
-    let mut base = 1.0 - alpha;
-    if crate::model::accelerator_time_in_latency(scenario.design, scenario.strategy) {
-        base += alpha / p.peak_speedup();
-    }
-    (1.0 / slo.min_reduction - base) * p.host_cycles().get() / p.offloads()
+    (1.0 / slo.min_reduction - latency_base_fraction(scenario)) * p.host_cycles().get()
+        / p.offloads()
 }
 
 /// The largest interface latency `L` (cycles) the scenario tolerates
@@ -111,25 +121,16 @@ pub fn max_interface_latency(scenario: &Scenario, slo: LatencySlo) -> Option<Cyc
 /// wrapped as `f64::INFINITY`, or when even `n = 0` misses the SLO.
 #[must_use]
 pub fn max_offload_rate(scenario: &Scenario, slo: LatencySlo) -> Option<f64> {
-    let p = &scenario.params;
-    let alpha = p.kernel_fraction();
-    let mut base = 1.0 - alpha;
-    if crate::model::accelerator_time_in_latency(scenario.design, scenario.strategy) {
-        base += alpha / p.peak_speedup();
-    }
-    let headroom = 1.0 / slo.min_reduction - base;
+    let headroom = 1.0 / slo.min_reduction - latency_base_fraction(scenario);
     if headroom < 0.0 {
         return None;
     }
-    let ovh = p.overheads();
-    let per_offload = ovh.setup.get()
-        + ovh.interface.get()
-        + ovh.queueing.get()
-        + ovh.thread_switch.get() * scenario.design.thread_switches_on_latency_path();
+    let per_offload =
+        latency_overhead_per_offload(scenario.params.overheads(), scenario.design).get();
     if per_offload <= 0.0 {
         return Some(f64::INFINITY);
     }
-    Some(headroom * p.host_cycles().get() / per_offload)
+    Some(headroom * scenario.params.host_cycles().get() / per_offload)
 }
 
 /// The minimum accelerator speedup `A` meeting the SLO (only meaningful
@@ -145,11 +146,7 @@ pub fn min_peak_speedup(scenario: &Scenario, slo: LatencySlo) -> Option<f64> {
     }
     let p = &scenario.params;
     let alpha = p.kernel_fraction();
-    let ovh = p.overheads();
-    let per_offload = ovh.setup.get()
-        + ovh.interface.get()
-        + ovh.queueing.get()
-        + ovh.thread_switch.get() * scenario.design.thread_switches_on_latency_path();
+    let per_offload = latency_overhead_per_offload(p.overheads(), scenario.design).get();
     let rest = (1.0 - alpha) + p.offloads() * per_offload / p.host_cycles().get();
     let headroom = 1.0 / slo.min_reduction - rest;
     if headroom <= 0.0 {

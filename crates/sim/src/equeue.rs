@@ -49,7 +49,7 @@ pub(crate) fn unpack_time(key: u128) -> SimTime {
     // Exact inverse of `pack`'s time half; the bits are untouched, and
     // they came from a validated `SimTime`, so the debug-checked
     // constructor suffices.
-    SimTime::from_raw(f64::from_bits((key >> 64) as u64))
+    SimTime::from_valid(f64::from_bits((key >> 64) as u64))
 }
 
 /// The largest key an inclusive time bound admits: an event is due at

@@ -37,7 +37,7 @@ impl SimTime {
     /// build skips the per-operation assert.
     #[inline]
     #[must_use]
-    pub(crate) fn from_raw(cycles: f64) -> Self {
+    pub(crate) fn from_valid(cycles: f64) -> Self {
         debug_assert!(
             !cycles.is_nan() && cycles >= 0.0,
             "invalid sim time {cycles}"
@@ -97,7 +97,7 @@ impl Add<f64> for SimTime {
     /// asserting entry point for unvalidated values.
     #[inline]
     fn add(self, rhs: f64) -> SimTime {
-        SimTime::from_raw(self.0 + rhs)
+        SimTime::from_valid(self.0 + rhs)
     }
 }
 

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AccelerationStrategy::OnChip,
         DriverMode::Posted,
         &queue_samples,
-    );
+    )?;
     println!(
         "  with an 8-sample queue distribution: {:.4}x",
         with_queue.throughput_speedup

@@ -92,8 +92,10 @@ done
 # services pack whose case study the simulator does not know (it passes
 # `services validate` but used to panic `validate` and `tables table6`),
 # a params file whose `"a": 1e400` overflows to infinity, a value flag
-# given last (it used to fall back silently to its default), and the
-# deleted ISA flag (the scalar tier is KERNELS_FORCE_SCALAR=1).
+# given last (it used to fall back silently to its default), the
+# deleted ISA flag (the scalar tier is KERNELS_FORCE_SCALAR=1), and
+# flags no command knows (they used to be ignored, exiting 0, or read as
+# the command's positional argument).
 mkdir "$out_dir/renamed"
 sed 's/"aes-ni"/"aes-ni-v2"/' configs/services/cache1.json > "$out_dir/renamed/cache1.json"
 while IFS= read -r argv; do
@@ -123,6 +125,9 @@ estimate crates/cli/tests/fixtures/bad_params_overflow_a.json
 characterize web --samples 100 --seed
 breakeven --cb 5 --a 27 --design
 --isa scalar faults
+characterize web --samples 100 --sede 3
+tables table1 --bogus
+faults --sead 5
 ARGS
 
 echo "== trace-reuse smoke: batch runs with reuse on and off must match byte-for-byte =="
