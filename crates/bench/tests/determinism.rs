@@ -2,18 +2,20 @@
 //! at `--jobs 1` and `--jobs 8` produces byte-identical serialized
 //! results. Each experiment's RNG seed travels in its config, the pool
 //! reassembles results by index, and serde's output is byte-stable, so
-//! the serialized JSON must match exactly — not approximately.
+//! the serialized JSON must match exactly — not approximately. The same
+//! holds with the batch runner's frozen-trace sharing switched off.
 
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{
     AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign,
 };
-use accelerometer_bench::ablations::queueing_sensitivity_with;
+use accelerometer_bench::ablations::{queueing_sensitivity_with, render_all};
 use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
-    concurrency_sweep_with, validate_all_with, DeviceKind, OffloadConfig, SimConfig,
+    concurrency_sweep_with, set_trace_reuse, validate_all_with, DeviceKind, OffloadConfig,
+    RunContext, SimConfig,
 };
 
 fn sweep_base() -> SimConfig {
@@ -81,4 +83,16 @@ fn table6_validation_is_byte_identical_across_pool_widths() {
         serde_json::to_string(&eight).expect("validations serialize"),
     );
     assert_eq!(one.len(), 3);
+}
+
+#[test]
+fn ablations_are_byte_identical_with_trace_reuse_off() {
+    // The batch runner's trace sharing must not move a byte of the
+    // ablations, whose simulator experiments all run as batches.
+    let ctx = RunContext::from_process_defaults();
+    let reused = render_all(&ctx, 20_260_706).expect("ablations render");
+    set_trace_reuse(false);
+    let redrawn = render_all(&ctx, 20_260_706);
+    set_trace_reuse(true);
+    assert_eq!(reused, redrawn.expect("ablations render"));
 }

@@ -6,45 +6,13 @@
 //! configuration file, and (c) run the Accelerometer model for these
 //! model parameters to estimate speedup from acceleration."
 //!
-//! Commands:
-//!
-//! * `accelctl estimate <config.json>` — evaluate every scenario in a
-//!   parameter file (see [`accelerometer::config`] for the format);
-//! * `accelctl breakeven --cb <c/B> --a <A> [--o0 N] [--l N] [--q N]
-//!   [--o1 N] [--design D] [--strategy S]` — minimum lucrative `g`;
-//! * `accelctl sweep <config.json> --axis <axis> --from <x> --to <x>
-//!   [--points N]` — sweep one parameter of the file's first scenario;
-//! * `accelctl project` — the §5 acceleration recommendations (Fig. 20);
-//! * `accelctl characterize <service> [--samples N] [--seed N]` — run the
-//!   synthetic profiler and print the §2 breakdowns;
-//! * `accelctl validate [--seed N] [--case C]` — run the Table 6 A/B
-//!   validation in the simulator (optionally a single case study, or
-//!   `--case fallback` for the fault-capacity validation table);
-//! * `accelctl faults [scenario.json] [--seed N]` — sweep a fault
-//!   scenario across recovery policies and emit a JSON report
-//!   (deterministic at any `--jobs` width);
-//! * `accelctl timeline <design>` — render the Figs. 12–14 offload
-//!   timeline for a threading design;
-//! * `accelctl bounds <config.json>` — decompose each scenario's cycle
-//!   budget and name the dominant performance bound;
-//! * `accelctl slo <config.json> [--min-reduction R]` — latency-SLO
-//!   guardrails: tolerable L, n, and required A per scenario;
-//! * `accelctl tables <id|all>` — regenerate the paper's tables;
-//! * `accelctl figures [ids|all] [--json]` — regenerate the paper's
-//!   figures (and the extra `design-space` heatmap);
-//! * `accelctl ablations [--seed N]` — the modeling-choice ablations;
-//! * `accelctl services list|validate <path>|export <dir>` — inspect,
-//!   check, or write out the service profiles (the builtin ones are the
-//!   `configs/services/` files, embedded at build time).
-//!
-//! [`run`] parses the global flags once into an
-//! [`accelerometer_sim::RunContext`] and hands it to the command, so a
-//! flag never outlives the call that gave it — except `--trace-reuse`,
-//! a process setting that cannot change an output byte. The global
-//! `--services <dir|file>` flag loads service profiles from JSON and
-//! routes the command through them instead of the embedded builtin data
-//! — byte-identically for the shipped files, which the golden
-//! equivalence suite pins.
+//! [`COMMANDS`] declares each command's arguments, usage and handler.
+//! [`run`] parses the global flags into an
+//! [`accelerometer_sim::RunContext`] for that call only, and the
+//! command's arguments against its row. The global `--services` flag
+//! routes a command through JSON service profiles instead of the
+//! embedded builtin ones — byte-identically for the shipped files, which
+//! the golden equivalence suite pins.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,8 +35,8 @@ use accelerometer_kernels::dispatch;
 use accelerometer_profiler::{analyze, to_folded, TraceGenerator};
 use accelerometer_sim::faultsweep::demo_scenario;
 use accelerometer_sim::{
-    run_fault_sweep_with, set_trace_reuse, simulate, validate_all_with, validate_fallback_with,
-    Calibrator, ExecPool, FaultScenario, RunContext, SimError, CASE_STUDY_NAMES,
+    run_fault_sweep_with, simulate, validate_all_with, validate_fallback_with, Calibrator,
+    ExecPool, FaultScenario, RunContext, SimError, CASE_STUDY_NAMES,
 };
 
 /// Largest `--points` a sweep accepts.
@@ -76,8 +44,9 @@ const MAX_POINTS: usize = 10_000;
 /// Largest `--samples` `characterize` accepts.
 const MAX_SAMPLES: usize = 10_000_000;
 
-/// Top-level usage text.
-pub const USAGE: &str = "usage: accelctl [--jobs N] [--shards N] [--trace-reuse on|off] [--services <dir|file>] <command> [args]
+/// The usage text's global half; [`usage`] appends every command's lines.
+const GLOBAL_USAGE: &str =
+    "usage: accelctl [--jobs N] [--shards N] [--services <dir|file>] <command> [args]
 global flags:
   --jobs N                        worker threads for independent runs
                                   (default: available parallelism; results
@@ -88,141 +57,256 @@ global flags:
                                   output is byte-identical at any N >= 1;
                                   sharded output is a different (documented)
                                   decomposition than the unsharded engine
-  --trace-reuse on|off            reuse one frozen workload trace across a
-                                  sweep's grid points (default: on). Both
-                                  settings are byte-identical; off exists
-                                  to prove it and to measure the sampling
-                                  cost it removes
   --services <dir|file>           load service profiles from JSON spec
                                   files (see configs/services/) instead of
                                   the builtin profiles (those files,
                                   embedded at build time); services
                                   without a file keep their builtin
-commands:
-  estimate <config.json>          evaluate scenarios from a parameter file
-  breakeven --cb <c/B> --a <A> [--o0 N] [--l N] [--q N] [--o1 N]
-            [--design D] [--strategy S]
-  sweep <config.json> --axis <peak-speedup|interface-latency|offloads|
-        kernel-fraction|queueing|thread-switch> --from X --to X [--points N]
-  project                         Section 5 recommendations (Fig. 20)
-  characterize <service> [--samples N] [--seed N] [--folded]
-  validate [--seed N] [--case C]  Table 6 A/B validation in the simulator
+commands:";
+
+/// One command: the single place its arguments are declared.
+#[derive(Debug)]
+pub struct CommandSpec {
+    /// The word that selects the command.
+    pub name: &'static str,
+    /// The fewest and the most positional arguments it takes.
+    pub arity: (usize, usize),
+    /// Flags that take the next argument as their value.
+    pub values: &'static [&'static str],
+    /// Flags that stand alone.
+    pub switches: &'static [&'static str],
+    /// Its lines in the usage text.
+    pub usage: &'static str,
+    /// The handler, given the run's context and the parsed arguments.
+    run: fn(&RunContext, &Parsed) -> Result<String, String>,
+}
+
+/// Every command `accelctl` runs, in usage order.
+pub const COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        name: "estimate",
+        arity: (1, 1),
+        values: &[],
+        switches: &[],
+        usage: "  estimate <config.json>          evaluate scenarios from a parameter file",
+        run: cmd_estimate,
+    },
+    CommandSpec {
+        name: "breakeven",
+        arity: (0, 0),
+        values: &[
+            "--cb",
+            "--a",
+            "--o0",
+            "--l",
+            "--q",
+            "--o1",
+            "--design",
+            "--strategy",
+        ],
+        switches: &[],
+        usage: "  breakeven --cb <c/B> --a <A> [--o0 N] [--l N] [--q N] [--o1 N]
+            [--design D] [--strategy S]",
+        run: cmd_breakeven,
+    },
+    CommandSpec {
+        name: "sweep",
+        arity: (1, 1),
+        values: &["--axis", "--from", "--to", "--points"],
+        switches: &[],
+        usage: "  sweep <config.json> --axis <peak-speedup|interface-latency|offloads|
+        kernel-fraction|queueing|thread-switch> --from X --to X [--points N]",
+        run: cmd_sweep,
+    },
+    CommandSpec {
+        name: "project",
+        arity: (0, 0),
+        values: &[],
+        switches: &[],
+        usage: "  project                         Section 5 recommendations (Fig. 20)",
+        run: cmd_project,
+    },
+    CommandSpec {
+        name: "characterize",
+        arity: (1, 1),
+        values: &["--samples", "--seed"],
+        switches: &["--folded"],
+        usage: "  characterize <service> [--samples N] [--seed N] [--folded]",
+        run: cmd_characterize,
+    },
+    CommandSpec {
+        name: "validate",
+        arity: (0, 0),
+        values: &["--seed", "--case"],
+        switches: &[],
+        usage: "  validate [--seed N] [--case C]  Table 6 A/B validation in the simulator
                                   (C: aes-ni | encryption | inference |
                                   fallback — the fault-capacity table:
                                   model fallback-load term vs simulated
-                                  A/B per failure probability)
-  calibrate                       measure the case-study kernels on this
+                                  A/B per failure probability)",
+        run: cmd_validate,
+    },
+    CommandSpec {
+        name: "calibrate",
+        arity: (0, 0),
+        values: &[],
+        switches: &[],
+        usage: "  calibrate                       measure the case-study kernels on this
                                   host, both ISA tiers paired in the same
                                   session; prints per-kernel cycles/byte
-                                  and the measured acceleration factor
-  faults [scenario.json] [--seed N]   fault-injection sweep across recovery
+                                  and the measured acceleration factor",
+        run: cmd_calibrate,
+    },
+    CommandSpec {
+        name: "faults",
+        arity: (0, 1),
+        values: &["--seed"],
+        switches: &[],
+        usage: "  faults [scenario.json] [--seed N]   fault-injection sweep across recovery
                                   policies; JSON report, byte-identical at
-                                  any --jobs width
-  timeline <sync|sync-os|async-same-thread|async-distinct-thread|
-            async-no-response>
-  bounds <config.json>            dominant performance bound per scenario
-  slo <config.json> [--min-reduction R]   latency-SLO guardrails
-  tables <id|all>                 regenerate the paper's tables
-                                  (table1 .. table7)
-  figures [ids|all] [--json]      regenerate the paper's figures (fig1 ..
+                                  any --jobs width",
+        run: cmd_faults,
+    },
+    CommandSpec {
+        name: "timeline",
+        arity: (1, 1),
+        values: &[],
+        switches: &[],
+        usage: "  timeline <sync|sync-os|async-same-thread|async-distinct-thread|
+            async-no-response>",
+        run: cmd_timeline,
+    },
+    CommandSpec {
+        name: "bounds",
+        arity: (1, 1),
+        values: &[],
+        switches: &[],
+        usage: "  bounds <config.json>            dominant performance bound per scenario",
+        run: cmd_bounds,
+    },
+    CommandSpec {
+        name: "slo",
+        arity: (1, 1),
+        values: &["--min-reduction"],
+        switches: &[],
+        usage: "  slo <config.json> [--min-reduction R]   latency-SLO guardrails",
+        run: cmd_slo,
+    },
+    CommandSpec {
+        name: "tables",
+        arity: (1, 1),
+        values: &[],
+        switches: &[],
+        usage: "  tables <id|all>                 regenerate the paper's tables
+                                  (table1 .. table7)",
+        run: cmd_tables,
+    },
+    CommandSpec {
+        name: "figures",
+        arity: (0, usize::MAX),
+        values: &[],
+        switches: &["--json"],
+        usage: "  figures [ids|all] [--json]      regenerate the paper's figures (fig1 ..
                                   fig22, default all) or the extra
                                   design-space heatmap; --json prints the
-                                  data figures' series instead
-  ablations [--seed N]            the modeling-choice ablations (alpha
+                                  data figures' series instead",
+        run: cmd_figures,
+    },
+    CommandSpec {
+        name: "ablations",
+        arity: (0, 0),
+        values: &["--seed"],
+        switches: &[],
+        usage: "  ablations [--seed N]            the modeling-choice ablations (alpha
                                   weighting, queueing, pool depth, prior
-                                  model)
-  services list                   service ids, slugs, and profile sources
+                                  model)",
+        run: cmd_ablations,
+    },
+    CommandSpec {
+        name: "services",
+        arity: (1, 2),
+        values: &[],
+        switches: &[],
+        usage: "  services list                   service ids, slugs, and profile sources
   services validate <dir|file>    parse + validate profile JSON; exits
                                   non-zero on the first malformed spec
   services export <dir>           write every builtin profile as
                                   <dir>/<slug>.json (the embedded bytes
-                                  of configs/services/)";
+                                  of configs/services/)",
+        run: cmd_services,
+    },
+    CommandSpec {
+        name: "help",
+        arity: (0, 0),
+        values: &[],
+        switches: &[],
+        usage: "  help                            print this text",
+        run: |_, _| Ok(usage()),
+    },
+];
+
+/// The usage text: the global flags, then each command's lines.
+fn usage() -> String {
+    COMMANDS
+        .iter()
+        .fold(GLOBAL_USAGE.to_owned(), |out, spec| out + "\n" + spec.usage)
+}
 
 /// Runs the CLI on pre-split arguments (excluding the program name),
 /// returning the text to print. Global flags are parsed into a
-/// [`RunContext`] for this call only; `--trace-reuse`, which cannot
-/// change an output byte, stays a process setting.
+/// [`RunContext`] for this call only; the rest is parsed against the
+/// command's [`COMMANDS`] row.
 ///
 /// # Errors
 ///
-/// Returns a human-readable error message for unknown commands, missing
-/// arguments, unreadable files, or invalid parameters.
+/// Returns a human-readable error message for unknown commands or
+/// flags, repeated flags, missing or extra arguments, unreadable files,
+/// or invalid parameters.
 pub fn run(args: &[String]) -> Result<String, String> {
     let (ctx, args) = parse_global_flags(args)?;
-    let Some((command, args)) = args.split_first() else {
-        return Ok(USAGE.to_owned());
+    let Some((&command, args)) = args.split_first() else {
+        return Ok(usage());
     };
-    match command.as_str() {
-        "estimate" => cmd_estimate(&ctx, args),
-        "calibrate" => cmd_calibrate(args),
-        "breakeven" => cmd_breakeven(args),
-        "sweep" => cmd_sweep(args),
-        "project" => cmd_project(&ctx.registry, args),
-        "characterize" => cmd_characterize(&ctx, args),
-        "validate" => cmd_validate(&ctx, args),
-        "faults" => cmd_faults(&ctx, args),
-        "timeline" => cmd_timeline(args),
-        "bounds" => cmd_bounds(args),
-        "slo" => cmd_slo(args),
-        "tables" => cmd_tables(&ctx, args),
-        "figures" => cmd_figures(&ctx, args),
-        "ablations" => cmd_ablations(&ctx, args),
-        "services" => cmd_services(&ctx, args),
-        "help" => Argv::check("help", args, &[], &[]).map(|_| USAGE.to_owned()),
-        flag if flag.starts_with("--") => Err(format!(
-            "unknown global flag '{flag}' (expected --jobs, --shards, --trace-reuse or --services)"
-        )),
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    }
+    let Some(spec) = COMMANDS.iter().find(|spec| spec.name == command) else {
+        return Err(if command.starts_with("--") {
+            format!("unknown global flag '{command}' (expected --jobs, --shards or --services)")
+        } else {
+            format!("unknown command '{command}'\n{}", usage())
+        });
+    };
+    (spec.run)(&ctx, &Parsed::new(spec, args)?)
 }
 
-/// Splits the global flags off `args`, wherever they appear, and returns
-/// the run context they describe plus the remaining arguments. Each flag
-/// takes the next argument as its value.
-///
-/// * `--jobs N` sizes the worker pool for independent runs; `--shards N`
-///   routes every simulation through the sharded runner on `N` workers
-///   (the decomposition comes from each configuration, so any `N >= 1`
-///   prints the same bytes). Neither changes a byte at any `N`.
-/// * `--services <dir|file>` loads service profiles into the context.
-/// * `--trace-reuse on|off` is applied as a process setting once every
-///   flag has parsed: it cannot change an output byte, and `off` exists
-///   to prove that and to measure what reuse saves.
-fn parse_global_flags(args: &[String]) -> Result<(RunContext, Vec<String>), String> {
+/// Splits the global flags (see [`GLOBAL_USAGE`]) off `args`, wherever
+/// they appear, and returns the run context they describe plus the
+/// remaining arguments. Each takes a value and may be given once.
+fn parse_global_flags(args: &[String]) -> Result<(RunContext, Vec<&str>), String> {
     let mut ctx = RunContext::from_process_defaults();
-    let mut trace_reuse = None;
+    let mut seen = Vec::new();
     let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let flag = arg.as_str();
-        let needs = match flag {
-            "--jobs" | "--shards" => "worker thread count",
-            "--trace-reuse" => "on or off",
-            "--services" => "profile dir or file",
-            _ => {
-                rest.push(arg.clone());
-                continue;
-            }
-        };
+    let mut it = args.iter().map(String::as_str);
+    while let Some(flag) = it.next() {
+        if !matches!(flag, "--jobs" | "--shards" | "--services") {
+            rest.push(flag);
+            continue;
+        }
+        if seen.contains(&flag) {
+            return Err(format!("{flag} given more than once"));
+        }
+        seen.push(flag);
         let value = it
             .next()
             .filter(|v| !v.starts_with("--"))
-            .ok_or_else(|| format!("{flag} requires a value ({needs})"))?;
-        match (flag, value.as_str()) {
-            ("--jobs", v) => ctx.pool = ExecPool::new(positive(flag, v)?),
-            ("--shards", v) => ctx.shards = Some(ExecPool::new(positive(flag, v)?)),
-            ("--trace-reuse", "on") => trace_reuse = Some(true),
-            ("--trace-reuse", "off") => trace_reuse = Some(false),
-            ("--services", v) => {
-                let registry = ServiceRegistry::load_path(Path::new(v))
-                    .map_err(|e| format!("--services {v}: {e}"))?;
+            .ok_or_else(|| format!("{flag} requires a value"))?;
+        match flag {
+            "--jobs" => ctx.pool = ExecPool::new(positive(flag, value)?),
+            "--shards" => ctx.shards = Some(ExecPool::new(positive(flag, value)?)),
+            _ => {
+                let registry = ServiceRegistry::load_path(Path::new(value))
+                    .map_err(|e| format!("--services {value}: {e}"))?;
                 ctx.registry = Arc::new(registry);
             }
-            (_, other) => return Err(format!("{flag} expects {needs}, got '{other}'")),
         }
-    }
-    if let Some(on) = trace_reuse {
-        set_trace_reuse(on);
     }
     Ok((ctx, rest))
 }
@@ -234,22 +318,118 @@ fn positive(flag: &str, value: &str) -> Result<usize, String> {
     }
 }
 
-/// `accelctl calibrate`: measure every case-study kernel on this host,
-/// pairing the dispatched and scalar tiers in the same session so the
-/// printed acceleration factor is a genuine A/B (same buffers, same
-/// driver, same scheduler weather). Numbers are timing-dependent by
-/// nature — this command is the interactive companion to the committed
-/// `BENCH_kernels.json` medians, not a golden output.
-fn cmd_calibrate(args: &[String]) -> Result<String, String> {
-    Argv::check("calibrate", args, &[], &[])?;
+/// A command's arguments, parsed once against its [`CommandSpec`]:
+/// positionals in order, and at most one value per flag.
+struct Parsed<'a> {
+    spec: &'static CommandSpec,
+    positionals: Vec<&'a str>,
+    /// Each flag given, with its value; a switch has none.
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Parsed<'a> {
+    /// Parses `args` for `spec`. Each of its value flags takes the next
+    /// argument, which must not be another `--word`; each switch stands
+    /// alone. Any other `--word`, a flag given twice, or a positional
+    /// count outside the arity is an error that names the problem.
+    fn new(spec: &'static CommandSpec, args: &[&'a str]) -> Result<Self, String> {
+        let (name, mut positionals, mut flags) = (spec.name, Vec::new(), Vec::new());
+        let mut it = args.iter().copied();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                positionals.push(arg);
+                continue;
+            }
+            let value = if spec.values.contains(&arg) {
+                let value = it.next().filter(|v| !v.starts_with("--"));
+                Some(value.ok_or_else(|| format!("{arg} requires a value"))?)
+            } else if spec.switches.contains(&arg) {
+                None
+            } else {
+                return Err(format!("{name}: unknown flag '{arg}'"));
+            };
+            if flags.iter().any(|&(flag, _)| flag == arg) {
+                return Err(format!("{name}: {arg} given more than once"));
+            }
+            flags.push((arg, value));
+        }
+        let (min, max) = spec.arity;
+        if let Some(extra) = positionals.get(max) {
+            return Err(format!("{name}: unexpected argument '{extra}'"));
+        }
+        if positionals.len() < min {
+            return Err(format!("{name}: missing argument; usage:\n{}", spec.usage));
+        }
+        Ok(Self {
+            spec,
+            positionals,
+            flags,
+        })
+    }
+
+    /// The value of flag `name`; `None` when the flag is absent.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        debug_assert!(self.spec.values.contains(&name));
+        self.flags
+            .iter()
+            .find(|&&(flag, _)| flag == name)
+            .and_then(|&(_, value)| value)
+    }
+
+    /// Whether flag `name` is given.
+    fn has(&self, name: &str) -> bool {
+        debug_assert!(self.spec.values.contains(&name) || self.spec.switches.contains(&name));
+        self.flags.iter().any(|&(flag, _)| flag == name)
+    }
+
+    /// Parses flag `name`, a `kind`, through `FromStr`; `default` when it
+    /// is absent, which makes the flag required when `default` is `None`.
+    fn parse<T: FromStr>(&self, name: &str, kind: &str, default: Option<T>) -> Result<T, String> {
+        match self.value(name) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{name} expects {kind}, got '{v}'")),
+            None => default.ok_or_else(|| format!("missing required flag {name}")),
+        }
+    }
+
+    /// A finite number; `default` as for [`Parsed::parse`].
+    fn f64(&self, name: &str, default: Option<f64>) -> Result<f64, String> {
+        let value = self.parse(name, "a number", default)?;
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(format!("{name} must be finite, got {value}"))
+        }
+    }
+
+    /// A count no larger than `max`; `default` when the flag is absent.
+    fn count(&self, name: &str, default: usize, max: usize) -> Result<usize, String> {
+        let count = self.parse(name, "a non-negative integer", Some(default))?;
+        if count > max {
+            return Err(format!("{name} must be at most {max}, got {count}"));
+        }
+        Ok(count)
+    }
+
+    /// The `--seed` flag, `default` when absent.
+    fn seed(&self, default: u64) -> Result<u64, String> {
+        self.parse("--seed", "a non-negative integer", Some(default))
+    }
+}
+
+/// Pairs the dispatched and scalar kernel tiers in one session, so the
+/// acceleration factor is a genuine A/B (same buffers, same driver, same
+/// scheduler weather). The numbers are timings: the interactive
+/// companion to the committed `BENCH_kernels.json` medians, not a golden.
+fn cmd_calibrate(_: &RunContext, _: &Parsed) -> Result<String, String> {
     // The paper's 2 GHz busy frequency; matches the harness convention.
     let cal = Calibrator::new(2.0e9, 32, 16);
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "host ISA: detected {} | active {}\n",
         dispatch::detected_summary(),
         dispatch::active_summary()
-    ));
+    );
     out.push_str(&format!(
         "{:<12} {:>16} {:>16} {:>8}\n",
         "kernel", "dispatched c/B", "scalar c/B", "factor"
@@ -270,111 +450,6 @@ fn cmd_calibrate(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// One command's arguments, checked against the flags it accepts:
-/// each of `values` takes the next argument as its value, each switch
-/// stands alone, and any other `--word` is an error that names it.
-struct Argv<'a> {
-    args: &'a [String],
-    values: &'static [&'static str],
-}
-
-impl<'a> Argv<'a> {
-    /// Checks `args` for `command`. A value flag given last or followed
-    /// by another `--word` is an error (it used to fall back silently to
-    /// its default), and so is a flag the command does not know (it used
-    /// to be ignored, or read as the command's positional argument).
-    fn check(
-        command: &str,
-        args: &'a [String],
-        values: &'static [&'static str],
-        switches: &[&str],
-    ) -> Result<Self, String> {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let flag = arg.as_str();
-            if values.contains(&flag) {
-                it.next()
-                    .filter(|v| !v.starts_with("--"))
-                    .ok_or_else(|| format!("{flag} requires a value"))?;
-            } else if flag.starts_with("--") && !switches.contains(&flag) {
-                return Err(format!("{command}: unknown flag '{flag}'"));
-            }
-        }
-        Ok(Self { args, values })
-    }
-
-    /// The arguments that are neither flags nor flag values, in order.
-    fn positionals(&self) -> impl Iterator<Item = &'a String> + '_ {
-        let mut it = self.args.iter();
-        std::iter::from_fn(move || loop {
-            let arg = it.next()?;
-            if self.values.contains(&arg.as_str()) {
-                it.next();
-            } else if !arg.starts_with("--") {
-                return Some(arg);
-            }
-        })
-    }
-
-    /// The first positional argument, wherever the flags appear.
-    fn first_positional(&self) -> Option<&'a String> {
-        self.positionals().next()
-    }
-
-    /// The value of flag `name`; `None` when the flag is absent.
-    fn value(&self, name: &str) -> Option<&'a str> {
-        let i = self.args.iter().position(|a| a == name)?;
-        self.args.get(i + 1).map(String::as_str)
-    }
-
-    /// Whether switch `name` is given.
-    fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-
-    /// Parses flag `name` through `FromStr`; `None` when it is absent.
-    fn parse<T: FromStr>(&self, name: &str, expects: &str) -> Result<Option<T>, String> {
-        self.value(name)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("{name} expects {expects}, got '{v}'"))
-            })
-            .transpose()
-    }
-
-    /// A finite number; `default` when the flag is absent, which makes
-    /// the flag required when `default` is `None`.
-    fn f64(&self, name: &str, default: Option<f64>) -> Result<f64, String> {
-        let value = match self.parse::<f64>(name, "a number")? {
-            Some(v) => v,
-            None => default.ok_or_else(|| format!("missing required flag {name}"))?,
-        };
-        if value.is_finite() {
-            Ok(value)
-        } else {
-            Err(format!("{name} must be finite, got {value}"))
-        }
-    }
-
-    /// A count no larger than `max`; `default` when the flag is absent.
-    fn count(&self, name: &str, default: usize, max: usize) -> Result<usize, String> {
-        let count = self
-            .parse(name, "a non-negative integer")?
-            .unwrap_or(default);
-        if count > max {
-            return Err(format!("{name} must be at most {max}, got {count}"));
-        }
-        Ok(count)
-    }
-
-    /// The `--seed` flag, `default` when absent.
-    fn seed(&self, default: u64) -> Result<u64, String> {
-        Ok(self
-            .parse("--seed", "a non-negative integer")?
-            .unwrap_or(default))
-    }
-}
-
 fn parse_design(value: &str) -> Result<ThreadingDesign, String> {
     serde_json::from_value(serde_json::Value::String(value.to_owned()))
         .map_err(|_| format!("unknown threading design '{value}'"))
@@ -392,34 +467,15 @@ fn parse_service(value: &str) -> Result<ServiceId, String> {
         .ok_or_else(|| format!("unknown service '{value}' (expected Web, Feed1, ..., Cache3)"))
 }
 
-fn load_config(path: &str) -> Result<ConfigFile, String> {
+/// The named scenarios of the parameter file at `path`.
+fn load_scenarios(path: &str) -> Result<Vec<(String, Scenario)>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    ConfigFile::from_json(&text).map_err(|e| e.to_string())
+    let cfg = ConfigFile::from_json(&text).map_err(|e| e.to_string())?;
+    cfg.to_scenarios().map_err(|e| e.to_string())
 }
 
-fn format_scenario_estimate(
-    name: &str,
-    scenario: &Scenario,
-    est: &accelerometer::Estimate,
-) -> String {
-    format!(
-        "{name}: throughput speedup {:.4}x ({:+.2}%), latency reduction {:.4}x ({:+.2}%)  [{} / {}]",
-        est.throughput_speedup,
-        est.throughput_gain_percent(),
-        est.latency_reduction,
-        est.latency_gain_percent(),
-        scenario.design,
-        scenario.strategy,
-    )
-}
-
-fn cmd_estimate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let args = Argv::check("estimate", args, &[], &[])?;
-    let path = args
-        .first_positional()
-        .ok_or("estimate requires a config file path")?;
-    let cfg = load_config(path)?;
-    let scenarios = cfg.to_scenarios().map_err(|e| e.to_string())?;
+fn cmd_estimate(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
+    let scenarios = load_scenarios(args.positionals[0])?;
     if scenarios.is_empty() {
         return Err("config contains no scenarios".to_owned());
     }
@@ -428,27 +484,21 @@ fn cmd_estimate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     let estimates = sweep::estimate_batch_with(&ctx.pool, &bare);
     let mut out = String::new();
     for ((name, scenario), est) in scenarios.iter().zip(&estimates) {
-        let _ = writeln!(out, "{}", format_scenario_estimate(name, scenario, est));
+        let _ = writeln!(
+            out,
+            "{name}: throughput speedup {:.4}x ({:+.2}%), latency reduction {:.4}x ({:+.2}%)  [{} / {}]",
+            est.throughput_speedup,
+            est.throughput_gain_percent(),
+            est.latency_reduction,
+            est.latency_gain_percent(),
+            scenario.design,
+            scenario.strategy,
+        );
     }
     Ok(out)
 }
 
-fn cmd_breakeven(args: &[String]) -> Result<String, String> {
-    let args = Argv::check(
-        "breakeven",
-        args,
-        &[
-            "--cb",
-            "--a",
-            "--o0",
-            "--l",
-            "--q",
-            "--o1",
-            "--design",
-            "--strategy",
-        ],
-        &[],
-    )?;
+fn cmd_breakeven(_: &RunContext, args: &Parsed) -> Result<String, String> {
     let rate = |name| match args.f64(name, None)? {
         v if v > 0.0 => Ok(v),
         v => Err(format!("{name} must be positive, got {v}")),
@@ -463,14 +513,12 @@ fn cmd_breakeven(args: &[String]) -> Result<String, String> {
     let l = overhead("--l")?;
     let q = overhead("--q")?;
     let o1 = overhead("--o1")?;
-    let design = match args.value("--design") {
-        Some(d) => parse_design(d)?,
-        None => ThreadingDesign::Sync,
-    };
-    let strategy = match args.value("--strategy") {
-        Some(s) => parse_strategy(s)?,
-        None => AccelerationStrategy::OffChip,
-    };
+    let design = args
+        .value("--design")
+        .map_or(Ok(ThreadingDesign::Sync), parse_design)?;
+    let strategy = args
+        .value("--strategy")
+        .map_or(Ok(AccelerationStrategy::OffChip), parse_strategy)?;
     let ctx = OffloadContext::new(OffloadOverheads::new(o0, l, q, o1), a, design, strategy);
     let cost = KernelCost::linear(cycles_per_byte(cb));
     let be = throughput_breakeven(&cost, &ctx);
@@ -486,20 +534,8 @@ fn cmd_breakeven(args: &[String]) -> Result<String, String> {
     })
 }
 
-fn cmd_sweep(args: &[String]) -> Result<String, String> {
-    let args = Argv::check(
-        "sweep",
-        args,
-        &["--axis", "--from", "--to", "--points"],
-        &[],
-    )?;
-    let path = args
-        .first_positional()
-        .ok_or("sweep requires a config file path")?;
-    let cfg = load_config(path)?;
-    let (name, scenario) = cfg
-        .to_scenarios()
-        .map_err(|e| e.to_string())?
+fn cmd_sweep(_: &RunContext, args: &Parsed) -> Result<String, String> {
+    let (name, scenario) = load_scenarios(args.positionals[0])?
         .into_iter()
         .next()
         .ok_or("config contains no scenarios")?;
@@ -529,10 +565,9 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_project(services: &ServiceRegistry, args: &[String]) -> Result<String, String> {
-    Argv::check("project", args, &[], &[])?;
+fn cmd_project(ctx: &RunContext, _: &Parsed) -> Result<String, String> {
     let mut out = String::from("Section 5 acceleration recommendations (Fig. 20):\n");
-    for rec in services.recommendations() {
+    for rec in ctx.registry.recommendations() {
         let _ = writeln!(out, "{} (ideal {:.1}%):", rec.name, rec.paper_ideal_percent);
         for cfg in &rec.configs {
             let p = project(&rec.profile, &cfg.accelerator, cfg.design, cfg.policy)
@@ -555,17 +590,8 @@ fn cmd_project(services: &ServiceRegistry, args: &[String]) -> Result<String, St
     Ok(out)
 }
 
-fn cmd_characterize(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let args = Argv::check(
-        "characterize",
-        args,
-        &["--samples", "--seed"],
-        &["--folded"],
-    )?;
-    let service = parse_service(
-        args.first_positional()
-            .ok_or("characterize requires a service name")?,
-    )?;
+fn cmd_characterize(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
+    let service = parse_service(args.positionals[0])?;
     let samples = args.count("--samples", 50_000, MAX_SAMPLES)?;
     let seed = args.seed(42)?;
     if samples == 0 {
@@ -581,8 +607,7 @@ fn cmd_characterize(ctx: &RunContext, args: &[String]) -> Result<String, String>
     Ok(format!("characterization of {service}:\n{}", report.render()))
 }
 
-fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let args = Argv::check("validate", args, &["--seed", "--case"], &[])?;
+fn cmd_validate(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     let seed = args.seed(20_260_706)?;
     if let Some(name) = args.value("--case") {
         if name == "fallback" {
@@ -651,15 +676,12 @@ fn cmd_validate(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// `accelctl faults [scenario.json] [--seed N]`: run the fault sweep —
-/// the built-in degradation scenario by default, or one loaded from a
-/// JSON file — and emit the report as pretty-printed JSON. Every run is
-/// an independent seeded simulation, so output is byte-identical at any
-/// `--jobs` width.
-fn cmd_faults(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let args = Argv::check("faults", args, &["--seed"], &[])?;
+/// The fault sweep of the builtin degradation scenario or a JSON one, as
+/// pretty JSON. Every run is an independent seeded simulation, so the
+/// output is byte-identical at any `--jobs` width.
+fn cmd_faults(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     let seed = args.seed(20_260_806)?;
-    let scenario = match args.first_positional() {
+    let scenario = match args.positionals.first() {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let mut scenario: FaultScenario = serde_json::from_str(&text)
@@ -677,12 +699,8 @@ fn cmd_faults(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
 }
 
-fn cmd_timeline(args: &[String]) -> Result<String, String> {
-    let args = Argv::check("timeline", args, &[], &[])?;
-    let design = parse_design(
-        args.first_positional()
-            .ok_or("timeline requires a threading design")?,
-    )?;
+fn cmd_timeline(_: &RunContext, args: &Parsed) -> Result<String, String> {
+    let design = parse_design(args.positionals[0])?;
     let spec = TimelineSpec {
         kernel_cycles: Cycles::new(10_000.0),
         peak_speedup: 10.0,
@@ -697,15 +715,9 @@ fn cmd_timeline(args: &[String]) -> Result<String, String> {
     ))
 }
 
-fn cmd_bounds(args: &[String]) -> Result<String, String> {
-    let args = Argv::check("bounds", args, &[], &[])?;
-    let path = args
-        .first_positional()
-        .ok_or("bounds requires a config file path")?;
-    let cfg = load_config(path)?;
-    let scenarios = cfg.to_scenarios().map_err(|e| e.to_string())?;
+fn cmd_bounds(_: &RunContext, args: &Parsed) -> Result<String, String> {
     let mut out = String::new();
-    for (name, scenario) in &scenarios {
+    for (name, scenario) in &load_scenarios(args.positionals[0])? {
         let report = bounds::diagnose(scenario);
         let _ = writeln!(out, "{name}:");
         for line in report.render().lines() {
@@ -715,15 +727,10 @@ fn cmd_bounds(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_slo(args: &[String]) -> Result<String, String> {
-    let args = Argv::check("slo", args, &["--min-reduction"], &[])?;
-    let path = args
-        .first_positional()
-        .ok_or("slo requires a config file path")?;
-    let cfg = load_config(path)?;
+fn cmd_slo(_: &RunContext, args: &Parsed) -> Result<String, String> {
+    let scenarios = load_scenarios(args.positionals[0])?;
     let min_reduction = args.f64("--min-reduction", Some(1.0))?;
     let target = LatencySlo::at_least(min_reduction).map_err(|e| e.to_string())?;
-    let scenarios = cfg.to_scenarios().map_err(|e| e.to_string())?;
     let mut out = format!("latency SLO: require C/CL >= {min_reduction}\n");
     for (name, scenario) in &scenarios {
         let met = if target.is_met_by(scenario) { "MET" } else { "VIOLATED" };
@@ -753,35 +760,24 @@ fn cmd_slo(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// `accelctl tables <id|all>`: regenerate the paper's tables through
-/// the run's profile data — the embedded builtin specs by default, or
-/// the files `--services` names. The tier-1 gate diffs the two paths
-/// byte-for-byte.
-fn cmd_tables(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let args = Argv::check("tables", args, &[], &[])?;
-    let id = args
-        .first_positional()
-        .ok_or("tables requires a table id (table1 .. table7) or 'all'")?;
-    if id == "all" {
-        let mut out = String::new();
-        for id in TABLE_IDS {
-            out.push_str(&render_table_with(ctx, id)?);
-            out.push('\n');
-        }
-        return Ok(out);
+/// Renders through the run's profile data: the builtin specs, or the
+/// `--services` files (the tier-1 gate diffs the two byte-for-byte).
+fn cmd_tables(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
+    match args.positionals[0] {
+        "all" => TABLE_IDS
+            .iter()
+            .map(|id| render_table_with(ctx, id).map(|table| table + "\n"))
+            .collect(),
+        id => render_table_with(ctx, id),
     }
-    render_table_with(ctx, id)
 }
 
-/// `accelctl figures [ids|all] [--json]`: regenerate figures (default:
-/// every paper figure) on the worker pool and print them in request
-/// order. `--json` prints each data figure's series; `all --json`
-/// covers the figures that have series, and asking for a timeline's or
-/// the design space's series by id is an error.
-fn cmd_figures(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let args = Argv::check("figures", args, &[], &["--json"])?;
+/// Builds the figures on the worker pool and prints them in request
+/// order. `all --json` covers the figures that have series; asking for
+/// a timeline's or the design space's series by id is an error.
+fn cmd_figures(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     let json = args.has("--json");
-    let requested: Vec<&str> = args.positionals().map(String::as_str).collect();
+    let requested = args.positionals.clone();
     let all = requested.is_empty() || requested.contains(&"all");
     let ids = if all { FIGURE_IDS.to_vec() } else { requested };
     if let Some(id) = ids
@@ -814,29 +810,23 @@ fn cmd_figures(ctx: &RunContext, args: &[String]) -> Result<String, String> {
     Ok(texts.join("\n"))
 }
 
-/// `accelctl ablations [--seed N]`: the modeling-choice ablations, their
-/// simulator experiments on the worker pool.
-fn cmd_ablations(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let seed = Argv::check("ablations", args, &["--seed"], &[])?.seed(20_260_706)?;
-    accelerometer_bench::ablations::render_all(ctx, seed).map_err(|e| e.to_string())
+/// The ablations' simulator experiments run on the worker pool.
+fn cmd_ablations(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
+    accelerometer_bench::ablations::render_all(ctx, args.seed(20_260_706)?)
+        .map_err(|e| e.to_string())
 }
 
-/// `accelctl services list|validate <dir|file>|export <dir>`: the
-/// data-driven profile toolkit. `validate` is the CI gate over
-/// `configs/services/`; `export` writes the embedded builtin specs,
-/// which are those files' bytes.
-fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
-    let args = Argv::check("services", args, &[], &[])?;
-    let mut positionals = args.positionals();
-    match positionals.next().map(String::as_str) {
-        Some("list") => {
-            let registry = &ctx.registry;
+/// `validate` is the CI gate over `configs/services/`; `export` writes
+/// the embedded builtin specs, which are those files' bytes.
+fn cmd_services(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
+    match args.positionals[..] {
+        ["list"] => {
             let mut out = format!(
                 "{:<14} {:<14} {:<13} source\n",
                 "service", "slug", "domain"
             );
             for id in ServiceId::ALL {
-                let source = if registry.loaded_services().contains(&id) {
+                let source = if ctx.registry.loaded_services().contains(&id) {
                     "loaded file"
                 } else {
                     "builtin"
@@ -851,10 +841,7 @@ fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
             }
             Ok(out)
         }
-        Some("validate") => {
-            let path = positionals
-                .next()
-                .ok_or("services validate requires a path (profile dir or file)")?;
+        ["validate", path] => {
             let registry =
                 ServiceRegistry::load_path(Path::new(path)).map_err(|e| e.to_string())?;
             let loaded: Vec<&str> = registry
@@ -868,10 +855,7 @@ fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
                 loaded.join(", ")
             ))
         }
-        Some("export") => {
-            let dir = positionals
-                .next()
-                .ok_or("services export requires a target directory")?;
+        ["export", dir] => {
             let written = ServiceRegistry::export_dir(Path::new(dir)).map_err(|e| e.to_string())?;
             let mut out = String::new();
             for path in &written {
@@ -879,8 +863,10 @@ fn cmd_services(ctx: &RunContext, args: &[String]) -> Result<String, String> {
             }
             Ok(out)
         }
-        _ => Err("services requires a subcommand: list | validate <dir|file> | export <dir>"
-            .to_owned()),
+        _ => Err(format!(
+            "services: expected list | validate <dir|file> | export <dir>, got '{}'",
+            args.positionals.join(" ")
+        )),
     }
 }
 
@@ -1002,7 +988,7 @@ mod tests {
 
     #[test]
     fn project_prints_fig20_numbers() {
-        let out = cmd_project(&ServiceRegistry::builtin(), &[]).unwrap();
+        let out = run(&args(&["project"])).unwrap();
         assert!(out.contains("Feed1: Compression"));
         assert!(out.contains("13.6"), "{out}");
         assert!(out.contains("g >= 425 B"), "{out}");
@@ -1093,36 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_reuse_flag_is_global_validated_and_byte_exact() {
-        // The sweep-level bit-exactness contract: a full fault sweep's
-        // JSON must not change by a byte whether grid points share one
-        // frozen trace (default) or redraw their streams per point.
-        let reused = run(&args(&["--trace-reuse", "on", "faults"])).unwrap();
-        let redrawn = run(&args(&["--trace-reuse", "off", "faults"])).unwrap();
-        set_trace_reuse(true);
-        assert_eq!(reused, redrawn, "trace reuse changed sweep output");
-        // And under sharding, where traces are per derived shard seed.
-        let reused = run(&args(&["--trace-reuse", "on", "--shards", "2", "faults"])).unwrap();
-        let redrawn = run(&args(&["--trace-reuse", "off", "--shards", "2", "faults"])).unwrap();
-        set_trace_reuse(true);
-        assert_eq!(reused, redrawn, "trace reuse changed sharded sweep output");
-        // And across the fallback table's A/B batch, which shares one
-        // trace among its eight arms.
-        let fallback = |reuse| {
-            let argv = ["--trace-reuse", reuse, "validate", "--case", "fallback"];
-            run(&args(&argv))
-        };
-        let (reused, redrawn) = (fallback("on").unwrap(), fallback("off").unwrap());
-        set_trace_reuse(true);
-        assert_eq!(reused, redrawn, "trace reuse changed the fallback table");
-        // Missing / unknown values are rejected before dispatch.
-        assert!(run(&args(&["--trace-reuse"]))
-            .unwrap_err()
-            .contains("--trace-reuse"));
-        assert!(run(&args(&["--trace-reuse", "maybe", "help"])).is_err());
-    }
-
-    #[test]
     fn faults_sweep_reports_every_policy() {
         let out = run(&args(&["faults", "--seed", "11"])).unwrap();
         for policy in ["no-recovery", "retry", "retry-fallback", "admission", "full"] {
@@ -1198,8 +1154,48 @@ mod tests {
         let err = run(&args(&["--jbos", "2", "help"])).unwrap_err();
         assert_eq!(
             err,
-            "unknown global flag '--jbos' (expected --jobs, --shards, --trace-reuse or --services)"
+            "unknown global flag '--jbos' (expected --jobs, --shards or --services)"
         );
+    }
+
+    #[test]
+    fn extra_positionals_are_errors_that_name_them() {
+        // Each of these used to exit 0, reading only the first positional
+        // (or none) and ignoring the rest.
+        let table6 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/table6.json");
+        for (argv, extra) in [
+            (&["tables", "table1", "table2"][..], "table2"),
+            (&["estimate", table6, table6], table6),
+            (&["help", "extra"], "extra"),
+            (&["project", "junk"], "junk"),
+            (&["calibrate", "foo"], "foo"),
+            (&["timeline", "sync", "sync-os"], "sync-os"),
+        ] {
+            let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
+            let command = argv[0];
+            assert_eq!(err, format!("{command}: unexpected argument '{extra}'"));
+        }
+        let err = run(&args(&["services", "list", "x"])).unwrap_err();
+        assert!(err.contains("got 'list x'"), "{err}");
+        // Too few is an error that prints the command's usage.
+        let err = run(&args(&["tables"])).unwrap_err();
+        assert!(err.starts_with("tables: missing argument"), "{err}");
+        assert!(err.contains("tables <id|all>"), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_flag_is_an_error() {
+        // `--seed 1 --seed 2` used to run with seed 1, ignoring the 2.
+        let err = run(&args(&[
+            "characterize", "web", "--samples", "100", "--seed", "1", "--seed", "2",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "characterize: --seed given more than once");
+        let err = run(&args(&["figures", "fig1", "--json", "--json"])).unwrap_err();
+        assert_eq!(err, "figures: --json given more than once");
+        // And so is a repeated global flag; the last one used to win.
+        let err = run(&args(&["--jobs", "1", "--jobs", "2", "help"])).unwrap_err();
+        assert_eq!(err, "--jobs given more than once");
     }
 
     #[test]

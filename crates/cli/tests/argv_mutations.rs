@@ -1,59 +1,40 @@
-//! Arbitrary argv never panics `accelctl`. Each case draws 0–8 tokens
-//! from a palette — global flags, the commands that run no simulation
-//! and no kernel, their flags, flags no command knows, and values from
-//! the plausible to the absurd (`nan`, `-1`, `1e400`, `2^64`, `""`,
-//! `--`, the shipped parameter files) — and half the time makes the
-//! first token one of [`COMMANDS`] so the commands' own checks are
-//! reached, not only the dispatcher's.
+//! Arbitrary argv never panics `accelctl`, and a malformed argv is an
+//! error before any command runs. The commands and their flags are read
+//! from [`COMMANDS`], so a new flag is fuzzed the day it lands; the flags
+//! no command knows and the values — from the plausible to the absurd
+//! (`nan`, `-1`, `1e400`, `2^64`, `""`, `--`, the shipped parameter
+//! files) — are listed here.
 //!
-//! Every call must return `Ok` or `Err`; a panic fails the case. An argv
-//! that holds a `--word` no command knows must return `Err`: an unknown
-//! flag is never ignored.
+//! * Any argv drawn from the palette returns `Ok` or `Err`, never a
+//!   panic, and `Err` whenever it holds a `--word` no command knows. Half
+//!   the time its first token is a command, so the commands' own checks
+//!   are reached, not only the dispatcher's. The palette leaves out the
+//!   [`SIMULATING`] commands.
+//! * For every command, each parse-time fault — a flag it does not know,
+//!   a repeated value flag, one positional past its arity, a value flag
+//!   given last — returns `Err`, whatever else the argv holds. Nothing
+//!   then runs, which is how the [`SIMULATING`] commands are fuzzed
+//!   without simulating.
 //!
-//! The palette leaves out everything that runs a simulation, a kernel or
-//! writes a file (`faults`, `validate`, `calibrate`, `tables`, `figures`,
-//! `ablations`, `services export`), and every `--samples` value it holds
-//! is at most 10,000 or rejected by the parser.
+//! No case writes a file (`export` is never drawn), and every
+//! `--samples` value here is at most 10,000 or rejected by the parser.
 
-use accelerometer_cli::run;
+use accelerometer_cli::{run, CommandSpec, COMMANDS};
 use proptest::prelude::*;
 
-/// The commands that evaluate the model or the profiler only.
-const COMMANDS: [&str; 10] = [
-    "estimate",
-    "breakeven",
-    "sweep",
-    "project",
-    "characterize",
-    "timeline",
-    "bounds",
-    "slo",
-    "services",
-    "help",
+/// Commands that run a simulation, a kernel or every table: fuzzed only
+/// with a parse-time fault.
+const SIMULATING: [&str; 6] = [
+    "faults",
+    "validate",
+    "calibrate",
+    "tables",
+    "figures",
+    "ablations",
 ];
 
-/// Flags some command or the dispatcher knows.
-const KNOWN_FLAGS: [&str; 19] = [
-    "--jobs",
-    "--shards",
-    "--trace-reuse",
-    "--services",
-    "--seed",
-    "--samples",
-    "--folded",
-    "--axis",
-    "--from",
-    "--to",
-    "--points",
-    "--cb",
-    "--a",
-    "--l",
-    "--o1",
-    "--design",
-    "--strategy",
-    "--min-reduction",
-    "--json",
-];
+/// The flags `run` takes before dispatch; each takes a value.
+const GLOBAL_FLAGS: [&str; 3] = ["--jobs", "--shards", "--services"];
 
 /// Flags nobody knows: typos of real ones, a made-up word and the bare
 /// separator.
@@ -88,14 +69,31 @@ const VALUES: [&str; 24] = [
     "configs/missing.json",
 ];
 
-fn palette() -> Vec<&'static str> {
+/// The commands that evaluate the model or the profiler only.
+fn model_commands() -> Vec<&'static str> {
     COMMANDS
         .iter()
-        .chain(&KNOWN_FLAGS)
-        .chain(&UNKNOWN_FLAGS)
-        .chain(&VALUES)
-        .copied()
+        .map(|spec| spec.name)
+        .filter(|name| !SIMULATING.contains(name))
         .collect()
+}
+
+/// Every flag the dispatcher or some command knows.
+fn known_flags() -> Vec<&'static str> {
+    let mut flags = GLOBAL_FLAGS.to_vec();
+    for spec in COMMANDS {
+        flags.extend(spec.values.iter().chain(spec.switches));
+    }
+    flags.sort_unstable();
+    flags.dedup();
+    flags
+}
+
+fn palette() -> Vec<&'static str> {
+    let mut palette = model_commands();
+    palette.extend(known_flags());
+    palette.extend(UNKNOWN_FLAGS.iter().chain(&VALUES));
+    palette
 }
 
 /// The argv a drawn token list stands for, with `configs/` resolved
@@ -124,7 +122,7 @@ fn tokens() -> impl Strategy<Value = Vec<&'static str>> {
     );
     (
         prop::collection::vec(pair, 0..5),
-        prop::sample::select(COMMANDS.to_vec()),
+        prop::sample::select(model_commands()),
         any::<bool>(),
     )
         .prop_map(|(pairs, command, lead)| {
@@ -134,6 +132,43 @@ fn tokens() -> impl Strategy<Value = Vec<&'static str>> {
             }
             tokens
         })
+}
+
+/// A parse-time fault.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    UnknownFlag,
+    RepeatedValueFlag,
+    ExtraPositional,
+    ValueFlagLast,
+}
+
+/// `spec`'s command with `pairs` of (its own or a global value flag, a
+/// value) and `fault` injected; `None` when the command's arity is
+/// unbounded, so no positional is past it.
+fn faulted(
+    spec: &CommandSpec,
+    fault: Fault,
+    pairs: &[(usize, &'static str)],
+) -> Option<Vec<String>> {
+    let flags: Vec<&str> = spec.values.iter().chain(&GLOBAL_FLAGS).copied().collect();
+    let flag = |i: usize| flags[i % flags.len()];
+    let mut tokens = vec![spec.name];
+    let (first, _) = pairs.first().copied().unwrap_or((0, "2"));
+    match fault {
+        Fault::UnknownFlag => tokens.push(UNKNOWN_FLAGS[first % UNKNOWN_FLAGS.len()]),
+        Fault::RepeatedValueFlag => tokens.extend([flag(first), "2", flag(first), "2"]),
+        Fault::ExtraPositional => {
+            let max = spec.arity.1.checked_add(1)?;
+            tokens.extend(std::iter::repeat_n("extra", max));
+        }
+        Fault::ValueFlagLast => {}
+    }
+    tokens.extend(pairs.iter().flat_map(|&(i, value)| [flag(i), value]));
+    if let Fault::ValueFlagLast = fault {
+        tokens.push(flag(first));
+    }
+    Some(argv(&tokens))
 }
 
 #[test]
@@ -148,15 +183,7 @@ fn the_palette_flags_are_what_the_dispatcher_says() {
     }
     let path = "configs/table6.json";
     for argv_ok in [
-        &[
-            "--jobs",
-            "2",
-            "--shards",
-            "2",
-            "--trace-reuse",
-            "on",
-            "help",
-        ][..],
+        &["--jobs", "2", "--shards", "2", "help"][..],
         &["--services", "configs/services", "project"],
         &[
             "characterize",
@@ -198,6 +225,21 @@ fn the_palette_flags_are_what_the_dispatcher_says() {
     }
 }
 
+#[test]
+fn every_command_rejects_a_repeated_flag_and_an_extra_positional() {
+    for spec in COMMANDS {
+        for (fault, names) in [
+            (Fault::RepeatedValueFlag, "given more than once"),
+            (Fault::ExtraPositional, "unexpected argument 'extra'"),
+        ] {
+            if let Some(argv) = faulted(spec, fault, &[]) {
+                let err = run(&argv).expect_err(&format!("{argv:?}"));
+                assert!(err.contains(names), "{argv:?}: {err}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -206,6 +248,27 @@ proptest! {
         let result = run(&argv(&tokens));
         if tokens.iter().any(|t| UNKNOWN_FLAGS.contains(t)) {
             prop_assert!(result.is_err(), "{tokens:?} returned Ok");
+        }
+    }
+
+    #[test]
+    fn every_parse_fault_is_an_error(
+        command in 0..COMMANDS.len(),
+        pairs in prop::collection::vec(
+            (any::<usize>(), prop::sample::select(VALUES.to_vec())),
+            0..4,
+        ),
+    ) {
+        let spec = &COMMANDS[command];
+        for fault in [
+            Fault::UnknownFlag,
+            Fault::RepeatedValueFlag,
+            Fault::ExtraPositional,
+            Fault::ValueFlagLast,
+        ] {
+            if let Some(argv) = faulted(spec, fault, &pairs) {
+                prop_assert!(run(&argv).is_err(), "{argv:?} returned Ok");
+            }
         }
     }
 }

@@ -24,7 +24,8 @@ use crate::units::Bytes;
 /// The minimum lucrative offload granularity, or the reason none exists.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BreakEven {
-    /// Offloads of at least this many bytes are profitable.
+    /// Offloads of more than this many bytes are profitable; one of
+    /// exactly this size only breaks even.
     AtLeast(Bytes),
     /// Every offload is profitable (zero effective overhead and `A > 1`).
     Always,
@@ -227,6 +228,25 @@ mod tests {
         let be = throughput_breakeven(&linear(5.62), &ctx);
         let g = be.threshold().unwrap();
         assert!((g.get() - 425.0).abs() < 1.0, "break-even {g}");
+    }
+
+    /// An offload of exactly the break-even size saves nothing, so it is
+    /// not lucrative; one a hair larger is.
+    #[test]
+    fn the_break_even_size_itself_is_not_lucrative() {
+        let at_425 = BreakEven::AtLeast(bytes(425.0));
+        assert!(!at_425.is_lucrative(bytes(425.0)));
+        assert!(at_425.is_lucrative(bytes(425.0_f64.next_up())));
+        let ctx = OffloadContext::new(
+            OffloadOverheads::new(0.0, 2_300.0, 0.0, 0.0),
+            27.0,
+            ThreadingDesign::Sync,
+            AccelerationStrategy::OffChip,
+        );
+        let be = throughput_breakeven(&linear(5.62), &ctx);
+        let g = be.threshold().expect("finite break-even");
+        assert!(!be.is_lucrative(g), "break-even {g}");
+        assert!(be.is_lucrative(bytes(g.get().next_up())), "break-even {g}");
     }
 
     /// §5 compression Sync-OS: threshold rises to ≈2455 B because two

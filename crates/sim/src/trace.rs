@@ -61,14 +61,13 @@ pub(crate) const MAX_TRACE_REQUESTS: usize = 1 << 20;
 const MAX_TRACE_VALUES: usize = 1 << 22;
 
 /// Process-wide switch for frozen-trace sharing in the batch runner.
-/// On by default; `accelctl --trace-reuse off` clears it so CI can diff
-/// both paths.
+/// On by default; only tests and benchmarks clear it.
 static TRACE_REUSE: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables frozen-trace sharing process-wide.
-/// Both settings produce byte-identical output (that is the point of
-/// the `tier1.sh` smoke); `off` exists to prove it and to measure the
-/// sampling tax.
+/// Both settings produce byte-identical output, which
+/// `tests/trace_properties.rs` and the bench crate's determinism tests
+/// check; `off` exists to prove it and to measure the sampling tax.
 pub fn set_trace_reuse(enabled: bool) {
     TRACE_REUSE.store(enabled, Ordering::Relaxed);
 }

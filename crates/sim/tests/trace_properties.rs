@@ -12,10 +12,11 @@ use accelerometer::exec::ExecPool;
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_sim::fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
+use accelerometer_sim::faultsweep::demo_scenario;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
-    run_sharded, DeviceKind, EngineStats, FrozenTrace, OffloadConfig, SimConfig, Simulator,
-    TraceStore,
+    run_fault_sweep_with, run_sharded, set_trace_reuse, validate_fallback_with, DeviceKind,
+    EngineStats, FrozenTrace, OffloadConfig, SimConfig, Simulator, TraceStore,
 };
 use proptest::prelude::*;
 
@@ -212,4 +213,31 @@ fn mismatched_traces_are_rejected() {
     assert!(Simulator::try_new_with_trace(cfg.clone(), Some(wrong_seed)).is_err());
     let right = Arc::new(FrozenTrace::for_config(&cfg));
     assert!(Simulator::try_new_with_trace(cfg, Some(right)).is_ok());
+}
+
+/// The batch runner's trace sharing, switched off, moves no output byte:
+/// the fault sweep monolithic and sharded (where traces are per derived
+/// shard seed), and the fallback table's A/B batch, which shares one
+/// trace among its eight arms. The seeds are `accelctl`'s defaults.
+#[test]
+fn batch_outputs_are_identical_with_trace_reuse_off() {
+    let pool = ExecPool::new(1);
+    let shards = ExecPool::new(2);
+    let scenario = demo_scenario(20_260_806);
+    let outputs = |reuse| {
+        set_trace_reuse(reuse);
+        let sweep = |shards| {
+            let report = run_fault_sweep_with(&pool, shards, &scenario).expect("demo sweep runs");
+            serde_json::to_string(&report).expect("report serializes")
+        };
+        let fallback = validate_fallback_with(&pool, 20_260_706);
+        [
+            sweep(None),
+            sweep(Some(&shards)),
+            serde_json::to_string(&fallback).expect("rows serialize"),
+        ]
+    };
+    let (reused, redrawn) = (outputs(true), outputs(false));
+    set_trace_reuse(true);
+    assert_eq!(reused, redrawn, "trace reuse changed a batch's output");
 }

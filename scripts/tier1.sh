@@ -93,9 +93,11 @@ done
 # `services validate` but used to panic `validate` and `tables table6`),
 # a params file whose `"a": 1e400` overflows to infinity, a value flag
 # given last (it used to fall back silently to its default), the
-# deleted ISA flag (the scalar tier is KERNELS_FORCE_SCALAR=1), and
-# flags no command knows (they used to be ignored, exiting 0, or read as
-# the command's positional argument).
+# deleted ISA flag (the scalar tier is KERNELS_FORCE_SCALAR=1), flags
+# no command knows (they used to be ignored, exiting 0, or read as the
+# command's positional argument), a repeated flag (the first, or for
+# global flags the last, used to win silently) and a positional past the
+# command's arity (it used to be ignored, exiting 0).
 mkdir "$out_dir/renamed"
 sed 's/"aes-ni"/"aes-ni-v2"/' configs/services/cache1.json > "$out_dir/renamed/cache1.json"
 while IFS= read -r argv; do
@@ -128,25 +130,29 @@ breakeven --cb 5 --a 27 --design
 characterize web --samples 100 --sede 3
 tables table1 --bogus
 faults --sead 5
+tables table1 table2
+estimate configs/table6.json configs/table7-compression.json
+characterize web --samples 100 --seed 1 --seed 2
+--jobs 1 --jobs 2 help
+help extra
+project junk
+calibrate foo
+timeline sync sync-os
+services list x
 ARGS
 
-echo "== trace-reuse smoke: batch runs with reuse on and off must match byte-for-byte =="
-# The batch runner shares one frozen trace among the runs of a batch
-# that use the same seed and workload; they replay pre-drawn requests
-# instead of redrawing them. The toggle must be unobservable in output
-# bytes: the fault sweep, monolithic and sharded (where traces are per
-# derived shard seed), the fallback table's A/B batch and the ablations.
-./target/release/accelctl --trace-reuse on faults > "$out_dir/faults_reuse_on.json"
-./target/release/accelctl --trace-reuse off faults > "$out_dir/faults_reuse_off.json"
-cmp "$out_dir/faults_reuse_on.json" "$out_dir/faults_reuse_off.json"
-cmp "$out_dir/faults_expected.json" "$out_dir/faults_reuse_on.json"
-for argv in "--shards 2 faults" "validate --case fallback" "ablations"; do
-    # shellcheck disable=SC2086
-    ./target/release/accelctl --trace-reuse on $argv > "$out_dir/reuse_on.txt"
-    # shellcheck disable=SC2086
-    ./target/release/accelctl --trace-reuse off $argv > "$out_dir/reuse_off.txt"
-    cmp "$out_dir/reuse_on.txt" "$out_dir/reuse_off.txt"
-done
+echo "== closed-stdout smoke: a reader that exits before reading is not a panic =="
+# accelctl used to panic (exit 101) on "failed printing to stdout: Broken
+# pipe". The reader here exits without reading, long before accelctl
+# has rendered the tables, so the write meets a closed pipe; `head -1`
+# would take the whole output from the pipe buffer first and let the
+# bug slip through.
+./target/release/accelctl tables all 2> "$out_dir/closed_stdout.err" | true
+if grep -q 'panicked' "$out_dir/closed_stdout.err"; then
+    echo "closed-stdout smoke: accelctl panicked"
+    cat "$out_dir/closed_stdout.err"
+    exit 1
+fi
 
 echo "== services gate: every shipped profile pack must parse and validate =="
 # A malformed configs/services/*.json (breakdown off 100%, non-monotone
