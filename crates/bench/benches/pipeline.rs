@@ -6,7 +6,7 @@ use accelerometer_fleet::{profile, ServiceId};
 use accelerometer_kernels::kvstore::KvStore;
 use accelerometer_kernels::pipeline::RpcPipeline;
 use accelerometer_kernels::KvMessage;
-use accelerometer_profiler::{analyze, TraceGenerator};
+use accelerometer_profiler::{analyze, CallTrace, ProfileAccumulator, TraceGenerator};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn payload(len: usize) -> Vec<u8> {
@@ -84,9 +84,25 @@ fn bench_profiler(c: &mut Criterion) {
     group.bench_function("analyze_20k_traces", |b| {
         b.iter(|| analyze(black_box(&traces), &registry))
     });
+    group.throughput(Throughput::Elements(5_000));
     group.bench_function("generate_5k_traces", |b| {
         let mut generator = TraceGenerator::new(profile(ServiceId::Web), 7);
         b.iter(|| generator.generate(5_000))
+    });
+    // What `accelctl characterize` does: draw each sample into one
+    // reused trace and fold it into the report at once.
+    group.bench_function("characterize_stream_5k", |b| {
+        let mut generator = TraceGenerator::new(profile(ServiceId::Web), 7);
+        let registry = generator.registry().clone();
+        let mut trace = CallTrace::default();
+        b.iter(|| {
+            let mut report = ProfileAccumulator::new(&registry);
+            for _ in 0..5_000 {
+                generator.sample_into(&mut trace);
+                report.push(&trace);
+            }
+            report.finish()
+        })
     });
     group.finish();
 }

@@ -32,7 +32,7 @@ use accelerometer::{
 use accelerometer_bench::{figure_json, figure_with, render_table_with, FIGURE_IDS, TABLE_IDS};
 use accelerometer_fleet::{ServiceId, ServiceRegistry};
 use accelerometer_kernels::dispatch;
-use accelerometer_profiler::{analyze, to_folded, TraceGenerator};
+use accelerometer_profiler::{CallTrace, FoldedStacks, ProfileAccumulator, TraceGenerator};
 use accelerometer_sim::faultsweep::demo_scenario;
 use accelerometer_sim::{
     run_fault_sweep_with, simulate, validate_all_with, validate_fallback_with, Calibrator,
@@ -597,14 +597,29 @@ fn cmd_characterize(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     if samples == 0 {
         return Err("--samples must be positive".to_owned());
     }
+    // Each sample is drawn into one reused trace and folded at once, so
+    // memory stays flat whatever `--samples` is.
     let mut generator = TraceGenerator::for_service(&ctx.registry, service, seed);
-    let traces = generator.generate(samples);
+    let mut trace = CallTrace::default();
     if args.has("--folded") {
         // Collapsed-stack output for flamegraph tooling.
-        return Ok(to_folded(&traces));
+        let mut stacks = FoldedStacks::default();
+        for _ in 0..samples {
+            generator.sample_into(&mut trace);
+            stacks.push(&trace);
+        }
+        return Ok(stacks.finish());
     }
-    let report = analyze(&traces, generator.registry());
-    Ok(format!("characterization of {service}:\n{}", report.render()))
+    let registry = generator.registry().clone();
+    let mut profile = ProfileAccumulator::new(&registry);
+    for _ in 0..samples {
+        generator.sample_into(&mut trace);
+        profile.push(&trace);
+    }
+    Ok(format!(
+        "characterization of {service}:\n{}",
+        profile.finish().render()
+    ))
 }
 
 fn cmd_validate(ctx: &RunContext, args: &Parsed) -> Result<String, String> {

@@ -140,14 +140,14 @@ impl<C: Copy + PartialEq> Breakdown<C> {
     }
 
     /// Sums the percentages of categories matching a predicate — e.g. the
-    /// Fig. 1 "core" share via `FunctionalityCategory::is_core`.
+    /// Fig. 1 "core" share via `FunctionalityCategory::is_core`. Folds
+    /// from `+0.0`: an empty `f64` sum is `-0.0`, which prints as `-0.0%`.
     #[must_use]
     pub fn percent_where(&self, mut pred: impl FnMut(C) -> bool) -> f64 {
         self.entries
             .iter()
             .filter(|(c, _)| pred(*c))
-            .map(|(_, p)| p)
-            .sum()
+            .fold(0.0, |sum, (_, p)| sum + p)
     }
 
     /// Rescales this breakdown so its entries express a share of a larger
@@ -244,6 +244,8 @@ mod tests {
     fn core_share_via_predicate() {
         let core = web_like().percent_where(F::is_core);
         assert_eq!(core, 18.0); // Web's core web-serving logic (§2.4).
+        let none = web_like().percent_where(|_| false);
+        assert!(none == 0.0 && none.is_sign_positive(), "{none}");
     }
 
     #[test]

@@ -6,8 +6,15 @@
 //! exactly the paper's described method ("to determine a category's IPC,
 //! we determine the ratio of aggregated instruction and cycle counts for
 //! functions in that category").
+//!
+//! [`ProfileAccumulator`] folds one trace at a time, so a sample of any
+//! size is characterized in constant memory; [`analyze`] is the same
+//! fold over a stored slice.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use accelerometer_fleet::{Breakdown, FunctionalityCategory, LeafCategory, MemoryOp};
 
@@ -42,10 +49,12 @@ impl ProfileReport {
         self.functionality.percent_where(FunctionalityCategory::is_core)
     }
 
-    /// The Fig. 1 split: percent of cycles in orchestration work.
+    /// The Fig. 1 split: percent of cycles in orchestration work,
+    /// clamped to `[0, 100]` so a core share rounded past 100 does not
+    /// leave a negative remainder.
     #[must_use]
     pub fn orchestration_percent(&self) -> f64 {
-        100.0 - self.core_percent()
+        (100.0 - self.core_percent()).clamp(0.0, 100.0)
     }
 
     /// A memory operation's share of memory cycles (percent).
@@ -98,72 +107,189 @@ fn present<'a, C: Copy, S: Copy>(
     all.iter().zip(sums).filter_map(|(&c, s)| Some((c, (*s)?)))
 }
 
-/// Aggregates a trace sample into a [`ProfileReport`].
+/// A `&'static str` frame identified by where it lives: static memory is
+/// never freed or reused, so two frames with the same address and length
+/// are the same symbol.
+type FrameKey = (usize, usize);
+
+/// Multiplicative hash for [`FrameKey`]s. The keys are addresses inside
+/// this program, never outside input, so a keyed hasher buys nothing.
+#[derive(Debug, Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Tags already computed for borrowed frames.
+type TagCache<T> = HashMap<FrameKey, T, BuildHasherDefault<AddressHasher>>;
+
+/// Tags a static symbol through `tag` once, then answers from `cache`.
+fn cached<T: Copy>(
+    cache: &mut TagCache<T>,
+    symbol: &'static str,
+    tag: impl FnOnce(&str) -> T,
+) -> T {
+    *cache
+        .entry((symbol.as_ptr() as usize, symbol.len()))
+        .or_insert_with(|| tag(symbol))
+}
+
+/// A leaf symbol's category and, for memory leaves, its Fig. 3 operation.
+fn tag_leaf(registry: &FunctionRegistry, symbol: &str) -> (LeafCategory, Option<MemoryOp>) {
+    let category = registry.tag_leaf(symbol);
+    let op = if category == LeafCategory::Memory {
+        registry.tag_memory_op(symbol)
+    } else {
+        None
+    };
+    (category, op)
+}
+
+/// Folds call traces one at a time into the sums a [`ProfileReport`] is
+/// computed from. Memory is independent of the number of traces pushed.
+#[derive(Debug)]
+pub struct ProfileAccumulator<'r> {
+    registry: &'r FunctionRegistry,
+    leaf_tags: TagCache<(LeafCategory, Option<MemoryOp>)>,
+    root_tags: TagCache<FunctionalityCategory>,
+    // Sums indexed by each enum's `ALL` position; `None` marks a category
+    // no trace landed in, which the report omits.
+    leaf_cycles: [Option<(f64, f64)>; LeafCategory::ALL.len()],
+    func_cycles: [Option<(f64, f64)>; FunctionalityCategory::ALL.len()],
+    memory_op_cycles: [Option<f64>; MemoryOp::ALL.len()],
+    total_cycles: f64,
+    samples: usize,
+}
+
+impl<'r> ProfileAccumulator<'r> {
+    /// An empty accumulator tagging through `registry`.
+    #[must_use]
+    pub fn new(registry: &'r FunctionRegistry) -> Self {
+        Self {
+            registry,
+            leaf_tags: TagCache::default(),
+            root_tags: TagCache::default(),
+            leaf_cycles: Default::default(),
+            func_cycles: Default::default(),
+            memory_op_cycles: Default::default(),
+            total_cycles: 0.0,
+            samples: 0,
+        }
+    }
+
+    /// Adds one trace's cycles and instructions to its leaf category,
+    /// functionality and memory operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has no frames.
+    pub fn push(&mut self, trace: &CallTrace) {
+        let registry = self.registry;
+        let leaf_frame = trace
+            .frames
+            .last()
+            .expect("a call trace has at least one frame");
+        // Borrowed frames are tagged once per symbol; owned frames
+        // (parsed, not generated) have no stable address and are tagged
+        // every time.
+        let (leaf, op) = match leaf_frame {
+            Cow::Borrowed(symbol) => cached(&mut self.leaf_tags, symbol, |s| tag_leaf(registry, s)),
+            Cow::Owned(symbol) => tag_leaf(registry, symbol),
+        };
+        let functionality = match &trace.frames[0] {
+            Cow::Borrowed(symbol) => {
+                cached(&mut self.root_tags, symbol, |s| registry.bucket_root(s))
+            }
+            Cow::Owned(symbol) => registry.bucket_root(symbol),
+        };
+        let l = self.leaf_cycles[leaf as usize].get_or_insert((0.0, 0.0));
+        l.0 += trace.cycles;
+        l.1 += trace.instructions;
+        let f = self.func_cycles[functionality as usize].get_or_insert((0.0, 0.0));
+        f.0 += trace.cycles;
+        f.1 += trace.instructions;
+        if let Some(op) = op {
+            *self.memory_op_cycles[op as usize].get_or_insert(0.0) += trace.cycles;
+        }
+        self.total_cycles += trace.cycles;
+        self.samples += 1;
+    }
+
+    /// The report over every trace pushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no trace was pushed — there is nothing to characterize.
+    #[must_use]
+    pub fn finish(self) -> ProfileReport {
+        assert!(self.samples > 0, "cannot analyze an empty trace sample");
+        let total_cycles = self.total_cycles;
+        let leaf_entries: Vec<(LeafCategory, f64)> = present(LeafCategory::ALL, &self.leaf_cycles)
+            .map(|(c, (cy, _))| (c, 100.0 * cy / total_cycles))
+            .collect();
+        let func_entries: Vec<(FunctionalityCategory, f64)> =
+            present(FunctionalityCategory::ALL, &self.func_cycles)
+                .map(|(c, (cy, _))| (c, 100.0 * cy / total_cycles))
+                .collect();
+        let leaf_ipc = present(LeafCategory::ALL, &self.leaf_cycles)
+            .map(|(c, (cy, ins))| (c, ins / cy))
+            .collect();
+        let functionality_ipc = present(FunctionalityCategory::ALL, &self.func_cycles)
+            .map(|(c, (cy, ins))| (c, ins / cy))
+            .collect();
+        // Summed in `MemoryOp::ALL` order, so the shares are bitwise
+        // reproducible across processes.
+        let memory_total: f64 = self.memory_op_cycles.iter().flatten().sum();
+        let memory_ops = if memory_total > 0.0 {
+            present(MemoryOp::ALL, &self.memory_op_cycles)
+                .map(|(op, cy)| (op, 100.0 * cy / memory_total))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        ProfileReport {
+            leaf: Breakdown::complete(leaf_entries).expect("cycle shares sum to 100"),
+            functionality: Breakdown::complete(func_entries).expect("cycle shares sum to 100"),
+            leaf_ipc,
+            functionality_ipc,
+            memory_ops,
+            total_cycles,
+            samples: self.samples,
+        }
+    }
+}
+
+/// Aggregates a stored trace sample into a [`ProfileReport`]: the
+/// [`ProfileAccumulator`] fold over `traces`.
 ///
 /// # Panics
 ///
 /// Panics if `traces` is empty — there is nothing to characterize.
 #[must_use]
 pub fn analyze(traces: &[CallTrace], registry: &FunctionRegistry) -> ProfileReport {
-    assert!(!traces.is_empty(), "cannot analyze an empty trace sample");
-    // Accumulators indexed by each enum's `ALL` position; `None` marks a
-    // category no trace landed in, which the report omits.
-    let mut leaf_cycles: [Option<(f64, f64)>; LeafCategory::ALL.len()] = Default::default();
-    let mut func_cycles: [Option<(f64, f64)>; FunctionalityCategory::ALL.len()] =
-        Default::default();
-    let mut memory_op_cycles: [Option<f64>; MemoryOp::ALL.len()] = Default::default();
-    let mut total_cycles = 0.0;
-
+    let mut profile = ProfileAccumulator::new(registry);
     for trace in traces {
-        let leaf = registry.tag_leaf(trace.leaf());
-        let functionality = registry.bucket_root(trace.root());
-        let l = leaf_cycles[leaf as usize].get_or_insert((0.0, 0.0));
-        l.0 += trace.cycles;
-        l.1 += trace.instructions;
-        let f = func_cycles[functionality as usize].get_or_insert((0.0, 0.0));
-        f.0 += trace.cycles;
-        f.1 += trace.instructions;
-        if leaf == LeafCategory::Memory {
-            if let Some(op) = registry.tag_memory_op(trace.leaf()) {
-                *memory_op_cycles[op as usize].get_or_insert(0.0) += trace.cycles;
-            }
-        }
-        total_cycles += trace.cycles;
+        profile.push(trace);
     }
-
-    let leaf_entries: Vec<(LeafCategory, f64)> = present(LeafCategory::ALL, &leaf_cycles)
-        .map(|(c, (cy, _))| (c, 100.0 * cy / total_cycles))
-        .collect();
-    let func_entries: Vec<(FunctionalityCategory, f64)> =
-        present(FunctionalityCategory::ALL, &func_cycles)
-            .map(|(c, (cy, _))| (c, 100.0 * cy / total_cycles))
-            .collect();
-    let leaf_ipc = present(LeafCategory::ALL, &leaf_cycles)
-        .map(|(c, (cy, ins))| (c, ins / cy))
-        .collect();
-    let functionality_ipc = present(FunctionalityCategory::ALL, &func_cycles)
-        .map(|(c, (cy, ins))| (c, ins / cy))
-        .collect();
-    // Summed in `MemoryOp::ALL` order, so the shares are bitwise
-    // reproducible across processes.
-    let memory_total: f64 = memory_op_cycles.iter().flatten().sum();
-    let memory_ops = if memory_total > 0.0 {
-        present(MemoryOp::ALL, &memory_op_cycles)
-            .map(|(op, cy)| (op, 100.0 * cy / memory_total))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    ProfileReport {
-        leaf: Breakdown::complete(leaf_entries).expect("cycle shares sum to 100"),
-        functionality: Breakdown::complete(func_entries).expect("cycle shares sum to 100"),
-        leaf_ipc,
-        functionality_ipc,
-        memory_ops,
-        total_cycles,
-        samples: traces.len(),
-    }
+    profile.finish()
 }
 
 #[cfg(test)]

@@ -7,27 +7,62 @@ use std::collections::BTreeMap;
 
 use crate::trace::CallTrace;
 
-/// Collapses traces into folded-stack lines, merging identical stacks
-/// and weighting each by its cycle count (rounded to whole cycles).
-/// Lines are emitted in lexicographic stack order for determinism.
-#[must_use]
-pub fn to_folded(traces: &[CallTrace]) -> String {
-    let mut stacks: BTreeMap<String, f64> = BTreeMap::new();
-    for trace in traces {
-        let stack = trace.frames.join(";");
-        *stacks.entry(stack).or_insert(0.0) += trace.cycles;
-    }
-    let mut out = String::new();
-    for (stack, cycles) in stacks {
-        let weight = cycles.round() as u64;
-        if weight > 0 {
-            out.push_str(&stack);
-            out.push(' ');
-            out.push_str(&weight.to_string());
-            out.push('\n');
+/// Collapses a stream of traces into folded-stack weights, one entry per
+/// distinct stack: memory grows with the stacks seen, not the traces.
+#[derive(Debug, Default)]
+pub struct FoldedStacks {
+    /// Summed cycles per `;`-joined stack.
+    stacks: BTreeMap<String, f64>,
+    /// The stack being looked up, reused so a stack already seen
+    /// allocates nothing.
+    key: String,
+}
+
+impl FoldedStacks {
+    /// Adds one trace's cycles to its stack.
+    pub fn push(&mut self, trace: &CallTrace) {
+        self.key.clear();
+        for (i, frame) in trace.frames.iter().enumerate() {
+            if i > 0 {
+                self.key.push(';');
+            }
+            self.key.push_str(frame);
+        }
+        if let Some(cycles) = self.stacks.get_mut(&self.key) {
+            *cycles += trace.cycles;
+        } else {
+            self.stacks.insert(self.key.clone(), trace.cycles);
         }
     }
-    out
+
+    /// Renders the folded-stack lines, each stack weighted by its cycle
+    /// count rounded to whole cycles. Stacks of zero weight are elided;
+    /// lines come in lexicographic stack order for determinism.
+    #[must_use]
+    pub fn finish(self) -> String {
+        let mut out = String::new();
+        for (stack, cycles) in self.stacks {
+            let weight = cycles.round() as u64;
+            if weight > 0 {
+                out.push_str(&stack);
+                out.push(' ');
+                out.push_str(&weight.to_string());
+                out.push('\n');
+            }
+        }
+        out
+    }
+}
+
+/// Collapses stored traces into folded-stack lines: the
+/// [`FoldedStacks`] fold over `traces`.
+#[must_use]
+pub fn to_folded(traces: &[CallTrace]) -> String {
+    let mut stacks = FoldedStacks::default();
+    for trace in traces {
+        stacks.push(trace);
+    }
+    stacks.finish()
 }
 
 /// Parses folded-stack lines back into traces (cycle-weighted, with

@@ -101,7 +101,7 @@ struct LeafChoice {
 /// category's symbols, the root frames and the per-leaf IPC — is
 /// resolved when the generator is built (and the IPC again by
 /// [`TraceGenerator::on_generation`]), so drawing a sample only draws
-/// random numbers and allocates its frame list. Profile and IPC both
+/// random numbers and writes its frame list. Profile and IPC both
 /// come from the service registry the generator is built from.
 #[derive(Debug)]
 pub struct TraceGenerator {
@@ -190,8 +190,10 @@ impl TraceGenerator {
         &self.registry
     }
 
-    /// Generates one sampled call trace.
-    pub fn sample(&mut self) -> CallTrace {
+    /// Draws one sampled call trace into `trace`, overwriting its frames
+    /// in place: a caller that reuses one buffer allocates nothing per
+    /// sample.
+    pub fn sample_into(&mut self, trace: &mut CallTrace) {
         let root = *self.roots.pick(&mut self.rng);
         let leaf = self.leaves.pick(&mut self.rng);
         // Memory leaves honor the service's Fig. 3 operation mix so the
@@ -206,15 +208,25 @@ impl TraceGenerator {
 
         // A few plausible intermediate frames.
         let depth = self.rng.gen_range(1..=LAYER_FRAMES.len());
-        let mut frames = Vec::with_capacity(depth + 2);
+        let frames = &mut trace.frames;
+        frames.clear();
+        // Exact, so a fresh trace from `sample` carries no spare capacity.
+        frames.reserve_exact(depth + 2);
         frames.push(Cow::Borrowed(root));
         frames.extend(LAYER_FRAMES[..depth].iter().copied().map(Cow::Borrowed));
         frames.push(Cow::Borrowed(leaf_frame));
 
         // Exponential cycle weight; IPC model supplies instructions.
         let u: f64 = self.rng.gen_range(0.0..1.0);
-        let cycles = -((1.0 - u).ln()) * self.mean_cycles;
-        CallTrace::new(frames, cycles, cycles * leaf.ipc)
+        trace.cycles = -((1.0 - u).ln()) * self.mean_cycles;
+        trace.instructions = trace.cycles * leaf.ipc;
+    }
+
+    /// Generates one sampled call trace.
+    pub fn sample(&mut self) -> CallTrace {
+        let mut trace = CallTrace::default();
+        self.sample_into(&mut trace);
+        trace
     }
 
     /// Generates a batch of samples.

@@ -12,6 +12,13 @@
 //! is that analyzing a large generated sample reconstructs the ground-
 //! truth profile's marginals and IPC tables.
 //!
+//! Like the paper's aggregation, the pipeline keeps sums, not stacks:
+//! [`TraceGenerator::sample_into`] draws into one reused [`CallTrace`],
+//! and [`ProfileAccumulator`] (or [`FoldedStacks`] for flamegraph
+//! export) folds each sample as it arrives, so memory does not grow with
+//! the sample count. [`analyze`] and [`to_folded`] are the same folds
+//! over a stored slice:
+//!
 //! ```
 //! use accelerometer_fleet::{profile, ServiceId};
 //! use accelerometer_profiler::{analyze, TraceGenerator};
@@ -33,9 +40,9 @@ pub mod generate;
 pub mod registry;
 pub mod trace;
 
-pub use analyze::{analyze, ProfileReport};
+pub use analyze::{analyze, ProfileAccumulator, ProfileReport};
 pub use diff::{diff, DiffRow, ReportDiff};
-pub use fold::{from_folded, to_folded};
+pub use fold::{from_folded, to_folded, FoldedStacks};
 pub use generate::{default_leaf_ipc, TraceGenerator};
 pub use registry::FunctionRegistry;
 pub use trace::CallTrace;

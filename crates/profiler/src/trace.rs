@@ -6,7 +6,11 @@
 use std::borrow::Cow;
 
 /// A sampled call trace with its cycle and instruction attribution.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `CallTrace::default()` has no frames: it is a buffer for
+/// [`TraceGenerator::sample_into`](crate::TraceGenerator::sample_into)
+/// to fill, and has no root or leaf until then.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallTrace {
     /// Stack frames from root (index 0) to leaf (last). Generated traces
     /// borrow their frame names from static symbol tables; parsed ones
@@ -46,7 +50,9 @@ impl CallTrace {
     /// classifies.
     #[must_use]
     pub fn leaf(&self) -> &str {
-        self.frames.last().expect("non-empty by construction")
+        self.frames
+            .last()
+            .expect("a filled call trace has at least one frame")
     }
 
     /// Instructions per cycle for this trace.

@@ -9,7 +9,7 @@ use accelerometer_suite::fleet::{profile, FunctionalityCategory, ServiceId};
 use accelerometer_suite::model::{
     amdahl, AccelerationStrategy, ModelParams, Scenario, ThreadingDesign,
 };
-use accelerometer_suite::profiler::{analyze, TraceGenerator};
+use accelerometer_suite::profiler::{CallTrace, ProfileAccumulator, TraceGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let requested = std::env::args().nth(1).unwrap_or_else(|| "Web".to_owned());
@@ -18,10 +18,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|s| s.to_string().eq_ignore_ascii_case(&requested))
         .ok_or_else(|| format!("unknown service '{requested}'"))?;
 
-    // Sample the service the way Strobelight does in production.
+    // Sample the service the way Strobelight does in production, folding
+    // each sample into the running sums as it is drawn.
     let mut sampler = TraceGenerator::new(profile(service), 2_026);
-    let traces = sampler.generate(80_000);
-    let report = analyze(&traces, sampler.registry());
+    let registry = sampler.registry().clone();
+    let mut sums = ProfileAccumulator::new(&registry);
+    let mut trace = CallTrace::default();
+    for _ in 0..80_000 {
+        sampler.sample_into(&mut trace);
+        sums.push(&trace);
+    }
+    let report = sums.finish();
     println!("{}", report.render());
 
     // Find the biggest orchestration overhead the profile exposes...

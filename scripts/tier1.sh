@@ -154,6 +154,24 @@ if grep -q 'panicked' "$out_dir/closed_stdout.err"; then
     exit 1
 fi
 
+echo "== memory smoke: characterize streams its samples in bounded memory =="
+# characterize folds each sample into running sums (or, with --folded,
+# into one entry per distinct stack) instead of storing every trace, so
+# the --samples cap runs in a few MB. Storing the traces took ~1.4 GB
+# and aborts under this 256 MB address-space limit; the subshell limits
+# only the smoke's own processes.
+for extra in "" "--folded"; do
+    rc=0
+    # shellcheck disable=SC2086
+    (ulimit -v 262144 && ./target/release/accelctl characterize cache1 --samples 10000000 $extra) \
+        > /dev/null 2> "$out_dir/memory_smoke.err" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "memory smoke: characterize cache1 --samples 10000000 $extra exited $rc under a 256 MB limit"
+        cat "$out_dir/memory_smoke.err"
+        exit 1
+    fi
+done
+
 echo "== services gate: every shipped profile pack must parse and validate =="
 # A malformed configs/services/*.json (breakdown off 100%, non-monotone
 # CDF, negative IPC/rate, wrong filename) fails this command with a
