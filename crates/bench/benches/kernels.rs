@@ -4,12 +4,11 @@
 //! implementations of the same kernel yields `A`.
 //!
 //! Granularities mirror the paper's CDFs: encryption at 64 B–4 KiB
-//! (Fig. 15), compression at 256 B–32 KiB (Fig. 19), copies at
-//! 64 B–4 KiB (Fig. 21).
+//! (Fig. 15) and compression at 256 B–32 KiB (Fig. 19).
 
 use accelerometer_kernels::aes::Aes128;
 use accelerometer_kernels::mlp::{Mlp, MlpScratch};
-use accelerometer_kernels::{hash, lz, SizeClassAllocator};
+use accelerometer_kernels::{hash, lz};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn data(len: usize) -> Vec<u8> {
@@ -130,95 +129,5 @@ fn bench_mlp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_allocator(c: &mut Criterion) {
-    // The §2.3.1 free-path comparison: unsized free pays the size-class
-    // lookup, sized free (C++14 sized delete) does not.
-    let mut group = c.benchmark_group("kernels/allocator");
-    group.bench_function("alloc_free_unsized_128B", |b| {
-        let mut alloc = SizeClassAllocator::new();
-        b.iter(|| {
-            let h = alloc.alloc(black_box(128)).expect("in range");
-            alloc.free(h);
-        })
-    });
-    group.bench_function("alloc_free_sized_128B", |b| {
-        let mut alloc = SizeClassAllocator::new();
-        b.iter(|| {
-            let h = alloc.alloc(black_box(128)).expect("in range");
-            alloc.free_with_size(h, 128);
-        })
-    });
-    group.finish();
-}
-
-fn bench_kvstore(c: &mut Criterion) {
-    // The first non-crypto consumer of the dispatch layer: a cache
-    // microservice's hot path is the shard probe, which the SSE2 path
-    // scans 16 tags at a time. Populated well past one SIMD lane-width
-    // per shard so the probe loop actually iterates.
-    let mut store = accelerometer_kernels::kvstore::KvStore::new(8);
-    let keys: Vec<Vec<u8>> = (0..1024)
-        .map(|i| format!("object:{i:05}").into_bytes())
-        .collect();
-    for (i, key) in keys.iter().enumerate() {
-        store.set(key, data(64 + i % 128), 3_600, 0);
-    }
-    let mut group = c.benchmark_group("kernels/kvstore");
-    group.throughput(Throughput::Elements(keys.len() as u64));
-    group.bench_function("get_hit_1k", |b| {
-        b.iter(|| {
-            for key in &keys {
-                black_box(store.get(black_box(key), 1));
-            }
-        })
-    });
-    group.bench_function("get_miss_1k", |b| {
-        b.iter(|| {
-            for i in 0..keys.len() {
-                let key = format!("absent:{i:05}");
-                black_box(store.get(black_box(key.as_bytes()), 1));
-            }
-        })
-    });
-    group.bench_function("set_overwrite_1k", |b| {
-        b.iter(|| {
-            for key in &keys {
-                store.set(black_box(key), data(64), 3_600, 1);
-            }
-        })
-    });
-    group.finish();
-}
-
-fn bench_memcpy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/memcpy");
-    for &size in &[64usize, 512, 4096] {
-        let src = data(size);
-        let mut dst = vec![0u8; size];
-        let mut counter = accelerometer_kernels::OpCounter::new();
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| {
-                accelerometer_kernels::memops::copy(
-                    &mut counter,
-                    "bench",
-                    black_box(&mut dst),
-                    black_box(&src),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_aes,
-    bench_compression,
-    bench_hashing,
-    bench_mlp,
-    bench_allocator,
-    bench_kvstore,
-    bench_memcpy
-);
+criterion_group!(benches, bench_aes, bench_compression, bench_hashing, bench_mlp);
 criterion_main!(benches);

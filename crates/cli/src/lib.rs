@@ -467,18 +467,20 @@ fn parse_service(value: &str) -> Result<ServiceId, String> {
         .ok_or_else(|| format!("unknown service '{value}' (expected Web, Feed1, ..., Cache3)"))
 }
 
-/// The named scenarios of the parameter file at `path`.
+/// The named scenarios of the parameter file at `path`: at least one,
+/// since every command that reads such a file evaluates its scenarios.
 fn load_scenarios(path: &str) -> Result<Vec<(String, Scenario)>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let cfg = ConfigFile::from_json(&text).map_err(|e| e.to_string())?;
-    cfg.to_scenarios().map_err(|e| e.to_string())
+    let scenarios = cfg.to_scenarios().map_err(|e| e.to_string())?;
+    if scenarios.is_empty() {
+        return Err("config contains no scenarios".to_owned());
+    }
+    Ok(scenarios)
 }
 
 fn cmd_estimate(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     let scenarios = load_scenarios(args.positionals[0])?;
-    if scenarios.is_empty() {
-        return Err("config contains no scenarios".to_owned());
-    }
     // Evaluate all scenarios through the worker pool (honors --jobs).
     let bare: Vec<Scenario> = scenarios.iter().map(|(_, s)| *s).collect();
     let estimates = sweep::estimate_batch_with(&ctx.pool, &bare);
@@ -535,10 +537,7 @@ fn cmd_breakeven(_: &RunContext, args: &Parsed) -> Result<String, String> {
 }
 
 fn cmd_sweep(_: &RunContext, args: &Parsed) -> Result<String, String> {
-    let (name, scenario) = load_scenarios(args.positionals[0])?
-        .into_iter()
-        .next()
-        .ok_or("config contains no scenarios")?;
+    let (name, scenario) = load_scenarios(args.positionals[0])?.swap_remove(0);
     let axis_name = args.value("--axis").ok_or("missing required flag --axis")?;
     let axis: sweep::SweepAxis =
         serde_json::from_value(serde_json::Value::String(axis_name.to_owned()))
@@ -554,8 +553,14 @@ fn cmd_sweep(_: &RunContext, args: &Parsed) -> Result<String, String> {
     } else {
         sweep::lin_space(from, to, points)
     };
+    // A range too wide for f64 spaces into NaN or infinite values.
+    if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+        return Err(format!(
+            "--from/--to range too wide: the {points}-point grid has a non-finite value ({bad})"
+        ));
+    }
     let mut out = format!("sweep of {axis_name} for scenario '{name}':\n");
-    for point in sweep::sweep(&scenario, axis, &values) {
+    for point in sweep::sweep(&scenario, axis, &values).map_err(|e| e.to_string())? {
         let _ = writeln!(
             out,
             "  {axis_name} = {:>12.2}: speedup {:.4}x, latency reduction {:.4}x",
@@ -1258,26 +1263,63 @@ mod tests {
     }
 
     #[test]
-    fn sweep_rejects_non_finite_bounds_and_huge_point_counts() {
-        let path = write_config();
-        let sweep = |extra: &[&str]| {
-            let mut argv = args(&["sweep", &path, "--axis", "offloads"]);
+    fn sweep_rejects_out_of_domain_grids() {
+        let config = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/table6.json");
+        let sweep = |axis: &str, extra: &[&str]| {
+            let mut argv = args(&["sweep", config, "--axis", axis]);
             argv.extend(args(extra));
             run(&argv)
         };
-        // Used to panic at `log_space requires 0 < lo < hi`.
-        let err = sweep(&["--from", "1", "--to", "nan"]).unwrap_err();
-        assert!(err.contains("--to must be finite"), "{err}");
-        assert!(sweep(&["--from", "-inf", "--to", "1"]).is_err());
-        // Used to panic with a capacity overflow.
-        let err = sweep(&["--from", "0", "--to", "1e308", "--points", "18446744073709551615"])
-            .unwrap_err();
-        assert!(err.contains("--points must be at most 10000"), "{err}");
-        assert!(sweep(&["--from", "1", "--to", "2", "--points", "-3"]).is_err());
-        // The cap itself is accepted.
-        let out = sweep(&["--from", "1", "--to", "2", "--points", "10000"]).unwrap();
-        fs::remove_file(&path).ok();
+        for (axis, extra, needle) in [
+            // Used to panic at `log_space requires 0 < lo < hi`.
+            ("offloads", &["--from", "1", "--to", "nan"][..], "--to must be finite"),
+            ("offloads", &["--from", "-inf", "--to", "1"], "--from must be finite"),
+            // Used to panic with a capacity overflow.
+            (
+                "offloads",
+                &["--from", "0", "--to", "1e308", "--points", "18446744073709551615"],
+                "--points must be at most 10000",
+            ),
+            ("offloads", &["--from", "1", "--to", "2", "--points", "-3"], "--points"),
+            // Used to print only the `2.00` row and exit 0.
+            (
+                "peak-speedup",
+                &["--from", "0.1", "--to", "2", "--points", "3"],
+                "invalid parameter A = 0.1",
+            ),
+            // hi/lo overflows, so the grid was NaN and infinite, and the
+            // sweep printed a header with no rows and exited 0.
+            (
+                "offloads",
+                &["--from", "1e-300", "--to", "1e300", "--points", "3"],
+                "non-finite value",
+            ),
+        ] {
+            let err = sweep(axis, extra).expect_err(&format!("{axis} {extra:?}"));
+            assert!(err.contains(needle), "{axis} {extra:?}: {err}");
+        }
+        // The cap itself is accepted, one row per point.
+        let out = sweep("offloads", &["--from", "1", "--to", "2", "--points", "10000"]).unwrap();
         assert_eq!(out.lines().count(), 10_001);
+    }
+
+    #[test]
+    fn a_config_with_no_scenarios_is_an_error_for_every_command() {
+        // `bounds` and `slo` used to exit 0 with an empty report.
+        let path = std::env::temp_dir()
+            .join(format!("accelctl-test-empty-{}.json", std::process::id()));
+        fs::write(&path, r#"{"scenarios": []}"#).expect("temp file writable");
+        let path = path.to_string_lossy().into_owned();
+        for argv in [
+            &["estimate", &path][..],
+            &["bounds", &path],
+            &["slo", &path],
+            &["sweep", &path, "--axis", "offloads", "--from", "1", "--to", "2"],
+        ] {
+            let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
+            assert!(err.contains("config contains no scenarios"), "{argv:?}: {err}");
+        }
+        fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -220,8 +220,8 @@ fn pack_fixtures_reflect_their_defining_taxes() {
     let ai = fs::read_to_string(fixture_path("golden_pack_ai-inference.txt"))
         .expect("ai-inference fixture");
     assert!(ai.contains("Prediction/Ranking"), "{ai}");
-    // The kvstore pack leans on hashing + spin locks (kernels::kvstore's
-    // tag-probed shard); the PQC pack on SSL/Math/Hashing leaves.
+    // The kvstore pack leans on hashing + spin locks; the PQC pack on
+    // SSL/Math/Hashing leaves.
     let kv = fs::read_to_string(fixture_path("golden_pack_kvstore.txt"))
         .expect("kvstore fixture");
     assert!(kv.contains("characterization of KVStore"), "{kv}");

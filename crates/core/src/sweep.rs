@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::Result;
 use crate::model::Estimate;
 use crate::model::Scenario;
 use crate::params::ModelParams;
@@ -40,7 +41,7 @@ pub enum SweepAxis {
     ThreadSwitch,
 }
 
-fn rebuild(base: &Scenario, axis: SweepAxis, x: f64) -> Option<Scenario> {
+fn rebuild(base: &Scenario, axis: SweepAxis, x: f64) -> Result<Scenario> {
     let p = &base.params;
     let ovh = p.overheads();
     let mut b = ModelParams::builder()
@@ -60,8 +61,8 @@ fn rebuild(base: &Scenario, axis: SweepAxis, x: f64) -> Option<Scenario> {
         SweepAxis::Queueing => b.queueing_cycles(x),
         SweepAxis::ThreadSwitch => b.thread_switch_cycles(x),
     };
-    let params = b.build().ok()?;
-    Some(Scenario {
+    let params = b.build()?;
+    Ok(Scenario {
         params,
         design: base.design,
         strategy: base.strategy,
@@ -69,15 +70,18 @@ fn rebuild(base: &Scenario, axis: SweepAxis, x: f64) -> Option<Scenario> {
     })
 }
 
-/// Sweeps one axis of a scenario over the given values.
+/// Sweeps one axis of a scenario over the given values, one point per
+/// value.
 ///
-/// Values that produce invalid parameter sets (e.g. `α > 1`) are skipped,
-/// so the output may be shorter than `values`.
-#[must_use]
-pub fn sweep(base: &Scenario, axis: SweepAxis, values: &[f64]) -> Vec<SweepPoint> {
+/// # Errors
+///
+/// Returns the [`ModelError::InvalidParameter`](crate::ModelError) of
+/// the first value that produces an invalid parameter set (e.g. `α > 1`),
+/// naming that value.
+pub fn sweep(base: &Scenario, axis: SweepAxis, values: &[f64]) -> Result<Vec<SweepPoint>> {
     values
         .iter()
-        .filter_map(|&x| {
+        .map(|&x| {
             rebuild(base, axis, x).map(|s| SweepPoint {
                 x,
                 estimate: s.estimate(),
@@ -151,7 +155,12 @@ mod tests {
 
     #[test]
     fn speedup_increases_with_a() {
-        let points = sweep(&base(), SweepAxis::PeakSpeedup, &[2.0, 4.0, 8.0, 16.0, 32.0]);
+        let points = sweep(
+            &base(),
+            SweepAxis::PeakSpeedup,
+            &[2.0, 4.0, 8.0, 16.0, 32.0],
+        )
+        .unwrap();
         assert_eq!(points.len(), 5);
         for w in points.windows(2) {
             assert!(w[1].estimate.throughput_speedup > w[0].estimate.throughput_speedup);
@@ -164,18 +173,21 @@ mod tests {
             &base(),
             SweepAxis::InterfaceLatency,
             &[0.0, 1_000.0, 5_000.0, 20_000.0],
-        );
+        )
+        .unwrap();
         for w in points.windows(2) {
             assert!(w[1].estimate.throughput_speedup < w[0].estimate.throughput_speedup);
         }
     }
 
     #[test]
-    fn invalid_values_are_skipped() {
-        let points = sweep(&base(), SweepAxis::KernelFraction, &[0.1, 1.5, 0.3]);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].x, 0.1);
-        assert_eq!(points[1].x, 0.3);
+    fn first_invalid_value_is_an_error() {
+        let err = sweep(&base(), SweepAxis::KernelFraction, &[0.1, 1.5, 0.3, 2.5]).unwrap_err();
+        assert!(
+            matches!(err, crate::ModelError::InvalidParameter { value, .. } if value == 1.5),
+            "{err}"
+        );
+        assert!(err.to_string().contains("1.5"), "{err}");
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod breakdown;
 pub mod categories;
 pub mod cdf;
 pub mod findings;
-pub mod fleetwide;
 pub mod ipc;
 pub mod params;
 pub mod platform;

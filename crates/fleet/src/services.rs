@@ -45,8 +45,8 @@ pub enum ServiceId {
     /// AI-inference workload pack: MLP inference wrapped in the AI Tax's
     /// pre/post-processing overheads (not a paper service).
     AiInference,
-    /// Storage workload pack: a kvstore-heavy service modeled on
-    /// `kernels::kvstore` (not a paper service).
+    /// Storage workload pack: a key-value store whose cycles lean on
+    /// hashing and lock contention (not a paper service).
     Kvstore,
     /// Post-quantum-cryptography workload pack: lattice KEM/signature
     /// traffic dominating the cycle budget (not a paper service).

@@ -335,27 +335,9 @@ fn increment_counter(ctr: &mut [u8; BLOCK_SIZE]) {
 /// ciphertext.
 #[must_use]
 pub fn encrypt_ctr(key: &[u8; KEY_SIZE], counter: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encrypt_ctr_into(key, counter, plaintext, &mut out);
+    let mut out = plaintext.to_vec();
+    Aes128::new(key).ctr_apply(counter, &mut out);
     out
-}
-
-/// [`encrypt_ctr`] without the per-call allocation: writes the
-/// ciphertext into `out`, reusing whatever capacity it already holds.
-/// `out` is cleared first, so it ends up holding exactly the
-/// ciphertext. Returns the number of AES block operations performed
-/// (the same count [`Aes128::ctr_apply`] reports), so batch callers can
-/// still derive per-block cost.
-pub fn encrypt_ctr_into(
-    key: &[u8; KEY_SIZE],
-    counter: &[u8; BLOCK_SIZE],
-    plaintext: &[u8],
-    out: &mut Vec<u8>,
-) -> usize {
-    let cipher = Aes128::new(key);
-    out.clear();
-    out.extend_from_slice(plaintext);
-    cipher.ctr_apply(counter, out)
 }
 
 #[cfg(test)]
@@ -463,21 +445,6 @@ mod tests {
         assert_eq!(blocks, 7); // ceil(100 / 16)
         let mut empty: Vec<u8> = vec![];
         assert_eq!(cipher.ctr_apply(&[0u8; 16], &mut empty), 0);
-    }
-
-    #[test]
-    fn encrypt_ctr_into_matches_and_reuses_capacity() {
-        let key = [3u8; 16];
-        let counter = [5u8; 16];
-        let mut out = Vec::with_capacity(4_096);
-        let base = out.capacity();
-        for len in [0usize, 1, 16, 100, 1_000] {
-            let plaintext: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let blocks = encrypt_ctr_into(&key, &counter, &plaintext, &mut out);
-            assert_eq!(out, encrypt_ctr(&key, &counter, &plaintext));
-            assert_eq!(blocks, len.div_ceil(16));
-            assert_eq!(out.capacity(), base, "buffer reallocated at len {len}");
-        }
     }
 
     #[test]

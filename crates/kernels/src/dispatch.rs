@@ -37,7 +37,8 @@ pub const AVX2: u8 = 1 << 2;
 pub const SSE41: u8 = 1 << 3;
 /// Feature bit: SSSE3 (`pshufb`/`palignr`; byte shuffles for SHA-NI).
 pub const SSSE3: u8 = 1 << 4;
-/// Feature bit: SSE2 (x86_64 baseline; 16-byte tag probes in kvstore).
+/// Feature bit: SSE2 (x86_64 baseline; always set there, so it is part
+/// of every x86 ISA summary).
 pub const SSE2: u8 = 1 << 5;
 
 /// Marker bit recording that the cached word has been initialized

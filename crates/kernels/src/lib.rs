@@ -1,22 +1,14 @@
 //! # accelerometer-kernels
 //!
-//! From-scratch software implementations of the kernels the Accelerometer
-//! paper studies as acceleration targets, plus the micro-benchmark
-//! harness §4 uses to derive model parameters:
+//! From-scratch software implementations of the case-study kernels the
+//! Accelerometer paper accelerates, plus the micro-benchmark harness §4
+//! uses to derive model parameters (`accelctl calibrate` times AES-CTR,
+//! SHA-256, LZ and the MLP to measure `Cb` and `A`):
 //!
 //! * [`aes`] — AES-128 + CTR mode (the AES-NI case study's kernel);
 //! * [`lz`] — an LZ77-style compressor (the ZSTD/compression kernel);
 //! * [`mlp`] — multilayer-perceptron inference (the Feed/Ads ML kernel);
-//! * [`alloc`] — a TCMalloc-style size-class allocator with sized and
-//!   unsized free paths (§2.3.1's allocation/free discussion);
-//! * [`memops`] — byte-accounted copy/move/set/compare with per-origin
-//!   attribution (Figs. 3–4);
 //! * [`hash`] — SHA-256 and FNV-1a (the Hashing leaf category);
-//! * [`codec`] + [`pipeline`] — an RPC wire codec and the full sender/
-//!   receiver orchestration pipeline (serialize → compress → encrypt →
-//!   frame) with per-stage byte accounting;
-//! * [`kvstore`] — the Cache services' application logic: a sharded,
-//!   TTL-aware key-value store served over the pipeline;
 //! * [`harness`] — wall-time → cycles measurement to derive `Cb` and `A`;
 //! * [`dispatch`] — runtime ISA dispatch: kernels use the host's
 //!   AES-NI/SHA-NI/AVX2 paths when present (scalar otherwise), and
@@ -47,23 +39,13 @@
 #![deny(unsafe_code)]
 
 pub mod aes;
-pub mod alloc;
-pub mod codec;
 pub mod dispatch;
 pub mod harness;
 pub mod hash;
-pub mod kvstore;
 pub mod lz;
-pub mod memops;
 pub mod mlp;
-pub mod pipeline;
 
-pub use alloc::{AllocStats, Allocation, SizeClassAllocator};
-pub use codec::KvMessage;
-pub use kvstore::{KvStats, KvStore};
-pub use pipeline::{RpcPipeline, Stage};
 pub use harness::{acceleration_factor, BatchedMeasurement, Harness, KernelMeasurement};
 pub use hash::Sha256;
 pub use lz::LzScratch;
-pub use memops::{MemOp, OpCounter};
 pub use mlp::{Activation, Layer, Mlp, MlpError, MlpScratch};

@@ -431,20 +431,6 @@ fn compress_core<T: HeadTable>(input: &[u8], head: &mut T, out: &mut Vec<u8>, av
 /// invalid tokens; a valid stream from [`compress`] always round-trips.
 pub fn decompress(compressed: &[u8]) -> Result<Vec<u8>, DecompressError> {
     let mut out = Vec::with_capacity(compressed.len() * 2);
-    decompress_into(compressed, &mut out)?;
-    Ok(out)
-}
-
-/// Decompresses a token stream into `out` (cleared first), reusing the
-/// buffer's capacity — the allocation-free counterpart of
-/// [`decompress`].
-///
-/// # Errors
-///
-/// Returns a [`DecompressError`] if the stream is truncated or contains
-/// invalid tokens. `out` holds the bytes decoded before the error.
-pub fn decompress_into(compressed: &[u8], out: &mut Vec<u8>) -> Result<(), DecompressError> {
-    out.clear();
     let mut pos = 0usize;
     while pos < compressed.len() {
         let tag = compressed[pos];
@@ -488,7 +474,7 @@ pub fn decompress_into(compressed: &[u8], out: &mut Vec<u8>) -> Result<(), Decom
             other => return Err(DecompressError::BadTag(other)),
         }
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Compression ratio achieved on an input (compressed/original; lower is
@@ -621,12 +607,10 @@ mod tests {
         ];
         let mut scratch = LzScratch::new();
         let mut out = Vec::new();
-        let mut back = Vec::new();
         for input in &inputs {
             compress_into(input, &mut scratch, &mut out);
             assert_eq!(out, compress(input), "scratch stream diverged");
-            decompress_into(&out, &mut back).expect("round trip");
-            assert_eq!(&back, input);
+            assert_eq!(&decompress(&out).expect("round trip"), input);
         }
     }
 

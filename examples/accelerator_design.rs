@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = Scenario::new(params, sync.design, sync.accelerator.strategy);
     println!("\ninterface-latency sweep (off-chip Sync):");
     let mut max_tolerable = 0.0;
-    for point in sweep(&scenario, SweepAxis::InterfaceLatency, &log_space(100.0, 100_000.0, 13)) {
+    for point in sweep(&scenario, SweepAxis::InterfaceLatency, &log_space(100.0, 100_000.0, 13))? {
         let gain = point.estimate.throughput_gain_percent();
         println!("  L = {:>9.0} cycles: {gain:>6.2}%", point.x);
         if gain >= 5.0 {

@@ -1,7 +1,7 @@
 //! The §4 parameter-derivation methodology, live: measure `Cb` for real
 //! kernels on *this* machine with micro-benchmarks, derive an `A` from
 //! two implementations of the same kernel, and feed the measured numbers
-//! straight into the model.
+//! straight into the model's break-even analysis.
 //!
 //! This is the workflow the paper describes — "we measure model
 //! parameters using... micro-benchmarks that measure execution time on
@@ -13,11 +13,10 @@
 
 use accelerometer_suite::kernels::aes::Aes128;
 use accelerometer_suite::kernels::harness::{acceleration_factor, Harness};
-use accelerometer_suite::kernels::pipeline::{RpcPipeline, Stage};
-use accelerometer_suite::kernels::{hash, lz, KvMessage};
+use accelerometer_suite::kernels::{hash, lz};
 use accelerometer_suite::model::{
-    throughput_breakeven, AccelerationStrategy, BreakEven, ModelParams, OffloadContext,
-    OffloadOverheads, Scenario, ThreadingDesign,
+    throughput_breakeven, AccelerationStrategy, BreakEven, OffloadContext, OffloadOverheads,
+    ThreadingDesign,
 };
 
 const CLOCK_HZ: f64 = 2.0e9; // nominal 2 GHz host, matching the paper's C
@@ -70,45 +69,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BreakEven::Never => println!("  over PCIe: never lucrative"),
     }
 
-    // --- Step 4: a live α profile from the RPC pipeline -------------------
-    let mut sender = RpcPipeline::new(&[3u8; 16]);
-    for i in 0..200 {
-        let message = KvMessage::Set {
-            key: format!("key:{i}").into_bytes(),
-            value: payload(512 + (i % 7) * 700),
-            ttl_seconds: 60,
-        };
-        let _ = sender.seal(&message);
-    }
-    println!("\nRPC pipeline stage shares (by bytes processed, 200 messages):");
-    let shares = sender.stats().shares();
-    for (stage, share) in &shares {
-        println!("  {stage:?}: {:.1}%", share * 100.0);
-    }
-
-    // --- Step 5: feed everything into the model --------------------------
-    // Suppose secure I/O (encryption) is the offload target and the
-    // pipeline profile says what fraction of pipeline cycles it is;
-    // project an AES-NI-style on-chip unit (A = 6) at 100k offloads/s.
-    let secure_share = shares
-        .iter()
-        .find(|(s, _)| *s == Stage::SecureIo)
-        .map_or(0.2, |(_, share)| *share);
-    let alpha = 0.5 * secure_share; // pipeline is ~half the service's cycles
-    let params = ModelParams::builder()
-        .host_cycles(CLOCK_HZ)
-        .kernel_fraction(alpha)
-        .offloads(100_000.0)
-        .setup_cycles(10.0)
-        .interface_cycles(3.0)
-        .peak_speedup(6.0)
-        .build()?;
-    let est = Scenario::new(params, ThreadingDesign::Sync, AccelerationStrategy::OnChip)
-        .estimate();
-    println!(
-        "\nprojected on-chip encryption gain for a service spending {:.1}% in secure I/O: {:+.2}%",
-        alpha * 100.0,
-        est.throughput_gain_percent()
-    );
     Ok(())
 }

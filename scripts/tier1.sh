@@ -88,7 +88,10 @@ for scenario in crates/cli/tests/fixtures/bad_scenario_*.json; do
 done
 # Flags and service data the CLI cannot run: integer flags that used to
 # saturate through a float cast (a 160 GB allocation, a capacity
-# overflow), non-finite sweep bounds and break-even parameters, and a
+# overflow), non-finite sweep bounds and break-even parameters, sweep
+# grids with values the model rejects or f64 cannot hold (the sweep used
+# to drop those rows and exit 0), a params file with no scenarios (bounds
+# used to print nothing and exit 0), and a
 # services pack whose case study the simulator does not know (it passes
 # `services validate` but used to panic `validate` and `tables table6`),
 # a params file whose `"a": 1e400` overflows to infinity, a value flag
@@ -99,6 +102,7 @@ done
 # global flags the last, used to win silently) and a positional past the
 # command's arity (it used to be ignored, exiting 0).
 mkdir "$out_dir/renamed"
+printf '{"scenarios": []}' > "$out_dir/empty.json"
 sed 's/"aes-ni"/"aes-ni-v2"/' configs/services/cache1.json > "$out_dir/renamed/cache1.json"
 while IFS= read -r argv; do
     rc=0
@@ -117,6 +121,9 @@ characterize web --seed -1
 validate --seed nan
 sweep configs/table6.json --axis offloads --from 0 --to 1e308 --points 18446744073709551615
 sweep configs/table6.json --axis offloads --from 1 --to nan
+sweep configs/table6.json --axis peak-speedup --from 0.1 --to 2 --points 3
+sweep configs/table6.json --axis offloads --from 1e-300 --to 1e300 --points 3
+bounds $out_dir/empty.json
 breakeven --cb nan --a 2
 breakeven --cb -1 --a 2
 breakeven --cb inf --a inf

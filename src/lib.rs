@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`model`] (`accelerometer`) | The analytical model — the paper's contribution |
 //! | [`fleet`] | Calibrated workload characterization datasets (§2) |
-//! | [`kernels`] | From-scratch software kernels (AES, LZ, MLP, allocator, …) |
+//! | [`kernels`] | From-scratch software kernels (AES, LZ, MLP, SHA-256, …) |
 //! | [`profiler`] | Synthetic Strobelight: traces → breakdowns |
 //! | [`sim`] | Discrete-event microservice simulator + A/B harness (§4) |
 //! | [`bench`](mod@bench) | Table/figure regeneration + Criterion benchmarks |
