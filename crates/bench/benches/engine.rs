@@ -100,7 +100,14 @@ fn bench_events(c: &mut Criterion) {
 fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/batch");
     let mut cfg = base_config();
-    cfg.offload = Some(OffloadConfig::on_chip_sync(4.0));
+    // Zero-overhead on-chip Sync.
+    cfg.offload = Some(OffloadConfig {
+        strategy: AccelerationStrategy::OnChip,
+        device: DeviceKind::PerCore,
+        interface_latency: 0.0,
+        setup_cycles: 0.0,
+        ..offload(ThreadingDesign::Sync)
+    });
     let (_, stats) = Simulator::new(cfg.clone()).run_instrumented();
     assert!(
         stats.multi_event_batches > 0,

@@ -78,7 +78,6 @@ fn bench_hashing(c: &mut Criterion) {
     let input = data(4096);
     group.throughput(Throughput::Bytes(4096));
     group.bench_function("sha256_4k", |b| b.iter(|| hash::sha256(black_box(&input))));
-    group.bench_function("fnv1a_4k", |b| b.iter(|| hash::fnv1a_64(black_box(&input))));
     group.finish();
 
     // Large-input hashing at 64 KiB and 1 MiB: the per-byte compression
@@ -100,9 +99,11 @@ fn bench_hashing(c: &mut Criterion) {
 fn bench_mlp(c: &mut Criterion) {
     // A Feed1-shaped relevance model: 512-feature vectors.
     let mlp = Mlp::seeded_ranker(&[512, 256, 64, 1], 42);
+    // Multiply-accumulates per inference: the sum of the layer areas.
+    let macs: u64 = 512 * 256 + 256 * 64 + 64;
     let features: Vec<f32> = (0..512).map(|i| i as f32 / 512.0).collect();
     let mut group = c.benchmark_group("kernels/mlp_inference");
-    group.throughput(Throughput::Elements(mlp.macs() as u64));
+    group.throughput(Throughput::Elements(macs));
     group.bench_function("ranker_512x256x64x1", |b| {
         b.iter(|| mlp.infer(black_box(&features)).expect("valid input"))
     });
@@ -116,7 +117,7 @@ fn bench_mlp(c: &mut Criterion) {
         .map(|i| (0..512).map(|j| (i * 512 + j) as f32 / 8192.0).collect())
         .collect();
     let mut group = c.benchmark_group("kernels/mlp_inference");
-    group.throughput(Throughput::Elements(16 * mlp.macs() as u64));
+    group.throughput(Throughput::Elements(16 * macs));
     let mut scratch = MlpScratch::new();
     let mut out = Vec::new();
     group.bench_function("batch16_512x256x64x1", |b| {

@@ -105,17 +105,12 @@ fn bench_sweep(c: &mut Criterion) {
 }
 
 fn bench_config(c: &mut Criterion) {
+    let table6 = ConfigFile::from_json(include_str!("../../../configs/table6.json"))
+        .expect("table6.json parses");
     let cfg = ConfigFile {
-        scenarios: (0..16)
-            .map(|i| {
-                accelerometer::ScenarioConfig::from_scenario(
-                    format!("scenario-{i}"),
-                    &aes_ni().scenario,
-                )
-            })
-            .collect(),
+        scenarios: table6.scenarios.iter().cycle().take(16).cloned().collect(),
     };
-    let json = cfg.to_json().expect("serializes");
+    let json = serde_json::to_string_pretty(&cfg).expect("serializes");
     c.bench_function("model/config_parse_16_scenarios", |b| {
         b.iter(|| ConfigFile::from_json(black_box(&json)).expect("parses"))
     });

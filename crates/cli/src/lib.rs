@@ -460,13 +460,6 @@ fn parse_strategy(value: &str) -> Result<AccelerationStrategy, String> {
         .map_err(|_| format!("unknown strategy '{value}'"))
 }
 
-fn parse_service(value: &str) -> Result<ServiceId, String> {
-    ServiceId::ALL
-        .into_iter()
-        .find(|s| s.to_string().eq_ignore_ascii_case(value))
-        .ok_or_else(|| format!("unknown service '{value}' (expected Web, Feed1, ..., Cache3)"))
-}
-
 /// The named scenarios of the parameter file at `path`: at least one,
 /// since every command that reads such a file evaluates its scenarios.
 fn load_scenarios(path: &str) -> Result<Vec<(String, Scenario)>, String> {
@@ -537,7 +530,7 @@ fn cmd_breakeven(_: &RunContext, args: &Parsed) -> Result<String, String> {
 }
 
 fn cmd_sweep(_: &RunContext, args: &Parsed) -> Result<String, String> {
-    let (name, scenario) = load_scenarios(args.positionals[0])?.swap_remove(0);
+    let scenarios = load_scenarios(args.positionals[0])?;
     let axis_name = args.value("--axis").ok_or("missing required flag --axis")?;
     let axis: sweep::SweepAxis =
         serde_json::from_value(serde_json::Value::String(axis_name.to_owned()))
@@ -559,13 +552,19 @@ fn cmd_sweep(_: &RunContext, args: &Parsed) -> Result<String, String> {
             "--from/--to range too wide: the {points}-point grid has a non-finite value ({bad})"
         ));
     }
-    let mut out = format!("sweep of {axis_name} for scenario '{name}':\n");
-    for point in sweep::sweep(&scenario, axis, &values).map_err(|e| e.to_string())? {
-        let _ = writeln!(
-            out,
-            "  {axis_name} = {:>12.2}: speedup {:.4}x, latency reduction {:.4}x",
-            point.x, point.estimate.throughput_speedup, point.estimate.latency_reduction
-        );
+    // One block per scenario, in file order.
+    let mut out = String::new();
+    for (name, scenario) in &scenarios {
+        let points =
+            sweep::sweep(scenario, axis, &values).map_err(|e| format!("scenario '{name}': {e}"))?;
+        let _ = writeln!(out, "sweep of {axis_name} for scenario '{name}':");
+        for point in points {
+            let _ = writeln!(
+                out,
+                "  {axis_name} = {:>12.2}: speedup {:.4}x, latency reduction {:.4}x",
+                point.x, point.estimate.throughput_speedup, point.estimate.latency_reduction
+            );
+        }
     }
     Ok(out)
 }
@@ -596,7 +595,13 @@ fn cmd_project(ctx: &RunContext, _: &Parsed) -> Result<String, String> {
 }
 
 fn cmd_characterize(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
-    let service = parse_service(args.positionals[0])?;
+    let name = args.positionals[0];
+    // Each service's slug is its display name in lower case, so any
+    // casing of "Web" or "AI-Inference" names it.
+    let service = ServiceId::from_slug(&name.to_ascii_lowercase()).ok_or_else(|| {
+        let slugs: Vec<&str> = ServiceId::ALL.iter().map(|s| s.slug()).collect();
+        format!("unknown service '{name}' (expected one of: {})", slugs.join(", "))
+    })?;
     let samples = args.count("--samples", 50_000, MAX_SAMPLES)?;
     let seed = args.seed(42)?;
     if samples == 0 {
@@ -999,6 +1004,7 @@ mod tests {
         ]))
         .unwrap();
         fs::remove_file(&path).ok();
+        // The one scenario's header and five rows.
         assert_eq!(out.lines().count(), 6, "{out}");
         assert!(out.contains("speedup"));
         // Bad axis.
@@ -1020,7 +1026,47 @@ mod tests {
         assert!(out.contains("characterization of Web"));
         assert!(out.contains("Logging"));
         let err = run(&args(&["characterize", "nope"])).unwrap_err();
-        assert!(err.contains("unknown service"));
+        assert_eq!(
+            err,
+            "unknown service 'nope' (expected one of: web, feed1, feed2, ads1, ads2, cache1, \
+             cache2, cache3, ai-inference, kvstore, pqc)"
+        );
+    }
+
+    #[test]
+    fn characterize_resolves_every_display_name_in_any_case() {
+        // The argument is lower-cased and looked up as a slug, so any
+        // casing of a display name resolves to its service as long as
+        // every slug is its display name in lower case.
+        for id in ServiceId::ALL {
+            let display = id.to_string();
+            assert_eq!(id.slug(), display.to_ascii_lowercase(), "{id:?}");
+            let alternating: String = display
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c.to_ascii_lowercase()
+                    }
+                })
+                .collect();
+            for arg in [
+                display.clone(),
+                display.to_ascii_uppercase(),
+                display.to_ascii_lowercase(),
+                alternating,
+            ] {
+                let out = run(&args(&["characterize", &arg, "--samples", "1"])).unwrap();
+                let header = format!("characterization of {id}:");
+                assert_eq!(out.lines().next(), Some(header.as_str()), "{arg}");
+            }
+        }
+        // Near misses fail.
+        for arg in ["ai_inference", "cache", "web ", "Cache4"] {
+            assert!(run(&args(&["characterize", arg])).is_err(), "{arg}");
+        }
     }
 
     #[test]
@@ -1281,11 +1327,12 @@ mod tests {
                 "--points must be at most 10000",
             ),
             ("offloads", &["--from", "1", "--to", "2", "--points", "-3"], "--points"),
-            // Used to print only the `2.00` row and exit 0.
+            // Used to print only the `2.00` row and exit 0. The error
+            // names the scenario the value was rejected for.
             (
                 "peak-speedup",
                 &["--from", "0.1", "--to", "2", "--points", "3"],
-                "invalid parameter A = 0.1",
+                "scenario 'aes-ni-cache1': invalid parameter A = 0.1",
             ),
             // hi/lo overflows, so the grid was NaN and infinite, and the
             // sweep printed a header with no rows and exited 0.
@@ -1298,9 +1345,10 @@ mod tests {
             let err = sweep(axis, extra).expect_err(&format!("{axis} {extra:?}"));
             assert!(err.contains(needle), "{axis} {extra:?}: {err}");
         }
-        // The cap itself is accepted, one row per point.
+        // The cap itself is accepted: one header and one row per point
+        // for each of the file's three scenarios.
         let out = sweep("offloads", &["--from", "1", "--to", "2", "--points", "10000"]).unwrap();
-        assert_eq!(out.lines().count(), 10_001);
+        assert_eq!(out.lines().count(), 3 * 10_001);
     }
 
     #[test]

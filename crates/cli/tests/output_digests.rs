@@ -12,7 +12,10 @@
 //! `breakeven` and `timeline` — are pinned over the shipped parameter
 //! files, every sweep axis, every design × strategy break-even and every
 //! timeline, with digests captured before the cost routing of eqns
-//! (1)–(8) was gathered into one place in `accelerometer::model`.
+//! (1)–(8) was gathered into one place in `accelerometer::model`. The
+//! six `sweep` digests were re-captured when `sweep` began to sweep
+//! every scenario of its file instead of only the first; the first
+//! block of each is still pinned to the old single-scenario bytes.
 //!
 //! The simulator-backed reports — `validate`, the fallback-capacity
 //! table and the ablations — are pinned the same way, with digests
@@ -178,12 +181,12 @@ const MODEL: &[(&str, u64)] = &[
     ("bounds configs/table7-compression.json", 0x4cf72a30e6f6b068),
     ("slo configs/table7-compression.json", 0xe5ec643cca2561f4),
     ("slo configs/table7-compression.json --min-reduction 1.05", 0xa3ca808ce9bafd0d),
-    ("sweep configs/table6.json --axis peak-speedup --from 1 --to 64 --points 7", 0xf44a208c97482ed9),
-    ("sweep configs/table6.json --axis interface-latency --from 0 --to 10000 --points 6", 0x67a52dd5a908590d),
-    ("sweep configs/table6.json --axis offloads --from 1000 --to 10000000 --points 5", 0x23c3876fc6540e35),
-    ("sweep configs/table6.json --axis kernel-fraction --from 0.05 --to 0.9 --points 6", 0xae1d2f1a7eb342cf),
-    ("sweep configs/table6.json --axis queueing --from 0 --to 5000 --points 6", 0xa9906304b76c5df4),
-    ("sweep configs/table6.json --axis thread-switch --from 0 --to 20000 --points 5", 0x5c8d70b51fe10c98),
+    ("sweep configs/table6.json --axis peak-speedup --from 1 --to 64 --points 7", 0x5b88731548d5b842),
+    ("sweep configs/table6.json --axis interface-latency --from 0 --to 10000 --points 6", 0x47de6d0c79b4194a),
+    ("sweep configs/table6.json --axis offloads --from 1000 --to 10000000 --points 5", 0xcf3aa37f19bb2b57),
+    ("sweep configs/table6.json --axis kernel-fraction --from 0.05 --to 0.9 --points 6", 0xffcac1c9d110b09f),
+    ("sweep configs/table6.json --axis queueing --from 0 --to 5000 --points 6", 0xc01620f79d2f9d9a),
+    ("sweep configs/table6.json --axis thread-switch --from 0 --to 20000 --points 5", 0x9b7cdc7527a82f26),
     ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync --strategy on-chip", 0x9f4ed3e4bfe5f97f),
     ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync --strategy off-chip", 0x9ecde330378b05d3),
     ("breakeven --cb 5.62 --a 27 --o0 100 --l 2300 --q 50 --o1 400 --design sync --strategy remote", 0x78403440e194779f),
@@ -206,25 +209,29 @@ const MODEL: &[(&str, u64)] = &[
     ("timeline async-no-response", 0xabc753cd01849e49),
 ];
 
+/// Runs a space-separated model command, reading a `configs/` argument
+/// from the repository root.
+fn model_cli(command: &str) -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let argv: Vec<String> = command
+        .split(' ')
+        .map(|a| {
+            if a.starts_with("configs/") {
+                format!("{root}{a}")
+            } else {
+                a.to_owned()
+            }
+        })
+        .collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    cli(&argv)
+}
+
 #[test]
 fn model_commands_match_their_recorded_digests() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
     let actual: Vec<(&str, u64)> = MODEL
         .iter()
-        .map(|&(command, _)| {
-            let argv: Vec<String> = command
-                .split(' ')
-                .map(|a| {
-                    if a.starts_with("configs/") {
-                        format!("{root}{a}")
-                    } else {
-                        a.to_owned()
-                    }
-                })
-                .collect();
-            let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
-            (command, fnv1a(&cli(&argv)))
-        })
+        .map(|&(command, _)| (command, fnv1a(&model_cli(command))))
         .collect();
     let rendered: Vec<String> = actual
         .iter()
@@ -236,4 +243,42 @@ fn model_commands_match_their_recorded_digests() {
         "a model command's output drifted; actual digests:\n{}",
         rendered.join("\n")
     );
+}
+
+/// The six `sweep` rows of [`MODEL`] as they read when `sweep` swept
+/// only the first scenario of its params file. Every scenario is swept
+/// now, one block each in file order, and the first block must still be
+/// byte for byte what the single-scenario sweep printed.
+const SWEEP_FIRST_SCENARIO: &[(&str, u64)] = &[
+    ("sweep configs/table6.json --axis peak-speedup --from 1 --to 64 --points 7", 0xf44a208c97482ed9),
+    ("sweep configs/table6.json --axis interface-latency --from 0 --to 10000 --points 6", 0x67a52dd5a908590d),
+    ("sweep configs/table6.json --axis offloads --from 1000 --to 10000000 --points 5", 0x23c3876fc6540e35),
+    ("sweep configs/table6.json --axis kernel-fraction --from 0.05 --to 0.9 --points 6", 0xae1d2f1a7eb342cf),
+    ("sweep configs/table6.json --axis queueing --from 0 --to 5000 --points 6", 0xa9906304b76c5df4),
+    ("sweep configs/table6.json --axis thread-switch --from 0 --to 20000 --points 5", 0x5c8d70b51fe10c98),
+];
+
+#[test]
+fn every_sweep_begins_with_the_single_scenario_output() {
+    for &(command, first_scenario) in SWEEP_FIRST_SCENARIO {
+        let out = model_cli(command);
+        // Split before each block header, keeping every byte.
+        let starts: Vec<usize> = out.match_indices("sweep of ").map(|(i, _)| i).collect();
+        assert_eq!(starts.first(), Some(&0), "{command}");
+        let blocks: Vec<&str> = starts
+            .iter()
+            .zip(starts.iter().skip(1).chain([&out.len()]))
+            .map(|(&from, &to)| &out[from..to])
+            .collect();
+        let names: Vec<&str> = blocks
+            .iter()
+            .map(|b| b.lines().next().unwrap().rsplit(" for scenario ").next().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            ["'aes-ni-cache1':", "'encryption-cache3':", "'inference-ads1':"],
+            "{command}"
+        );
+        assert_eq!(fnv1a(blocks[0]), first_scenario, "{command}: first block drifted");
+    }
 }

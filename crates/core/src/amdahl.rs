@@ -2,14 +2,10 @@
 //!
 //! Accelerometer's equations reduce to Amdahl's law when every offload
 //! overhead is zero; the paper's Fig. 20 "Ideal" bars are exactly the
-//! `A → ∞` limit. This module provides that baseline plus the standard
-//! inversions, both as a sanity anchor for the full model and as the
-//! comparison point for the "performance bounds from accelerator offload
-//! limit achievable speedup" result.
-
-use serde::{Deserialize, Serialize};
-
-use crate::error::{ensure, Result};
+//! `A → ∞` limit. This module provides that baseline, both as a sanity
+//! anchor for the full model and as the comparison point for the
+//! "performance bounds from accelerator offload limit achievable speedup"
+//! result.
 
 /// Amdahl's-law speedup for accelerating a fraction `alpha` of execution
 /// by a factor `a`: `1 / ((1 − α) + α/A)`.
@@ -36,76 +32,6 @@ pub fn ideal_speedup(alpha: f64) -> f64 {
     1.0 / (1.0 - alpha)
 }
 
-/// Inverts Amdahl's law: the accelerated fraction required to achieve
-/// `target` speedup with acceleration factor `a`.
-///
-/// # Errors
-///
-/// Returns [`crate::ModelError::InvalidParameter`] if `target < 1`, if
-/// `a <= 1`, or if the target exceeds the asymptotic limit `a` (no
-/// fraction suffices).
-pub fn required_fraction(target: f64, a: f64) -> Result<f64> {
-    ensure(target >= 1.0, "target", target, "speedup target must be >= 1")?;
-    ensure(a > 1.0, "A", a, "acceleration factor must exceed 1")?;
-    // 1/((1-α) + α/A) = S  →  α = (1 − 1/S) / (1 − 1/A).
-    let alpha = (1.0 - 1.0 / target) / (1.0 - 1.0 / a);
-    ensure(
-        alpha <= 1.0,
-        "target",
-        target,
-        "speedup target exceeds the acceleration factor's asymptote",
-    )?;
-    Ok(alpha)
-}
-
-/// Inverts Amdahl's law for `A`: the acceleration factor required to reach
-/// `target` speedup on a fraction `alpha`.
-///
-/// # Errors
-///
-/// Returns [`crate::ModelError::InvalidParameter`] if `target < 1`,
-/// `alpha` is outside `(0, 1]`, or the target exceeds the ideal speedup
-/// `1/(1−α)`.
-pub fn required_acceleration(target: f64, alpha: f64) -> Result<f64> {
-    ensure(target >= 1.0, "target", target, "speedup target must be >= 1")?;
-    ensure(
-        alpha > 0.0 && alpha <= 1.0,
-        "alpha",
-        alpha,
-        "must satisfy 0 < alpha <= 1",
-    )?;
-    ensure(
-        target < ideal_speedup(alpha) || (alpha == 1.0),
-        "target",
-        target,
-        "speedup target exceeds the ideal speedup 1/(1-alpha)",
-    )?;
-    // α/A = 1/S − (1 − α)  →  A = α / (1/S − 1 + α).
-    Ok(alpha / (1.0 / target - 1.0 + alpha))
-}
-
-/// The maximum fleet-wide throughput gain from eliminating a functionality
-/// entirely, as the paper uses for its "even infinite inference
-/// acceleration only yields 1.49×–2.38×" observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IdealGain {
-    /// The fraction of cycles the functionality consumes.
-    pub fraction: f64,
-    /// The resulting ideal speedup `1 / (1 − fraction)`.
-    pub speedup: f64,
-}
-
-impl IdealGain {
-    /// Computes the ideal gain for a cycle fraction.
-    #[must_use]
-    pub fn for_fraction(fraction: f64) -> Self {
-        Self {
-            fraction,
-            speedup: ideal_speedup(fraction),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,43 +51,8 @@ mod tests {
         assert!((ideal_speedup(0.58) - 2.38).abs() < 0.005);
     }
 
-    /// §1: "an important ML microservice can speed up by only 49% even if
-    /// its ML inference takes no time."
-    #[test]
-    fn ml_service_49_percent() {
-        let gain = IdealGain::for_fraction(0.33);
-        assert!((gain.speedup - 1.49).abs() < 0.005);
-        assert_eq!(gain.fraction, 0.33);
-    }
-
     #[test]
     fn no_acceleration_is_identity() {
         assert!((speedup(0.5, 1.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn required_fraction_inverts_speedup() {
-        let alpha = required_fraction(1.2, 4.0).unwrap();
-        assert!((speedup(alpha, 4.0) - 1.2).abs() < 1e-12);
-        assert!(required_fraction(0.9, 4.0).is_err());
-        assert!(required_fraction(1.2, 1.0).is_err());
-        // A 4× accelerator cannot deliver 5× no matter the fraction.
-        assert!(required_fraction(5.0, 4.0).is_err());
-    }
-
-    #[test]
-    fn required_acceleration_inverts_speedup() {
-        let a = required_acceleration(1.1, 0.15).unwrap();
-        assert!((speedup(0.15, a) - 1.1).abs() < 1e-12);
-        // Target beyond the ideal limit is impossible.
-        assert!(required_acceleration(1.2, 0.15).is_err());
-        assert!(required_acceleration(0.5, 0.15).is_err());
-        assert!(required_acceleration(1.1, 0.0).is_err());
-    }
-
-    #[test]
-    fn full_fraction_gives_a() {
-        let a = required_acceleration(3.0, 1.0).unwrap();
-        assert!((a - 3.0).abs() < 1e-12);
     }
 }

@@ -93,12 +93,6 @@ pub struct BoundReport {
 }
 
 impl BoundReport {
-    /// The dominant *overhead* term, if any overhead exists.
-    #[must_use]
-    pub fn dominant_overhead(&self) -> Option<BoundTerm> {
-        self.overhead_terms.first().map(|(t, _)| *t)
-    }
-
     /// Fraction of the possible gain lost to offload overheads:
     /// `(S₀ − S) / (S₀ − 1)` where `S₀` is the zero-overhead speedup.
     #[must_use]
@@ -190,6 +184,11 @@ mod tests {
     use crate::strategy::AccelerationStrategy;
     use crate::threading::ThreadingDesign;
 
+    /// The largest overhead term, if any overhead exists.
+    fn dominant_overhead(report: &BoundReport) -> Option<BoundTerm> {
+        report.overhead_terms.first().map(|(t, _)| *t)
+    }
+
     fn scenario(
         o0: f64,
         l: f64,
@@ -231,7 +230,7 @@ mod tests {
         // Huge L, everything else small: Transfer dominates.
         let s = scenario(10.0, 50_000.0, 0.0, 100.0, ThreadingDesign::Sync, AccelerationStrategy::OffChip);
         let report = diagnose(&s);
-        assert_eq!(report.dominant_overhead(), Some(BoundTerm::Transfer));
+        assert_eq!(dominant_overhead(&report), Some(BoundTerm::Transfer));
         assert!(report.overhead_penalty() > 0.5);
         assert!(report.render().contains("pipelined"));
     }
@@ -240,7 +239,7 @@ mod tests {
     fn switch_bound_sync_os_is_identified() {
         let s = scenario(0.0, 100.0, 20_000.0, 100.0, ThreadingDesign::SyncOs, AccelerationStrategy::OffChip);
         let report = diagnose(&s);
-        assert_eq!(report.dominant_overhead(), Some(BoundTerm::ThreadSwitch));
+        assert_eq!(dominant_overhead(&report), Some(BoundTerm::ThreadSwitch));
         assert!(report.render().contains("same-thread"));
     }
 
@@ -248,7 +247,7 @@ mod tests {
     fn sync_low_a_is_accelerator_time_bound() {
         let s = scenario(0.0, 10.0, 0.0, 1.5, ThreadingDesign::Sync, AccelerationStrategy::OnChip);
         let report = diagnose(&s);
-        assert_eq!(report.dominant_overhead(), Some(BoundTerm::AcceleratorTime));
+        assert_eq!(dominant_overhead(&report), Some(BoundTerm::AcceleratorTime));
         // The ceiling for Sync keeps αC/A: it is the Amdahl speedup.
         let amdahl = crate::amdahl::speedup(0.2, 1.5);
         assert!((report.zero_overhead_speedup - amdahl).abs() < 1e-12);
@@ -274,7 +273,7 @@ mod tests {
             .overhead_terms
             .iter()
             .all(|(t, _)| *t != BoundTerm::Transfer));
-        assert_eq!(report.dominant_overhead(), Some(BoundTerm::Setup));
+        assert_eq!(dominant_overhead(&report), Some(BoundTerm::Setup));
     }
 
     #[test]
@@ -282,9 +281,9 @@ mod tests {
         let s = scenario(0.0, 0.0, 0.0, 8.0, ThreadingDesign::Sync, AccelerationStrategy::OnChip);
         let report = diagnose(&s);
         assert_eq!(report.overhead_penalty(), 0.0);
-        assert!(report.dominant_overhead().is_some()); // αC/A remains
+        assert!(dominant_overhead(&report).is_some()); // αC/A remains
         let s2 = scenario(0.0, 0.0, 0.0, 8.0, ThreadingDesign::AsyncSameThread, AccelerationStrategy::OnChip);
-        assert!(diagnose(&s2).dominant_overhead().is_none());
+        assert!(dominant_overhead(&diagnose(&s2)).is_none());
     }
 
     #[test]
@@ -311,7 +310,7 @@ mod tests {
             .unwrap();
         let s = Scenario::new(params, ThreadingDesign::Sync, AccelerationStrategy::OnChip);
         let report = diagnose(&s);
-        assert_eq!(report.dominant_overhead(), Some(BoundTerm::AcceleratorTime));
+        assert_eq!(dominant_overhead(&report), Some(BoundTerm::AcceleratorTime));
         assert!(report.overhead_penalty() < 0.1);
     }
 }

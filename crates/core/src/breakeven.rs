@@ -1,5 +1,4 @@
-//! Per-offload profitability tests and break-even granularities
-//! (eqns 2, 4, 7 and their latency counterparts).
+//! Break-even offload granularities (eqns 2, 4 and 7).
 //!
 //! Not every offload is worth dispatching: for very small granularities
 //! the dispatch overheads dominate the cycles saved. The paper assumes
@@ -12,10 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::complexity::KernelCost;
-use crate::model::{
-    accelerator_time_in_latency, latency_overhead_per_offload, throughput_overhead_per_offload,
-    DriverMode,
-};
+use crate::model::{throughput_overhead_per_offload, DriverMode};
 use crate::params::OffloadOverheads;
 use crate::strategy::AccelerationStrategy;
 use crate::threading::ThreadingDesign;
@@ -35,16 +31,6 @@ pub enum BreakEven {
 }
 
 impl BreakEven {
-    /// Whether an offload of `g` bytes clears this break-even point.
-    #[must_use]
-    pub fn is_lucrative(&self, g: Bytes) -> bool {
-        match *self {
-            BreakEven::AtLeast(min) => g > min,
-            BreakEven::Always => g.get() > 0.0,
-            BreakEven::Never => false,
-        }
-    }
-
     /// The threshold in bytes, if one exists. [`BreakEven::Always`] maps
     /// to zero bytes; [`BreakEven::Never`] maps to `None`.
     #[must_use]
@@ -161,38 +147,10 @@ pub fn throughput_breakeven(cost: &KernelCost, ctx: &OffloadContext) -> BreakEve
     )
 }
 
-/// Minimum granularity at which a single offload reduces **per-request
-/// latency**.
-///
-/// Implements the latency-side conditions of §3: e.g. for Sync-OS,
-/// `Cb·g > Cb·g/A + (o0 + L + Q + o1)`.
-#[must_use]
-pub fn latency_breakeven(cost: &KernelCost, ctx: &OffloadContext) -> BreakEven {
-    let overhead = latency_overhead_per_offload(ctx.overheads, ctx.design);
-    solve(
-        cost,
-        overhead.get(),
-        accelerator_time_in_latency(ctx.design, ctx.strategy),
-        ctx.peak_speedup,
-    )
-}
-
-/// Whether a single offload of `g` bytes improves throughput.
-#[must_use]
-pub fn offload_improves_throughput(cost: &KernelCost, ctx: &OffloadContext, g: Bytes) -> bool {
-    throughput_breakeven(cost, ctx).is_lucrative(g)
-}
-
-/// Whether a single offload of `g` bytes reduces per-request latency.
-#[must_use]
-pub fn offload_reduces_latency(cost: &KernelCost, ctx: &OffloadContext, g: Bytes) -> bool {
-    latency_breakeven(cost, ctx).is_lucrative(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{bytes, cycles_per_byte};
+    use crate::units::cycles_per_byte;
 
     fn linear(cb: f64) -> KernelCost {
         KernelCost::linear(cycles_per_byte(cb))
@@ -212,7 +170,6 @@ mod tests {
         let be = throughput_breakeven(&cost, &ctx);
         let g = be.threshold().expect("finite break-even");
         assert!(g.get() <= 1.0, "break-even {g} should be <= 1 B");
-        assert!(be.is_lucrative(bytes(4.0)));
     }
 
     /// §5 compression: off-chip Sync breaks even at 425 B with
@@ -228,25 +185,6 @@ mod tests {
         let be = throughput_breakeven(&linear(5.62), &ctx);
         let g = be.threshold().unwrap();
         assert!((g.get() - 425.0).abs() < 1.0, "break-even {g}");
-    }
-
-    /// An offload of exactly the break-even size saves nothing, so it is
-    /// not lucrative; one a hair larger is.
-    #[test]
-    fn the_break_even_size_itself_is_not_lucrative() {
-        let at_425 = BreakEven::AtLeast(bytes(425.0));
-        assert!(!at_425.is_lucrative(bytes(425.0)));
-        assert!(at_425.is_lucrative(bytes(425.0_f64.next_up())));
-        let ctx = OffloadContext::new(
-            OffloadOverheads::new(0.0, 2_300.0, 0.0, 0.0),
-            27.0,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OffChip,
-        );
-        let be = throughput_breakeven(&linear(5.62), &ctx);
-        let g = be.threshold().expect("finite break-even");
-        assert!(!be.is_lucrative(g), "break-even {g}");
-        assert!(be.is_lucrative(bytes(g.get().next_up())), "break-even {g}");
     }
 
     /// §5 compression Sync-OS: threshold rises to ≈2455 B because two
@@ -290,8 +228,6 @@ mod tests {
         );
         let be = throughput_breakeven(&linear(1.0), &ctx);
         assert_eq!(be, BreakEven::Always);
-        assert!(be.is_lucrative(bytes(1.0)));
-        assert!(!be.is_lucrative(bytes(0.0)));
         assert_eq!(be.threshold(), Some(Bytes::ZERO));
     }
 
@@ -308,7 +244,6 @@ mod tests {
         );
         let be = throughput_breakeven(&linear(5.0), &ctx);
         assert_eq!(be, BreakEven::Never);
-        assert!(!be.is_lucrative(bytes(1e12)));
         assert_eq!(be.threshold(), None);
     }
 
@@ -326,41 +261,6 @@ mod tests {
         let g = be.threshold().unwrap();
         // Cb·g > o0 + o1 (= 100 + 0) → g > 20.
         assert!((g.get() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_breakeven_exceeds_throughput_breakeven_for_sync_os() {
-        // Latency pays the accelerator time and the transfer; throughput
-        // with a posted driver does not.
-        let ctx = OffloadContext {
-            overheads: OffloadOverheads::new(0.0, 2_300.0, 0.0, 5_750.0),
-            peak_speedup: 27.0,
-            design: ThreadingDesign::SyncOs,
-            strategy: AccelerationStrategy::OffChip,
-            driver: DriverMode::Posted,
-        };
-        let cost = linear(5.62);
-        let tp = throughput_breakeven(&cost, &ctx).threshold().unwrap();
-        let lat = latency_breakeven(&cost, &ctx).threshold().unwrap();
-        // Throughput (posted): (o0 + 2·o1)/Cb = 11_500/5.62 ≈ 2046.
-        assert!((tp.get() - 11_500.0 / 5.62).abs() < 1.0);
-        // Latency: Cb·g(1-1/27) > 2_300 + 5_750 → g ≈ 1487.8.
-        let expected_lat = (2_300.0 + 5_750.0) / (5.62 * (1.0 - 1.0 / 27.0));
-        assert!((lat.get() - expected_lat).abs() < 1.0);
-    }
-
-    #[test]
-    fn predicate_helpers_agree_with_breakeven() {
-        let ctx = OffloadContext::new(
-            OffloadOverheads::new(0.0, 2_300.0, 0.0, 0.0),
-            27.0,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OffChip,
-        );
-        let cost = linear(5.62);
-        assert!(!offload_improves_throughput(&cost, &ctx, bytes(100.0)));
-        assert!(offload_improves_throughput(&cost, &ctx, bytes(1_000.0)));
-        assert!(offload_reduces_latency(&cost, &ctx, bytes(1_000.0)));
     }
 
     #[test]

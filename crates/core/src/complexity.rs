@@ -43,18 +43,6 @@ impl Complexity {
         self.0
     }
 
-    /// `true` when `β < 1`.
-    #[must_use]
-    pub fn is_sub_linear(self) -> bool {
-        self.0 < 1.0
-    }
-
-    /// `true` when `β > 1`.
-    #[must_use]
-    pub fn is_super_linear(self) -> bool {
-        self.0 > 1.0
-    }
-
     /// Evaluates `g^β`.
     #[must_use]
     pub fn scale(self, g: Bytes) -> f64 {
@@ -102,35 +90,17 @@ impl KernelCost {
     pub fn host_cycles(&self, g: Bytes) -> Cycles {
         Cycles::new(self.cycles_per_byte.get() * self.complexity.scale(g))
     }
-
-    /// Accelerator cycles for a `g`-byte invocation: `Cb · g^β / A`.
-    ///
-    /// The paper assumes host and accelerator run kernels of the same
-    /// complexity, the accelerator simply being `A×` faster.
-    #[must_use]
-    pub fn accelerator_cycles(&self, g: Bytes, peak_speedup: f64) -> Cycles {
-        self.host_cycles(g) / peak_speedup
-    }
-
-    /// Inverts the cost model: the granularity whose host cost equals
-    /// `target` cycles.
-    #[must_use]
-    pub fn granularity_for_cycles(&self, target: Cycles) -> Bytes {
-        self.complexity.invert(target.get() / self.cycles_per_byte.get())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{bytes, cycles, cycles_per_byte};
+    use crate::units::{bytes, cycles_per_byte};
 
     #[test]
     fn linear_is_default() {
         assert_eq!(Complexity::default(), Complexity::LINEAR);
         assert_eq!(Complexity::LINEAR.beta(), 1.0);
-        assert!(!Complexity::LINEAR.is_sub_linear());
-        assert!(!Complexity::LINEAR.is_super_linear());
     }
 
     #[test]
@@ -138,8 +108,6 @@ mod tests {
         assert!(Complexity::new(0.0).is_err());
         assert!(Complexity::new(-1.0).is_err());
         assert!(Complexity::new(f64::NAN).is_err());
-        assert!(Complexity::new(0.5).unwrap().is_sub_linear());
-        assert!(Complexity::new(2.0).unwrap().is_super_linear());
     }
 
     #[test]
@@ -158,14 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn accelerator_cuts_cost_by_a() {
-        let cost = KernelCost::linear(cycles_per_byte(2.0));
-        let host = cost.host_cycles(bytes(100.0));
-        let accel = cost.accelerator_cycles(bytes(100.0), 4.0);
-        assert!((host.get() / accel.get() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn super_linear_kernel_grows_faster() {
         let lin = KernelCost::linear(cycles_per_byte(1.0));
         let sup = KernelCost {
@@ -175,17 +135,5 @@ mod tests {
         assert!(sup.host_cycles(bytes(1024.0)) > lin.host_cycles(bytes(1024.0)));
         // And slower below 1 byte-scale.
         assert!(sup.host_cycles(bytes(0.5)) < lin.host_cycles(bytes(0.5)));
-    }
-
-    #[test]
-    fn granularity_for_cycles_inverts_host_cycles() {
-        let cost = KernelCost {
-            cycles_per_byte: cycles_per_byte(3.0),
-            complexity: Complexity::new(1.2).unwrap(),
-        };
-        let g = bytes(777.0);
-        let c = cost.host_cycles(g);
-        assert!((cost.granularity_for_cycles(c).get() - 777.0).abs() < 1e-6);
-        let _ = cycles(0.0);
     }
 }

@@ -20,8 +20,6 @@
 //! }
 //! ```
 
-use std::io::Read;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure, ModelError, Result};
@@ -97,27 +95,6 @@ impl ScenarioConfig {
         }
         Ok(scenario)
     }
-
-    /// Builds a config back from a scenario, for round-tripping results.
-    #[must_use]
-    pub fn from_scenario(name: impl Into<String>, scenario: &Scenario) -> Self {
-        let p = &scenario.params;
-        let ovh = p.overheads();
-        Self {
-            name: name.into(),
-            c: p.host_cycles().get(),
-            alpha: p.kernel_fraction(),
-            n: p.offloads(),
-            o0: ovh.setup.get(),
-            l: ovh.interface.get(),
-            q: ovh.queueing.get(),
-            o1: ovh.thread_switch.get(),
-            a: p.peak_speedup(),
-            design: scenario.design,
-            strategy: scenario.strategy,
-            driver: Some(scenario.driver),
-        }
-    }
 }
 
 /// A configuration file: a set of named scenarios.
@@ -135,29 +112,6 @@ impl ConfigFile {
     /// Returns [`ModelError::Config`] on malformed JSON.
     pub fn from_json(json: &str) -> Result<Self> {
         serde_json::from_str(json).map_err(|e| ModelError::Config(e.to_string()))
-    }
-
-    /// Parses a configuration from a reader (e.g. an open file).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Config`] on I/O or parse failure.
-    pub fn from_reader<R: Read>(mut reader: R) -> Result<Self> {
-        let mut buf = String::new();
-        reader
-            .read_to_string(&mut buf)
-            .map_err(|e| ModelError::Config(e.to_string()))?;
-        Self::from_json(&buf)
-    }
-
-    /// Serializes the configuration to pretty-printed JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Config`] if serialization fails (it cannot
-    /// for well-formed configs).
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string_pretty(self).map_err(|e| ModelError::Config(e.to_string()))
     }
 
     /// Converts every entry into an evaluable scenario, pairing each with
@@ -243,26 +197,9 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let cfg = ConfigFile::from_json(AES_JSON).unwrap();
-        let json = cfg.to_json().unwrap();
+        let json = serde_json::to_string_pretty(&cfg).unwrap();
         let back = ConfigFile::from_json(&json).unwrap();
         assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn from_reader_works() {
-        let cfg = ConfigFile::from_reader(AES_JSON.as_bytes()).unwrap();
-        assert_eq!(cfg.scenarios.len(), 1);
-    }
-
-    #[test]
-    fn scenario_round_trip_preserves_parameters() {
-        let cfg = ConfigFile::from_json(AES_JSON).unwrap();
-        let scenario = cfg.scenarios[0].to_scenario().unwrap();
-        let back = ScenarioConfig::from_scenario("aes-ni-cache1", &scenario);
-        assert_eq!(back.c, 2.0e9);
-        assert_eq!(back.alpha, 0.165844);
-        assert_eq!(back.driver, Some(scenario.driver));
-        assert_eq!(back.to_scenario().unwrap().estimate(), scenario.estimate());
     }
 
     #[test]

@@ -61,35 +61,6 @@ impl GranularityCdf {
         Ok(Self { points })
     }
 
-    /// Builds a CDF from per-bucket counts: `buckets[i]` holds the count
-    /// of offloads whose size is at most `upper_bounds[i]` bytes and
-    /// greater than the previous bound.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GranularityCdf::from_points`], plus
-    /// [`ModelError::EmptyDistribution`] when all counts are zero or the
-    /// slice lengths differ.
-    pub fn from_bucket_counts(upper_bounds: &[f64], counts: &[u64]) -> Result<Self> {
-        if upper_bounds.len() != counts.len() || upper_bounds.is_empty() {
-            return Err(ModelError::EmptyDistribution);
-        }
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return Err(ModelError::EmptyDistribution);
-        }
-        let mut cumulative = 0u64;
-        let points = upper_bounds
-            .iter()
-            .zip(counts)
-            .map(|(&g, &c)| {
-                cumulative += c;
-                (g, cumulative as f64 / total as f64)
-            })
-            .collect();
-        Self::from_points(points)
-    }
-
     /// The breakpoints `(bytes, cumulative fraction)`.
     #[must_use]
     pub fn points(&self) -> &[(f64, f64)] {
@@ -335,17 +306,6 @@ mod tests {
         assert!(GranularityCdf::from_points(vec![(10.0, 1.5)]).is_err());
         // Negative bytes.
         assert!(GranularityCdf::from_points(vec![(-1.0, 0.5), (2.0, 1.0)]).is_err());
-    }
-
-    #[test]
-    fn bucket_counts_constructor() {
-        let cdf =
-            GranularityCdf::from_bucket_counts(&[64.0, 128.0, 256.0], &[50, 25, 25]).unwrap();
-        assert!((cdf.fraction_at_or_below(bytes(64.0)) - 0.5).abs() < 1e-12);
-        assert!((cdf.fraction_at_or_below(bytes(128.0)) - 0.75).abs() < 1e-12);
-        assert!((cdf.fraction_at_or_below(bytes(256.0)) - 1.0).abs() < 1e-12);
-        assert!(GranularityCdf::from_bucket_counts(&[64.0], &[0]).is_err());
-        assert!(GranularityCdf::from_bucket_counts(&[64.0], &[1, 2]).is_err());
     }
 
     #[test]

@@ -58,10 +58,7 @@ pub mod config;
 pub mod error;
 pub mod exec;
 pub mod granularity;
-pub mod interface;
-pub mod logca;
 pub mod model;
-pub mod multi;
 pub mod params;
 pub mod projection;
 pub mod queueing;
@@ -73,21 +70,13 @@ pub mod timeline;
 pub mod units;
 
 pub use bounds::{diagnose, BoundReport, BoundTerm};
-pub use breakeven::{
-    latency_breakeven, offload_improves_throughput, offload_reduces_latency,
-    throughput_breakeven, BreakEven, OffloadContext,
-};
-pub use interface::{throughput_breakeven_with_transfer, TransferModel};
+pub use breakeven::{throughput_breakeven, BreakEven, OffloadContext};
 pub use slo::LatencySlo;
 pub use complexity::{Complexity, KernelCost};
 pub use config::{ConfigFile, ScenarioConfig};
 pub use error::{ModelError, Result};
 pub use granularity::{select_lucrative, GranularityCdf, GranularitySampler, LucrativeSelection};
-pub use model::{
-    estimate, estimate_with_faults, estimate_with_queue_distribution, DriverMode, Estimate,
-    Scenario,
-};
-pub use multi::{KernelComponent, MultiKernelPlan};
+pub use model::{estimate, estimate_with_faults, DriverMode, Estimate, Scenario};
 pub use params::{ModelParams, ModelParamsBuilder, OffloadOverheads};
 pub use projection::{project, AcceleratorSpec, KernelProfile, OffloadPolicy, Projection};
 pub use strategy::AccelerationStrategy;

@@ -335,9 +335,7 @@ pub fn estimate(
 /// * **Retry inflation.** Every saga attempt crosses the interface and
 ///   occupies the accelerator, so the per-offload overhead `o0 + (L+Q)`
 ///   and the accelerator operating time `α/A` are multiplied by the
-///   expected attempts `E[a] = (1 − p^(r+1)) / (1 − p)`. Callers
-///   driving the `Q` estimators should likewise inflate the arrival
-///   rate with [`FaultLoad::inflated_arrival_rate`].
+///   expected attempts `E[a] = (1 − p^(r+1)) / (1 − p)`.
 /// * **Fallback load.** A saga that exhausts its attempts under a
 ///   fallback policy re-executes the kernel on the host: expected host
 ///   demand `p_fb · α·C` lands back on the throughput *and* latency
@@ -362,43 +360,6 @@ pub fn estimate_with_faults(
         load.expected_attempts,
         load.host_fallback_probability(),
     )
-}
-
-/// Evaluates the model with an explicit per-offload queueing distribution,
-/// replacing the mean-queueing term `n·Q` with `Σᵢ Qᵢ` (§3, eqn (1)
-/// discussion).
-///
-/// `queue_samples` holds the queueing delay observed (or projected) for
-/// each offload in the window; its length is used as `n`, overriding
-/// `params.offloads()`, and its sum replaces `n·Q`.
-///
-/// # Errors
-///
-/// Returns [`crate::ModelError::InvalidParameter`] when the samples'
-/// mean is not a valid `Q` (negative, NaN, or overflowing to infinity).
-pub fn estimate_with_queue_distribution(
-    params: &ModelParams,
-    design: ThreadingDesign,
-    strategy: AccelerationStrategy,
-    driver: DriverMode,
-    queue_samples: &[Cycles],
-) -> crate::error::Result<Estimate> {
-    let mean_q = if queue_samples.is_empty() {
-        0.0
-    } else {
-        queue_samples.iter().map(|q| q.get()).sum::<f64>() / queue_samples.len() as f64
-    };
-    let adjusted = ModelParams::builder()
-        .host_cycles(params.host_cycles().get())
-        .kernel_fraction(params.kernel_fraction())
-        .offloads(queue_samples.len() as f64)
-        .overheads(OffloadOverheads {
-            queueing: Cycles::new(mean_q),
-            ..params.overheads()
-        })
-        .peak_speedup(params.peak_speedup())
-        .build()?;
-    Ok(estimate(&adjusted, design, strategy, driver))
 }
 
 #[cfg(test)]
@@ -592,49 +553,6 @@ mod tests {
         );
         let freed = est.freed_cycle_fraction(&p);
         assert!((freed - 0.128).abs() < 0.01, "freed {freed}");
-    }
-
-    #[test]
-    fn queue_distribution_matches_mean_queueing() {
-        let p = params(1e9, 0.2, 4.0, 10.0, 100.0, 25.0, 0.0, 5.0);
-        let mean_est = estimate(
-            &p,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OffChip,
-            DriverMode::AwaitsAck,
-        );
-        let samples = [cycles(0.0), cycles(50.0), cycles(10.0), cycles(40.0)];
-        let dist_est = estimate_with_queue_distribution(
-            &p,
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OffChip,
-            DriverMode::AwaitsAck,
-            &samples,
-        )
-        .unwrap();
-        // Same mean (25 cycles) and same n (4) → identical estimates.
-        assert!((dist_est.throughput_speedup - mean_est.throughput_speedup).abs() < 1e-12);
-    }
-
-    #[test]
-    fn queue_distribution_rejects_samples_that_are_not_a_valid_q() {
-        // Each of these used to panic on the rebuilt parameters'
-        // `expect`: the mean of the samples is the new `Q`.
-        let p = params(1e9, 0.2, 4.0, 10.0, 100.0, 25.0, 0.0, 5.0);
-        for samples in [
-            vec![cycles(-1.0)],
-            vec![cycles(f64::NAN), cycles(10.0)],
-            vec![cycles(f64::MAX), cycles(f64::MAX)],
-        ] {
-            let result = estimate_with_queue_distribution(
-                &p,
-                ThreadingDesign::Sync,
-                AccelerationStrategy::OffChip,
-                DriverMode::AwaitsAck,
-                &samples,
-            );
-            assert!(result.is_err(), "{samples:?}");
-        }
     }
 
     #[test]

@@ -159,52 +159,10 @@ impl ModelParams {
         self.host_cycles * self.kernel_fraction
     }
 
-    /// `α·C/A`: cycles the accelerator spends executing the kernel.
-    #[must_use]
-    pub fn accelerator_cycles(&self) -> Cycles {
-        self.kernel_cycles() / self.peak_speedup
-    }
-
     /// `(1-α)·C`: host cycles spent in non-kernel logic.
     #[must_use]
     pub fn non_kernel_cycles(&self) -> Cycles {
         self.host_cycles * (1.0 - self.kernel_fraction)
-    }
-
-    /// Returns a copy with the kernel fraction replaced (used when scaling
-    /// `α` down to only the lucrative offloads).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::ModelError::InvalidParameter`] if `alpha` is not in
-    /// `(0, 1]`.
-    pub fn with_kernel_fraction(mut self, alpha: f64) -> Result<Self> {
-        ensure(
-            alpha > 0.0 && alpha <= 1.0 && alpha.is_finite(),
-            "alpha",
-            alpha,
-            "must satisfy 0 < alpha <= 1",
-        )?;
-        self.kernel_fraction = alpha;
-        Ok(self)
-    }
-
-    /// Returns a copy with the offload count replaced (used when selecting
-    /// only lucrative offloads).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::ModelError::InvalidParameter`] if `n` is negative
-    /// or non-finite.
-    pub fn with_offloads(mut self, n: f64) -> Result<Self> {
-        ensure(
-            n >= 0.0 && n.is_finite(),
-            "n",
-            n,
-            "offload count must be finite and non-negative",
-        )?;
-        self.offloads = n;
-        Ok(self)
     }
 }
 
@@ -366,7 +324,6 @@ mod tests {
         let p = aes_ni();
         let kernel = p.kernel_cycles().get();
         assert!((kernel - 0.165844 * 2.0e9).abs() < 1.0);
-        assert!((p.accelerator_cycles().get() - kernel / 6.0).abs() < 1.0);
         assert!((p.non_kernel_cycles().get() + kernel - 2.0e9).abs() < 1.0);
     }
 
@@ -442,22 +399,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, ModelError::InvalidParameter { name: "Q", .. }));
-    }
-
-    #[test]
-    fn with_kernel_fraction_validates() {
-        let p = aes_ni();
-        assert!(p.with_kernel_fraction(0.1).is_ok());
-        assert!(p.with_kernel_fraction(0.0).is_err());
-        assert!(p.with_kernel_fraction(2.0).is_err());
-    }
-
-    #[test]
-    fn with_offloads_validates() {
-        let p = aes_ni();
-        assert_eq!(p.with_offloads(5.0).unwrap().offloads(), 5.0);
-        assert!(p.with_offloads(-1.0).is_err());
-        assert!(p.with_offloads(f64::NAN).is_err());
     }
 
     #[test]

@@ -91,19 +91,6 @@ pub struct Projection {
     pub ideal_speedup: f64,
 }
 
-impl Projection {
-    /// Fraction of the ideal gain this configuration realizes:
-    /// `(S − 1) / (S_ideal − 1)`.
-    #[must_use]
-    pub fn efficiency_vs_ideal(&self) -> f64 {
-        let ideal_gain = self.ideal_speedup - 1.0;
-        if ideal_gain <= 0.0 {
-            return 0.0;
-        }
-        (self.estimate.throughput_speedup - 1.0) / ideal_gain
-    }
-}
-
 /// Projects the speedup and latency reduction for accelerating `profile`'s
 /// kernel with `accel` under `design`, defaulting the driver mode from the
 /// strategy.
@@ -395,7 +382,6 @@ mod tests {
         assert_eq!(p.breakeven, BreakEven::Never);
         assert_eq!(p.estimate.throughput_speedup, 1.0);
         assert_eq!(p.selection.offloads, 0.0);
-        assert_eq!(p.efficiency_vs_ideal(), 0.0);
     }
 
     #[test]
@@ -457,16 +443,4 @@ mod tests {
         assert!(all.estimate.throughput_speedup > selective.estimate.throughput_speedup);
     }
 
-    #[test]
-    fn efficiency_vs_ideal_is_bounded() {
-        let p = project(
-            &feed1_compression(),
-            &on_chip_compressor(),
-            ThreadingDesign::Sync,
-            OffloadPolicy::OffloadAll,
-        )
-        .unwrap();
-        let eff = p.efficiency_vs_ideal();
-        assert!(eff > 0.0 && eff < 1.0, "efficiency {eff}");
-    }
 }

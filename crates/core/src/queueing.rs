@@ -1,117 +1,14 @@
-//! Accelerator queueing estimators for the model's `Q` parameter.
+//! The load a fault and recovery regime adds to the model.
 //!
 //! Table 5 defines `Q` as the average cycles an offload waits for the
-//! accelerator to become available. The paper's eqn (1) discussion notes
-//! that `Q` "enables projecting speedup based on accelerator load": a
-//! shared accelerator serving many host cores queues like any other
-//! server. This module provides the standard estimators a capacity
-//! planner would plug in — M/M/1, M/D/1, and an empirical-sample form —
-//! so projections can be driven by offered load instead of a guessed
-//! constant.
+//! accelerator to become available. A params file gives `Q` directly;
+//! this module supplies what a fault plan adds on top of it: the
+//! expected device attempts per offload under retries, and the share of
+//! offloads that fall back to the host.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure, Result};
-use crate::units::Cycles;
-
-/// A single-server queueing estimate of the accelerator's mean wait.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QueueEstimate {
-    /// Offered utilization `ρ = λ·s` (arrival rate × mean service time).
-    pub utilization: f64,
-    /// Mean wait in queue (the model's `Q`), in cycles.
-    pub mean_wait: Cycles,
-    /// Mean number of offloads waiting (Little's law: `λ·W`).
-    pub mean_queue_length: f64,
-}
-
-/// M/M/1 mean queueing delay: `W = ρ/(1−ρ) · s` for service time `s`.
-///
-/// `arrival_rate` is offloads per cycle (e.g. `n / C`); `service` is the
-/// accelerator's mean per-offload service time in cycles.
-///
-/// # Errors
-///
-/// Returns [`crate::ModelError::InvalidParameter`] if the utilization
-/// `ρ = λ·s` is not strictly less than 1 (the queue is unstable) or any
-/// input is negative/non-finite.
-pub fn mm1_wait(arrival_rate: f64, service: Cycles) -> Result<QueueEstimate> {
-    validate_inputs(arrival_rate, service)?;
-    let rho = arrival_rate * service.get();
-    ensure(rho < 1.0, "rho", rho, "utilization must be < 1 for a stable queue")?;
-    let wait = rho / (1.0 - rho) * service.get();
-    Ok(QueueEstimate {
-        utilization: rho,
-        mean_wait: Cycles::new(wait),
-        mean_queue_length: arrival_rate * wait,
-    })
-}
-
-/// M/D/1 mean queueing delay (deterministic service):
-/// `W = ρ/(2(1−ρ)) · s` — half the M/M/1 wait.
-///
-/// Fixed-function accelerators with near-constant per-byte service time
-/// (e.g. an encryption ASIC at a fixed granularity) queue closer to M/D/1
-/// than M/M/1.
-///
-/// # Errors
-///
-/// Same stability conditions as [`mm1_wait`].
-pub fn md1_wait(arrival_rate: f64, service: Cycles) -> Result<QueueEstimate> {
-    validate_inputs(arrival_rate, service)?;
-    let rho = arrival_rate * service.get();
-    ensure(rho < 1.0, "rho", rho, "utilization must be < 1 for a stable queue")?;
-    let wait = rho / (2.0 * (1.0 - rho)) * service.get();
-    Ok(QueueEstimate {
-        utilization: rho,
-        mean_wait: Cycles::new(wait),
-        mean_queue_length: arrival_rate * wait,
-    })
-}
-
-/// Summarizes an empirical queue-delay distribution into the mean `Q` and
-/// tail statistics. This is the `Σᵢ Qᵢ` form of eqn (1): the model's
-/// `n·Q` term is replaced by the distribution's actual sum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QueueDistributionSummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean wait (the model's `Q`).
-    pub mean: Cycles,
-    /// Median wait.
-    pub p50: Cycles,
-    /// 99th-percentile wait — what an SLO guardian watches.
-    pub p99: Cycles,
-    /// Maximum observed wait.
-    pub max: Cycles,
-    /// Total wait across all samples (`Σᵢ Qᵢ`).
-    pub total: Cycles,
-}
-
-/// Summarizes raw queueing samples.
-///
-/// Returns `None` for an empty sample set.
-#[must_use]
-pub fn summarize_samples(samples: &[Cycles]) -> Option<QueueDistributionSummary> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = samples.iter().map(|c| c.get()).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("queue delays must not be NaN"));
-    let total: f64 = sorted.iter().sum();
-    let pick = |p: f64| {
-        let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted[idx]
-    };
-    Some(QueueDistributionSummary {
-        count: sorted.len(),
-        mean: Cycles::new(total / sorted.len() as f64),
-        p50: Cycles::new(pick(0.50)),
-        p99: Cycles::new(pick(0.99)),
-        max: Cycles::new(*sorted.last().expect("non-empty")),
-        total: Cycles::new(total),
-    })
-}
 
 /// The analytical face of the fault model: the expected load a fault
 /// plan with a retry/fallback recovery discipline adds to the system.
@@ -119,8 +16,7 @@ pub fn summarize_samples(samples: &[Cycles]) -> Option<QueueDistributionSummary>
 /// Transient offload failures with probability `p` and up to `r`
 /// retries form a geometric saga: the expected number of device
 /// attempts per offload is `E[a] = (1 − p^(r+1)) / (1 − p)` (each
-/// attempt hits the accelerator, inflating the arrival rate the `Q`
-/// estimators see), and the saga exhausts all attempts with probability
+/// attempt crosses the interface and occupies the accelerator), and the saga exhausts all attempts with probability
 /// `p_exh = p^(r+1)`. When the policy falls back to the host, every
 /// exhausted saga re-executes the kernel on a core — real host demand
 /// of `p_fb · α` per unit of work, exactly what the simulator now
@@ -150,12 +46,6 @@ impl FaultLoad {
         } else {
             0.0
         }
-    }
-
-    /// The device arrival rate after retry inflation: `λ · E[a]`.
-    #[must_use]
-    pub fn inflated_arrival_rate(&self, arrival_rate: f64) -> f64 {
-        arrival_rate * self.expected_attempts
     }
 }
 
@@ -192,70 +82,9 @@ pub fn fault_load(failure_probability: f64, max_retries: u32, fallback_to_host: 
     })
 }
 
-fn validate_inputs(arrival_rate: f64, service: Cycles) -> Result<()> {
-    ensure(
-        arrival_rate.is_finite() && arrival_rate >= 0.0,
-        "lambda",
-        arrival_rate,
-        "arrival rate must be finite and non-negative",
-    )?;
-    ensure(
-        service.is_valid_magnitude(),
-        "service",
-        service.get(),
-        "service time must be finite and non-negative",
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::cycles;
-
-    #[test]
-    fn mm1_at_half_load_waits_one_service_time() {
-        // ρ = 0.5 → W = 0.5/0.5 · s = s.
-        let est = mm1_wait(0.5e-3, cycles(1_000.0)).unwrap();
-        assert!((est.utilization - 0.5).abs() < 1e-12);
-        assert!((est.mean_wait.get() - 1_000.0).abs() < 1e-9);
-        // Little's law: L = λW = 0.5.
-        assert!((est.mean_queue_length - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn md1_waits_half_of_mm1() {
-        let mm1 = mm1_wait(0.5e-3, cycles(1_000.0)).unwrap();
-        let md1 = md1_wait(0.5e-3, cycles(1_000.0)).unwrap();
-        assert!((md1.mean_wait.get() - mm1.mean_wait.get() / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unstable_queue_is_rejected() {
-        assert!(mm1_wait(1.0e-3, cycles(1_000.0)).is_err());
-        assert!(mm1_wait(2.0e-3, cycles(1_000.0)).is_err());
-        assert!(md1_wait(1.0e-3, cycles(1_000.0)).is_err());
-    }
-
-    #[test]
-    fn zero_load_means_zero_wait() {
-        let est = mm1_wait(0.0, cycles(1_000.0)).unwrap();
-        assert_eq!(est.mean_wait.get(), 0.0);
-        assert_eq!(est.mean_queue_length, 0.0);
-    }
-
-    #[test]
-    fn invalid_inputs_rejected() {
-        assert!(mm1_wait(-1.0, cycles(10.0)).is_err());
-        assert!(mm1_wait(f64::NAN, cycles(10.0)).is_err());
-        assert!(mm1_wait(0.1, cycles(-10.0)).is_err());
-    }
-
-    #[test]
-    fn wait_explodes_near_saturation() {
-        let low = mm1_wait(0.5e-3, cycles(1_000.0)).unwrap();
-        let high = mm1_wait(0.99e-3, cycles(1_000.0)).unwrap();
-        assert!(high.mean_wait.get() > 50.0 * low.mean_wait.get());
-    }
 
     #[test]
     fn fault_load_geometric_attempts() {
@@ -265,7 +94,6 @@ mod tests {
         assert!((load.expected_attempts - 1.5).abs() < 1e-12);
         assert!((load.exhaustion_probability - 0.25).abs() < 1e-12);
         assert!((load.host_fallback_probability() - 0.25).abs() < 1e-12);
-        assert!((load.inflated_arrival_rate(2.0e-4) - 3.0e-4).abs() < 1e-16);
         // Without fallback the exhausted work never reaches the host.
         let abandon = fault_load(0.5, 1, false).unwrap();
         assert_eq!(abandon.host_fallback_probability(), 0.0);
@@ -288,18 +116,5 @@ mod tests {
         assert!(fault_load(-0.1, 0, false).is_err());
         assert!(fault_load(1.5, 0, false).is_err());
         assert!(fault_load(f64::NAN, 0, false).is_err());
-    }
-
-    #[test]
-    fn sample_summary_statistics() {
-        let samples: Vec<Cycles> = (1..=100).map(|i| cycles(f64::from(i))).collect();
-        let s = summarize_samples(&samples).unwrap();
-        assert_eq!(s.count, 100);
-        assert!((s.mean.get() - 50.5).abs() < 1e-9);
-        assert_eq!(s.max.get(), 100.0);
-        assert_eq!(s.total.get(), 5_050.0);
-        assert!(s.p50.get() >= 50.0 && s.p50.get() <= 51.0);
-        assert!(s.p99.get() >= 99.0);
-        assert!(summarize_samples(&[]).is_none());
     }
 }

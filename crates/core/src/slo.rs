@@ -17,7 +17,7 @@ use crate::units::Cycles;
 /// A per-request latency requirement, expressed as the minimum
 /// acceptable latency *reduction* `C/CL`.
 ///
-/// `LatencySlo::no_regression()` (ratio 1.0) demands acceleration never
+/// `LatencySlo::at_least(1.0)` demands acceleration never
 /// slow requests down; ratios above 1 demand improvement; ratios below 1
 /// tolerate bounded slowdown (e.g. `0.95` allows requests to get ~5%
 /// slower in exchange for throughput).
@@ -43,12 +43,6 @@ impl LatencySlo {
         Ok(Self {
             min_reduction: ratio,
         })
-    }
-
-    /// The "do no harm" SLO: per-request latency must not regress.
-    #[must_use]
-    pub fn no_regression() -> Self {
-        Self { min_reduction: 1.0 }
     }
 
     /// The required minimum `C/CL`.
@@ -192,7 +186,6 @@ mod tests {
         assert!(LatencySlo::at_least(1.05).is_ok());
         assert!(LatencySlo::at_least(0.0).is_err());
         assert!(LatencySlo::at_least(f64::NAN).is_err());
-        assert_eq!(LatencySlo::no_regression().min_reduction(), 1.0);
     }
 
     #[test]
@@ -206,7 +199,7 @@ mod tests {
 
     #[test]
     fn max_interface_latency_is_the_boundary() {
-        let slo = LatencySlo::no_regression();
+        let slo = LatencySlo::at_least(1.0).unwrap();
         let s = scenario(1_000.0, 0.0, 8.0, ThreadingDesign::Sync);
         let max_l = max_interface_latency(&s, slo).expect("feasible").get();
         // Rebuild at the boundary and a hair beyond.
@@ -231,16 +224,12 @@ mod tests {
 
     #[test]
     fn max_offload_rate_boundary() {
-        let slo = LatencySlo::no_regression();
+        let slo = LatencySlo::at_least(1.0).unwrap();
         let s = scenario(2_000.0, 0.0, 8.0, ThreadingDesign::Sync);
         let max_n = max_offload_rate(&s, slo).expect("feasible");
         assert!(max_n > 10_000.0, "configured n meets the SLO");
-        let at_boundary = Scenario::new(
-            s.params.with_offloads(max_n).unwrap(),
-            s.design,
-            s.strategy,
-        );
-        let est = at_boundary.estimate();
+        let axis = crate::sweep::SweepAxis::Offloads;
+        let est = crate::sweep::sweep(&s, axis, &[max_n]).unwrap()[0].estimate;
         assert!((est.latency_reduction - 1.0).abs() < 1e-9);
     }
 
@@ -257,7 +246,7 @@ mod tests {
             Scenario::new(params, ThreadingDesign::Sync, AccelerationStrategy::OnChip)
         };
         assert_eq!(
-            max_offload_rate(&s, LatencySlo::no_regression()),
+            max_offload_rate(&s, LatencySlo::at_least(1.0).unwrap()),
             Some(f64::INFINITY)
         );
     }
@@ -288,7 +277,7 @@ mod tests {
             ThreadingDesign::AsyncNoResponse,
             AccelerationStrategy::Remote,
         );
-        assert_eq!(min_peak_speedup(&s, LatencySlo::no_regression()), Some(1.0));
+        assert_eq!(min_peak_speedup(&s, LatencySlo::at_least(1.0).unwrap()), Some(1.0));
     }
 
     #[test]

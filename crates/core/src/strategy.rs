@@ -4,8 +4,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::Cycles;
-
 /// Where the accelerator sits relative to the host CPU (§3, "Acceleration
 /// strategies").
 ///
@@ -39,25 +37,6 @@ impl AccelerationStrategy {
         AccelerationStrategy::OffChip,
         AccelerationStrategy::Remote,
     ];
-
-    /// Typical one-way interface latency for the strategy, expressed in
-    /// host cycles assuming a 2 GHz host clock.
-    ///
-    /// These are order-of-magnitude defaults from §3 (ns-scale on-chip,
-    /// µs-scale over PCIe, ms-scale over commodity ethernet); real designs
-    /// should measure `L` as the paper does (device specification sheets or
-    /// micro-benchmarks).
-    #[must_use]
-    pub fn typical_interface_latency(self) -> Cycles {
-        match self {
-            // A few nanoseconds.
-            AccelerationStrategy::OnChip => Cycles::new(10.0),
-            // ~1 µs PCIe round trip (Neugebauer et al. [91]).
-            AccelerationStrategy::OffChip => Cycles::new(2_000.0),
-            // ~1 ms network round trip (Rasley et al. [102]).
-            AccelerationStrategy::Remote => Cycles::new(2_000_000.0),
-        }
-    }
 
     /// Whether the interface/queueing overhead (`L + Q`) reaches the
     /// host's throughput path under a Sync-OS design.
@@ -99,15 +78,6 @@ impl fmt::Display for AccelerationStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_scales_are_ordered() {
-        let on = AccelerationStrategy::OnChip.typical_interface_latency();
-        let off = AccelerationStrategy::OffChip.typical_interface_latency();
-        let remote = AccelerationStrategy::Remote.typical_interface_latency();
-        assert!(on < off);
-        assert!(off < remote);
-    }
 
     #[test]
     fn only_off_chip_driver_waits() {

@@ -193,11 +193,7 @@ mod tests {
     #[test]
     fn batch_matches_sequential() {
         let scenarios: Vec<Scenario> = (1..40)
-            .map(|i| {
-                let mut s = base();
-                s.params = s.params.with_offloads(f64::from(i) * 100.0).unwrap();
-                s
-            })
+            .map(|i| rebuild(&base(), SweepAxis::Offloads, f64::from(i) * 100.0).unwrap())
             .collect();
         let pool = crate::exec::ExecPool::new(4);
         let parallel = estimate_batch_with(&pool, &scenarios);

@@ -106,12 +106,6 @@ impl ThreadingDesign {
     pub fn consumes_response(self) -> bool {
         !matches!(self, ThreadingDesign::AsyncNoResponse)
     }
-
-    /// `true` for the synchronous designs (`Sync`, `Sync-OS`).
-    #[must_use]
-    pub fn is_synchronous(self) -> bool {
-        matches!(self, ThreadingDesign::Sync | ThreadingDesign::SyncOs)
-    }
 }
 
 impl fmt::Display for ThreadingDesign {
@@ -178,13 +172,6 @@ mod tests {
         assert!(ThreadingDesign::Sync.consumes_response());
         assert!(ThreadingDesign::AsyncSameThread.consumes_response());
         assert!(!ThreadingDesign::AsyncNoResponse.consumes_response());
-    }
-
-    #[test]
-    fn synchronous_classification() {
-        assert!(ThreadingDesign::Sync.is_synchronous());
-        assert!(ThreadingDesign::SyncOs.is_synchronous());
-        assert!(!ThreadingDesign::AsyncSameThread.is_synchronous());
     }
 
     #[test]

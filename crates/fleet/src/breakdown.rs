@@ -149,14 +149,6 @@ impl<C: Copy + PartialEq> Breakdown<C> {
             .filter(|(c, _)| pred(*c))
             .fold(0.0, |sum, (_, p)| sum + p)
     }
-
-    /// Rescales this breakdown so its entries express a share of a larger
-    /// whole: e.g. memory-op shares (of memory cycles) × the memory leaf
-    /// share (of total cycles) gives memory-op shares of total cycles.
-    #[must_use]
-    pub fn scaled_by(&self, factor: f64) -> Vec<(C, f64)> {
-        self.entries.iter().map(|(c, p)| (*c, p * factor)).collect()
-    }
 }
 
 impl<C: Copy + PartialEq + fmt::Display> fmt::Display for Breakdown<C> {
@@ -246,14 +238,6 @@ mod tests {
         assert_eq!(core, 18.0); // Web's core web-serving logic (§2.4).
         let none = web_like().percent_where(|_| false);
         assert!(none == 0.0 && none.is_sign_positive(), "{none}");
-    }
-
-    #[test]
-    fn scaling_composes_sub_breakdowns() {
-        let b = web_like();
-        let scaled = b.scaled_by(0.5);
-        let logging = scaled.iter().find(|(c, _)| *c == F::Logging).unwrap().1;
-        assert_eq!(logging, 11.5);
     }
 
     #[test]

@@ -37,19 +37,6 @@ impl IpcScaling {
             CpuGeneration::GenC => self.gen_c,
         }
     }
-
-    /// Relative IPC improvement across the full GenA→GenC span.
-    #[must_use]
-    pub fn total_scaling(&self) -> f64 {
-        self.gen_c / self.gen_a
-    }
-
-    /// Relative IPC improvement from GenB to GenC (the paper notes this
-    /// step is typically small).
-    #[must_use]
-    pub fn genb_to_genc_scaling(&self) -> f64 {
-        self.gen_c / self.gen_b
-    }
 }
 
 /// The leaf categories Fig. 8 covers, in presentation order.
@@ -74,6 +61,11 @@ mod tests {
     use super::*;
     use crate::registry::ServiceRegistry;
     use crate::services::ServiceId;
+
+    /// Relative IPC improvement across the full GenA→GenC span.
+    fn total_scaling(ipc: &IpcScaling) -> f64 {
+        ipc.gen_c / ipc.gen_a
+    }
 
     fn cache1_leaf(category: LeafCategory) -> Option<IpcScaling> {
         ServiceRegistry::builtin().leaf_ipc(ServiceId::Cache1, category)
@@ -102,17 +94,17 @@ mod tests {
     fn kernel_ipc_is_low_and_scales_poorly() {
         let kernel = cache1_leaf(LeafCategory::Kernel).unwrap();
         assert!(kernel.gen_c < 0.5);
-        assert!(kernel.total_scaling() < 1.15);
+        assert!(total_scaling(&kernel) < 1.15);
     }
 
     #[test]
     fn c_libraries_scale_well() {
         let clib = cache1_leaf(LeafCategory::CLibraries).unwrap();
-        assert!(clib.total_scaling() > 1.5);
+        assert!(total_scaling(&clib) > 1.5);
         // And they dominate every other category's scaling.
         for cat in FIG8_CATEGORIES {
             if cat != LeafCategory::CLibraries {
-                assert!(cache1_leaf(cat).unwrap().total_scaling() < clib.total_scaling());
+                assert!(total_scaling(&cache1_leaf(cat).unwrap()) < total_scaling(&clib));
             }
         }
     }
@@ -120,7 +112,10 @@ mod tests {
     #[test]
     fn genb_to_genc_gain_is_small_except_clib() {
         for cat in FIG8_CATEGORIES {
-            let scaling = cache1_leaf(cat).unwrap().genb_to_genc_scaling();
+            let scaling = {
+                let ipc = cache1_leaf(cat).unwrap();
+                ipc.gen_c / ipc.gen_b
+            };
             if cat == LeafCategory::CLibraries {
                 assert!(scaling > 1.2);
             } else {
@@ -137,14 +132,14 @@ mod tests {
         for generation in CpuGeneration::ALL {
             assert!((io.for_generation(generation) - kernel.for_generation(generation)).abs() < 0.1);
         }
-        assert!(io.total_scaling() < 1.1);
+        assert!(total_scaling(&io) < 1.1);
     }
 
     #[test]
     fn key_value_store_ipc_barely_improves() {
         // §2.4.1: memory-bound key-value serving sees little IPC gain.
         let app = cache1_functionality(FunctionalityCategory::ApplicationLogic).unwrap();
-        assert!(app.total_scaling() < 1.15);
+        assert!(total_scaling(&app) < 1.15);
         let memory = cache1_leaf(LeafCategory::Memory).unwrap();
         assert!(app.gen_c < memory.gen_c);
     }

@@ -57,5 +57,5 @@ pub use registry::{
     SCHEMA_VERSION,
 };
 pub use services::{
-    characterized_profiles, profile, ServiceDomain, ServiceId, ServiceProfile, ServiceRates,
+    profile, ServiceDomain, ServiceId, ServiceProfile, ServiceRates,
 };

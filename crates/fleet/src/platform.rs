@@ -31,13 +31,6 @@ impl CpuGeneration {
             CpuGeneration::GenC => "Intel Skylake",
         }
     }
-
-    /// Theoretical peak IPC per core (§2.3.5 quotes 4.0 for GenC; all
-    /// three generations are 4-wide at retirement).
-    #[must_use]
-    pub fn peak_ipc(self) -> f64 {
-        4.0
-    }
 }
 
 impl fmt::Display for CpuGeneration {
@@ -70,20 +63,6 @@ pub struct CpuPlatform {
     pub l2_kib: u32,
     /// Shared last-level cache in KiB.
     pub llc_kib: u32,
-}
-
-impl CpuPlatform {
-    /// Hardware threads per socket.
-    #[must_use]
-    pub fn hardware_threads(&self) -> u32 {
-        self.cores_per_socket * self.smt
-    }
-
-    /// Shared LLC per core, in KiB.
-    #[must_use]
-    pub fn llc_per_core_kib(&self) -> f64 {
-        f64::from(self.llc_kib) / f64::from(self.cores_per_socket)
-    }
 }
 
 /// Table 1, column GenA: 12-core Haswell.
@@ -165,25 +144,17 @@ mod tests {
     }
 
     #[test]
-    fn smt_doubles_hardware_threads() {
+    fn every_platform_is_two_way_smt_with_64_byte_blocks() {
         for p in ALL_PLATFORMS {
             assert_eq!(p.smt, 2);
-            assert_eq!(p.hardware_threads(), p.cores_per_socket * 2);
             assert_eq!(p.cache_block_bytes, 64);
         }
-    }
-
-    #[test]
-    fn llc_per_core_shrinks_across_generations() {
-        assert!(GEN_A.llc_per_core_kib() > GEN_B.llc_per_core_kib());
-        assert!(GEN_B.llc_per_core_kib() > GEN_C_20.llc_per_core_kib());
     }
 
     #[test]
     fn generation_metadata() {
         assert_eq!(CpuGeneration::GenA.microarchitecture(), "Intel Haswell");
         assert_eq!(CpuGeneration::GenC.to_string(), "GenC");
-        assert_eq!(CpuGeneration::GenC.peak_ipc(), 4.0);
         assert!(CpuGeneration::GenA < CpuGeneration::GenC);
     }
 }

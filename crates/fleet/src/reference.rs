@@ -48,12 +48,6 @@ impl ReferenceWorkload {
             ReferenceWorkload::Astar => "473.astar",
         }
     }
-
-    /// Whether this row is a SPEC CPU2006 benchmark.
-    #[must_use]
-    pub fn is_spec(self) -> bool {
-        !matches!(self, ReferenceWorkload::Google)
-    }
 }
 
 fn bd<C: Copy + PartialEq>(entries: &[(C, f64)]) -> Breakdown<C> {
@@ -178,7 +172,7 @@ mod tests {
         // §2.3: SPEC functions "primarily belong to the math, C libraries,
         // and miscellaneous categories".
         for w in ReferenceWorkload::ALL {
-            if !w.is_spec() {
+            if w == ReferenceWorkload::Google {
                 continue;
             }
             let b = leaf_breakdown(w);
@@ -199,7 +193,7 @@ mod tests {
             .iter()
             .map(|&id| profile(id).leaves.percent(L::Kernel))
             .fold(0.0, f64::max);
-        for w in ReferenceWorkload::ALL.into_iter().filter(|w| w.is_spec()) {
+        for w in ReferenceWorkload::ALL.into_iter().filter(|&w| w != ReferenceWorkload::Google) {
             assert!(leaf_breakdown(w).percent(L::Kernel) < fb_kernel_max / 4.0);
         }
     }
@@ -261,7 +255,5 @@ mod tests {
     fn labels() {
         assert_eq!(ReferenceWorkload::Google.label(), "Google [Kanev'15]");
         assert_eq!(ReferenceWorkload::Astar.label(), "473.astar");
-        assert!(ReferenceWorkload::Perlbench.is_spec());
-        assert!(!ReferenceWorkload::Google.is_spec());
     }
 }

@@ -102,20 +102,6 @@ impl ServiceId {
         }
     }
 
-    /// Whether the service performs ML inference (§2.4 calls out Feed1,
-    /// Feed2, Ads1, and Ads2; the AI-inference pack does by design).
-    #[must_use]
-    pub fn performs_inference(self) -> bool {
-        matches!(
-            self,
-            ServiceId::Feed1
-                | ServiceId::Feed2
-                | ServiceId::Ads1
-                | ServiceId::Ads2
-                | ServiceId::AiInference
-        )
-    }
-
     /// The kebab-case identifier used in the JSON schema and as the
     /// `configs/services/<slug>.json` file stem.
     #[must_use]
@@ -238,12 +224,6 @@ impl ServiceProfile {
         self.functionality.percent_where(|c| !c.is_core())
     }
 
-    /// Fraction of cycles in ML inference (prediction/ranking).
-    #[must_use]
-    pub fn inference_fraction(&self) -> f64 {
-        self.functionality.fraction(F::PredictionRanking)
-    }
-
     /// Fraction of total cycles in a memory operation, composing the
     /// Fig. 2 memory share with the Fig. 3 sub-share — e.g. Ads1's copy
     /// fraction is 28% × 54% = 15.12% (Table 7's `α`).
@@ -261,12 +241,6 @@ impl ServiceProfile {
 #[must_use]
 pub fn profile(id: ServiceId) -> ServiceProfile {
     crate::registry::current_registry().profile(id)
-}
-
-/// Profiles for all seven characterized services, in paper order.
-#[must_use]
-pub fn characterized_profiles() -> Vec<ServiceProfile> {
-    ServiceId::CHARACTERIZED.iter().map(|&id| profile(id)).collect()
 }
 
 #[cfg(test)]
@@ -304,7 +278,7 @@ mod tests {
         // inference, yielding 1.49×–2.38× ideal gains.
         let fractions: Vec<f64> = [ServiceId::Feed1, ServiceId::Feed2, ServiceId::Ads1, ServiceId::Ads2]
             .iter()
-            .map(|&id| profile(id).inference_fraction())
+            .map(|&id| profile(id).functionality.fraction(F::PredictionRanking))
             .collect();
         let min = fractions.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = fractions.iter().cloned().fold(0.0, f64::max);
@@ -455,10 +429,7 @@ mod tests {
         assert_eq!(ServiceId::Feed2.domain(), ServiceDomain::NewsFeed);
         assert_eq!(ServiceId::Ads1.domain(), ServiceDomain::Ads);
         assert_eq!(ServiceId::Cache3.domain(), ServiceDomain::Cache);
-        assert!(ServiceId::Feed1.performs_inference());
-        assert!(!ServiceId::Cache1.performs_inference());
         assert_eq!(ServiceId::CHARACTERIZED.len(), 7);
-        assert_eq!(characterized_profiles().len(), 7);
     }
 
     #[test]

@@ -71,21 +71,6 @@ proptest! {
         prop_assert!(back >= p - 1e-9, "p={} back={}", p, back);
     }
 
-    /// Scaling a breakdown by any positive factor preserves relative
-    /// shares (the composition rule used to derive α values).
-    #[test]
-    fn breakdown_scaling_preserves_ratios(
-        service in prop::sample::select(ServiceId::CHARACTERIZED.to_vec()),
-        factor in 0.01..10.0_f64,
-    ) {
-        let b = profile(service).memory_ops;
-        let scaled = b.scaled_by(factor);
-        for (category, pct) in b.iter() {
-            let scaled_pct = scaled.iter().find(|(c, _)| *c == category).unwrap().1;
-            prop_assert!((scaled_pct - pct * factor).abs() < 1e-9);
-        }
-    }
-
     /// Randomly thinning a complete breakdown yields a valid partial one
     /// (the constructor invariants hold on arbitrary subsets).
     #[test]

@@ -40,13 +40,6 @@ impl KernelMeasurement {
         CyclesPerByte::new(self.cycles() / self.bytes_processed.max(1) as f64)
     }
 
-    /// Cycles per invocation (`o0`-style fixed costs show up here when
-    /// the per-invocation byte count is small).
-    #[must_use]
-    pub fn cycles_per_invocation(&self) -> f64 {
-        self.cycles() / self.invocations.max(1) as f64
-    }
-
     /// Packages the measurement as a linear-complexity [`KernelCost`]
     /// ready for break-even analysis.
     #[must_use]
@@ -55,12 +48,6 @@ impl KernelMeasurement {
             cycles_per_byte: self.cycles_per_byte(),
             complexity: Complexity::LINEAR,
         }
-    }
-
-    /// Throughput in bytes per second.
-    #[must_use]
-    pub fn bytes_per_second(&self) -> f64 {
-        self.bytes_processed as f64 / self.elapsed.as_secs_f64().max(1e-12)
     }
 }
 
@@ -143,23 +130,6 @@ impl Harness {
             clock_hz: self.clock_hz,
         }
     }
-
-    /// Constructs a measurement from a known elapsed time (for tests and
-    /// for replaying external measurements, e.g. device spec sheets).
-    #[must_use]
-    pub fn from_elapsed(
-        &self,
-        invocations: u64,
-        bytes_per_invocation: u64,
-        elapsed: Duration,
-    ) -> KernelMeasurement {
-        KernelMeasurement {
-            bytes_processed: invocations * bytes_per_invocation,
-            invocations,
-            elapsed,
-            clock_hz: self.clock_hz,
-        }
-    }
 }
 
 /// A completed batched measurement: `batch_size` kernel invocations per
@@ -227,23 +197,35 @@ pub fn acceleration_factor(baseline: &KernelMeasurement, accelerated: &KernelMea
 mod tests {
     use super::*;
 
+    /// A measurement of `invocations` calls over `bytes_per_invocation`
+    /// bytes each that took `elapsed`.
+    fn measured(
+        clock_hz: f64,
+        invocations: u64,
+        bytes_per_invocation: u64,
+        elapsed: Duration,
+    ) -> KernelMeasurement {
+        KernelMeasurement {
+            bytes_processed: invocations * bytes_per_invocation,
+            invocations,
+            elapsed,
+            clock_hz,
+        }
+    }
+
     #[test]
     fn synthetic_measurement_arithmetic() {
-        let h = Harness::new(2.0e9);
         // 1000 invocations × 100 B in 50 µs at 2 GHz = 100k cycles.
-        let m = h.from_elapsed(1000, 100, Duration::from_micros(50));
+        let m = measured(2.0e9, 1000, 100, Duration::from_micros(50));
         assert_eq!(m.bytes_processed, 100_000);
         assert!((m.cycles() - 100_000.0).abs() < 1.0);
         assert!((m.cycles_per_byte().get() - 1.0).abs() < 1e-9);
-        assert!((m.cycles_per_invocation() - 100.0).abs() < 1e-9);
-        assert!((m.bytes_per_second() - 2.0e9).abs() < 1.0);
     }
 
     #[test]
     fn acceleration_factor_is_cost_ratio() {
-        let h = Harness::new(2.0e9);
-        let slow = h.from_elapsed(100, 1000, Duration::from_millis(6));
-        let fast = h.from_elapsed(100, 1000, Duration::from_millis(1));
+        let slow = measured(2.0e9, 100, 1000, Duration::from_millis(6));
+        let fast = measured(2.0e9, 100, 1000, Duration::from_millis(1));
         assert!((acceleration_factor(&slow, &fast) - 6.0).abs() < 1e-9);
         assert!((acceleration_factor(&fast, &slow) - 1.0 / 6.0).abs() < 1e-9);
     }
@@ -251,8 +233,7 @@ mod tests {
     #[test]
     fn kernel_cost_feeds_breakeven() {
         use accelerometer::units::bytes;
-        let h = Harness::new(2.0e9);
-        let m = h.from_elapsed(1, 1000, Duration::from_nanos(2810)); // 5.62 cyc/B
+        let m = measured(2.0e9, 1, 1000, Duration::from_nanos(2810)); // 5.62 cyc/B
         let cost = m.kernel_cost();
         assert!((cost.cycles_per_byte.get() - 5.62).abs() < 0.01);
         assert!((cost.host_cycles(bytes(425.0)).get() - 5.62 * 425.0).abs() < 5.0);
@@ -262,7 +243,7 @@ mod tests {
     fn live_measurement_produces_positive_costs() {
         let h = Harness::new(2.0e9);
         let data = vec![0xA5u8; 4096];
-        let m = h.measure(50, 4096, || crate::hash::fnv1a_64(&data));
+        let m = h.measure(50, 4096, || crate::hash::sha256(&data));
         assert_eq!(m.invocations, 50);
         assert_eq!(m.bytes_processed, 50 * 4096);
         assert!(m.elapsed > Duration::ZERO);
@@ -273,7 +254,7 @@ mod tests {
     fn batched_measurement_arithmetic() {
         let h = Harness::new(2.0e9);
         let data = vec![0x5Au8; 512];
-        let m = h.measure_batched(4, 25, 512, || crate::hash::fnv1a_64(&data));
+        let m = h.measure_batched(4, 25, 512, || crate::hash::sha256(&data));
         assert_eq!(m.batches, 4);
         assert_eq!(m.batch_size, 25);
         assert_eq!(m.bytes_processed, 4 * 25 * 512);
@@ -302,11 +283,9 @@ mod tests {
 
     #[test]
     fn zero_guards() {
-        let h = Harness::new(1.0e9);
-        let m = h.from_elapsed(0, 0, Duration::from_nanos(10));
-        // Division guards: no NaN/inf from zero invocations/bytes.
+        let m = measured(1.0e9, 0, 0, Duration::from_nanos(10));
+        // Division guard: no NaN/inf from zero bytes.
         assert!(m.cycles_per_byte().get().is_finite());
-        assert!(m.cycles_per_invocation().is_finite());
     }
 
     #[test]

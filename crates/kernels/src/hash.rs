@@ -1,19 +1,15 @@
-//! Hashing kernels: SHA-256 (FIPS 180-4) and FNV-1a.
+//! Hashing kernel: SHA-256 (FIPS 180-4).
 //!
 //! The "Hashing" leaf category of Table 2 covers "SHA & other hash
 //! algorithms"; SHA-256 is the cryptographic representative (and the
-//! paper's SSL category leans on the same family via TLS), while FNV-1a
-//! stands in for the cheap hash-table hashes of §2.3.4.
+//! paper's SSL category leans on the same family via TLS).
 //!
 //! On hosts with the SHA extensions ([`crate::dispatch`]), the block
 //! compression runs on `sha256rnds2`/`sha256msg1`/`sha256msg2` — the
 //! same FIPS 180-4 function evaluated in hardware, so digests are
 //! byte-identical to the scalar rendering (which stays reachable as
 //! [`sha256_scalar`], the unaccelerated tier the model's `A` factor is
-//! measured against). FNV-1a is a strictly serial byte recurrence
-//! (each step's multiply depends on the previous) and has no profitable
-//! SIMD formulation that preserves the exact hash — it stays scalar by
-//! design.
+//! measured against).
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
@@ -447,17 +443,6 @@ mod simd {
     }
 }
 
-/// FNV-1a 64-bit hash: the cheap hash-table hash.
-#[must_use]
-pub fn fnv1a_64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,22 +509,5 @@ mod tests {
             hasher.update(std::slice::from_ref(byte));
         }
         assert_eq!(hasher.finalize(), expected);
-    }
-
-    #[test]
-    fn fnv1a_known_values() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn fnv1a_distributes() {
-        use std::collections::HashSet;
-        let hashes: HashSet<u64> = (0..10_000u32)
-            .map(|i| fnv1a_64(&i.to_le_bytes()))
-            .collect();
-        assert_eq!(hashes.len(), 10_000, "collisions on trivial input set");
     }
 }

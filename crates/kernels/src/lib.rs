@@ -8,7 +8,7 @@
 //! * [`aes`] — AES-128 + CTR mode (the AES-NI case study's kernel);
 //! * [`lz`] — an LZ77-style compressor (the ZSTD/compression kernel);
 //! * [`mlp`] — multilayer-perceptron inference (the Feed/Ads ML kernel);
-//! * [`hash`] — SHA-256 and FNV-1a (the Hashing leaf category);
+//! * [`hash`] — SHA-256 (the Hashing leaf category);
 //! * [`harness`] — wall-time → cycles measurement to derive `Cb` and `A`;
 //! * [`dispatch`] — runtime ISA dispatch: kernels use the host's
 //!   AES-NI/SHA-NI/AVX2 paths when present (scalar otherwise), and

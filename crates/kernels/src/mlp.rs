@@ -368,12 +368,6 @@ impl Mlp {
         self.layers.last().expect("non-empty by construction").outputs
     }
 
-    /// Number of multiply-accumulate operations per inference.
-    #[must_use]
-    pub fn macs(&self) -> usize {
-        self.layers.iter().map(|l| l.inputs * l.outputs).sum()
-    }
-
     /// Runs inference on one feature vector.
     ///
     /// # Errors
@@ -499,22 +493,6 @@ impl Mlp {
         }
         Ok(())
     }
-
-    /// Runs inference on a batch, the way Ads1 batches offloads (§4,
-    /// case study 3). Implemented on [`Mlp::forward_batch`], so the
-    /// per-input results are bit-identical to scalar [`Mlp::infer`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlpError::InputMismatch`] on the first mismatched
-    /// feature vector.
-    pub fn infer_batch(&self, batch: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, MlpError> {
-        let mut scratch = MlpScratch::new();
-        let mut flat = Vec::new();
-        self.forward_batch(batch, &mut scratch, &mut flat)?;
-        let width = self.output_width();
-        Ok(flat.chunks_exact(width).map(<[f32]>::to_vec).collect())
-    }
 }
 
 #[cfg(test)]
@@ -586,23 +564,10 @@ mod tests {
     }
 
     #[test]
-    fn macs_counts_multiplies() {
+    fn ranker_widths() {
         let mlp = Mlp::seeded_ranker(&[512, 256, 64, 1], 1);
-        assert_eq!(mlp.macs(), 512 * 256 + 256 * 64 + 64);
         assert_eq!(mlp.input_width(), 512);
         assert_eq!(mlp.output_width(), 1);
-    }
-
-    #[test]
-    fn batch_matches_individual() {
-        let mlp = Mlp::seeded_ranker(&[8, 4, 1], 11);
-        let batch: Vec<Vec<f32>> = (0..5)
-            .map(|i| (0..8).map(|j| (i * 8 + j) as f32 / 40.0).collect())
-            .collect();
-        let outs = mlp.infer_batch(&batch).unwrap();
-        for (f, o) in batch.iter().zip(&outs) {
-            assert_eq!(mlp.infer(f).unwrap(), *o);
-        }
     }
 
     #[test]

@@ -57,24 +57,6 @@ impl ProfileReport {
         (100.0 - self.core_percent()).clamp(0.0, 100.0)
     }
 
-    /// A memory operation's share of memory cycles (percent).
-    #[must_use]
-    pub fn memory_op_percent(&self, op: MemoryOp) -> f64 {
-        self.memory_ops
-            .iter()
-            .find(|(o, _)| *o == op)
-            .map_or(0.0, |(_, pct)| *pct)
-    }
-
-    /// IPC for one leaf category, if any cycles landed there.
-    #[must_use]
-    pub fn ipc_of(&self, category: LeafCategory) -> Option<f64> {
-        self.leaf_ipc
-            .iter()
-            .find(|(c, _)| *c == category)
-            .map(|(_, ipc)| *ipc)
-    }
-
     /// Renders the report as fixed-width text tables.
     #[must_use]
     pub fn render(&self) -> String {
@@ -296,6 +278,11 @@ pub fn analyze(traces: &[CallTrace], registry: &FunctionRegistry) -> ProfileRepo
 mod tests {
     use super::*;
 
+    /// The value a `(category, value)` list holds for `key`.
+    fn value_of<C: PartialEq>(entries: &[(C, f64)], key: C) -> Option<f64> {
+        entries.iter().find(|(c, _)| *c == key).map(|(_, v)| *v)
+    }
+
     fn registry() -> FunctionRegistry {
         FunctionRegistry::with_defaults()
     }
@@ -339,9 +326,9 @@ mod tests {
             trace("svc::app::x", "memset", 100.0, 0.0),
         ];
         let report = analyze(&traces, &registry());
-        let ipc = report.ipc_of(LeafCategory::Memory).unwrap();
+        let ipc = value_of(&report.leaf_ipc, LeafCategory::Memory).unwrap();
         assert!((ipc - 0.9).abs() < 1e-12);
-        assert!(report.ipc_of(LeafCategory::Ssl).is_none());
+        assert!(value_of(&report.leaf_ipc, LeafCategory::Ssl).is_none());
     }
 
     #[test]
@@ -355,11 +342,12 @@ mod tests {
         ];
         let report = analyze(&traces, &registry());
         // Shares are of *memory* cycles (1,000 total), not total cycles.
-        assert!((report.memory_op_percent(MemoryOp::Copy) - 54.0).abs() < 1e-9);
-        assert!((report.memory_op_percent(MemoryOp::Free) - 18.0).abs() < 1e-9);
-        assert!((report.memory_op_percent(MemoryOp::Allocation) - 21.0).abs() < 1e-9);
-        assert!((report.memory_op_percent(MemoryOp::Set) - 7.0).abs() < 1e-9);
-        assert_eq!(report.memory_op_percent(MemoryOp::Move), 0.0);
+        let share = |op| value_of(&report.memory_ops, op);
+        assert!((share(MemoryOp::Copy).unwrap() - 54.0).abs() < 1e-9);
+        assert!((share(MemoryOp::Free).unwrap() - 18.0).abs() < 1e-9);
+        assert!((share(MemoryOp::Allocation).unwrap() - 21.0).abs() < 1e-9);
+        assert!((share(MemoryOp::Set).unwrap() - 7.0).abs() < 1e-9);
+        assert_eq!(share(MemoryOp::Move).unwrap_or(0.0), 0.0);
         // No memory samples → empty sub-breakdown.
         let io_only = analyze(&[trace("svc::io::y", "tcp_sendmsg", 10.0, 0.4)], &registry());
         assert!(io_only.memory_ops.is_empty());

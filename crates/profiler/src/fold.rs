@@ -65,28 +65,6 @@ pub fn to_folded(traces: &[CallTrace]) -> String {
     stacks.finish()
 }
 
-/// Parses folded-stack lines back into traces (cycle-weighted, with
-/// instructions unknown and set to zero). Lines that do not end in a
-/// positive integer weight are skipped.
-#[must_use]
-pub fn from_folded(folded: &str) -> Vec<CallTrace> {
-    folded
-        .lines()
-        .filter_map(|line| {
-            let (stack, weight) = line.rsplit_once(' ')?;
-            let cycles: u64 = weight.parse().ok()?;
-            if stack.is_empty() || cycles == 0 {
-                return None;
-            }
-            let frames: Vec<String> = stack.split(';').map(str::to_owned).collect();
-            if frames.iter().any(String::is_empty) {
-                return None; // malformed stack with empty frames
-            }
-            Some(CallTrace::new(frames, cycles as f64, 0.0))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,26 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_parse() {
-        let traces = vec![
-            trace(&["a", "b", "c"], 10.0),
-            trace(&["a", "d"], 5.0),
-        ];
-        let parsed = from_folded(&to_folded(&traces));
-        assert_eq!(parsed.len(), 2);
-        let total: f64 = parsed.iter().map(|t| t.cycles).sum();
-        assert_eq!(total, 15.0);
-        assert!(parsed.iter().any(|t| t.leaf() == "c" && t.depth() == 3));
-    }
-
-    #[test]
-    fn parser_skips_malformed_lines() {
-        let parsed = from_folded("a;b ten\nvalid;stack 5\n\nnope\n;empty 3\nzero;w 0\n");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].frames, vec!["valid", "stack"]);
-    }
-
-    #[test]
     fn zero_weight_stacks_are_elided() {
         let folded = to_folded(&[trace(&["a"], 0.2)]);
         assert!(folded.is_empty());
@@ -142,15 +100,14 @@ mod tests {
         let traces = generator.generate(500);
         let folded = to_folded(&traces);
         assert!(folded.lines().count() > 50);
-        // Every line is "stack weight".
+        // Every line is "stack weight", and the weights keep the total
+        // cycles (rounded).
+        let mut exported = 0.0;
         for line in folded.lines() {
             let (stack, weight) = line.rsplit_once(' ').expect("separator");
             assert!(stack.contains(';'));
-            assert!(weight.parse::<u64>().is_ok(), "{line}");
+            exported += weight.parse::<u64>().unwrap_or_else(|_| panic!("{line}")) as f64;
         }
-        // And the export parses back to the same total cycles (rounded).
-        let parsed = from_folded(&folded);
-        let exported: f64 = parsed.iter().map(|t| t.cycles).sum();
         let original: f64 = traces.iter().map(|t| t.cycles).sum();
         assert!((exported - original).abs() < traces.len() as f64);
     }

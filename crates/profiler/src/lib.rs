@@ -34,15 +34,13 @@
 #![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod diff;
 pub mod fold;
 pub mod generate;
 pub mod registry;
 pub mod trace;
 
 pub use analyze::{analyze, ProfileAccumulator, ProfileReport};
-pub use diff::{diff, DiffRow, ReportDiff};
-pub use fold::{from_folded, to_folded, FoldedStacks};
+pub use fold::{to_folded, FoldedStacks};
 pub use generate::{default_leaf_ipc, TraceGenerator};
 pub use registry::FunctionRegistry;
 pub use trace::CallTrace;

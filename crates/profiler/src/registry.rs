@@ -138,12 +138,6 @@ impl FunctionRegistry {
         symbols
     }
 
-    /// The root-frame marker prefix for a functionality category.
-    #[must_use]
-    pub fn root_prefix(&self, category: FunctionalityCategory) -> &'static str {
-        Self::root_entry(category).0
-    }
-
     /// The `handle_request` root frame the trace generator emits for a
     /// functionality category (its prefix followed by `handle_request`).
     #[must_use]
@@ -222,7 +216,7 @@ mod tests {
     fn every_functionality_has_a_prefix() {
         let r = FunctionRegistry::with_defaults();
         for &cat in FunctionalityCategory::ALL {
-            let prefix = r.root_prefix(cat);
+            let prefix = FunctionRegistry::root_entry(cat).0;
             assert_eq!(r.bucket_root(&format!("{prefix}anything")), cat);
             assert_eq!(r.root_frame(cat), format!("{prefix}handle_request"));
             assert_eq!(r.bucket_root(r.root_frame(cat)), cat);

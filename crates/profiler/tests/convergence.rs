@@ -10,6 +10,11 @@ use accelerometer_profiler::{analyze, TraceGenerator};
 const SAMPLES: usize = 120_000;
 const TOLERANCE_POINTS: f64 = 1.0;
 
+/// The value a `(category, value)` list holds for `key`.
+fn value_of<C: PartialEq>(entries: &[(C, f64)], key: C) -> Option<f64> {
+    entries.iter().find(|(c, _)| *c == key).map(|(_, v)| *v)
+}
+
 fn reconstruct(service: ServiceId, seed: u64) -> accelerometer_profiler::ProfileReport {
     let mut generator = TraceGenerator::new(profile(service), seed);
     let traces = generator.generate(SAMPLES);
@@ -77,7 +82,7 @@ fn cache1_ipc_reconstruction_matches_fig8() {
         LeafCategory::CLibraries,
     ] {
         let want = services.leaf_ipc(ServiceId::Cache1, cat).unwrap().gen_c;
-        let got = report.ipc_of(cat).unwrap();
+        let got = value_of(&report.leaf_ipc, cat).unwrap();
         assert!(
             (got - want).abs() < 0.02,
             "{cat}: reconstructed IPC {got:.3} vs Fig. 8 {want:.3}"
@@ -94,7 +99,7 @@ fn ipc_scaling_across_generations_survives_pipeline() {
             TraceGenerator::new(profile(ServiceId::Cache1), 11).on_generation(generation);
         let traces = generator.generate(SAMPLES / 2);
         let report = analyze(&traces, generator.registry());
-        per_gen.push(report.ipc_of(LeafCategory::Kernel).unwrap());
+        per_gen.push(value_of(&report.leaf_ipc, LeafCategory::Kernel).unwrap());
     }
     // Fig. 8: kernel IPC is low and scales poorly across generations.
     assert!(per_gen[0] < 0.5);
@@ -120,7 +125,7 @@ fn ads1_memory_op_mix_converges_to_fig3() {
     let truth = profile(ServiceId::Ads1);
     let report = reconstruct(ServiceId::Ads1, 55);
     for &op in MemoryOp::ALL {
-        let got = report.memory_op_percent(op);
+        let got = value_of(&report.memory_ops, op).unwrap_or(0.0);
         let want = truth.memory_ops.percent(op);
         assert!(
             (got - want).abs() < 2.0,
@@ -129,5 +134,5 @@ fn ads1_memory_op_mix_converges_to_fig3() {
     }
     // The copy share that pins Table 7's α = 0.1512 survives the
     // sampling pipeline.
-    assert!((report.memory_op_percent(MemoryOp::Copy) - 54.0).abs() < 2.0);
+    assert!((value_of(&report.memory_ops, MemoryOp::Copy).unwrap() - 54.0).abs() < 2.0);
 }

@@ -1,6 +1,5 @@
 //! Kernel-cost calibration: measure this host's actual per-byte kernel
-//! costs with the batched harness and feed them into simulator
-//! workloads.
+//! costs with the batched harness.
 //!
 //! §4 derives each case study's host cost `α·C` from micro-benchmarks
 //! on production hardware; this module is the reproduction's equivalent
@@ -8,8 +7,9 @@
 //! compression, SHA-256 hashing, batched MLP inference) is run through
 //! [`Harness::measure_batched`] using its allocation-free scratch-reuse
 //! path, so the measured cycles are the kernel's — not the allocator's
-//! or the timer's. The result plugs straight into a
-//! [`WorkloadSpec`](crate::workload::WorkloadSpec)'s `cycles_per_byte`.
+//! or the timer's. The measured `Cb` is what a
+//! [`WorkloadSpec`](crate::workload::WorkloadSpec)'s `cycles_per_byte`
+//! assumes.
 //!
 //! Every kernel is measured as a [`PairedKernel`]: once through its
 //! default entry point, which runs what the host hardware offers
@@ -28,8 +28,6 @@ use accelerometer_kernels::harness::{BatchedMeasurement, Harness};
 use accelerometer_kernels::hash;
 use accelerometer_kernels::lz::{self, LzScratch};
 use accelerometer_kernels::mlp::{Mlp, MlpScratch};
-
-use crate::workload::WorkloadSpec;
 
 /// One calibrated kernel: the measured per-call, per-batch, and
 /// per-byte costs from a batched run.
@@ -68,15 +66,6 @@ impl CalibratedKernel {
     #[must_use]
     pub fn kernel_cost(&self) -> KernelCost {
         self.measurement.per_call().kernel_cost()
-    }
-
-    /// Returns `spec` with its assumed `cycles_per_byte` replaced by
-    /// this kernel's measured value — the calibration call site for a
-    /// simulated case study.
-    #[must_use]
-    pub fn apply_to(&self, mut spec: WorkloadSpec) -> WorkloadSpec {
-        spec.cycles_per_byte = self.cycles_per_byte();
-        spec
     }
 }
 
@@ -304,21 +293,5 @@ mod tests {
             let a = pair.acceleration_factor();
             assert!(a.is_finite() && a > 0.0, "{}: A = {a}", pair.dispatched.name);
         }
-    }
-
-    #[test]
-    fn measured_cb_feeds_a_workload() {
-        let k = quick().encryption_paired(1024).dispatched;
-        let spec = crate::workload::workload_for_params(
-            10_000.0,
-            0.3,
-            1.0,
-            accelerometer::GranularityCdf::from_points(vec![(1024.0, 1.0)]).expect("valid"),
-        );
-        let calibrated = k.apply_to(spec.clone());
-        assert_eq!(calibrated.cycles_per_byte, k.cycles_per_byte());
-        // Only the per-byte cost changes; the shape is untouched.
-        assert_eq!(calibrated.kernels_per_request, spec.kernels_per_request);
-        assert!(calibrated.kernel_host_cycles(1024.0) > 0.0);
     }
 }

@@ -27,7 +27,6 @@
 //! observation: the win from acceleration depends as much on the
 //! quality of the displaced software baseline as on the accelerator.
 
-use accelerometer::{AccelerationStrategy, DriverMode, ThreadingDesign};
 use accelerometer_fleet::CaseStudy;
 use serde::{Deserialize, Serialize};
 
@@ -79,12 +78,6 @@ impl CaseStudyValidation {
     #[must_use]
     pub fn model_vs_simulated_points(&self) -> f64 {
         (self.model_estimate_percent - self.simulated_percent).abs()
-    }
-
-    /// |simulated − paper real| in percentage points.
-    #[must_use]
-    pub fn simulated_vs_paper_points(&self) -> f64 {
-        (self.simulated_percent - self.paper_real_percent).abs()
     }
 }
 
@@ -189,39 +182,39 @@ pub fn validate_all_with(
         .collect()
 }
 
-/// Sanity mapping used by the tests: each case study exercises a distinct
-/// design/strategy pair (§4 validates all three threading scenarios).
-#[must_use]
-pub fn expected_design(name: &str) -> Option<(ThreadingDesign, AccelerationStrategy, DriverMode)> {
-    match name {
-        "aes-ni" => Some((
-            ThreadingDesign::Sync,
-            AccelerationStrategy::OnChip,
-            DriverMode::Posted,
-        )),
-        "encryption" => Some((
-            ThreadingDesign::AsyncNoResponse,
-            AccelerationStrategy::OffChip,
-            DriverMode::AwaitsAck,
-        )),
-        "inference" => Some((
-            ThreadingDesign::AsyncDistinctThread,
-            AccelerationStrategy::Remote,
-            DriverMode::Posted,
-        )),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accelerometer::{AccelerationStrategy, DriverMode, ThreadingDesign};
     use accelerometer_fleet::{all_case_studies, ServiceRegistry};
 
     fn aes_ni() -> CaseStudy {
         ServiceRegistry::builtin()
             .case_study("aes-ni")
             .expect("aes-ni case study")
+    }
+
+    /// Each case study exercises a distinct design/strategy pair (§4
+    /// validates all three threading scenarios).
+    fn expected_design(name: &str) -> Option<(ThreadingDesign, AccelerationStrategy, DriverMode)> {
+        match name {
+            "aes-ni" => Some((
+                ThreadingDesign::Sync,
+                AccelerationStrategy::OnChip,
+                DriverMode::Posted,
+            )),
+            "encryption" => Some((
+                ThreadingDesign::AsyncNoResponse,
+                AccelerationStrategy::OffChip,
+                DriverMode::AwaitsAck,
+            )),
+            "inference" => Some((
+                ThreadingDesign::AsyncDistinctThread,
+                AccelerationStrategy::Remote,
+                DriverMode::Posted,
+            )),
+            _ => None,
+        }
     }
 
     #[test]

@@ -384,7 +384,10 @@ mod tests {
     #[test]
     fn downtime_window_defers_service_to_window_end() {
         let mut d = Device::new(DeviceKind::Shared { servers: 1 }, 0.0, 1, 1e9);
-        let windows = [DegradationWindow::downtime(100.0, 5_000.0)];
+        let windows = [DegradationWindow {
+            down: true,
+            ..DegradationWindow::slowdown(100.0, 5_000.0, 1.0)
+        }];
         let a = d.dispatch_faulty(SimTime::new(200.0), 0, 50.0, 0.0, &windows);
         assert!(a.degraded);
         assert_eq!(a.service_start.cycles(), 5_000.0);
@@ -409,8 +412,8 @@ mod tests {
     fn chained_downtime_windows_defer_transitively() {
         let mut d = Device::new(DeviceKind::Unlimited, 0.0, 1, 1e9);
         let windows = [
-            DegradationWindow::downtime(0.0, 100.0),
-            DegradationWindow::downtime(100.0, 300.0),
+            DegradationWindow { down: true, ..DegradationWindow::slowdown(0.0, 100.0, 1.0) },
+            DegradationWindow { down: true, ..DegradationWindow::slowdown(100.0, 300.0, 1.0) },
         ];
         let a = d.dispatch_faulty(SimTime::new(50.0), 0, 10.0, 0.0, &windows);
         assert_eq!(a.service_start.cycles(), 300.0);

@@ -58,17 +58,6 @@ impl DegradationWindow {
         }
     }
 
-    /// A full-downtime window: service defers to the window's end.
-    #[must_use]
-    pub fn downtime(start: f64, end: f64) -> Self {
-        Self {
-            start,
-            end,
-            multiplier: 1.0,
-            down: true,
-        }
-    }
-
     fn validate(&self) -> Result<()> {
         ensure(
             self.start.is_finite() && self.start >= 0.0,

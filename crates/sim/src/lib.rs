@@ -14,10 +14,10 @@
 //! speedup" when validating the analytical model.
 //!
 //! ```
-//! use accelerometer_sim::{run_ab, OffloadConfig, SimConfig};
+//! use accelerometer_sim::{run_ab, DeviceKind, OffloadConfig, SimConfig};
 //! use accelerometer_sim::workload::WorkloadSpec;
 //! use accelerometer::units::cycles_per_byte;
-//! use accelerometer::GranularityCdf;
+//! use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 //!
 //! let control = SimConfig {
 //!     cores: 2,
@@ -35,7 +35,19 @@
 //!     fault: Default::default(),
 //!     recovery: Default::default(),
 //! };
-//! let result = run_ab(&control, OffloadConfig::on_chip_sync(8.0))?;
+//! // An 8x on-chip accelerator with no offload overheads.
+//! let offload = OffloadConfig {
+//!     design: ThreadingDesign::Sync,
+//!     strategy: AccelerationStrategy::OnChip,
+//!     driver: DriverMode::Posted,
+//!     device: DeviceKind::PerCore,
+//!     peak_speedup: 8.0,
+//!     interface_latency: 0.0,
+//!     setup_cycles: 0.0,
+//!     dispatch_pollution: 0.0,
+//!     min_offload_bytes: None,
+//! };
+//! let result = run_ab(&control, offload)?;
 //! assert!(result.speedup() > 1.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -73,9 +85,7 @@ pub use faultsweep::{
     FallbackValidationRow, FaultModelCheck, FaultScenario, FaultSweepReport, NamedPolicy,
     PolicyOutcome, FALLBACK_VALIDATION_PROBABILITIES,
 };
-pub use loadsweep::{
-    concurrency_sweep_with, device_capacity_sweep_with, ConcurrencySweep, LoadPoint,
-};
+pub use loadsweep::{concurrency_sweep_with, ConcurrencySweep, LoadPoint};
 pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};
 pub use metrics::{FaultMetrics, LatencyStats, SimMetrics};
 pub use parallel::{derive_seed, run_batch, ExecPool};

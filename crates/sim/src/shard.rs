@@ -341,7 +341,10 @@ mod tests {
             failure_probability: 0.02,
             spike_probability: 0.01,
             spike_cycles: 20_000.0,
-            degradation: vec![DegradationWindow::downtime(2e6, 3e6)],
+            degradation: vec![DegradationWindow {
+                down: true,
+                ..DegradationWindow::slowdown(2e6, 3e6, 1.0)
+            }],
             ..FaultPlan::none()
         };
         cfg.recovery = RecoveryPolicy {

@@ -115,11 +115,11 @@ impl WorkloadSpec {
     ///
     /// Implemented as [`RequestSampler::draw_record`] followed by
     /// [`expand_record`], so there is exactly one copy of the
-    /// host-cycles/`ln` draw logic and one copy of the item layout.
-    /// Convenient for one-off draws; repeated draws should build the
-    /// sampler once via [`WorkloadSpec::sampler`].
-    #[must_use]
-    pub fn draw_request(&self, rng: &mut StdRng) -> Vec<WorkItem> {
+    /// host-cycles/`ln` draw logic and one copy of the item layout. The
+    /// engine draws through a sampler built once; this one-off form is
+    /// the reference the sampling and trace tests compare against.
+    #[cfg(test)]
+    pub(crate) fn draw_request(&self, rng: &mut StdRng) -> Vec<WorkItem> {
         let mut record = Vec::with_capacity(self.kernels_per_request + 1);
         self.sampler().draw_record(rng, &mut record);
         let mut items = Vec::with_capacity(2 * self.kernels_per_request + 1);

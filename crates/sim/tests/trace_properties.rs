@@ -68,10 +68,10 @@ fn fault_strategy(horizon_hint: f64) -> impl Strategy<Value = (FaultPlan, Recove
                     failure_probability: p,
                     spike_probability: p / 2.0,
                     spike_cycles: 20_000.0,
-                    degradation: vec![DegradationWindow::downtime(
-                        horizon_hint * 0.3,
-                        horizon_hint * 0.5,
-                    )],
+                    degradation: vec![DegradationWindow {
+                        down: true,
+                        ..DegradationWindow::slowdown(horizon_hint * 0.3, horizon_hint * 0.5, 1.0)
+                    }],
                 },
                 RecoveryPolicy {
                     max_retries: 2,

@@ -30,7 +30,7 @@ fn table6_reproduction() {
         // The simulated production measurement lands within 1.5 points of
         // the paper's A/B measurement.
         assert!(
-            v.simulated_vs_paper_points() < 1.5,
+            (v.simulated_percent - v.paper_real_percent).abs() < 1.5,
             "{}: simulated {:.2}% vs paper real {:.2}%",
             v.name,
             v.simulated_percent,

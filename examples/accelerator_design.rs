@@ -3,18 +3,15 @@
 //!
 //! Questions this example answers with the model:
 //! 1. What is the break-even offload granularity per threading design?
-//! 2. How much of the ideal gain does each design realize?
+//! 2. How far is each design's gain from the ideal bound?
 //! 3. How slow may the PCIe interface get before the win evaporates?
-//! 4. How does Accelerometer's answer differ from LogCA's (prior work)?
 //!
 //! Run with: `cargo run --example accelerator_design`
 
 use accelerometer_suite::fleet::ServiceRegistry;
-use accelerometer_suite::model::logca::LogCa;
 use accelerometer_suite::model::sweep::{log_space, sweep, SweepAxis};
-use accelerometer_suite::model::units::bytes;
 use accelerometer_suite::model::{
-    project, throughput_breakeven, BreakEven, Complexity, ModelParams, OffloadContext, Scenario,
+    project, throughput_breakeven, BreakEven, ModelParams, OffloadContext, Scenario,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,10 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let p = project(&rec.profile, &cfg.accelerator, cfg.design, cfg.policy)?;
         println!(
-            "  {:<18} {be_text:<18} speedup {:>5.2}%  ({:.0}% of ideal)",
+            "  {:<18} {be_text:<18} speedup {:>5.2}%  (ideal {:.2}%)",
             cfg.label,
             p.estimate.throughput_gain_percent(),
-            p.efficiency_vs_ideal() * 100.0,
+            (p.ideal_speedup - 1.0) * 100.0,
         );
     }
 
@@ -75,27 +72,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("  => the ASIC keeps a >=5% win up to L ~= {max_tolerable:.0} cycles");
-
-    // 3. Prior-work comparison: LogCA models a single blocking offload,
-    // so it agrees with Accelerometer's Sync break-even but cannot see
-    // the Sync-OS/Async differences.
-    let logca = LogCa {
-        latency: accelerometer_suite::model::Cycles::new(2_300.0),
-        overhead: accelerometer_suite::model::Cycles::new(0.0),
-        computational_index: rec.profile.cost.cycles_per_byte,
-        complexity: Complexity::LINEAR,
-        acceleration: 27.0,
-    };
-    println!("\nLogCA view of the same device (single blocking offload):");
-    println!("  g1 (break-even)      = {:.0} B", logca.g1().expect("A > 1").get());
-    println!("  g_{{A/2}} (half peak)   = {:.0} B", logca.g_half().expect("A > 1").get());
-    for g in [512.0, 4_096.0, 65_536.0] {
-        println!("  speedup at g = {g:>6.0}: {:.2}x", logca.speedup(bytes(g)));
-    }
-    println!(
-        "  LogCA sees a {:.0}x peak per offload, but only Accelerometer's\n  \
-         threading-aware view shows Sync-OS collapsing to ~1.6% service-level gain.",
-        logca.peak_bound()
-    );
     Ok(())
 }

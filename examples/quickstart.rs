@@ -4,10 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use accelerometer_suite::model::{
-    estimate_with_queue_distribution, AccelerationStrategy, Cycles, DriverMode, ModelParams,
-    Scenario, ThreadingDesign,
-};
+use accelerometer_suite::model::{AccelerationStrategy, ModelParams, Scenario, ThreadingDesign};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 1 (§4 methodology): gather the model parameters. These are the
@@ -44,21 +41,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         est.freed_cycle_fraction(&params) * 100.0
     );
     println!("  paper reported     : estimated 15.7%, measured 14% in production");
-
-    // The same evaluation with an explicit queueing distribution instead
-    // of the mean-Q form (eqn 1's Σ Qᵢ variant): useful when a shared
-    // accelerator's queue has been measured.
-    let queue_samples: Vec<Cycles> = (0..8).map(|i| Cycles::new(f64::from(i) * 2.0)).collect();
-    let with_queue = estimate_with_queue_distribution(
-        &params,
-        ThreadingDesign::Sync,
-        AccelerationStrategy::OnChip,
-        DriverMode::Posted,
-        &queue_samples,
-    )?;
-    println!(
-        "  with an 8-sample queue distribution: {:.4}x",
-        with_queue.throughput_speedup
-    );
     Ok(())
 }

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Guardrails for a "do no harm" latency SLO.
-    let slo = LatencySlo::no_regression();
+    let slo = LatencySlo::at_least(1.0)?;
     println!("\nguardrails for a no-regression latency SLO:");
     match max_interface_latency(&scenario, slo) {
         Some(l) => println!("  max tolerable L : {:.0} cycles", l.get()),

@@ -54,7 +54,7 @@ fn config_file_workflow_reproduces_table6() {
 fn config_round_trips_through_serde() {
     let cfg = ConfigFile::from_json(TABLE6_CONFIG).expect("parses");
     assert_eq!(cfg.scenarios.len(), 3);
-    let json = cfg.to_json().expect("serializes");
+    let json = serde_json::to_string_pretty(&cfg).expect("serializes");
     let back = ConfigFile::from_json(&json).expect("re-parses");
     assert_eq!(cfg, back);
     // Evaluation after the round trip matches direct evaluation.
@@ -87,21 +87,26 @@ fn sweep_workflow_explores_the_design_space() {
     ])
     .expect("sweep succeeds");
     fs::remove_file(&path).ok();
-    assert_eq!(out.lines().count(), 7, "{out}");
-    // Speedup decreases monotonically as L grows.
-    let speedups: Vec<f64> = out
-        .lines()
-        .skip(1)
-        .map(|l| {
-            l.split("speedup ")
-                .nth(1)
-                .and_then(|s| s.split('x').next())
-                .and_then(|s| s.trim().parse().ok())
-                .expect("parsable speedup")
-        })
-        .collect();
-    for pair in speedups.windows(2) {
-        assert!(pair[1] <= pair[0] + 1e-9, "{speedups:?}");
+    // One block per scenario, in file order: a header and six rows.
+    let blocks: Vec<&str> = out.split("sweep of ").skip(1).collect();
+    assert_eq!(blocks.len(), 3, "{out}");
+    for block in blocks {
+        assert_eq!(block.lines().count(), 7, "{out}");
+        // Speedup decreases monotonically as L grows.
+        let speedups: Vec<f64> = block
+            .lines()
+            .skip(1)
+            .map(|l| {
+                l.split("speedup ")
+                    .nth(1)
+                    .and_then(|s| s.split('x').next())
+                    .and_then(|s| s.trim().parse().ok())
+                    .expect("parsable speedup")
+            })
+            .collect();
+        for pair in speedups.windows(2) {
+            assert!(pair[1] <= pair[0] + 1e-9, "{speedups:?}");
+        }
     }
 }
 

@@ -12,7 +12,7 @@ use accelerometer_suite::model::{amdahl, project};
 fn headline_49_percent_claim() {
     let min_inference = [ServiceId::Feed1, ServiceId::Feed2, ServiceId::Ads1, ServiceId::Ads2]
         .iter()
-        .map(|&id| profile(id).inference_fraction())
+        .map(|&id| profile(id).functionality.fraction(FunctionalityCategory::PredictionRanking))
         .fold(f64::INFINITY, f64::min);
     let gain = (amdahl::ideal_speedup(min_inference) - 1.0) * 100.0;
     assert!((gain - 49.0).abs() < 1.0, "headline gain {gain:.1}%");
@@ -61,7 +61,7 @@ fn table6_model_estimates() {
         assert_eq!(study.name, name);
         let got = study.scenario.estimate().throughput_gain_percent();
         assert!((got - pct).abs() < 0.1, "{name}: {got:.2}% vs {pct}%");
-        assert!(study.paper_error_points() <= 3.7 + 1e-9);
+        assert!((study.paper_estimated_percent - study.paper_real_percent).abs() <= 3.7 + 1e-9);
     }
 }
 
