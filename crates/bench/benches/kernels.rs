@@ -4,7 +4,8 @@
 //! implementations of the same kernel yields `A`.
 //!
 //! Granularities mirror the paper's CDFs: encryption at 64 B–4 KiB
-//! (Fig. 15) and compression at 256 B–32 KiB (Fig. 19).
+//! (Fig. 15), and compression at 4 KiB with decompression at 4 and
+//! 32 KiB, inside Fig. 19's 256 B–32 KiB range.
 
 use accelerometer_kernels::aes::Aes128;
 use accelerometer_kernels::mlp::{Mlp, MlpScratch};
@@ -36,18 +37,8 @@ fn bench_aes(c: &mut Criterion) {
 }
 
 fn bench_compression(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/lz_compress");
-    for &size in &[256usize, 4096, 32_768] {
-        let input = data(size);
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
-            b.iter(|| lz::compress(black_box(&input)))
-        });
-    }
-    group.finish();
-
-    // Scratch-reuse path: one compressor context reused across calls,
-    // the way a service's request loop would hold one per connection.
+    // One compressor context reused across calls, the way a service's
+    // request loop would hold one per connection.
     let mut group = c.benchmark_group("kernels/lz_compress_scratch");
     let size = 4096usize;
     let input = data(size);
@@ -64,7 +55,8 @@ fn bench_compression(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kernels/lz_decompress");
     for &size in &[4096usize, 32_768] {
-        let compressed = lz::compress(&data(size));
+        let mut compressed = Vec::new();
+        lz::compress_into(&data(size), &mut scratch, &mut compressed);
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| lz::decompress(black_box(&compressed)).expect("valid stream"))

@@ -24,7 +24,7 @@ use accelerometer::{
 use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::workload::{workload_for_params, WorkloadSpec};
 use accelerometer_sim::{
-    run_ab, run_ab_batch, DeviceKind, ExecPool, OffloadConfig, RunContext, SimConfig, SimError,
+    run_ab_batch, DeviceKind, ExecPool, OffloadConfig, RunContext, SimConfig, SimError,
 };
 use serde::{Deserialize, Serialize};
 
@@ -48,14 +48,15 @@ pub struct AlphaWeightingAblation {
 }
 
 /// Runs the α-weighting ablation on `reg`'s Feed1 off-chip Sync
-/// compression, or `Ok(None)` when the service data has no such
-/// configuration with a finite break-even.
+/// compression, its A/B on `pool`, or `Ok(None)` when the service data
+/// has no such configuration with a finite break-even.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] when the service data yields a
 /// workload the simulator cannot run.
 pub fn alpha_weighting(
+    pool: &ExecPool,
     reg: &ServiceRegistry,
     seed: u64,
 ) -> Result<Option<AlphaWeightingAblation>, SimError> {
@@ -127,7 +128,7 @@ pub fn alpha_weighting(
         dispatch_pollution: 0.0,
         min_offload_bytes: Some(breakeven.get()),
     };
-    let simulated_percent = run_ab(&control, offload)?.speedup_percent();
+    let simulated_percent = run_ab_batch(pool, &[(control, offload)])?[0].speedup_percent();
 
     Ok(Some(AlphaWeightingAblation {
         breakeven_bytes: breakeven.get(),
@@ -391,7 +392,7 @@ pub fn prior_model_comparison(reg: &ServiceRegistry) -> Vec<PriorModelRow> {
 pub fn render_all(ctx: &RunContext, seed: u64) -> Result<String, SimError> {
     let mut out = String::new();
 
-    if let Some(a) = alpha_weighting(&ctx.registry, seed)? {
+    if let Some(a) = alpha_weighting(&ctx.pool, &ctx.registry, seed)? {
         out.push_str(&table(
             "Ablation 1: count- vs byte-weighted alpha scaling (Feed1 off-chip Sync compression)",
             &["quantity", "value"],
@@ -506,7 +507,7 @@ mod tests {
 
     #[test]
     fn byte_weighting_matches_simulated_truth() {
-        let a = alpha_weighting(&ServiceRegistry::builtin(), 77)
+        let a = alpha_weighting(&ExecPool::new(2), &ServiceRegistry::builtin(), 77)
             .expect("valid configs")
             .expect("Feed1 off-chip Sync compression");
         // Bytes concentrate in large offloads: byte fraction far exceeds

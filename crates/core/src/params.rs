@@ -26,6 +26,7 @@ pub struct OffloadOverheads {
 
 impl OffloadOverheads {
     /// No overheads at all — the idealized on-chip case.
+    #[cfg(test)]
     pub const NONE: Self = Self {
         setup: Cycles::ZERO,
         interface: Cycles::ZERO,

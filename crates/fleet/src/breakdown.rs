@@ -130,15 +130,6 @@ impl<C: Copy + PartialEq> Breakdown<C> {
         self.entries.iter().map(|(c, _)| *c)
     }
 
-    /// The entry with the largest share.
-    #[must_use]
-    pub fn dominant(&self) -> Option<(C, f64)> {
-        self.entries
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("percentages are finite"))
-    }
-
     /// Sums the percentages of categories matching a predicate — e.g. the
     /// Fig. 1 "core" share via `FunctionalityCategory::is_core`. Folds
     /// from `+0.0`: an empty `f64` sum is `-0.0`, which prints as `-0.0%`.
@@ -223,13 +214,6 @@ mod tests {
         assert_eq!(b.fraction(F::ApplicationLogic), 0.18);
         // Absent category reads as zero.
         assert_eq!(b.percent(F::PredictionRanking), 0.0);
-    }
-
-    #[test]
-    fn dominant_category() {
-        let (cat, pct) = web_like().dominant().unwrap();
-        assert_eq!(cat, F::Logging);
-        assert_eq!(pct, 23.0);
     }
 
     #[test]

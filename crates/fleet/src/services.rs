@@ -247,6 +247,11 @@ pub fn profile(id: ServiceId) -> ServiceProfile {
 mod tests {
     use super::*;
 
+    /// The category with the largest share.
+    fn dominant<C: Copy + PartialEq>(breakdown: &Breakdown<C>) -> C {
+        breakdown.iter().max_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty").0
+    }
+
     #[test]
     fn all_profiles_are_complete() {
         for id in ServiceId::ALL {
@@ -356,22 +361,17 @@ mod tests {
         // §2.3.3: Cache implements spin locks to avoid µs-scale wakeups.
         for id in [ServiceId::Cache1, ServiceId::Cache2] {
             let p = profile(id);
-            let (dominant, _) = p.sync_ops.dominant().unwrap();
-            assert_eq!(dominant, SyncPrimitive::SpinLock, "{id}");
+            assert_eq!(dominant(&p.sync_ops), SyncPrimitive::SpinLock, "{id}");
         }
         // Non-cache services don't.
-        assert_ne!(
-            profile(ServiceId::Web).sync_ops.dominant().unwrap().0,
-            SyncPrimitive::SpinLock
-        );
+        assert_ne!(dominant(&profile(ServiceId::Web).sync_ops), SyncPrimitive::SpinLock);
     }
 
     #[test]
     fn ml_services_are_vector_heavy_web_is_string_heavy() {
         // §2.3.4.
         for id in [ServiceId::Feed2, ServiceId::Ads1, ServiceId::Ads2] {
-            let (dominant, _) = profile(id).clib_ops.dominant().unwrap();
-            assert_eq!(dominant, CLibOp::Vectors, "{id}");
+            assert_eq!(dominant(&profile(id).clib_ops), CLibOp::Vectors, "{id}");
         }
         let web = profile(ServiceId::Web);
         assert!(web.clib_ops.percent(CLibOp::Strings) >= 30.0);
@@ -385,8 +385,7 @@ mod tests {
         let mut max_mem: f64 = 0.0;
         for id in ServiceId::CHARACTERIZED {
             let p = profile(id);
-            let (dominant, _) = p.memory_ops.dominant().unwrap();
-            assert_eq!(dominant, MemoryOp::Copy, "{id}");
+            assert_eq!(dominant(&p.memory_ops), MemoryOp::Copy, "{id}");
             max_mem = max_mem.max(p.leaves.percent(L::Memory));
         }
         assert_eq!(max_mem, 37.0);
@@ -397,16 +396,16 @@ mod tests {
         // §2.3.1: Web copies mostly in I/O pre/post processing; Cache2
         // mostly in the network protocol stack (I/O).
         assert_eq!(
-            profile(ServiceId::Web).copy_origins.dominant().unwrap().0,
+            dominant(&profile(ServiceId::Web).copy_origins),
             CopyOrigin::IoPrePostProcessing
         );
         assert_eq!(
-            profile(ServiceId::Cache2).copy_origins.dominant().unwrap().0,
+            dominant(&profile(ServiceId::Cache2).copy_origins),
             CopyOrigin::SecureInsecureIo
         );
         // Cache1's key-value store copies show up as application logic.
         assert_eq!(
-            profile(ServiceId::Cache1).copy_origins.dominant().unwrap().0,
+            dominant(&profile(ServiceId::Cache1).copy_origins),
             CopyOrigin::ApplicationLogic
         );
     }

@@ -8,13 +8,13 @@
 //! per-byte cost is representative of unaccelerated encryption.
 //!
 //! When the host exposes AES-NI (and [`crate::dispatch`] has not been
-//! forced scalar), [`Aes128::encrypt_block`] and [`Aes128::ctr_apply`]
-//! run `aesenc`/`aesenclast` instead — the *same* cipher evaluated by
-//! the ISA extension the paper's case study 1 measures, so ciphertext
-//! is byte-identical and the scalar/AES-NI cost gap is an honestly
-//! measured on-chip acceleration factor, not a modeled one. The scalar
-//! tier stays reachable as [`Aes128::ctr_apply_scalar`] /
-//! [`Aes128::encrypt_block_scalar`] so the harness can measure both
+//! forced scalar), [`Aes128::ctr_apply`] runs `aesenc`/`aesenclast`
+//! instead — the *same* cipher evaluated by the ISA extension the
+//! paper's case study 1 measures, so ciphertext is byte-identical and
+//! the scalar/AES-NI cost gap is an honestly measured on-chip
+//! acceleration factor, not a modeled one. The scalar tier stays
+//! reachable as [`Aes128::ctr_apply_scalar`] (over
+//! [`Aes128::encrypt_block_scalar`]) so the calibrator can measure both
 //! sides in one session.
 
 /// The AES block size in bytes.
@@ -95,27 +95,9 @@ impl Aes128 {
         Self { round_keys }
     }
 
-    /// Encrypts one 16-byte block in place, on AES-NI when the host has
-    /// it ([`crate::dispatch`]), else on the scalar FIPS-197 rendering.
-    /// Both produce identical ciphertext — AES is deterministic and the
-    /// ISA evaluates the same cipher.
-    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::dispatch::has(crate::dispatch::AES) {
-            // SAFETY: AES-NI presence was checked at runtime just above.
-            #[allow(unsafe_code)]
-            unsafe {
-                simd::encrypt_block(&self.round_keys, block);
-            }
-            return;
-        }
-        self.encrypt_block_scalar(block);
-    }
-
-    /// The scalar FIPS-197 reference for [`Aes128::encrypt_block`],
-    /// always available: the unaccelerated-host tier the model measures
-    /// `A` against, and the oracle the equivalence tests compare the
-    /// AES-NI path to.
+    /// Encrypts one 16-byte block in place on the scalar FIPS-197
+    /// rendering: the block function of [`Aes128::ctr_apply_scalar`],
+    /// the unaccelerated-host tier the model measures `A` against.
     pub fn encrypt_block_scalar(&self, block: &mut [u8; BLOCK_SIZE]) {
         add_round_key(block, &self.round_keys[0]);
         for round in 1..ROUNDS {
@@ -150,8 +132,9 @@ impl Aes128 {
         self.ctr_apply_scalar(counter, data)
     }
 
-    /// The scalar tier of [`Aes128::ctr_apply`], always available (see
-    /// [`Aes128::encrypt_block_scalar`] for why it stays public).
+    /// The scalar tier of [`Aes128::ctr_apply`], always available: the
+    /// unaccelerated-host baseline the calibrator times, and the oracle
+    /// the equivalence tests compare the AES-NI path to.
     pub fn ctr_apply_scalar(&self, counter: &[u8; BLOCK_SIZE], data: &mut [u8]) -> usize {
         let mut blocks = 0;
         let mut ctr = *counter;
@@ -331,18 +314,31 @@ fn increment_counter(ctr: &mut [u8; BLOCK_SIZE]) {
     }
 }
 
-/// Convenience: encrypt a buffer with AES-128-CTR, returning the
-/// ciphertext.
-#[must_use]
-pub fn encrypt_ctr(key: &[u8; KEY_SIZE], counter: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = plaintext.to_vec();
-    Aes128::new(key).ctr_apply(counter, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `block` encrypted with `key` on both tiers: the scalar block
+    /// function, and the dispatched `ctr_apply` with `block` as the
+    /// counter over one zero block (CTR's keystream is `E(counter)`).
+    fn encrypt_both_tiers(key: &[u8; 16], block: [u8; 16]) -> [[u8; 16]; 2] {
+        let cipher = Aes128::new(key);
+        let mut scalar = block;
+        cipher.encrypt_block_scalar(&mut scalar);
+        let mut dispatched = [0u8; 16];
+        cipher.ctr_apply(&block, &mut dispatched);
+        [scalar, dispatched]
+    }
+
+    /// `plaintext` through AES-128-CTR on both tiers.
+    fn ctr_both_tiers(key: &[u8; 16], counter: &[u8; 16], plaintext: &[u8]) -> [Vec<u8>; 2] {
+        let cipher = Aes128::new(key);
+        let mut dispatched = plaintext.to_vec();
+        cipher.ctr_apply(counter, &mut dispatched);
+        let mut scalar = plaintext.to_vec();
+        cipher.ctr_apply_scalar(counter, &mut scalar);
+        [dispatched, scalar]
+    }
 
     /// FIPS-197 Appendix B: the worked AES-128 example.
     #[test]
@@ -351,18 +347,19 @@ mod tests {
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
             0x4f, 0x3c,
         ];
-        let mut block: [u8; 16] = [
+        let block: [u8; 16] = [
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
-        Aes128::new(&key).encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19,
-                0x6a, 0x0b, 0x32
-            ]
-        );
+        for ciphertext in encrypt_both_tiers(&key, block) {
+            assert_eq!(
+                ciphertext,
+                [
+                    0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19,
+                    0x6a, 0x0b, 0x32
+                ]
+            );
+        }
     }
 
     /// FIPS-197 Appendix C.1: AES-128 known-answer test.
@@ -372,22 +369,23 @@ mod tests {
             0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
             0x0e, 0x0f,
         ];
-        let mut block: [u8; 16] = [
+        let block: [u8; 16] = [
             0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
             0xee, 0xff,
         ];
-        Aes128::new(&key).encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70,
-                0xb4, 0xc5, 0x5a
-            ]
-        );
+        for ciphertext in encrypt_both_tiers(&key, block) {
+            assert_eq!(
+                ciphertext,
+                [
+                    0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70,
+                    0xb4, 0xc5, 0x5a
+                ]
+            );
+        }
     }
 
     /// NIST SP 800-38A F.5.1: AES-128-CTR known-answer test (first two
-    /// blocks).
+    /// blocks), on both tiers.
     #[test]
     fn sp800_38a_ctr_vector() {
         let key: [u8; 16] = [
@@ -403,26 +401,28 @@ mod tests {
             0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57, 0x1e, 0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac,
             0x45, 0xaf, 0x8e, 0x51,
         ];
-        let ciphertext = encrypt_ctr(&key, &counter, &plaintext);
-        assert_eq!(
-            ciphertext,
-            vec![
-                0x87, 0x4d, 0x61, 0x91, 0xb6, 0x20, 0xe3, 0x26, 0x1b, 0xef, 0x68, 0x64, 0x99,
-                0x0d, 0xb6, 0xce, 0x98, 0x06, 0xf6, 0x6b, 0x79, 0x70, 0xfd, 0xff, 0x86, 0x17,
-                0x18, 0x7b, 0xb9, 0xff, 0xfd, 0xff
-            ]
-        );
+        for ciphertext in ctr_both_tiers(&key, &counter, &plaintext) {
+            assert_eq!(
+                ciphertext,
+                vec![
+                    0x87, 0x4d, 0x61, 0x91, 0xb6, 0x20, 0xe3, 0x26, 0x1b, 0xef, 0x68, 0x64, 0x99,
+                    0x0d, 0xb6, 0xce, 0x98, 0x06, 0xf6, 0x6b, 0x79, 0x70, 0xfd, 0xff, 0x86, 0x17,
+                    0x18, 0x7b, 0xb9, 0xff, 0xfd, 0xff
+                ]
+            );
+        }
     }
 
     #[test]
     fn ctr_is_its_own_inverse() {
-        let key = [7u8; 16];
+        let cipher = Aes128::new(&[7u8; 16]);
         let counter = [1u8; 16];
         let plaintext: Vec<u8> = (0..1000).map(|i| (i % 251) as u8).collect();
-        let ciphertext = encrypt_ctr(&key, &counter, &plaintext);
-        assert_ne!(ciphertext, plaintext);
-        let decrypted = encrypt_ctr(&key, &counter, &ciphertext);
-        assert_eq!(decrypted, plaintext);
+        let mut data = plaintext.clone();
+        cipher.ctr_apply(&counter, &mut data);
+        assert_ne!(data, plaintext);
+        cipher.ctr_apply(&counter, &mut data);
+        assert_eq!(data, plaintext);
     }
 
     #[test]
@@ -431,9 +431,10 @@ mod tests {
         let counter = [0u8; 16];
         for len in [0usize, 1, 15, 16, 17, 31, 33] {
             let plaintext = vec![0xabu8; len];
-            let ciphertext = encrypt_ctr(&key, &counter, &plaintext);
-            assert_eq!(ciphertext.len(), len);
-            assert_eq!(encrypt_ctr(&key, &counter, &ciphertext), plaintext);
+            let [dispatched, scalar] = ctr_both_tiers(&key, &counter, &plaintext);
+            assert_eq!(dispatched.len(), len);
+            assert_eq!(dispatched, scalar, "len {len}");
+            assert_eq!(ctr_both_tiers(&key, &counter, &dispatched)[0], plaintext);
         }
     }
 
@@ -463,8 +464,8 @@ mod tests {
     fn different_keys_differ() {
         let mut a = [0u8; 16];
         let mut b = [0u8; 16];
-        Aes128::new(&[1u8; 16]).encrypt_block(&mut a);
-        Aes128::new(&[2u8; 16]).encrypt_block(&mut b);
+        Aes128::new(&[1u8; 16]).encrypt_block_scalar(&mut a);
+        Aes128::new(&[2u8; 16]).encrypt_block_scalar(&mut b);
         assert_ne!(a, b);
     }
 }

@@ -131,20 +131,23 @@ macro_rules! rounds8 {
     };
 }
 
-/// Compresses one 64-byte block into the state, dispatching to the
-/// SHA-NI data path when the host exposes it (identical output — the
-/// ISA evaluates the same FIPS 180-4 function).
-fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+/// Compresses one 64-byte block into the state: on the SHA-NI data
+/// path when `sha_ni` is set (identical output — the ISA evaluates the
+/// same FIPS 180-4 function), else on the scalar rounds.
+#[inline]
+fn compress_block(state: &mut [u32; 8], block: &[u8; 64], sha_ni: bool) {
     #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::has(crate::dispatch::SHA | crate::dispatch::SSSE3 | crate::dispatch::SSE41)
-    {
-        // SAFETY: SHA-NI + SSSE3 + SSE4.1 presence was checked above.
+    if sha_ni {
+        // SAFETY: `sha_ni` is only set after runtime detection of
+        // SHA-NI + SSSE3 + SSE4.1.
         #[allow(unsafe_code)]
         unsafe {
             simd::compress_block(state, block);
         }
         return;
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = sha_ni;
     compress_block_scalar(state, block);
 }
 
@@ -177,127 +180,46 @@ fn compress_block_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// A streaming SHA-256 hasher: feed bytes with [`Sha256::update`],
-/// close with [`Sha256::finalize`].
-///
-/// Holds only the 8-word chaining state, a 64-byte block buffer, and a
-/// length counter — no allocation, no copy of the message. Full blocks
-/// in `update` are compressed straight from the caller's slice; only a
-/// trailing partial block is buffered. The one-shot [`sha256`] is a
-/// thin wrapper, so both paths produce identical digests by
-/// construction (and the streaming-vs-one-shot proptest pins it).
-#[derive(Debug, Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    block: [u8; 64],
-    /// Bytes currently buffered in `block` (always < 64).
-    buffered: usize,
-    /// Total message bytes absorbed so far.
-    total_bytes: u64,
-}
-
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha256 {
-    /// Creates a hasher in the FIPS 180-4 initial state.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            state: H0,
-            block: [0u8; 64],
-            buffered: 0,
-            total_bytes: 0,
-        }
-    }
-
-    /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_bytes = self.total_bytes.wrapping_add(data.len() as u64);
-        // Top up a partial block first.
-        if self.buffered > 0 {
-            let take = data.len().min(64 - self.buffered);
-            self.block[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered < 64 {
-                return;
-            }
-            let block = self.block;
-            compress_block(&mut self.state, &block);
-            self.buffered = 0;
-        }
-        // Full blocks straight from the input, no copy.
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            compress_block(&mut self.state, chunk.try_into().expect("64-byte chunk"));
-        }
-        let tail = chunks.remainder();
-        self.block[..tail.len()].copy_from_slice(tail);
-        self.buffered = tail.len();
-    }
-
-    /// Pads and returns the digest, consuming the hasher.
-    #[must_use]
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_bytes.wrapping_mul(8);
-        self.block[self.buffered] = 0x80;
-        if self.buffered + 1 > 56 {
-            // No room for the length: close this block, pad a second.
-            self.block[self.buffered + 1..].fill(0);
-            let block = self.block;
-            compress_block(&mut self.state, &block);
-            self.block = [0u8; 64];
-        } else {
-            self.block[self.buffered + 1..56].fill(0);
-        }
-        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.block;
-        compress_block(&mut self.state, &block);
-
-        let mut digest = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            digest[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        digest
-    }
-}
-
-/// Computes the SHA-256 digest of `data` in one shot (implemented on
-/// the streaming [`Sha256`]; no allocation, no message copy).
+/// Computes the SHA-256 digest of `data`, on the SHA extensions when
+/// [`crate::dispatch`] reports them. No allocation, no message copy.
 #[must_use]
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut hasher = Sha256::new();
-    hasher.update(data);
-    hasher.finalize()
+    sha256_with(
+        data,
+        crate::dispatch::has(crate::dispatch::SHA | crate::dispatch::SSSE3 | crate::dispatch::SSE41),
+    )
 }
 
 /// [`sha256`] pinned to the scalar compression tier regardless of what
-/// the host exposes: the unaccelerated-host reference the harness
+/// the host exposes: the unaccelerated-host reference the calibrator
 /// measures the SHA-NI acceleration factor against, and the oracle the
-/// equivalence tests compare the dispatched digest to. (The padding
-/// driver here is deliberately small and is itself pinned against the
-/// streaming path by those same tests.)
+/// equivalence tests compare the dispatched digest to. Both run the one
+/// padding driver, so they differ only in the block function.
 #[must_use]
 pub fn sha256_scalar(data: &[u8]) -> [u8; 32] {
+    sha256_with(data, false)
+}
+
+/// The padding driver (FIPS 180-4 §5.1.1): full blocks straight from
+/// `data`, then one or two padded tail blocks. `sha_ni` is read once
+/// per call, not per block.
+fn sha256_with(data: &[u8], sha_ni: bool) -> [u8; 32] {
     let mut state = H0;
     let mut chunks = data.chunks_exact(64);
     for chunk in &mut chunks {
-        compress_block_scalar(&mut state, chunk.try_into().expect("64-byte chunk"));
+        compress_block(&mut state, chunk.try_into().expect("64-byte chunk"), sha_ni);
     }
     let rem = chunks.remainder();
     let mut block = [0u8; 64];
     block[..rem.len()].copy_from_slice(rem);
     block[rem.len()] = 0x80;
     if rem.len() + 1 > 56 {
-        compress_block_scalar(&mut state, &block);
+        // No room for the length: close this block, pad a second.
+        compress_block(&mut state, &block, sha_ni);
         block = [0u8; 64];
     }
     block[56..].copy_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
-    compress_block_scalar(&mut state, &block);
+    compress_block(&mut state, &block, sha_ni);
     let mut digest = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
         digest[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -474,8 +396,7 @@ mod tests {
         for len in [55usize, 56, 57, 63, 64, 65, 119, 120] {
             let data = vec![b'a'; len];
             let d1 = sha256(&data);
-            let d2 = sha256(&data);
-            assert_eq!(d1, d2);
+            assert_eq!(d1, sha256_scalar(&data), "len {len}");
             // A one-byte change flips the digest.
             let mut other = data.clone();
             other[len / 2] ^= 1;
@@ -485,29 +406,13 @@ mod tests {
 
     #[test]
     fn sha256_million_a() {
-        // NIST long-message vector: one million 'a's.
+        // NIST long-message vector: one million 'a's, on both tiers.
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    #[test]
-    fn streaming_matches_one_shot_across_split_points() {
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
-        let expected = sha256(&data);
-        for split in [0usize, 1, 55, 56, 63, 64, 65, 128, 299, 300] {
-            let mut hasher = Sha256::new();
-            hasher.update(&data[..split]);
-            hasher.update(&data[split..]);
-            assert_eq!(hasher.finalize(), expected, "split {split}");
+        for digest in [sha256(&data), sha256_scalar(&data)] {
+            assert_eq!(
+                hex(&digest),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+            );
         }
-        // Byte-at-a-time streaming.
-        let mut hasher = Sha256::new();
-        for byte in &data {
-            hasher.update(std::slice::from_ref(byte));
-        }
-        assert_eq!(hasher.finalize(), expected);
     }
 }

@@ -9,7 +9,8 @@
 //! * [`lz`] — an LZ77-style compressor (the ZSTD/compression kernel);
 //! * [`mlp`] — multilayer-perceptron inference (the Feed/Ads ML kernel);
 //! * [`hash`] — SHA-256 (the Hashing leaf category);
-//! * [`harness`] — wall-time → cycles measurement to derive `Cb` and `A`;
+//! * [`harness`] — batched wall-time → cycles measurement to derive
+//!   `Cb` and `A`;
 //! * [`dispatch`] — runtime ISA dispatch: kernels use the host's
 //!   AES-NI/SHA-NI/AVX2 paths when present (scalar otherwise), and
 //!   `KERNELS_FORCE_SCALAR=1` pins a whole process to the scalar
@@ -23,11 +24,12 @@
 //! ```
 //! use accelerometer_kernels::{aes, harness::Harness};
 //!
-//! // Derive an encryption Cb the way §4 does with micro-benchmarks.
+//! // Derive an encryption Cb the way §4 does with micro-benchmarks:
+//! // 4 timer reads of 8 calls each over a 4 KiB message.
 //! let h = Harness::new(2.0e9);
 //! let cipher = aes::Aes128::new(&[0u8; 16]);
 //! let mut buf = vec![0u8; 4096];
-//! let m = h.measure(8, 4096, || cipher.ctr_apply(&[0u8; 16], &mut buf));
+//! let m = h.measure_batched(4, 8, 4096, || cipher.ctr_apply(&[0u8; 16], &mut buf));
 //! assert!(m.cycles_per_byte().get() > 0.0);
 //! ```
 
@@ -45,7 +47,6 @@ pub mod hash;
 pub mod lz;
 pub mod mlp;
 
-pub use harness::{acceleration_factor, BatchedMeasurement, Harness, KernelMeasurement};
-pub use hash::Sha256;
+pub use harness::{BatchedMeasurement, Harness};
 pub use lz::LzScratch;
 pub use mlp::{Activation, Layer, Mlp, MlpError, MlpScratch};

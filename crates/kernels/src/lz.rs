@@ -187,9 +187,9 @@ mod simd {
 ///
 /// A slot is live only if its stamp matches the current generation, so
 /// bumping the generation in [`compress_into`] invalidates the whole
-/// table in O(1) — each call sees exactly the fresh-table semantics of
-/// the allocating [`compress`], and the emitted token stream is
-/// byte-identical (the `lz_golden` fixture pins it).
+/// table in O(1): each call sees an empty table, and the emitted token
+/// stream does not depend on what the scratch compressed before (the
+/// `lz_golden` fixture test runs its corpora through one scratch).
 #[derive(Debug, Clone)]
 pub struct LzScratch {
     /// Packed slots: generation stamp in the high 32 bits, position in
@@ -240,107 +240,25 @@ impl LzScratch {
 
 const SLOT_TAG_MASK: u64 = 0xffff_ffff_0000_0000;
 
-/// Head-table strategy for [`compress_core`]. The one-shot path uses a
-/// plain position table (`usize::MAX` = empty slot); the reusable
-/// scratch path a generation-tagged table. Generic rather than unified
-/// so each monomorphization keeps its probe at one load and its insert
-/// at one store — the tag check is not free, and the one-shot bench
-/// must not pay for the scratch path's O(1) reset.
-trait HeadTable {
-    /// Returns the previous position recorded for hash `h`
-    /// (`usize::MAX` if none) and records `pos` as the new head.
-    fn swap(&mut self, h: usize, pos: usize) -> usize;
-    /// Records `pos` as the head for hash `h`.
-    fn insert(&mut self, h: usize, pos: usize);
-}
-
-/// Fresh per-call table: the position itself, `usize::MAX` when empty.
-/// The fixed-size array reference keeps every `HASH_BITS`-bit index
-/// provably in bounds.
-struct FreshHead<'a>(&'a mut [usize; 1 << HASH_BITS]);
-
-impl HeadTable for FreshHead<'_> {
-    #[inline]
-    fn swap(&mut self, h: usize, pos: usize) -> usize {
-        let candidate = self.0[h];
-        self.0[h] = pos;
-        candidate
-    }
-
-    #[inline]
-    fn insert(&mut self, h: usize, pos: usize) {
-        self.0[h] = pos;
-    }
-}
-
-/// Generation-tagged view over an [`LzScratch`] table (tag pre-shifted
-/// into the high 32 bits; see [`LzScratch`]).
-struct TaggedHead<'a> {
-    head: &'a mut [u64; 1 << HASH_BITS],
-    tag: u64,
-}
-
-impl HeadTable for TaggedHead<'_> {
-    #[inline]
-    fn swap(&mut self, h: usize, pos: usize) -> usize {
-        let slot = self.head[h];
-        self.head[h] = self.tag | pos as u64;
-        if slot & SLOT_TAG_MASK == self.tag {
-            slot as u32 as usize
-        } else {
-            usize::MAX
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, h: usize, pos: usize) {
-        self.head[h] = self.tag | pos as u64;
-    }
-}
-
-/// Compresses `input`, returning the token stream. Uses the AVX2
-/// matcher when [`crate::dispatch`] reports it; the stream is
-/// byte-identical either way.
-#[must_use]
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    compress_with(input, crate::dispatch::has(crate::dispatch::AVX2))
-}
-
-/// Compresses `input` on the scalar reference path, regardless of the
-/// dispatch mode — the explicit "unaccelerated host" baseline the
-/// equivalence tests and the calibrator's paired measurements use.
-#[must_use]
-pub fn compress_scalar(input: &[u8]) -> Vec<u8> {
-    compress_with(input, false)
-}
-
-fn compress_with(input: &[u8], avx2: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let head: &mut [usize; 1 << HASH_BITS] = (&mut head[..])
-        .try_into()
-        .expect("table has 1 << HASH_BITS slots");
-    compress_core(input, &mut FreshHead(head), &mut out, avx2);
-    out
-}
-
 /// Compresses `input` into `out` (cleared first) using a reusable
-/// [`LzScratch`] — the allocation-free path for a request loop that
-/// compresses many payloads. The token stream is byte-identical to
-/// [`compress`]'s: both run [`compress_core`] over an initially-empty
-/// head table.
+/// [`LzScratch`]: the allocation-free path for a request loop that
+/// compresses many payloads. Uses the AVX2 matcher when
+/// [`crate::dispatch`] reports it; the stream is byte-identical either
+/// way.
 pub fn compress_into(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
     compress_into_with(input, scratch, out, crate::dispatch::has(crate::dispatch::AVX2));
 }
 
 /// [`compress_into`] pinned to the scalar matcher regardless of the
-/// dispatch mode — the same driver, so the calibrator's paired
-/// scalar-vs-dispatched measurements differ only in the match kernel.
-/// The stream stays byte-identical to every other entry point's.
+/// dispatch mode: the unaccelerated-host baseline. It is the same
+/// driver, so the calibrator's paired scalar-vs-dispatched measurements
+/// differ only in the match kernel, and it is the oracle the
+/// equivalence tests compare the dispatched stream against.
 pub fn compress_into_scalar(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
     compress_into_with(input, scratch, out, false);
 }
 
+/// The greedy matcher over the generation-tagged head table.
 fn compress_into_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>, avx2: bool) {
     out.clear();
     let tag = scratch.begin();
@@ -349,13 +267,6 @@ fn compress_into_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>, 
     let head: &mut [u64; 1 << HASH_BITS] = (&mut scratch.head[..])
         .try_into()
         .expect("table has 1 << HASH_BITS slots");
-    compress_core(input, &mut TaggedHead { head, tag }, out, avx2);
-}
-
-/// The greedy matcher shared by [`compress`] and [`compress_into`]:
-/// everything except the head-table representation, so the two public
-/// entry points cannot drift apart.
-fn compress_core<T: HeadTable>(input: &[u8], head: &mut T, out: &mut Vec<u8>, avx2: bool) {
     let mut literal_start = 0usize;
     let mut pos = 0usize;
 
@@ -374,7 +285,14 @@ fn compress_core<T: HeadTable>(input: &[u8], head: &mut T, out: &mut Vec<u8>, av
         let mut matched = None;
         if remaining >= MIN_MATCH {
             let h = hash4(&input[pos..]);
-            let candidate = head.swap(h, pos);
+            let slot = head[h];
+            head[h] = tag | pos as u64;
+            // A slot stamped by an earlier call is empty for this one.
+            let candidate = if slot & SLOT_TAG_MASK == tag {
+                slot as u32 as usize
+            } else {
+                usize::MAX
+            };
             if candidate != usize::MAX && pos - candidate < WINDOW {
                 let max_len = remaining.min(MAX_MATCH);
                 let len = match_length(input, candidate, pos, max_len, avx2);
@@ -405,13 +323,13 @@ fn compress_core<T: HeadTable>(input: &[u8], head: &mut T, out: &mut Vec<u8>, av
                         simd::hash8_stride2(input, p, &mut hashes);
                     }
                     for k in 0..8 {
-                        head.insert(hashes[(k % 2) * 4 + k / 2] as usize, p + 2 * k);
+                        head[hashes[(k % 2) * 4 + k / 2] as usize] = tag | (p + 2 * k) as u64;
                     }
                     p += 16;
                 }
             }
             while p + MIN_MATCH <= input.len() && p < end {
-                head.insert(hash4(&input[p..]), p);
+                head[hash4(&input[p..])] = tag | p as u64;
                 p += 2;
             }
             pos = end;
@@ -423,12 +341,13 @@ fn compress_core<T: HeadTable>(input: &[u8], head: &mut T, out: &mut Vec<u8>, av
     flush_literals(out, literal_start, input.len());
 }
 
-/// Decompresses a token stream produced by [`compress`].
+/// Decompresses a token stream produced by [`compress_into`].
 ///
 /// # Errors
 ///
 /// Returns a [`DecompressError`] if the stream is truncated or contains
-/// invalid tokens; a valid stream from [`compress`] always round-trips.
+/// invalid tokens; a valid stream from [`compress_into`] always
+/// round-trips.
 pub fn decompress(compressed: &[u8]) -> Result<Vec<u8>, DecompressError> {
     let mut out = Vec::with_capacity(compressed.len() * 2);
     let mut pos = 0usize;
@@ -481,14 +400,20 @@ pub fn decompress(compressed: &[u8]) -> Result<Vec<u8>, DecompressError> {
 mod tests {
     use super::*;
 
+    /// `input`'s token stream from a fresh scratch.
+    fn compressed(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        compress_into(input, &mut LzScratch::new(), &mut out);
+        out
+    }
+
     /// Compressed over original length (lower is better).
     fn compression_ratio(input: &[u8]) -> f64 {
-        compress(input).len() as f64 / input.len() as f64
+        compressed(input).len() as f64 / input.len() as f64
     }
 
     fn round_trip(data: &[u8]) {
-        let compressed = compress(data);
-        let back = decompress(&compressed).expect("round trip must decode");
+        let back = decompress(&compressed(data)).expect("round trip must decode");
         assert_eq!(back, data, "round trip failed for {} bytes", data.len());
     }
 
@@ -531,8 +456,7 @@ mod tests {
         // "aaaaa..." forces distance-1 matches that overlap themselves.
         let data = vec![b'a'; 1000];
         round_trip(&data);
-        let compressed = compress(&data);
-        assert!(compressed.len() < 50);
+        assert!(compressed(&data).len() < 50);
     }
 
     #[test]
@@ -545,11 +469,11 @@ mod tests {
 
     #[test]
     fn rejects_truncated_streams() {
-        let compressed = compress(b"hello hello hello hello hello");
-        for cut in 1..compressed.len() {
+        let stream = compressed(b"hello hello hello hello hello");
+        for cut in 1..stream.len() {
             // Every strict prefix must either fail or decode to a prefix;
             // it must never panic.
-            let _ = decompress(&compressed[..cut]);
+            let _ = decompress(&stream[..cut]);
         }
         assert_eq!(decompress(&[0x00]), Err(DecompressError::Truncated));
         assert_eq!(decompress(&[0x01, 5, 0]), Err(DecompressError::Truncated));
@@ -584,37 +508,20 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_byte_identical_to_fresh() {
-        // Interleave dissimilar inputs through one scratch: stale table
-        // entries from earlier calls must never leak into a later stream.
-        let inputs: Vec<Vec<u8>> = vec![
-            b"abcdefgh".repeat(200),
-            (0u32..4096).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect(),
-            vec![b'a'; 1000],
-            b"the quick brown fox ".repeat(64),
-            Vec::new(),
-            b"abcdefgh".repeat(200),
-        ];
-        let mut scratch = LzScratch::new();
-        let mut out = Vec::new();
-        for input in &inputs {
-            compress_into(input, &mut scratch, &mut out);
-            assert_eq!(out, compress(input), "scratch stream diverged");
-            assert_eq!(&decompress(&out).expect("round trip"), input);
-        }
-    }
-
-    #[test]
     fn dispatched_stream_matches_scalar_stream() {
         // The full adversarial-size sweep lives in the simd_equivalence
         // integration tests; this pins the basics in-crate.
+        let mut scratch = LzScratch::new();
+        let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
         for data in [
             b"abcdefgh".repeat(500),
             b"the quick brown fox jumps over the lazy dog ".repeat(100),
             vec![b'a'; 1000],
             (0u32..8192).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect(),
         ] {
-            assert_eq!(compress(&data), compress_scalar(&data));
+            compress_into(&data, &mut scratch, &mut dispatched);
+            compress_into_scalar(&data, &mut scratch, &mut scalar);
+            assert_eq!(dispatched, scalar);
         }
     }
 
@@ -626,9 +533,9 @@ mod tests {
         let mut out = Vec::new();
         compress_into(&data, &mut scratch, &mut out);
         assert_eq!(scratch.generation, 1);
-        assert_eq!(out, compress(&data));
+        assert_eq!(out, compressed(&data));
         // And the next call still matches.
         compress_into(&data, &mut scratch, &mut out);
-        assert_eq!(out, compress(&data));
+        assert_eq!(out, compressed(&data));
     }
 }

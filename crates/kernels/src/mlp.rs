@@ -368,48 +368,27 @@ impl Mlp {
         self.layers.last().expect("non-empty by construction").outputs
     }
 
-    /// Runs inference on one feature vector.
+    /// Runs inference on one feature vector: the row-major reference
+    /// the batched path is checked against.
     ///
     /// # Errors
     ///
     /// Returns [`MlpError::InputMismatch`] if the feature vector's length
     /// differs from [`Mlp::input_width`].
     pub fn infer(&self, features: &[f32]) -> Result<Vec<f32>, MlpError> {
-        let mut scratch = MlpScratch::new();
-        let mut out = Vec::new();
-        self.infer_into(features, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Mlp::infer`] without the per-call allocations: activations live
-    /// in `scratch`, the result lands in `out` (cleared first). Reusing
-    /// the scratch across calls makes the hot path allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlpError::InputMismatch`] if the feature vector's length
-    /// differs from [`Mlp::input_width`].
-    pub fn infer_into(
-        &self,
-        features: &[f32],
-        scratch: &mut MlpScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), MlpError> {
         if features.len() != self.input_width() {
             return Err(MlpError::InputMismatch {
                 expected: self.input_width(),
                 actual: features.len(),
             });
         }
-        scratch.current.clear();
-        scratch.current.extend_from_slice(features);
+        let mut current = features.to_vec();
+        let mut next = Vec::new();
         for layer in &self.layers {
-            layer.forward(&scratch.current, &mut scratch.next);
-            std::mem::swap(&mut scratch.current, &mut scratch.next);
+            layer.forward(&current, &mut next);
+            std::mem::swap(&mut current, &mut next);
         }
-        out.clear();
-        out.extend_from_slice(&scratch.current);
-        Ok(())
+        Ok(current)
     }
 
     /// Runs a batch of B feature vectors through reusable scratch
@@ -608,18 +587,6 @@ mod tests {
             a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         );
-    }
-
-    #[test]
-    fn infer_into_reuses_scratch() {
-        let mlp = Mlp::seeded_ranker(&[8, 4, 1], 9);
-        let mut scratch = MlpScratch::new();
-        let mut out = Vec::new();
-        for i in 0..3 {
-            let features: Vec<f32> = (0..8).map(|j| (i * 8 + j) as f32 / 24.0).collect();
-            mlp.infer_into(&features, &mut scratch, &mut out).unwrap();
-            assert_eq!(out, mlp.infer(&features).unwrap());
-        }
     }
 
     #[test]

@@ -1,38 +1,22 @@
 //! SHA-256 known-answer tests from FIPS 180-4 / NIST CAVP, exercised
-//! through both the one-shot [`sha256`] and the streaming [`Sha256`]
-//! hasher.
+//! through both the dispatched [`sha256`] and the scalar reference
+//! [`sha256_scalar`].
 //!
 //! The boundary lengths target the padding logic: 55 bytes is the
 //! longest message whose padding fits one block, 56 forces the length
 //! into a second block, 64 is an exact block, and 119/120 repeat the
 //! same boundary one block later.
 
-use accelerometer_kernels::hash::{sha256, Sha256};
+use accelerometer_kernels::hash::{sha256, sha256_scalar};
 
 fn hex(digest: &[u8; 32]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Checks a vector through every path: one-shot, single-update
-/// streaming, byte-at-a-time streaming, and a mid-message split.
+/// Checks a vector on both tiers.
 fn check(message: &[u8], expected_hex: &str) {
-    assert_eq!(hex(&sha256(message)), expected_hex, "one-shot");
-
-    let mut hasher = Sha256::new();
-    hasher.update(message);
-    assert_eq!(hex(&hasher.finalize()), expected_hex, "single update");
-
-    let mut hasher = Sha256::new();
-    for byte in message {
-        hasher.update(std::slice::from_ref(byte));
-    }
-    assert_eq!(hex(&hasher.finalize()), expected_hex, "byte at a time");
-
-    let mid = message.len() / 2;
-    let mut hasher = Sha256::new();
-    hasher.update(&message[..mid]);
-    hasher.update(&message[mid..]);
-    assert_eq!(hex(&hasher.finalize()), expected_hex, "split at {mid}");
+    assert_eq!(hex(&sha256(message)), expected_hex, "dispatched");
+    assert_eq!(hex(&sha256_scalar(message)), expected_hex, "scalar");
 }
 
 #[test]
@@ -94,16 +78,10 @@ fn padding_boundary_lengths() {
 }
 
 #[test]
-fn million_a_streamed_in_odd_chunks() {
-    // NIST's long-message vector, fed in a chunk size (97) coprime to
-    // the 64-byte block so every buffered-tail path is exercised.
-    let data = vec![b'a'; 1_000_000];
-    let mut hasher = Sha256::new();
-    for chunk in data.chunks(97) {
-        hasher.update(chunk);
-    }
-    assert_eq!(
-        hex(&hasher.finalize()),
-        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+fn million_a() {
+    // NIST's long-message vector.
+    check(
+        &vec![b'a'; 1_000_000],
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
     );
 }

@@ -65,13 +65,18 @@ fn aes_ctr_matches_scalar_at_adversarial_sizes() {
 
 #[test]
 fn aes_single_block_matches_scalar() {
+    // The dispatched tier encrypts one block as the CTR keystream of a
+    // zero block, with the plaintext as the counter; 15 bytes take the
+    // partial-block tail instead of the full-block loop.
     let cipher = aes::Aes128::new(&[0x5A; 16]);
     for i in 0..=255u8 {
-        let mut a = [i; 16];
-        let mut b = [i; 16];
-        cipher.encrypt_block(&mut a);
-        cipher.encrypt_block_scalar(&mut b);
-        assert_eq!(a, b);
+        let mut scalar = [i; 16];
+        cipher.encrypt_block_scalar(&mut scalar);
+        for len in [16, 15] {
+            let mut dispatched = vec![0u8; len];
+            cipher.ctr_apply(&[i; 16], &mut dispatched);
+            assert_eq!(dispatched, scalar[..len], "block {i} length {len}");
+        }
     }
 }
 
@@ -90,19 +95,14 @@ fn sha256_matches_scalar_at_adversarial_sizes() {
     }
 }
 
-#[test]
-fn sha256_streaming_matches_scalar_across_split_points() {
-    // The streaming hasher dispatches per compressed block; splitting
-    // the input at awkward points exercises partial-block buffering
-    // around the SIMD path.
-    let data = test_bytes(4097, 0xD1CE);
-    let whole = hash::sha256_scalar(&data);
-    for split in [0usize, 1, 15, 63, 64, 65, 1000, 4096] {
-        let mut hasher = hash::Sha256::new();
-        hasher.update(&data[..split]);
-        hasher.update(&data[split..]);
-        assert_eq!(hasher.finalize(), whole, "split at {split}");
-    }
+/// `data`'s LZ token stream on both tiers: (dispatched, scalar). Both
+/// run the one scratch driver, so the pair differs only in the match
+/// kernel.
+fn lz_both_tiers(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
+    lz::compress_into(data, &mut lz::LzScratch::new(), &mut dispatched);
+    lz::compress_into_scalar(data, &mut lz::LzScratch::new(), &mut scalar);
+    (dispatched, scalar)
 }
 
 #[test]
@@ -111,8 +111,7 @@ fn lz_streams_match_scalar_at_adversarial_sizes() {
         for &off in OFFSETS {
             let backing = test_bytes(size + off, 0x1234);
             let data = &backing[off..];
-            let dispatched = lz::compress(data);
-            let scalar = lz::compress_scalar(data);
+            let (dispatched, scalar) = lz_both_tiers(data);
             assert_eq!(dispatched, scalar, "token stream at size {size} offset {off}");
             assert_eq!(
                 lz::decompress(&dispatched).expect("round trip"),
@@ -130,11 +129,8 @@ fn lz_streams_match_scalar_on_long_matches() {
     // the 32/64-byte boundaries.
     for period in [1usize, 7, 16, 31, 32, 33, 255] {
         let data: Vec<u8> = (0..8192).map(|i| (i % period.max(1)) as u8).collect();
-        assert_eq!(
-            lz::compress(&data),
-            lz::compress_scalar(&data),
-            "token stream at period {period}"
-        );
+        let (dispatched, scalar) = lz_both_tiers(&data);
+        assert_eq!(dispatched, scalar, "token stream at period {period}");
     }
 }
 

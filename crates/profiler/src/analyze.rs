@@ -11,7 +11,6 @@
 //! size is characterized in constant memory; [`analyze`] is the same
 //! fold over a stored slice.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -119,7 +118,7 @@ impl Hasher for AddressHasher {
     }
 }
 
-/// Tags already computed for borrowed frames.
+/// Tags already computed, per frame.
 type TagCache<T> = HashMap<FrameKey, T, BuildHasherDefault<AddressHasher>>;
 
 /// Tags a static symbol through `tag` once, then answers from `cache`.
@@ -184,23 +183,9 @@ impl<'r> ProfileAccumulator<'r> {
     /// Panics if the trace has no frames.
     pub fn push(&mut self, trace: &CallTrace) {
         let registry = self.registry;
-        let leaf_frame = trace
-            .frames
-            .last()
-            .expect("a call trace has at least one frame");
-        // Borrowed frames are tagged once per symbol; owned frames
-        // (parsed, not generated) have no stable address and are tagged
-        // every time.
-        let (leaf, op) = match leaf_frame {
-            Cow::Borrowed(symbol) => cached(&mut self.leaf_tags, symbol, |s| tag_leaf(registry, s)),
-            Cow::Owned(symbol) => tag_leaf(registry, symbol),
-        };
-        let functionality = match &trace.frames[0] {
-            Cow::Borrowed(symbol) => {
-                cached(&mut self.root_tags, symbol, |s| registry.bucket_root(s))
-            }
-            Cow::Owned(symbol) => registry.bucket_root(symbol),
-        };
+        // Each distinct symbol is tagged once.
+        let (leaf, op) = cached(&mut self.leaf_tags, trace.leaf(), |s| tag_leaf(registry, s));
+        let functionality = cached(&mut self.root_tags, trace.root(), |s| registry.bucket_root(s));
         let l = self.leaf_cycles[leaf as usize].get_or_insert((0.0, 0.0));
         l.0 += trace.cycles;
         l.1 += trace.instructions;
@@ -287,12 +272,8 @@ mod tests {
         FunctionRegistry::with_defaults()
     }
 
-    fn trace(root: &str, leaf: &str, cycles: f64, ipc: f64) -> CallTrace {
-        CallTrace::new(
-            vec![root.to_owned(), "mid".to_owned(), leaf.to_owned()],
-            cycles,
-            cycles * ipc,
-        )
+    fn trace(root: &'static str, leaf: &'static str, cycles: f64, ipc: f64) -> CallTrace {
+        CallTrace::new(vec![root, "mid", leaf], cycles, cycles * ipc)
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! IPC model — so the aggregation pipeline downstream must reconstruct
 //! the profile's marginals and IPCs as the sample count grows.
 
-use std::borrow::Cow;
-
 use accelerometer_fleet::ipc::IpcScaling;
 use accelerometer_fleet::{
     current_registry, CpuGeneration, LeafCategory, ServiceId, ServiceProfile, ServiceRegistry,
@@ -212,9 +210,9 @@ impl TraceGenerator {
         frames.clear();
         // Exact, so a fresh trace from `sample` carries no spare capacity.
         frames.reserve_exact(depth + 2);
-        frames.push(Cow::Borrowed(root));
-        frames.extend(LAYER_FRAMES[..depth].iter().copied().map(Cow::Borrowed));
-        frames.push(Cow::Borrowed(leaf_frame));
+        frames.push(root);
+        frames.extend_from_slice(&LAYER_FRAMES[..depth]);
+        frames.push(leaf_frame);
 
         // Exponential cycle weight; IPC model supplies instructions.
         let u: f64 = self.rng.gen_range(0.0..1.0);

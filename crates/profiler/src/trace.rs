@@ -3,8 +3,6 @@
 //! and ending with a leaf function such as memcpy()"), annotated with the
 //! cycles and instructions the sampler attributed to it.
 
-use std::borrow::Cow;
-
 /// A sampled call trace with its cycle and instruction attribution.
 ///
 /// `CallTrace::default()` has no frames: it is a buffer for
@@ -12,10 +10,9 @@ use std::borrow::Cow;
 /// to fill, and has no root or leaf until then.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallTrace {
-    /// Stack frames from root (index 0) to leaf (last). Generated traces
-    /// borrow their frame names from static symbol tables; parsed ones
-    /// own theirs.
-    pub frames: Vec<Cow<'static, str>>,
+    /// Stack frames from root (index 0) to leaf (last), borrowed from
+    /// static symbol tables.
+    pub frames: Vec<&'static str>,
     /// Cycles attributed to this trace.
     pub cycles: f64,
     /// Instructions retired while in this trace.
@@ -23,18 +20,17 @@ pub struct CallTrace {
 }
 
 impl CallTrace {
-    /// Creates a trace; `frames` must be non-empty. Frames may be owned
-    /// `String`s, `&'static str`s or `Cow`s.
+    /// Creates a trace; `frames` must be non-empty.
     ///
     /// # Panics
     ///
     /// Panics on an empty frame list — a sample always has at least the
     /// leaf frame.
     #[must_use]
-    pub fn new<F: Into<Cow<'static, str>>>(frames: Vec<F>, cycles: f64, instructions: f64) -> Self {
+    pub fn new(frames: Vec<&'static str>, cycles: f64, instructions: f64) -> Self {
         assert!(!frames.is_empty(), "a call trace needs at least one frame");
         Self {
-            frames: frames.into_iter().map(Into::into).collect(),
+            frames,
             cycles,
             instructions,
         }
@@ -42,14 +38,14 @@ impl CallTrace {
 
     /// The root frame (outermost caller).
     #[must_use]
-    pub fn root(&self) -> &str {
-        &self.frames[0]
+    pub fn root(&self) -> &'static str {
+        self.frames[0]
     }
 
     /// The leaf frame (innermost function), the one the leaf tagger
     /// classifies.
     #[must_use]
-    pub fn leaf(&self) -> &str {
+    pub fn leaf(&self) -> &'static str {
         self.frames
             .last()
             .expect("a filled call trace has at least one frame")
@@ -99,7 +95,7 @@ mod tests {
 
     #[test]
     fn single_frame_trace_is_its_own_leaf() {
-        let t = CallTrace::new(vec!["memcpy".to_owned()], 10.0, 5.0);
+        let t = CallTrace::new(vec!["memcpy"], 10.0, 5.0);
         assert_eq!(t.root(), t.leaf());
     }
 
@@ -112,6 +108,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn empty_traces_rejected() {
-        let _ = CallTrace::new(Vec::<String>::new(), 1.0, 1.0);
+        let _ = CallTrace::new(Vec::new(), 1.0, 1.0);
     }
 }

@@ -2,10 +2,9 @@
 //! into one reused buffer and folded by [`ProfileAccumulator`] or
 //! [`FoldedStacks`] give the same report and the same folded lines as
 //! `analyze` and `to_folded` over `generate`. The tag cache is checked
-//! against the uncached tagger on traces mixing borrowed, owned, unknown
-//! and repeated frames.
+//! against the uncached tagger on traces mixing shared, copied, fresh,
+//! unknown and repeated frames.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use accelerometer_fleet::{ServiceId, ServiceRegistry};
@@ -126,13 +125,19 @@ const SYMBOLS: [&str; 12] = [
     "",
 ];
 
-/// How a frame is held: borrowed from `SYMBOLS`, borrowed from a second
-/// static copy of the same bytes (another address), or owned.
-fn frame(symbol: usize, holding: usize, copies: &[&'static str]) -> Cow<'static, str> {
+/// A fresh static copy of `symbol` at a new address, one the tag cache
+/// has not seen.
+fn fresh(symbol: &str) -> &'static str {
+    String::leak(symbol.to_owned())
+}
+
+/// How a frame is held: the `SYMBOLS` entry, a second static copy of the
+/// same bytes shared by every trace (another address), or a fresh copy.
+fn frame(symbol: usize, holding: usize, copies: &[&'static str]) -> &'static str {
     match holding {
-        0 => Cow::Borrowed(SYMBOLS[symbol]),
-        1 => Cow::Borrowed(copies[symbol]),
-        _ => Cow::Owned(SYMBOLS[symbol].to_owned()),
+        0 => SYMBOLS[symbol],
+        1 => copies[symbol],
+        _ => fresh(SYMBOLS[symbol]),
     }
 }
 
@@ -147,15 +152,14 @@ fn trace_strategy() -> impl Strategy<Value = (Vec<(usize, usize)>, f64, f64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cached tags equal the tagger's: the same traces with every frame
-    /// owned (so tagged afresh each time) give the same report bits, and
-    /// the streamed fold equals the joined one.
+    /// Cached tags equal the tagger's: the same traces with every frame a
+    /// fresh copy (so tagged afresh each time) give the same report bits,
+    /// and the streamed fold equals the joined one.
     #[test]
     fn tag_cache_matches_the_uncached_tagger(
         drawn in prop::collection::vec(trace_strategy(), 1..200),
     ) {
-        let copies: Vec<&'static str> =
-            SYMBOLS.iter().map(|s| &*String::leak((*s).to_owned())).collect();
+        let copies: Vec<&'static str> = SYMBOLS.iter().map(|s| fresh(s)).collect();
         let traces: Vec<CallTrace> = drawn
             .iter()
             .map(|(frames, cycles, ipc)| {
@@ -163,15 +167,12 @@ proptest! {
                 CallTrace::new(frames, *cycles, cycles * ipc)
             })
             .collect();
-        let owned: Vec<CallTrace> = traces
+        let uncached: Vec<CallTrace> = traces
             .iter()
-            .map(|t| {
-                let frames: Vec<String> = t.frames.iter().map(|f| f.to_string()).collect();
-                CallTrace::new(frames, t.cycles, t.instructions)
-            })
+            .map(|t| CallTrace::new(t.frames.iter().map(|f| fresh(f)).collect(), t.cycles, t.instructions))
             .collect();
         let registry = FunctionRegistry::with_defaults();
-        prop_assert_eq!(bits(&analyze(&traces, &registry)), bits(&analyze(&owned, &registry)));
+        prop_assert_eq!(bits(&analyze(&traces, &registry)), bits(&analyze(&uncached, &registry)));
         prop_assert_eq!(to_folded(&traces), joined_fold(&traces));
     }
 }

@@ -93,19 +93,6 @@ pub fn run_ab_batch(
         .collect())
 }
 
-/// Runs the A/B experiment: `control` unaccelerated versus `control`
-/// plus `offload`. The two runs share every other parameter including
-/// the seed, and run on a two-worker pool, one arm per worker.
-///
-/// # Errors
-///
-/// Returns [`crate::SimError::InvalidConfig`] when `control` already
-/// carries an offload configuration or either arm is invalid.
-pub fn run_ab(control: &SimConfig, offload: OffloadConfig) -> Result<AbResult> {
-    let results = run_ab_batch(&ExecPool::new(2), &[(control.clone(), offload)])?;
-    Ok(results[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,9 +119,14 @@ mod tests {
         }
     }
 
+    /// One A/B pair, run on one worker.
+    fn run_one(control: SimConfig, offload: OffloadConfig) -> Result<AbResult> {
+        Ok(run_ab_batch(&ExecPool::new(1), &[(control, offload)])?[0])
+    }
+
     #[test]
     fn ab_measures_positive_speedup_for_cheap_acceleration() {
-        let result = run_ab(&control(), OffloadConfig::on_chip_sync(8.0)).unwrap();
+        let result = run_one(control(), OffloadConfig::on_chip_sync(8.0)).unwrap();
         assert!(result.speedup() > 1.1, "speedup {}", result.speedup());
         assert!(result.speedup_percent() > 10.0);
         assert!(result.latency_reduction() > 1.0);
@@ -147,7 +139,7 @@ mod tests {
         // service down; the A/B harness must report a speedup below 1.
         let mut offload = OffloadConfig::on_chip_sync(1.1);
         offload.setup_cycles = 5_000.0;
-        let result = run_ab(&control(), offload).unwrap();
+        let result = run_one(control(), offload).unwrap();
         assert!(result.speedup() < 1.0, "speedup {}", result.speedup());
     }
 
@@ -155,7 +147,7 @@ mod tests {
     fn rejects_accelerated_control() {
         let mut cfg = control();
         cfg.offload = Some(OffloadConfig::on_chip_sync(2.0));
-        let err = run_ab(&cfg, OffloadConfig::on_chip_sync(2.0)).unwrap_err();
+        let err = run_one(cfg.clone(), OffloadConfig::on_chip_sync(2.0)).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("control arm must be unaccelerated"), "{msg}");
         // One bad pair fails the whole batch before anything runs.
@@ -174,7 +166,7 @@ mod tests {
             .collect();
         let batch = run_ab_batch(&ExecPool::new(3), &pairs).unwrap();
         for ((control, offload), result) in pairs.iter().zip(&batch) {
-            assert_eq!(run_ab(control, *offload).unwrap(), *result);
+            assert_eq!(run_one(control.clone(), *offload).unwrap(), *result);
         }
         assert_eq!(batch[0].baseline, batch[1].baseline, "controls are one run");
     }

@@ -22,15 +22,14 @@
 //! picks its tier by the entry point it calls.
 
 use accelerometer::units::CyclesPerByte;
-use accelerometer::KernelCost;
 use accelerometer_kernels::aes::Aes128;
 use accelerometer_kernels::harness::{BatchedMeasurement, Harness};
 use accelerometer_kernels::hash;
 use accelerometer_kernels::lz::{self, LzScratch};
 use accelerometer_kernels::mlp::{Mlp, MlpScratch};
 
-/// One calibrated kernel: the measured per-call, per-batch, and
-/// per-byte costs from a batched run.
+/// One calibrated kernel: a batched measurement and the per-byte cost
+/// it yields.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibratedKernel {
     /// Kernel name (matches the case-study kernel it calibrates).
@@ -45,27 +44,7 @@ impl CalibratedKernel {
     /// Measured host cycles per byte (`Cb`).
     #[must_use]
     pub fn cycles_per_byte(&self) -> CyclesPerByte {
-        self.measurement.per_call().cycles_per_byte()
-    }
-
-    /// Measured host cycles per kernel invocation (`α·C` for one call).
-    #[must_use]
-    pub fn cycles_per_call(&self) -> f64 {
-        self.measurement.cycles_per_call()
-    }
-
-    /// Measured host cycles per batch — the granularity a batching
-    /// offload (Fig. 14) dispatches at.
-    #[must_use]
-    pub fn cycles_per_batch(&self) -> f64 {
-        self.measurement.cycles_per_batch()
-    }
-
-    /// The measurement as a linear [`KernelCost`] for break-even
-    /// analysis.
-    #[must_use]
-    pub fn kernel_cost(&self) -> KernelCost {
-        self.measurement.per_call().kernel_cost()
+        self.measurement.cycles_per_byte()
     }
 }
 
@@ -160,9 +139,10 @@ impl Calibrator {
         }
     }
 
-    /// One-shot SHA-256 over a `payload_bytes` message, the hashing
-    /// kernel (Table 2's SHA family), on both tiers: SHA-NI where the
-    /// host has it.
+    /// SHA-256 over a `payload_bytes` message, the hashing kernel
+    /// (Table 2's SHA family), on both tiers through the one padding
+    /// driver (`sha256` vs `sha256_scalar`): SHA-NI where the host has
+    /// it.
     #[must_use]
     pub fn hashing_paired(&self, payload_bytes: usize) -> PairedKernel {
         let input = vec![0x5Au8; payload_bytes];
@@ -245,7 +225,6 @@ impl Calibrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelerometer::units::bytes;
 
     fn quick() -> Calibrator {
         // Tiny batch shape: correctness of the plumbing, not statistics.
@@ -257,15 +236,9 @@ mod tests {
         for pair in quick().paired_case_studies() {
             for k in [pair.dispatched, pair.scalar] {
                 assert!(k.cycles_per_byte().get() > 0.0, "{}", k.name);
-                assert!(k.cycles_per_call() > 0.0, "{}", k.name);
-                assert!(
-                    (k.cycles_per_batch() - 3.0 * k.cycles_per_call()).abs()
-                        < 1e-6 * k.cycles_per_batch(),
-                    "{}",
-                    k.name
-                );
                 assert_eq!(k.measurement.batches, 2);
                 assert_eq!(k.measurement.batch_size, 3);
+                assert_eq!(k.measurement.bytes_processed, 6 * k.bytes_per_call, "{}", k.name);
             }
         }
     }
@@ -275,8 +248,6 @@ mod tests {
         let k = quick().hashing_paired(2048).dispatched;
         assert_eq!(k.bytes_per_call, 2048);
         assert!(k.cycles_per_byte().get() > 0.0);
-        let cost = k.kernel_cost();
-        assert!(cost.host_cycles(bytes(1024.0)).get() > 0.0);
     }
 
     #[test]

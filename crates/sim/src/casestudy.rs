@@ -30,11 +30,12 @@
 use accelerometer_fleet::CaseStudy;
 use serde::{Deserialize, Serialize};
 
-use crate::abtest::{run_ab, AbResult};
+use crate::abtest::{run_ab_batch, AbResult};
 use crate::device::DeviceKind;
 use crate::engine::{OffloadConfig, SimConfig};
 use crate::error::{Result, SimError};
 use crate::fault::{FaultPlan, RecoveryPolicy};
+use crate::parallel::ExecPool;
 use crate::workload::workload_for_params;
 
 /// The Table 6 case-study names, in row order — the valid arguments to
@@ -130,7 +131,8 @@ fn offload_config(study: &CaseStudy, scale: f64, pollution: f64) -> OffloadConfi
     }
 }
 
-/// Runs one case study's A/B experiment in the simulator.
+/// Runs one case study's A/B experiment in the simulator, both arms on
+/// the calling thread.
 ///
 /// # Errors
 ///
@@ -139,6 +141,15 @@ fn offload_config(study: &CaseStudy, scale: f64, pollution: f64) -> OffloadConfi
 /// reachable from the CLI. Returns [`SimError::InvalidConfig`] when the
 /// study's parameters give a configuration the simulator cannot run.
 pub fn simulate(study: &CaseStudy, seed: u64) -> Result<(CaseStudyValidation, AbResult)> {
+    simulate_on(&ExecPool::new(1), study, seed)
+}
+
+/// [`simulate`] with the two arms as one A/B batch on `pool`.
+fn simulate_on(
+    pool: &ExecPool,
+    study: &CaseStudy,
+    seed: u64,
+) -> Result<(CaseStudyValidation, AbResult)> {
     let (scale, pollution, horizon) = match study.name.as_str() {
         "aes-ni" => (1.0, AES_NI_POLLUTION, 2.5e8),
         "encryption" => (1.0, PCIE_POLLUTION, 8.0e8),
@@ -152,7 +163,7 @@ pub fn simulate(study: &CaseStudy, seed: u64) -> Result<(CaseStudyValidation, Ab
     };
     let control = control_config(study, scale, horizon, seed);
     let offload = offload_config(study, scale, pollution);
-    let ab = run_ab(&control, offload)?;
+    let ab = run_ab_batch(pool, &[(control, offload)])?[0];
     let validation = CaseStudyValidation {
         name: study.name.clone(),
         model_estimate_percent: study.scenario.estimate().throughput_gain_percent(),
@@ -163,22 +174,26 @@ pub fn simulate(study: &CaseStudy, seed: u64) -> Result<(CaseStudyValidation, Ab
     Ok((validation, ab))
 }
 
-/// Runs the given case studies (a registry's Table 6 rows), fanning the
-/// independent A/B experiments over `pool`. Each case study is an
-/// independent seeded A/B experiment, so results are identical at any
-/// pool width and always come back in input order.
+/// Runs the given case studies (a registry's Table 6 rows) in order,
+/// each study's two arms as one A/B batch on `pool`, so the run never
+/// uses more than `pool`'s workers. One batch per study keeps one
+/// study's shared trace in memory at a time: a single batch over every
+/// study would draw all their traces before running any arm. Each case
+/// study is an independent seeded A/B experiment, so results are
+/// identical at any pool width and come back in input order.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownCaseStudy`] when a study's name is not a
 /// Table 6 row — loaded service data may rename one.
 pub fn validate_all_with(
-    pool: &crate::parallel::ExecPool,
+    pool: &ExecPool,
     studies: &[CaseStudy],
     seed: u64,
 ) -> Result<Vec<CaseStudyValidation>> {
-    pool.map(studies, |_, study| simulate(study, seed).map(|(v, _)| v))
-        .into_iter()
+    studies
+        .iter()
+        .map(|study| simulate_on(pool, study, seed).map(|(v, _)| v))
         .collect()
 }
 
@@ -252,7 +267,7 @@ mod tests {
     fn validate_all_reports_a_renamed_case_study() {
         let mut studies = all_case_studies();
         studies[0].name = "aes-ni-v2".to_owned();
-        let err = validate_all_with(&crate::parallel::ExecPool::new(2), &studies, 42)
+        let err = validate_all_with(&ExecPool::new(2), &studies, 42)
             .expect_err("a renamed study is not a Table 6 row");
         assert!(
             matches!(&err, SimError::UnknownCaseStudy { name, .. } if name == "aes-ni-v2"),

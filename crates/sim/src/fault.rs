@@ -48,6 +48,7 @@ pub struct DegradationWindow {
 
 impl DegradationWindow {
     /// A slowdown window: service takes `multiplier`× as long.
+    #[cfg(test)]
     #[must_use]
     pub fn slowdown(start: f64, end: f64, multiplier: f64) -> Self {
         Self {

@@ -14,7 +14,7 @@
 //! speedup" when validating the analytical model.
 //!
 //! ```
-//! use accelerometer_sim::{run_ab, DeviceKind, OffloadConfig, SimConfig};
+//! use accelerometer_sim::{run_ab_batch, DeviceKind, ExecPool, OffloadConfig, SimConfig};
 //! use accelerometer_sim::workload::WorkloadSpec;
 //! use accelerometer::units::cycles_per_byte;
 //! use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
@@ -47,8 +47,10 @@
 //!     dispatch_pollution: 0.0,
 //!     min_offload_bytes: None,
 //! };
-//! let result = run_ab(&control, offload)?;
-//! assert!(result.speedup() > 1.0);
+//! // One A/B pair on one worker: both arms share one sampled request
+//! // stream.
+//! let results = run_ab_batch(&ExecPool::new(1), &[(control, offload)])?;
+//! assert!(results[0].speedup() > 1.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -73,7 +75,7 @@ pub mod time;
 pub mod trace;
 pub mod workload;
 
-pub use abtest::{ab_arms, run_ab, run_ab_batch, AbResult};
+pub use abtest::{ab_arms, run_ab_batch, AbResult};
 pub use calibrate::{CalibratedKernel, Calibrator, PairedKernel};
 pub use casestudy::{simulate, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES};
 pub use context::RunContext;

@@ -69,8 +69,10 @@ fn fault_strategy(horizon_hint: f64) -> impl Strategy<Value = (FaultPlan, Recove
                     spike_probability: p / 2.0,
                     spike_cycles: 20_000.0,
                     degradation: vec![DegradationWindow {
+                        start: horizon_hint * 0.3,
+                        end: horizon_hint * 0.5,
+                        multiplier: 1.0,
                         down: true,
-                        ..DegradationWindow::slowdown(horizon_hint * 0.3, horizon_hint * 0.5, 1.0)
                     }],
                 },
                 RecoveryPolicy {

@@ -14,7 +14,7 @@ use accelerometer_suite::model::{
     GranularityCdf, KernelCost, ModelParams, OffloadContext, OffloadOverheads, ThreadingDesign,
 };
 use accelerometer_suite::sim::workload::WorkloadSpec;
-use accelerometer_suite::sim::{run_ab, DeviceKind, OffloadConfig, SimConfig};
+use accelerometer_suite::sim::{run_ab_batch, DeviceKind, ExecPool, OffloadConfig, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The service: 4 cores, 8 worker threads, one compression per
@@ -89,7 +89,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dispatch_pollution: 0.0,
         min_offload_bytes: breakeven.threshold().map(|b| b.get()),
     };
-    let ab = run_ab(&control, offload).expect("the example configs are valid");
+    // Both arms share one sampled request stream; one worker per arm.
+    let ab = run_ab_batch(&ExecPool::new(2), &[(control, offload)])
+        .expect("the example configs are valid")[0];
     println!(
         "simulated A/B:  {:+.2}% throughput, {:+.2}% mean latency",
         ab.speedup_percent(),

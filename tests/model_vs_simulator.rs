@@ -14,7 +14,7 @@ use accelerometer_suite::model::{
     estimate, AccelerationStrategy, DriverMode, GranularityCdf, ModelParams, ThreadingDesign,
 };
 use accelerometer_suite::sim::workload::WorkloadSpec;
-use accelerometer_suite::sim::{run_ab, DeviceKind, OffloadConfig, SimConfig};
+use accelerometer_suite::sim::{run_ab_batch, DeviceKind, ExecPool, OffloadConfig, SimConfig};
 
 const CORES: usize = 4;
 const O1: f64 = 800.0;
@@ -99,8 +99,9 @@ fn model_percent(design: ThreadingDesign, strategy: AccelerationStrategy) -> f64
 }
 
 fn simulated_percent(design: ThreadingDesign, strategy: AccelerationStrategy) -> f64 {
-    run_ab(&control(design), offload(design, strategy))
-        .expect("valid configs")
+    // One arm per worker.
+    run_ab_batch(&ExecPool::new(2), &[(control(design), offload(design, strategy))])
+        .expect("valid configs")[0]
         .speedup_percent()
 }
 

@@ -12,14 +12,18 @@
 //!   `#[cfg(test)]`;
 //! * a name is *reached* when it appears as a whole word in that
 //!   non-test code anywhere in `crates/*/src` or `src/` other than as a
-//!   definition (`fn name`), after comments and `pub use` re-exports are
-//!   blanked out;
+//!   definition (`fn name`), after comments, string and char literals,
+//!   and `pub use` re-exports are blanked out. A name inside the body of
+//!   a `fn` of the same name does not count either: a method that
+//!   forwards to a namesake (`self.inner.len()` inside `fn len`), or a
+//!   recursive call, is not a caller;
 //! * an unreached name is classed by where it does appear: perfbench
 //!   (`perfbench/src`), else examples, else tests (integration tests,
 //!   criterion benches and `#[cfg(test)]` code).
 //!
 //! Shared names hide some hits (a test-only `new` is reached by every
-//! other `new`), so the survey under-reports; it never over-reports.
+//! other `new`, and a field hides a method of the same name), so the
+//! survey under-reports; it never over-reports.
 //! The test fails naming each unreached function that [`ALLOWED`] does
 //! not list, and each entry of [`ALLOWED`] that no longer describes the
 //! code.
@@ -39,11 +43,9 @@ const PERFBENCH: &str = "perfbench-only, ROADMAP item 8";
 /// only by the benchmark, whose files change only with the benchmark.
 const ALLOWED: &[(&str, &str)] = &[
     (
-        "compress_scalar",
-        "oracle: simd_equivalence checks the dispatched LZ compressor against it",
+        "decompress",
+        "oracle: the LZ round-trip, golden and SIMD tests invert compress_into with it",
     ),
-    ("decompress", "oracle: the LZ round-trip, golden and SIMD tests invert compress with it"),
-    ("encrypt_ctr", "oracle: kernel_properties round-trips AES-CTR through it"),
     ("infer", "oracle: kernel_properties checks batched MLP inference against it"),
     ("to_folded", "oracle: characterize_stream checks `characterize --folded` against it"),
     (
@@ -107,14 +109,16 @@ fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// `text` with every comment replaced by spaces (newlines kept), so byte
-/// offsets and line numbers still match. String and char literals are
-/// kept, and a `//` inside one is not a comment.
-fn strip_comments(text: &str) -> String {
+/// `text` with every comment, and the contents of every string and
+/// char literal, replaced by spaces (newlines kept), so byte offsets and
+/// line numbers still match. A name inside a literal is text, not a
+/// use: the string `"svc::compress::handle_request"` reaches no
+/// `compress`.
+fn strip_comments_and_literals(text: &str) -> String {
     let b = text.as_bytes();
     let mut out = b.to_vec();
     let blank = |out: &mut Vec<u8>, from: usize, to: usize| {
-        for byte in &mut out[from..to] {
+        for byte in &mut out[from..to.min(b.len())] {
             if *byte != b'\n' {
                 *byte = b' ';
             }
@@ -122,32 +126,29 @@ fn strip_comments(text: &str) -> String {
     };
     let mut i = 0;
     while i < b.len() {
+        let start = i;
         match b[i] {
             b'/' if b.get(i + 1) == Some(&b'/') => {
-                let end = b[i..].iter().position(|&c| c == b'\n').map_or(b.len(), |n| i + n);
-                blank(&mut out, i, end);
-                i = end;
+                i = b[i..].iter().position(|&c| c == b'\n').map_or(b.len(), |n| i + n);
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
-                let (mut depth, mut j) = (0, i);
-                while j < b.len() {
-                    if b[j..].starts_with(b"/*") {
+                let mut depth = 0;
+                while i < b.len() {
+                    if b[i..].starts_with(b"/*") {
                         depth += 1;
-                        j += 2;
-                    } else if b[j..].starts_with(b"*/") {
+                        i += 2;
+                    } else if b[i..].starts_with(b"*/") {
                         depth -= 1;
-                        j += 2;
+                        i += 2;
                         if depth == 0 {
                             break;
                         }
                     } else {
-                        j += 1;
+                        i += 1;
                     }
                 }
-                blank(&mut out, i, j);
-                i = j;
             }
-            b'r' if (i == 0 || !is_ident(b[i - 1])) && raw_string_hashes(&b[i + 1..]).is_some() => {
+            b'r' if raw_prefix_allowed(b, i) && raw_string_hashes(&b[i + 1..]).is_some() => {
                 let hashes = raw_string_hashes(&b[i + 1..]).expect("checked");
                 let mut close = vec![b'"'];
                 close.extend(std::iter::repeat_n(b'#', hashes));
@@ -158,22 +159,35 @@ fn strip_comments(text: &str) -> String {
                     .map_or(b.len(), |n| body + n + close.len());
             }
             b'"' => {
-                let mut j = i + 1;
-                while j < b.len() && b[j] != b'"' {
-                    j += if b[j] == b'\\' { 2 } else { 1 };
+                i += 1;
+                while i < b.len() && b[i] != b'"' {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
                 }
-                i = j + 1;
+                i += 1;
             }
             // A char literal ('x', '\n', '"'); a lifetime ('a) is skipped
             // as an ordinary character.
             b'\'' if b.get(i + 1) == Some(&b'\\') => {
-                i += 2 + b[i + 2..].iter().position(|&c| c == b'\'').map_or(0, |n| n + 1);
+                // Past the escaped character, which may itself be a `'`.
+                let from = (i + 3).min(b.len());
+                i = from + b[from..].iter().position(|&c| c == b'\'').map_or(0, |n| n + 1);
             }
             b'\'' if b.get(i + 2) == Some(&b'\'') => i += 3,
-            _ => i += 1,
+            _ => {
+                i += 1;
+                continue;
+            }
         }
+        blank(&mut out, start, i);
     }
-    String::from_utf8(out).expect("only ASCII bytes were replaced")
+    String::from_utf8(out).expect("only whole characters were blanked")
+}
+
+/// Whether an `r` at `i` may open a raw string: it starts a word, or
+/// follows a `b` that does (`br"…"`).
+fn raw_prefix_allowed(b: &[u8], i: usize) -> bool {
+    let word_start = |k: usize| k == 0 || !is_ident(b[k - 1]);
+    word_start(i) || (b[i - 1] == b'b' && word_start(i - 1))
 }
 
 /// For the text after an `r`, the number of `#`s of a raw string opener
@@ -187,11 +201,21 @@ fn is_ident(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// The identifiers of `code`, each with whether it directly follows the
-/// `fn` keyword (a definition rather than a use).
-fn identifiers(code: &str) -> Vec<(&str, bool)> {
+/// One identifier occurrence in a source text.
+#[derive(Debug, Clone, Copy)]
+struct Ident<'a> {
+    name: &'a str,
+    /// Byte offset of the identifier.
+    at: usize,
+    /// Whether it directly follows the `fn` keyword (a definition rather
+    /// than a use).
+    after_fn: bool,
+}
+
+/// The identifiers of `code`, in order.
+fn identifiers(code: &str) -> Vec<Ident<'_>> {
     let b = code.as_bytes();
-    let mut out: Vec<(&str, bool)> = Vec::new();
+    let mut out: Vec<Ident<'_>> = Vec::new();
     let mut i = 0;
     while i < b.len() {
         if is_ident(b[i]) {
@@ -199,14 +223,52 @@ fn identifiers(code: &str) -> Vec<(&str, bool)> {
             while i < b.len() && is_ident(b[i]) {
                 i += 1;
             }
-            let after_fn = out.last().is_some_and(|&(prev, _)| prev == "fn")
+            let after_fn = out.last().is_some_and(|prev| prev.name == "fn")
                 && code[..start].trim_end().ends_with("fn");
-            out.push((&code[start..i], after_fn));
+            out.push(Ident {
+                name: &code[start..i],
+                at: start,
+                after_fn,
+            });
         } else {
             i += 1;
         }
     }
     out
+}
+
+/// The body of the `fn` whose name ends at `from`, as a byte range, or
+/// `None` for a declaration without one (`fn name(…);` in a trait). The
+/// body opens at the first `{` outside the signature's parentheses and
+/// brackets; comments and literals are already blanked, so every brace
+/// counted is code.
+fn fn_body(code: &[u8], from: usize) -> Option<std::ops::Range<usize>> {
+    let mut nesting = 0usize;
+    let mut i = from;
+    let open = loop {
+        match *code.get(i)? {
+            b'(' | b'[' => nesting += 1,
+            b')' | b']' => nesting = nesting.saturating_sub(1),
+            b';' if nesting == 0 => return None,
+            b'{' if nesting == 0 => break i,
+            _ => {}
+        }
+        i += 1;
+    };
+    let mut depth = 0usize;
+    for (k, &c) in code[open..].iter().enumerate() {
+        match c {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(open..open + k + 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    Some(open..code.len())
 }
 
 /// `code` with every `pub use …;` (and `pub(…) use …;`) blanked out: a
@@ -279,11 +341,22 @@ fn pub_fns(code: &str) -> Vec<String> {
     out
 }
 
-/// The identifiers `code` uses (not those it defines).
+/// The identifiers `code` uses: not those it defines, and not a name
+/// inside the body of a `fn` of that same name.
 fn used_names(code: &str, into: &mut BTreeSet<String>) {
-    for (name, after_fn) in identifiers(code) {
-        if !after_fn {
-            into.insert(name.to_owned());
+    let idents = identifiers(code);
+    let mut bodies: BTreeMap<&str, Vec<std::ops::Range<usize>>> = BTreeMap::new();
+    for ident in idents.iter().filter(|ident| ident.after_fn) {
+        if let Some(body) = fn_body(code.as_bytes(), ident.at + ident.name.len()) {
+            bodies.entry(ident.name).or_default().push(body);
+        }
+    }
+    for ident in idents.iter().filter(|ident| !ident.after_fn) {
+        let in_namesake = bodies
+            .get(ident.name)
+            .is_some_and(|ranges| ranges.iter().any(|body| body.contains(&ident.at)));
+        if !in_namesake {
+            into.insert(ident.name.to_owned());
         }
     }
 }
@@ -292,7 +365,7 @@ fn used_names(code: &str, into: &mut BTreeSet<String>) {
 fn names_in(dirs: &[PathBuf]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for path in dirs.iter().flat_map(|d| rust_files(d)) {
-        used_names(&strip_comments(&read(&path)), &mut names);
+        used_names(&strip_comments_and_literals(&read(&path)), &mut names);
     }
     names
 }
@@ -312,7 +385,7 @@ fn every_pub_fn_is_reached_or_allowlisted() {
         .collect();
     crate_dirs.sort();
     for path in crate_dirs.iter().flat_map(|d| rust_files(d)) {
-        let text = strip_comments(&read(&path));
+        let text = strip_comments_and_literals(&read(&path));
         let (code, tests) = split_at_tests(&text);
         let code = strip_pub_use(code);
         let label = path.strip_prefix(&root).unwrap_or(&path).display().to_string();
@@ -324,7 +397,7 @@ fn every_pub_fn_is_reached_or_allowlisted() {
         used_names(tests, &mut in_tests);
     }
     for path in rust_files(&root.join("src")) {
-        used_names(&strip_pub_use(&strip_comments(&read(&path))), &mut reached);
+        used_names(&strip_pub_use(&strip_comments_and_literals(&read(&path))), &mut reached);
     }
     let mut test_dirs = vec![root.join("tests")];
     for krate in crate_dirs.iter().filter_map(|d| d.parent()) {
