@@ -1,8 +1,8 @@
 //! Benchmarks of the §2.2 characterization pipeline: trace generation,
-//! aggregation, and the streaming fold `accelctl characterize` runs.
+//! aggregation, and the structured folds `accelctl characterize` runs.
 
 use accelerometer_fleet::{profile, ServiceId};
-use accelerometer_profiler::{analyze, CallTrace, ProfileAccumulator, TraceGenerator};
+use accelerometer_profiler::{analyze, FoldedStacks, ProfileAccumulator, TraceGenerator};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_profiler(c: &mut Criterion) {
@@ -19,19 +19,28 @@ fn bench_profiler(c: &mut Criterion) {
         let mut generator = TraceGenerator::new(profile(ServiceId::Web), 7);
         b.iter(|| generator.generate(5_000))
     });
-    // What `accelctl characterize` does: draw each sample into one
-    // reused trace and fold it into the report at once.
+    // What `accelctl characterize` does: draw each sample as table
+    // indices and fold it into the report at once.
     group.bench_function("characterize_stream_5k", |b| {
         let mut generator = TraceGenerator::new(profile(ServiceId::Web), 7);
-        let registry = generator.registry().clone();
-        let mut trace = CallTrace::default();
         b.iter(|| {
-            let mut report = ProfileAccumulator::new(&registry);
+            let mut report = ProfileAccumulator::default();
             for _ in 0..5_000 {
-                generator.sample_into(&mut trace);
-                report.push(&trace);
+                report.push_sample(&generator.draw());
             }
             report.finish()
+        })
+    });
+    // What `accelctl characterize --folded` does: the same draws summed
+    // per stack, rendered and sorted once.
+    group.bench_function("characterize_folded_5k", |b| {
+        let mut generator = TraceGenerator::new(profile(ServiceId::Web), 7);
+        b.iter(|| {
+            let mut stacks = FoldedStacks::new(&generator);
+            for _ in 0..5_000 {
+                stacks.push_sample(&generator.draw());
+            }
+            stacks.finish()
         })
     });
     group.finish();

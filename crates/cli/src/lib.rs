@@ -32,7 +32,7 @@ use accelerometer::{
 use accelerometer_bench::{figure_json, figure_with, render_table_with, FIGURE_IDS, TABLE_IDS};
 use accelerometer_fleet::{ServiceId, ServiceRegistry};
 use accelerometer_kernels::dispatch;
-use accelerometer_profiler::{CallTrace, FoldedStacks, ProfileAccumulator, TraceGenerator};
+use accelerometer_profiler::{FoldedStacks, ProfileAccumulator, TraceGenerator};
 use accelerometer_sim::faultsweep::demo_scenario;
 use accelerometer_sim::{
     run_fault_sweep_with, simulate, validate_all_with, validate_fallback_with, Calibrator,
@@ -607,24 +607,20 @@ fn cmd_characterize(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     if samples == 0 {
         return Err("--samples must be positive".to_owned());
     }
-    // Each sample is drawn into one reused trace and folded at once, so
+    // Each sample is drawn as table indices and folded at once, so
     // memory stays flat whatever `--samples` is.
     let mut generator = TraceGenerator::for_service(&ctx.registry, service, seed);
-    let mut trace = CallTrace::default();
     if args.has("--folded") {
         // Collapsed-stack output for flamegraph tooling.
-        let mut stacks = FoldedStacks::default();
+        let mut stacks = FoldedStacks::new(&generator);
         for _ in 0..samples {
-            generator.sample_into(&mut trace);
-            stacks.push(&trace);
+            stacks.push_sample(&generator.draw());
         }
         return Ok(stacks.finish());
     }
-    let registry = generator.registry().clone();
-    let mut profile = ProfileAccumulator::new(&registry);
+    let mut profile = ProfileAccumulator::default();
     for _ in 0..samples {
-        generator.sample_into(&mut trace);
-        profile.push(&trace);
+        profile.push_sample(&generator.draw());
     }
     Ok(format!(
         "characterization of {service}:\n{}",

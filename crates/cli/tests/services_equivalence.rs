@@ -251,7 +251,52 @@ fn services_validate_gates_the_shipped_directory_and_rejects_corruption() {
     // And `--services` refuses to load the corrupt data at all.
     let err = run(&args(&["--services", &dir.to_string_lossy(), "project"])).unwrap_err();
     assert!(err.contains("breakdown must sum to ~100%"), "{err}");
+
+    // An empty list says so, and a total far from 100% prints at a fixed
+    // precision: these used to print `got -0` and a 300-digit number.
+    for (field, entries, expected) in [
+        (
+            "memory_ops",
+            "[]",
+            "KVStore: memory_ops breakdown has no entries",
+        ),
+        (
+            "functionality",
+            r#"[["secure-insecure-io", 1e-300]]"#,
+            "KVStore: functionality breakdown must sum to ~100%, got 0.00%",
+        ),
+    ] {
+        fs::write(
+            dir.join("kvstore.json"),
+            with_entries(&good, field, entries),
+        )
+        .expect("write corrupt spec");
+        let err = run(&args(&["services", "validate", &dir.to_string_lossy()])).unwrap_err();
+        assert_eq!(err, expected);
+    }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// `spec` with the `entries` array of breakdown `field` replaced by
+/// `entries`.
+fn with_entries(spec: &str, field: &str, entries: &str) -> String {
+    let key = spec.find(&format!("\"{field}\"")).expect("field present");
+    let open = key + spec[key..].find('[').expect("entries array");
+    let mut depth = 0;
+    let close = open
+        + spec[open..]
+            .char_indices()
+            .find(|&(_, c)| {
+                depth += match c {
+                    '[' => 1,
+                    ']' => -1,
+                    _ => 0,
+                };
+                depth == 0
+            })
+            .expect("entries array closes")
+            .0;
+    format!("{}{entries}{}", &spec[..open], &spec[close + 1..])
 }
 
 #[test]

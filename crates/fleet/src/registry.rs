@@ -84,6 +84,13 @@ pub enum FleetError {
         /// The sum that was found.
         total: f64,
     },
+    /// A breakdown lists no entries at all.
+    EmptyBreakdown {
+        /// The service whose spec is malformed.
+        service: ServiceId,
+        /// Which breakdown field is empty.
+        field: &'static str,
+    },
     /// A breakdown entry is invalid (non-finite/non-positive percent or
     /// a duplicated category).
     BreakdownEntry {
@@ -175,8 +182,12 @@ impl fmt::Display for FleetError {
             }
             FleetError::BreakdownTotal { service, field, total } => write!(
                 f,
-                "{service}: {field} breakdown must sum to ~100%, got {total}"
+                "{service}: {field} breakdown must sum to ~100%, got {}",
+                percent_total(*total)
             ),
+            FleetError::EmptyBreakdown { service, field } => {
+                write!(f, "{service}: {field} breakdown has no entries")
+            }
             FleetError::BreakdownEntry { service, field, reason } => {
                 write!(f, "{service}: {field} breakdown is invalid: {reason}")
             }
@@ -265,11 +276,27 @@ pub struct ServiceSpec {
     pub recommendations: Vec<RecommendationEntry>,
 }
 
+/// A breakdown total as a message prints it: two decimals, in scientific
+/// notation past a million (a shortest round-trip `f64` can run to
+/// hundreds of digits either way), and never a negative zero.
+fn percent_total(total: f64) -> String {
+    // Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
+    let total = total + 0.0;
+    if total.abs() < 1e6 {
+        format!("{total:.2}%")
+    } else {
+        format!("{total:.3e}%")
+    }
+}
+
 fn check_breakdown<C: Copy + PartialEq>(
     service: ServiceId,
     field: &'static str,
     b: &Breakdown<C>,
 ) -> Result<(), FleetError> {
+    if b.iter().next().is_none() {
+        return Err(FleetError::EmptyBreakdown { service, field });
+    }
     if !b.is_complete() {
         return Err(FleetError::BreakdownTotal {
             service,

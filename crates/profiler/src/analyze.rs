@@ -7,16 +7,16 @@
 //! we determine the ratio of aggregated instruction and cycle counts for
 //! functions in that category").
 //!
-//! [`ProfileAccumulator`] folds one trace at a time, so a sample of any
-//! size is characterized in constant memory; [`analyze`] is the same
-//! fold over a stored slice.
+//! [`ProfileAccumulator`] folds one sample at a time, so a sample of any
+//! size is characterized in constant memory. A drawn [`Sample`] carries
+//! its tags already; [`analyze`] is the same fold over a stored slice of
+//! call traces, tagging each one's strings.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use accelerometer_fleet::{Breakdown, FunctionalityCategory, LeafCategory, MemoryOp};
 
+use crate::generate::Sample;
 use crate::registry::FunctionRegistry;
 use crate::trace::CallTrace;
 
@@ -80,7 +80,7 @@ impl ProfileReport {
 }
 
 /// Pairs each category in `all` with its accumulated sum, skipping the
-/// categories no trace landed in.
+/// categories no sample landed in.
 fn present<'a, C: Copy, S: Copy>(
     all: &'a [C],
     sums: &'a [Option<S>],
@@ -88,70 +88,12 @@ fn present<'a, C: Copy, S: Copy>(
     all.iter().zip(sums).filter_map(|(&c, s)| Some((c, (*s)?)))
 }
 
-/// A `&'static str` frame identified by where it lives: static memory is
-/// never freed or reused, so two frames with the same address and length
-/// are the same symbol.
-type FrameKey = (usize, usize);
-
-/// Multiplicative hash for [`FrameKey`]s. The keys are addresses inside
-/// this program, never outside input, so a keyed hasher buys nothing.
+/// Folds samples one at a time into the sums a [`ProfileReport`] is
+/// computed from. Memory is independent of the number of samples pushed.
 #[derive(Debug, Default)]
-struct AddressHasher(u64);
-
-impl Hasher for AddressHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Tags already computed, per frame.
-type TagCache<T> = HashMap<FrameKey, T, BuildHasherDefault<AddressHasher>>;
-
-/// Tags a static symbol through `tag` once, then answers from `cache`.
-fn cached<T: Copy>(
-    cache: &mut TagCache<T>,
-    symbol: &'static str,
-    tag: impl FnOnce(&str) -> T,
-) -> T {
-    *cache
-        .entry((symbol.as_ptr() as usize, symbol.len()))
-        .or_insert_with(|| tag(symbol))
-}
-
-/// A leaf symbol's category and, for memory leaves, its Fig. 3 operation.
-fn tag_leaf(registry: &FunctionRegistry, symbol: &str) -> (LeafCategory, Option<MemoryOp>) {
-    let category = registry.tag_leaf(symbol);
-    let op = if category == LeafCategory::Memory {
-        registry.tag_memory_op(symbol)
-    } else {
-        None
-    };
-    (category, op)
-}
-
-/// Folds call traces one at a time into the sums a [`ProfileReport`] is
-/// computed from. Memory is independent of the number of traces pushed.
-#[derive(Debug)]
-pub struct ProfileAccumulator<'r> {
-    registry: &'r FunctionRegistry,
-    leaf_tags: TagCache<(LeafCategory, Option<MemoryOp>)>,
-    root_tags: TagCache<FunctionalityCategory>,
+pub struct ProfileAccumulator {
     // Sums indexed by each enum's `ALL` position; `None` marks a category
-    // no trace landed in, which the report omits.
+    // no sample landed in, which the report omits.
     leaf_cycles: [Option<(f64, f64)>; LeafCategory::ALL.len()],
     func_cycles: [Option<(f64, f64)>; FunctionalityCategory::ALL.len()],
     memory_op_cycles: [Option<f64>; MemoryOp::ALL.len()],
@@ -159,51 +101,56 @@ pub struct ProfileAccumulator<'r> {
     samples: usize,
 }
 
-impl<'r> ProfileAccumulator<'r> {
-    /// An empty accumulator tagging through `registry`.
-    #[must_use]
-    pub fn new(registry: &'r FunctionRegistry) -> Self {
-        Self {
-            registry,
-            leaf_tags: TagCache::default(),
-            root_tags: TagCache::default(),
-            leaf_cycles: Default::default(),
-            func_cycles: Default::default(),
-            memory_op_cycles: Default::default(),
-            total_cycles: 0.0,
-            samples: 0,
-        }
+impl ProfileAccumulator {
+    /// Adds one drawn sample's cycles and instructions to the sums of
+    /// the tags the generator resolved for it.
+    pub fn push_sample(&mut self, sample: &Sample) {
+        self.add(
+            sample.functionality,
+            sample.leaf,
+            sample.memory_op,
+            sample.cycles,
+            sample.instructions,
+        );
     }
 
-    /// Adds one trace's cycles and instructions to its leaf category,
-    /// functionality and memory operation.
+    /// Adds one call trace, tagging its root and leaf through `registry`.
     ///
     /// # Panics
     ///
     /// Panics if the trace has no frames.
-    pub fn push(&mut self, trace: &CallTrace) {
-        let registry = self.registry;
-        // Each distinct symbol is tagged once.
-        let (leaf, op) = cached(&mut self.leaf_tags, trace.leaf(), |s| tag_leaf(registry, s));
-        let functionality = cached(&mut self.root_tags, trace.root(), |s| registry.bucket_root(s));
+    pub fn push(&mut self, trace: &CallTrace, registry: &FunctionRegistry) {
+        let (leaf, op) = registry.tag_symbol(trace.leaf());
+        let functionality = registry.bucket_root(trace.root());
+        self.add(functionality, leaf, op, trace.cycles, trace.instructions);
+    }
+
+    fn add(
+        &mut self,
+        functionality: FunctionalityCategory,
+        leaf: LeafCategory,
+        op: Option<MemoryOp>,
+        cycles: f64,
+        instructions: f64,
+    ) {
         let l = self.leaf_cycles[leaf as usize].get_or_insert((0.0, 0.0));
-        l.0 += trace.cycles;
-        l.1 += trace.instructions;
+        l.0 += cycles;
+        l.1 += instructions;
         let f = self.func_cycles[functionality as usize].get_or_insert((0.0, 0.0));
-        f.0 += trace.cycles;
-        f.1 += trace.instructions;
+        f.0 += cycles;
+        f.1 += instructions;
         if let Some(op) = op {
-            *self.memory_op_cycles[op as usize].get_or_insert(0.0) += trace.cycles;
+            *self.memory_op_cycles[op as usize].get_or_insert(0.0) += cycles;
         }
-        self.total_cycles += trace.cycles;
+        self.total_cycles += cycles;
         self.samples += 1;
     }
 
-    /// The report over every trace pushed.
+    /// The report over every sample pushed.
     ///
     /// # Panics
     ///
-    /// Panics if no trace was pushed — there is nothing to characterize.
+    /// Panics if no sample was pushed — there is nothing to characterize.
     #[must_use]
     pub fn finish(self) -> ProfileReport {
         assert!(self.samples > 0, "cannot analyze an empty trace sample");
@@ -245,16 +192,17 @@ impl<'r> ProfileAccumulator<'r> {
 }
 
 /// Aggregates a stored trace sample into a [`ProfileReport`]: the
-/// [`ProfileAccumulator`] fold over `traces`.
+/// [`ProfileAccumulator`] fold over `traces`, tagging each trace's
+/// strings through `registry`.
 ///
 /// # Panics
 ///
 /// Panics if `traces` is empty — there is nothing to characterize.
 #[must_use]
 pub fn analyze(traces: &[CallTrace], registry: &FunctionRegistry) -> ProfileReport {
-    let mut profile = ProfileAccumulator::new(registry);
+    let mut profile = ProfileAccumulator::default();
     for trace in traces {
-        profile.push(trace);
+        profile.push(trace, registry);
     }
     profile.finish()
 }

@@ -5,34 +5,42 @@
 
 use std::collections::BTreeMap;
 
+use crate::generate::{Sample, TraceGenerator, LAYER_FRAMES};
 use crate::trace::CallTrace;
 
-/// Collapses a stream of traces into folded-stack weights, one entry per
-/// distinct stack: memory grows with the stacks seen, not the traces.
-#[derive(Debug, Default)]
+/// Collapses a stream of drawn samples into folded-stack weights: one
+/// running cycle sum per (root, depth, leaf) a generator can draw, so
+/// memory is fixed by its frame tables, not the sample count. Stack
+/// strings are rendered once, by [`FoldedStacks::finish`].
+///
+/// The generator interns its frames by string, so each stack has one
+/// slot, and each stack's sum adds its samples in sample order: the
+/// lines are [`to_folded`]'s over the rendered traces, bit for bit.
+#[derive(Debug)]
 pub struct FoldedStacks {
-    /// Summed cycles per `;`-joined stack.
-    stacks: BTreeMap<String, f64>,
-    /// The stack being looked up, reused so a stack already seen
-    /// allocates nothing.
-    key: String,
+    roots: Vec<&'static str>,
+    symbols: Vec<&'static str>,
+    /// Summed cycles, indexed `[root][depth - 1][symbol]`.
+    cycles: Vec<f64>,
 }
 
 impl FoldedStacks {
-    /// Adds one trace's cycles to its stack.
-    pub fn push(&mut self, trace: &CallTrace) {
-        self.key.clear();
-        for (i, frame) in trace.frames.iter().enumerate() {
-            if i > 0 {
-                self.key.push(';');
-            }
-            self.key.push_str(frame);
+    /// Empty sums for the stacks `generator` can draw.
+    #[must_use]
+    pub fn new(generator: &TraceGenerator) -> Self {
+        let (roots, symbols) = generator.frame_tables();
+        Self {
+            roots: roots.to_vec(),
+            symbols: symbols.to_vec(),
+            cycles: vec![0.0; roots.len() * LAYER_FRAMES.len() * symbols.len()],
         }
-        if let Some(cycles) = self.stacks.get_mut(&self.key) {
-            *cycles += trace.cycles;
-        } else {
-            self.stacks.insert(self.key.clone(), trace.cycles);
-        }
+    }
+
+    /// Adds one sample's cycles to its stack.
+    pub fn push_sample(&mut self, sample: &Sample) {
+        let slot = (sample.root * LAYER_FRAMES.len() + sample.depth - 1) * self.symbols.len()
+            + sample.symbol;
+        self.cycles[slot] += sample.cycles;
     }
 
     /// Renders the folded-stack lines, each stack weighted by its cycle
@@ -40,29 +48,61 @@ impl FoldedStacks {
     /// lines come in lexicographic stack order for determinism.
     #[must_use]
     pub fn finish(self) -> String {
-        let mut out = String::new();
-        for (stack, cycles) in self.stacks {
+        let layers = LAYER_FRAMES.len();
+        let mut stacks: Vec<(String, u64)> = Vec::new();
+        for (slot, cycles) in self.cycles.iter().enumerate() {
             let weight = cycles.round() as u64;
             if weight > 0 {
-                out.push_str(&stack);
-                out.push(' ');
-                out.push_str(&weight.to_string());
-                out.push('\n');
+                let (rest, symbol) = (slot / self.symbols.len(), slot % self.symbols.len());
+                let (root, depth) = (rest / layers, rest % layers + 1);
+                let frames: Vec<&str> = std::iter::once(self.roots[root])
+                    .chain(LAYER_FRAMES[..depth].iter().copied())
+                    .chain(std::iter::once(self.symbols[symbol]))
+                    .collect();
+                stacks.push((frames.join(";"), weight));
             }
+        }
+        // Frames are interned and none contains `;`, so each slot renders
+        // a distinct key and an unstable sort is deterministic.
+        stacks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut out = String::new();
+        for (stack, weight) in stacks {
+            push_line(&mut out, &stack, weight);
         }
         out
     }
 }
 
-/// Collapses stored traces into folded-stack lines: the
-/// [`FoldedStacks`] fold over `traces`.
+/// Appends one `stack weight` line.
+fn push_line(out: &mut String, stack: &str, weight: u64) {
+    out.push_str(stack);
+    out.push(' ');
+    out.push_str(&weight.to_string());
+    out.push('\n');
+}
+
+/// Collapses stored traces into folded-stack lines: each trace's frames
+/// joined by `;`, summed per joined stack in trace order, and rendered
+/// as [`FoldedStacks::finish`] renders them.
 #[must_use]
 pub fn to_folded(traces: &[CallTrace]) -> String {
-    let mut stacks = FoldedStacks::default();
+    let mut stacks: BTreeMap<String, f64> = BTreeMap::new();
     for trace in traces {
-        stacks.push(trace);
+        let stack = trace.frames.join(";");
+        if let Some(cycles) = stacks.get_mut(&stack) {
+            *cycles += trace.cycles;
+        } else {
+            stacks.insert(stack, trace.cycles);
+        }
     }
-    stacks.finish()
+    let mut out = String::new();
+    for (stack, cycles) in stacks {
+        let weight = cycles.round() as u64;
+        if weight > 0 {
+            push_line(&mut out, &stack, weight);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

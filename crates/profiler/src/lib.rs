@@ -12,12 +12,16 @@
 //! is that analyzing a large generated sample reconstructs the ground-
 //! truth profile's marginals and IPC tables.
 //!
-//! Like the paper's aggregation, the pipeline keeps sums, not stacks:
-//! [`TraceGenerator::sample_into`] draws into one reused [`CallTrace`],
-//! and [`ProfileAccumulator`] (or [`FoldedStacks`] for flamegraph
-//! export) folds each sample as it arrives, so memory does not grow with
-//! the sample count. [`analyze`] and [`to_folded`] are the same folds
-//! over a stored slice:
+//! Like the paper's aggregation, the pipeline keeps sums, not stacks,
+//! and its strings appear only at render. [`TraceGenerator::draw`]
+//! returns a structured [`Sample`] whose tags the generator resolved
+//! once per frame when it was built; [`ProfileAccumulator`] adds it to
+//! dense per-category sums, and [`FoldedStacks`] (flamegraph export) to
+//! a dense per-stack array whose lines are rendered once at the end. So
+//! memory does not grow with the sample count. [`TraceGenerator::generate`]
+//! renders the same draws as [`CallTrace`]s, and [`analyze`] and
+//! [`to_folded`] fold a stored slice of them, tagging each trace's
+//! strings: the oracles the streaming path is checked against.
 //!
 //! ```
 //! use accelerometer_fleet::{profile, ServiceId};
@@ -41,6 +45,6 @@ pub mod trace;
 
 pub use analyze::{analyze, ProfileAccumulator, ProfileReport};
 pub use fold::{to_folded, FoldedStacks};
-pub use generate::{default_leaf_ipc, TraceGenerator};
+pub use generate::{default_leaf_ipc, Sample, TraceGenerator};
 pub use registry::FunctionRegistry;
 pub use trace::CallTrace;

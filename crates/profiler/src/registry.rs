@@ -85,6 +85,19 @@ impl FunctionRegistry {
             .unwrap_or(LeafCategory::Miscellaneous)
     }
 
+    /// A leaf symbol's category and, for memory leaves, its Fig. 3
+    /// operation: [`tag_leaf`](Self::tag_leaf) then
+    /// [`tag_memory_op`](Self::tag_memory_op).
+    pub(crate) fn tag_symbol(&self, symbol: &str) -> (LeafCategory, Option<MemoryOp>) {
+        let category = self.tag_leaf(symbol);
+        let op = if category == LeafCategory::Memory {
+            self.tag_memory_op(symbol)
+        } else {
+            None
+        };
+        (category, op)
+    }
+
     /// Buckets a call-trace root frame into a functionality category.
     /// Frames without a recognized marker fall into Miscellaneous.
     #[must_use]

@@ -9,7 +9,7 @@ use accelerometer_suite::fleet::{profile, FunctionalityCategory, ServiceId};
 use accelerometer_suite::model::{
     amdahl, AccelerationStrategy, ModelParams, Scenario, ThreadingDesign,
 };
-use accelerometer_suite::profiler::{CallTrace, ProfileAccumulator, TraceGenerator};
+use accelerometer_suite::profiler::{ProfileAccumulator, TraceGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let requested = std::env::args().nth(1).unwrap_or_else(|| "Web".to_owned());
@@ -21,12 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sample the service the way Strobelight does in production, folding
     // each sample into the running sums as it is drawn.
     let mut sampler = TraceGenerator::new(profile(service), 2_026);
-    let registry = sampler.registry().clone();
-    let mut sums = ProfileAccumulator::new(&registry);
-    let mut trace = CallTrace::default();
+    let mut sums = ProfileAccumulator::default();
     for _ in 0..80_000 {
-        sampler.sample_into(&mut trace);
-        sums.push(&trace);
+        sums.push_sample(&sampler.draw());
     }
     let report = sums.finish();
     println!("{}", report.render());
