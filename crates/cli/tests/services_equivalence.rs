@@ -274,6 +274,15 @@ fn services_validate_gates_the_shipped_directory_and_rejects_corruption() {
         let err = run(&args(&["services", "validate", &dir.to_string_lossy()])).unwrap_err();
         assert_eq!(err, expected);
     }
+    // So does an IPC a hair below zero: it used to print ~300 digits.
+    fs::remove_file(dir.join("kvstore.json")).expect("remove kvstore spec");
+    let cache1 =
+        fs::read_to_string(PathBuf::from(services_dir()).join("cache1.json")).expect("cache1 spec");
+    let bad = cache1.replacen("\"gen_a\": 0.82", "\"gen_a\": -1e-300", 1);
+    assert_ne!(cache1, bad, "corruption must change the spec");
+    fs::write(dir.join("cache1.json"), bad).expect("write corrupt spec");
+    let err = run(&args(&["services", "validate", &dir.to_string_lossy()])).unwrap_err();
+    assert_eq!(err, "Cache1: IPC for Memory must be positive and finite, got -0.00");
     fs::remove_dir_all(&dir).ok();
 }
 

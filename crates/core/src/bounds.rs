@@ -33,15 +33,6 @@ pub enum BoundTerm {
 }
 
 impl BoundTerm {
-    /// All terms in presentation order.
-    pub const ALL: [BoundTerm; 5] = [
-        BoundTerm::NonKernel,
-        BoundTerm::AcceleratorTime,
-        BoundTerm::Setup,
-        BoundTerm::Transfer,
-        BoundTerm::ThreadSwitch,
-    ];
-
     /// What a designer does about this bound (Table 4-style guidance).
     #[must_use]
     pub fn remedy(self) -> &'static str {
@@ -289,10 +280,17 @@ mod tests {
     #[test]
     fn terms_have_distinct_remedies_and_names() {
         use std::collections::HashSet;
-        let remedies: HashSet<&str> = BoundTerm::ALL.iter().map(|t| t.remedy()).collect();
-        assert_eq!(remedies.len(), BoundTerm::ALL.len());
-        let names: HashSet<String> = BoundTerm::ALL.iter().map(ToString::to_string).collect();
-        assert_eq!(names.len(), BoundTerm::ALL.len());
+        let all = [
+            BoundTerm::NonKernel,
+            BoundTerm::AcceleratorTime,
+            BoundTerm::Setup,
+            BoundTerm::Transfer,
+            BoundTerm::ThreadSwitch,
+        ];
+        let remedies: HashSet<&str> = all.iter().map(|t| t.remedy()).collect();
+        assert_eq!(remedies.len(), all.len());
+        let names: HashSet<String> = all.iter().map(ToString::to_string).collect();
+        assert_eq!(names.len(), all.len());
     }
 
     #[test]

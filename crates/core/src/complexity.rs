@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure, Result};
-use crate::units::{Bytes, Cycles, CyclesPerByte};
+use crate::units::{Bytes, CyclesPerByte};
 
 /// A kernel's computational complexity exponent `β` in `Cb · g^β`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,18 +35,6 @@ impl Complexity {
             "complexity exponent must be finite and positive",
         )?;
         Ok(Self(beta))
-    }
-
-    /// The exponent `β`.
-    #[must_use]
-    pub fn beta(self) -> f64 {
-        self.0
-    }
-
-    /// Evaluates `g^β`.
-    #[must_use]
-    pub fn scale(self, g: Bytes) -> f64 {
-        g.get().powf(self.0)
     }
 
     /// Inverts `g^β = x`, returning `g = x^(1/β)`.
@@ -84,23 +72,15 @@ impl KernelCost {
             complexity: Complexity::LINEAR,
         }
     }
-
-    /// Host cycles to execute a `g`-byte invocation: `Cb · g^β`.
-    #[must_use]
-    pub fn host_cycles(&self, g: Bytes) -> Cycles {
-        Cycles::new(self.cycles_per_byte.get() * self.complexity.scale(g))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{bytes, cycles_per_byte};
 
     #[test]
     fn linear_is_default() {
         assert_eq!(Complexity::default(), Complexity::LINEAR);
-        assert_eq!(Complexity::LINEAR.beta(), 1.0);
     }
 
     #[test]
@@ -111,29 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_invert_round_trip() {
+    fn invert_undoes_g_to_the_beta() {
         let c = Complexity::new(1.5).unwrap();
-        let g = bytes(256.0);
-        let scaled = c.scale(g);
-        let back = c.invert(scaled);
+        let back = c.invert(256.0_f64.powf(1.5));
         assert!((back.get() - 256.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_cost_is_cb_times_g() {
-        let cost = KernelCost::linear(cycles_per_byte(5.62));
-        assert!((cost.host_cycles(bytes(425.0)).get() - 5.62 * 425.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn super_linear_kernel_grows_faster() {
-        let lin = KernelCost::linear(cycles_per_byte(1.0));
-        let sup = KernelCost {
-            cycles_per_byte: cycles_per_byte(1.0),
-            complexity: Complexity::new(1.3).unwrap(),
-        };
-        assert!(sup.host_cycles(bytes(1024.0)) > lin.host_cycles(bytes(1024.0)));
-        // And slower below 1 byte-scale.
-        assert!(sup.host_cycles(bytes(0.5)) < lin.host_cycles(bytes(0.5)));
     }
 }

@@ -46,7 +46,7 @@ pub fn default_jobs() -> usize {
 ///
 /// Results always preserve input order. With one worker (or one job) the
 /// pool degenerates to a plain sequential loop with no thread spawns.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPool {
     jobs: usize,
 }
@@ -56,12 +56,6 @@ impl ExecPool {
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         Self { jobs: jobs.max(1) }
-    }
-
-    /// The pool's worker count.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Maps `f` over `items`, preserving input order in the output.
@@ -98,17 +92,16 @@ impl ExecPool {
             return;
         }
         let chunk = count.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (c, chunk_items) in items.chunks_mut(chunk).enumerate() {
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (j, item) in chunk_items.iter_mut().enumerate() {
                         f(c * chunk + j, item);
                     }
                 });
             }
-        })
-        .expect("pool workers do not panic");
+        });
     }
 
     /// Runs `f(0), f(1), …, f(count - 1)` and returns the results in
@@ -128,12 +121,12 @@ impl ExecPool {
         }
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, R)>();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
                 let f = &f;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= count {
                         break;
@@ -152,7 +145,6 @@ impl ExecPool {
                 .map(|r| r.expect("every job reports exactly once"))
                 .collect()
         })
-        .expect("pool workers do not panic")
     }
 }
 
@@ -175,11 +167,6 @@ mod tests {
         let pool = ExecPool::new(4);
         assert!(pool.run(0, |i| i).is_empty());
         assert_eq!(pool.run(1, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn zero_jobs_clamps_to_one() {
-        assert_eq!(ExecPool::new(0).jobs(), 1);
     }
 
     #[test]

@@ -241,12 +241,6 @@ impl GranularitySampler {
         }
         Bytes::new(g0 + (g1 - g0) * (p - f0) / (f1 - f0))
     }
-
-    /// The largest granularity in the distribution's support.
-    #[must_use]
-    pub fn max_bytes(&self) -> Bytes {
-        Bytes::new(*self.bytes.last().expect("non-empty by construction"))
-    }
 }
 
 /// The effective model inputs after restricting offloading to lucrative
@@ -416,7 +410,6 @@ mod tests {
         ];
         for cdf in &cdfs {
             let sampler = cdf.sampler();
-            assert_eq!(sampler.max_bytes(), cdf.max_bytes());
             for i in 0..=1000 {
                 let p = f64::from(i) / 1000.0;
                 for probe in [p, p - 0.5, p + 0.5] {

@@ -365,7 +365,6 @@ pub fn estimate_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::cycles;
 
     #[allow(clippy::too_many_arguments)]
     fn params(c: f64, alpha: f64, n: f64, o0: f64, l: f64, q: f64, o1: f64, a: f64) -> ModelParams {
@@ -657,8 +656,8 @@ mod tests {
         let est = Estimate {
             throughput_speedup: 1.157,
             latency_reduction: 1.05,
-            host_cycles_accelerated: cycles(1.0),
-            request_path_cycles: cycles(1.0),
+            host_cycles_accelerated: Cycles::new(1.0),
+            request_path_cycles: Cycles::new(1.0),
         };
         assert!((est.throughput_gain_percent() - 15.7).abs() < 1e-9);
         assert!((est.latency_gain_percent() - 5.0).abs() < 1e-9);

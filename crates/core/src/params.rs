@@ -46,13 +46,6 @@ impl OffloadOverheads {
         }
     }
 
-    /// The dispatch overhead `o0 + L + Q` that every offload pays
-    /// regardless of threading design.
-    #[must_use]
-    pub fn dispatch(self) -> Cycles {
-        self.setup + self.interface + self.queueing
-    }
-
     fn validate(&self) -> Result<()> {
         ensure(
             self.setup.is_valid_magnitude(),
@@ -152,18 +145,6 @@ impl ModelParams {
     #[must_use]
     pub fn peak_speedup(&self) -> f64 {
         self.peak_speedup
-    }
-
-    /// `α·C`: host cycles spent in the kernel when unaccelerated.
-    #[must_use]
-    pub fn kernel_cycles(&self) -> Cycles {
-        self.host_cycles * self.kernel_fraction
-    }
-
-    /// `(1-α)·C`: host cycles spent in non-kernel logic.
-    #[must_use]
-    pub fn non_kernel_cycles(&self) -> Cycles {
-        self.host_cycles * (1.0 - self.kernel_fraction)
     }
 }
 
@@ -318,20 +299,6 @@ mod tests {
         assert_eq!(p.overheads().interface.get(), 3.0);
         assert_eq!(p.overheads().queueing.get(), 0.0);
         assert_eq!(p.peak_speedup(), 6.0);
-    }
-
-    #[test]
-    fn derived_cycle_quantities() {
-        let p = aes_ni();
-        let kernel = p.kernel_cycles().get();
-        assert!((kernel - 0.165844 * 2.0e9).abs() < 1.0);
-        assert!((p.non_kernel_cycles().get() + kernel - 2.0e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn dispatch_overhead_sums_o0_l_q() {
-        let ovh = OffloadOverheads::new(10.0, 3.0, 7.0, 100.0);
-        assert_eq!(ovh.dispatch().get(), 20.0);
     }
 
     #[test]

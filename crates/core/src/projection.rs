@@ -105,14 +105,14 @@ pub struct Projection {
 /// Feed1's off-chip synchronous compression (§5) projects ≈9% speedup:
 ///
 /// ```
-/// use accelerometer::units::{cycles, cycles_per_byte};
+/// use accelerometer::units::{cycles_per_byte, Cycles};
 /// use accelerometer::{
 ///     project, AccelerationStrategy, AcceleratorSpec, GranularityCdf, KernelCost,
 ///     KernelProfile, OffloadOverheads, OffloadPolicy, ThreadingDesign,
 /// };
 ///
 /// let profile = KernelProfile {
-///     total_cycles: cycles(2.3e9),
+///     total_cycles: Cycles::new(2.3e9),
 ///     kernel_fraction: 0.15,
 ///     total_offloads: 15_008.0,
 ///     cost: KernelCost::linear(cycles_per_byte(5.62)),
@@ -187,11 +187,11 @@ pub fn project(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{cycles, cycles_per_byte};
+    use crate::units::cycles_per_byte;
 
     fn feed1_compression() -> KernelProfile {
         KernelProfile {
-            total_cycles: cycles(2.3e9),
+            total_cycles: Cycles::new(2.3e9),
             kernel_fraction: 0.15,
             total_offloads: 15_008.0,
             cost: KernelCost::linear(cycles_per_byte(5.62)),
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn fig20_memcpy_on_chip() {
         let profile = KernelProfile {
-            total_cycles: cycles(2.3e9),
+            total_cycles: Cycles::new(2.3e9),
             kernel_fraction: 0.1512,
             total_offloads: 1_473_681.0,
             cost: KernelCost::linear(cycles_per_byte(1.0)),
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn fig20_alloc_on_chip() {
         let profile = KernelProfile {
-            total_cycles: cycles(2.0e9),
+            total_cycles: Cycles::new(2.0e9),
             kernel_fraction: 0.055,
             total_offloads: 51_695.0,
             cost: KernelCost::linear(cycles_per_byte(2.0)),
@@ -393,7 +393,7 @@ mod tests {
         // offloading everything is catastrophic while selective offload
         // merely fails to help much.
         let profile = KernelProfile {
-            total_cycles: cycles(1e9),
+            total_cycles: Cycles::new(1e9),
             kernel_fraction: 0.01,
             total_offloads: 1_000_000.0,
             cost: KernelCost::linear(cycles_per_byte(5.62)),

@@ -45,12 +45,6 @@ impl LatencySlo {
         })
     }
 
-    /// The required minimum `C/CL`.
-    #[must_use]
-    pub fn min_reduction(&self) -> f64 {
-        self.min_reduction
-    }
-
     /// Whether a scenario meets this SLO.
     #[must_use]
     pub fn is_met_by(&self, scenario: &Scenario) -> bool {

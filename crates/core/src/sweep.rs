@@ -5,7 +5,7 @@
 //! scenario across a range of one parameter — peak speedup `A`, interface
 //! latency `L`, offload count `n`, or kernel fraction `α` — producing the
 //! series a design-space plot needs. Multi-scenario batches fan out across
-//! threads with `crossbeam`.
+//! threads through `ExecPool`.
 
 use serde::{Deserialize, Serialize};
 

@@ -195,12 +195,6 @@ impl Timeline {
         Self { spec, segments }
     }
 
-    /// All segments in construction order.
-    #[must_use]
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Segments on a given lane.
     pub fn lane(&self, lane: Lane) -> impl Iterator<Item = &Segment> {
         self.segments.iter().filter(move |s| s.lane == lane)
@@ -258,11 +252,10 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::cycles;
 
     fn spec(design: ThreadingDesign) -> TimelineSpec {
         TimelineSpec {
-            kernel_cycles: cycles(10_000.0),
+            kernel_cycles: Cycles::new(10_000.0),
             peak_speedup: 10.0,
             overheads: OffloadOverheads::new(100.0, 300.0, 50.0, 200.0),
             design,
@@ -357,7 +350,7 @@ mod tests {
     fn makespan_covers_all_segments() {
         let t = Timeline::build(spec(ThreadingDesign::Sync));
         let max_end = t
-            .segments()
+            .segments
             .iter()
             .map(|s| s.end.get())
             .fold(0.0_f64, f64::max);
@@ -383,7 +376,7 @@ mod tests {
         let mut s = spec(ThreadingDesign::Sync);
         s.overheads = OffloadOverheads::NONE;
         let t = Timeline::build(s);
-        assert!(t.segments().iter().all(|seg| seg.duration().get() > 0.0));
+        assert!(t.segments.iter().all(|seg| seg.duration().get() > 0.0));
         assert!(t.lane(Lane::Interface).next().is_none());
     }
 }

@@ -43,22 +43,10 @@ macro_rules! quantity {
                 self.0
             }
 
-            /// Returns `true` if the value is finite (not NaN or infinite).
-            #[must_use]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
             /// Returns `true` if the value is finite and non-negative.
             #[must_use]
             pub fn is_valid_magnitude(self) -> bool {
                 self.0.is_finite() && self.0 >= 0.0
-            }
-
-            /// Returns the smaller of two quantities.
-            #[must_use]
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
             }
 
             /// Returns the larger of two quantities.
@@ -206,12 +194,6 @@ impl Div<CyclesPerByte> for Cycles {
     }
 }
 
-/// Convenience constructor: `cycles(2.3e9)`.
-#[must_use]
-pub fn cycles(value: f64) -> Cycles {
-    Cycles::new(value)
-}
-
 /// Convenience constructor: `bytes(425.0)`.
 #[must_use]
 pub fn bytes(value: f64) -> Bytes {
@@ -238,22 +220,22 @@ mod tests {
 
     #[test]
     fn dimensional_quotients() {
-        let c = cycles(200.0);
+        let c = Cycles::new(200.0);
         assert_eq!((c / bytes(100.0)).get(), 2.0);
         assert_eq!((c / cycles_per_byte(2.0)).get(), 100.0);
     }
 
     #[test]
     fn like_quantity_ratio_is_dimensionless() {
-        let ratio: f64 = cycles(10.0) / cycles(4.0);
+        let ratio: f64 = Cycles::new(10.0) / Cycles::new(4.0);
         assert_eq!(ratio, 2.5);
     }
 
     #[test]
     fn arithmetic_and_accessors() {
-        let mut c = cycles(5.0);
-        c += cycles(1.0);
-        c -= cycles(2.0);
+        let mut c = Cycles::new(5.0);
+        c += Cycles::new(1.0);
+        c -= Cycles::new(2.0);
         assert_eq!(c.get(), 4.0);
         assert_eq!((c * 2.0).get(), 8.0);
         assert_eq!((2.0 * c).get(), 8.0);
@@ -263,33 +245,32 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_validity() {
-        assert_eq!(cycles(3.0).min(cycles(5.0)).get(), 3.0);
-        assert_eq!(cycles(3.0).max(cycles(5.0)).get(), 5.0);
-        assert!(cycles(1.0).is_valid_magnitude());
-        assert!(!cycles(-1.0).is_valid_magnitude());
-        assert!(!cycles(f64::NAN).is_valid_magnitude());
-        assert!(!cycles(f64::INFINITY).is_valid_magnitude());
+    fn max_and_validity() {
+        assert_eq!(Cycles::new(3.0).max(Cycles::new(5.0)).get(), 5.0);
+        assert!(Cycles::new(1.0).is_valid_magnitude());
+        assert!(!Cycles::new(-1.0).is_valid_magnitude());
+        assert!(!Cycles::new(f64::NAN).is_valid_magnitude());
+        assert!(!Cycles::new(f64::INFINITY).is_valid_magnitude());
     }
 
     #[test]
     fn sum_of_quantities() {
-        let total: Cycles = [cycles(1.0), cycles(2.0), cycles(3.0)].into_iter().sum();
+        let total: Cycles = [Cycles::new(1.0), Cycles::new(2.0), Cycles::new(3.0)].into_iter().sum();
         assert_eq!(total.get(), 6.0);
     }
 
     #[test]
     fn display_includes_unit() {
-        assert_eq!(cycles(2.0).to_string(), "2 cycles");
+        assert_eq!(Cycles::new(2.0).to_string(), "2 cycles");
         assert_eq!(bytes(3.0).to_string(), "3 B");
         assert_eq!(cycles_per_byte(0.5).to_string(), "0.5 cycles/B");
     }
 
     #[test]
     fn serde_round_trip_is_transparent() {
-        let json = serde_json::to_string(&cycles(2.5)).unwrap();
+        let json = serde_json::to_string(&Cycles::new(2.5)).unwrap();
         assert_eq!(json, "2.5");
         let back: Cycles = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cycles(2.5));
+        assert_eq!(back, Cycles::new(2.5));
     }
 }

@@ -125,11 +125,6 @@ impl<C: Copy + PartialEq> Breakdown<C> {
         self.entries.iter().copied()
     }
 
-    /// The categories present, in presentation order.
-    pub fn categories(&self) -> impl Iterator<Item = C> + '_ {
-        self.entries.iter().map(|(c, _)| *c)
-    }
-
     /// Sums the percentages of categories matching a predicate — e.g. the
     /// Fig. 1 "core" share via `FunctionalityCategory::is_core`. Folds
     /// from `+0.0`: an empty `f64` sum is `-0.0`, which prints as `-0.0%`.

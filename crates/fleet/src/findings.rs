@@ -85,12 +85,6 @@ pub const FINDINGS: [Finding; 10] = [
     },
 ];
 
-/// Looks up a finding by its identifier.
-#[must_use]
-pub fn finding(id: &str) -> Option<&'static Finding> {
-    FINDINGS.iter().find(|f| f.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,18 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_id() {
-        let f = finding("compression").unwrap();
-        assert!(f.opportunity.contains("compression hardware"));
-        assert!(finding("nonexistent").is_none());
-    }
-
-    #[test]
     fn the_three_applied_overheads_are_findings() {
         // §5 applies the model to compression, memory copy, and memory
         // allocation — all of which must appear in Table 4.
-        assert!(finding("compression").is_some());
-        assert!(finding("memory-copy-alloc").is_some());
+        for id in ["compression", "memory-copy-alloc"] {
+            assert!(FINDINGS.iter().any(|f| f.id == id), "{id}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use breakdown::{Breakdown, BreakdownError};
 pub use categories::{
     CLibOp, CopyOrigin, FunctionalityCategory, KernelOp, LeafCategory, MemoryOp, SyncPrimitive,
 };
-pub use findings::{finding, Finding, FINDINGS};
+pub use findings::{Finding, FINDINGS};
 pub use params::{
     all_case_studies, all_recommendations, CaseStudy, Recommendation, RecommendationConfig,
 };

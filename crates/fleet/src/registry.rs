@@ -182,8 +182,8 @@ impl fmt::Display for FleetError {
             }
             FleetError::BreakdownTotal { service, field, total } => write!(
                 f,
-                "{service}: {field} breakdown must sum to ~100%, got {}",
-                percent_total(*total)
+                "{service}: {field} breakdown must sum to ~100%, got {}%",
+                short(*total)
             ),
             FleetError::EmptyBreakdown { service, field } => {
                 write!(f, "{service}: {field} breakdown has no entries")
@@ -200,15 +200,18 @@ impl fmt::Display for FleetError {
             ),
             FleetError::NegativeIpc { service, category, value } => write!(
                 f,
-                "{service}: IPC for {category} must be positive and finite, got {value}"
+                "{service}: IPC for {category} must be positive and finite, got {}",
+                short(*value)
             ),
             FleetError::NegativeRate { service, field, value } => write!(
                 f,
-                "{service}: rate {field} must be non-negative and finite, got {value}"
+                "{service}: rate {field} must be non-negative and finite, got {}",
+                short(*value)
             ),
             FleetError::InvalidModelParam { service, field, value } => write!(
                 f,
-                "{service}: model parameter {field} is out of range, got {value}"
+                "{service}: model parameter {field} is out of range, got {}",
+                short(*value)
             ),
             FleetError::ForeignEntry { service, field, found } => write!(
                 f,
@@ -276,16 +279,16 @@ pub struct ServiceSpec {
     pub recommendations: Vec<RecommendationEntry>,
 }
 
-/// A breakdown total as a message prints it: two decimals, in scientific
+/// A value as an error message prints it: two decimals, in scientific
 /// notation past a million (a shortest round-trip `f64` can run to
 /// hundreds of digits either way), and never a negative zero.
-fn percent_total(total: f64) -> String {
+fn short(value: f64) -> String {
     // Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
-    let total = total + 0.0;
-    if total.abs() < 1e6 {
-        format!("{total:.2}%")
+    let value = value + 0.0;
+    if value.abs() < 1e6 {
+        format!("{value:.2}")
     } else {
-        format!("{total:.3e}%")
+        format!("{value:.3e}")
     }
 }
 

@@ -12,28 +12,10 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Errors constructing or evaluating an MLP.
+/// Errors evaluating an MLP.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MlpError {
-    /// A layer's weight matrix does not match its declared dimensions.
-    ShapeMismatch {
-        /// Layer index.
-        layer: usize,
-        /// Expected weight count (`inputs × outputs`).
-        expected: usize,
-        /// Actual weight count supplied.
-        actual: usize,
-    },
-    /// Consecutive layers disagree on their shared dimension.
-    LayerMismatch {
-        /// Index of the later layer.
-        layer: usize,
-        /// The previous layer's output width.
-        expected_inputs: usize,
-        /// The later layer's declared input width.
-        actual_inputs: usize,
-    },
     /// The input vector's length does not match the first layer.
     InputMismatch {
         /// Expected input width.
@@ -41,30 +23,14 @@ pub enum MlpError {
         /// Supplied input width.
         actual: usize,
     },
-    /// The network has no layers.
-    Empty,
 }
 
 impl fmt::Display for MlpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MlpError::ShapeMismatch {
-                layer,
-                expected,
-                actual,
-            } => write!(f, "layer {layer}: expected {expected} weights, got {actual}"),
-            MlpError::LayerMismatch {
-                layer,
-                expected_inputs,
-                actual_inputs,
-            } => write!(
-                f,
-                "layer {layer}: expects {actual_inputs} inputs but previous layer outputs {expected_inputs}"
-            ),
             MlpError::InputMismatch { expected, actual } => {
                 write!(f, "input has {actual} features, network expects {expected}")
             }
-            MlpError::Empty => write!(f, "network has no layers"),
         }
     }
 }
@@ -106,35 +72,6 @@ pub struct Layer {
 }
 
 impl Layer {
-    /// Creates a dense layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlpError::ShapeMismatch`] if `weights.len()` is not
-    /// `inputs × outputs` or `biases.len()` is not `outputs`.
-    pub fn new(
-        inputs: usize,
-        outputs: usize,
-        weights: Vec<f32>,
-        biases: Vec<f32>,
-        activation: Activation,
-    ) -> Result<Self, MlpError> {
-        if weights.len() != inputs * outputs || biases.len() != outputs {
-            return Err(MlpError::ShapeMismatch {
-                layer: 0,
-                expected: inputs * outputs,
-                actual: weights.len(),
-            });
-        }
-        Ok(Self {
-            inputs,
-            outputs,
-            weights,
-            biases,
-            activation,
-        })
-    }
-
     /// Deterministic pseudo-random layer for benchmarks and tests
     /// (xorshift-seeded weights in [-0.5, 0.5)).
     #[must_use]
@@ -308,29 +245,6 @@ pub struct Mlp {
 }
 
 impl Mlp {
-    /// Builds a network from layers, validating that consecutive layers
-    /// agree on their shared dimension.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlpError::Empty`] for zero layers or
-    /// [`MlpError::LayerMismatch`] for incompatible shapes.
-    pub fn new(layers: Vec<Layer>) -> Result<Self, MlpError> {
-        if layers.is_empty() {
-            return Err(MlpError::Empty);
-        }
-        for (i, pair) in layers.windows(2).enumerate() {
-            if pair[0].outputs != pair[1].inputs {
-                return Err(MlpError::LayerMismatch {
-                    layer: i + 1,
-                    expected_inputs: pair[0].outputs,
-                    actual_inputs: pair[1].inputs,
-                });
-            }
-        }
-        Ok(Self { layers })
-    }
-
     /// A deterministic ReLU MLP with the given layer widths (e.g.
     /// `[512, 256, 64, 1]`), sigmoid on the output layer — the shape of a
     /// feed-ranking relevance model.
@@ -482,15 +396,16 @@ mod tests {
     fn hand_computed_forward_pass() {
         // One layer: 2 inputs, 2 outputs, ReLU.
         // W = [[1, 2], [-1, 1]], b = [0.5, -10].
-        let layer = Layer::new(
-            2,
-            2,
-            vec![1.0, 2.0, -1.0, 1.0],
-            vec![0.5, -10.0],
-            Activation::Relu,
-        )
-        .unwrap();
-        let mlp = Mlp::new(vec![layer]).unwrap();
+        let layer = Layer {
+            inputs: 2,
+            outputs: 2,
+            weights: vec![1.0, 2.0, -1.0, 1.0],
+            biases: vec![0.5, -10.0],
+            activation: Activation::Relu,
+        };
+        let mlp = Mlp {
+            layers: vec![layer],
+        };
         let out = mlp.infer(&[3.0, 4.0]).unwrap();
         // [1*3 + 2*4 + 0.5, relu(-3 + 4 - 10)] = [11.5, 0].
         assert_eq!(out, vec![11.5, 0.0]);
@@ -513,21 +428,6 @@ mod tests {
         // Different seeds give different networks.
         let other = Mlp::seeded_ranker(&[64, 32, 8, 1], 8);
         assert_ne!(mlp.infer(&features).unwrap(), other.infer(&features).unwrap());
-    }
-
-    #[test]
-    fn shape_validation() {
-        assert!(matches!(
-            Layer::new(2, 2, vec![1.0; 3], vec![0.0; 2], Activation::Linear),
-            Err(MlpError::ShapeMismatch { .. })
-        ));
-        let a = Layer::seeded(4, 8, Activation::Relu, 1);
-        let b = Layer::seeded(9, 2, Activation::Linear, 2);
-        assert!(matches!(
-            Mlp::new(vec![a, b]),
-            Err(MlpError::LayerMismatch { layer: 1, .. })
-        ));
-        assert!(matches!(Mlp::new(vec![]), Err(MlpError::Empty)));
     }
 
     #[test]
@@ -622,6 +522,5 @@ mod tests {
             actual: 2,
         };
         assert!(e.to_string().contains('4'));
-        assert!(MlpError::Empty.to_string().contains("no layers"));
     }
 }

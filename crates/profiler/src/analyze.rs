@@ -221,7 +221,11 @@ mod tests {
     }
 
     fn trace(root: &'static str, leaf: &'static str, cycles: f64, ipc: f64) -> CallTrace {
-        CallTrace::new(vec![root, "mid", leaf], cycles, cycles * ipc)
+        CallTrace {
+            frames: vec![root, "mid", leaf],
+            cycles,
+            instructions: cycles * ipc,
+        }
     }
 
     #[test]

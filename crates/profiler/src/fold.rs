@@ -110,7 +110,11 @@ mod tests {
     use super::*;
 
     fn trace(frames: &[&'static str], cycles: f64) -> CallTrace {
-        CallTrace::new(frames.to_vec(), cycles, 0.0)
+        CallTrace {
+            frames: frames.to_vec(),
+            cycles,
+            instructions: 0.0,
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod tests {
         set_default_shards(3);
         assert_eq!(default_shards(), 3);
         let ctx = RunContext::from_process_defaults();
-        assert_eq!(ctx.shards.as_ref().map(ExecPool::jobs), Some(3));
+        assert_eq!(ctx.shards, Some(ExecPool::new(3)));
         set_default_shards(0);
         assert_eq!(default_shards(), 0);
         assert!(RunContext::from_process_defaults().shards.is_none());

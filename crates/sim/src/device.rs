@@ -116,12 +116,6 @@ impl Device {
         }
     }
 
-    /// The sharing discipline.
-    #[must_use]
-    pub fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
     /// Dispatches an offload issued at `now` from `core`, with the given
     /// device service time in cycles. FIFO within each server; shared
     /// devices pick the earliest-free server.

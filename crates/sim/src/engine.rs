@@ -312,18 +312,10 @@ impl Default for Thread {
 pub struct EngineStats {
     /// Events popped and executed by the run loop.
     pub events_processed: u64,
-    /// Events scheduled (some may remain unprocessed at the horizon).
-    pub events_scheduled: u64,
     /// Peak number of live (incomplete) requests: the request slab's
     /// high-water mark, which stays O(in-flight) rather than growing
     /// with every request the horizon admits.
     pub peak_live_requests: usize,
-    /// Timestamp runs executed by the batched loop (one per distinct
-    /// event time that reached the loop).
-    pub batch_runs: u64,
-    /// Runs that carried more than one event — the batching win, since
-    /// the loop's `now`/horizon bookkeeping is paid once per run.
-    pub multi_event_batches: u64,
     /// Entry moves the event heap performed sifting pushes up.
     pub heap_sift_ups: u64,
     /// Entry moves the event heap performed sifting pops down.
@@ -453,8 +445,6 @@ pub struct Simulator {
     suppressed: u64,
     switches: u64,
     events_processed: u64,
-    batch_runs: u64,
-    multi_event_batches: u64,
     trace_replayed: u64,
     live_requests: usize,
     peak_live_requests: usize,
@@ -580,8 +570,6 @@ impl Simulator {
             suppressed: 0,
             switches: 0,
             events_processed: 0,
-            batch_runs: 0,
-            multi_event_batches: 0,
             trace_replayed: 0,
             live_requests: 0,
             peak_live_requests: 0,
@@ -659,9 +647,7 @@ impl Simulator {
     /// The event loop. Each iteration takes the next due event either
     /// from the bypass slot (no heap traffic at all) or from the heap
     /// with one integer key compare ([`bound_key`] folds the horizon
-    /// check into the heap order); the pop also reports whether more
-    /// events share this exact timestamp, which drives the run
-    /// accounting ([`EngineStats::batch_runs`] and friends) for free.
+    /// check into the heap order).
     ///
     /// Same-timestamp runs are processed by consecutive plain pops, not
     /// by buffering the run up front: sequence numbers are strictly
@@ -679,24 +665,19 @@ impl Simulator {
             self.schedule::<OFFLOAD, FAULTY>();
         }
         let bound = bound_key(until);
-        // True while the previously popped event reported a continuing
-        // same-timestamp run. Runs never straddle `until` (the bound
-        // admits a timestamp wholly or not at all), so this is loop-local.
-        let mut run_continues = false;
         loop {
             // The bypass slot, when occupied, holds the globally next
             // event; only an empty slot falls through to the heap. A
             // slot beyond the bound implies the whole heap is too
             // (every heap key is larger), so the loop is done — the
             // slot is retained for the next `run_until` call.
-            let (time, event, tied) = match self.next_event {
+            let (time, event) = match self.next_event {
                 Some((key, event)) => {
                     if key > bound {
                         break;
                     }
                     self.next_event = None;
-                    let tied = self.events.min_key() >> 64 == key >> 64;
-                    (unpack_time(key), event, tied)
+                    (unpack_time(key), event)
                 }
                 None => match self.events.pop_bounded(bound) {
                     Some(popped) => popped,
@@ -705,15 +686,6 @@ impl Simulator {
             };
             self.now = time;
             self.events_processed += 1;
-            if !tied {
-                // This event ends its timestamp run (usually a run of
-                // one: the singleton fast path).
-                self.batch_runs += 1;
-            } else if !run_continues {
-                // First event of a multi-event run.
-                self.multi_event_batches += 1;
-            }
-            run_continues = tied;
             self.handle_event::<OFFLOAD, FAULTY>(event, time);
         }
     }
@@ -1196,10 +1168,7 @@ impl Simulator {
     pub(crate) fn into_shard_output(self) -> ShardOutput {
         let stats = EngineStats {
             events_processed: self.events_processed,
-            events_scheduled: self.seq,
             peak_live_requests: self.peak_live_requests,
-            batch_runs: self.batch_runs,
-            multi_event_batches: self.multi_event_batches,
             heap_sift_ups: self.events.sift_ups(),
             heap_sift_downs: self.events.sift_downs(),
             bank_refills: 0,
@@ -1320,10 +1289,7 @@ pub(crate) fn merge(mut outputs: Vec<ShardOutput>) -> (SimMetrics, EngineStats) 
             acc.abandoned_offloads += f.abandoned_offloads;
         }
         engine.events_processed += out.stats.events_processed;
-        engine.events_scheduled += out.stats.events_scheduled;
         engine.peak_live_requests = engine.peak_live_requests.max(out.stats.peak_live_requests);
-        engine.batch_runs += out.stats.batch_runs;
-        engine.multi_event_batches += out.stats.multi_event_batches;
         engine.heap_sift_ups += out.stats.heap_sift_ups;
         engine.heap_sift_downs += out.stats.heap_sift_downs;
         engine.trace_requests_replayed += out.stats.trace_requests_replayed;
@@ -1822,21 +1788,11 @@ mod tests {
     }
 
     #[test]
-    fn batching_stats_are_reported() {
+    fn heap_sift_stats_are_reported() {
         let mut cfg = base_config();
         cfg.offload = Some(faulty_offload());
         let (_, stats) = Simulator::new(cfg).run_instrumented();
-        assert!(stats.batch_runs > 0);
-        assert!(stats.batch_runs <= stats.events_processed);
         assert!(stats.heap_sift_ups + stats.heap_sift_downs > 0);
-        assert!(stats.multi_event_batches <= stats.batch_runs);
-        // Sync completions schedule OffloadDone and SliceDone at the
-        // same instant, so this workload must actually batch.
-        let mut sync_cfg = base_config();
-        sync_cfg.offload = Some(OffloadConfig::on_chip_sync(4.0));
-        let (_, sync_stats) = Simulator::new(sync_cfg).run_instrumented();
-        assert!(sync_stats.multi_event_batches > 0);
-        assert!(sync_stats.events_processed > sync_stats.batch_runs);
     }
 
     #[test]

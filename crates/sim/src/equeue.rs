@@ -102,8 +102,7 @@ impl<E: Copy> EventQueue<E> {
 
     /// The smallest pending key, or `u128::MAX` on an empty queue. The
     /// sentinel's time half is the all-ones (NaN) bit pattern, which no
-    /// valid [`SimTime`] produces, so it can never falsely tie a real
-    /// event's timestamp.
+    /// valid [`SimTime`] produces, so every real key undercuts it.
     #[inline]
     pub fn min_key(&self) -> u128 {
         self.heap.first().map_or(u128::MAX, |e| e.key)
@@ -155,24 +154,16 @@ impl<E: Copy> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event if it is due within a
-    /// [`bound_key`] bound, plus whether the *next* pending event shares
-    /// this one's exact timestamp — i.e. whether a same-timestamp run
-    /// continues. One call replaces the engine's old peek / bounds-check
-    /// / pop sequence; the run flag costs a single extra compare against
-    /// the root the sift-down just wrote and drives the engine's run
-    /// accounting for free.
+    /// [`bound_key`] bound. One call replaces the engine's old peek /
+    /// bounds-check / pop sequence.
     #[inline]
-    pub fn pop_bounded(&mut self, bound: u128) -> Option<(SimTime, E, bool)> {
+    pub fn pop_bounded(&mut self, bound: u128) -> Option<(SimTime, E)> {
         let top = *self.heap.first()?;
         if top.key > bound {
             return None;
         }
         self.remove_top();
-        let tied = match self.heap.first() {
-            Some(next) => next.key >> 64 == top.key >> 64,
-            None => false,
-        };
-        Some((unpack_time(top.key), top.event, tied))
+        Some((unpack_time(top.key), top.event))
     }
 
     /// Removes the root entry, sifting the displaced last entry down.
@@ -325,9 +316,7 @@ mod tests {
         /// 4-ary heap and the retained `BinaryHeap` reference, through
         /// both the unbounded `pop` and the engine's `pop_bounded` at
         /// random bounds. A bounded pop yields the reference's next
-        /// event exactly when that event is due by the bound, and its
-        /// `tied` flag says whether the reference's next event after it
-        /// shares its timestamp — the engine's run accounting.
+        /// event exactly when that event is due by the bound.
         #[test]
         fn matches_reference_binary_heap(
             times in prop::collection::vec(0u32..50, 1..200),
@@ -362,8 +351,7 @@ mod tests {
                         let got = packed.pop_bounded(bound_key(until));
                         let want = match reference.peek_time() {
                             Some(t) if t.cycles() <= until => {
-                                let (t, _, e) = reference.pop().expect("peeked");
-                                Some((t, e, reference.peek_time() == Some(t)))
+                                reference.pop().map(|(t, _, e)| (t, e))
                             }
                             _ => None,
                         };
@@ -371,12 +359,10 @@ mod tests {
                     }
                 }
             }
-            // Drain through the unbounded bound, checking every `tied`.
+            // Drain through the unbounded bound.
             loop {
                 let got = packed.pop_bounded(bound_key(f64::INFINITY));
-                let want = reference
-                    .pop()
-                    .map(|(t, _, e)| (t, e, reference.peek_time() == Some(t)));
+                let want = reference.pop().map(|(t, _, e)| (t, e));
                 prop_assert_eq!(got, want);
                 if got.is_none() {
                     break;

@@ -1,464 +1,232 @@
-//! Reachability survey: every `pub fn` in `crates/*/src` is named by
-//! other non-test code, or it is allowlisted below with the reason it
-//! stays.
+//! Reachability survey: every `pub fn`, `pub const` and `pub static` in
+//! `crates/*/src` is used by other non-test code, or allowlisted below.
 //!
-//! clippy's `dead_code` lint does not see `pub` items, so a library
-//! function can outlive every command that called it. This survey finds
-//! them by name:
-//!
-//! * a *definition* is a `pub fn` (also `pub const fn` / `pub unsafe
-//!   fn`) in the part of a `crates/*/src` file before its first
-//!   column-0 `#[cfg(test)]`, unless the function itself carries
-//!   `#[cfg(test)]`;
-//! * a name is *reached* when it appears as a whole word in that
-//!   non-test code anywhere in `crates/*/src` or `src/` other than as a
-//!   definition (`fn name`), after comments, string and char literals,
-//!   and `pub use` re-exports are blanked out. A name inside the body of
-//!   a `fn` of the same name does not count either: a method that
-//!   forwards to a namesake (`self.inner.len()` inside `fn len`), or a
-//!   recursive call, is not a caller;
-//! * an unreached name is classed by where it does appear: perfbench
-//!   (`perfbench/src`), else examples, else tests (integration tests,
-//!   criterion benches and `#[cfg(test)]` code).
-//!
-//! Shared names hide some hits (a test-only `new` is reached by every
-//! other `new`, and a field hides a method of the same name), so the
-//! survey under-reports; it never over-reports.
-//! The test fails naming each unreached function that [`ALLOWED`] does
-//! not list, and each entry of [`ALLOWED`] that no longer describes the
-//! code.
-//!
-//! Run with `cargo test --test reachability -- --nocapture` to see the
-//! counts.
+//! rustc resolves each use by type, so the survey asks it: it copies the
+//! workspace (no `target/`, `perfbench/` or dot entries), marks each such
+//! item `#[deprecated(note = "reach#N")]` (free or associated, in macros
+//! too; not code after a file's column-0 `#[cfg(test)]`, nor items with
+//! their own) and runs one `cargo check` of the libraries and binaries.
+//! A warning with an item's note outside a `pub use …;` re-export reaches
+//! it. An unreached item must be named (as a word) by `perfbench/src`, or
+//! by the integration test, bench or example its reason names.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The reason every perfbench-only entry carries.
-const PERFBENCH: &str = "perfbench-only, ROADMAP item 8";
+/// Items only the benchmark uses; files under `perfbench/` change only
+/// with a benchmark PR (ROADMAP item 8).
+const PERFBENCH: &str = "analyze::analyze dispatch::set_isa_mode exec::set_default_jobs \
+    figures::figure FrozenTrace::for_config LatencyStats::from_samples params::all_case_studies \
+    params::all_recommendations registry::set_active_registry ServiceId::PACKS services::profile \
+    shard::run_sharded_instrumented shard::set_default_shards tables::render_table \
+    trace::set_trace_reuse TraceGenerator::generate TraceGenerator::new TraceGenerator::registry";
 
-/// `(name, reason)` for each `pub fn` no command reaches that stays.
-/// Each is either a test oracle an integration test needs, or named
-/// only by the benchmark, whose files change only with the benchmark.
-const ALLOWED: &[(&str, &str)] = &[
-    (
-        "decompress",
-        "oracle: the LZ round-trip, golden and SIMD tests invert compress_into with it",
-    ),
-    ("infer", "oracle: kernel_properties checks batched MLP inference against it"),
-    ("to_folded", "oracle: characterize_stream checks `characterize --folded` against it"),
-    (
-        "host_overhead_cycles",
-        "oracle: timeline_consistency checks each timeline's host charge against the model",
-    ),
-    (
-        "on_generation",
-        "oracle: convergence and generate_digest pin per-generation IPC draws with it",
-    ),
-    (
-        "concurrency_sweep_with",
-        "oracle: golden.rs pins its output in golden_load_sweep.json (ROADMAP item 8)",
-    ),
-    ("all_case_studies", PERFBENCH),
-    ("all_recommendations", PERFBENCH),
-    ("from_samples", PERFBENCH),
-    ("render_table", PERFBENCH),
-    ("run_sharded_instrumented", PERFBENCH),
-    ("set_active_registry", PERFBENCH),
-    ("set_default_jobs", PERFBENCH),
-    ("set_default_shards", PERFBENCH),
-    ("set_isa_mode", PERFBENCH),
-    ("set_trace_reuse", PERFBENCH),
+/// `(item, reason)` for each oracle or test helper that stays; the
+/// reason names an integration test, bench or example that uses it.
+const ORACLES: &[(&str, &str)] = &[
+    ("AbResult::latency_reduction", "example: simulate_ab_test prints the measured C/CL"),
+    ("AccelerationStrategy::ALL", "helper: timeline_consistency and model_properties sweep it"),
+    ("Complexity::new", "helper: model_properties builds super-linear kernels with it"),
+    ("CpuGeneration::ALL", "helper: convergence checks every generation's IPC draws"),
+    ("fold::to_folded", "oracle: characterize_stream checks `characterize --folded` against it"),
+    ("GranularityCdf::quantile", "oracle: model_properties checks the sampler against it"),
+    ("loadsweep::concurrency_sweep_with", "oracle: golden pins golden_load_sweep.json with it"),
+    ("lz::decompress", "oracle: kernel_properties and lz_golden invert compress_into with it"),
+    ("Mlp::infer", "oracle: kernel_properties checks batched MLP inference against it"),
+    ("Simulator::new", "helper: engine_properties drives single engines with it"),
+    ("ThreadingDesign::ALL", "helper: timeline_consistency and model_properties sweep it"),
+    ("Timeline::host_overhead_cycles", "oracle: timeline_consistency checks the model's charge"),
+    ("TraceGenerator::on_generation", "oracle: convergence pins per-generation IPC draws"),
+    ("TraceStore::traces", "oracle: trace_properties counts a sharded batch's shared traces"),
+    ("units::bytes", "helper: model_properties and dataset_properties build granularities"),
 ];
 
-/// Where an unreached name still appears.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    /// Only tests, criterion benches and `#[cfg(test)]` code (or nothing).
-    Tests,
-    /// Examples (and possibly tests).
-    Examples,
-    /// `perfbench/src` (and possibly examples or tests).
-    Perfbench,
-}
-
-fn root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Every `.rs` file under `dir`, recursively, in a stable order.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return out;
-    };
-    let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("readable dir").path()).collect();
+/// Every file under `dir` that `skip` keeps, recursively, sorted.
+fn files(dir: &Path, skip: &dyn Fn(&Path) -> bool) -> Vec<PathBuf> {
+    let entries = fs::read_dir(dir).expect("readable dir").map(|e| e.expect("entry").path());
+    let mut paths: Vec<PathBuf> = entries.filter(|p| !skip(p)).collect();
     paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            out.extend(rust_files(&path));
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
+    paths.into_iter().flat_map(|p| if p.is_dir() { files(&p, skip) } else { vec![p] }).collect()
+}
+
+fn ident(text: &str) -> &str {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '$')).next().unwrap_or("")
+}
+
+/// The name a `pub fn|const|static` line defines, or `None`.
+fn defined_name(line: &str) -> Option<&str> {
+    let kinds = ["const", "unsafe", "static", "mut", "fn"];
+    let mut tokens = line.trim_start().strip_prefix("pub ")?.split_whitespace().peekable();
+    tokens.next_if(|t| kinds.contains(t))?;
+    Some(ident(tokens.find(|t| !kinds.contains(t))?)).filter(|name| !name.is_empty())
+}
+
+/// The qualifier of the item on line `k`: the type of the nearest outer
+/// `impl` line, else the enclosing `macro_rules!` as `name!`, else `module`.
+fn qualifier(lines: &[&str], k: usize, module: &str) -> String {
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let mut width = indent(lines[k]);
+    for line in lines[..k].iter().rev().filter(|l| !l.trim().is_empty()) {
+        if indent(line) < width {
+            width = indent(line);
+            let head = line.trim_start();
+            let ty = head.split_whitespace().rfind(|t| *t != "{").map_or("", ident);
+            if let Some(name) = head.strip_prefix("macro_rules! ") {
+                return format!("{}!", ident(name));
+            } else if head.starts_with("impl") && !ty.starts_with('$') {
+                return ty.to_owned();
+            }
         }
     }
-    out
+    module.to_owned()
 }
 
-fn read(path: &Path) -> String {
-    fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-}
-
-/// `text` with every comment, and the contents of every string and
-/// char literal, replaced by spaces (newlines kept), so byte offsets and
-/// line numbers still match. A name inside a literal is text, not a
-/// use: the string `"svc::compress::handle_request"` reaches no
-/// `compress`.
-fn strip_comments_and_literals(text: &str) -> String {
-    let b = text.as_bytes();
-    let mut out = b.to_vec();
-    let blank = |out: &mut Vec<u8>, from: usize, to: usize| {
-        for byte in &mut out[from..to.min(b.len())] {
-            if *byte != b'\n' {
-                *byte = b' ';
-            }
-        }
-    };
-    let mut i = 0;
-    while i < b.len() {
-        let start = i;
-        match b[i] {
-            b'/' if b.get(i + 1) == Some(&b'/') => {
-                i = b[i..].iter().position(|&c| c == b'\n').map_or(b.len(), |n| i + n);
-            }
-            b'/' if b.get(i + 1) == Some(&b'*') => {
-                let mut depth = 0;
-                while i < b.len() {
-                    if b[i..].starts_with(b"/*") {
-                        depth += 1;
-                        i += 2;
-                    } else if b[i..].starts_with(b"*/") {
-                        depth -= 1;
-                        i += 2;
-                        if depth == 0 {
-                            break;
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            b'r' if raw_prefix_allowed(b, i) && raw_string_hashes(&b[i + 1..]).is_some() => {
-                let hashes = raw_string_hashes(&b[i + 1..]).expect("checked");
-                let mut close = vec![b'"'];
-                close.extend(std::iter::repeat_n(b'#', hashes));
-                let body = i + 2 + hashes;
-                i = b[body..]
-                    .windows(close.len())
-                    .position(|w| w == close.as_slice())
-                    .map_or(b.len(), |n| body + n + close.len());
-            }
-            b'"' => {
-                i += 1;
-                while i < b.len() && b[i] != b'"' {
-                    i += if b[i] == b'\\' { 2 } else { 1 };
-                }
-                i += 1;
-            }
-            // A char literal ('x', '\n', '"'); a lifetime ('a) is skipped
-            // as an ordinary character.
-            b'\'' if b.get(i + 1) == Some(&b'\\') => {
-                // Past the escaped character, which may itself be a `'`.
-                let from = (i + 3).min(b.len());
-                i = from + b[from..].iter().position(|&c| c == b'\'').map_or(0, |n| n + 1);
-            }
-            b'\'' if b.get(i + 2) == Some(&b'\'') => i += 3,
-            _ => {
-                i += 1;
-                continue;
-            }
-        }
-        blank(&mut out, start, i);
-    }
-    String::from_utf8(out).expect("only whole characters were blanked")
-}
-
-/// Whether an `r` at `i` may open a raw string: it starts a word, or
-/// follows a `b` that does (`br"…"`).
-fn raw_prefix_allowed(b: &[u8], i: usize) -> bool {
-    let word_start = |k: usize| k == 0 || !is_ident(b[k - 1]);
-    word_start(i) || (b[i - 1] == b'b' && word_start(i - 1))
-}
-
-/// For the text after an `r`, the number of `#`s of a raw string opener
-/// (`"`, `#"`, `##"`, …), or `None` when it is not one.
-fn raw_string_hashes(rest: &[u8]) -> Option<usize> {
-    let hashes = rest.iter().take_while(|&&c| c == b'#').count();
-    (rest.get(hashes) == Some(&b'"')).then_some(hashes)
-}
-
-fn is_ident(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
-
-/// One identifier occurrence in a source text.
-#[derive(Debug, Clone, Copy)]
-struct Ident<'a> {
-    name: &'a str,
-    /// Byte offset of the identifier.
-    at: usize,
-    /// Whether it directly follows the `fn` keyword (a definition rather
-    /// than a use).
-    after_fn: bool,
-}
-
-/// The identifiers of `code`, in order.
-fn identifiers(code: &str) -> Vec<Ident<'_>> {
-    let b = code.as_bytes();
-    let mut out: Vec<Ident<'_>> = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        if is_ident(b[i]) {
-            let start = i;
-            while i < b.len() && is_ident(b[i]) {
-                i += 1;
-            }
-            let after_fn = out.last().is_some_and(|prev| prev.name == "fn")
-                && code[..start].trim_end().ends_with("fn");
-            out.push(Ident {
-                name: &code[start..i],
-                at: start,
-                after_fn,
-            });
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// The body of the `fn` whose name ends at `from`, as a byte range, or
-/// `None` for a declaration without one (`fn name(…);` in a trait). The
-/// body opens at the first `{` outside the signature's parentheses and
-/// brackets; comments and literals are already blanked, so every brace
-/// counted is code.
-fn fn_body(code: &[u8], from: usize) -> Option<std::ops::Range<usize>> {
-    let mut nesting = 0usize;
-    let mut i = from;
-    let open = loop {
-        match *code.get(i)? {
-            b'(' | b'[' => nesting += 1,
-            b')' | b']' => nesting = nesting.saturating_sub(1),
-            b';' if nesting == 0 => return None,
-            b'{' if nesting == 0 => break i,
-            _ => {}
-        }
-        i += 1;
-    };
-    let mut depth = 0usize;
-    for (k, &c) in code[open..].iter().enumerate() {
-        match c {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open..open + k + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    Some(open..code.len())
-}
-
-/// `code` with every `pub use …;` (and `pub(…) use …;`) blanked out: a
-/// re-export names an item without reaching it.
-fn strip_pub_use(code: &str) -> String {
-    let mut out = code.to_owned();
-    let mut from = 0;
-    while let Some(n) = code[from..].find("pub") {
-        let start = from + n;
-        from = start + 3;
-        if start > 0 && is_ident(code.as_bytes()[start - 1]) {
-            continue;
-        }
-        let mut rest = code[start + 3..].trim_start();
-        if rest.starts_with('(') {
-            rest = rest.split_once(')').map_or("", |(_, r)| r).trim_start();
-        }
-        if !rest.starts_with("use") || rest.as_bytes().get(3).is_some_and(|&c| is_ident(c)) {
-            continue;
-        }
-        let end = code[start..].find(';').map_or(code.len(), |n| start + n + 1);
-        let blanked: String =
-            code[start..end].chars().map(|c| if c == '\n' { '\n' } else { ' ' }).collect();
-        out.replace_range(start..end, &blanked);
-    }
-    out
-}
-
-/// Splits a source file at its first column-0 `#[cfg(test)]` into the
-/// non-test and test parts.
-fn split_at_tests(text: &str) -> (&str, &str) {
-    let mut offset = 0;
-    for line in text.split_inclusive('\n') {
-        if line.trim_end() == "#[cfg(test)]" {
-            return text.split_at(offset);
-        }
-        offset += line.len();
-    }
-    (text, "")
-}
-
-/// The `pub fn` names defined in non-test `code`, skipping functions
-/// that carry their own `#[cfg(test)]`.
-fn pub_fns(code: &str) -> Vec<String> {
-    let lines: Vec<&str> = code.lines().collect();
-    let mut out = Vec::new();
+/// `text` with each surveyed item marked `reach#<its index in items>`;
+/// items gain `(key, path:line)`.
+fn mark(text: &str, file: &str, module: &str, items: &mut Vec<(String, String)>) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    let (mut out, mut in_tests) = (String::new(), false);
     for (k, line) in lines.iter().enumerate() {
-        let mut rest = line.trim_start();
-        let Some(after_pub) = rest.strip_prefix("pub ") else {
-            continue;
-        };
-        rest = after_pub.trim_start();
-        for qualifier in ["const ", "unsafe "] {
-            rest = rest.strip_prefix(qualifier).unwrap_or(rest).trim_start();
-        }
-        let Some(name) = rest.strip_prefix("fn ") else {
-            continue;
-        };
-        let name: String = name.chars().take_while(|&c| is_ident(c as u8)).collect();
-        let test_only = lines[..k]
-            .iter()
-            .rev()
-            .map(|l| l.trim())
-            .take_while(|l| l.starts_with("#[") || l.is_empty())
-            .any(|l| l == "#[cfg(test)]");
-        if !test_only && !name.is_empty() {
-            out.push(name);
+        in_tests |= *line == "#[cfg(test)]";
+        let mut attrs = lines[..k].iter().rev().take_while(|l| l.trim_start().starts_with('#'));
+        match defined_name(line) {
+            Some(name) if !in_tests && !attrs.any(|l| l.trim() == "#[cfg(test)]") => {
+                let (indent, item) = line.split_at(line.len() - line.trim_start().len());
+                out += &format!("{indent}#[deprecated(note = \"reach#{}\")] {item}\n", items.len());
+                let key = format!("{}::{name}", qualifier(&lines, k, module));
+                items.push((key, format!("{file}:{}", k + 1)));
+            }
+            _ => out += &format!("{line}\n"),
         }
     }
     out
 }
 
-/// The identifiers `code` uses: not those it defines, and not a name
-/// inside the body of a `fn` of that same name.
-fn used_names(code: &str, into: &mut BTreeSet<String>) {
-    let idents = identifiers(code);
-    let mut bodies: BTreeMap<&str, Vec<std::ops::Range<usize>>> = BTreeMap::new();
-    for ident in idents.iter().filter(|ident| ident.after_fn) {
-        if let Some(body) = fn_body(code.as_bytes(), ident.at + ident.name.len()) {
-            bodies.entry(ident.name).or_default().push(body);
-        }
-    }
-    for ident in idents.iter().filter(|ident| !ident.after_fn) {
-        let in_namesake = bodies
-            .get(ident.name)
-            .is_some_and(|ranges| ranges.iter().any(|body| body.contains(&ident.at)));
-        if !in_namesake {
-            into.insert(ident.name.to_owned());
-        }
-    }
+/// `(path, line, item index)` of a `cargo check --message-format=short`
+/// deprecation warning for a marked item.
+fn parse_warning(line: &str) -> Option<(&str, usize, usize)> {
+    let (at, message) = line.split_once(": warning: use of deprecated ")?;
+    let index = message.rsplit_once(": reach#")?.1.trim().parse().ok()?;
+    let mut at = at.split(':');
+    Some((at.next()?, at.next()?.parse().ok()?, index))
 }
 
-/// Every identifier the `.rs` files under `dirs` use.
-fn names_in(dirs: &[PathBuf]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for path in dirs.iter().flat_map(|d| rust_files(d)) {
-        used_names(&strip_comments_and_literals(&read(&path)), &mut names);
-    }
-    names
+/// Whether 1-based `line` of `text` lies in a `pub use …;` statement.
+fn in_pub_use(text: &str, line: usize) -> bool {
+    let opens =
+        |l: &str| l.trim_start().starts_with("pub") && l.split_whitespace().nth(1) == Some("use");
+    let mut open = false;
+    let mut spans = text.lines().map(|l| {
+        let here = open || opens(l);
+        open = here && !l.contains(';');
+        here
+    });
+    spans.nth(line - 1).unwrap_or(false)
+}
+
+fn words(path: &Path) -> BTreeSet<String> {
+    let text = fs::read_to_string(path).expect("readable file");
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_')).map(str::to_owned).collect()
 }
 
 #[test]
-fn every_pub_fn_is_reached_or_allowlisted() {
-    let root = root();
-    // name -> files defining it
-    let mut defined: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut definitions = 0;
-    let mut reached = BTreeSet::new();
-    let mut in_tests = BTreeSet::new();
-    let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
-        .expect("crates/ exists")
-        .map(|e| e.expect("readable dir").path().join("src"))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for path in crate_dirs.iter().flat_map(|d| rust_files(d)) {
-        let text = strip_comments_and_literals(&read(&path));
-        let (code, tests) = split_at_tests(&text);
-        let code = strip_pub_use(code);
-        let label = path.strip_prefix(&root).unwrap_or(&path).display().to_string();
-        for name in pub_fns(&code) {
-            definitions += 1;
-            defined.entry(name).or_default().insert(label.clone());
-        }
-        used_names(&code, &mut reached);
-        used_names(tests, &mut in_tests);
-    }
-    for path in rust_files(&root.join("src")) {
-        used_names(&strip_pub_use(&strip_comments_and_literals(&read(&path))), &mut reached);
-    }
-    let mut test_dirs = vec![root.join("tests")];
-    for krate in crate_dirs.iter().filter_map(|d| d.parent()) {
-        test_dirs.push(krate.join("tests"));
-        test_dirs.push(krate.join("benches"));
-    }
-    in_tests.extend(names_in(&test_dirs));
-    let in_examples = names_in(&[root.join("examples")]);
-    let in_perfbench = names_in(&[root.join("perfbench/src")]);
-
-    let class_of = |name: &str| {
-        if in_perfbench.contains(name) {
-            Class::Perfbench
-        } else if in_examples.contains(name) {
-            Class::Examples
-        } else {
-            Class::Tests
-        }
+fn every_pub_item_is_reached_or_allowlisted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let copy = tmp.join("reach-copy");
+    let _ = fs::remove_dir_all(&copy);
+    let skip = |p: &Path| {
+        let name = p.file_name().map_or(String::new(), |n| n.to_string_lossy().into_owned());
+        name == "target" || name == "perfbench" || name.starts_with('.') || tmp.starts_with(p)
     };
-    let unreached: BTreeMap<&str, Class> = defined
-        .keys()
-        .filter(|name| !reached.contains(*name))
-        .map(|name| (name.as_str(), class_of(name)))
-        .collect();
-    let count = |class| unreached.values().filter(|&&c| c == class).count();
-    println!(
-        "pub fns surveyed: {definitions} ({} names); unreached: {} only tests \
-         (incl. criterion benches), {} only examples, {} only perfbench",
-        defined.len(),
-        count(Class::Tests),
-        count(Class::Examples),
-        count(Class::Perfbench),
-    );
+    // Mark crate sources; keep each test's, bench's and example's words.
+    let (mut items, mut users) = (Vec::new(), Vec::new());
+    for path in files(root, &skip) {
+        let rel = path.strip_prefix(root).expect("under root").to_string_lossy().into_owned();
+        let dest = copy.join(&rel);
+        fs::create_dir_all(dest.parent().expect("in a dir")).expect("create copy dir");
+        let parts: Vec<&str> = rel.strip_suffix(".rs").unwrap_or("").split('/').collect();
+        match parts[..] {
+            ["crates", krate, "src", .., stem] => {
+                let module = if stem == "lib" || stem == "main" { krate } else { stem };
+                let text = fs::read_to_string(&path).expect("readable source");
+                fs::write(dest, mark(&text, &rel, module, &mut items)).expect("write marked copy");
+                continue;
+            }
+            ["tests" | "examples", .., stem] | ["crates", _, "tests" | "benches", .., stem]
+                if stem != "reachability" => users.push((stem.to_owned(), words(&path))),
+            _ => {}
+        }
+        fs::copy(&path, dest).expect("copy file");
+    }
 
-    let mut problems = Vec::new();
-    let allowed: BTreeMap<&str, &str> = ALLOWED.iter().copied().collect();
-    for (&name, &class) in &unreached {
-        if !allowed.contains_key(name) {
-            let files: Vec<&str> = defined[name].iter().map(String::as_str).collect();
-            problems.push(format!(
-                "`{name}` ({}) is reached by no non-test code ({class:?} only): \
-                 reach it from a command, delete it, or allowlist it with a reason",
-                files.join(", ")
-            ));
+    let started = std::time::Instant::now();
+    let check = std::process::Command::new(env!("CARGO"))
+        .args(["check", "--offline", "--workspace", "--lib", "--bins", "--message-format=short"])
+        .current_dir(&copy)
+        .env("CARGO_TARGET_DIR", tmp.join("reach-target"))
+        .env("RUSTFLAGS", "--cap-lints=warn")
+        .env_remove("CARGO_ENCODED_RUSTFLAGS")
+        .output()
+        .expect("cargo runs");
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert!(check.status.success(), "cargo check of the marked copy failed:\n{stderr}");
+    let mut unreached: Vec<Option<&(String, String)>> = items.iter().map(Some).collect();
+    for (file, line, index) in stderr.lines().filter_map(parse_warning) {
+        if !in_pub_use(&fs::read_to_string(copy.join(file)).unwrap_or_default(), line) {
+            unreached[index] = None;
         }
     }
-    for (&name, &reason) in &allowed {
-        let expected = if reason == PERFBENCH { Class::Perfbench } else { Class::Tests };
-        match unreached.get(name) {
-            None if defined.contains_key(name) => {
-                problems.push(format!("`{name}` is reached now; drop it from ALLOWED"));
+    let unreached: Vec<&(String, String)> = unreached.into_iter().flatten().collect();
+    let perfbench_only: Vec<&str> = PERFBENCH.split_whitespace().collect();
+    let counts = [items.len(), unreached.len(), perfbench_only.len(), ORACLES.len()];
+    println!("pub fn/const/static surveyed, unreached, perfbench-only, oracles: {counts:?}");
+    println!("cargo check took {:.1} s", started.elapsed().as_secs_f64());
+    let perfbench: BTreeSet<String> =
+        files(&root.join("perfbench/src"), &|_| false).iter().flat_map(|p| words(p)).collect();
+    let mut problems = Vec::new();
+    for (key, at) in unreached.iter().copied() {
+        let name = key.rsplit("::").next().expect("qualified");
+        let named: Vec<&str> =
+            users.iter().filter(|(_, w)| w.contains(name)).map(|(s, _)| s.as_str()).collect();
+        let in_perfbench = perfbench.contains(name);
+        let reason = ORACLES.iter().find(|(k, _)| k == key).map(|&(_, reason)| reason);
+        problems.push(match (perfbench_only.contains(&key.as_str()), reason) {
+            (false, None) => format!(
+                "`{key}` ({at}) is used by no non-test code (perfbench: {in_perfbench}; tests, \
+                 benches and examples: {named:?}): reach it, delete it, or allowlist it"
+            ),
+            (true, _) if !in_perfbench => format!("`{key}`: perfbench has no `{name}`"),
+            (_, Some(reason)) if !named.iter().any(|u| reason.contains(u)) => {
+                format!("`{key}`'s reason names none of the files that name it: {named:?}")
             }
-            None => problems.push(format!("`{name}` is gone; drop it from ALLOWED")),
-            Some(&class) if class != expected => problems.push(format!(
-                "`{name}` is allowlisted as {expected:?} but appears in {class:?}"
-            )),
-            Some(_) if expected == Class::Tests && !in_tests.contains(name) => {
-                problems.push(format!("`{name}` is allowlisted as an oracle but no test names it"));
-            }
-            Some(_) => {}
-        }
+            _ => continue,
+        });
+    }
+    let allowed = perfbench_only.iter().copied().chain(ORACLES.iter().map(|(key, _)| *key));
+    for key in allowed.filter(|&key| !unreached.iter().any(|(k, _)| k == key)) {
+        let state = if items.iter().any(|(k, _)| k == key) { "reached now" } else { "gone" };
+        problems.push(format!("`{key}` is {state}; drop it from the allowlist"));
     }
     assert!(problems.is_empty(), "reachability survey:\n{}", problems.join("\n"));
+}
+
+#[test]
+fn items_are_marked_and_warnings_outside_re_exports_are_uses() {
+    let warning = "crates/core/src/lib.rs:12:5: warning: use of deprecated function \
+                   `units::bytes`: reach#41";
+    assert_eq!(parse_warning(warning), Some(("crates/core/src/lib.rs", 12, 41)));
+    assert_eq!(parse_warning("warning: `accelerometer` (lib) generated 3 warnings"), None);
+    let text = "pub use x::{\n    a,\n};\nfn f() {\n    a();\n}\npub(crate) use y::b;\n";
+    let spans: Vec<bool> = (1..=7).map(|line| in_pub_use(text, line)).collect();
+    assert_eq!(spans, [true, true, true, false, false, false, true]);
+    let text = "pub const A: u8 = 1;\nimpl<T: Copy> Foo<T> {\n    pub const fn len(&self) {}\n}\n\
+                macro_rules! m {\n    () => {\n        impl $t {\n            pub fn min() {}\n\
+                \x20       }\n    };\n}\n#[cfg(test)]\npub fn test_only() {}\npub struct S;\n";
+    let mut items = Vec::new();
+    let marked = mark(text, "f.rs", "units", &mut items);
+    let keys: Vec<&str> = items.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["units::A", "Foo::len", "m!::min"]);
+    assert!(marked.contains("    #[deprecated(note = \"reach#1\")] pub const fn len(&self) {}"));
 }
