@@ -35,7 +35,7 @@ use accelerometer_kernels::dispatch;
 use accelerometer_profiler::{FoldedStacks, ProfileAccumulator, TraceGenerator};
 use accelerometer_sim::faultsweep::demo_scenario;
 use accelerometer_sim::{
-    run_fault_sweep_with, simulate, validate_all_with, validate_fallback_with, Calibrator,
+    run_fault_sweep_with, validate_all_with, validate_fallback_with, Calibrator,
     ExecPool, FaultScenario, RunContext, SimError, CASE_STUDY_NAMES,
 };
 
@@ -668,7 +668,9 @@ fn cmd_validate(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
                 }
             ));
         };
-        let (v, _ab) = simulate(&study, seed).map_err(|e| e.to_string())?;
+        let v = validate_all_with(&ctx.pool, std::slice::from_ref(&study), seed)
+            .map_err(|e| e.to_string())?
+            .remove(0);
         return Ok(format!(
             "case study {}: model {:.2}%  simulated {:.2}%  paper est {:.1}% real {:.2}%  (model-vs-sim {:.2} pts)\n",
             v.name,
@@ -1111,6 +1113,16 @@ mod tests {
         assert!(err.contains("unknown case study 'bogus'"), "{err}");
         assert!(err.contains("aes-ni, encryption, inference"), "{err}");
         assert!(err.contains("'fallback'"), "{err}");
+    }
+
+    #[test]
+    fn validate_case_prints_the_same_bytes_at_any_jobs_width() {
+        // The A/B arms run on the `--jobs` pool; the width changes only
+        // wall-clock time.
+        let one = run(&args(&["--jobs", "1", "validate", "--case", "inference"])).unwrap();
+        let two = run(&args(&["--jobs", "2", "validate", "--case", "inference"])).unwrap();
+        assert!(one.starts_with("case study inference:"), "{one}");
+        assert_eq!(one, two);
     }
 
     #[test]

@@ -37,41 +37,59 @@ impl Harness {
         Self { clock_hz }
     }
 
-    /// Measures a kernel in batches: `batch_size` invocations per timer
-    /// read, `batches` timer reads, charging `bytes_per_invocation`
-    /// bytes to each invocation. Amortizing the clock read over a batch
-    /// keeps timer overhead out of the measured kernel cost — the same
-    /// trick the criterion harness uses for warm-up — which matters for
-    /// kernels whose per-call cost is within an order of magnitude of
-    /// `Instant::now()` itself. The kernel's return value is passed
-    /// through [`black_box`] so the work is not optimized away.
-    pub fn measure_batched<T>(
+    /// Measures two sides of a kernel in alternating batches:
+    /// `batch_size` invocations of `first(state)` or `second(state)` per
+    /// timer read, `batches` timer reads per side, charging
+    /// `bytes_per_invocation` bytes to each invocation. Returns the
+    /// first side's measurement, then the second's. Amortizing the clock
+    /// read over a batch keeps timer overhead out of the measured kernel
+    /// cost — the same trick the criterion harness uses for warm-up —
+    /// which matters for kernels whose per-call cost is within an order
+    /// of magnitude of `Instant::now()` itself. The sides take turns
+    /// batch by batch, and which side goes first alternates too (first
+    /// second, second first, first second, …), so neither pays the
+    /// warm-up or rides a frequency or scheduler drift alone. Both sides
+    /// work on the one `state` (buffers, scratch). Each kernel's return
+    /// value is passed through [`black_box`] so the work is not
+    /// optimized away.
+    pub fn measure_paired<S, T, U>(
         &self,
         batches: u64,
         batch_size: u64,
         bytes_per_invocation: u64,
-        mut kernel: impl FnMut() -> T,
-    ) -> BatchedMeasurement {
-        let mut elapsed = Duration::ZERO;
-        for _ in 0..batches {
-            let start = Instant::now();
-            for _ in 0..batch_size {
-                black_box(kernel());
+        state: &mut S,
+        mut first: impl FnMut(&mut S) -> T,
+        mut second: impl FnMut(&mut S) -> U,
+    ) -> [BatchedMeasurement; 2] {
+        let mut elapsed = [Duration::ZERO; 2];
+        for batch in 0..batches {
+            let order = if batch % 2 == 0 { [0, 1] } else { [1, 0] };
+            for side in order {
+                let start = Instant::now();
+                if side == 0 {
+                    for _ in 0..batch_size {
+                        black_box(first(state));
+                    }
+                } else {
+                    for _ in 0..batch_size {
+                        black_box(second(state));
+                    }
+                }
+                elapsed[side] += start.elapsed();
             }
-            elapsed += start.elapsed();
         }
-        BatchedMeasurement {
+        elapsed.map(|elapsed| BatchedMeasurement {
             batches,
             batch_size,
             bytes_processed: batches * batch_size * bytes_per_invocation,
             elapsed,
             clock_hz: self.clock_hz,
-        }
+        })
     }
 }
 
 /// A completed batched measurement: `batch_size` kernel invocations per
-/// timer read (see [`Harness::measure_batched`]).
+/// timer read (see [`Harness::measure_paired`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchedMeasurement {
     /// Number of timer reads (batches).
@@ -117,12 +135,37 @@ mod tests {
     fn live_measurement_produces_positive_costs() {
         let h = Harness::new(2.0e9);
         let data = vec![0x5Au8; 512];
-        let m = h.measure_batched(4, 25, 512, || crate::hash::sha256(&data));
-        assert_eq!(m.batches, 4);
-        assert_eq!(m.batch_size, 25);
-        assert_eq!(m.bytes_processed, 4 * 25 * 512);
-        assert!(m.elapsed > Duration::ZERO);
-        assert!(m.cycles_per_byte().get() > 0.0);
+        let pair = h.measure_paired(
+            4,
+            25,
+            512,
+            &mut (),
+            |()| crate::hash::sha256(&data),
+            |()| crate::hash::sha256_scalar(&data),
+        );
+        for m in pair {
+            assert_eq!(m.batches, 4);
+            assert_eq!(m.batch_size, 25);
+            assert_eq!(m.bytes_processed, 4 * 25 * 512);
+            assert!(m.elapsed > Duration::ZERO);
+            assert!(m.cycles_per_byte().get() > 0.0);
+        }
+    }
+
+    #[test]
+    fn sides_alternate_batch_by_batch() {
+        // 3 batches of 2 calls per side: 0 0 1 1 | 1 1 0 0 | 0 0 1 1.
+        let mut calls = Vec::new();
+        let pair = Harness::new(1.0e9).measure_paired(
+            3,
+            2,
+            1,
+            &mut calls,
+            |calls| calls.push(0),
+            |calls| calls.push(1),
+        );
+        assert_eq!(calls, [0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1]);
+        assert!(pair.iter().all(|m| m.bytes_processed == 6));
     }
 
     #[test]

@@ -24,13 +24,22 @@
 //! ```
 //! use accelerometer_kernels::{aes, harness::Harness};
 //!
-//! // Derive an encryption Cb the way §4 does with micro-benchmarks:
-//! // 4 timer reads of 8 calls each over a 4 KiB message.
+//! // Derive an encryption Cb and A the way §4 does with
+//! // micro-benchmarks: 4 timer reads of 8 calls each per tier over a
+//! // 4 KiB message, the dispatched and scalar tiers taking turns.
 //! let h = Harness::new(2.0e9);
 //! let cipher = aes::Aes128::new(&[0u8; 16]);
 //! let mut buf = vec![0u8; 4096];
-//! let m = h.measure_batched(4, 8, 4096, || cipher.ctr_apply(&[0u8; 16], &mut buf));
-//! assert!(m.cycles_per_byte().get() > 0.0);
+//! let [fast, scalar] = h.measure_paired(
+//!     4,
+//!     8,
+//!     4096,
+//!     &mut buf,
+//!     |buf| cipher.ctr_apply(&[0u8; 16], buf),
+//!     |buf| cipher.ctr_apply_scalar(&[0u8; 16], buf),
+//! );
+//! assert!(fast.cycles_per_byte().get() > 0.0);
+//! assert!(scalar.cycles_per_byte().get() > 0.0);
 //! ```
 
 #![warn(missing_docs)]

@@ -1,12 +1,15 @@
 //! Multilayer-perceptron inference: the ML kernel of Feed1/Feed2/Ads1
 //! (§2.1 notes the inference services use Multilayer Perceptrons).
 //!
-//! Deliberately scalar and allocation-free in the hot path, so the
-//! per-inference cost measured by the harness represents unaccelerated
-//! host inference — the `α·C` the remote-inference case study offloads.
-//! Weights are row-major. Single-input inference has one (scalar) path;
-//! batched inference has an AVX2 path, dispatched at run time, and
-//! [`Mlp::forward_batch_scalar`] as its bit-identical reference.
+//! Allocation-free in the hot path, so the per-inference cost measured
+//! by the harness is the host inference itself — the `α·C` the
+//! remote-inference case study offloads. Weights are row-major.
+//! Single-input inference has one (scalar) path. Batched inference has
+//! an AVX2 path, dispatched at run time, that computes 4 output neurons
+//! × 16 batch lanes per register tile (8 independent accumulation
+//! chains), and [`Mlp::forward_batch_scalar`] as its bit-identical
+//! reference: the unaccelerated host tier `accelctl calibrate` measures
+//! the AVX2 path against.
 
 use std::fmt;
 
@@ -121,10 +124,12 @@ impl Layer {
     /// for one output neuron contiguously, so the inner loop runs across
     /// the batch in 8-wide chunks — independent chains the CPU can
     /// pipeline (and pack into SIMD lanes) instead of stalling on one
-    /// serial f32 add chain. Per (input, output) pair the accumulation
-    /// order is exactly [`Layer::forward`]'s — `bias + Σ wᵢ·xᵢ` in
-    /// ascending `i` — so batch outputs are bit-identical to
-    /// `batch_len` scalar passes.
+    /// serial f32 add chain. With `simd`, the AVX2 tiles of
+    /// [`simd::forward_batch`] fill the first `batch_len - batch_len % 8`
+    /// lanes of every neuron and the scalar loop below finishes the rest.
+    /// Per (input, output) pair the accumulation order is exactly
+    /// [`Layer::forward`]'s — `bias + Σ wᵢ·xᵢ` in ascending `i` — so
+    /// batch outputs are bit-identical to `batch_len` scalar passes.
     fn forward_batch(&self, input: &[f32], batch_len: usize, output: &mut Vec<f32>, simd: bool) {
         debug_assert_eq!(input.len(), batch_len * self.inputs);
         #[cfg(not(target_arch = "x86_64"))]
@@ -134,25 +139,31 @@ impl Layer {
             return;
         }
         output.resize(batch_len * self.outputs, 0.0);
+        // Lanes `[0, vector_lanes)` of every neuron hold raw AVX2 sums.
+        let mut vector_lanes = 0;
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+            debug_assert_eq!(self.weights.len(), self.outputs * self.inputs);
+            debug_assert_eq!(self.biases.len(), self.outputs);
+            debug_assert_eq!(output.len(), self.outputs * batch_len);
+            // SAFETY: `simd` is only set after runtime AVX2 detection;
+            // every tile checks its own slice bounds.
+            #[allow(unsafe_code)]
+            unsafe {
+                simd::forward_batch(&self.weights, &self.biases, input, batch_len, output);
+            }
+            vector_lanes = batch_len - batch_len % 8;
+        }
         for o in 0..self.outputs {
             let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
             let bias = self.biases[o];
             let yrow = &mut output[o * batch_len..(o + 1) * batch_len];
-            let mut b0 = 0;
+            for y in &mut yrow[..vector_lanes] {
+                *y = self.activation.apply(*y);
+            }
+            let mut b0 = vector_lanes;
             while b0 + 8 <= batch_len {
-                #[cfg(target_arch = "x86_64")]
-                if simd {
-                    // SAFETY: `simd` is only set after runtime AVX2
-                    // detection; `b0 + 8 <= batch_len` bounds every lane
-                    // load.
-                    #[allow(unsafe_code)]
-                    let acc = unsafe { simd::row_batch8(row, bias, input, batch_len, b0) };
-                    for (y, a) in yrow[b0..b0 + 8].iter_mut().zip(acc) {
-                        *y = self.activation.apply(a);
-                    }
-                    b0 += 8;
-                    continue;
-                }
                 let mut acc = [bias; 8];
                 for (&w, xrow) in row.iter().zip(input.chunks_exact(batch_len)) {
                     let x: &[f32; 8] = xrow[b0..b0 + 8].try_into().expect("8-wide chunk");
@@ -176,47 +187,126 @@ impl Layer {
     }
 }
 
-/// AVX2 micro-kernel for [`Layer::forward_batch`]. It keeps each output
-/// neuron's accumulation a mul-then-add chain over ascending input
-/// index starting from the bias — exactly the scalar order — so f32
-/// results are bit-identical (`_mm256_mul_ps` + `_mm256_add_ps` per
-/// element is the same two roundings as `acc + w * x`; no FMA, which
-/// would contract them into one). The caller applies the activation
-/// through the scalar [`Activation::apply`] pass.
+/// AVX2 register tiles for [`Layer::forward_batch`]. A tile keeps `R`
+/// output neurons × `V` 8-lane batch vectors in `R·V` independent
+/// accumulators: the 4×2 body tile has 8 chains in flight, so the loop
+/// is bound by `vaddps` throughput rather than its latency, and each
+/// weight broadcast is reused across `V` vectors and each input load
+/// across `R` neurons. Every accumulator is still one neuron's
+/// mul-then-add chain over ascending input index starting from the bias
+/// — exactly the scalar order — so f32 results are bit-identical
+/// (`_mm256_mul_ps` + `_mm256_add_ps` per element is the same two
+/// roundings as `acc + w * x`; no FMA, which would contract them into
+/// one). Tiles store raw sums; the caller applies the activation through
+/// the scalar [`Activation::apply`] pass.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
 
-    /// Eight batch lanes of one row-major output neuron: lane `j`
-    /// accumulates `bias + Σᵢ row[i]·input[i·B + b0 + j]` in ascending
-    /// `i` — the vector register is exactly the scalar code's
-    /// `[bias; 8]` accumulator array.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 at runtime and guarantee
-    /// `b0 + 8 <= batch_len` with `input.len() = inputs · batch_len`.
+    /// Raw sums `bias + Σᵢ w[o][i]·input[i·B + b]` of every neuron `o`
+    /// and every lane `b < batch_len - batch_len % 8`, stored at
+    /// `output[o·B + b]`: 4×2 tiles over the body, 1-neuron and
+    /// 1-vector tiles over `outputs % 4` and `batch_len % 16`. The last
+    /// `batch_len % 8` lanes are left to the caller.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn row_batch8(
-        row: &[f32],
-        bias: f32,
+    pub fn forward_batch(
+        weights: &[f32],
+        biases: &[f32],
         input: &[f32],
         batch_len: usize,
-        b0: usize,
-    ) -> [f32; 8] {
-        let mut acc = _mm256_set1_ps(bias);
-        for (i, &w) in row.iter().enumerate() {
-            let wv = _mm256_set1_ps(w);
-            // SAFETY: `i·B + b0 + 8 <= inputs·B = input.len()`.
-            let x = unsafe { _mm256_loadu_ps(input.as_ptr().add(i * batch_len + b0)) };
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, x));
+        output: &mut [f32],
+    ) {
+        let inputs = input.len() / batch_len;
+        let mut o = 0;
+        while o + 4 <= biases.len() {
+            rows::<4>(weights, biases, inputs, input, batch_len, output, o);
+            o += 4;
         }
-        let mut out = [0.0f32; 8];
-        // SAFETY: `out` is exactly 32 bytes.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
-        out
+        while o < biases.len() {
+            rows::<1>(weights, biases, inputs, input, batch_len, output, o);
+            o += 1;
+        }
+    }
+
+    /// Neurons `o0..o0 + R` over every full 8-lane vector of the batch.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rows<const R: usize>(
+        weights: &[f32],
+        biases: &[f32],
+        inputs: usize,
+        input: &[f32],
+        batch_len: usize,
+        output: &mut [f32],
+        o0: usize,
+    ) {
+        let weights = &weights[o0 * inputs..(o0 + R) * inputs];
+        let biases = &biases[o0..o0 + R];
+        let output = &mut output[o0 * batch_len..(o0 + R) * batch_len];
+        let mut b0 = 0;
+        while b0 + 16 <= batch_len {
+            tile::<R, 2>(weights, biases, input, batch_len, output, b0);
+            b0 += 16;
+        }
+        if b0 + 8 <= batch_len {
+            tile::<R, 1>(weights, biases, input, batch_len, output, b0);
+        }
+    }
+
+    /// One `R`×`V` tile: lanes `b0..b0 + 8·V` of the `R` neurons whose
+    /// rows are `weights` (`R` × inputs) and whose outputs are `output`
+    /// (`R` × `batch_len`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn tile<const R: usize, const V: usize>(
+        weights: &[f32],
+        biases: &[f32],
+        input: &[f32],
+        batch_len: usize,
+        output: &mut [f32],
+        b0: usize,
+    ) {
+        let inputs = weights.len() / R;
+        assert!(
+            biases.len() == R
+                && weights.len() == R * inputs
+                && input.len() == inputs * batch_len
+                && output.len() == R * batch_len
+                && b0 + 8 * V <= batch_len,
+            "tile out of bounds"
+        );
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (row, &bias) in acc.iter_mut().zip(biases) {
+            *row = [_mm256_set1_ps(bias); V];
+        }
+        // SAFETY: the assert above bounds every access: weight `r·inputs
+        // + i` with `r < R`, `i < inputs`; input `i·B + b0 + 8v + 7 <
+        // inputs·B`; output `r·B + b0 + 8v + 7 < R·B`.
+        unsafe {
+            let (w, x) = (weights.as_ptr(), input.as_ptr().add(b0));
+            for i in 0..inputs {
+                let mut xv = [_mm256_setzero_ps(); V];
+                for (v, lane) in xv.iter_mut().enumerate() {
+                    *lane = _mm256_loadu_ps(x.add(i * batch_len + 8 * v));
+                }
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_set1_ps(*w.add(r * inputs + i));
+                    for (a, &xv) in row.iter_mut().zip(&xv) {
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
+                    }
+                }
+            }
+            let y = output.as_mut_ptr().add(b0);
+            for (r, row) in acc.iter().enumerate() {
+                for (v, &a) in row.iter().enumerate() {
+                    _mm256_storeu_ps(y.add(r * batch_len + 8 * v), a);
+                }
+            }
+        }
     }
 }
 

@@ -134,29 +134,72 @@ fn lz_streams_match_scalar_on_long_matches() {
     }
 }
 
+/// Output bits of `net` over `batch` through the dispatched batch path,
+/// the scalar batch path and one `infer` call per element, each checked
+/// equal to the dispatched bits.
+fn assert_mlp_tiers_agree(net: &mlp::Mlp, batch: &[Vec<f32>], what: &str) {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut scratch = mlp::MlpScratch::new();
+    let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
+    net.forward_batch(batch, &mut scratch, &mut dispatched)
+        .expect("batch");
+    net.forward_batch_scalar(batch, &mut scratch, &mut scalar)
+        .expect("batch scalar");
+    assert_eq!(bits(&dispatched), bits(&scalar), "forward_batch_scalar, {what}");
+    let one_by_one: Vec<f32> = batch
+        .iter()
+        .flat_map(|features| net.infer(features).expect("infer"))
+        .collect();
+    assert_eq!(bits(&dispatched), bits(&one_by_one), "infer, {what}");
+}
+
+/// `batch_len` feature vectors of `width` deterministic values in
+/// [-2, 2), some negative enough for ReLU to clamp their neurons.
+fn mlp_batch(batch_len: usize, width: usize) -> Vec<Vec<f32>> {
+    (0..batch_len)
+        .map(|b| {
+            (0..width)
+                .map(|j| ((b * width + j * 13) % 97) as f32 / 24.0 - 2.0)
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
-fn mlp_bit_identical_at_spec_batch_widths() {
-    // Batch widths 1 and 3 never reach the 8-wide
-    // row path, 8 is exactly one vector, 17 leaves a 1-wide tail.
-    for &batch_len in &[1usize, 3, 8, 17] {
-        let net = mlp::Mlp::seeded_ranker(&[37, 19, 3], 0xACC0 + batch_len as u64);
-        let batch: Vec<Vec<f32>> = (0..batch_len)
-            .map(|b| {
-                (0..37)
-                    .map(|j| ((b * 37 + j * 13) % 97) as f32 / 24.0 - 2.0)
-                    .collect()
-            })
-            .collect();
-        let mut scratch = mlp::MlpScratch::new();
-        let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
-        net.forward_batch(&batch, &mut scratch, &mut dispatched)
-            .expect("batch");
-        net.forward_batch_scalar(&batch, &mut scratch, &mut scalar)
-            .expect("batch scalar");
-        assert_eq!(
-            dispatched.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "batch outputs at width {batch_len}"
-        );
+fn mlp_tiles_bit_identical_at_every_batch_and_width() {
+    // The AVX2 path tiles 4 neurons × 16 lanes, with 1-neuron and
+    // 8-lane remainder tiles and a scalar tail for the last `B % 8`
+    // lanes. Batches 0..=40 take every lane split (no vector, one
+    // vector, one or two 16-lane tiles, with and without each
+    // remainder); the hidden and output widths cover every
+    // `outputs % 4`, and the 512×256×64×1 ranker is the net `accelctl
+    // calibrate` times.
+    let shapes: [&[usize]; 3] = [&[37, 13, 6, 1], &[29, 12, 11, 3], &[512, 256, 64, 1]];
+    for (s, widths) in shapes.into_iter().enumerate() {
+        let net = mlp::Mlp::seeded_ranker(widths, 0xACC0 + s as u64);
+        for batch_len in 0..=40 {
+            let batch = mlp_batch(batch_len, widths[0]);
+            assert_mlp_tiers_agree(&net, &batch, &format!("{widths:?} at B = {batch_len}"));
+        }
+    }
+}
+
+#[test]
+fn mlp_tiles_bit_identical_on_edge_values() {
+    // Signed zeros, subnormals (which must not be flushed), magnitudes
+    // near 1e30 whose sums stay finite, and negatives that ReLU clamps.
+    const EDGES: [f32; 10] = [0.0, -0.0, 1e-40, -1e-40, 1e-45, 1e30, -1e30, -3.5, 2.25, -1e-3];
+    for widths in [[37usize, 13, 6, 1], [29, 12, 11, 3]] {
+        let net = mlp::Mlp::seeded_ranker(&widths, 0xED6E);
+        for batch_len in [1, 8, 13, 16, 24, 40] {
+            let batch: Vec<Vec<f32>> = (0..batch_len)
+                .map(|b| {
+                    (0..widths[0])
+                        .map(|j| EDGES[(b * 7 + j * 3) % EDGES.len()])
+                        .collect()
+                })
+                .collect();
+            assert_mlp_tiers_agree(&net, &batch, &format!("edges, {widths:?} at B = {batch_len}"));
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! on production hardware; this module is the reproduction's equivalent
 //! call site. Each case-study kernel (AES-CTR encryption, LZ
 //! compression, SHA-256 hashing, batched MLP inference) is run through
-//! [`Harness::measure_batched`] using its allocation-free scratch-reuse
+//! [`Harness::measure_paired`] using its allocation-free scratch-reuse
 //! path, so the measured cycles are the kernel's — not the allocator's
 //! or the timer's. The measured `Cb` is what a
 //! [`WorkloadSpec`](crate::workload::WorkloadSpec)'s `cycles_per_byte`
@@ -14,12 +14,13 @@
 //! Every kernel is measured as a [`PairedKernel`]: once through its
 //! default entry point, which runs what the host hardware offers
 //! (AES-NI, SHA-NI, AVX2 where present), and once through its public
-//! `*_scalar` reference in the same session. The ratio is an honestly
-//! *measured* acceleration factor `A` — the quantity the paper's AES-NI
-//! case study models — instead of an assumed one. Both tiers produce
-//! bit-identical outputs, so the pair differs only in wall-clock. The
-//! calibrator never changes the process's dispatch mode; each side
-//! picks its tier by the entry point it calls.
+//! `*_scalar` reference in the same session, the two taking turns batch
+//! by batch so neither side alone pays the warm-up. The ratio is an
+//! honestly *measured* acceleration factor `A` — the quantity the
+//! paper's AES-NI case study models — instead of an assumed one. Both
+//! tiers produce bit-identical outputs, so the pair differs only in
+//! wall-clock. The calibrator never changes the process's dispatch
+//! mode; each side picks its tier by the entry point it calls.
 
 use accelerometer::units::CyclesPerByte;
 use accelerometer_kernels::aes::Aes128;
@@ -98,25 +99,33 @@ impl Calibrator {
         }
     }
 
-    /// Times `kernel` through the batched harness as one calibrated
-    /// kernel. Both halves of every [`PairedKernel`] come from here, so
-    /// the pair differs only in the entry point the closure calls.
-    fn measure<T>(
+    /// Times both tiers of a kernel through the harness in alternating
+    /// batches, on the one `state` (buffers, scratch), so the pair
+    /// differs only in the entry point each closure calls.
+    fn measure<S, T>(
         &self,
         name: &'static str,
         bytes_per_call: u64,
-        kernel: impl FnMut() -> T,
-    ) -> CalibratedKernel {
-        CalibratedKernel {
-            name,
-            bytes_per_call,
-            measurement: self.harness.measure_batched(
+        state: &mut S,
+        dispatched: impl FnMut(&mut S) -> T,
+        scalar: impl FnMut(&mut S) -> T,
+    ) -> PairedKernel {
+        let [dispatched, scalar] = self
+            .harness
+            .measure_paired(
                 self.batches,
                 self.batch_size,
                 bytes_per_call,
-                kernel,
-            ),
-        }
+                state,
+                dispatched,
+                scalar,
+            )
+            .map(|measurement| CalibratedKernel {
+                name,
+                bytes_per_call,
+                measurement,
+            });
+        PairedKernel { dispatched, scalar }
     }
 
     /// AES-128-CTR over a `payload_bytes` message, the encryption
@@ -129,14 +138,13 @@ impl Calibrator {
         let cipher = Aes128::new(&[0x42u8; 16]);
         let mut buf = vec![0xA5u8; payload_bytes];
         let bytes = payload_bytes as u64;
-        PairedKernel {
-            dispatched: self.measure("encryption", bytes, || {
-                cipher.ctr_apply(&[7u8; 16], &mut buf)
-            }),
-            scalar: self.measure("encryption", bytes, || {
-                cipher.ctr_apply_scalar(&[7u8; 16], &mut buf)
-            }),
-        }
+        self.measure(
+            "encryption",
+            bytes,
+            &mut buf,
+            |buf| cipher.ctr_apply(&[7u8; 16], buf),
+            |buf| cipher.ctr_apply_scalar(&[7u8; 16], buf),
+        )
     }
 
     /// SHA-256 over a `payload_bytes` message, the hashing kernel
@@ -147,10 +155,13 @@ impl Calibrator {
     pub fn hashing_paired(&self, payload_bytes: usize) -> PairedKernel {
         let input = vec![0x5Au8; payload_bytes];
         let bytes = payload_bytes as u64;
-        PairedKernel {
-            dispatched: self.measure("hashing", bytes, || hash::sha256(&input)),
-            scalar: self.measure("hashing", bytes, || hash::sha256_scalar(&input)),
-        }
+        self.measure(
+            "hashing",
+            bytes,
+            &mut (),
+            |()| hash::sha256(&input),
+            |()| hash::sha256_scalar(&input),
+        )
     }
 
     /// LZ compression of a mildly compressible `payload_bytes` message,
@@ -166,17 +177,14 @@ impl Calibrator {
                 _ => 0,
             })
             .collect();
-        let mut scratch = LzScratch::new();
-        let mut out = Vec::new();
         let bytes = payload_bytes as u64;
-        PairedKernel {
-            dispatched: self.measure("compression", bytes, || {
-                lz::compress_into(&input, &mut scratch, &mut out)
-            }),
-            scalar: self.measure("compression", bytes, || {
-                lz::compress_into_scalar(&input, &mut scratch, &mut out)
-            }),
-        }
+        self.measure(
+            "compression",
+            bytes,
+            &mut (LzScratch::new(), Vec::new()),
+            |(scratch, out)| lz::compress_into(&input, scratch, out),
+            |(scratch, out)| lz::compress_into_scalar(&input, scratch, out),
+        )
     }
 
     /// Batched MLP inference at batch size `b` on a Feed-shaped ranker,
@@ -192,18 +200,13 @@ impl Calibrator {
             .map(|i| (0..width).map(|j| (i * width + j) as f32 / 8192.0).collect())
             .collect();
         let bytes = (b * width * std::mem::size_of::<f32>()) as u64;
-        let mut scratch = MlpScratch::new();
-        let mut out = Vec::new();
-        PairedKernel {
-            dispatched: self.measure("inference", bytes, || {
-                mlp.forward_batch(&batch, &mut scratch, &mut out)
-                    .expect("widths match")
-            }),
-            scalar: self.measure("inference", bytes, || {
-                mlp.forward_batch_scalar(&batch, &mut scratch, &mut out)
-                    .expect("widths match")
-            }),
-        }
+        self.measure(
+            "inference",
+            bytes,
+            &mut (MlpScratch::new(), Vec::new()),
+            |(scratch, out)| mlp.forward_batch(&batch, scratch, out).expect("widths match"),
+            |(scratch, out)| mlp.forward_batch_scalar(&batch, scratch, out).expect("widths match"),
+        )
     }
 
     /// Measured acceleration factors for every case-study kernel family

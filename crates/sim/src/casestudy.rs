@@ -132,7 +132,8 @@ fn offload_config(study: &CaseStudy, scale: f64, pollution: f64) -> OffloadConfi
 }
 
 /// Runs one case study's A/B experiment in the simulator, both arms on
-/// the calling thread.
+/// the calling thread. `accelctl validate --case` runs the same A/B on
+/// its `--jobs` pool through [`validate_all_with`].
 ///
 /// # Errors
 ///

@@ -179,6 +179,46 @@ for extra in "" "--folded"; do
     fi
 done
 
+echo "== calibrate smoke: four kernel rows of finite, positive figures on both dispatch tiers =="
+# calibrate prints timings, so no golden can pin it; its shape can be.
+# Each tier must exit 0 with exactly four rows "<kernel> <c/B> <c/B>
+# <factor>x" whose three figures are positive and finite (a NaN, inf or
+# negative figure fails the digits-only pattern), and
+# KERNELS_FORCE_SCALAR=1 must reach the dispatch layer: its ISA line
+# reads "active scalar".
+for tier in auto scalar; do
+    rc=0
+    if [ "$tier" = scalar ]; then
+        KERNELS_FORCE_SCALAR=1 ./target/release/accelctl calibrate > "$out_dir/calibrate.txt" || rc=$?
+        if ! head -1 "$out_dir/calibrate.txt" | grep -q '| active scalar$'; then
+            echo "calibrate smoke: KERNELS_FORCE_SCALAR=1 did not pin the scalar tier"
+            cat "$out_dir/calibrate.txt"
+            exit 1
+        fi
+    else
+        ./target/release/accelctl calibrate > "$out_dir/calibrate.txt" || rc=$?
+    fi
+    if [ "$rc" -ne 0 ]; then
+        echo "calibrate smoke ($tier): exited $rc"
+        exit 1
+    fi
+    awk -v tier="$tier" '
+        $1 ~ /^(encryption|compression|hashing|inference)$/ {
+            rows++
+            factor = $4
+            sub(/x$/, "", factor)
+            for (i = 2; i <= 4; i++) {
+                v = (i == 4) ? factor : $i
+                if (v !~ /^[0-9]+(\.[0-9]+)?$/ || v + 0 <= 0) {
+                    print "calibrate smoke (" tier "): bad figure " v " in: " $0
+                    bad = 1
+                }
+            }
+        }
+        END { if (rows != 4) { print "calibrate smoke (" tier "): " rows " kernel rows, expected 4"; bad = 1 } exit bad }
+    ' "$out_dir/calibrate.txt" || { cat "$out_dir/calibrate.txt"; exit 1; }
+done
+
 echo "== services gate: every shipped profile pack must parse and validate =="
 # A malformed configs/services/*.json (breakdown off 100%, non-monotone
 # CDF, negative IPC/rate, wrong filename) fails this command with a

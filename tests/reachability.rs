@@ -16,11 +16,12 @@ use std::path::{Path, PathBuf};
 
 /// Items only the benchmark uses; files under `perfbench/` change only
 /// with a benchmark PR (ROADMAP item 8).
-const PERFBENCH: &str = "analyze::analyze dispatch::set_isa_mode exec::set_default_jobs \
-    figures::figure FrozenTrace::for_config LatencyStats::from_samples params::all_case_studies \
-    params::all_recommendations registry::set_active_registry ServiceId::PACKS services::profile \
-    shard::run_sharded_instrumented shard::set_default_shards tables::render_table \
-    trace::set_trace_reuse TraceGenerator::generate TraceGenerator::new TraceGenerator::registry";
+const PERFBENCH: &str = "analyze::analyze casestudy::simulate dispatch::set_isa_mode \
+    exec::set_default_jobs figures::figure FrozenTrace::for_config LatencyStats::from_samples \
+    params::all_case_studies params::all_recommendations registry::set_active_registry \
+    ServiceId::PACKS services::profile shard::run_sharded_instrumented shard::set_default_shards \
+    tables::render_table trace::set_trace_reuse TraceGenerator::generate TraceGenerator::new \
+    TraceGenerator::registry";
 
 /// `(item, reason)` for each oracle or test helper that stays; the
 /// reason names an integration test, bench or example that uses it.
