@@ -140,6 +140,54 @@ fn simulated_reports_match_their_recorded_digests() {
     );
 }
 
+/// `(command, digest)` for the figures' machine-readable series (every
+/// data figure's `--json`, and `all --json`, which skips the timelines)
+/// and the extra design-space heatmap, captured while each figure's text
+/// and series were still built by separate code.
+const FIGURE_DATA: &[(&str, u64)] = &[
+    ("figures all --json", 0x8161a388238cdaca),
+    ("figures fig1 --json", 0x0a7eab62ac2b58fc),
+    ("figures fig2 --json", 0x8693014a0ffe577d),
+    ("figures fig3 --json", 0xc4caedbdaa30b8e4),
+    ("figures fig4 --json", 0x7fef82d7a1107c06),
+    ("figures fig5 --json", 0x57832c01a9dae2f0),
+    ("figures fig6 --json", 0x89c5046abfa28ac3),
+    ("figures fig7 --json", 0x7561902cc81d002c),
+    ("figures fig8 --json", 0x4fb4cb36208a3e69),
+    ("figures fig9 --json", 0x0e0971bd861b0115),
+    ("figures fig10 --json", 0x1a45453cd1cd0c3b),
+    ("figures fig15 --json", 0x1a5b44533682f7a4),
+    ("figures fig16 --json", 0x44b0bcce91be6530),
+    ("figures fig17 --json", 0xee021f90997dc288),
+    ("figures fig18 --json", 0x79afeb855a7c91c7),
+    ("figures fig19 --json", 0x8ba240a42367d078),
+    ("figures fig20 --json", 0x6b422e891e440a40),
+    ("figures fig21 --json", 0x5169a236192c154d),
+    ("figures fig22 --json", 0x6c8d83dd7f8e1670),
+    ("figures design-space", 0x48a134a408df2e65),
+];
+
+#[test]
+fn figure_series_match_their_recorded_digests() {
+    let actual: Vec<(&str, u64)> = FIGURE_DATA
+        .iter()
+        .map(|&(command, _)| {
+            let argv: Vec<&str> = command.split(' ').collect();
+            (command, fnv1a(&cli(&argv)))
+        })
+        .collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(command, d)| format!("    (\"{command}\", {d:#018x}),"))
+        .collect();
+    assert_eq!(
+        actual,
+        FIGURE_DATA,
+        "a figure's series drifted; actual digests:\n{}",
+        rendered.join("\n")
+    );
+}
+
 #[test]
 fn services_flag_does_not_outlive_its_run() {
     // `--services` used to install a process-wide registry that the next
