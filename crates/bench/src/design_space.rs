@@ -13,29 +13,21 @@ use accelerometer::{
     estimate, AccelerationStrategy, DriverMode, ModelParams, ThreadingDesign,
 };
 
-/// One cell of the design-space grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesignPoint {
-    /// `A`: peak accelerator speedup.
-    pub peak_speedup: f64,
-    /// `L`: interface latency in cycles.
-    pub interface_latency: f64,
-    /// Projected throughput gain (percent; negative = slowdown).
-    pub gain_percent: f64,
-}
+/// The kernel the heatmaps evaluate: `ALPHA` of `C` host cycles,
+/// offloaded `N` times.
+const C: f64 = 2.3e9;
+const ALPHA: f64 = 0.15;
+const N: f64 = 15_008.0;
 
-/// Evaluates the A × L grid for a kernel with fraction `alpha` and `n`
-/// offloads per `c` host cycles, under `design`, on `pool`.
-#[must_use]
-pub fn grid(
+/// Evaluates the A × L grid for the `C`/`ALPHA`/`N` kernel under
+/// `design`, on `pool`: the projected throughput gain in percent
+/// (negative = slowdown) per `a_values` row and `l_values` column.
+fn grid(
     pool: &ExecPool,
-    c: f64,
-    alpha: f64,
-    n: f64,
     design: ThreadingDesign,
     a_values: &[f64],
     l_values: &[f64],
-) -> Vec<Vec<DesignPoint>> {
+) -> Vec<Vec<f64>> {
     // One pool job per grid row: each cell is a pure model evaluation, so
     // rows parallelize freely and land in `a_values` order.
     pool.map(a_values, |_, &a| {
@@ -43,25 +35,21 @@ pub fn grid(
             .iter()
             .map(|&l| {
                 let params = ModelParams::builder()
-                    .host_cycles(c)
-                    .kernel_fraction(alpha)
-                    .offloads(n)
+                    .host_cycles(C)
+                    .kernel_fraction(ALPHA)
+                    .offloads(N)
                     .interface_cycles(l)
                     .thread_switch_cycles(2_000.0)
                     .peak_speedup(a)
                     .build()
                     .expect("grid parameters are valid");
-                let est = estimate(
+                estimate(
                     &params,
                     design,
                     AccelerationStrategy::OffChip,
                     DriverMode::AwaitsAck,
-                );
-                DesignPoint {
-                    peak_speedup: a,
-                    interface_latency: l,
-                    gain_percent: est.throughput_gain_percent(),
-                }
+                )
+                .throughput_gain_percent()
             })
             .collect()
     })
@@ -80,23 +68,22 @@ fn glyph(gain: f64, ideal: f64) -> char {
     }
 }
 
-/// Renders the design space for a kernel under one threading design,
-/// evaluating the grid on `pool`.
-#[must_use]
-pub fn render(pool: &ExecPool, c: f64, alpha: f64, n: f64, design: ThreadingDesign) -> String {
+/// Renders the design space of the `C`/`ALPHA`/`N` kernel under one
+/// threading design, evaluating the grid on `pool`.
+fn render(pool: &ExecPool, title: &str, design: ThreadingDesign) -> String {
     use std::fmt::Write as _;
     let a_values: Vec<f64> = log_space(1.5, 96.0, 13);
     let l_values: Vec<f64> = log_space(10.0, 1_000_000.0, 46);
-    let cells = grid(pool, c, alpha, n, design, &a_values, &l_values);
-    let ideal = (1.0 / (1.0 - alpha) - 1.0) * 100.0;
+    let cells = grid(pool, design, &a_values, &l_values);
+    let ideal = (1.0 / (1.0 - ALPHA) - 1.0) * 100.0;
 
     let mut out = format!(
-        "== Design space: {design} offload of a {:.0}% kernel, n = {n:.0} (ideal {ideal:+.1}%) ==\n",
-        alpha * 100.0
+        "== {title}: {design} offload of a {:.0}% kernel, n = {N:.0} (ideal {ideal:+.1}%) ==\n",
+        ALPHA * 100.0
     );
     let _ = writeln!(out, "{:>7}   10 cycles -> 1M cycles (log)", "A \\ L");
     for (row, &a) in cells.iter().zip(&a_values).rev() {
-        let line: String = row.iter().map(|p| glyph(p.gain_percent, ideal)).collect();
+        let line: String = row.iter().map(|&gain| glyph(gain, ideal)).collect();
         let _ = writeln!(out, "{a:>7.1}  |{line}|");
     }
     let _ = writeln!(
@@ -108,15 +95,15 @@ pub fn render(pool: &ExecPool, c: f64, alpha: f64, n: f64, design: ThreadingDesi
 
 /// The `design-space` figure: the heatmap for a 15% kernel offloaded
 /// 15,008 times per 2.3e9 host cycles, under the Sync, Sync-OS and
-/// Async designs.
+/// Async designs, each headed by `title`.
 #[must_use]
-pub fn figure(pool: &ExecPool) -> String {
+pub fn figure(pool: &ExecPool, title: &str) -> String {
     [
         ThreadingDesign::Sync,
         ThreadingDesign::SyncOs,
         ThreadingDesign::AsyncNoResponse,
     ]
-    .map(|design| render(pool, 2.3e9, 0.15, 15_008.0, design))
+    .map(|design| render(pool, title, design))
     .join("\n")
 }
 
@@ -124,10 +111,6 @@ pub fn figure(pool: &ExecPool) -> String {
 mod tests {
     use super::*;
     use ThreadingDesign as D;
-
-    const C: f64 = 2.3e9;
-    const ALPHA: f64 = 0.15;
-    const N: f64 = 15_008.0;
 
     fn pool() -> ExecPool {
         ExecPool::new(2)
@@ -137,43 +120,43 @@ mod tests {
     fn gain_is_monotone_in_the_grid() {
         let a_values = [2.0, 8.0, 32.0];
         let l_values = [100.0, 10_000.0, 1_000_000.0];
-        let cells = grid(&pool(), C, ALPHA, N, D::Sync, &a_values, &l_values);
+        let cells = grid(&pool(), D::Sync, &a_values, &l_values);
         // Rows: fixed A, gain falls with L.
         for row in &cells {
             for pair in row.windows(2) {
-                assert!(pair[1].gain_percent <= pair[0].gain_percent + 1e-9);
+                assert!(pair[1] <= pair[0] + 1e-9);
             }
         }
         // Columns: fixed L, gain rises with A.
         for col in 0..l_values.len() {
             for rows in cells.windows(2) {
-                assert!(rows[1][col].gain_percent >= rows[0][col].gain_percent - 1e-9);
+                assert!(rows[1][col] >= rows[0][col] - 1e-9);
             }
         }
     }
 
     #[test]
     fn high_latency_corner_is_a_slowdown_for_sync() {
-        let cells = grid(&pool(), C, ALPHA, N, D::Sync, &[96.0], &[1_000_000.0]);
-        assert!(cells[0][0].gain_percent < 0.0);
+        let cells = grid(&pool(), D::Sync, &[96.0], &[1_000_000.0]);
+        assert!(cells[0][0] < 0.0);
         // And the low-latency corner approaches the ideal.
-        let cells = grid(&pool(), C, ALPHA, N, D::Sync, &[96.0], &[10.0]);
-        assert!(cells[0][0].gain_percent > 15.0);
+        let cells = grid(&pool(), D::Sync, &[96.0], &[10.0]);
+        assert!(cells[0][0] > 15.0);
     }
 
     #[test]
     fn async_tolerates_more_latency_than_sync() {
         // At a moderate L, the async design keeps more of the gain.
         let l = 20_000.0;
-        let sync = grid(&pool(), C, ALPHA, N, D::Sync, &[27.0], &[l])[0][0];
-        let asynchronous = grid(&pool(), C, ALPHA, N, D::AsyncNoResponse, &[27.0], &[l])[0][0];
-        assert!(asynchronous.gain_percent >= sync.gain_percent);
+        let sync = grid(&pool(), D::Sync, &[27.0], &[l])[0][0];
+        let asynchronous = grid(&pool(), D::AsyncNoResponse, &[27.0], &[l])[0][0];
+        assert!(asynchronous >= sync);
     }
 
     #[test]
     fn render_produces_a_full_heatmap() {
-        let art = render(&pool(), C, ALPHA, N, D::Sync);
-        assert!(art.contains("Design space"));
+        let art = render(&pool(), "Design space", D::Sync);
+        assert!(art.contains("Design space: Sync offload"));
         assert!(art.contains('@'), "no near-ideal region:\n{art}");
         assert!(art.contains('x'), "no slowdown region:\n{art}");
         assert!(art.contains("legend"));

@@ -15,6 +15,11 @@
 //! Every renderer takes the run context (`accelerometer_sim::RunContext`)
 //! that carries the worker pool and the service data.
 //!
+//! Each figure is one row of the `FIGURES` table in [`figures`]: its id,
+//! its title, the function that builds its data and an optional footer.
+//! The text and the `--json` series are drawn from that one value, so a
+//! new figure is one `FIGURES` row.
+//!
 //! Criterion micro-benchmarks live under `benches/`: kernel benchmarks
 //! that re-derive the model's `Cb`/`A` parameters the way §4's
 //! methodology prescribes, model-evaluation benchmarks, and simulator

@@ -3,14 +3,18 @@
 
 use std::fmt::Write as _;
 
+/// Cells across a full stacked bar.
+const STACKED_WIDTH: usize = 60;
+/// Cells a grouped bar at its full-scale value spans.
+const GROUPED_WIDTH: usize = 40;
+/// Rows of a CDF plot, from 0.0 to 1.0.
+const CDF_HEIGHT: usize = 12;
+
 /// Renders a horizontal stacked-bar chart: one row per entity, segments
 /// proportional to percentages (summing to ≤100), with a legend.
 #[must_use]
-pub fn stacked_bars(
-    title: &str,
-    rows: &[(String, Vec<(String, f64)>)],
-    width: usize,
-) -> String {
+pub fn stacked_bars(title: &str, rows: &[(String, Vec<(String, f64)>)]) -> String {
+    let width = STACKED_WIDTH;
     let glyphs = ['#', '=', '+', ':', '%', '@', 'o', '*', '.', '-', '~', '^'];
     let mut legend: Vec<String> = Vec::new();
     let mut out = format!("== {title} ==\n");
@@ -77,8 +81,8 @@ pub fn grouped_bars(
     series: &[&str],
     groups: &[(String, Vec<f64>)],
     max_value: f64,
-    width: usize,
 ) -> String {
+    let width = GROUPED_WIDTH;
     let mut out = format!("== {title} ==\n");
     let label_width = groups
         .iter()
@@ -107,9 +111,8 @@ pub fn cdf_plot(
     title: &str,
     series: &[(String, Vec<(f64, f64)>)],
     markers: &[(String, f64)],
-    height: usize,
 ) -> String {
-    let width = 64usize;
+    let (width, height) = (64usize, CDF_HEIGHT);
     let max_bytes = series
         .iter()
         .flat_map(|(_, pts)| pts.iter().map(|(g, _)| *g))
@@ -183,7 +186,7 @@ mod tests {
                 vec![("App".to_owned(), 14.0), ("Orchestration".to_owned(), 86.0)],
             ),
         ];
-        let art = stacked_bars("Fig 1", &rows, 50);
+        let art = stacked_bars("Fig 1", &rows);
         assert!(art.contains("== Fig 1 =="));
         assert!(art.contains("Web"));
         assert!(art.contains("Cache1"));
@@ -221,7 +224,6 @@ mod tests {
             &["GenA", "GenC"],
             &[("Kernel".to_owned(), vec![0.35, 0.38])],
             2.0,
-            40,
         );
         assert!(out.contains("Kernel:"));
         assert!(out.contains("0.35"));
@@ -236,7 +238,7 @@ mod tests {
             vec![(1.0, 0.0), (1024.0, 0.5), (65536.0, 1.0)],
         )];
         let markers = vec![("break-even".to_owned(), 425.0)];
-        let art = cdf_plot("Fig 19", &series, &markers, 10);
+        let art = cdf_plot("Fig 19", &series, &markers);
         assert!(art.contains('*'));
         assert!(art.contains('|'));
         assert!(art.contains("break-even"));
@@ -246,9 +248,9 @@ mod tests {
 
     #[test]
     fn empty_inputs_do_not_panic() {
-        let _ = stacked_bars("t", &[], 40);
+        let _ = stacked_bars("t", &[]);
         let _ = table("t", &["a"], &[]);
-        let _ = grouped_bars("t", &[], &[], 1.0, 10);
-        let _ = cdf_plot("t", &[], &[], 5);
+        let _ = grouped_bars("t", &[], &[], 1.0);
+        let _ = cdf_plot("t", &[], &[]);
     }
 }

@@ -4,7 +4,7 @@ use accelerometer::project;
 use accelerometer_fleet::{
     FunctionalityCategory, LeafCategory, ServiceRegistry, ALL_PLATFORMS, FINDINGS,
 };
-use accelerometer_sim::{validate_all_with, RunContext, SimError};
+use accelerometer_sim::{validate_all_with, RunContext, SimError, VALIDATION_SEED};
 
 use crate::render::table;
 
@@ -136,7 +136,7 @@ fn table5() -> String {
 fn table6(ctx: &RunContext) -> Result<String, SimError> {
     let mut rows = Vec::new();
     let studies = ctx.registry.case_studies();
-    let validations = validate_all_with(&ctx.pool, &studies, 20_260_706)?;
+    let validations = validate_all_with(&ctx.pool, &studies, VALIDATION_SEED)?;
     for (study, validation) in studies.iter().zip(&validations) {
         let p = &study.scenario.params;
         let ovh = p.overheads();

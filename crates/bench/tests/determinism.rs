@@ -15,7 +15,7 @@ use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
     concurrency_sweep_with, set_trace_reuse, validate_all_with, DeviceKind, OffloadConfig,
-    RunContext, SimConfig,
+    RunContext, SimConfig, VALIDATION_SEED,
 };
 
 fn sweep_base() -> SimConfig {
@@ -74,7 +74,7 @@ fn queueing_ablation_is_byte_identical_across_pool_widths() {
 
 #[test]
 fn table6_validation_is_byte_identical_across_pool_widths() {
-    let seed = 20_260_706;
+    let seed = VALIDATION_SEED;
     let studies = ServiceRegistry::builtin().case_studies();
     let one = validate_all_with(&ExecPool::new(1), &studies, seed).expect("Table 6 rows");
     let eight = validate_all_with(&ExecPool::new(8), &studies, seed).expect("Table 6 rows");
@@ -90,9 +90,9 @@ fn ablations_are_byte_identical_with_trace_reuse_off() {
     // The batch runner's trace sharing must not move a byte of the
     // ablations, whose simulator experiments all run as batches.
     let ctx = RunContext::from_process_defaults();
-    let reused = render_all(&ctx, 20_260_706).expect("ablations render");
+    let reused = render_all(&ctx, VALIDATION_SEED).expect("ablations render");
     set_trace_reuse(false);
-    let redrawn = render_all(&ctx, 20_260_706);
+    let redrawn = render_all(&ctx, VALIDATION_SEED);
     set_trace_reuse(true);
     assert_eq!(reused, redrawn.expect("ablations render"));
 }

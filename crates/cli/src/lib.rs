@@ -26,17 +26,17 @@ use std::sync::Arc;
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{
     bounds, project, slo, sweep, throughput_breakeven, AccelerationStrategy, BreakEven,
-    ConfigFile, Cycles, DriverMode, KernelCost, LatencySlo, OffloadContext, OffloadOverheads,
-    Scenario, ThreadingDesign, Timeline, TimelineSpec,
+    ConfigFile, KernelCost, LatencySlo, OffloadContext, OffloadOverheads, Scenario,
+    ThreadingDesign, Timeline, TimelineSpec,
 };
 use accelerometer_bench::{figure_json, figure_with, render_table_with, FIGURE_IDS, TABLE_IDS};
 use accelerometer_fleet::{ServiceId, ServiceRegistry};
 use accelerometer_kernels::dispatch;
 use accelerometer_profiler::{FoldedStacks, ProfileAccumulator, TraceGenerator};
-use accelerometer_sim::faultsweep::demo_scenario;
+use accelerometer_sim::faultsweep::{demo_scenario, FAULT_SEED};
 use accelerometer_sim::{
-    run_fault_sweep_with, validate_all_with, validate_fallback_with, Calibrator,
-    ExecPool, FaultScenario, RunContext, SimError, CASE_STUDY_NAMES,
+    run_fault_sweep_with, validate_all_with, validate_fallback_with, Calibrator, ExecPool,
+    FaultScenario, RunContext, SimError, CASE_STUDY_NAMES, VALIDATION_SEED,
 };
 
 /// Largest `--points` a sweep accepts.
@@ -629,7 +629,7 @@ fn cmd_characterize(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
 }
 
 fn cmd_validate(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
-    let seed = args.seed(20_260_706)?;
+    let seed = args.seed(VALIDATION_SEED)?;
     if let Some(name) = args.value("--case") {
         if name == "fallback" {
             // Not a Table 6 row: the fault-capacity analogue. Model's
@@ -703,7 +703,7 @@ fn cmd_validate(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
 /// pretty JSON. Every run is an independent seeded simulation, so the
 /// output is byte-identical at any `--jobs` width.
 fn cmd_faults(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
-    let seed = args.seed(20_260_806)?;
+    let seed = args.seed(FAULT_SEED)?;
     let scenario = match args.positionals.first() {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -724,17 +724,9 @@ fn cmd_faults(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
 
 fn cmd_timeline(_: &RunContext, args: &Parsed) -> Result<String, String> {
     let design = parse_design(args.positionals[0])?;
-    let spec = TimelineSpec {
-        kernel_cycles: Cycles::new(10_000.0),
-        peak_speedup: 10.0,
-        overheads: OffloadOverheads::new(300.0, 600.0, 200.0, 500.0),
-        design,
-        strategy: AccelerationStrategy::OffChip,
-        driver: DriverMode::AwaitsAck,
-    };
     Ok(format!(
         "offload timeline for {design}:\n{}",
-        Timeline::build(spec).render_ascii(70)
+        Timeline::build(TimelineSpec::demo(design)).render_ascii(70)
     ))
 }
 
@@ -835,7 +827,7 @@ fn cmd_figures(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
 
 /// The ablations' simulator experiments run on the worker pool.
 fn cmd_ablations(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
-    accelerometer_bench::ablations::render_all(ctx, args.seed(20_260_706)?)
+    accelerometer_bench::ablations::render_all(ctx, args.seed(VALIDATION_SEED)?)
         .map_err(|e| e.to_string())
 }
 

@@ -114,6 +114,24 @@ pub struct TimelineSpec {
     pub driver: DriverMode,
 }
 
+impl TimelineSpec {
+    /// The example offload that `accelctl timeline` and Figs. 11–14 draw:
+    /// a 10,000-cycle kernel at `A = 10` with `o0 = 300`, `L = 600`,
+    /// `Q = 200` and `o1 = 500` cycles, off-chip, under a driver that
+    /// awaits the acknowledgement.
+    #[must_use]
+    pub fn demo(design: ThreadingDesign) -> Self {
+        Self {
+            kernel_cycles: Cycles::new(10_000.0),
+            peak_speedup: 10.0,
+            overheads: OffloadOverheads::new(300.0, 600.0, 200.0, 500.0),
+            design,
+            strategy: AccelerationStrategy::OffChip,
+            driver: DriverMode::AwaitsAck,
+        }
+    }
+}
+
 /// The schedule of one offload across the three lanes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Timeline {

@@ -66,25 +66,28 @@ fn hash4(data: &[u8]) -> usize {
 /// Length of the common prefix of `input[candidate..]` and
 /// `input[pos..]`, capped at `max_len`.
 ///
-/// When `avx2` is set (the caller hoists the [`crate::dispatch`] check
-/// out of the hot loop), extension runs 32 bytes per step on the AVX2
-/// path; either way the result is the longest common prefix, capped —
+/// When `AVX2` is set (the driver is instantiated for it only after the
+/// [`crate::dispatch`] check), extension runs 32 bytes per step on the
+/// AVX2 path; either way the result is the longest common prefix, capped —
 /// exactly what the byte-at-a-time loop computes — so the emitted token
 /// stream is byte-identical; the `lz_golden` fixture test pins that.
 ///
 /// Caller guarantees `candidate < pos` and `pos + max_len <=
 /// input.len()`, so every wide load below stays in bounds.
 #[inline]
-fn match_length(input: &[u8], candidate: usize, pos: usize, max_len: usize, avx2: bool) -> usize {
+fn match_length<const AVX2: bool>(
+    input: &[u8],
+    candidate: usize,
+    pos: usize,
+    max_len: usize,
+) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        // SAFETY: `avx2` is only set after runtime AVX2 detection, and
+    if AVX2 {
+        // SAFETY: `AVX2` is only set after runtime AVX2 detection, and
         // the caller's bounds contract covers every 32-byte load.
         #[allow(unsafe_code)]
         return unsafe { simd::match_length(input, candidate, pos, max_len) };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = avx2;
     match_length_from(input, candidate, pos, max_len, 0)
 }
 
@@ -246,7 +249,11 @@ const SLOT_TAG_MASK: u64 = 0xffff_ffff_0000_0000;
 /// [`crate::dispatch`] reports it; the stream is byte-identical either
 /// way.
 pub fn compress_into(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
-    compress_into_with(input, scratch, out, crate::dispatch::has(crate::dispatch::AVX2));
+    if crate::dispatch::has(crate::dispatch::AVX2) {
+        compress_into_with::<true>(input, scratch, out);
+    } else {
+        compress_into_with::<false>(input, scratch, out);
+    }
 }
 
 /// [`compress_into`] pinned to the scalar matcher regardless of the
@@ -255,11 +262,12 @@ pub fn compress_into(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
 /// differ only in the match kernel, and it is the oracle the
 /// equivalence tests compare the dispatched stream against.
 pub fn compress_into_scalar(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
-    compress_into_with(input, scratch, out, false);
+    compress_into_with::<false>(input, scratch, out);
 }
 
-/// The greedy matcher over the generation-tagged head table.
-fn compress_into_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>, avx2: bool) {
+/// The greedy matcher over the generation-tagged head table, compiled
+/// once per matcher: `AVX2` may be `true` only after runtime detection.
+fn compress_into_with<const AVX2: bool>(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
     out.clear();
     let tag = scratch.begin();
     // Fixed-size view: `hash4` yields `HASH_BITS`-bit indices, so with
@@ -295,7 +303,7 @@ fn compress_into_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>, 
             };
             if candidate != usize::MAX && pos - candidate < WINDOW {
                 let max_len = remaining.min(MAX_MATCH);
-                let len = match_length(input, candidate, pos, max_len, avx2);
+                let len = match_length::<AVX2>(input, candidate, pos, max_len);
                 if len >= MIN_MATCH {
                     matched = Some((pos - candidate, len));
                 }
@@ -310,7 +318,7 @@ fn compress_into_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>, 
             let end = pos + len;
             let mut p = pos + 1;
             #[cfg(target_arch = "x86_64")]
-            if avx2 {
+            if AVX2 {
                 // Eight stride-2 hashes per step; inserted in ascending
                 // position order (interleaving the low/high load lanes)
                 // so slot overwrites match the scalar loop exactly.

@@ -175,6 +175,10 @@ fn simulate_on(
     Ok((validation, ab))
 }
 
+/// The seed `validate`, `tables table6` and `ablations` draw their
+/// simulated A/B runs from unless `--seed` names another.
+pub const VALIDATION_SEED: u64 = 20_260_706;
+
 /// Runs the given case studies (a registry's Table 6 rows) in order,
 /// each study's two arms as one A/B batch on `pool`, so the run never
 /// uses more than `pool`'s workers. One batch per study keeps one

@@ -231,6 +231,10 @@ pub fn sweep_configs(scenario: &FaultScenario) -> Vec<SimConfig> {
     std::iter::once(healthy).chain(faulted).collect()
 }
 
+/// The seed `accelctl faults` runs [`demo_scenario`] with unless
+/// `--seed` names another.
+pub const FAULT_SEED: u64 = 20_260_806;
+
 /// The built-in demonstration scenario, `configs/faults-degradation.json`
 /// (embedded at build time and pinned by the CLI's golden fixture) with
 /// `base.seed = seed`: a shared remote accelerator that suffers a
@@ -424,7 +428,7 @@ mod tests {
 
     #[test]
     fn recovery_beats_no_recovery_under_degradation() {
-        let report = sweep(&demo_scenario(20_260_806)).expect("valid scenario");
+        let report = sweep(&demo_scenario(FAULT_SEED)).expect("valid scenario");
         let none = outcome(&report, "no-recovery");
         let retry = outcome(&report, "retry");
         let recovered = outcome(&report, "retry-fallback");
@@ -524,7 +528,8 @@ mod tests {
 
     #[test]
     fn fallback_table_draws_one_trace_for_its_eight_arms() {
-        let arms = crate::abtest::ab_arms(&fallback_validation_pairs(20_260_706)).unwrap();
+        let arms =
+            crate::abtest::ab_arms(&fallback_validation_pairs(crate::VALIDATION_SEED)).unwrap();
         assert_eq!(arms.len(), 8);
         let store = TraceStore::for_batch(&arms, false);
         assert_eq!(store.traces().len(), 1);
@@ -533,7 +538,7 @@ mod tests {
 
     #[test]
     fn sharded_sweep_draws_shard_seed_traces_only() {
-        let scenario = demo_scenario(20_260_806);
+        let scenario = demo_scenario(FAULT_SEED);
         let configs = sweep_configs(&scenario);
         let plan = ShardPlan::for_config(&configs[0]);
         assert!(plan.shards > 1, "the demo scenario shards");
@@ -574,7 +579,7 @@ mod tests {
 
     #[test]
     fn scenario_round_trips_through_json() {
-        let scenario = demo_scenario(20_260_806);
+        let scenario = demo_scenario(FAULT_SEED);
         let json = serde_json::to_string_pretty(&scenario).expect("serialize");
         let parsed: FaultScenario = serde_json::from_str(&json).expect("scenario round trip");
         assert_eq!(parsed, scenario);

@@ -77,15 +77,16 @@ pub mod workload;
 
 pub use abtest::{ab_arms, run_ab_batch, AbResult};
 pub use calibrate::{CalibratedKernel, Calibrator, PairedKernel};
-pub use casestudy::{simulate, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES};
+pub use casestudy::{
+    simulate, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES, VALIDATION_SEED,
+};
 pub use context::RunContext;
 pub use device::{Device, DeviceKind};
 pub use error::SimError;
 pub use fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
 pub use faultsweep::{
-    run_fault_sweep_with, validate_fallback_with,
-    FallbackValidationRow, FaultModelCheck, FaultScenario, FaultSweepReport, NamedPolicy,
-    PolicyOutcome, FALLBACK_VALIDATION_PROBABILITIES,
+    run_fault_sweep_with, validate_fallback_with, FallbackValidationRow, FaultModelCheck,
+    FaultScenario, FaultSweepReport, NamedPolicy, PolicyOutcome, FALLBACK_VALIDATION_PROBABILITIES,
 };
 pub use loadsweep::{concurrency_sweep_with, ConcurrencySweep, LoadPoint};
 pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};

@@ -12,11 +12,11 @@ use accelerometer::exec::ExecPool;
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_sim::fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
-use accelerometer_sim::faultsweep::demo_scenario;
+use accelerometer_sim::faultsweep::{demo_scenario, FAULT_SEED};
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
     run_fault_sweep_with, run_sharded, set_trace_reuse, validate_fallback_with, DeviceKind,
-    EngineStats, FrozenTrace, OffloadConfig, SimConfig, Simulator, TraceStore,
+    EngineStats, FrozenTrace, OffloadConfig, SimConfig, Simulator, TraceStore, VALIDATION_SEED,
 };
 use proptest::prelude::*;
 
@@ -225,14 +225,14 @@ fn mismatched_traces_are_rejected() {
 fn batch_outputs_are_identical_with_trace_reuse_off() {
     let pool = ExecPool::new(1);
     let shards = ExecPool::new(2);
-    let scenario = demo_scenario(20_260_806);
+    let scenario = demo_scenario(FAULT_SEED);
     let outputs = |reuse| {
         set_trace_reuse(reuse);
         let sweep = |shards| {
             let report = run_fault_sweep_with(&pool, shards, &scenario).expect("demo sweep runs");
             serde_json::to_string(&report).expect("report serializes")
         };
-        let fallback = validate_fallback_with(&pool, 20_260_706);
+        let fallback = validate_fallback_with(&pool, VALIDATION_SEED);
         [
             sweep(None),
             sweep(Some(&shards)),

@@ -5,7 +5,7 @@
 
 use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::parallel::{available_jobs, ExecPool};
-use accelerometer_sim::{validate_all_with, CaseStudyValidation};
+use accelerometer_sim::{validate_all_with, CaseStudyValidation, VALIDATION_SEED};
 
 fn validate_all(seed: u64) -> Vec<CaseStudyValidation> {
     let studies = ServiceRegistry::builtin().case_studies();
@@ -15,7 +15,7 @@ fn validate_all(seed: u64) -> Vec<CaseStudyValidation> {
 
 #[test]
 fn table6_reproduction() {
-    let results = validate_all(20_260_706);
+    let results = validate_all(VALIDATION_SEED);
     assert_eq!(results.len(), 3);
 
     for v in &results {
