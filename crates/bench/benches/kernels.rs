@@ -122,5 +122,11 @@ fn bench_mlp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_aes, bench_compression, bench_hashing, bench_mlp);
+criterion_group!(
+    benches,
+    bench_aes,
+    bench_compression,
+    bench_hashing,
+    bench_mlp
+);
 criterion_main!(benches);

@@ -37,13 +37,8 @@ fn bench_estimate(c: &mut Criterion) {
             let mut total = 0.0;
             for design in ThreadingDesign::ALL {
                 for strategy in AccelerationStrategy::ALL {
-                    total += estimate(
-                        black_box(&params),
-                        design,
-                        strategy,
-                        DriverMode::AwaitsAck,
-                    )
-                    .throughput_speedup;
+                    total += estimate(black_box(&params), design, strategy, DriverMode::AwaitsAck)
+                        .throughput_speedup;
                 }
             }
             total
@@ -116,5 +111,11 @@ fn bench_config(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_estimate, bench_projection, bench_sweep, bench_config);
+criterion_group!(
+    benches,
+    bench_estimate,
+    bench_projection,
+    bench_sweep,
+    bench_config
+);
 criterion_main!(benches);

@@ -11,9 +11,7 @@
 //! `BENCH_parallel.json` tracks the BENCHJSON lines this prints.
 
 use accelerometer::units::cycles_per_byte;
-use accelerometer::{
-    AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign,
-};
+use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_sim::parallel::{run_batch, ExecPool};
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{run_sharded, DeviceKind, OffloadConfig, ShardPlan, SimConfig};
@@ -45,32 +43,24 @@ fn bench_sampler(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1);
             (0..DRAWS).map(|_| rng.gen_range(0.0..1.0)).collect()
         };
-        group.bench_with_input(
-            BenchmarkId::new("linear_scan", size),
-            &ps,
-            |b, ps| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for &p in ps {
-                        acc += cdf.quantile(black_box(p)).get();
-                    }
-                    acc
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("binary_search", size),
-            &ps,
-            |b, ps| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for &p in ps {
-                        acc += sampler.quantile(black_box(p)).get();
-                    }
-                    acc
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("linear_scan", size), &ps, |b, ps| {
+            b.iter(|| {
+                let mut acc = 0.0;
+                for &p in ps {
+                    acc += cdf.quantile(black_box(p)).get();
+                }
+                acc
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("binary_search", size), &ps, |b, ps| {
+            b.iter(|| {
+                let mut acc = 0.0;
+                for &p in ps {
+                    acc += sampler.quantile(black_box(p)).get();
+                }
+                acc
+            })
+        });
     }
     group.finish();
 }

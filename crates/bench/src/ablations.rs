@@ -92,8 +92,13 @@ pub fn alpha_weighting(
             .peak_speedup(accel.peak_speedup)
             .build()
             .expect("valid parameters");
-        estimate(&params, ThreadingDesign::Sync, accel.strategy, DriverMode::AwaitsAck)
-            .throughput_gain_percent()
+        estimate(
+            &params,
+            ThreadingDesign::Sync,
+            accel.strategy,
+            DriverMode::AwaitsAck,
+        )
+        .throughput_gain_percent()
     };
     let count_weighted_percent = model_percent(profile.kernel_fraction * count_fraction);
     let byte_weighted_percent = model_percent(profile.kernel_fraction * byte_fraction);
@@ -441,7 +446,14 @@ pub fn render_all(ctx: &RunContext, seed: u64) -> Result<String, SimError> {
         .collect();
     out.push_str(&table(
         "Ablation 2: Q = 0 assumption vs emergent queueing (shared off-chip device, 4 cores)",
-        &["A", "device util", "sim Q (cyc)", "model Q=0", "model w/ measured Q", "simulated"],
+        &[
+            "A",
+            "device util",
+            "sim Q (cyc)",
+            "model Q=0",
+            "model w/ measured Q",
+            "simulated",
+        ],
         &rows,
     ));
     out.push_str(
@@ -519,7 +531,10 @@ mod tests {
         let byte_err = (a.byte_weighted_percent - a.simulated_percent).abs();
         let count_err = (a.count_weighted_percent - a.simulated_percent).abs();
         assert!(byte_err < 1.5, "byte-weighted err {byte_err:.2}");
-        assert!(count_err > byte_err, "count {count_err:.2} vs byte {byte_err:.2}");
+        assert!(
+            count_err > byte_err,
+            "count {count_err:.2} vs byte {byte_err:.2}"
+        );
         // And the paper's own number is the count-weighted one.
         assert!((a.count_weighted_percent - 9.0).abs() < 0.3);
     }

@@ -9,9 +9,7 @@
 
 use accelerometer::exec::ExecPool;
 use accelerometer::sweep::log_space;
-use accelerometer::{
-    estimate, AccelerationStrategy, DriverMode, ModelParams, ThreadingDesign,
-};
+use accelerometer::{estimate, AccelerationStrategy, DriverMode, ModelParams, ThreadingDesign};
 
 /// The kernel the heatmaps evaluate: `ALPHA` of `C` host cycles,
 /// offloaded `N` times.
@@ -59,7 +57,7 @@ fn glyph(gain: f64, ideal: f64) -> char {
     // Fraction of the ideal gain realized.
     let fraction = gain / ideal;
     match fraction {
-        f if f < 0.0 => 'x',  // slowdown
+        f if f < 0.0 => 'x', // slowdown
         f if f < 0.25 => '.',
         f if f < 0.5 => '-',
         f if f < 0.75 => '=',

@@ -160,7 +160,12 @@ pub fn cdf_plot(
         };
         let _ = writeln!(out, "{label} {}", row.iter().collect::<String>());
     }
-    let _ = writeln!(out, "    1B{:>width$}", format!("{max_bytes:.0}B"), width = width - 2);
+    let _ = writeln!(
+        out,
+        "    1B{:>width$}",
+        format!("{max_bytes:.0}B"),
+        width = width - 2
+    );
     for (si, (name, _)) in series.iter().enumerate() {
         let _ = writeln!(out, "  {} = {name}", glyphs[si % glyphs.len()]);
     }

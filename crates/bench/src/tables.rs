@@ -111,16 +111,48 @@ fn table4() -> String {
 
 fn table5() -> String {
     let rows = [
-        ("C", "Total cycles spent by the host to execute all logic in a fixed time unit", "Cycles"),
+        (
+            "C",
+            "Total cycles spent by the host to execute all logic in a fixed time unit",
+            "Cycles",
+        ),
         ("g", "Size of an offload", "Bytes"),
-        ("n", "Number of times the host offloads a kernel of lucrative size in a fixed time unit", "-"),
-        ("o0", "Cycles the host spends in setting up the kernel prior to a single offload", "Cycles"),
-        ("Q", "Avg. cycles spent in queuing between host and accelerator for a single offload", "Cycles"),
-        ("L", "Avg. cycles to move an offload from host to accelerator across the interface", "Cycles"),
-        ("o1", "Cycles spent in switching threads for a single offload", "Cycles"),
+        (
+            "n",
+            "Number of times the host offloads a kernel of lucrative size in a fixed time unit",
+            "-",
+        ),
+        (
+            "o0",
+            "Cycles the host spends in setting up the kernel prior to a single offload",
+            "Cycles",
+        ),
+        (
+            "Q",
+            "Avg. cycles spent in queuing between host and accelerator for a single offload",
+            "Cycles",
+        ),
+        (
+            "L",
+            "Avg. cycles to move an offload from host to accelerator across the interface",
+            "Cycles",
+        ),
+        (
+            "o1",
+            "Cycles spent in switching threads for a single offload",
+            "Cycles",
+        ),
         ("A", "Peak speedup of an accelerator", "-"),
-        ("alpha", "A constant <= 1: the kernel's fraction of host cycles", "-"),
-        ("Cb", "Cycles spent by the host per byte of offload data", "Cycles"),
+        (
+            "alpha",
+            "A constant <= 1: the kernel's fraction of host cycles",
+            "-",
+        ),
+        (
+            "Cb",
+            "Cycles spent by the host per byte of offload data",
+            "Cycles",
+        ),
     ];
     let rows: Vec<Vec<String>> = rows
         .iter()
@@ -152,13 +184,26 @@ fn table6(ctx: &RunContext) -> Result<String, SimError> {
             format!("{}", p.peak_speedup()),
             format!("{:.2}%", validation.model_estimate_percent),
             format!("{:.2}%", validation.simulated_percent),
-            format!("{:.1}% / {:.2}%", study.paper_estimated_percent, study.paper_real_percent),
+            format!(
+                "{:.1}% / {:.2}%",
+                study.paper_estimated_percent, study.paper_real_percent
+            ),
         ]);
     }
     let mut out = table(
         "Table 6: case-study parameters, model estimates, and measured speedups",
         &[
-            "Case", "C", "alpha", "n", "o0", "Q", "L", "o1", "A", "Est.", "Simulated",
+            "Case",
+            "C",
+            "alpha",
+            "n",
+            "o0",
+            "Q",
+            "L",
+            "o1",
+            "A",
+            "Est.",
+            "Simulated",
             "Paper est./real",
         ],
         &rows,
@@ -197,7 +242,15 @@ fn table7(reg: &ServiceRegistry) -> String {
     table(
         "Table 7: parameters for the Section 5 acceleration recommendations",
         &[
-            "Overhead", "Acceleration", "C", "eff. alpha", "n", "L", "o1", "A", "Projected",
+            "Overhead",
+            "Acceleration",
+            "C",
+            "eff. alpha",
+            "n",
+            "L",
+            "o1",
+            "A",
+            "Projected",
             "Paper",
         ],
         &rows,

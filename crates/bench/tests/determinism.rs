@@ -6,9 +6,7 @@
 //! holds with the batch runner's frozen-trace sharing switched off.
 
 use accelerometer::units::cycles_per_byte;
-use accelerometer::{
-    AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign,
-};
+use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_bench::ablations::{queueing_sensitivity_with, render_all};
 use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::parallel::ExecPool;

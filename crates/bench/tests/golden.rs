@@ -24,9 +24,7 @@ use accelerometer_bench::ablations::queueing_sensitivity_with;
 use accelerometer_fleet::ServiceRegistry;
 use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
-use accelerometer_sim::{
-    concurrency_sweep_with, simulate, DeviceKind, OffloadConfig, SimConfig,
-};
+use accelerometer_sim::{concurrency_sweep_with, simulate, DeviceKind, OffloadConfig, SimConfig};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -25,9 +25,9 @@ use std::sync::Arc;
 
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{
-    bounds, project, slo, sweep, throughput_breakeven, AccelerationStrategy, BreakEven,
-    ConfigFile, KernelCost, LatencySlo, OffloadContext, OffloadOverheads, Scenario,
-    ThreadingDesign, Timeline, TimelineSpec,
+    bounds, project, slo, sweep, throughput_breakeven, AccelerationStrategy, BreakEven, ConfigFile,
+    KernelCost, LatencySlo, OffloadContext, OffloadOverheads, Scenario, ThreadingDesign, Timeline,
+    TimelineSpec,
 };
 use accelerometer_bench::{figure_json, figure_with, render_table_with, FIGURE_IDS, TABLE_IDS};
 use accelerometer_fleet::{ServiceId, ServiceRegistry};
@@ -600,7 +600,10 @@ fn cmd_characterize(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     // casing of "Web" or "AI-Inference" names it.
     let service = ServiceId::from_slug(&name.to_ascii_lowercase()).ok_or_else(|| {
         let slugs: Vec<&str> = ServiceId::ALL.iter().map(|s| s.slug()).collect();
-        format!("unknown service '{name}' (expected one of: {})", slugs.join(", "))
+        format!(
+            "unknown service '{name}' (expected one of: {})",
+            slugs.join(", ")
+        )
     })?;
     let samples = args.count("--samples", 50_000, MAX_SAMPLES)?;
     let seed = args.seed(42)?;
@@ -748,17 +751,22 @@ fn cmd_slo(_: &RunContext, args: &Parsed) -> Result<String, String> {
     let target = LatencySlo::at_least(min_reduction).map_err(|e| e.to_string())?;
     let mut out = format!("latency SLO: require C/CL >= {min_reduction}\n");
     for (name, scenario) in &scenarios {
-        let met = if target.is_met_by(scenario) { "MET" } else { "VIOLATED" };
+        let met = if target.is_met_by(scenario) {
+            "MET"
+        } else {
+            "VIOLATED"
+        };
         let max_l = slo::max_interface_latency(scenario, target)
-            .map_or("infeasible".to_owned(), |c| format!("{:.0} cycles", c.get()));
-        let max_n = slo::max_offload_rate(scenario, target)
-            .map_or("infeasible".to_owned(), |n| {
-                if n.is_infinite() {
-                    "unbounded".to_owned()
-                } else {
-                    format!("{n:.0}/window")
-                }
+            .map_or("infeasible".to_owned(), |c| {
+                format!("{:.0} cycles", c.get())
             });
+        let max_n = slo::max_offload_rate(scenario, target).map_or("infeasible".to_owned(), |n| {
+            if n.is_infinite() {
+                "unbounded".to_owned()
+            } else {
+                format!("{n:.0}/window")
+            }
+        });
         let min_a = slo::min_peak_speedup(scenario, target)
             .map_or("infeasible".to_owned(), |a| format!("{a:.2}"));
         let _ = writeln!(
@@ -836,10 +844,7 @@ fn cmd_ablations(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
 fn cmd_services(ctx: &RunContext, args: &Parsed) -> Result<String, String> {
     match args.positionals[..] {
         ["list"] => {
-            let mut out = format!(
-                "{:<14} {:<14} {:<13} source\n",
-                "service", "slug", "domain"
-            );
+            let mut out = format!("{:<14} {:<14} {:<13} source\n", "service", "slug", "domain");
             for id in ServiceId::ALL {
                 let source = if ctx.registry.loaded_services().contains(&id) {
                     "loaded file"
@@ -959,7 +964,13 @@ mod tests {
     #[test]
     fn breakeven_reports_425_bytes() {
         let out = run(&args(&[
-            "breakeven", "--cb", "5.62", "--a", "27", "--l", "2300",
+            "breakeven",
+            "--cb",
+            "5.62",
+            "--a",
+            "27",
+            "--l",
+            "2300",
         ]))
         .unwrap();
         assert!(out.contains("425"), "{out}");
@@ -990,7 +1001,16 @@ mod tests {
     fn sweep_runs_over_config() {
         let path = write_config();
         let out = run(&args(&[
-            "sweep", &path, "--axis", "peak-speedup", "--from", "2", "--to", "32", "--points", "5",
+            "sweep",
+            &path,
+            "--axis",
+            "peak-speedup",
+            "--from",
+            "2",
+            "--to",
+            "32",
+            "--points",
+            "5",
         ]))
         .unwrap();
         fs::remove_file(&path).ok();
@@ -1086,7 +1106,14 @@ mod tests {
 
     #[test]
     fn characterize_folded_emits_collapsed_stacks() {
-        let out = run(&args(&["characterize", "cache1", "--samples", "500", "--folded"])).unwrap();
+        let out = run(&args(&[
+            "characterize",
+            "cache1",
+            "--samples",
+            "500",
+            "--folded",
+        ]))
+        .unwrap();
         assert!(out.lines().count() > 20, "{out}");
         let first = out.lines().next().unwrap();
         assert!(first.contains(';'), "{first}");
@@ -1147,7 +1174,13 @@ mod tests {
     #[test]
     fn faults_sweep_reports_every_policy() {
         let out = run(&args(&["faults", "--seed", "11"])).unwrap();
-        for policy in ["no-recovery", "retry", "retry-fallback", "admission", "full"] {
+        for policy in [
+            "no-recovery",
+            "retry",
+            "retry-fallback",
+            "admission",
+            "full",
+        ] {
             assert!(out.contains(&format!("\"{policy}\"")), "{policy} missing");
         }
         assert!(out.contains("goodput_per_gcycle"), "{out}");
@@ -1203,7 +1236,10 @@ mod tests {
         // Each of these used to exit 0 ignoring the typo, or to read the
         // typo's value as the command's positional argument.
         for (argv, flag) in [
-            (&["characterize", "web", "--samples", "100", "--sede", "3"][..], "--sede"),
+            (
+                &["characterize", "web", "--samples", "100", "--sede", "3"][..],
+                "--sede",
+            ),
             (&["tables", "table1", "--bogus"], "--bogus"),
             (&["faults", "--sead", "5"], "--sead"),
             (&["calibrate", "--fast"], "--fast"),
@@ -1253,7 +1289,14 @@ mod tests {
     fn a_repeated_flag_is_an_error() {
         // `--seed 1 --seed 2` used to run with seed 1, ignoring the 2.
         let err = run(&args(&[
-            "characterize", "web", "--samples", "100", "--seed", "1", "--seed", "2",
+            "characterize",
+            "web",
+            "--samples",
+            "100",
+            "--seed",
+            "1",
+            "--seed",
+            "2",
         ]))
         .unwrap_err();
         assert_eq!(err, "characterize: --seed given more than once");
@@ -1293,8 +1336,14 @@ mod tests {
         // sample / point counts then aborted on a huge allocation or
         // panicked with a capacity overflow.
         for (argv, needle) in [
-            (&["characterize", "web", "--samples", "4000000000"][..], "at most 10000000"),
-            (&["characterize", "web", "--samples", "18446744073709551615"], "at most"),
+            (
+                &["characterize", "web", "--samples", "4000000000"][..],
+                "at most 10000000",
+            ),
+            (
+                &["characterize", "web", "--samples", "18446744073709551615"],
+                "at most",
+            ),
             (&["characterize", "web", "--samples", "-1"], "--samples"),
             (&["characterize", "web", "--samples", "nan"], "--samples"),
             (&["characterize", "web", "--seed", "-5"], "--seed"),
@@ -1318,15 +1367,34 @@ mod tests {
         };
         for (axis, extra, needle) in [
             // Used to panic at `log_space requires 0 < lo < hi`.
-            ("offloads", &["--from", "1", "--to", "nan"][..], "--to must be finite"),
-            ("offloads", &["--from", "-inf", "--to", "1"], "--from must be finite"),
+            (
+                "offloads",
+                &["--from", "1", "--to", "nan"][..],
+                "--to must be finite",
+            ),
+            (
+                "offloads",
+                &["--from", "-inf", "--to", "1"],
+                "--from must be finite",
+            ),
             // Used to panic with a capacity overflow.
             (
                 "offloads",
-                &["--from", "0", "--to", "1e308", "--points", "18446744073709551615"],
+                &[
+                    "--from",
+                    "0",
+                    "--to",
+                    "1e308",
+                    "--points",
+                    "18446744073709551615",
+                ],
                 "--points must be at most 10000",
             ),
-            ("offloads", &["--from", "1", "--to", "2", "--points", "-3"], "--points"),
+            (
+                "offloads",
+                &["--from", "1", "--to", "2", "--points", "-3"],
+                "--points",
+            ),
             // Used to print only the `2.00` row and exit 0. The error
             // names the scenario the value was rejected for.
             (
@@ -1347,25 +1415,34 @@ mod tests {
         }
         // The cap itself is accepted: one header and one row per point
         // for each of the file's three scenarios.
-        let out = sweep("offloads", &["--from", "1", "--to", "2", "--points", "10000"]).unwrap();
+        let out = sweep(
+            "offloads",
+            &["--from", "1", "--to", "2", "--points", "10000"],
+        )
+        .unwrap();
         assert_eq!(out.lines().count(), 3 * 10_001);
     }
 
     #[test]
     fn a_config_with_no_scenarios_is_an_error_for_every_command() {
         // `bounds` and `slo` used to exit 0 with an empty report.
-        let path = std::env::temp_dir()
-            .join(format!("accelctl-test-empty-{}.json", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("accelctl-test-empty-{}.json", std::process::id()));
         fs::write(&path, r#"{"scenarios": []}"#).expect("temp file writable");
         let path = path.to_string_lossy().into_owned();
         for argv in [
             &["estimate", &path][..],
             &["bounds", &path],
             &["slo", &path],
-            &["sweep", &path, "--axis", "offloads", "--from", "1", "--to", "2"],
+            &[
+                "sweep", &path, "--axis", "offloads", "--from", "1", "--to", "2",
+            ],
         ] {
             let err = run(&args(argv)).expect_err(&format!("{argv:?}"));
-            assert!(err.contains("config contains no scenarios"), "{argv:?}: {err}");
+            assert!(
+                err.contains("config contains no scenarios"),
+                "{argv:?}: {err}"
+            );
         }
         fs::remove_file(&path).ok();
     }

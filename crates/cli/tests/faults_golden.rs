@@ -56,7 +56,10 @@ fn sharded_faults_report_matches_its_golden_fixture_at_any_width() {
     let one = run(&args(&["--shards", "1", "faults"])).expect("faults runs");
     let four = run(&args(&["--shards", "4", "faults"])).expect("faults runs");
     let classic = run(&args(&["faults"])).expect("faults runs");
-    assert_eq!(one, four, "sharded faults report must not depend on --shards");
+    assert_eq!(
+        one, four,
+        "sharded faults report must not depend on --shards"
+    );
     assert_ne!(
         one, classic,
         "the demo scenario shards 2-ways; sharded output is a distinct run"

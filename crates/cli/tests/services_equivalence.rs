@@ -99,8 +99,7 @@ fn every_paper_table_is_byte_identical_through_the_data_path() {
 fn project_and_characterize_are_byte_identical_through_the_data_path() {
     let (builtin, data) = run_both_paths(&["project"]);
     assert_eq!(builtin, data);
-    let (builtin, data) =
-        run_both_paths(&["characterize", "cache1", "--samples", "4000"]);
+    let (builtin, data) = run_both_paths(&["characterize", "cache1", "--samples", "4000"]);
     assert_eq!(builtin, data);
 }
 
@@ -196,16 +195,15 @@ fn validate_case_study_is_byte_identical_through_the_data_path() {
 #[test]
 fn new_pack_characterizations_match_their_golden_fixtures() {
     for slug in ["ai-inference", "kvstore", "pqc"] {
-        let out = run(&args(&["characterize", slug, "--samples", "5000"]))
-            .expect("pack characterizes");
+        let out =
+            run(&args(&["characterize", slug, "--samples", "5000"])).expect("pack characterizes");
         let path = fixture_path(&format!("golden_pack_{slug}.txt"));
         if std::env::var_os("GOLDEN_BLESS").is_some() {
             fs::write(&path, &out).expect("write pack fixture");
             continue;
         }
-        let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing fixture {path:?} ({e}); run with GOLDEN_BLESS=1")
-        });
+        let expected = fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {path:?} ({e}); run with GOLDEN_BLESS=1"));
         assert_eq!(
             expected, out,
             "{slug} characterization drifted; if intentional, regenerate with GOLDEN_BLESS=1"
@@ -222,8 +220,7 @@ fn pack_fixtures_reflect_their_defining_taxes() {
     assert!(ai.contains("Prediction/Ranking"), "{ai}");
     // The kvstore pack leans on hashing + spin locks; the PQC pack on
     // SSL/Math/Hashing leaves.
-    let kv = fs::read_to_string(fixture_path("golden_pack_kvstore.txt"))
-        .expect("kvstore fixture");
+    let kv = fs::read_to_string(fixture_path("golden_pack_kvstore.txt")).expect("kvstore fixture");
     assert!(kv.contains("characterization of KVStore"), "{kv}");
     let pqc = fs::read_to_string(fixture_path("golden_pack_pqc.txt")).expect("pqc fixture");
     assert!(pqc.contains("characterization of PQC"), "{pqc}");
@@ -282,7 +279,10 @@ fn services_validate_gates_the_shipped_directory_and_rejects_corruption() {
     assert_ne!(cache1, bad, "corruption must change the spec");
     fs::write(dir.join("cache1.json"), bad).expect("write corrupt spec");
     let err = run(&args(&["services", "validate", &dir.to_string_lossy()])).unwrap_err();
-    assert_eq!(err, "Cache1: IPC for Memory must be positive and finite, got -0.00");
+    assert_eq!(
+        err,
+        "Cache1: IPC for Memory must be positive and finite, got -0.00"
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -327,7 +327,10 @@ fn a_renamed_case_study_is_an_error_not_a_panic() {
         let mut argv = vec!["--services", dir.as_str()];
         argv.extend_from_slice(cmd);
         let err = run(&args(&argv)).expect_err(&format!("{cmd:?}"));
-        assert!(err.contains("unknown case study 'aes-ni-v2'"), "{cmd:?}: {err}");
+        assert!(
+            err.contains("unknown case study 'aes-ni-v2'"),
+            "{cmd:?}: {err}"
+        );
     }
     fs::remove_dir_all(&dir).ok();
 }
@@ -345,10 +348,9 @@ fn services_list_and_export_round_trip() {
     // Exported files are byte-identical to the shipped ones.
     for slug in ["web", "cache1", "pqc"] {
         let exported = fs::read_to_string(dir.join(format!("{slug}.json"))).expect("exported");
-        let shipped = fs::read_to_string(
-            PathBuf::from(services_dir()).join(format!("{slug}.json")),
-        )
-        .expect("shipped");
+        let shipped =
+            fs::read_to_string(PathBuf::from(services_dir()).join(format!("{slug}.json")))
+                .expect("shipped");
         assert_eq!(exported, shipped, "{slug}");
     }
     fs::remove_dir_all(&dir).ok();

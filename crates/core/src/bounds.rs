@@ -113,7 +113,12 @@ impl BoundReport {
             self.non_kernel_fraction * 100.0
         );
         for (term, fraction) in &self.overhead_terms {
-            let _ = writeln!(out, "  {term}: {:.3}% of C -> {}", fraction * 100.0, term.remedy());
+            let _ = writeln!(
+                out,
+                "  {term}: {:.3}% of C -> {}",
+                fraction * 100.0,
+                term.remedy()
+            );
         }
         out
     }
@@ -219,7 +224,14 @@ mod tests {
     #[test]
     fn transfer_bound_design_is_identified() {
         // Huge L, everything else small: Transfer dominates.
-        let s = scenario(10.0, 50_000.0, 0.0, 100.0, ThreadingDesign::Sync, AccelerationStrategy::OffChip);
+        let s = scenario(
+            10.0,
+            50_000.0,
+            0.0,
+            100.0,
+            ThreadingDesign::Sync,
+            AccelerationStrategy::OffChip,
+        );
         let report = diagnose(&s);
         assert_eq!(dominant_overhead(&report), Some(BoundTerm::Transfer));
         assert!(report.overhead_penalty() > 0.5);
@@ -228,7 +240,14 @@ mod tests {
 
     #[test]
     fn switch_bound_sync_os_is_identified() {
-        let s = scenario(0.0, 100.0, 20_000.0, 100.0, ThreadingDesign::SyncOs, AccelerationStrategy::OffChip);
+        let s = scenario(
+            0.0,
+            100.0,
+            20_000.0,
+            100.0,
+            ThreadingDesign::SyncOs,
+            AccelerationStrategy::OffChip,
+        );
         let report = diagnose(&s);
         assert_eq!(dominant_overhead(&report), Some(BoundTerm::ThreadSwitch));
         assert!(report.render().contains("same-thread"));
@@ -236,7 +255,14 @@ mod tests {
 
     #[test]
     fn sync_low_a_is_accelerator_time_bound() {
-        let s = scenario(0.0, 10.0, 0.0, 1.5, ThreadingDesign::Sync, AccelerationStrategy::OnChip);
+        let s = scenario(
+            0.0,
+            10.0,
+            0.0,
+            1.5,
+            ThreadingDesign::Sync,
+            AccelerationStrategy::OnChip,
+        );
         let report = diagnose(&s);
         assert_eq!(dominant_overhead(&report), Some(BoundTerm::AcceleratorTime));
         // The ceiling for Sync keeps αC/A: it is the Amdahl speedup.
@@ -246,7 +272,14 @@ mod tests {
 
     #[test]
     fn async_design_has_no_accelerator_term() {
-        let s = scenario(50.0, 1_000.0, 0.0, 2.0, ThreadingDesign::AsyncSameThread, AccelerationStrategy::OffChip);
+        let s = scenario(
+            50.0,
+            1_000.0,
+            0.0,
+            2.0,
+            ThreadingDesign::AsyncSameThread,
+            AccelerationStrategy::OffChip,
+        );
         let report = diagnose(&s);
         assert!(report
             .overhead_terms
@@ -258,7 +291,14 @@ mod tests {
 
     #[test]
     fn remote_async_hides_transfer() {
-        let s = scenario(50.0, 1e6, 0.0, 2.0, ThreadingDesign::AsyncNoResponse, AccelerationStrategy::Remote);
+        let s = scenario(
+            50.0,
+            1e6,
+            0.0,
+            2.0,
+            ThreadingDesign::AsyncNoResponse,
+            AccelerationStrategy::Remote,
+        );
         let report = diagnose(&s);
         assert!(report
             .overhead_terms
@@ -269,11 +309,25 @@ mod tests {
 
     #[test]
     fn zero_overhead_design_has_no_penalty() {
-        let s = scenario(0.0, 0.0, 0.0, 8.0, ThreadingDesign::Sync, AccelerationStrategy::OnChip);
+        let s = scenario(
+            0.0,
+            0.0,
+            0.0,
+            8.0,
+            ThreadingDesign::Sync,
+            AccelerationStrategy::OnChip,
+        );
         let report = diagnose(&s);
         assert_eq!(report.overhead_penalty(), 0.0);
         assert!(dominant_overhead(&report).is_some()); // αC/A remains
-        let s2 = scenario(0.0, 0.0, 0.0, 8.0, ThreadingDesign::AsyncSameThread, AccelerationStrategy::OnChip);
+        let s2 = scenario(
+            0.0,
+            0.0,
+            0.0,
+            8.0,
+            ThreadingDesign::AsyncSameThread,
+            AccelerationStrategy::OnChip,
+        );
         assert!(dominant_overhead(&diagnose(&s2)).is_none());
     }
 

@@ -40,7 +40,10 @@ impl fmt::Display for ModelError {
                 write!(f, "granularity distribution has no data points")
             }
             ModelError::NonMonotonicCdf { index } => {
-                write!(f, "cdf is not monotonically non-decreasing at breakpoint {index}")
+                write!(
+                    f,
+                    "cdf is not monotonically non-decreasing at breakpoint {index}"
+                )
             }
             ModelError::Config(msg) => write!(f, "configuration error: {msg}"),
         }
@@ -84,9 +87,15 @@ mod tests {
         assert!(msg.contains("alpha"));
         assert!(msg.contains("1.5"));
 
-        assert!(ModelError::EmptyDistribution.to_string().contains("no data"));
-        assert!(ModelError::NonMonotonicCdf { index: 3 }.to_string().contains('3'));
-        assert!(ModelError::Config("bad json".into()).to_string().contains("bad json"));
+        assert!(ModelError::EmptyDistribution
+            .to_string()
+            .contains("no data"));
+        assert!(ModelError::NonMonotonicCdf { index: 3 }
+            .to_string()
+            .contains('3'));
+        assert!(ModelError::Config("bad json".into())
+            .to_string()
+            .contains("bad json"));
     }
 
     #[test]

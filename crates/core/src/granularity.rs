@@ -371,15 +371,27 @@ mod tests {
         let n_total = 15_008.0;
         // Off-chip Sync: g* = 425 B → n ≈ 9,629.
         let sel = select_lucrative(&cdf, n_total, 0.15, BreakEven::AtLeast(bytes(425.0)));
-        assert!((sel.offloads - 9_629.0).abs() < 60.0, "sync n = {}", sel.offloads);
+        assert!(
+            (sel.offloads - 9_629.0).abs() < 60.0,
+            "sync n = {}",
+            sel.offloads
+        );
         assert!((sel.fraction - 0.642).abs() < 0.005);
         assert!((sel.alpha - 0.0963).abs() < 0.001);
         // Async: g* ≈ 409 B → n ≈ 9,769.
         let sel = select_lucrative(&cdf, n_total, 0.15, BreakEven::AtLeast(bytes(409.2)));
-        assert!((sel.offloads - 9_769.0).abs() < 60.0, "async n = {}", sel.offloads);
+        assert!(
+            (sel.offloads - 9_769.0).abs() < 60.0,
+            "async n = {}",
+            sel.offloads
+        );
         // Sync-OS: g* ≈ 2,456 B → n ≈ 3,986.
         let sel = select_lucrative(&cdf, n_total, 0.15, BreakEven::AtLeast(bytes(2_455.5)));
-        assert!((sel.offloads - 3_986.0).abs() < 60.0, "sync-os n = {}", sel.offloads);
+        assert!(
+            (sel.offloads - 3_986.0).abs() < 60.0,
+            "sync-os n = {}",
+            sel.offloads
+        );
     }
 
     #[test]

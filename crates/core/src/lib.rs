@@ -71,7 +71,6 @@ pub mod units;
 
 pub use bounds::{diagnose, BoundReport, BoundTerm};
 pub use breakeven::{throughput_breakeven, BreakEven, OffloadContext};
-pub use slo::LatencySlo;
 pub use complexity::{Complexity, KernelCost};
 pub use config::{ConfigFile, ScenarioConfig};
 pub use error::{ModelError, Result};
@@ -79,6 +78,7 @@ pub use granularity::{select_lucrative, GranularityCdf, GranularitySampler, Lucr
 pub use model::{estimate, estimate_with_faults, DriverMode, Estimate, Scenario};
 pub use params::{ModelParams, ModelParamsBuilder, OffloadOverheads};
 pub use projection::{project, AcceleratorSpec, KernelProfile, OffloadPolicy, Projection};
+pub use slo::LatencySlo;
 pub use strategy::AccelerationStrategy;
 pub use threading::ThreadingDesign;
 pub use timeline::{Timeline, TimelineSpec};

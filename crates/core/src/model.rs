@@ -207,9 +207,7 @@ pub(crate) fn throughput_overhead_per_offload(
     } else {
         Cycles::ZERO
     };
-    ovh.setup
-        + transfer_on_path
-        + ovh.thread_switch * design.thread_switches_on_throughput_path()
+    ovh.setup + transfer_on_path + ovh.thread_switch * design.thread_switches_on_throughput_path()
 }
 
 /// Per-offload overhead cycles charged to the request-latency path.
@@ -619,8 +617,7 @@ mod tests {
             &load,
         );
         // CS/C = (1 − α) + p_fb·α + (α/A)·E[a] + n·E[a]·13/C
-        let expected =
-            0.6 + 0.25 * 0.4 + 0.1 * 1.5 + 1_000.0 * 1.5 * 13.0 / 1e9;
+        let expected = 0.6 + 0.25 * 0.4 + 0.1 * 1.5 + 1_000.0 * 1.5 * 13.0 / 1e9;
         assert!(
             (est.throughput_speedup - 1.0 / expected).abs() < 1e-12,
             "speedup {} vs {}",

@@ -309,7 +309,10 @@ mod tests {
             .peak_speedup(2.0)
             .build()
             .unwrap_err();
-        assert!(matches!(err, ModelError::InvalidParameter { name: "C", .. }));
+        assert!(matches!(
+            err,
+            ModelError::InvalidParameter { name: "C", .. }
+        ));
     }
 
     #[test]
@@ -338,7 +341,10 @@ mod tests {
             .peak_speedup(0.5)
             .build()
             .unwrap_err();
-        assert!(matches!(err, ModelError::InvalidParameter { name: "A", .. }));
+        assert!(matches!(
+            err,
+            ModelError::InvalidParameter { name: "A", .. }
+        ));
     }
 
     #[test]
@@ -366,7 +372,10 @@ mod tests {
             .queueing_cycles(-1.0)
             .build()
             .unwrap_err();
-        assert!(matches!(err, ModelError::InvalidParameter { name: "Q", .. }));
+        assert!(matches!(
+            err,
+            ModelError::InvalidParameter { name: "Q", .. }
+        ));
     }
 
     #[test]

@@ -281,7 +281,11 @@ mod tests {
             OffloadPolicy::SelectiveLucrative,
         )
         .unwrap();
-        assert!((p.selection.offloads - 3_986.0).abs() < 60.0, "n {}", p.selection.offloads);
+        assert!(
+            (p.selection.offloads - 3_986.0).abs() < 60.0,
+            "n {}",
+            p.selection.offloads
+        );
         assert!(
             (p.estimate.throughput_gain_percent() - 1.6).abs() < 0.2,
             "speedup {}",
@@ -300,7 +304,11 @@ mod tests {
             OffloadPolicy::SelectiveLucrative,
         )
         .unwrap();
-        assert!((p.selection.offloads - 9_769.0).abs() < 60.0, "n {}", p.selection.offloads);
+        assert!(
+            (p.selection.offloads - 9_769.0).abs() < 60.0,
+            "n {}",
+            p.selection.offloads
+        );
         assert!(
             (p.estimate.throughput_gain_percent() - 9.6).abs() < 0.3,
             "speedup {}",
@@ -329,8 +337,13 @@ mod tests {
             peak_speedup: 4.0,
             overheads: OffloadOverheads::NONE,
         };
-        let p = project(&profile, &accel, ThreadingDesign::Sync, OffloadPolicy::OffloadAll)
-            .unwrap();
+        let p = project(
+            &profile,
+            &accel,
+            ThreadingDesign::Sync,
+            OffloadPolicy::OffloadAll,
+        )
+        .unwrap();
         assert!(
             (p.estimate.throughput_gain_percent() - 12.79).abs() < 0.1,
             "speedup {}",
@@ -354,8 +367,13 @@ mod tests {
             peak_speedup: 1.5,
             overheads: OffloadOverheads::NONE,
         };
-        let p = project(&profile, &accel, ThreadingDesign::Sync, OffloadPolicy::OffloadAll)
-            .unwrap();
+        let p = project(
+            &profile,
+            &accel,
+            ThreadingDesign::Sync,
+            OffloadPolicy::OffloadAll,
+        )
+        .unwrap();
         assert!(
             (p.estimate.throughput_gain_percent() - 1.86).abs() < 0.05,
             "speedup {}",
@@ -407,8 +425,13 @@ mod tests {
             OffloadPolicy::SelectiveLucrative,
         )
         .unwrap();
-        let all = project(&profile, &accel, ThreadingDesign::Sync, OffloadPolicy::OffloadAll)
-            .unwrap();
+        let all = project(
+            &profile,
+            &accel,
+            ThreadingDesign::Sync,
+            OffloadPolicy::OffloadAll,
+        )
+        .unwrap();
         assert!(
             selective.estimate.throughput_speedup > all.estimate.throughput_speedup,
             "selective {} vs all {}",
@@ -442,5 +465,4 @@ mod tests {
         .unwrap();
         assert!(all.estimate.throughput_speedup > selective.estimate.throughput_speedup);
     }
-
 }

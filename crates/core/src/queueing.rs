@@ -56,7 +56,11 @@ impl FaultLoad {
 ///
 /// Returns [`crate::ModelError::InvalidParameter`] if `p` is outside
 /// `[0, 1]` or non-finite.
-pub fn fault_load(failure_probability: f64, max_retries: u32, fallback_to_host: bool) -> Result<FaultLoad> {
+pub fn fault_load(
+    failure_probability: f64,
+    max_retries: u32,
+    fallback_to_host: bool,
+) -> Result<FaultLoad> {
     ensure(
         failure_probability.is_finite() && (0.0..=1.0).contains(&failure_probability),
         "failure_probability",

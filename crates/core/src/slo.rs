@@ -271,7 +271,10 @@ mod tests {
             ThreadingDesign::AsyncNoResponse,
             AccelerationStrategy::Remote,
         );
-        assert_eq!(min_peak_speedup(&s, LatencySlo::at_least(1.0).unwrap()), Some(1.0));
+        assert_eq!(
+            min_peak_speedup(&s, LatencySlo::at_least(1.0).unwrap()),
+            Some(1.0)
+        );
     }
 
     #[test]
@@ -288,7 +291,11 @@ mod tests {
             .peak_speedup(1.3)
             .build()
             .unwrap();
-        let s = Scenario::new(params, ThreadingDesign::SyncOs, AccelerationStrategy::Remote);
+        let s = Scenario::new(
+            params,
+            ThreadingDesign::SyncOs,
+            AccelerationStrategy::Remote,
+        );
         let est = s.estimate();
         assert!(est.improves_throughput(), "throughput {:?}", est);
         assert!(!est.reduces_latency(), "latency {:?}", est);

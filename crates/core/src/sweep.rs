@@ -96,10 +96,7 @@ pub fn sweep(base: &Scenario, axis: SweepAxis, values: &[f64]) -> Result<Vec<Swe
 /// scale with cores while staying byte-identical to a sequential
 /// evaluation.
 #[must_use]
-pub fn estimate_batch_with(
-    pool: &crate::exec::ExecPool,
-    scenarios: &[Scenario],
-) -> Vec<Estimate> {
+pub fn estimate_batch_with(pool: &crate::exec::ExecPool, scenarios: &[Scenario]) -> Vec<Estimate> {
     pool.map(scenarios, |_, s| s.estimate())
 }
 

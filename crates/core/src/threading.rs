@@ -128,7 +128,10 @@ mod tests {
     #[test]
     fn switch_counts_match_paper_equations() {
         // Eqn (3): Sync-OS pays 2*o1 on the throughput path.
-        assert_eq!(ThreadingDesign::SyncOs.thread_switches_on_throughput_path(), 2.0);
+        assert_eq!(
+            ThreadingDesign::SyncOs.thread_switches_on_throughput_path(),
+            2.0
+        );
         // §3 "(2) Asynchronous": distinct response thread pays a single o1.
         assert_eq!(
             ThreadingDesign::AsyncDistinctThread.thread_switches_on_throughput_path(),
@@ -139,7 +142,10 @@ mod tests {
             ThreadingDesign::AsyncSameThread.thread_switches_on_throughput_path(),
             0.0
         );
-        assert_eq!(ThreadingDesign::Sync.thread_switches_on_throughput_path(), 0.0);
+        assert_eq!(
+            ThreadingDesign::Sync.thread_switches_on_throughput_path(),
+            0.0
+        );
         assert_eq!(
             ThreadingDesign::AsyncNoResponse.thread_switches_on_throughput_path(),
             0.0
@@ -149,7 +155,10 @@ mod tests {
     #[test]
     fn latency_switch_counts_match_eqn_5() {
         // Eqn (5): Sync-OS latency accounts for a single o1.
-        assert_eq!(ThreadingDesign::SyncOs.thread_switches_on_latency_path(), 1.0);
+        assert_eq!(
+            ThreadingDesign::SyncOs.thread_switches_on_latency_path(),
+            1.0
+        );
         assert_eq!(
             ThreadingDesign::AsyncDistinctThread.thread_switches_on_latency_path(),
             1.0

@@ -162,15 +162,35 @@ impl Timeline {
         // Host: setup, then design-specific behaviour.
         let t_setup_end = push(Lane::Host, Cycles::ZERO, ovh.setup, Activity::Setup);
         // Interface: transfer then queueing, starting when setup completes.
-        let t_transfer_end = push(Lane::Interface, t_setup_end, ovh.interface, Activity::Transfer);
-        let t_queue_end = push(Lane::Interface, t_transfer_end, ovh.queueing, Activity::Queue);
+        let t_transfer_end = push(
+            Lane::Interface,
+            t_setup_end,
+            ovh.interface,
+            Activity::Transfer,
+        );
+        let t_queue_end = push(
+            Lane::Interface,
+            t_transfer_end,
+            ovh.queueing,
+            Activity::Queue,
+        );
         // Accelerator: executes after the data arrives and the queue drains.
-        let t_accel_end = push(Lane::Accelerator, t_queue_end, accel_time, Activity::AcceleratorExec);
+        let t_accel_end = push(
+            Lane::Accelerator,
+            t_queue_end,
+            accel_time,
+            Activity::AcceleratorExec,
+        );
 
         match spec.design {
             ThreadingDesign::Sync => {
                 // Fig. 12: the core blocks until the accelerator responds.
-                push(Lane::Host, t_setup_end, t_accel_end - t_setup_end, Activity::Blocked);
+                push(
+                    Lane::Host,
+                    t_setup_end,
+                    t_accel_end - t_setup_end,
+                    Activity::Blocked,
+                );
             }
             ThreadingDesign::SyncOs => {
                 // Fig. 13: possibly await the ack, switch away, run another
@@ -293,10 +313,7 @@ mod tests {
             .collect();
         assert_eq!(blocked.len(), 1);
         // The blocked window covers the accelerator's execution.
-        let accel = t
-            .lane(Lane::Accelerator)
-            .next()
-            .expect("accelerator runs");
+        let accel = t.lane(Lane::Accelerator).next().expect("accelerator runs");
         assert!(blocked[0].start <= accel.start && blocked[0].end >= accel.end);
     }
 
@@ -311,9 +328,7 @@ mod tests {
         // Host overhead = o0 + (L+Q ack wait) + 2*o1 = 100 + 350 + 400.
         assert!((t.host_overhead_cycles().get() - 850.0).abs() < 1e-9);
         // Useful work overlaps the accelerator execution.
-        assert!(t
-            .lane(Lane::Host)
-            .any(|s| s.activity == Activity::HostWork));
+        assert!(t.lane(Lane::Host).any(|s| s.activity == Activity::HostWork));
     }
 
     #[test]

@@ -255,7 +255,9 @@ mod tests {
 
     #[test]
     fn sum_of_quantities() {
-        let total: Cycles = [Cycles::new(1.0), Cycles::new(2.0), Cycles::new(3.0)].into_iter().sum();
+        let total: Cycles = [Cycles::new(1.0), Cycles::new(2.0), Cycles::new(3.0)]
+            .into_iter()
+            .sum();
         assert_eq!(total.get(), 6.0);
     }
 

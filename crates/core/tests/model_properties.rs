@@ -8,9 +8,9 @@
 
 use accelerometer::units::{bytes, cycles_per_byte};
 use accelerometer::{
-    amdahl, estimate, throughput_breakeven, AccelerationStrategy, BreakEven,
-    Complexity, DriverMode, GranularityCdf, KernelCost, ModelParams, OffloadContext,
-    OffloadOverheads, Scenario, ThreadingDesign,
+    amdahl, estimate, throughput_breakeven, AccelerationStrategy, BreakEven, Complexity,
+    DriverMode, GranularityCdf, KernelCost, ModelParams, OffloadContext, OffloadOverheads,
+    Scenario, ThreadingDesign,
 };
 use proptest::prelude::*;
 
@@ -23,14 +23,14 @@ fn design_strategy() -> impl Strategy<Value = (ThreadingDesign, AccelerationStra
 
 fn params_strategy() -> impl Strategy<Value = ModelParams> {
     (
-        1e8..1e10_f64,     // C
-        0.001..0.9_f64,    // alpha
-        1.0..1e6_f64,      // n
-        0.0..1e4_f64,      // o0
-        0.0..1e4_f64,      // L
-        0.0..1e4_f64,      // Q
-        0.0..2e4_f64,      // o1
-        1.0..100.0_f64,    // A
+        1e8..1e10_f64,  // C
+        0.001..0.9_f64, // alpha
+        1.0..1e6_f64,   // n
+        0.0..1e4_f64,   // o0
+        0.0..1e4_f64,   // L
+        0.0..1e4_f64,   // Q
+        0.0..2e4_f64,   // o1
+        1.0..100.0_f64, // A
     )
         .prop_map(|(c, alpha, n, o0, l, q, o1, a)| {
             ModelParams::builder()
@@ -47,7 +47,11 @@ fn params_strategy() -> impl Strategy<Value = ModelParams> {
         })
 }
 
-fn rebuild_with(params: &ModelParams, f: impl FnOnce(OffloadOverheads) -> OffloadOverheads, a: Option<f64>) -> ModelParams {
+fn rebuild_with(
+    params: &ModelParams,
+    f: impl FnOnce(OffloadOverheads) -> OffloadOverheads,
+    a: Option<f64>,
+) -> ModelParams {
     let ovh = f(params.overheads());
     ModelParams::builder()
         .host_cycles(params.host_cycles().get())
@@ -259,4 +263,3 @@ proptest! {
         }
     }
 }
-

@@ -227,10 +227,14 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(BreakdownError::BadTotal { total: 99.0 }.to_string().contains("99"));
+        assert!(BreakdownError::BadTotal { total: 99.0 }
+            .to_string()
+            .contains("99"));
         assert!(BreakdownError::InvalidPercent { value: -1.0 }
             .to_string()
             .contains("-1"));
-        assert!(BreakdownError::DuplicateCategory.to_string().contains("duplicate"));
+        assert!(BreakdownError::DuplicateCategory
+            .to_string()
+            .contains("duplicate"));
     }
 }

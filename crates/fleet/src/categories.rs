@@ -252,7 +252,10 @@ mod tests {
     #[test]
     fn display_uses_figure_labels() {
         assert_eq!(MemoryOp::Copy.to_string(), "Memory-Copy");
-        assert_eq!(SyncPrimitive::CompareExchange.to_string(), "Compare-Exchange-Swap");
+        assert_eq!(
+            SyncPrimitive::CompareExchange.to_string(),
+            "Compare-Exchange-Swap"
+        );
         assert_eq!(
             FunctionalityCategory::SecureInsecureIo.to_string(),
             "Secure + Insecure IO"

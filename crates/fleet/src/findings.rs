@@ -67,21 +67,20 @@ pub const FINDINGS: [Finding; 10] = [
         id: "compression",
         finding: "High compression overhead",
         sections: "§2.3, §2.4",
-        opportunity:
-            "Bit-Plane Compression, Buddy compression, dedicated compression hardware",
+        opportunity: "Bit-Plane Compression, Buddy compression, dedicated compression hardware",
     },
     Finding {
         id: "cache-sync",
         finding: "Cache synchronizes frequently",
         sections: "§2.3, §2.3.3",
-        opportunity:
-            "Better thread pool tuning and scheduling, Intel's TSX, coalesce I/O, vDSO",
+        opportunity: "Better thread pool tuning and scheduling, Intel's TSX, coalesce I/O, vDSO",
     },
     Finding {
         id: "event-notification",
         finding: "High event notification overhead",
         sections: "§2.3.2",
-        opportunity: "RDMA-style notification, hardware support for notifications, spin vs. block hybrids",
+        opportunity:
+            "RDMA-style notification, hardware support for notifications, spin vs. block hybrids",
     },
 ];
 

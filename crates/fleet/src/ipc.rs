@@ -119,7 +119,10 @@ mod tests {
             if cat == LeafCategory::CLibraries {
                 assert!(scaling > 1.2);
             } else {
-                assert!(scaling < 1.12, "{cat:?} GenB→GenC gain too large: {scaling}");
+                assert!(
+                    scaling < 1.12,
+                    "{cat:?} GenB→GenC gain too large: {scaling}"
+                );
             }
         }
     }
@@ -130,7 +133,9 @@ mod tests {
         let io = cache1_functionality(FunctionalityCategory::SecureInsecureIo).unwrap();
         let kernel = cache1_leaf(LeafCategory::Kernel).unwrap();
         for generation in CpuGeneration::ALL {
-            assert!((io.for_generation(generation) - kernel.for_generation(generation)).abs() < 0.1);
+            assert!(
+                (io.for_generation(generation) - kernel.for_generation(generation)).abs() < 0.1
+            );
         }
         assert!(total_scaling(&io) < 1.1);
     }

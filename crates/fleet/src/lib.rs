@@ -53,9 +53,6 @@ pub use params::{
 };
 pub use platform::{CpuGeneration, CpuPlatform, ALL_PLATFORMS, GEN_A, GEN_B, GEN_C_18, GEN_C_20};
 pub use registry::{
-    current_registry, set_active_registry, FleetError, ServiceRegistry, ServiceSpec,
-    SCHEMA_VERSION,
+    current_registry, set_active_registry, FleetError, ServiceRegistry, ServiceSpec, SCHEMA_VERSION,
 };
-pub use services::{
-    profile, ServiceDomain, ServiceId, ServiceProfile, ServiceRates,
-};
+pub use services::{profile, ServiceDomain, ServiceId, ServiceProfile, ServiceRates};

@@ -179,11 +179,22 @@ mod tests {
         assert!((p.breakeven.threshold().unwrap().get() - 425.0).abs() < 1.0);
         assert!((p.selection.offloads - 9_629.0).abs() < 60.0);
         let sync_os = &rec.configs[2];
-        let p = project(&rec.profile, &sync_os.accelerator, sync_os.design, sync_os.policy).unwrap();
+        let p = project(
+            &rec.profile,
+            &sync_os.accelerator,
+            sync_os.design,
+            sync_os.policy,
+        )
+        .unwrap();
         assert!((p.selection.offloads - 3_986.0).abs() < 60.0);
         let async_cfg = &rec.configs[3];
-        let p = project(&rec.profile, &async_cfg.accelerator, async_cfg.design, async_cfg.policy)
-            .unwrap();
+        let p = project(
+            &rec.profile,
+            &async_cfg.accelerator,
+            async_cfg.design,
+            async_cfg.policy,
+        )
+        .unwrap();
         assert!((p.selection.offloads - 9_769.0).abs() < 60.0);
     }
 
@@ -211,14 +222,18 @@ mod tests {
     fn case_study_threading_covers_all_three_designs() {
         // §4: "With these studies, we validate all three microservice
         // threading scenarios."
-        let designs: Vec<ThreadingDesign> =
-            all_case_studies().iter().map(|c| c.scenario.design).collect();
+        let designs: Vec<ThreadingDesign> = all_case_studies()
+            .iter()
+            .map(|c| c.scenario.design)
+            .collect();
         assert!(designs.contains(&ThreadingDesign::Sync));
         assert!(designs.contains(&ThreadingDesign::AsyncNoResponse));
         assert!(designs.contains(&ThreadingDesign::AsyncDistinctThread));
         // And all three strategies.
-        let strategies: Vec<AccelerationStrategy> =
-            all_case_studies().iter().map(|c| c.scenario.strategy).collect();
+        let strategies: Vec<AccelerationStrategy> = all_case_studies()
+            .iter()
+            .map(|c| c.scenario.strategy)
+            .collect();
         assert_eq!(strategies.len(), 3);
         assert!(strategies.contains(&AccelerationStrategy::OnChip));
         assert!(strategies.contains(&AccelerationStrategy::OffChip));

@@ -19,8 +19,11 @@ pub enum CpuGeneration {
 
 impl CpuGeneration {
     /// All generations, oldest first.
-    pub const ALL: [CpuGeneration; 3] =
-        [CpuGeneration::GenA, CpuGeneration::GenB, CpuGeneration::GenC];
+    pub const ALL: [CpuGeneration; 3] = [
+        CpuGeneration::GenA,
+        CpuGeneration::GenB,
+        CpuGeneration::GenC,
+    ];
 
     /// The microarchitecture name.
     #[must_use]

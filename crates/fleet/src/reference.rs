@@ -113,11 +113,10 @@ pub fn leaf_breakdown(workload: ReferenceWorkload) -> Breakdown<L> {
 #[must_use]
 pub fn memory_breakdown(workload: ReferenceWorkload) -> Breakdown<MemoryOp> {
     match workload {
-        ReferenceWorkload::Google => Breakdown::partial(vec![
-            (MemoryOp::Copy, 38.0),
-            (MemoryOp::Allocation, 62.0),
-        ])
-        .expect("static partial breakdown is valid"),
+        ReferenceWorkload::Google => {
+            Breakdown::partial(vec![(MemoryOp::Copy, 38.0), (MemoryOp::Allocation, 62.0)])
+                .expect("static partial breakdown is valid")
+        }
         ReferenceWorkload::Perlbench => bd(&[
             (MemoryOp::Copy, 38.0),
             (MemoryOp::Free, 32.0),
@@ -193,7 +192,10 @@ mod tests {
             .iter()
             .map(|&id| profile(id).leaves.percent(L::Kernel))
             .fold(0.0, f64::max);
-        for w in ReferenceWorkload::ALL.into_iter().filter(|&w| w != ReferenceWorkload::Google) {
+        for w in ReferenceWorkload::ALL
+            .into_iter()
+            .filter(|&w| w != ReferenceWorkload::Google)
+        {
             assert!(leaf_breakdown(w).percent(L::Kernel) < fb_kernel_max / 4.0);
         }
     }
@@ -215,7 +217,10 @@ mod tests {
         // Copy ≈ 5% of total cycles over a 13% memory net ≈ 38% share.
         let copy_total = g.fraction(MemoryOp::Copy)
             * leaf_breakdown(ReferenceWorkload::Google).fraction(L::Memory);
-        assert!((copy_total - 0.05).abs() < 0.005, "google copy {copy_total}");
+        assert!(
+            (copy_total - 0.05).abs() < 0.005,
+            "google copy {copy_total}"
+        );
         // "Google's services incur a slightly greater allocation overhead."
         assert!(g.percent(MemoryOp::Allocation) > g.percent(MemoryOp::Copy));
     }
@@ -233,11 +238,16 @@ mod tests {
     fn omnetpp_allocates_most_of_spec() {
         // §2.3.1: "471.omnetpp spends the most cycles on allocation (~5%)".
         let total_alloc = |w: ReferenceWorkload| {
-            memory_breakdown(w).fraction(MemoryOp::Allocation) * leaf_breakdown(w).fraction(L::Memory)
+            memory_breakdown(w).fraction(MemoryOp::Allocation)
+                * leaf_breakdown(w).fraction(L::Memory)
         };
         let omnetpp = total_alloc(ReferenceWorkload::Omnetpp);
         assert!((omnetpp - 0.05).abs() < 0.005, "omnetpp alloc {omnetpp}");
-        for w in [ReferenceWorkload::Perlbench, ReferenceWorkload::Gcc, ReferenceWorkload::Astar] {
+        for w in [
+            ReferenceWorkload::Perlbench,
+            ReferenceWorkload::Gcc,
+            ReferenceWorkload::Astar,
+        ] {
             assert!(total_alloc(w) < omnetpp, "{w:?}");
         }
     }

@@ -309,9 +309,11 @@ fn check_breakdown<C: Copy + PartialEq>(
     }
     // Re-run the constructor invariants the serde derive bypassed.
     Breakdown::complete(b.iter().collect()).map_err(|e| match e {
-        crate::breakdown::BreakdownError::BadTotal { total } => {
-            FleetError::BreakdownTotal { service, field, total }
-        }
+        crate::breakdown::BreakdownError::BadTotal { total } => FleetError::BreakdownTotal {
+            service,
+            field,
+            total,
+        },
         other => FleetError::BreakdownEntry {
             service,
             field,
@@ -328,9 +330,11 @@ fn check_cdf(
 ) -> Result<(), FleetError> {
     GranularityCdf::from_points(cdf.points().to_vec()).map_err(|e| match e {
         ModelError::EmptyDistribution => FleetError::EmptyCdf { service, field },
-        ModelError::NonMonotonicCdf { index } => {
-            FleetError::NonMonotoneCdf { service, field, index }
-        }
+        ModelError::NonMonotonicCdf { index } => FleetError::NonMonotoneCdf {
+            service,
+            field,
+            index,
+        },
         other => FleetError::Parse {
             path: format!("{service}/{field}"),
             message: other.to_string(),
@@ -356,13 +360,13 @@ fn check_ipc_scaling(
     Ok(())
 }
 
-fn check_rate(
-    service: ServiceId,
-    field: &'static str,
-    value: f64,
-) -> Result<(), FleetError> {
+fn check_rate(service: ServiceId, field: &'static str, value: f64) -> Result<(), FleetError> {
     if !(value.is_finite() && value >= 0.0) {
-        return Err(FleetError::NegativeRate { service, field, value });
+        return Err(FleetError::NegativeRate {
+            service,
+            field,
+            value,
+        });
     }
     Ok(())
 }
@@ -376,7 +380,11 @@ fn check_param(
     if value.is_finite() && ok {
         Ok(())
     } else {
-        Err(FleetError::InvalidModelParam { service, field, value })
+        Err(FleetError::InvalidModelParam {
+            service,
+            field,
+            value,
+        })
     }
 }
 
@@ -403,7 +411,11 @@ impl ServiceSpec {
         check_breakdown(id, "kernel_ops", &p.kernel_ops)?;
         check_breakdown(id, "sync_ops", &p.sync_ops)?;
         check_breakdown(id, "clib_ops", &p.clib_ops)?;
-        check_rate(id, "compressions_per_second", p.rates.compressions_per_second)?;
+        check_rate(
+            id,
+            "compressions_per_second",
+            p.rates.compressions_per_second,
+        )?;
         check_rate(id, "copies_per_second", p.rates.copies_per_second)?;
         check_rate(id, "allocations_per_second", p.rates.allocations_per_second)?;
         check_rate(id, "encryptions_per_second", p.rates.encryptions_per_second)?;
@@ -438,15 +450,37 @@ impl ServiceSpec {
                 check_cdf(id, "case_study.granularity", g)?;
             }
             let params = &study.scenario.params;
-            check_param(id, "case_study.host_cycles", params.host_cycles().get(),
-                params.host_cycles().get() > 0.0)?;
+            check_param(
+                id,
+                "case_study.host_cycles",
+                params.host_cycles().get(),
+                params.host_cycles().get() > 0.0,
+            )?;
             let alpha = params.kernel_fraction();
-            check_param(id, "case_study.kernel_fraction", alpha, alpha > 0.0 && alpha < 1.0)?;
-            check_param(id, "case_study.offloads", params.offloads(), params.offloads() >= 0.0)?;
-            check_param(id, "case_study.peak_speedup", params.peak_speedup(),
-                params.peak_speedup() > 0.0)?;
-            check_param(id, "case_study.cycles_per_byte", study.cycles_per_byte,
-                study.cycles_per_byte > 0.0)?;
+            check_param(
+                id,
+                "case_study.kernel_fraction",
+                alpha,
+                alpha > 0.0 && alpha < 1.0,
+            )?;
+            check_param(
+                id,
+                "case_study.offloads",
+                params.offloads(),
+                params.offloads() >= 0.0,
+            )?;
+            check_param(
+                id,
+                "case_study.peak_speedup",
+                params.peak_speedup(),
+                params.peak_speedup() > 0.0,
+            )?;
+            check_param(
+                id,
+                "case_study.cycles_per_byte",
+                study.cycles_per_byte,
+                study.cycles_per_byte > 0.0,
+            )?;
         }
         for entry in &self.recommendations {
             let rec = &entry.recommendation;
@@ -459,12 +493,25 @@ impl ServiceSpec {
             }
             check_cdf(id, "recommendation.granularity", &rec.profile.granularity)?;
             let alpha = rec.profile.kernel_fraction;
-            check_param(id, "recommendation.kernel_fraction", alpha, alpha > 0.0 && alpha < 1.0)?;
-            check_param(id, "recommendation.total_offloads", rec.profile.total_offloads,
-                rec.profile.total_offloads >= 0.0)?;
+            check_param(
+                id,
+                "recommendation.kernel_fraction",
+                alpha,
+                alpha > 0.0 && alpha < 1.0,
+            )?;
+            check_param(
+                id,
+                "recommendation.total_offloads",
+                rec.profile.total_offloads,
+                rec.profile.total_offloads >= 0.0,
+            )?;
             for cfg in &rec.configs {
-                check_param(id, "recommendation.peak_speedup", cfg.accelerator.peak_speedup,
-                    cfg.accelerator.peak_speedup > 0.0)?;
+                check_param(
+                    id,
+                    "recommendation.peak_speedup",
+                    cfg.accelerator.peak_speedup,
+                    cfg.accelerator.peak_speedup > 0.0,
+                )?;
             }
         }
         Ok(())
@@ -620,7 +667,10 @@ impl ServiceRegistry {
         let mut entries: Vec<&RecommendationEntry> =
             self.specs.iter().flat_map(|s| &s.recommendations).collect();
         entries.sort_by_key(|e| e.order);
-        entries.into_iter().map(|e| e.recommendation.clone()).collect()
+        entries
+            .into_iter()
+            .map(|e| e.recommendation.clone())
+            .collect()
     }
 
     /// The services whose specs were loaded from files (the rest are the
@@ -739,9 +789,7 @@ static ACTIVE: RwLock<Option<Arc<ServiceRegistry>>> = RwLock::new(None);
 /// that [`current_registry`] returns in place of the builtin one.
 /// Returns the previously installed registry. Only the benchmark harness
 /// still calls this; the next benchmark change deletes it.
-pub fn set_active_registry(
-    registry: Option<Arc<ServiceRegistry>>,
-) -> Option<Arc<ServiceRegistry>> {
+pub fn set_active_registry(registry: Option<Arc<ServiceRegistry>>) -> Option<Arc<ServiceRegistry>> {
     let mut guard = ACTIVE.write().unwrap_or_else(PoisonError::into_inner);
     std::mem::replace(&mut *guard, registry)
 }

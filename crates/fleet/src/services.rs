@@ -84,8 +84,7 @@ impl ServiceId {
     /// The three workload packs shipped as data files under
     /// `configs/services/` (derived from the AI Tax / Data Center Tax
     /// breakdowns, not measured in the paper).
-    pub const PACKS: [ServiceId; 3] =
-        [ServiceId::AiInference, ServiceId::Kvstore, ServiceId::Pqc];
+    pub const PACKS: [ServiceId; 3] = [ServiceId::AiInference, ServiceId::Kvstore, ServiceId::Pqc];
 
     /// The service domain (§2.1 groups the seven services into four;
     /// the workload packs add three more).
@@ -249,7 +248,11 @@ mod tests {
 
     /// The category with the largest share.
     fn dominant<C: Copy + PartialEq>(breakdown: &Breakdown<C>) -> C {
-        breakdown.iter().max_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty").0
+        breakdown
+            .iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty")
+            .0
     }
 
     #[test]
@@ -281,10 +284,15 @@ mod tests {
     fn inference_fractions_span_the_paper_bounds() {
         // §2.4: inference services spend "as few as 33%" of cycles on ML
         // inference, yielding 1.49×–2.38× ideal gains.
-        let fractions: Vec<f64> = [ServiceId::Feed1, ServiceId::Feed2, ServiceId::Ads1, ServiceId::Ads2]
-            .iter()
-            .map(|&id| profile(id).functionality.fraction(F::PredictionRanking))
-            .collect();
+        let fractions: Vec<f64> = [
+            ServiceId::Feed1,
+            ServiceId::Feed2,
+            ServiceId::Ads1,
+            ServiceId::Ads2,
+        ]
+        .iter()
+        .map(|&id| profile(id).functionality.fraction(F::PredictionRanking))
+        .collect();
         let min = fractions.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = fractions.iter().cloned().fold(0.0, f64::max);
         assert_eq!(min, 0.33);
@@ -344,7 +352,9 @@ mod tests {
     fn caches_have_high_io_and_kernel() {
         // Abstract: caching services spend up to 52% of cycles in I/O.
         assert_eq!(
-            profile(ServiceId::Cache2).functionality.percent(F::SecureInsecureIo),
+            profile(ServiceId::Cache2)
+                .functionality
+                .percent(F::SecureInsecureIo),
             52.0
         );
         // §2.3: Cache1/Cache2 spend more cycles in the kernel.
@@ -364,7 +374,10 @@ mod tests {
             assert_eq!(dominant(&p.sync_ops), SyncPrimitive::SpinLock, "{id}");
         }
         // Non-cache services don't.
-        assert_ne!(dominant(&profile(ServiceId::Web).sync_ops), SyncPrimitive::SpinLock);
+        assert_ne!(
+            dominant(&profile(ServiceId::Web).sync_ops),
+            SyncPrimitive::SpinLock
+        );
     }
 
     #[test]
@@ -414,7 +427,12 @@ mod tests {
     fn platform_assignment_matches_section_2_2() {
         // Web, Feed1, Feed2, Ads1 on the 18-core Skylake; Ads2, Cache1,
         // Cache2 on the 20-core.
-        for id in [ServiceId::Web, ServiceId::Feed1, ServiceId::Feed2, ServiceId::Ads1] {
+        for id in [
+            ServiceId::Web,
+            ServiceId::Feed1,
+            ServiceId::Feed2,
+            ServiceId::Ads1,
+        ] {
             assert_eq!(profile(id).platform.cores_per_socket, 18, "{id}");
         }
         for id in [ServiceId::Ads2, ServiceId::Cache1, ServiceId::Cache2] {
@@ -435,10 +453,15 @@ mod tests {
     fn ml_services_orchestrate_42_to_67_percent() {
         // §2.4: the inference services consume "42% - 67% of cycles in
         // orchestrating inference".
-        let orch: Vec<f64> = [ServiceId::Feed1, ServiceId::Feed2, ServiceId::Ads1, ServiceId::Ads2]
-            .iter()
-            .map(|&id| profile(id).orchestration_percent())
-            .collect();
+        let orch: Vec<f64> = [
+            ServiceId::Feed1,
+            ServiceId::Feed2,
+            ServiceId::Ads1,
+            ServiceId::Ads2,
+        ]
+        .iter()
+        .map(|&id| profile(id).orchestration_percent())
+        .collect();
         let min = orch.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = orch.iter().cloned().fold(0.0, f64::max);
         assert!((min - 42.0).abs() < 1e-9, "min orchestration {min}");
@@ -452,7 +475,10 @@ mod tests {
             .iter()
             .filter(|&&id| profile(id).orchestration_percent() > 50.0)
             .count();
-        assert!(dominated >= 4, "only {dominated} services orchestration-dominated");
+        assert!(
+            dominated >= 4,
+            "only {dominated} services orchestration-dominated"
+        );
     }
 
     #[test]

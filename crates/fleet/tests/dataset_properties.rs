@@ -25,7 +25,10 @@ fn leaf_and_functionality_views_are_both_complete_accounts() {
     // each must account for 100% of them.
     for id in ServiceId::ALL {
         let p = profile(id);
-        assert!((p.leaves.total_percent() - 100.0).abs() < 0.5, "{id} leaves");
+        assert!(
+            (p.leaves.total_percent() - 100.0).abs() < 0.5,
+            "{id} leaves"
+        );
         assert!(
             (p.functionality.total_percent() - 100.0).abs() < 0.5,
             "{id} functionality"

@@ -8,12 +8,12 @@
 use std::fs;
 
 use accelerometer::GranularityCdf;
+use accelerometer_fleet::services::ServiceRates;
+use accelerometer_fleet::ALL_PLATFORMS;
 use accelerometer_fleet::{
     Breakdown, CLibOp, CopyOrigin, FunctionalityCategory, KernelOp, LeafCategory, MemoryOp,
     ServiceId, ServiceProfile, ServiceRegistry, ServiceSpec, SyncPrimitive,
 };
-use accelerometer_fleet::services::ServiceRates;
-use accelerometer_fleet::ALL_PLATFORMS;
 use proptest::prelude::*;
 
 /// A complete breakdown over all of `C`'s categories with arbitrary
@@ -171,7 +171,11 @@ fn registry_loaded_from_exported_files_matches_builtin_profiles() {
     for id in ServiceId::ALL {
         // The file-driven profile is the builtin profile, exactly —
         // this is what makes the `--services` path byte-identical.
-        assert_eq!(registry.profile(id), accelerometer_fleet::profile(id), "{id}");
+        assert_eq!(
+            registry.profile(id),
+            accelerometer_fleet::profile(id),
+            "{id}"
+        );
         assert_eq!(registry.spec(id), builtin.spec(id), "{id}");
     }
     assert_eq!(

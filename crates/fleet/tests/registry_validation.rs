@@ -68,7 +68,11 @@ fn breakdown_not_summing_to_100_is_rejected() {
     let bumped = first[1].as_f64().expect("percent") + 50.0;
     first[1] = number(bumped);
     match validate(&v) {
-        Err(FleetError::BreakdownTotal { service, field, total }) => {
+        Err(FleetError::BreakdownTotal {
+            service,
+            field,
+            total,
+        }) => {
             assert_eq!(service, ServiceId::Web);
             assert_eq!(field, "functionality");
             assert!((total - 150.0).abs() < 1e-9, "total {total}");
@@ -181,7 +185,11 @@ fn out_of_range_case_study_parameter_is_rejected() {
     let params = get_mut(get_mut(study, "scenario"), "params");
     *get_mut(params, "kernel_fraction") = number(1.5);
     match validate(&v) {
-        Err(FleetError::InvalidModelParam { service, field, value }) => {
+        Err(FleetError::InvalidModelParam {
+            service,
+            field,
+            value,
+        }) => {
             assert_eq!(service, ServiceId::Cache1);
             assert_eq!(field, "case_study.kernel_fraction");
             assert_eq!(value, 1.5);
@@ -206,10 +214,7 @@ fn foreign_case_study_is_rejected() {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "accel-registry-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("accel-registry-{tag}-{}", std::process::id()));
     fs::remove_dir_all(&dir).ok();
     fs::create_dir_all(&dir).expect("temp dir");
     dir
@@ -256,7 +261,10 @@ fn every_error_renders_a_useful_message() {
         total: 98.0,
     }
     .to_string();
-    assert!(msg.contains("Web") && msg.contains("leaves") && msg.contains("98"), "{msg}");
+    assert!(
+        msg.contains("Web") && msg.contains("leaves") && msg.contains("98"),
+        "{msg}"
+    );
     let msg = FleetError::NonMonotoneCdf {
         service: ServiceId::Pqc,
         field: "copy_granularity",
@@ -265,8 +273,7 @@ fn every_error_renders_a_useful_message() {
     .to_string();
     assert!(msg.contains("PQC") && msg.contains("knot 3"), "{msg}");
     // FleetError is a real std error (boxable, source-chainable).
-    let boxed: Box<dyn std::error::Error> =
-        Box::new(FleetError::UnsupportedSchema { found: 2 });
+    let boxed: Box<dyn std::error::Error> = Box::new(FleetError::UnsupportedSchema { found: 2 });
     assert!(boxed.to_string().contains("schema version 2"), "{boxed}");
 }
 
@@ -278,8 +285,14 @@ fn valid_spec_loads_and_replaces_only_that_service() {
     let registry = ServiceRegistry::load_path(&path).expect("valid spec loads");
     assert_eq!(registry.loaded_services(), [ServiceId::Pqc]);
     let builtin = ServiceRegistry::builtin();
-    assert_eq!(registry.profile(ServiceId::Pqc), builtin.profile(ServiceId::Pqc));
+    assert_eq!(
+        registry.profile(ServiceId::Pqc),
+        builtin.profile(ServiceId::Pqc)
+    );
     // The other ten services fall back to their builtin specs.
-    assert_eq!(registry.profile(ServiceId::Web), builtin.profile(ServiceId::Web));
+    assert_eq!(
+        registry.profile(ServiceId::Web),
+        builtin.profile(ServiceId::Web)
+    );
     fs::remove_dir_all(&dir).ok();
 }

@@ -21,7 +21,10 @@ fn shipped_directory_holds_exactly_the_known_services() {
         .filter_map(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
         .collect();
     stems.sort();
-    let mut expected: Vec<String> = ServiceId::ALL.iter().map(|id| id.slug().to_owned()).collect();
+    let mut expected: Vec<String> = ServiceId::ALL
+        .iter()
+        .map(|id| id.slug().to_owned())
+        .collect();
     expected.sort();
     assert_eq!(stems, expected);
 }

@@ -13,21 +13,18 @@
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-    0xc67178f2,
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
 const H0: [u32; 8] = [
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-    0x5be0cd19,
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
 /// One round of the compression function. The caller rotates the
@@ -99,13 +96,83 @@ macro_rules! rounds8 {
     (first16, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
      $w:ident, $t:expr) => {
         round!($a, $b, $c, $d, $e, $f, $g, $h, $w[$t].wrapping_add(K[$t]));
-        round!($h, $a, $b, $c, $d, $e, $f, $g, $w[$t + 1].wrapping_add(K[$t + 1]));
-        round!($g, $h, $a, $b, $c, $d, $e, $f, $w[$t + 2].wrapping_add(K[$t + 2]));
-        round!($f, $g, $h, $a, $b, $c, $d, $e, $w[$t + 3].wrapping_add(K[$t + 3]));
-        round!($e, $f, $g, $h, $a, $b, $c, $d, $w[$t + 4].wrapping_add(K[$t + 4]));
-        round!($d, $e, $f, $g, $h, $a, $b, $c, $w[$t + 5].wrapping_add(K[$t + 5]));
-        round!($c, $d, $e, $f, $g, $h, $a, $b, $w[$t + 6].wrapping_add(K[$t + 6]));
-        round!($b, $c, $d, $e, $f, $g, $h, $a, $w[$t + 7].wrapping_add(K[$t + 7]));
+        round!(
+            $h,
+            $a,
+            $b,
+            $c,
+            $d,
+            $e,
+            $f,
+            $g,
+            $w[$t + 1].wrapping_add(K[$t + 1])
+        );
+        round!(
+            $g,
+            $h,
+            $a,
+            $b,
+            $c,
+            $d,
+            $e,
+            $f,
+            $w[$t + 2].wrapping_add(K[$t + 2])
+        );
+        round!(
+            $f,
+            $g,
+            $h,
+            $a,
+            $b,
+            $c,
+            $d,
+            $e,
+            $w[$t + 3].wrapping_add(K[$t + 3])
+        );
+        round!(
+            $e,
+            $f,
+            $g,
+            $h,
+            $a,
+            $b,
+            $c,
+            $d,
+            $w[$t + 4].wrapping_add(K[$t + 4])
+        );
+        round!(
+            $d,
+            $e,
+            $f,
+            $g,
+            $h,
+            $a,
+            $b,
+            $c,
+            $w[$t + 5].wrapping_add(K[$t + 5])
+        );
+        round!(
+            $c,
+            $d,
+            $e,
+            $f,
+            $g,
+            $h,
+            $a,
+            $b,
+            $w[$t + 6].wrapping_add(K[$t + 6])
+        );
+        round!(
+            $b,
+            $c,
+            $d,
+            $e,
+            $f,
+            $g,
+            $h,
+            $a,
+            $w[$t + 7].wrapping_add(K[$t + 7])
+        );
     };
     (sched, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
      $w:ident, $t:expr) => {
@@ -186,7 +253,9 @@ fn compress_block_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     sha256_with(
         data,
-        crate::dispatch::has(crate::dispatch::SHA | crate::dispatch::SSSE3 | crate::dispatch::SSE41),
+        crate::dispatch::has(
+            crate::dispatch::SHA | crate::dispatch::SSSE3 | crate::dispatch::SSE41,
+        ),
     )
 }
 
@@ -239,9 +308,9 @@ fn sha256_with(data: &[u8], sha_ni: bool) -> [u8; 32] {
 #[allow(unsafe_code)]
 mod simd {
     use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128,
-        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
     };
 
     use super::K;
@@ -289,7 +358,10 @@ mod simd {
     pub unsafe fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
         // Byte shuffle turning each big-endian message dword into a
         // native-order schedule word.
-        let mask = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0bu64 as i64, 0x0405_0607_0001_0203u64 as i64);
+        let mask = _mm_set_epi64x(
+            0x0c0d_0e0f_0809_0a0bu64 as i64,
+            0x0405_0607_0001_0203u64 as i64,
+        );
 
         unsafe {
             // Pack [a,b,c,d],[e,f,g,h] into the (ABEF, CDGH) split the
@@ -385,7 +457,9 @@ mod tests {
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
         assert_eq!(
-            hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            hex(&sha256(
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+            )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }

@@ -39,7 +39,10 @@ impl fmt::Display for DecompressError {
             DecompressError::Truncated => write!(f, "compressed stream is truncated"),
             DecompressError::BadTag(t) => write!(f, "invalid token tag {t:#04x}"),
             DecompressError::BadDistance { distance, produced } => {
-                write!(f, "match distance {distance} exceeds produced bytes {produced}")
+                write!(
+                    f,
+                    "match distance {distance} exceeds produced bytes {produced}"
+                )
             }
             DecompressError::EmptyToken => write!(f, "zero-length token"),
         }
@@ -98,7 +101,13 @@ fn match_length<const AVX2: bool>(
 /// the least significant position). Also the tail the AVX2 path falls
 /// into once fewer than 32 bytes remain.
 #[inline]
-fn match_length_from(input: &[u8], candidate: usize, pos: usize, max_len: usize, start: usize) -> usize {
+fn match_length_from(
+    input: &[u8],
+    candidate: usize,
+    pos: usize,
+    max_len: usize,
+    start: usize,
+) -> usize {
     let mut len = start;
     while len + 8 <= max_len {
         let a = u64::from_le_bytes(
@@ -106,7 +115,11 @@ fn match_length_from(input: &[u8], candidate: usize, pos: usize, max_len: usize,
                 .try_into()
                 .expect("8-byte slice"),
         );
-        let b = u64::from_le_bytes(input[pos + len..pos + len + 8].try_into().expect("8-byte slice"));
+        let b = u64::from_le_bytes(
+            input[pos + len..pos + len + 8]
+                .try_into()
+                .expect("8-byte slice"),
+        );
         let diff = a ^ b;
         if diff != 0 {
             return len + (diff.trailing_zeros() / 8) as usize;
@@ -143,7 +156,12 @@ mod simd {
     /// Caller must have verified AVX2 at runtime and guarantee
     /// `candidate < pos` and `pos + max_len <= input.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn match_length(input: &[u8], candidate: usize, pos: usize, max_len: usize) -> usize {
+    pub unsafe fn match_length(
+        input: &[u8],
+        candidate: usize,
+        pos: usize,
+        max_len: usize,
+    ) -> usize {
         let base = input.as_ptr();
         let mut len = 0;
         while len + 32 <= max_len {
@@ -312,7 +330,12 @@ fn compress_into_with<const AVX2: bool>(input: &[u8], scratch: &mut LzScratch, o
         if let Some((distance, len)) = matched {
             flush_literals(out, literal_start, pos);
             // One extend = one capacity check for the whole token.
-            out.extend_from_slice(&[0x01, len as u8, (distance >> 8) as u8, (distance & 0xff) as u8]);
+            out.extend_from_slice(&[
+                0x01,
+                len as u8,
+                (distance >> 8) as u8,
+                (distance & 0xff) as u8,
+            ]);
             // Index the skipped positions so later matches can refer to
             // them (cheap partial insertion: every other position).
             let end = pos + len;
@@ -380,7 +403,8 @@ pub fn decompress(compressed: &[u8]) -> Result<Vec<u8>, DecompressError> {
                     return Err(DecompressError::Truncated);
                 }
                 let len = usize::from(compressed[pos + 1]);
-                let distance = usize::from(compressed[pos + 2]) << 8 | usize::from(compressed[pos + 3]);
+                let distance =
+                    usize::from(compressed[pos + 2]) << 8 | usize::from(compressed[pos + 3]);
                 if len == 0 {
                     return Err(DecompressError::EmptyToken);
                 }
@@ -431,7 +455,11 @@ mod tests {
         round_trip(b"a");
         round_trip(b"hello world");
         round_trip(&[0u8; 10_000]);
-        round_trip("the quick brown fox jumps over the lazy dog ".repeat(100).as_bytes());
+        round_trip(
+            "the quick brown fox jumps over the lazy dog "
+                .repeat(100)
+                .as_bytes(),
+        );
     }
 
     #[test]
@@ -525,7 +553,9 @@ mod tests {
             b"abcdefgh".repeat(500),
             b"the quick brown fox jumps over the lazy dog ".repeat(100),
             vec![b'a'; 1000],
-            (0u32..8192).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect(),
+            (0u32..8192)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+                .collect(),
         ] {
             compress_into(&data, &mut scratch, &mut dispatched);
             compress_into_scalar(&data, &mut scratch, &mut scalar);

@@ -369,7 +369,10 @@ impl Mlp {
     /// The output width.
     #[must_use]
     pub fn output_width(&self) -> usize {
-        self.layers.last().expect("non-empty by construction").outputs
+        self.layers
+            .last()
+            .expect("non-empty by construction")
+            .outputs
     }
 
     /// Runs inference on one feature vector: the row-major reference
@@ -417,7 +420,12 @@ impl Mlp {
         scratch: &mut MlpScratch,
         out: &mut Vec<f32>,
     ) -> Result<(), MlpError> {
-        self.forward_batch_with(batch, scratch, out, crate::dispatch::has(crate::dispatch::AVX2))
+        self.forward_batch_with(
+            batch,
+            scratch,
+            out,
+            crate::dispatch::has(crate::dispatch::AVX2),
+        )
     }
 
     /// [`Mlp::forward_batch`] pinned to the scalar reference path,
@@ -517,7 +525,10 @@ mod tests {
         assert_eq!(mlp.infer(&features).unwrap(), mlp.infer(&features).unwrap());
         // Different seeds give different networks.
         let other = Mlp::seeded_ranker(&[64, 32, 8, 1], 8);
-        assert_ne!(mlp.infer(&features).unwrap(), other.infer(&features).unwrap());
+        assert_ne!(
+            mlp.infer(&features).unwrap(),
+            other.infer(&features).unwrap()
+        );
     }
 
     #[test]
@@ -543,7 +554,11 @@ mod tests {
     fn forward_batch_bit_identical_to_scalar() {
         let mlp = Mlp::seeded_ranker(&[32, 16, 4], 23);
         let batch: Vec<Vec<f32>> = (0..7)
-            .map(|i| (0..32).map(|j| ((i * 31 + j * 7) % 100) as f32 / 50.0 - 1.0).collect())
+            .map(|i| {
+                (0..32)
+                    .map(|j| ((i * 31 + j * 7) % 100) as f32 / 50.0 - 1.0)
+                    .collect()
+            })
             .collect();
         let mut scratch = MlpScratch::new();
         let mut flat = Vec::new();
@@ -567,12 +582,17 @@ mod tests {
         // simd_equivalence.
         let mlp = Mlp::seeded_ranker(&[19, 13, 5], 77);
         let batch: Vec<Vec<f32>> = (0..17)
-            .map(|i| (0..19).map(|j| ((i * 17 + j * 5) % 64) as f32 / 16.0 - 2.0).collect())
+            .map(|i| {
+                (0..19)
+                    .map(|j| ((i * 17 + j * 5) % 64) as f32 / 16.0 - 2.0)
+                    .collect()
+            })
             .collect();
         let mut scratch = MlpScratch::new();
         let (mut a, mut s) = (Vec::new(), Vec::new());
         mlp.forward_batch(&batch, &mut scratch, &mut a).unwrap();
-        mlp.forward_batch_scalar(&batch, &mut scratch, &mut s).unwrap();
+        mlp.forward_batch_scalar(&batch, &mut scratch, &mut s)
+            .unwrap();
         assert_eq!(
             a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

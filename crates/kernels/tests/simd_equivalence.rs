@@ -54,7 +54,10 @@ fn aes_ctr_matches_scalar_at_adversarial_sizes() {
             let mut scalar = dispatched.clone();
             let blocks_d = cipher.ctr_apply(&counter, &mut dispatched);
             let blocks_s = cipher.ctr_apply_scalar(&counter, &mut scalar);
-            assert_eq!(blocks_d, blocks_s, "block count at size {size} offset {off}");
+            assert_eq!(
+                blocks_d, blocks_s,
+                "block count at size {size} offset {off}"
+            );
             assert_eq!(dispatched, scalar, "ciphertext at size {size} offset {off}");
             // CTR is an involution: applying again restores plaintext.
             cipher.ctr_apply(&counter, &mut dispatched);
@@ -112,7 +115,10 @@ fn lz_streams_match_scalar_at_adversarial_sizes() {
             let backing = test_bytes(size + off, 0x1234);
             let data = &backing[off..];
             let (dispatched, scalar) = lz_both_tiers(data);
-            assert_eq!(dispatched, scalar, "token stream at size {size} offset {off}");
+            assert_eq!(
+                dispatched, scalar,
+                "token stream at size {size} offset {off}"
+            );
             assert_eq!(
                 lz::decompress(&dispatched).expect("round trip"),
                 data,
@@ -145,7 +151,11 @@ fn assert_mlp_tiers_agree(net: &mlp::Mlp, batch: &[Vec<f32>], what: &str) {
         .expect("batch");
     net.forward_batch_scalar(batch, &mut scratch, &mut scalar)
         .expect("batch scalar");
-    assert_eq!(bits(&dispatched), bits(&scalar), "forward_batch_scalar, {what}");
+    assert_eq!(
+        bits(&dispatched),
+        bits(&scalar),
+        "forward_batch_scalar, {what}"
+    );
     let one_by_one: Vec<f32> = batch
         .iter()
         .flat_map(|features| net.infer(features).expect("infer"))
@@ -188,7 +198,9 @@ fn mlp_tiles_bit_identical_at_every_batch_and_width() {
 fn mlp_tiles_bit_identical_on_edge_values() {
     // Signed zeros, subnormals (which must not be flushed), magnitudes
     // near 1e30 whose sums stay finite, and negatives that ReLU clamps.
-    const EDGES: [f32; 10] = [0.0, -0.0, 1e-40, -1e-40, 1e-45, 1e30, -1e30, -3.5, 2.25, -1e-3];
+    const EDGES: [f32; 10] = [
+        0.0, -0.0, 1e-40, -1e-40, 1e-45, 1e30, -1e30, -3.5, 2.25, -1e-3,
+    ];
     for widths in [[37usize, 13, 6, 1], [29, 12, 11, 3]] {
         let net = mlp::Mlp::seeded_ranker(&widths, 0xED6E);
         for batch_len in [1, 8, 13, 16, 24, 40] {
@@ -199,7 +211,11 @@ fn mlp_tiles_bit_identical_on_edge_values() {
                         .collect()
                 })
                 .collect();
-            assert_mlp_tiers_agree(&net, &batch, &format!("edges, {widths:?} at B = {batch_len}"));
+            assert_mlp_tiers_agree(
+                &net,
+                &batch,
+                &format!("edges, {widths:?} at B = {batch_len}"),
+            );
         }
     }
 }

@@ -45,7 +45,8 @@ impl ProfileReport {
     /// The Fig. 1 split: percent of cycles in core application logic.
     #[must_use]
     pub fn core_percent(&self) -> f64 {
-        self.functionality.percent_where(FunctionalityCategory::is_core)
+        self.functionality
+            .percent_where(FunctionalityCategory::is_core)
     }
 
     /// The Fig. 1 split: percent of cycles in orchestration work,
@@ -60,7 +61,11 @@ impl ProfileReport {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "samples: {}  total cycles: {:.0}", self.samples, self.total_cycles);
+        let _ = writeln!(
+            out,
+            "samples: {}  total cycles: {:.0}",
+            self.samples, self.total_cycles
+        );
         let _ = writeln!(out, "-- functionality breakdown (Fig. 9) --");
         for (cat, pct) in self.functionality.iter() {
             let _ = writeln!(out, "{:<28} {:>5.1}%", cat.to_string(), pct);
@@ -241,11 +246,15 @@ mod tests {
         assert_eq!(report.leaf.percent(LeafCategory::Memory), 70.0);
         assert_eq!(report.leaf.percent(LeafCategory::CLibraries), 30.0);
         assert_eq!(
-            report.functionality.percent(FunctionalityCategory::SecureInsecureIo),
+            report
+                .functionality
+                .percent(FunctionalityCategory::SecureInsecureIo),
             60.0
         );
         assert_eq!(
-            report.functionality.percent(FunctionalityCategory::ApplicationLogic),
+            report
+                .functionality
+                .percent(FunctionalityCategory::ApplicationLogic),
             40.0
         );
     }
@@ -282,7 +291,10 @@ mod tests {
         assert!((share(MemoryOp::Set).unwrap() - 7.0).abs() < 1e-9);
         assert_eq!(share(MemoryOp::Move).unwrap_or(0.0), 0.0);
         // No memory samples → empty sub-breakdown.
-        let io_only = analyze(&[trace("svc::io::y", "tcp_sendmsg", 10.0, 0.4)], &registry());
+        let io_only = analyze(
+            &[trace("svc::io::y", "tcp_sendmsg", 10.0, 0.4)],
+            &registry(),
+        );
         assert!(io_only.memory_ops.is_empty());
     }
 
@@ -291,7 +303,11 @@ mod tests {
         use accelerometer_fleet::{profile, ServiceId};
         let traces = crate::TraceGenerator::new(profile(ServiceId::Cache1), 11).generate(20_000);
         let bits = |report: &ProfileReport| -> Vec<(MemoryOp, u64)> {
-            report.memory_ops.iter().map(|(op, pct)| (*op, pct.to_bits())).collect()
+            report
+                .memory_ops
+                .iter()
+                .map(|(op, pct)| (*op, pct.to_bits()))
+                .collect()
         };
         let first = bits(&analyze(&traces, &registry()));
         assert_eq!(first.len(), MemoryOp::ALL.len(), "every op sampled");
@@ -318,7 +334,9 @@ mod tests {
         let report = analyze(&traces, &registry());
         assert_eq!(report.leaf.percent(LeafCategory::Miscellaneous), 100.0);
         assert_eq!(
-            report.functionality.percent(FunctionalityCategory::Miscellaneous),
+            report
+                .functionality
+                .percent(FunctionalityCategory::Miscellaneous),
             100.0
         );
     }

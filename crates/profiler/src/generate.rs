@@ -395,7 +395,10 @@ mod tests {
             assert!(t.root().starts_with("svc::"));
             assert!(t.cycles > 0.0);
             assert!(t.instructions > 0.0);
-            assert!(t.instructions / t.cycles < 4.0, "IPC above theoretical peak");
+            assert!(
+                t.instructions / t.cycles < 4.0,
+                "IPC above theoretical peak"
+            );
         }
     }
 

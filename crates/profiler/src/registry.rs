@@ -14,16 +14,56 @@ use accelerometer_fleet::{FunctionalityCategory, LeafCategory, MemoryOp};
 /// Functionality markers: each category's root-frame prefix and the
 /// `handle_request` root frame the trace generator emits under it.
 const FUNCTIONALITY_ROOTS: [(&str, &str, FunctionalityCategory); 10] = [
-    ("svc::io::", "svc::io::handle_request", FunctionalityCategory::SecureInsecureIo),
-    ("svc::io_prep::", "svc::io_prep::handle_request", FunctionalityCategory::IoPrePostProcessing),
-    ("svc::compress::", "svc::compress::handle_request", FunctionalityCategory::Compression),
-    ("svc::serde::", "svc::serde::handle_request", FunctionalityCategory::Serialization),
-    ("svc::features::", "svc::features::handle_request", FunctionalityCategory::FeatureExtraction),
-    ("svc::predict::", "svc::predict::handle_request", FunctionalityCategory::PredictionRanking),
-    ("svc::app::", "svc::app::handle_request", FunctionalityCategory::ApplicationLogic),
-    ("svc::log::", "svc::log::handle_request", FunctionalityCategory::Logging),
-    ("svc::threads::", "svc::threads::handle_request", FunctionalityCategory::ThreadPoolManagement),
-    ("svc::misc::", "svc::misc::handle_request", FunctionalityCategory::Miscellaneous),
+    (
+        "svc::io::",
+        "svc::io::handle_request",
+        FunctionalityCategory::SecureInsecureIo,
+    ),
+    (
+        "svc::io_prep::",
+        "svc::io_prep::handle_request",
+        FunctionalityCategory::IoPrePostProcessing,
+    ),
+    (
+        "svc::compress::",
+        "svc::compress::handle_request",
+        FunctionalityCategory::Compression,
+    ),
+    (
+        "svc::serde::",
+        "svc::serde::handle_request",
+        FunctionalityCategory::Serialization,
+    ),
+    (
+        "svc::features::",
+        "svc::features::handle_request",
+        FunctionalityCategory::FeatureExtraction,
+    ),
+    (
+        "svc::predict::",
+        "svc::predict::handle_request",
+        FunctionalityCategory::PredictionRanking,
+    ),
+    (
+        "svc::app::",
+        "svc::app::handle_request",
+        FunctionalityCategory::ApplicationLogic,
+    ),
+    (
+        "svc::log::",
+        "svc::log::handle_request",
+        FunctionalityCategory::Logging,
+    ),
+    (
+        "svc::threads::",
+        "svc::threads::handle_request",
+        FunctionalityCategory::ThreadPoolManagement,
+    ),
+    (
+        "svc::misc::",
+        "svc::misc::handle_request",
+        FunctionalityCategory::Miscellaneous,
+    ),
 ];
 
 /// Maps symbol names to leaf categories and trace-root prefixes to
@@ -46,29 +86,75 @@ impl FunctionRegistry {
         };
         add(
             LeafCategory::Memory,
-            &["memcpy", "memmove", "memset", "memcmp", "malloc", "free", "operator new", "operator delete"],
+            &[
+                "memcpy",
+                "memmove",
+                "memset",
+                "memcmp",
+                "malloc",
+                "free",
+                "operator new",
+                "operator delete",
+            ],
         );
         add(
             LeafCategory::Kernel,
-            &["__schedule", "tcp_sendmsg", "tcp_recvmsg", "epoll_wait", "handle_irq", "futex_wait", "page_fault", "copy_user_generic"],
+            &[
+                "__schedule",
+                "tcp_sendmsg",
+                "tcp_recvmsg",
+                "epoll_wait",
+                "handle_irq",
+                "futex_wait",
+                "page_fault",
+                "copy_user_generic",
+            ],
         );
-        add(LeafCategory::Hashing, &["sha256_block", "fnv1a", "crc32", "murmur_hash"]);
+        add(
+            LeafCategory::Hashing,
+            &["sha256_block", "fnv1a", "crc32", "murmur_hash"],
+        );
         add(
             LeafCategory::Synchronization,
-            &["std::atomic::load", "pthread_mutex_lock", "compare_exchange", "spin_lock"],
+            &[
+                "std::atomic::load",
+                "pthread_mutex_lock",
+                "compare_exchange",
+                "spin_lock",
+            ],
         );
         add(
             LeafCategory::Zstd,
-            &["ZSTD_compressBlock", "ZSTD_decompressBlock", "lz77_match", "huff_decode"],
+            &[
+                "ZSTD_compressBlock",
+                "ZSTD_decompressBlock",
+                "lz77_match",
+                "huff_decode",
+            ],
         );
-        add(LeafCategory::Math, &["mkl_sgemm", "avx_dot_product", "vexp", "cblas_sgemv"]);
+        add(
+            LeafCategory::Math,
+            &["mkl_sgemm", "avx_dot_product", "vexp", "cblas_sgemv"],
+        );
         add(
             LeafCategory::Ssl,
-            &["aes_encrypt_block", "EVP_EncryptUpdate", "tls_record_seal", "rsa_sign"],
+            &[
+                "aes_encrypt_block",
+                "EVP_EncryptUpdate",
+                "tls_record_seal",
+                "rsa_sign",
+            ],
         );
         add(
             LeafCategory::CLibraries,
-            &["std::sort", "std::string::append", "std::unordered_map::find", "std::vector::push_back", "strcmp", "std::map::lower_bound"],
+            &[
+                "std::sort",
+                "std::string::append",
+                "std::unordered_map::find",
+                "std::vector::push_back",
+                "strcmp",
+                "std::map::lower_bound",
+            ],
         );
         add(LeafCategory::Miscellaneous, &["unknown_leaf", "jit_stub"]);
 
@@ -193,7 +279,10 @@ mod tests {
     #[test]
     fn unknown_leaves_fall_to_miscellaneous() {
         let r = FunctionRegistry::with_defaults();
-        assert_eq!(r.tag_leaf("totally_unknown_fn"), LeafCategory::Miscellaneous);
+        assert_eq!(
+            r.tag_leaf("totally_unknown_fn"),
+            LeafCategory::Miscellaneous
+        );
         assert_eq!(r.tag_leaf(""), LeafCategory::Miscellaneous);
     }
 
@@ -208,20 +297,14 @@ mod tests {
             r.bucket_root("svc::predict::rank_stories"),
             FunctionalityCategory::PredictionRanking
         );
-        assert_eq!(
-            r.bucket_root("main"),
-            FunctionalityCategory::Miscellaneous
-        );
+        assert_eq!(r.bucket_root("main"), FunctionalityCategory::Miscellaneous);
     }
 
     #[test]
     fn every_leaf_category_has_symbols() {
         let r = FunctionRegistry::with_defaults();
         for &cat in LeafCategory::ALL {
-            assert!(
-                !r.leaf_symbols(cat).is_empty(),
-                "no symbols for {cat:?}"
-            );
+            assert!(!r.leaf_symbols(cat).is_empty(), "no symbols for {cat:?}");
         }
     }
 

@@ -197,15 +197,25 @@ impl Calibrator {
     pub fn inference_paired(&self, mlp: &Mlp, b: usize) -> PairedKernel {
         let width = mlp.input_width();
         let batch: Vec<Vec<f32>> = (0..b)
-            .map(|i| (0..width).map(|j| (i * width + j) as f32 / 8192.0).collect())
+            .map(|i| {
+                (0..width)
+                    .map(|j| (i * width + j) as f32 / 8192.0)
+                    .collect()
+            })
             .collect();
         let bytes = (b * width * std::mem::size_of::<f32>()) as u64;
         self.measure(
             "inference",
             bytes,
             &mut (MlpScratch::new(), Vec::new()),
-            |(scratch, out)| mlp.forward_batch(&batch, scratch, out).expect("widths match"),
-            |(scratch, out)| mlp.forward_batch_scalar(&batch, scratch, out).expect("widths match"),
+            |(scratch, out)| {
+                mlp.forward_batch(&batch, scratch, out)
+                    .expect("widths match")
+            },
+            |(scratch, out)| {
+                mlp.forward_batch_scalar(&batch, scratch, out)
+                    .expect("widths match")
+            },
         )
     }
 
@@ -241,7 +251,12 @@ mod tests {
                 assert!(k.cycles_per_byte().get() > 0.0, "{}", k.name);
                 assert_eq!(k.measurement.batches, 2);
                 assert_eq!(k.measurement.batch_size, 3);
-                assert_eq!(k.measurement.bytes_processed, 6 * k.bytes_per_call, "{}", k.name);
+                assert_eq!(
+                    k.measurement.bytes_processed,
+                    6 * k.bytes_per_call,
+                    "{}",
+                    k.name
+                );
             }
         }
     }
@@ -262,10 +277,22 @@ mod tests {
         for pair in quick().paired_case_studies() {
             assert_eq!(pair.dispatched.name, pair.scalar.name);
             assert_eq!(pair.dispatched.bytes_per_call, pair.scalar.bytes_per_call);
-            assert!(pair.dispatched.cycles_per_byte().get() > 0.0, "{}", pair.dispatched.name);
-            assert!(pair.scalar.cycles_per_byte().get() > 0.0, "{}", pair.scalar.name);
+            assert!(
+                pair.dispatched.cycles_per_byte().get() > 0.0,
+                "{}",
+                pair.dispatched.name
+            );
+            assert!(
+                pair.scalar.cycles_per_byte().get() > 0.0,
+                "{}",
+                pair.scalar.name
+            );
             let a = pair.acceleration_factor();
-            assert!(a.is_finite() && a > 0.0, "{}: A = {a}", pair.dispatched.name);
+            assert!(
+                a.is_finite() && a > 0.0,
+                "{}: A = {a}",
+                pair.dispatched.name
+            );
         }
     }
 }

@@ -84,15 +84,12 @@ impl CaseStudyValidation {
 
 fn control_config(study: &CaseStudy, scale: f64, horizon: f64, seed: u64) -> SimConfig {
     let params = &study.scenario.params;
-    let granularity = study
-        .granularity
-        .clone()
-        .unwrap_or_else(|| {
-            // Batch-granularity kernels: a single fixed "size" carrying
-            // the whole per-offload cost.
-            accelerometer::GranularityCdf::from_points(vec![(1_000.0, 1.0)])
-                .expect("static CDF is valid")
-        });
+    let granularity = study.granularity.clone().unwrap_or_else(|| {
+        // Batch-granularity kernels: a single fixed "size" carrying
+        // the whole per-offload cost.
+        accelerometer::GranularityCdf::from_points(vec![(1_000.0, 1.0)])
+            .expect("static CDF is valid")
+    });
     let workload = workload_for_params(
         params.host_cycles().get() / scale,
         params.kernel_fraction(),

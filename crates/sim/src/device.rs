@@ -406,8 +406,14 @@ mod tests {
     fn chained_downtime_windows_defer_transitively() {
         let mut d = Device::new(DeviceKind::Unlimited, 0.0, 1, 1e9);
         let windows = [
-            DegradationWindow { down: true, ..DegradationWindow::slowdown(0.0, 100.0, 1.0) },
-            DegradationWindow { down: true, ..DegradationWindow::slowdown(100.0, 300.0, 1.0) },
+            DegradationWindow {
+                down: true,
+                ..DegradationWindow::slowdown(0.0, 100.0, 1.0)
+            },
+            DegradationWindow {
+                down: true,
+                ..DegradationWindow::slowdown(100.0, 300.0, 1.0)
+            },
         ];
         let a = d.dispatch_faulty(SimTime::new(50.0), 0, 10.0, 0.0, &windows);
         assert_eq!(a.service_start.cycles(), 300.0);

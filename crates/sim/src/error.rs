@@ -37,7 +37,11 @@ impl fmt::Display for SimError {
                 reason,
             } => write!(f, "invalid simulation config: {field} = {value}: {reason}"),
             SimError::UnknownCaseStudy { name, valid } => {
-                write!(f, "unknown case study '{name}' (valid: {})", valid.join(", "))
+                write!(
+                    f,
+                    "unknown case study '{name}' (valid: {})",
+                    valid.join(", ")
+                )
             }
         }
     }

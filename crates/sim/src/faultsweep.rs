@@ -190,7 +190,11 @@ pub fn run_fault_sweep_with(
         .zip(results)
         .map(|(named, metrics)| {
             let p99 = metrics.latency.p99;
-            let ratio = if p99 > 0.0 { healthy.latency.p99 / p99 } else { 0.0 };
+            let ratio = if p99 > 0.0 {
+                healthy.latency.p99 / p99
+            } else {
+                0.0
+            };
             let goodput = if metrics.faults.active {
                 metrics.faults.goodput_per_gcycle
             } else {

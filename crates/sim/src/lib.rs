@@ -82,6 +82,7 @@ pub use casestudy::{
 };
 pub use context::RunContext;
 pub use device::{Device, DeviceKind};
+pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};
 pub use error::SimError;
 pub use fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
 pub use faultsweep::{
@@ -89,7 +90,6 @@ pub use faultsweep::{
     FaultScenario, FaultSweepReport, NamedPolicy, PolicyOutcome, FALLBACK_VALIDATION_PROBABILITIES,
 };
 pub use loadsweep::{concurrency_sweep_with, ConcurrencySweep, LoadPoint};
-pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};
 pub use metrics::{FaultMetrics, LatencyStats, SimMetrics};
 pub use parallel::{derive_seed, run_batch, ExecPool};
 pub use shard::{

@@ -49,7 +49,10 @@ pub fn concurrency_sweep_with(
         thread_counts.iter().partition(|&&t| t >= base.cores);
     let configs: Vec<SimConfig> = runnable
         .iter()
-        .map(|&threads| SimConfig { threads, ..base.clone() })
+        .map(|&threads| SimConfig {
+            threads,
+            ..base.clone()
+        })
         .collect();
     let metrics = run_batch(pool, None, &configs)?;
     let points = runnable
@@ -109,7 +112,10 @@ mod tests {
         // Throughput grows with depth until the offload latency is hidden.
         let first = points[0].metrics.throughput_per_gcycle;
         let last = points.last().unwrap().metrics.throughput_per_gcycle;
-        assert!(last > first * 1.5, "no concurrency benefit: {first} -> {last}");
+        assert!(
+            last > first * 1.5,
+            "no concurrency benefit: {first} -> {last}"
+        );
     }
 
     #[test]

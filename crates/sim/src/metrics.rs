@@ -162,7 +162,10 @@ pub struct SimMetrics {
 impl Serialize for SimMetrics {
     fn to_json_value(&self) -> serde::Value {
         let mut entries = vec![
-            ("horizon_cycles".to_owned(), self.horizon_cycles.to_json_value()),
+            (
+                "horizon_cycles".to_owned(),
+                self.horizon_cycles.to_json_value(),
+            ),
             (
                 "completed_requests".to_owned(),
                 self.completed_requests.to_json_value(),
@@ -300,7 +303,9 @@ mod tests {
         let mut state = seed;
         (0..n)
             .map(|_| {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
                 // Fractional cycle counts over several exponent decades.
                 1e2 + (state >> 11) as f64 / (1u64 << 33) as f64 * 9e5
             })
@@ -408,8 +413,7 @@ mod tests {
             panic!("expected an object");
         };
         assert!(entries.iter().all(|(k, _)| k != "faults"));
-        let back =
-            SimMetrics::from_json_value(&serde::Value::Object(entries)).expect("round trip");
+        let back = SimMetrics::from_json_value(&serde::Value::Object(entries)).expect("round trip");
         assert_eq!(back, inactive);
 
         let mut active = SimMetrics::default();

@@ -211,7 +211,10 @@ pub fn run_sharded(
             }
         }
     }
-    let outputs: Vec<ShardOutput> = shards.into_iter().map(Simulator::into_shard_output).collect();
+    let outputs: Vec<ShardOutput> = shards
+        .into_iter()
+        .map(Simulator::into_shard_output)
+        .collect();
     let per_shard_events = outputs.iter().map(|o| o.stats.events_processed).collect();
     let per_shard_peak_live = outputs.iter().map(|o| o.stats.peak_live_requests).collect();
     let (metrics, engine) = merge(outputs);
@@ -241,11 +244,11 @@ pub fn run_sharded_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::OffloadConfig;
     use crate::fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
     use crate::workload::WorkloadSpec;
     use accelerometer::units::cycles_per_byte;
     use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
-    use crate::engine::OffloadConfig;
 
     fn workload() -> WorkloadSpec {
         WorkloadSpec {
@@ -285,7 +288,7 @@ mod tests {
         let cfg = sharded_config();
         let plan = ShardPlan::for_config(&cfg);
         assert_eq!(plan.shards, 4); // gcd(4 cores, 8 threads, 4 servers)
-        // A one-server FIFO cannot shard.
+                                    // A one-server FIFO cannot shard.
         let mut single = cfg.clone();
         single.offload.as_mut().unwrap().device = DeviceKind::Shared { servers: 1 };
         assert_eq!(ShardPlan::for_config(&single).shards, 1);

@@ -24,7 +24,10 @@ impl SimTime {
     /// Panics if `cycles` is NaN or negative.
     #[must_use]
     pub fn new(cycles: f64) -> Self {
-        assert!(!cycles.is_nan() && cycles >= 0.0, "invalid sim time {cycles}");
+        assert!(
+            !cycles.is_nan() && cycles >= 0.0,
+            "invalid sim time {cycles}"
+        );
         Self(cycles)
     }
 

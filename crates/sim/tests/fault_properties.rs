@@ -101,7 +101,11 @@ fn config(
     let horizon = workload.mean_request_cycles() * 2_000.0;
     SimConfig {
         cores: 2,
-        threads: if design == ThreadingDesign::SyncOs { 8 } else { 2 },
+        threads: if design == ThreadingDesign::SyncOs {
+            8
+        } else {
+            2
+        },
         context_switch_cycles: 300.0,
         horizon,
         seed,

@@ -35,9 +35,9 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
 fn fault_strategy() -> impl Strategy<Value = (FaultPlan, RecoveryPolicy)> {
     (
         any::<bool>(),
-        0.0..0.05_f64,  // failure probability
-        0.0..0.02_f64,  // spike probability
-        0u32..3,        // retries
+        0.0..0.05_f64, // failure probability
+        0.0..0.02_f64, // spike probability
+        0u32..3,       // retries
         any::<bool>(), // fallback
     )
         .prop_map(|(active, fail, spike, retries, fallback)| {
@@ -73,7 +73,16 @@ fn config_strategy() -> impl Strategy<Value = SimConfig> {
         0u64..1_000,
     )
         .prop_map(
-            |(workload, design, strategy, (cores, threads), servers, (fault, recovery), a, seed)| {
+            |(
+                workload,
+                design,
+                strategy,
+                (cores, threads),
+                servers,
+                (fault, recovery),
+                a,
+                seed,
+            )| {
                 let horizon = workload.mean_request_cycles() * 4_000.0;
                 SimConfig {
                     cores,

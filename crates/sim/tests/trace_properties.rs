@@ -94,7 +94,11 @@ fn config(
     (fault, recovery): (FaultPlan, RecoveryPolicy),
 ) -> SimConfig {
     let horizon = workload.mean_request_cycles() * 4_000.0;
-    let threads = if design == ThreadingDesign::SyncOs { 8 } else { 2 };
+    let threads = if design == ThreadingDesign::SyncOs {
+        8
+    } else {
+        2
+    };
     SimConfig {
         cores: 2,
         threads,

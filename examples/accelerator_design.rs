@@ -18,7 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rec = ServiceRegistry::builtin()
         .recommendation("Feed1: Compression")
         .ok_or("no Feed1 compression recommendation")?;
-    println!("designing an off-chip compression accelerator for {}", rec.name);
+    println!(
+        "designing an off-chip compression accelerator for {}",
+        rec.name
+    );
     println!(
         "workload: {} compressions/s, alpha = {:.2}, Cb = {} cycles/B\n",
         rec.profile.total_offloads,
@@ -64,7 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = Scenario::new(params, sync.design, sync.accelerator.strategy);
     println!("\ninterface-latency sweep (off-chip Sync):");
     let mut max_tolerable = 0.0;
-    for point in sweep(&scenario, SweepAxis::InterfaceLatency, &log_space(100.0, 100_000.0, 13))? {
+    for point in sweep(
+        &scenario,
+        SweepAxis::InterfaceLatency,
+        &log_space(100.0, 100_000.0, 13),
+    )? {
         let gain = point.estimate.throughput_gain_percent();
         println!("  L = {:>9.0} cycles: {gain:>6.2}%", point.x);
         if gain >= 5.0 {

@@ -45,8 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .offloads(50_000.0)
         .peak_speedup(8.0)
         .build()?;
-    let est = Scenario::new(params, ThreadingDesign::Sync, AccelerationStrategy::OnChip)
-        .estimate();
+    let est = Scenario::new(params, ThreadingDesign::Sync, AccelerationStrategy::OnChip).estimate();
     println!(
         "an 8x on-chip accelerator for it projects {:+.2}% service throughput",
         est.throughput_gain_percent()

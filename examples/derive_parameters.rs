@@ -27,12 +27,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Step 1: measure Cb per kernel -----------------------------------
     println!("measured per-byte costs at a nominal {CLOCK_HZ:.1e} Hz clock:");
     let aes = calibrator.encryption_paired(PAYLOAD);
-    println!("  aes-128-ctr : {:>7.2} cycles/B", aes.dispatched.cycles_per_byte().get());
+    println!(
+        "  aes-128-ctr : {:>7.2} cycles/B",
+        aes.dispatched.cycles_per_byte().get()
+    );
     let compress = calibrator.compression_paired(PAYLOAD);
-    println!("  lz compress : {:>7.2} cycles/B", compress.dispatched.cycles_per_byte().get());
+    println!(
+        "  lz compress : {:>7.2} cycles/B",
+        compress.dispatched.cycles_per_byte().get()
+    );
     let sha = calibrator.hashing_paired(PAYLOAD);
-    println!("  sha-256     : {:>7.2} cycles/B (scalar)", sha.scalar.cycles_per_byte().get());
-    println!("  sha-256     : {:>7.2} cycles/B (dispatched)", sha.dispatched.cycles_per_byte().get());
+    println!(
+        "  sha-256     : {:>7.2} cycles/B (scalar)",
+        sha.scalar.cycles_per_byte().get()
+    );
+    println!(
+        "  sha-256     : {:>7.2} cycles/B (dispatched)",
+        sha.dispatched.cycles_per_byte().get()
+    );
 
     // --- Step 2: derive an A between two same-kernel implementations -----
     // The scalar SHA-256 is the host kernel; the dispatched one runs on
@@ -51,7 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let host_cost = KernelCost::linear(sha.scalar.cycles_per_byte());
     match throughput_breakeven(&host_cost, &ctx) {
         BreakEven::AtLeast(g) => {
-            println!("  over PCIe (L = 2,000 cycles): lucrative when g >= {:.0} B", g.get());
+            println!(
+                "  over PCIe (L = 2,000 cycles): lucrative when g >= {:.0} B",
+                g.get()
+            );
         }
         BreakEven::Always => println!("  over PCIe: every offload lucrative"),
         BreakEven::Never => println!("  over PCIe: never lucrative"),

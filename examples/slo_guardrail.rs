@@ -9,8 +9,7 @@
 //! Run with: `cargo run --example slo_guardrail`
 
 use accelerometer_suite::model::slo::{
-    gains_throughput_but_slows_requests, max_interface_latency, max_offload_rate,
-    min_peak_speedup,
+    gains_throughput_but_slows_requests, max_interface_latency, max_offload_rate, min_peak_speedup,
 };
 use accelerometer_suite::model::{
     diagnose, AccelerationStrategy, LatencySlo, ModelParams, Scenario, ThreadingDesign,
@@ -28,7 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .thread_switch_cycles(6_000.0)
         .peak_speedup(20.0)
         .build()?;
-    let scenario = Scenario::new(params, ThreadingDesign::SyncOs, AccelerationStrategy::OffChip);
+    let scenario = Scenario::new(
+        params,
+        ThreadingDesign::SyncOs,
+        AccelerationStrategy::OffChip,
+    );
     let est = scenario.estimate();
     println!("candidate: off-chip compression, Sync-OS threading");
     println!(

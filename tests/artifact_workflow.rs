@@ -9,7 +9,10 @@ use accelerometer_suite::cli::run;
 use accelerometer_suite::model::ConfigFile;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("accelerometer-artifact-{}-{name}", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "accelerometer-artifact-{}-{name}",
+        std::process::id()
+    ))
 }
 
 const TABLE6_CONFIG: &str = r#"{

@@ -23,12 +23,8 @@ fn workload() -> WorkloadSpec {
     WorkloadSpec {
         non_kernel_cycles: 6_000.0,
         kernels_per_request: 1,
-        granularity: GranularityCdf::from_points(vec![
-            (128.0, 0.3),
-            (512.0, 0.7),
-            (2_048.0, 1.0),
-        ])
-        .expect("valid CDF"),
+        granularity: GranularityCdf::from_points(vec![(128.0, 0.3), (512.0, 0.7), (2_048.0, 1.0)])
+            .expect("valid CDF"),
         cycles_per_byte: cycles_per_byte(2.0),
     }
 }
@@ -100,8 +96,11 @@ fn model_percent(design: ThreadingDesign, strategy: AccelerationStrategy) -> f64
 
 fn simulated_percent(design: ThreadingDesign, strategy: AccelerationStrategy) -> f64 {
     // One arm per worker.
-    run_ab_batch(&ExecPool::new(2), &[(control(design), offload(design, strategy))])
-        .expect("valid configs")[0]
+    run_ab_batch(
+        &ExecPool::new(2),
+        &[(control(design), offload(design, strategy))],
+    )
+    .expect("valid configs")[0]
         .speedup_percent()
 }
 
@@ -123,21 +122,49 @@ fn sync_agreement_across_strategies() {
 
 #[test]
 fn async_same_thread_agreement() {
-    check(ThreadingDesign::AsyncSameThread, AccelerationStrategy::OnChip, 1.0);
-    check(ThreadingDesign::AsyncSameThread, AccelerationStrategy::OffChip, 1.0);
-    check(ThreadingDesign::AsyncSameThread, AccelerationStrategy::Remote, 1.0);
+    check(
+        ThreadingDesign::AsyncSameThread,
+        AccelerationStrategy::OnChip,
+        1.0,
+    );
+    check(
+        ThreadingDesign::AsyncSameThread,
+        AccelerationStrategy::OffChip,
+        1.0,
+    );
+    check(
+        ThreadingDesign::AsyncSameThread,
+        AccelerationStrategy::Remote,
+        1.0,
+    );
 }
 
 #[test]
 fn async_no_response_agreement() {
-    check(ThreadingDesign::AsyncNoResponse, AccelerationStrategy::OffChip, 1.0);
-    check(ThreadingDesign::AsyncNoResponse, AccelerationStrategy::Remote, 1.0);
+    check(
+        ThreadingDesign::AsyncNoResponse,
+        AccelerationStrategy::OffChip,
+        1.0,
+    );
+    check(
+        ThreadingDesign::AsyncNoResponse,
+        AccelerationStrategy::Remote,
+        1.0,
+    );
 }
 
 #[test]
 fn async_distinct_thread_agreement() {
-    check(ThreadingDesign::AsyncDistinctThread, AccelerationStrategy::OffChip, 1.0);
-    check(ThreadingDesign::AsyncDistinctThread, AccelerationStrategy::Remote, 1.0);
+    check(
+        ThreadingDesign::AsyncDistinctThread,
+        AccelerationStrategy::OffChip,
+        1.0,
+    );
+    check(
+        ThreadingDesign::AsyncDistinctThread,
+        AccelerationStrategy::Remote,
+        1.0,
+    );
 }
 
 #[test]

@@ -10,10 +10,19 @@ use accelerometer_suite::model::{amdahl, project};
 /// if its ML inference takes no time."
 #[test]
 fn headline_49_percent_claim() {
-    let min_inference = [ServiceId::Feed1, ServiceId::Feed2, ServiceId::Ads1, ServiceId::Ads2]
-        .iter()
-        .map(|&id| profile(id).functionality.fraction(FunctionalityCategory::PredictionRanking))
-        .fold(f64::INFINITY, f64::min);
+    let min_inference = [
+        ServiceId::Feed1,
+        ServiceId::Feed2,
+        ServiceId::Ads1,
+        ServiceId::Ads2,
+    ]
+    .iter()
+    .map(|&id| {
+        profile(id)
+            .functionality
+            .fraction(FunctionalityCategory::PredictionRanking)
+    })
+    .fold(f64::INFINITY, f64::min);
     let gain = (amdahl::ideal_speedup(min_inference) - 1.0) * 100.0;
     assert!((gain - 49.0).abs() < 1.0, "headline gain {gain:.1}%");
 }
@@ -38,7 +47,9 @@ fn headline_18_percent_core_logic() {
 fn headline_cache_io_and_memory_claims() {
     let cache2 = profile(ServiceId::Cache2);
     assert_eq!(
-        cache2.functionality.percent(FunctionalityCategory::SecureInsecureIo),
+        cache2
+            .functionality
+            .percent(FunctionalityCategory::SecureInsecureIo),
         52.0
     );
     let max_memory = ServiceId::CHARACTERIZED

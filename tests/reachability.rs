@@ -26,39 +26,95 @@ const PERFBENCH: &str = "analyze::analyze casestudy::simulate dispatch::set_isa_
 /// `(item, reason)` for each oracle or test helper that stays; the
 /// reason names an integration test, bench or example that uses it.
 const ORACLES: &[(&str, &str)] = &[
-    ("AbResult::latency_reduction", "example: simulate_ab_test prints the measured C/CL"),
-    ("AccelerationStrategy::ALL", "helper: timeline_consistency and model_properties sweep it"),
-    ("Complexity::new", "helper: model_properties builds super-linear kernels with it"),
-    ("CpuGeneration::ALL", "helper: convergence checks every generation's IPC draws"),
-    ("fold::to_folded", "oracle: characterize_stream checks `characterize --folded` against it"),
-    ("GranularityCdf::quantile", "oracle: model_properties checks the sampler against it"),
-    ("loadsweep::concurrency_sweep_with", "oracle: golden pins golden_load_sweep.json with it"),
-    ("lz::decompress", "oracle: kernel_properties and lz_golden invert compress_into with it"),
-    ("Mlp::infer", "oracle: kernel_properties checks batched MLP inference against it"),
-    ("Simulator::new", "helper: engine_properties drives single engines with it"),
-    ("ThreadingDesign::ALL", "helper: timeline_consistency and model_properties sweep it"),
-    ("Timeline::host_overhead_cycles", "oracle: timeline_consistency checks the model's charge"),
-    ("TraceGenerator::on_generation", "oracle: convergence pins per-generation IPC draws"),
-    ("TraceStore::traces", "oracle: trace_properties counts a sharded batch's shared traces"),
-    ("units::bytes", "helper: model_properties and dataset_properties build granularities"),
+    (
+        "AbResult::latency_reduction",
+        "example: simulate_ab_test prints the measured C/CL",
+    ),
+    (
+        "AccelerationStrategy::ALL",
+        "helper: timeline_consistency and model_properties sweep it",
+    ),
+    (
+        "Complexity::new",
+        "helper: model_properties builds super-linear kernels with it",
+    ),
+    (
+        "CpuGeneration::ALL",
+        "helper: convergence checks every generation's IPC draws",
+    ),
+    (
+        "fold::to_folded",
+        "oracle: characterize_stream checks `characterize --folded` against it",
+    ),
+    (
+        "GranularityCdf::quantile",
+        "oracle: model_properties checks the sampler against it",
+    ),
+    (
+        "loadsweep::concurrency_sweep_with",
+        "oracle: golden pins golden_load_sweep.json with it",
+    ),
+    (
+        "lz::decompress",
+        "oracle: kernel_properties and lz_golden invert compress_into with it",
+    ),
+    (
+        "Mlp::infer",
+        "oracle: kernel_properties checks batched MLP inference against it",
+    ),
+    (
+        "Simulator::new",
+        "helper: engine_properties drives single engines with it",
+    ),
+    (
+        "ThreadingDesign::ALL",
+        "helper: timeline_consistency and model_properties sweep it",
+    ),
+    (
+        "Timeline::host_overhead_cycles",
+        "oracle: timeline_consistency checks the model's charge",
+    ),
+    (
+        "TraceGenerator::on_generation",
+        "oracle: convergence pins per-generation IPC draws",
+    ),
+    (
+        "TraceStore::traces",
+        "oracle: trace_properties counts a sharded batch's shared traces",
+    ),
+    (
+        "units::bytes",
+        "helper: model_properties and dataset_properties build granularities",
+    ),
 ];
 
 /// Every file under `dir` that `skip` keeps, recursively, sorted.
 fn files(dir: &Path, skip: &dyn Fn(&Path) -> bool) -> Vec<PathBuf> {
-    let entries = fs::read_dir(dir).expect("readable dir").map(|e| e.expect("entry").path());
+    let entries = fs::read_dir(dir)
+        .expect("readable dir")
+        .map(|e| e.expect("entry").path());
     let mut paths: Vec<PathBuf> = entries.filter(|p| !skip(p)).collect();
     paths.sort();
-    paths.into_iter().flat_map(|p| if p.is_dir() { files(&p, skip) } else { vec![p] }).collect()
+    paths
+        .into_iter()
+        .flat_map(|p| if p.is_dir() { files(&p, skip) } else { vec![p] })
+        .collect()
 }
 
 fn ident(text: &str) -> &str {
-    text.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '$')).next().unwrap_or("")
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '$'))
+        .next()
+        .unwrap_or("")
 }
 
 /// The name a `pub fn|const|static` line defines, or `None`.
 fn defined_name(line: &str) -> Option<&str> {
     let kinds = ["const", "unsafe", "static", "mut", "fn"];
-    let mut tokens = line.trim_start().strip_prefix("pub ")?.split_whitespace().peekable();
+    let mut tokens = line
+        .trim_start()
+        .strip_prefix("pub ")?
+        .split_whitespace()
+        .peekable();
     tokens.next_if(|t| kinds.contains(t))?;
     Some(ident(tokens.find(|t| !kinds.contains(t))?)).filter(|name| !name.is_empty())
 }
@@ -72,7 +128,10 @@ fn qualifier(lines: &[&str], k: usize, module: &str) -> String {
         if indent(line) < width {
             width = indent(line);
             let head = line.trim_start();
-            let ty = head.split_whitespace().rfind(|t| *t != "{").map_or("", ident);
+            let ty = head
+                .split_whitespace()
+                .rfind(|t| *t != "{")
+                .map_or("", ident);
             if let Some(name) = head.strip_prefix("macro_rules! ") {
                 return format!("{}!", ident(name));
             } else if head.starts_with("impl") && !ty.starts_with('$') {
@@ -90,11 +149,17 @@ fn mark(text: &str, file: &str, module: &str, items: &mut Vec<(String, String)>)
     let (mut out, mut in_tests) = (String::new(), false);
     for (k, line) in lines.iter().enumerate() {
         in_tests |= *line == "#[cfg(test)]";
-        let mut attrs = lines[..k].iter().rev().take_while(|l| l.trim_start().starts_with('#'));
+        let mut attrs = lines[..k]
+            .iter()
+            .rev()
+            .take_while(|l| l.trim_start().starts_with('#'));
         match defined_name(line) {
             Some(name) if !in_tests && !attrs.any(|l| l.trim() == "#[cfg(test)]") => {
                 let (indent, item) = line.split_at(line.len() - line.trim_start().len());
-                out += &format!("{indent}#[deprecated(note = \"reach#{}\")] {item}\n", items.len());
+                out += &format!(
+                    "{indent}#[deprecated(note = \"reach#{}\")] {item}\n",
+                    items.len()
+                );
                 let key = format!("{}::{name}", qualifier(&lines, k, module));
                 items.push((key, format!("{file}:{}", k + 1)));
             }
@@ -128,7 +193,9 @@ fn in_pub_use(text: &str, line: usize) -> bool {
 
 fn words(path: &Path) -> BTreeSet<String> {
     let text = fs::read_to_string(path).expect("readable file");
-    text.split(|c: char| !(c.is_alphanumeric() || c == '_')).map(str::to_owned).collect()
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .map(str::to_owned)
+        .collect()
 }
 
 #[test]
@@ -138,25 +205,38 @@ fn every_pub_item_is_reached_or_allowlisted() {
     let copy = tmp.join("reach-copy");
     let _ = fs::remove_dir_all(&copy);
     let skip = |p: &Path| {
-        let name = p.file_name().map_or(String::new(), |n| n.to_string_lossy().into_owned());
+        let name = p
+            .file_name()
+            .map_or(String::new(), |n| n.to_string_lossy().into_owned());
         name == "target" || name == "perfbench" || name.starts_with('.') || tmp.starts_with(p)
     };
     // Mark crate sources; keep each test's, bench's and example's words.
     let (mut items, mut users) = (Vec::new(), Vec::new());
     for path in files(root, &skip) {
-        let rel = path.strip_prefix(root).expect("under root").to_string_lossy().into_owned();
+        let rel = path
+            .strip_prefix(root)
+            .expect("under root")
+            .to_string_lossy()
+            .into_owned();
         let dest = copy.join(&rel);
         fs::create_dir_all(dest.parent().expect("in a dir")).expect("create copy dir");
         let parts: Vec<&str> = rel.strip_suffix(".rs").unwrap_or("").split('/').collect();
         match parts[..] {
             ["crates", krate, "src", .., stem] => {
-                let module = if stem == "lib" || stem == "main" { krate } else { stem };
+                let module = if stem == "lib" || stem == "main" {
+                    krate
+                } else {
+                    stem
+                };
                 let text = fs::read_to_string(&path).expect("readable source");
                 fs::write(dest, mark(&text, &rel, module, &mut items)).expect("write marked copy");
                 continue;
             }
             ["tests" | "examples", .., stem] | ["crates", _, "tests" | "benches", .., stem]
-                if stem != "reachability" => users.push((stem.to_owned(), words(&path))),
+                if stem != "reachability" =>
+            {
+                users.push((stem.to_owned(), words(&path)))
+            }
             _ => {}
         }
         fs::copy(&path, dest).expect("copy file");
@@ -164,7 +244,14 @@ fn every_pub_item_is_reached_or_allowlisted() {
 
     let started = std::time::Instant::now();
     let check = std::process::Command::new(env!("CARGO"))
-        .args(["check", "--offline", "--workspace", "--lib", "--bins", "--message-format=short"])
+        .args([
+            "check",
+            "--offline",
+            "--workspace",
+            "--lib",
+            "--bins",
+            "--message-format=short",
+        ])
         .current_dir(&copy)
         .env("CARGO_TARGET_DIR", tmp.join("reach-target"))
         .env("RUSTFLAGS", "--cap-lints=warn")
@@ -172,27 +259,46 @@ fn every_pub_item_is_reached_or_allowlisted() {
         .output()
         .expect("cargo runs");
     let stderr = String::from_utf8_lossy(&check.stderr);
-    assert!(check.status.success(), "cargo check of the marked copy failed:\n{stderr}");
+    assert!(
+        check.status.success(),
+        "cargo check of the marked copy failed:\n{stderr}"
+    );
     let mut unreached: Vec<Option<&(String, String)>> = items.iter().map(Some).collect();
     for (file, line, index) in stderr.lines().filter_map(parse_warning) {
-        if !in_pub_use(&fs::read_to_string(copy.join(file)).unwrap_or_default(), line) {
+        if !in_pub_use(
+            &fs::read_to_string(copy.join(file)).unwrap_or_default(),
+            line,
+        ) {
             unreached[index] = None;
         }
     }
     let unreached: Vec<&(String, String)> = unreached.into_iter().flatten().collect();
     let perfbench_only: Vec<&str> = PERFBENCH.split_whitespace().collect();
-    let counts = [items.len(), unreached.len(), perfbench_only.len(), ORACLES.len()];
+    let counts = [
+        items.len(),
+        unreached.len(),
+        perfbench_only.len(),
+        ORACLES.len(),
+    ];
     println!("pub fn/const/static surveyed, unreached, perfbench-only, oracles: {counts:?}");
     println!("cargo check took {:.1} s", started.elapsed().as_secs_f64());
-    let perfbench: BTreeSet<String> =
-        files(&root.join("perfbench/src"), &|_| false).iter().flat_map(|p| words(p)).collect();
+    let perfbench: BTreeSet<String> = files(&root.join("perfbench/src"), &|_| false)
+        .iter()
+        .flat_map(|p| words(p))
+        .collect();
     let mut problems = Vec::new();
     for (key, at) in unreached.iter().copied() {
         let name = key.rsplit("::").next().expect("qualified");
-        let named: Vec<&str> =
-            users.iter().filter(|(_, w)| w.contains(name)).map(|(s, _)| s.as_str()).collect();
+        let named: Vec<&str> = users
+            .iter()
+            .filter(|(_, w)| w.contains(name))
+            .map(|(s, _)| s.as_str())
+            .collect();
         let in_perfbench = perfbench.contains(name);
-        let reason = ORACLES.iter().find(|(k, _)| k == key).map(|&(_, reason)| reason);
+        let reason = ORACLES
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|&(_, reason)| reason);
         problems.push(match (perfbench_only.contains(&key.as_str()), reason) {
             (false, None) => format!(
                 "`{key}` ({at}) is used by no non-test code (perfbench: {in_perfbench}; tests, \
@@ -205,20 +311,37 @@ fn every_pub_item_is_reached_or_allowlisted() {
             _ => continue,
         });
     }
-    let allowed = perfbench_only.iter().copied().chain(ORACLES.iter().map(|(key, _)| *key));
+    let allowed = perfbench_only
+        .iter()
+        .copied()
+        .chain(ORACLES.iter().map(|(key, _)| *key));
     for key in allowed.filter(|&key| !unreached.iter().any(|(k, _)| k == key)) {
-        let state = if items.iter().any(|(k, _)| k == key) { "reached now" } else { "gone" };
+        let state = if items.iter().any(|(k, _)| k == key) {
+            "reached now"
+        } else {
+            "gone"
+        };
         problems.push(format!("`{key}` is {state}; drop it from the allowlist"));
     }
-    assert!(problems.is_empty(), "reachability survey:\n{}", problems.join("\n"));
+    assert!(
+        problems.is_empty(),
+        "reachability survey:\n{}",
+        problems.join("\n")
+    );
 }
 
 #[test]
 fn items_are_marked_and_warnings_outside_re_exports_are_uses() {
     let warning = "crates/core/src/lib.rs:12:5: warning: use of deprecated function \
                    `units::bytes`: reach#41";
-    assert_eq!(parse_warning(warning), Some(("crates/core/src/lib.rs", 12, 41)));
-    assert_eq!(parse_warning("warning: `accelerometer` (lib) generated 3 warnings"), None);
+    assert_eq!(
+        parse_warning(warning),
+        Some(("crates/core/src/lib.rs", 12, 41))
+    );
+    assert_eq!(
+        parse_warning("warning: `accelerometer` (lib) generated 3 warnings"),
+        None
+    );
     let text = "pub use x::{\n    a,\n};\nfn f() {\n    a();\n}\npub(crate) use y::b;\n";
     let spans: Vec<bool> = (1..=7).map(|line| in_pub_use(text, line)).collect();
     assert_eq!(spans, [true, true, true, false, false, false, true]);
