@@ -1,11 +1,17 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything a PR must keep green.
-#   build + full test suite + clippy (deny warnings) + a --jobs smoke run.
+#   rustfmt check + build + full test suite + clippy (deny warnings) +
+#   a --jobs smoke run.
 # Usage: scripts/tier1.sh   (from the repo root)
 # Opt-in: BENCH_REGRESS=1 additionally runs scripts/bench_regress.sh
 # (off by default — shared-container wall clock is too noisy to block
 # every commit on it).
 set -eu
+
+echo "== rustfmt (check only) =="
+# The workspace (and its vendored path dependencies) is kept formatted
+# with rustfmt's defaults, so a diff here is a formatting drift.
+cargo fmt --all --check
 
 echo "== build (release) =="
 cargo build --workspace --release
